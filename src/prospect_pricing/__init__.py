@@ -12,12 +12,12 @@ from .channel import (LinkBudget, UnattainableGuaranteeError, UserChannel,
                       channel_from_budget, dbm_to_watts, guarantee_supremum,
                       min_bandwidth, received_power, service_guarantee,
                       watts_to_dbm)
-from .game import (BenefitFunction, CostModel, NashResult, Offer,
-                   PricingFunction, Scenario, brute_force_nash,
-                   min_bandwidth_for_user, solve_nash, sp_utility,
-                   user_utility)
-from .prospect import (MinAlphaResult, NePreservation, RrmConstraints,
-                       StrategyOutcome, admission_control, bandwidth_expansion,
+from .experiments import NoEquilibriumError, ScenarioParams
+from .game import (CostModel, NashResult, Offer, PowerLaw, Scenario,
+                   brute_force_nash, min_bandwidth_for_user, solve_nash,
+                   sp_utility, user_utility)
+from .prospect import (MinAlphaResult, NePreservation, StrategyOutcome,
+                       admission_control, bandwidth_expansion,
                        equalized_willingness, loss_strict_rrm,
                        loss_with_reallocation, min_alpha, ne_preserved,
                        rate_control, reallocation_price, strict_rrm_price)
@@ -27,9 +27,9 @@ from .weighting import (InsufficientDataError, Lottery, WeightingModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenefitFunction", "CostModel", "InsufficientDataError", "LinkBudget",
-    "Lottery", "MinAlphaResult", "NashResult", "NePreservation", "Offer",
-    "PricingFunction", "RrmConstraints", "Scenario", "StrategyOutcome",
+    "CostModel", "InsufficientDataError", "LinkBudget", "Lottery",
+    "MinAlphaResult", "NashResult", "NePreservation", "NoEquilibriumError",
+    "Offer", "PowerLaw", "Scenario", "ScenarioParams", "StrategyOutcome",
     "UnattainableGuaranteeError", "UserChannel", "WeightingModel",
     "admission_control", "bandwidth_expansion", "brute_force_nash",
     "channel_from_budget", "dbm_to_watts", "equalized_willingness",

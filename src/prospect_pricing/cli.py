@@ -6,16 +6,14 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 from . import experiments
 from .channel import UnattainableGuaranteeError
 from .experiments import (DEFAULT_ALPHA_STEP, DEFAULT_RANGE_ADMISSION,
                           DEFAULT_RANGE_COMPARISON, DEFAULT_RANGE_EXPANSION,
                           DEFAULT_RANGE_LOSS, DEFAULT_RANGE_PRICE,
-                          DEFAULT_SEED, HEADER_NE, SweepSpec, SweepTable,
-                          build_scenario)
-from .game import solve_nash
+                          NoEquilibriumError, ScenarioParams, SweepSpec,
+                          SweepTable, build_scenario)
 from .weighting import InsufficientDataError
 
 EXIT_OK = 0
@@ -28,66 +26,12 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
-    """Scenario parameters; defaults reproduce the published cell setup."""
-
-    tx_power_dbm: float = 40.0
-    antenna_const_db: float = -64.5
-    noise_psd_dbm_per_hz: float = -174.0
-    ref_distance_m: float = 20.0
-    pathloss_exponent: float = 4.0
-    shadow_sigma_db: float = 4.0
-    cell_radius_m: float = 800.0
-    n_users: int = 10
-    price_coeff: float = 2e-3
-    price_exp: float = 0.82
-    benefit_coeff: float = 1e-2
-    benefit_exp: float = 0.65
-    c1: float = (1.0 / 3.0) * 1e-6
-    c3: float = 1e-8
-    bandwidth_margin: float = 0.10
-    total_bandwidth_hz: float | None = None
-    seed: int = DEFAULT_SEED
-
-
 _INT_KEYS = {"n_users", "seed"}
 _OPTIONAL_KEYS = {"total_bandwidth_hz"}
 
 
-def _check(config: Config) -> None:
-    def fail(key: str, why: str) -> None:
-        raise ConfigError(f"invalid config value for {key!r}: {why}")
-
-    if config.n_users < 1:
-        fail("n_users", "must be >= 1")
-    if config.seed < 0:
-        fail("seed", "must be >= 0")
-    if config.ref_distance_m <= 0.0:
-        fail("ref_distance_m", "must be > 0")
-    if config.cell_radius_m < config.ref_distance_m:
-        fail("cell_radius_m", "must be >= ref_distance_m")
-    if config.pathloss_exponent <= 0.0:
-        fail("pathloss_exponent", "must be > 0")
-    if config.shadow_sigma_db < 0.0:
-        fail("shadow_sigma_db", "must be >= 0")
-    for key in ("price_coeff", "benefit_coeff"):
-        if getattr(config, key) <= 0.0:
-            fail(key, "must be > 0")
-    for key in ("price_exp", "benefit_exp"):
-        if not 0.0 < getattr(config, key) <= 1.0:
-            fail(key, "must lie in (0, 1]")
-    for key in ("c1", "c3"):
-        if getattr(config, key) < 0.0:
-            fail(key, "must be >= 0")
-    if config.bandwidth_margin < 0.0:
-        fail("bandwidth_margin", "must be >= 0")
-    if config.total_bandwidth_hz is not None and config.total_bandwidth_hz <= 0.0:
-        fail("total_bandwidth_hz", "must be > 0 when set")
-
-
-def config_from_mapping(data: dict) -> Config:
-    names = {f.name for f in dataclasses.fields(Config)}
+def config_from_mapping(data: dict) -> ScenarioParams:
+    names = {f.name for f in dataclasses.fields(ScenarioParams)}
     for key in data:
         if key not in names:
             raise ConfigError(f"unknown config key: {key!r}")
@@ -103,22 +47,23 @@ def config_from_mapping(data: dict) -> Config:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"invalid config value for {key!r}: expected a number")
             coerced[key] = float(value)
-    config = Config(**coerced)
-    _check(config)
-    return config
+    try:
+        return ScenarioParams(**coerced)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def parse_config(path: str) -> Config:
+def parse_config(path: str) -> ScenarioParams:
     """Load a JSON config; an empty file (or the name 'default') means defaults."""
     if path == "default":
-        return Config()
+        return ScenarioParams()
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not text.strip():
-        return Config()
+        return ScenarioParams()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,29 +73,8 @@ def parse_config(path: str) -> Config:
     return config_from_mapping(data)
 
 
-def serialize_config(config: Config) -> str:
-    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"
-
-
-def scenario_from_config(config: Config, seed: int | None = None):
-    return build_scenario(
-        n_users=config.n_users,
-        seed=config.seed if seed is None else seed,
-        cell_radius_m=config.cell_radius_m,
-        tx_power_dbm=config.tx_power_dbm,
-        antenna_const_db=config.antenna_const_db,
-        noise_psd_dbm_per_hz=config.noise_psd_dbm_per_hz,
-        ref_distance_m=config.ref_distance_m,
-        pathloss_exponent=config.pathloss_exponent,
-        shadow_sigma_db=config.shadow_sigma_db,
-        price_coeff=config.price_coeff,
-        price_exp=config.price_exp,
-        benefit_coeff=config.benefit_coeff,
-        benefit_exp=config.benefit_exp,
-        c1=config.c1,
-        c3=config.c3,
-        bandwidth_margin=config.bandwidth_margin,
-        total_bandwidth_hz=config.total_bandwidth_hz)
+def serialize_config(params: ScenarioParams) -> str:
+    return json.dumps(dataclasses.asdict(params), indent=2, sort_keys=True) + "\n"
 
 
 class _UsageError(Exception):
@@ -176,7 +100,7 @@ _SWEEPS = {
     "sweep-loss": (experiments.sweep_revenue_loss, DEFAULT_RANGE_LOSS),
     "sweep-price": (experiments.sweep_price, DEFAULT_RANGE_PRICE),
     "sweep-expansion": (experiments.sweep_expansion, DEFAULT_RANGE_EXPANSION),
-    "sweep-admission": (None, DEFAULT_RANGE_ADMISSION),
+    "sweep-admission": (experiments.sweep_admission, DEFAULT_RANGE_ADMISSION),
     "sweep-compare": (experiments.sweep_comparison, DEFAULT_RANGE_COMPARISON),
 }
 
@@ -228,11 +152,17 @@ def _write_table(table: SweepTable, out: str | None) -> None:
             experiments.write_csv(f, table.header, table.rows)
 
 
+def _diagnostic(status: str, exc: Exception) -> SweepTable:
+    return SweepTable(("status", "detail"), ((status, str(exc)),))
+
+
 def _run(args) -> tuple[SweepTable, int]:
-    config = Config() if args.config is None else parse_config(args.config)
-    seed = args.seed if args.seed is not None else config.seed
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    params = ScenarioParams() if args.config is None else parse_config(args.config)
+    if args.seed is not None:
+        try:
+            params = dataclasses.replace(params, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     if args.command == "fit-pwf":
         if args.data is None:
@@ -248,15 +178,17 @@ def _run(args) -> tuple[SweepTable, int]:
         return experiments.fit_table(records), EXIT_OK
 
     try:
-        scenario = scenario_from_config(config, seed)
+        scenario = build_scenario(**dataclasses.asdict(params))
     except UnattainableGuaranteeError as exc:
-        return SweepTable(("status", "detail"),
-                          (("infeasible", str(exc)),)), EXIT_INFEASIBLE
+        return _diagnostic("infeasible", exc), EXIT_INFEASIBLE
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     if args.command == "ne-solve":
-        ne = solve_nash(scenario)
-        table = SweepTable(HEADER_NE, ((ne.rate_bps, ne.n_served, ne.sp_revenue),))
-        return table, EXIT_OK if ne.equilibrium else EXIT_INFEASIBLE
+        table = experiments.ne_table(scenario)
+        _, n_served, _ = table.rows[0]
+        # the solver serves nobody exactly when the game has no equilibrium
+        return table, EXIT_OK if n_served else EXIT_INFEASIBLE
 
     runner, (amin_default, amax_default) = _SWEEPS[args.command]
     amin = amin_default if args.alpha_min is None else args.alpha_min
@@ -267,20 +199,15 @@ def _run(args) -> tuple[SweepTable, int]:
     if not 0.0 < amin <= amax <= 1.0:
         raise _UsageError("alpha range must satisfy 0 < min <= max <= 1")
     spec = SweepSpec(scenario=scenario, alpha_min=amin, alpha_max=amax,
-                     alpha_step=step, rng_seed=seed,
-                     offer_margin=config.bandwidth_margin)
+                     alpha_step=step, offer_margin=params.bandwidth_margin)
+    extra = {"max_drops": args.max_drops} if args.command == "sweep-admission" else {}
     try:
-        if args.command == "sweep-admission":
-            table = experiments.sweep_admission(spec, max_drops=args.max_drops)
-        else:
-            table = runner(spec)
+        table = runner(spec, **extra)
     except UnattainableGuaranteeError as exc:
-        return SweepTable(("status", "detail"),
-                          (("infeasible", str(exc)),)), EXIT_INFEASIBLE
+        return _diagnostic("infeasible", exc), EXIT_INFEASIBLE
+    except NoEquilibriumError as exc:
+        return _diagnostic("no-equilibrium", exc), EXIT_INFEASIBLE
     except ValueError as exc:
-        if "no equilibrium" in str(exc):
-            return SweepTable(("status", "detail"),
-                              (("no-equilibrium", str(exc)),)), EXIT_INFEASIBLE
         raise ConfigError(str(exc)) from exc
     return table, EXIT_OK
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
 
 from . import _search, prospect
 from .channel import LinkBudget, channel_from_budget
-from .game import (BenefitFunction, CostModel, NashResult, PricingFunction,
-                   Scenario, min_bandwidth_for_user, solve_nash)
+from .game import (CostModel, NashResult, PowerLaw, Scenario,
+                   min_bandwidth_for_user, solve_nash)
 from .prospect import PRICE_EPS_REL, equalized_willingness, ne_preserved
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
@@ -48,20 +48,77 @@ HEADER_NE = ("rate_bps", "n_served", "sp_revenue")
 HEADER_FIT = ("alpha", "mse", "p", "w")
 
 
-def build_scenario(n_users: int = 10, *, seed: int = DEFAULT_SEED,
-                   cell_radius_m: float = 800.0,
-                   tx_power_dbm: float = 40.0,
-                   antenna_const_db: float = -64.5,
-                   noise_psd_dbm_per_hz: float = -174.0,
-                   ref_distance_m: float = 20.0,
-                   pathloss_exponent: float = 4.0,
-                   shadow_sigma_db: float = 4.0,
-                   price_coeff: float = 2e-3, price_exp: float = 0.82,
-                   benefit_coeff: float = 1e-2, benefit_exp: float = 0.65,
-                   c1: float = (1.0 / 3.0) * 1e-6, c3: float = 1e-8,
-                   bandwidth_margin: float = 0.10,
-                   total_bandwidth_hz: float | None = None) -> Scenario:
+class NoEquilibriumError(ValueError):
+    """The scenario's pricing game has no equilibrium for a sweep to perturb."""
+
+
+@dataclass(frozen=True)
+class ScenarioParams:
+    """Scenario parameters; the defaults reproduce the published cell setup.
+
+    total_bandwidth_hz = None lets build_scenario size the band. Every other
+    value must be finite and inside the ranges checked below; a bad value
+    raises ValueError naming its field.
+    """
+
+    tx_power_dbm: float = 40.0
+    antenna_const_db: float = -64.5
+    noise_psd_dbm_per_hz: float = -174.0
+    ref_distance_m: float = 20.0
+    pathloss_exponent: float = 4.0
+    shadow_sigma_db: float = 4.0
+    cell_radius_m: float = 800.0
+    n_users: int = 10
+    price_coeff: float = 2e-3
+    price_exp: float = 0.82
+    benefit_coeff: float = 1e-2
+    benefit_exp: float = 0.65
+    c1: float = (1.0 / 3.0) * 1e-6
+    c3: float = 1e-8
+    bandwidth_margin: float = 0.10
+    total_bandwidth_hz: float | None = None
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        def fail(key: str, why: str) -> None:
+            raise ValueError(f"invalid config value for {key!r}: {why}")
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                fail(f.name, "must be a finite number")
+        if self.n_users < 1:
+            fail("n_users", "must be >= 1")
+        if self.seed < 0:
+            fail("seed", "must be >= 0")
+        if self.ref_distance_m <= 0.0:
+            fail("ref_distance_m", "must be > 0")
+        if self.cell_radius_m < self.ref_distance_m:
+            fail("cell_radius_m", "must be >= ref_distance_m")
+        if self.pathloss_exponent <= 0.0:
+            fail("pathloss_exponent", "must be > 0")
+        if self.shadow_sigma_db < 0.0:
+            fail("shadow_sigma_db", "must be >= 0")
+        for key in ("price_coeff", "benefit_coeff"):
+            if getattr(self, key) <= 0.0:
+                fail(key, "must be > 0")
+        for key in ("price_exp", "benefit_exp"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                fail(key, "must lie in (0, 1]")
+        for key in ("c1", "c3"):
+            if getattr(self, key) < 0.0:
+                fail(key, "must be >= 0")
+        if self.bandwidth_margin < 0.0:
+            fail("bandwidth_margin", "must be >= 0")
+        if self.total_bandwidth_hz is not None and self.total_bandwidth_hz <= 0.0:
+            fail("total_bandwidth_hz", "must be > 0 when set")
+
+
+def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
     """Scenario with users placed uniformly over the cell disc.
+
+    Keyword arguments are the other ScenarioParams fields; anything left out
+    takes its default there.
 
     Per user, in index order: one uniform draw for the radial position
     (area-uniform, radius = R*sqrt(u), floored at the reference distance) and
@@ -71,37 +128,37 @@ def build_scenario(n_users: int = 10, *, seed: int = DEFAULT_SEED,
     Unless total_bandwidth_hz is given, the band is sized to the per-user
     minimum at the unconstrained optimal rate plus the stated margin.
     """
-    if n_users < 1:
-        raise ValueError("n_users must be >= 1")
-    rng = np.random.default_rng(seed)
-    pricing = PricingFunction(price_coeff, price_exp)
-    benefit = BenefitFunction(benefit_coeff, benefit_exp)
+    p = ScenarioParams(n_users=n_users, **params)
+    rng = np.random.default_rng(p.seed)
+    pricing = PowerLaw(p.price_coeff, p.price_exp)
+    benefit = PowerLaw(p.benefit_coeff, p.benefit_exp)
     users = []
-    for _ in range(n_users):
-        dist = max(ref_distance_m, cell_radius_m * math.sqrt(rng.random()))
-        shadow = rng.normal(0.0, shadow_sigma_db)
-        lb = LinkBudget(tx_power_dbm=tx_power_dbm,
-                        antenna_const_db=antenna_const_db,
-                        pathloss_exponent=pathloss_exponent,
+    for _ in range(p.n_users):
+        dist = max(p.ref_distance_m, p.cell_radius_m * math.sqrt(rng.random()))
+        shadow = rng.normal(0.0, p.shadow_sigma_db)
+        lb = LinkBudget(tx_power_dbm=p.tx_power_dbm,
+                        antenna_const_db=p.antenna_const_db,
+                        pathloss_exponent=p.pathloss_exponent,
                         distance_m=dist,
-                        ref_distance_m=ref_distance_m,
+                        ref_distance_m=p.ref_distance_m,
                         shadow_db=shadow,
-                        noise_psd_dbm_per_hz=noise_psd_dbm_per_hz)
+                        noise_psd_dbm_per_hz=p.noise_psd_dbm_per_hz)
         users.append((channel_from_budget(lb), benefit))
-    cost = CostModel(c1=c1, c3=c3)
+    cost = CostModel(c1=p.c1, c3=p.c3)
 
+    total_bandwidth_hz = p.total_bandwidth_hz
     if total_bandwidth_hz is None:
         scratch = Scenario(users=tuple(users), pricing=pricing, cost=cost,
-                           total_bandwidth_hz=1.0, rng_seed=seed)
+                           total_bandwidth_hz=1.0)
         rate_opt = unconstrained_optimal_rate(pricing, cost)
         need = sum(min_bandwidth_for_user(rate_opt, i, scratch)
-                   for i in range(n_users))
-        total_bandwidth_hz = (1.0 + bandwidth_margin) * need
+                   for i in range(p.n_users))
+        total_bandwidth_hz = (1.0 + p.bandwidth_margin) * need
     return Scenario(users=tuple(users), pricing=pricing, cost=cost,
-                    total_bandwidth_hz=total_bandwidth_hz, rng_seed=seed)
+                    total_bandwidth_hz=total_bandwidth_hz)
 
 
-def unconstrained_optimal_rate(pricing: PricingFunction, cost: CostModel) -> float:
+def unconstrained_optimal_rate(pricing: PowerLaw, cost: CostModel) -> float:
     """Rate maximizing the per-user margin r(b) - c1*b, ignoring bandwidth."""
     f = lambda b: pricing(b) - cost.c1 * b
     hi = 1e6
@@ -136,9 +193,7 @@ class SweepSpec:
     alpha_min: float
     alpha_max: float
     alpha_step: float = DEFAULT_ALPHA_STEP
-    rng_seed: int = DEFAULT_SEED
     offer_margin: float = 0.10
-    strategies: tuple[str, ...] = prospect.STRATEGY_IDS
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha_min <= self.alpha_max <= 1.0):
@@ -190,7 +245,7 @@ def write_csv(fileobj, header: tuple[str, ...], rows) -> None:
 def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
     ne = solve_nash(spec.scenario)
     if not ne.equilibrium:
-        raise ValueError("scenario has no equilibrium to perturb")
+        raise NoEquilibriumError("scenario has no equilibrium to perturb")
     ref = reference_offer(spec.scenario, ne, spec.offer_margin)
     eut = ne.sp_revenue
     return ref, eut
@@ -284,7 +339,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     aggregate requirement demands. Expansion reprices at the equalized
     willingness; its full-recovery band equals the baseline's. Admission denies
     the heaviest consumer without re-splitting the survivors' band, so below
-    some alpha no markup is acceptable and the threshold cells are empty. Rate
+    some alpha no markup is acceptable and the threshold cells are empty; with
+    a single served user nobody is left and both admission cells are empty. Rate
     control additionally moves the offered rate to wherever the total
     requirement is smallest.
     """
@@ -295,7 +351,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     b_star = ref.rate_bps
     order = _drop_order(sc, ref)
     kept = tuple(sorted(order[1:]))
-    markup = prospect.admission_price(sc, ref, len(kept))
+    markup = prospect.admission_price(sc, ref, len(kept)) if kept else None
 
     rate_grid = [float(b) for b in np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)]
 
@@ -313,17 +369,16 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
 
         # admission: survivors keep their original split; the markup must be
         # acceptable as-is, else the strategy has no solution at this alpha
-        will = [prospect.willingness(sc, ref, model, i, ref.allocation[i])
-                for i in kept]
-        p_cap = min(will)
-        adm_ok = p_cap >= markup
-        if adm_ok:
-            reqs = prospect.admission_requirements(sc, ref, model, markup)
-            bw_adm = sum(reqs[i] for i in kept) / budget
-            rev_adm = 1.0
-        else:
-            bw_adm = None
-            rev_adm = (len(kept) * (p_cap - c1 * b_star) - c3 * budget) / eut
+        bw_adm = rev_adm = None
+        if kept:
+            p_cap = min(prospect.willingness(sc, ref, model, i, ref.allocation[i])
+                        for i in kept)
+            if p_cap >= markup:
+                reqs = prospect.admission_requirements(sc, ref, model, markup)
+                bw_adm = sum(reqs[i] for i in kept) / budget
+                rev_adm = 1.0
+            else:
+                rev_adm = (len(kept) * (p_cap - c1 * b_star) - c3 * budget) / eut
 
         rc = prospect.rate_control(sc, ref, model)
         bw_rate = rc.min_bandwidth_threshold_hz / budget

@@ -24,27 +24,11 @@ FEASIBILITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class PricingFunction:
-    """r(b) = coefficient * (b * 1e-3)^exponent, increasing and concave."""
+class PowerLaw:
+    """coefficient * (b * 1e-3)^exponent, 0 at b = 0, increasing and concave.
 
-    coefficient: float
-    exponent: float
-
-    def __post_init__(self) -> None:
-        if self.coefficient <= 0.0:
-            raise ValueError(f"coefficient must be > 0, got {self.coefficient}")
-        if not (0.0 < self.exponent <= 1.0):
-            raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
-
-    def __call__(self, rate_bps: float) -> float:
-        if rate_bps == 0.0:
-            return 0.0
-        return self.coefficient * (rate_bps * 1e-3) ** self.exponent
-
-
-@dataclass(frozen=True)
-class BenefitFunction:
-    """h(b) = coefficient * (b * 1e-3)^exponent with h(0) = 0."""
+    Both the provider's price r(b) and each user's benefit h(b) take this form.
+    """
 
     coefficient: float
     exponent: float
@@ -80,11 +64,10 @@ class CostModel:
 class Scenario:
     """Users (channel, benefit) plus the shared pricing, cost and band endowment."""
 
-    users: tuple[tuple[UserChannel, BenefitFunction], ...]
-    pricing: PricingFunction
+    users: tuple[tuple[UserChannel, PowerLaw], ...]
+    pricing: PowerLaw
     cost: CostModel
     total_bandwidth_hz: float
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.users) == 0:
@@ -99,7 +82,7 @@ class Scenario:
     def channel(self, i: int) -> UserChannel:
         return self.users[i][0]
 
-    def benefit(self, i: int) -> BenefitFunction:
+    def benefit(self, i: int) -> PowerLaw:
         return self.users[i][1]
 
 

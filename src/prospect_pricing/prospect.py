@@ -11,7 +11,6 @@ threshold compared against the provider's endowment.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,21 +24,6 @@ from .weighting import WeightingModel, inverse_weight, weight
 # strict acceptance inequalities are realized by shaving this relative amount
 # off every computed price
 PRICE_EPS_REL = 1e-9
-
-
-@dataclass(frozen=True)
-class RrmConstraints:
-    """Which parts of the original offer the provider is holding fixed."""
-
-    same_served_set: bool = True
-    same_rate: bool = True
-    same_total_bandwidth: bool = True
-    same_allocation: bool = True
-
-    @property
-    def strict(self) -> bool:
-        return (self.same_served_set and self.same_rate
-                and self.same_total_bandwidth and self.same_allocation)
 
 
 @dataclass(frozen=True)
@@ -197,16 +181,8 @@ def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingMo
                 return s
         return s
 
-    x_lo = 0.0
-    for _ in range(200):
-        if x_hi - x_lo <= 1e-14 * max(x_hi, 1.0):
-            break
-        x_mid = 0.5 * (x_lo + x_hi)
-        if total_required(x_mid) < total:
-            x_lo = x_mid
-        else:
-            x_hi = x_mid
-    x = x_lo
+    x, _ = _search.bisect_boundary(lambda x: total_required(x) < total,
+                                   0.0, x_hi, rel_tol=1e-14)
     alloc = []
     for i in users:
         h = scenario.benefit(i)
@@ -242,6 +218,8 @@ def loss_with_reallocation(scenario: Scenario, ne: NashResult,
 
 def admission_price(scenario: Scenario, ne: NashResult, n_kept: int) -> float:
     """Revenue-preserving common price when n_kept of the served users remain."""
+    if n_kept < 1:
+        raise ValueError(f"n_kept must be >= 1, got {n_kept}")
     ratio = ne.n_served / n_kept
     return ratio * ne.price - (ratio - 1.0) * scenario.cost.c1 * ne.rate_bps
 
@@ -263,8 +241,7 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
     Candidate subsets keep at least n_served - max_drops users. The
     revenue-preserving price depends on the subset only through its size and
     per-user requirements are separable, so for each size the cheapest subset
-    is the size-many smallest-requirement users; sets of up to 12 users are
-    enumerated exhaustively anyway.
+    is the size-many smallest-requirement users.
     """
     if not (0 <= max_drops < ne.n_served):
         raise ValueError(f"max_drops must lie in [0, {ne.n_served}), got {max_drops}")
@@ -276,16 +253,11 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
         n_kept = ne.n_served - n_drop
         price = admission_price(scenario, ne, n_kept)
         reqs = admission_requirements(scenario, ne, model, price)
-        if ne.n_served <= 12:
-            candidates = itertools.combinations(ne.served_set, n_kept)
-        else:
-            # drop the heaviest consumers greedily
-            order = sorted(ne.served_set, key=lambda i: (reqs[i], i))
-            candidates = [tuple(sorted(order[:n_kept]))]
-        for subset in candidates:
-            total = sum(reqs[i] for i in subset)
-            if best is None or total < best[0]:
-                best = (total, tuple(subset), price)
+        order = sorted(ne.served_set, key=lambda i: (reqs[i], i))
+        subset = tuple(sorted(order[:n_kept]))
+        total = sum(reqs[i] for i in subset)
+        if best is None or total < best[0]:
+            best = (total, subset, price)
 
     threshold, subset, price = best
     feasible = not math.isinf(threshold) and threshold < budget * (1.0 - FEASIBILITY_SLACK)
@@ -492,11 +464,7 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
             lo = grid[k]
             hi = grid[k + 1] if k + 1 < len(grid) else 1.0
             break
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+    # alpha <= 1, so the relative tolerance is an absolute 1e-4
+    _, hi = _search.bisect_boundary(lambda a: not pred(a), lo, hi, rel_tol=1e-4)
     return MinAlphaResult(alpha=hi, never_infeasible=False,
                           recoverable_at_one=True, monotone=monotone)

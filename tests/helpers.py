@@ -21,10 +21,9 @@ from prospect_pricing.channel import (
     watts_to_dbm,
 )
 from prospect_pricing.game import (
-    BenefitFunction,
     CostModel,
     Offer,
-    PricingFunction,
+    PowerLaw,
     Scenario,
     min_bandwidth_for_user,
     solve_nash,
@@ -49,8 +48,8 @@ from prospect_pricing.weighting import (
 
 INV_E = math.exp(-1.0)
 
-STD_PRICING = PricingFunction(coefficient=2e-3, exponent=0.82)
-STD_BENEFIT = BenefitFunction(coefficient=1e-2, exponent=0.65)
+STD_PRICING = PowerLaw(coefficient=2e-3, exponent=0.82)
+STD_BENEFIT = PowerLaw(coefficient=1e-2, exponent=0.65)
 STD_COST = CostModel(c1=(1.0 / 3.0) * 1e-6, c3=1e-8)
 
 

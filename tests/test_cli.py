@@ -1,12 +1,19 @@
 import dataclasses
 import json
+import math
+import pathlib
+import re
 
 import pytest
 
 from prospect_pricing import cli
-from prospect_pricing.cli import (Config, ConfigError, config_from_mapping,
-                                  dispatch, parse_config, serialize_config)
-from prospect_pricing.experiments import HEADER_FIT, HEADER_NE, format_cell
+from prospect_pricing.cli import (ConfigError, config_from_mapping, dispatch,
+                                  parse_config, serialize_config)
+from prospect_pricing.experiments import (HEADER_COMPARISON, HEADER_FIT,
+                                          HEADER_NE, ScenarioParams,
+                                          format_cell)
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 NE_SOLVE_STDOUT = (",".join(HEADER_NE) + "\n"
                    + ",".join((format_cell(6986353.51799847), "10",
@@ -24,17 +31,17 @@ def run(argv, capsys):
 
 
 def test_defaults_without_config():
-    assert Config() == parse_config("default")
+    assert ScenarioParams() == parse_config("default")
 
 
 def test_empty_config_file_means_defaults(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("   \n")
-    assert parse_config(str(path)) == Config()
+    assert parse_config(str(path)) == ScenarioParams()
 
 
 def test_config_roundtrip():
-    config = Config(n_users=3, c3=2e-8, total_bandwidth_hz=5e6, seed=7)
+    config = ScenarioParams(n_users=3, c3=2e-8, total_bandwidth_hz=5e6, seed=7)
     text = serialize_config(config)
     assert config_from_mapping(json.loads(text)) == config
     assert text.endswith("\n")
@@ -61,7 +68,13 @@ def test_out_of_range_values_rejected():
 
 
 def test_config_field_count_is_stable():
-    assert len(dataclasses.fields(Config)) == 17
+    assert len(dataclasses.fields(ScenarioParams)) == 17
+
+
+def test_readme_config_block_matches_defaults():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Config keys and defaults.*?```json\n(.*?)```", text, re.S)
+    assert json.loads(block.group(1)) == dataclasses.asdict(ScenarioParams())
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):
@@ -94,6 +107,26 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     status, out, err = run(["ne-solve", "--config", str(path)], capsys)
     assert status == 2
     assert "pathloss_exponent" in err
+
+
+# Python's json reads NaN and Infinity; c1 = 0 and a linear price leave the
+# per-user margin without a peak, so the band cannot be sized
+@pytest.mark.parametrize("command", ["ne-solve", "sweep-loss", "sweep-compare"])
+@pytest.mark.parametrize("text, message", [
+    ('{"tx_power_dbm": NaN}', "tx_power_dbm"),
+    ('{"c1": NaN}', "c1"),
+    ('{"cell_radius_m": Infinity}', "cell_radius_m"),
+    ('{"c3": -Infinity}', "c3"),
+    ('{"c1": 0}', "does not peak"),
+    ('{"price_exp": 1.0}', "does not peak"),
+])
+def test_config_outside_model_domain_exits_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "domain.json"
+    path.write_text(text)
+    status, out, err = run([command, "--config", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert message in err
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +246,35 @@ def test_no_equilibrium_sweep_writes_diagnostic(tmp_path, capsys):
     lines = out.split("\n")
     assert lines[0] == "status,detail"
     assert lines[1].startswith("no-equilibrium")
+
+
+def test_zero_rate_cost_with_explicit_band_solves(tmp_path, capsys):
+    # band sizing is what needs the margin peak; a given band skips it
+    path = tmp_path / "free_rate.json"
+    path.write_text(json.dumps({"c1": 0, "total_bandwidth_hz": 1e7}))
+    status, out, _ = run(["ne-solve", "--config", str(path)], capsys)
+    assert status == 0
+    assert out.startswith(",".join(HEADER_NE) + "\n")
+
+
+def test_sweep_compare_with_one_served_user(tmp_path, capsys):
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"n_users": 1}))
+    status, out, _ = run(["sweep-compare", "--config", str(path),
+                          "--alpha-min", "0.9", "--alpha-max", "1.0",
+                          "--alpha-step", "0.05"], capsys)
+    assert status == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == ",".join(HEADER_COMPARISON)
+    assert len(lines) == 4
+    empty = {HEADER_COMPARISON.index("bw_admission_norm"),
+             HEADER_COMPARISON.index("rev_admission_norm")}
+    for line in lines[1:]:
+        for k, cell in enumerate(line.split(",")):
+            if k in empty:
+                assert cell == ""
+            else:
+                assert math.isfinite(float(cell))
 
 
 def test_excessive_max_drops_exits_2(capsys):

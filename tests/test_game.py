@@ -6,10 +6,9 @@ import pytest
 import helpers
 from prospect_pricing.channel import UnattainableGuaranteeError
 from prospect_pricing.game import (
-    BenefitFunction,
     CostModel,
     Offer,
-    PricingFunction,
+    PowerLaw,
     Scenario,
     brute_force_nash,
     min_bandwidth,
@@ -35,13 +34,13 @@ def test_pricing_and_benefit_zero_at_zero():
 
 def test_pricing_validation():
     with pytest.raises(ValueError):
-        PricingFunction(coefficient=0.0, exponent=0.5)
+        PowerLaw(coefficient=0.0, exponent=0.5)
     with pytest.raises(ValueError):
-        PricingFunction(coefficient=1.0, exponent=0.0)
+        PowerLaw(coefficient=1.0, exponent=0.0)
     with pytest.raises(ValueError):
-        PricingFunction(coefficient=1.0, exponent=1.5)
+        PowerLaw(coefficient=1.0, exponent=1.5)
     with pytest.raises(ValueError):
-        BenefitFunction(coefficient=-1.0, exponent=0.5)
+        PowerLaw(coefficient=-1.0, exponent=0.5)
 
 
 def test_cost_model_validation():

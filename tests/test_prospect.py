@@ -15,7 +15,6 @@ from prospect_pricing.game import (
 )
 from prospect_pricing.prospect import (
     PRICE_EPS_REL,
-    RrmConstraints,
     admission_control,
     admission_price,
     admission_requirements,
@@ -235,20 +234,25 @@ def admission_oracle(sc, ne, model, max_drops):
 
 
 def test_admission_matches_exhaustive_subsets():
-    sc = experiments.build_scenario(n_users=4, bandwidth_margin=0.15)
-    ne = solve_nash(sc)
-    ref = experiments.reference_offer(sc, ne)
-    assert ne.n_served == 4
-    model = WeightingModel(alpha=0.88)
-    for drops in (0, 1, 2):
-        out = admission_control(sc, ref, model, drops)
-        want_total, want_subset = admission_oracle(sc, ref, model, drops)
-        assert abs(out.min_bandwidth_threshold_hz - want_total) <= 1e-9 * want_total
-        assert out.served_set == want_subset
-        assert out.feasible == (want_total < sc.total_bandwidth_hz * (1.0 - 1e-9))
-        if out.feasible:
-            assert out.revenue_loss == 0.0
-            assert sum(out.allocation) <= sc.total_bandwidth_hz * (1.0 + 1e-9)
+    # (users, band margin, alphas, largest max_drops); the 10-user default
+    # cell has enough subsets that keeping the smallest requirements is a
+    # real choice
+    cases = ((4, 0.15, (0.88,), 2), (10, 0.10, (0.90, 0.95), 3))
+    for n_users, margin, alphas, max_drops in cases:
+        sc = experiments.build_scenario(n_users=n_users, bandwidth_margin=margin)
+        ne = solve_nash(sc)
+        ref = experiments.reference_offer(sc, ne)
+        assert ne.n_served == n_users
+        for alpha, drops in itertools.product(alphas, range(max_drops + 1)):
+            model = WeightingModel(alpha=alpha)
+            out = admission_control(sc, ref, model, drops)
+            want_total, want_subset = admission_oracle(sc, ref, model, drops)
+            assert abs(out.min_bandwidth_threshold_hz - want_total) <= 1e-9 * want_total
+            assert out.served_set == want_subset
+            assert out.feasible == (want_total < sc.total_bandwidth_hz * (1.0 - 1e-9))
+            if out.feasible:
+                assert out.revenue_loss == 0.0
+                assert sum(out.allocation) <= sc.total_bandwidth_hz * (1.0 + 1e-9)
 
 
 def test_admission_infeasible_when_markup_exceeds_benefit():
@@ -475,14 +479,6 @@ def test_min_alpha_unrecoverable_offer():
 def test_unknown_strategy_rejected(default_scenario, default_ref):
     with pytest.raises(ValueError):
         strategy_threshold(default_scenario, default_ref, IDENTITY, "bogus")
-
-
-def test_rrm_constraints_strict_property():
-    assert RrmConstraints().strict
-    assert not RrmConstraints(same_allocation=False).strict
-    assert not RrmConstraints(same_rate=False).strict
-    assert not RrmConstraints(same_served_set=False).strict
-    assert not RrmConstraints(same_total_bandwidth=False).strict
 
 
 def test_equalized_willingness_edge_cases(default_scenario, default_ref):
