@@ -10,8 +10,8 @@ pipeline for perception data.
 
 from .channel import (LinkBudget, UnattainableGuaranteeError, UserChannel,
                       channel_from_budget, dbm_to_watts, guarantee_supremum,
-                      min_bandwidth, received_power, service_guarantee,
-                      watts_to_dbm)
+                      min_bandwidth, min_bandwidths, received_power,
+                      service_guarantee, watts_to_dbm)
 from .experiments import NoEquilibriumError, ScenarioParams
 from .game import (CostModel, NashResult, Offer, PowerLaw, Scenario,
                    brute_force_nash, min_bandwidth_for_user, solve_nash,
@@ -35,7 +35,7 @@ __all__ = [
     "channel_from_budget", "dbm_to_watts", "equalized_willingness",
     "fit_alpha", "guarantee_supremum", "inverse_weight", "loss_strict_rrm",
     "loss_with_reallocation", "lottery_value", "min_alpha", "min_bandwidth",
-    "min_bandwidth_for_user", "ne_preserved", "rate_control",
+    "min_bandwidth_for_user", "min_bandwidths", "ne_preserved", "rate_control",
     "reallocation_price", "received_power", "service_guarantee", "solve_nash",
     "sp_utility", "strict_rrm_price", "user_utility", "watts_to_dbm",
     "__version__",

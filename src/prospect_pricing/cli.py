@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import experiments
@@ -147,6 +148,7 @@ def _build_parser() -> _Parser:
 def _write_table(table: SweepTable, out: str | None) -> None:
     if out is None:
         experiments.write_csv(sys.stdout, table.header, table.rows)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     else:
         with open(out, "w", encoding="utf-8", newline="") as f:
             experiments.write_csv(f, table.header, table.rows)
@@ -229,7 +231,12 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (ConfigError, InsufficientDataError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return EXIT_CONFIG
-    _write_table(table, args.out)
+    try:
+        _write_table(table, args.out)
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); point stdout at devnull so the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _search
 from .channel import UnattainableGuaranteeError, UserChannel, guarantee_supremum, \
-    min_bandwidth, service_guarantee
+    min_bandwidth, min_bandwidths, service_guarantee
 from .weighting import IDENTITY, WeightingModel, weight
 
 # strict "<" feasibility comparisons carry this relative slack for determinism
@@ -154,47 +156,65 @@ def min_bandwidth_for_user(rate_bps: float, user_index: int, scenario: Scenario)
     return min_bandwidth(rate_bps, target, ch)
 
 
-def _requirements(scenario: Scenario, rate_bps: float) -> list[float]:
-    """Per-user minimum bandwidths at a rate; inf marks users unservable there."""
-    out = []
-    for i in range(scenario.n_users):
-        try:
-            out.append(min_bandwidth_for_user(rate_bps, i, scenario))
-        except UnattainableGuaranteeError:
-            out.append(math.inf)
-    return out
+class _Requirements:
+    """Every user's minimum bandwidth at a rate, inverted as one numpy vector.
 
+    Make one per solve: it holds on to the running totals of the sorted
+    vector at the rates that several searches probe, so each is inverted once.
+    """
 
-def _n_cheapest_total(scenario: Scenario, rate_bps: float, n: int) -> float:
-    reqs = sorted(_requirements(scenario, rate_bps))
-    return sum(reqs[:n])
+    def __init__(self, scenario: Scenario) -> None:
+        self._pricing = scenario.pricing
+        rows = [(ch.noise_psd_w_per_hz, ch.received_power_w, h.coefficient, h.exponent)
+                for ch, h in scenario.users]
+        self._noise, self._power, self._coeff, self._exp = np.array(rows).T.copy()
+        self._kept: dict[float, np.ndarray] = {}
+
+    def __call__(self, rate_bps: float) -> np.ndarray:
+        """Per-user minimum bandwidths; inf marks users unservable at this rate."""
+        benefit = self._coeff * (rate_bps * 1e-3) ** self._exp
+        return min_bandwidths(rate_bps, self._pricing(rate_bps) / benefit,
+                              self._noise, self._power)
+
+    def cheapest_total(self, rate_bps: float, n: int, keep: bool = False) -> float:
+        """Summed requirement of the n cheapest users, n >= 1.
+
+        keep=True holds the rate's totals for later calls: the doubling ladder
+        every set size climbs, and the rate of the n and n + 1 checks, pass
+        it. The bisection's midpoints are mostly probed once and do not.
+        """
+        totals = self._kept.get(rate_bps)
+        if totals is None:
+            totals = np.cumsum(np.sort(self(rate_bps)))
+            if keep:
+                self._kept[rate_bps] = totals
+        return float(totals[n - 1])
 
 
 def _feasible(total_required: float, budget: float) -> bool:
     return total_required < budget * (1.0 - FEASIBILITY_SLACK)
 
 
-def _rate_feasibility_boundary(scenario: Scenario, n: int) -> float | None:
+def _rate_feasibility_boundary(reqs: _Requirements, budget: float, n: int) -> float | None:
     """Largest rate at which the n cheapest users still fit in the band.
 
     The summed requirement grows with the rate for increasing r/h ratios, so the
     feasible rates form an interval anchored at 0.
     """
-    budget = scenario.total_bandwidth_hz
+    on_ladder = lambda b: _feasible(reqs.cheapest_total(b, n, keep=True), budget)
+    fits = lambda b: _feasible(reqs.cheapest_total(b, n), budget)
     lo = 1.0
-    if not _feasible(_n_cheapest_total(scenario, lo, n), budget):
-        while lo > 1e-9 and not _feasible(_n_cheapest_total(scenario, lo, n), budget):
+    if not on_ladder(lo):
+        while lo > 1e-9 and not on_ladder(lo):
             lo *= 0.5
-        if not _feasible(_n_cheapest_total(scenario, lo, n), budget):
+        if not on_ladder(lo):
             return None
     hi = lo
-    while _feasible(_n_cheapest_total(scenario, hi, n), budget):
+    while on_ladder(hi):
         hi *= 2.0
         if hi > 1e18:
             break
-    lo, hi = _search.bisect_boundary(
-        lambda b: _feasible(_n_cheapest_total(scenario, b, n), budget),
-        lo, hi, rel_tol=1e-12)
+    lo, hi = _search.bisect_boundary(fits, lo, hi, rel_tol=1e-12)
     return lo
 
 
@@ -210,22 +230,24 @@ def solve_nash(scenario: Scenario) -> NashResult:
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
+    reqs = _Requirements(scenario)
+    fits = lambda b, n: _feasible(reqs.cheapest_total(b, n, keep=True), budget)
 
     best_rates: list[float | None] = [None] * (n_users + 1)
     per_n = [0.0] * (n_users + 1)
     for n in range(n_users, 0, -1):
-        boundary = _rate_feasibility_boundary(scenario, n)
+        boundary = _rate_feasibility_boundary(reqs, budget, n)
         if boundary is None:
             per_n[n] = -math.inf
             continue
         b_star, _ = _search.golden_max(
             lambda b: n * (price(b) - c1 * b), 0.0, boundary, rel_tol=1e-9)
-        if b_star <= 0.0 or not _feasible(_n_cheapest_total(scenario, b_star, n), budget):
+        if b_star <= 0.0 or not fits(b_star, n):
             # boundary end may sit epsilon outside the strict constraint
             b_star = boundary
         best_rates[n] = b_star
         per_n[n] = n * (price(b_star) - c1 * b_star) - c3 * budget
-        if n < n_users and _feasible(_n_cheapest_total(scenario, b_star, n + 1), budget):
+        if n < n_users and fits(b_star, n + 1):
             per_n[n] = 0.0  # a larger set accepts at this rate, not an equilibrium
 
     n_star, best_rev = 0, 0.0
@@ -238,15 +260,15 @@ def solve_nash(scenario: Scenario) -> NashResult:
                           per_n_revenues=tuple(per_n[1:]), equilibrium=False)
 
     b_star = best_rates[n_star]
-    reqs = _requirements(scenario, b_star)
-    order = sorted(range(n_users), key=lambda i: (reqs[i], i))
+    need = reqs(b_star).tolist()
+    order = sorted(range(n_users), key=lambda i: (need[i], i))
     served = tuple(sorted(order[:n_star]))
-    served_total = sum(reqs[i] for i in served)
+    served_total = sum(need[i] for i in served)
     # hand the whole band to the served users: every acceptance strict, and the
     # reported revenue (which charges c3 on the full endowment) matches
     # sp_utility on the returned offer exactly
     pad = (budget - served_total) / n_star
-    allocation = tuple(reqs[i] + pad if i in served else 0.0 for i in range(n_users))
+    allocation = tuple(need[i] + pad if i in served else 0.0 for i in range(n_users))
     return NashResult(
         rate_bps=b_star,
         served_set=served,
@@ -276,10 +298,11 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
 
     subsets = [tuple(i for i in range(n_users) if mask & (1 << i))
                for mask in range(1, 1 << n_users)]
+    requirements = _Requirements(scenario)
     best_rev, best_n, best_subset, best_rate = -math.inf, 0, (), 0.0
     for k in range(1, grid_resolution + 1):
         b = hi * k / grid_resolution
-        reqs = _requirements(scenario, b)
+        reqs = requirements(b).tolist()
         margin = price(b) - c1 * b
         for subset in subsets:
             if not _feasible(sum(reqs[i] for i in subset), budget):
@@ -293,7 +316,7 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
                           price=0.0, sp_revenue=best_rev,
                           equilibrium=False)
-    reqs = _requirements(scenario, best_rate)
+    reqs = requirements(best_rate).tolist()
     allocation = tuple(reqs[i] if i in best_subset else 0.0 for i in range(n_users))
     return NashResult(rate_bps=best_rate, served_set=best_subset, allocation=allocation,
                       price=price(best_rate), sp_revenue=best_rev, equilibrium=True)

@@ -248,7 +248,8 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
     budget = scenario.total_bandwidth_hz
     eut_rev = _eut_revenue(scenario, ne)
 
-    best: tuple[float, tuple[int, ...], float] | None = None  # (total, subset, price)
+    # (total, subset, price, requirements at that price)
+    best: tuple[float, tuple[int, ...], float, dict[int, float]] | None = None
     for n_drop in range(0, max_drops + 1):
         n_kept = ne.n_served - n_drop
         price = admission_price(scenario, ne, n_kept)
@@ -257,13 +258,12 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
         subset = tuple(sorted(order[:n_kept]))
         total = sum(reqs[i] for i in subset)
         if best is None or total < best[0]:
-            best = (total, subset, price)
+            best = (total, subset, price, reqs)
 
-    threshold, subset, price = best
+    threshold, subset, price, reqs = best
     feasible = not math.isinf(threshold) and threshold < budget * (1.0 - FEASIBILITY_SLACK)
     allocation = tuple(0.0 for _ in range(scenario.n_users))
     if feasible:
-        reqs = admission_requirements(scenario, ne, model, price)
         pad = (budget - threshold) / len(subset)
         full = [0.0] * scenario.n_users
         for i in subset:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from prospect_pricing import channel
 from prospect_pricing.channel import (
     LinkBudget,
     UnattainableGuaranteeError,
@@ -12,6 +13,7 @@ from prospect_pricing.channel import (
     dbm_to_watts,
     guarantee_supremum,
     min_bandwidth,
+    min_bandwidths,
     received_power,
     service_guarantee,
     watts_to_dbm,
@@ -144,3 +146,85 @@ def test_user_channel_validation():
         UserChannel(received_power_w=0.0, noise_psd_w_per_hz=1e-20)
     with pytest.raises(ValueError):
         UserChannel(received_power_w=1e-10, noise_psd_w_per_hz=-1e-20)
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracle (mpmath), on the channels of the default cell
+
+ORACLE_RATES = [10.0 ** k for k in range(2, 9)]
+ORACLE_GAPS = [0.5, 1e-3, 1e-6, 1e-9, 1e-12]
+
+
+def _mp_min_bandwidth(mpmath, rate, target, ch):
+    """50-digit root of F(bw) = target, from expm1(x)/x = ln(target)/ln(sup).
+
+    With x = rate*ln2/bw the guarantee is ln F = ln sup * expm1(x)/x, and
+    e^(x/2) <= expm1(x)/x <= e^x brackets the root x in [log c, 2 log c].
+    """
+    with mpmath.workdps(50):
+        b, q = mpmath.mpf(rate), mpmath.mpf(target)
+        ln_sup = -b * mpmath.log(2) * ch.noise_psd_w_per_hz / ch.received_power_w
+        c = mpmath.log(q) / ln_sup
+        x = mpmath.findroot(lambda x: mpmath.expm1(x) / x - c,
+                            (mpmath.log(c), 2 * mpmath.log(c)), solver="anderson")
+        return b * mpmath.log(2) / x
+
+
+def test_min_bandwidth_matches_mpmath_root(default_scenario):
+    """Relative error within the problem's own conditioning: a target `gap`
+    below the supremum (relative) fixes the root only to about 1e-16/gap."""
+    mpmath = pytest.importorskip("mpmath")
+    for ch, _ in default_scenario.users:
+        for rate in ORACLE_RATES:
+            sup = guarantee_supremum(rate, ch)
+            for gap in ORACLE_GAPS:
+                target = sup * (1.0 - gap)
+                got = min_bandwidth(rate, target, ch)
+                want = _mp_min_bandwidth(mpmath, rate, target, ch)
+                rel = float(abs(got - want) / want)
+                assert rel <= 1e-14 + 1e-15 / gap, (rate, gap, got, want)
+
+
+def test_min_bandwidth_one_ulp_below_supremum_is_finite(default_scenario):
+    for ch, _ in default_scenario.users:
+        for rate in ORACLE_RATES:
+            target = math.nextafter(guarantee_supremum(rate, ch), 0.0)
+            got = min_bandwidth(rate, target, ch)
+            assert math.isfinite(got) and got > 0.0, (rate, got)
+
+
+def test_service_guarantee_near_supremum_matches_mpmath(default_scenario):
+    """Wide bands put 2^(b/bw) - 1 near 0, where exp(t) - 1 cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    for ch, _ in default_scenario.users:
+        for rate in (1e5, 7e6, 1e8):
+            for t in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+                bw = rate * math.log(2.0) / t
+                got = service_guarantee(rate, bw, ch)
+                with mpmath.workdps(50):
+                    scale = mpmath.mpf(bw) * ch.noise_psd_w_per_hz / ch.received_power_w
+                    want = mpmath.exp(-mpmath.expm1(mpmath.mpf(rate) / bw * mpmath.log(2))
+                                      * scale)
+                    rel = float(abs(got - want) / want)
+                assert rel <= 1e-15, (rate, t, got, want)
+
+
+def test_min_bandwidth_evaluates_no_guarantee(monkeypatch, ch_400m):
+    def forbidden(*args):
+        raise AssertionError("min_bandwidth must not evaluate the guarantee")
+    monkeypatch.setattr(channel, "service_guarantee", forbidden)
+    assert min_bandwidth(7e6, 0.9, ch_400m) > 0.0
+
+
+def test_min_bandwidths_matches_scalar_and_marks_unattainable(ch_400m):
+    """Targets far from the supremum are well conditioned, so numpy's and the
+    C library's elementary functions may only move the last bits."""
+    rate = 7e6
+    sup = guarantee_supremum(rate, ch_400m)
+    targets = np.array([0.3, 0.6, 0.9, sup, 0.999999])
+    got = min_bandwidths(rate, targets, np.full(5, ch_400m.noise_psd_w_per_hz),
+                         np.full(5, ch_400m.received_power_w))
+    for k, target in enumerate(targets[:3]):
+        want = min_bandwidth(rate, float(target), ch_400m)
+        assert abs(got[k] - want) <= 4e-15 * want
+    assert np.isinf(got[3:]).all()

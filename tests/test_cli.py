@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,8 @@ from prospect_pricing.experiments import (HEADER_COMPARISON, HEADER_FIT,
                                           HEADER_NE, ScenarioParams,
                                           format_cell)
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 NE_SOLVE_STDOUT = (",".join(HEADER_NE) + "\n"
                    + ",".join((format_cell(6986353.51799847), "10",
@@ -75,6 +79,16 @@ def test_readme_config_block_matches_defaults():
     text = README.read_text(encoding="utf-8")
     block = re.search(r"Config keys and defaults.*?```json\n(.*?)```", text, re.S)
     assert json.loads(block.group(1)) == dataclasses.asdict(ScenarioParams())
+
+
+def test_readme_python_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Typical session:\n\n```python\n(.*?)```", text, re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2
+    revenue, after_loss = map(float, printed)
+    assert 0.0 < after_loss <= revenue
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):
@@ -275,6 +289,21 @@ def test_sweep_compare_with_one_served_user(tmp_path, capsys):
                 assert cell == ""
             else:
                 assert math.isfinite(float(cell))
+
+
+def test_closed_stdout_pipe_is_not_an_error(tmp_path):
+    """A reader that stops early (`| head`) gets no traceback and no failure."""
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"n_users": 1}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from prospect_pricing.cli import main; main()",
+         "sweep-compare", "--config", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()  # long before the child writes its first row
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_excessive_max_drops_exits_2(capsys):

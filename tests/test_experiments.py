@@ -53,7 +53,9 @@ FROZEN_RX_DBM = [-75.237518871655, -80.624842317057, -84.283333415346,
 FROZEN_MIN_BW = [687494.226458, 869115.78699, 1069160.482844, 853026.877278,
                  1854960.879981, 743211.706558, 676329.716378, 584897.7094,
                  794784.905348, 1048147.191673]
-FROZEN_BAND = 10099242.916558003
+# 50-digit mpmath root of the band-sizing sum; the bisection this replaced
+# gave 10099242.916558003, 3.2e-6 Hz short of it
+FROZEN_BAND = 10099242.9165611766
 FROZEN_NE_RATE = 6986353.51799847
 FROZEN_NE_PRICE = 2.839981120464599
 FROZEN_NE_REVENUE = 5.010973715485514

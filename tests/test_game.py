@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from prospect_pricing import channel, experiments, game
 from prospect_pricing.channel import UnattainableGuaranteeError
 from prospect_pricing.game import (
     CostModel,
@@ -239,3 +240,65 @@ def test_allocation_exhausts_band(default_scenario, default_ne):
 
 def test_acceptance_mean_invariance(default_scenario, default_ne):
     helpers.check_mean_acceptance_invariance(50, 303, default_scenario, default_ne)
+
+
+# ---------------------------------------------------------------------------
+# the batched requirement vector: agreement with the scalar path, and counts
+# that do not depend on the machine
+
+# requirement vectors one solve of the 80-user 300 m cell inverts (5,505
+# without sharing): the doubling ladder every set size climbs, and the rate
+# of the n and n + 1 checks, are inverted once
+NASH_80_VECTORS = 3379
+
+
+@pytest.fixture(scope="module")
+def cell_80():
+    return experiments.build_scenario(80, cell_radius_m=300.0)
+
+
+@pytest.mark.parametrize("n_users, radius", [(10, 800.0), (80, 300.0)])
+def test_requirement_vector_matches_scalar_path(n_users, radius):
+    """numpy's power, log, log1p and expm1 differ from math's by an ulp or
+    two here and there, and the inversion turns a relative change in the
+    target q into kappa = 1 / (min(1, -ln q) * x * d/dx log(expm1(x)/x)) times
+    that change in the bandwidth, x = rate*ln2/bw. Measured worst case over
+    16 cells and 700 rates: 2.9 eps * kappa."""
+    sc = experiments.build_scenario(n_users, cell_radius_m=radius)
+    reqs = game._Requirements(sc)
+    for rate in np.geomspace(1e2, 2e7, 60):
+        rate = float(rate)
+        vector = reqs(rate)
+        for i in range(n_users):
+            try:
+                want = min_bandwidth_for_user(rate, i, sc)
+            except UnattainableGuaranteeError:
+                assert vector[i] == math.inf
+                continue
+            q = sc.pricing(rate) / sc.benefit(i)(rate)
+            x = rate * math.log(2.0) / want
+            slope = x * (1.0 / -math.expm1(-x) - 1.0 / x)
+            kappa = max(1.0, 1.0 / (min(1.0, -math.log(q)) * slope))
+            assert abs(vector[i] - want) <= 8 * 2.0 ** -52 * kappa * want, (rate, i)
+
+
+def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
+    calls = [0]
+    batch = game.min_bandwidths
+
+    def counted(*args):
+        calls[0] += 1
+        return batch(*args)
+    monkeypatch.setattr(game, "min_bandwidths", counted)
+    ne = solve_nash(cell_80)
+    assert ne.n_served == 80
+    assert 0 < calls[0] <= NASH_80_VECTORS
+
+
+def test_solve_nash_makes_no_scalar_inversion(monkeypatch, cell_80):
+    def forbidden(*args):
+        raise AssertionError("solve_nash must invert whole requirement vectors")
+    for module in (channel, game):
+        monkeypatch.setattr(module, "min_bandwidth", forbidden)
+    monkeypatch.setattr(game, "min_bandwidth_for_user", forbidden)
+    assert solve_nash(cell_80).n_served == 80

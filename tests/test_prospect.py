@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from prospect_pricing import experiments
+from prospect_pricing import experiments, prospect
 from prospect_pricing.channel import guarantee_supremum, min_bandwidth, service_guarantee
 from prospect_pricing.game import (
     NashResult,
@@ -204,6 +204,19 @@ def test_admission_zero_drops_reproduces_preservation(default_scenario, default_
         assert out.min_bandwidth_threshold_hz == rep.aggregate_required
         assert out.feasible == rep.aggregate_sufficient
         assert out.new_price == default_ref.price - PRICE_EPS_REL * default_ref.price
+
+
+def test_admission_inverts_each_candidate_price_once(monkeypatch, default_scenario,
+                                                    default_ref):
+    calls = []
+
+    def counted(sc, ne, model, price):
+        calls.append(price)
+        return admission_requirements(sc, ne, model, price)
+    monkeypatch.setattr(prospect, "admission_requirements", counted)
+    out = admission_control(default_scenario, default_ref, WeightingModel(alpha=1.0), 1)
+    assert out.feasible
+    assert len(calls) == len(set(calls)) == 2
 
 
 def admission_oracle(sc, ne, model, max_drops):
