@@ -18,8 +18,8 @@ from .game import (CostModel, NashResult, Offer, PowerLaw, Scenario,
                    sp_utility, user_utility)
 from .prospect import (MinAlphaResult, NePreservation, StrategyOutcome,
                        admission_control, bandwidth_expansion,
-                       equalized_willingness, loss_strict_rrm,
-                       loss_with_reallocation, min_alpha, ne_preserved,
+                       equalized_levels, equalized_willingness,
+                       loss_strict_rrm, loss_with_reallocation, min_alpha, ne_preserved,
                        rate_control, reallocation_price, strict_rrm_price)
 from .weighting import (InsufficientDataError, Lottery, WeightingModel,
                         fit_alpha, inverse_weight, lottery_value, weight)
@@ -32,8 +32,9 @@ __all__ = [
     "Offer", "PowerLaw", "Scenario", "ScenarioParams", "StrategyOutcome",
     "UnattainableGuaranteeError", "UserChannel", "WeightingModel",
     "admission_control", "bandwidth_expansion", "brute_force_nash",
-    "channel_from_budget", "dbm_to_watts", "equalized_willingness",
-    "fit_alpha", "guarantee_supremum", "inverse_weight", "loss_strict_rrm",
+    "channel_from_budget", "dbm_to_watts", "equalized_levels",
+    "equalized_willingness", "fit_alpha", "guarantee_supremum",
+    "inverse_weight", "loss_strict_rrm",
     "loss_with_reallocation", "lottery_value", "min_alpha", "min_bandwidth",
     "min_bandwidth_for_user", "min_bandwidths", "ne_preserved", "rate_control",
     "reallocation_price", "received_power", "service_guarantee", "solve_nash",

@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
+from .channel import _Scalar
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -44,19 +48,27 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
     return x, -fneg
 
 
-def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float,
-                    rel_tol: float = 1e-12, max_iter: int = 200) -> tuple[float, float]:
+def bisect_boundary(pred: Callable, lo, hi, rel_tol: float = 1e-12,
+                    max_iter: int = 200):
     """Shrink [lo, hi] around the flip point of a monotone predicate.
 
     Requires pred(lo) is True and pred(hi) is False; returns the final
-    (true_end, false_end) bracket.
+    (true_end, false_end) bracket. lo and hi may instead be equal-length
+    numpy arrays of independent brackets, and pred then maps an array of
+    midpoints to a bool array. Each element takes the midpoints of its own
+    scalar search and stops moving once its bracket meets the tolerance; the
+    search ends when every bracket has, so pred is called as often as the
+    longest of the scalar searches would call it.
     """
+    xp = np if isinstance(lo, np.ndarray) else _Scalar
+    # looked up once: the scalar searches of solve_nash run this loop too
+    maximum, where, any_ = xp.maximum, xp.where, xp.any
     for _ in range(max_iter):
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1.0):
+        wide = hi - lo > rel_tol * maximum(maximum(abs(lo), abs(hi)), 1.0)
+        if not any_(wide):
             break
         mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
+        below = pred(mid)
+        lo = where(wide & below, mid, lo)
+        hi = where(wide > below, mid, hi)  # on bools, a > b is a and not b
     return lo, hi

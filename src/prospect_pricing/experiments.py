@@ -21,7 +21,7 @@ from . import _search, prospect
 from .channel import LinkBudget, channel_from_budget
 from .game import (CostModel, NashResult, PowerLaw, Scenario,
                    min_bandwidth_for_user, solve_nash)
-from .prospect import PRICE_EPS_REL, equalized_willingness, ne_preserved
+from .prospect import PRICE_EPS_REL, equalized_levels, ne_preserved
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
 DEFAULT_SEED = 4966
@@ -251,14 +251,31 @@ def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
     return ref, eut
 
 
+def _offered_levels(sc: Scenario, ref: NashResult, alphas: list[float],
+                    served: tuple[int, ...] | None = None) -> list[float]:
+    """Equalized willingness of the served (or given) users at the offered
+    rate and the whole endowment, for every alpha in one lockstep search."""
+    users = ref.served_set if served is None else served
+    return equalized_levels(sc, users, ref.rate_bps, alphas,
+                            sc.total_bandwidth_hz).tolist()
+
+
+def _empty_if_inf(value: float) -> float | None:
+    """A quantity out of reach at any band (one user's target is above its
+    wide-band supremum) is written as an empty cell."""
+    return None if math.isinf(value) else value
+
+
 def sweep_revenue_loss(spec: SweepSpec) -> SweepTable:
     """Normalized revenue loss, constraints fixed vs allocation free."""
     ref, eut = _baseline(spec)
+    alphas = spec.alphas()
     rows = []
-    for a in spec.alphas():
+    for a, x in zip(alphas, _offered_levels(spec.scenario, ref, alphas)):
         model = WeightingModel(alpha=a)
         strict = prospect.loss_strict_rrm(spec.scenario, ref, model)
-        realloc, _ = prospect.loss_with_reallocation(spec.scenario, ref, model)
+        # loss_with_reallocation at the batched level
+        realloc = ref.n_served * max(0.0, ref.price - x)
         rows.append((a, min(1.0, strict / eut), min(1.0, realloc / eut)))
     return SweepTable(HEADER_LOSS, tuple(rows))
 
@@ -266,11 +283,13 @@ def sweep_revenue_loss(spec: SweepSpec) -> SweepTable:
 def sweep_price(spec: SweepSpec) -> SweepTable:
     """Acceptance-capped prices normalized by the baseline price."""
     ref, _ = _baseline(spec)
+    alphas = spec.alphas()
     rows = []
-    for a in spec.alphas():
+    for a, x in zip(alphas, _offered_levels(spec.scenario, ref, alphas)):
         model = WeightingModel(alpha=a)
         ps = prospect.strict_rrm_price(spec.scenario, ref, model) / ref.price
-        pr = prospect.reallocation_price(spec.scenario, ref, model) / ref.price
+        # reallocation_price at the batched level
+        pr = min(ref.price, x - PRICE_EPS_REL * ref.price) / ref.price
         rows.append((a, ps, pr))
     return SweepTable(HEADER_PRICE, tuple(rows))
 
@@ -280,19 +299,20 @@ def sweep_expansion(spec: SweepSpec) -> SweepTable:
 
     Both columns are normalized so they cross 1.0 together: the aggregate
     requirement fits the endowment exactly when repricing at the equalized
-    willingness recovers at least the baseline revenue.
+    willingness recovers at least the baseline revenue. When one served
+    user's target is out of reach at any band, min_bw_norm is empty.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
     budget = sc.total_bandwidth_hz
+    alphas = spec.alphas()
     rows = []
-    for a in spec.alphas():
+    for a, x in zip(alphas, _offered_levels(sc, ref, alphas)):
         model = WeightingModel(alpha=a)
         need = ne_preserved(sc, ref, model).aggregate_required
-        x, _ = equalized_willingness(sc, ref, model)
         rev = (ref.n_served * (x - sc.cost.c1 * ref.rate_bps)
                - sc.cost.c3 * budget)
-        rows.append((a, need / budget, rev / eut, 1.0))
+        rows.append((a, _empty_if_inf(need / budget), rev / eut, 1.0))
     return SweepTable(HEADER_EXPANSION, tuple(rows))
 
 
@@ -316,13 +336,14 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     if not (0 <= max_drops < ref.n_served):
         raise ValueError(f"max_drops must lie in [0, {ref.n_served}), got {max_drops}")
     order = _drop_order(sc, ref)
+    alphas = spec.alphas()
+    kept_sets = [tuple(sorted(order[k:])) for k in range(max_drops + 1)]
+    caps = [_offered_levels(sc, ref, alphas, kept) for kept in kept_sets]
     rows = []
-    for a in spec.alphas():
-        model = WeightingModel(alpha=a)
-        for k in range(max_drops + 1):
-            kept = tuple(sorted(order[k:]))
+    for j, a in enumerate(alphas):
+        for kept, kept_caps in zip(kept_sets, caps):
             target = prospect.admission_price(sc, ref, len(kept))
-            cap, _ = equalized_willingness(sc, ref, model, served=kept)
+            cap = kept_caps[j]
             feasible = cap > target
             price = target if feasible else cap - PRICE_EPS_REL * ref.price
             rev = (len(kept) * (price - sc.cost.c1 * ref.rate_bps)
@@ -342,7 +363,13 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     some alpha no markup is acceptable and the threshold cells are empty; with
     a single served user nobody is left and both admission cells are empty. Rate
     control additionally moves the offered rate to wherever the total
-    requirement is smallest.
+    requirement is smallest. When one served user's target is out of reach at
+    any band, the no-pricing and expansion bands and the no-pricing revenue
+    are empty (and the rate-control band, when no rate brings every target
+    within reach).
+
+    The equalized willingness of every alpha, at the offered rate and at each
+    point of the 36-rate grid, comes from one equalized_levels search.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
@@ -354,17 +381,21 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     markup = prospect.admission_price(sc, ref, len(kept)) if kept else None
 
     rate_grid = [float(b) for b in np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)]
+    alphas = spec.alphas()
+    rates = [b_star] + rate_grid
+    levels = equalized_levels(sc, ref.served_set, np.tile(rates, len(alphas)),
+                              np.repeat(alphas, len(rates)), budget)
+    levels = levels.reshape(len(alphas), len(rates)).tolist()
 
     rows = []
-    for a in spec.alphas():
+    for a, (x_hat, *grid_levels) in zip(alphas, levels):
         model = WeightingModel(alpha=a)
         need = ne_preserved(sc, ref, model).aggregate_required
-        bw_np = need / budget
+        bw_np = _empty_if_inf(need / budget)
         bw_exp = bw_np
 
-        x_hat, _ = equalized_willingness(sc, ref, model)
-        rev_np = (ref.n_served * (ref.price - c1 * b_star)
-                  - c3 * max(budget, need)) / eut
+        rev_np = _empty_if_inf((ref.n_served * (ref.price - c1 * b_star)
+                                - c3 * max(budget, need)) / eut)
         rev_exp = (ref.n_served * (x_hat - c1 * b_star) - c3 * budget) / eut
 
         # admission: survivors keep their original split; the markup must be
@@ -381,10 +412,9 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
                 rev_adm = (len(kept) * (p_cap - c1 * b_star) - c3 * budget) / eut
 
         rc = prospect.rate_control(sc, ref, model)
-        bw_rate = rc.min_bandwidth_threshold_hz / budget
+        bw_rate = _empty_if_inf(rc.min_bandwidth_threshold_hz / budget)
         best = -math.inf
-        for b_pt in rate_grid:
-            x, _ = equalized_willingness(sc, ref, model, rate_bps=b_pt)
+        for b_pt, x in zip(rate_grid, grid_levels):
             best = max(best, (ref.n_served * (x - c1 * b_pt) - c3 * budget) / eut)
         rows.append((a, bw_np, bw_exp, bw_adm, bw_rate,
                      rev_np, rev_exp, rev_adm, best))

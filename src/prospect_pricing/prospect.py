@@ -15,9 +15,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _search
-from .channel import UnattainableGuaranteeError, min_bandwidth, service_guarantee, \
-    guarantee_supremum
+from .channel import (_LN2, UnattainableGuaranteeError, _ln_supremum,
+                      _spectral_efficiency, min_bandwidth, service_guarantee)
 from .game import FEASIBILITY_SLACK, NashResult, Scenario
 from .weighting import WeightingModel, inverse_weight, weight
 
@@ -81,13 +83,13 @@ def _required_bandwidth(scenario: Scenario, rate_bps: float, i: int,
     if weighted_target >= 1.0:
         return math.inf
     raw_target = inverse_weight(weighted_target, model)
-    ch = scenario.channel(i)
-    if raw_target >= guarantee_supremum(rate_bps, ch):
+    # at alpha < 1 the inverse can round to 1.0, which min_bandwidth rejects
+    if raw_target >= 1.0:
         return math.inf
     if raw_target <= 0.0:
         return 0.0
     try:
-        return min_bandwidth(rate_bps, raw_target, ch)
+        return min_bandwidth(rate_bps, raw_target, scenario.channel(i))
     except UnattainableGuaranteeError:
         return math.inf
 
@@ -150,15 +152,59 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     return ne.n_served * gap
 
 
+def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
+                     alphas, totals_hz) -> np.ndarray:
+    """Common weighted-willingness level of many independent band splits.
+
+    Problem k splits the band totals_hz[k] over users at rates_bps[k] under
+    the weighting exponent alphas[k]; the three broadcast to one 1-D array of
+    problems. User i needs the bandwidth at which h_i(rate) * w(guarantee)
+    reaches the level x (0 at a zero target, inf at or above the wide-band
+    supremum, as in _required_bandwidth). That requirement grows with x, so
+    each level solves sum-of-requirements == total by bisection on
+    [0, min_i h_i*w(sup_i)]. All problems bisect in lockstep: each step
+    inverts one users x problems matrix, with the Prelec inverse taken in log
+    space. Returns the levels, one per problem.
+    """
+    rates, alphas, totals = np.broadcast_arrays(*(
+        np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
+    if not users:
+        return np.zeros(rates.shape)
+    channels = [scenario.channel(i) for i in users]
+    benefits = [scenario.benefit(i) for i in users]
+    col = lambda values: np.array(values)[:, None]
+    benefit = (col([h.coefficient for h in benefits])
+               * (rates * 1e-3) ** col([h.exponent for h in benefits]))
+    ln_sup = _ln_supremum(rates, col([ch.noise_psd_w_per_hz for ch in channels]),
+                          col([ch.received_power_w for ch in channels]))
+    inv_alpha = 1.0 / alphas
+    rate_ln2 = rates * _LN2
+
+    def fits(x: np.ndarray) -> np.ndarray:
+        q = x / benefit
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ln_target = -(-np.log(q)) ** inv_alpha
+            need = rate_ln2 / _spectral_efficiency(ln_target, ln_sup, np)
+        need = np.where((q >= 1.0) | (ln_target >= ln_sup), np.inf,
+                        np.where(q <= 0.0, 0.0, need))
+        # cumsum adds in user order, as a scalar loop would; sum pairs terms
+        # on a short axis
+        return np.cumsum(need, axis=0)[-1] < totals
+
+    caps = (benefit * np.exp(-(-ln_sup) ** alphas)).min(axis=0)  # min_i h_i * w(sup_i)
+    x_hi = caps * (1.0 - 1e-12)
+    x, _ = _search.bisect_boundary(fits, np.zeros_like(x_hi), x_hi, rel_tol=1e-14)
+    return x
+
+
 def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
                           total_bandwidth_hz: float | None = None,
                           rate_bps: float | None = None,
                           served: tuple[int, ...] | None = None) -> tuple[float, tuple[float, ...]]:
     """Split a band so every served user's weighted willingness equals a common x.
 
-    The per-user bandwidth needed to reach x is increasing in x, so the common
-    level solves sum-of-requirements == total by bisection. Returns
-    (x, allocation over the served subset).
+    The one-problem case of equalized_levels. Returns (x, allocation over the
+    served subset).
     """
     total = scenario.total_bandwidth_hz if total_bandwidth_hz is None else total_bandwidth_hz
     rate = ne.rate_bps if rate_bps is None else rate_bps
@@ -166,23 +212,7 @@ def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingMo
     if total <= 0.0 or not users:
         return 0.0, tuple(0.0 for _ in users)
 
-    caps = []
-    for i in users:
-        ch, h = scenario.users[i]
-        caps.append(h(rate) * weight(guarantee_supremum(rate, ch), model))
-    x_hi = min(caps) * (1.0 - 1e-12)
-
-    def total_required(x: float) -> float:
-        s = 0.0
-        for i in users:
-            h = scenario.benefit(i)
-            s += _required_bandwidth(scenario, rate, i, x / h(rate), model)
-            if math.isinf(s):
-                return s
-        return s
-
-    x, _ = _search.bisect_boundary(lambda x: total_required(x) < total,
-                                   0.0, x_hi, rel_tol=1e-14)
+    x = float(equalized_levels(scenario, users, rate, model.alpha, total)[0])
     alloc = []
     for i in users:
         h = scenario.benefit(i)

@@ -291,6 +291,36 @@ def test_sweep_compare_with_one_served_user(tmp_path, capsys):
                 assert math.isfinite(float(cell))
 
 
+def test_target_out_of_reach_gives_empty_cells_not_inf(capsys):
+    # at seed 2 one served user's target is above its wide-band supremum for
+    # alpha <= 0.925, so no band brings it back without repricing
+    status, out, _ = run(["sweep-compare", "--seed", "2", "--alpha-min", "0.9",
+                          "--alpha-max", "0.95", "--alpha-step", "0.05"], capsys)
+    assert status == 0 and "inf" not in out and "nan" not in out
+    header, reachless, reachable = out.strip().split("\n")
+    unreachable = {HEADER_COMPARISON.index(name) for name in (
+        "bw_no_pricing_norm", "bw_expansion_norm", "rev_no_pricing_norm",
+        "bw_admission_norm")}  # admission: no acceptable markup at alpha 0.9
+    for k, cell in enumerate(reachless.split(",")):
+        assert (cell == "") == (k in unreachable), header.split(",")[k]
+    assert "" not in reachable.split(",")[:3]
+
+    status, out, _ = run(["sweep-expansion", "--seed", "2", "--alpha-min", "0.84",
+                          "--alpha-max", "0.84"], capsys)
+    assert status == 0
+    assert out.strip().split("\n")[1].split(",")[1] == ""
+
+
+@pytest.mark.parametrize("module", ["prospect_pricing", "prospect_pricing.cli"])
+def test_module_entry_points_run_the_command(module):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", module, "ne-solve"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == NE_SOLVE_STDOUT
+
+
 def test_closed_stdout_pipe_is_not_an_error(tmp_path):
     """A reader that stops early (`| head`) gets no traceback and no failure."""
     path = tmp_path / "single.json"

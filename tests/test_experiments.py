@@ -249,6 +249,32 @@ def test_comparison_sweep_frozen_rows(default_scenario):
                 assert abs(g - w) <= 1e-6, f"alpha {a} col {col}"
 
 
+@pytest.mark.parametrize("sweep, kwargs, batches", [
+    (sweep_revenue_loss, {}, 1), (sweep_price, {}, 1), (sweep_expansion, {}, 1),
+    (sweep_comparison, {}, 1), (sweep_admission, {"max_drops": 2}, 3)])
+def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
+                                               sweep, kwargs, batches):
+    real = experiments.equalized_levels
+    sizes = []
+
+    def counting(scenario, users, rates, alphas, totals):
+        levels = real(scenario, users, rates, alphas, totals)
+        sizes.append(levels.size)
+        return levels
+
+    def one_problem(*args, **kw):
+        raise AssertionError("a sweep solved a single equalized problem")
+
+    monkeypatch.setattr(experiments, "equalized_levels", counting)
+    monkeypatch.setattr(experiments.prospect, "equalized_willingness", one_problem)
+    per_alpha = 37 if sweep is sweep_comparison else 1  # offered rate + 36-rate grid
+    for n_alphas in (1, 3):
+        sizes.clear()
+        sweep(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0, step=0.05),
+              **kwargs)
+        assert sizes == [n_alphas * per_alpha] * batches
+
+
 def test_sweeps_are_deterministic(default_scenario):
     spec = spec_for(default_scenario, 0.93, 0.95, step=0.01)
     helpers.check_sweep_deterministic(sweep_revenue_loss, spec)

@@ -19,6 +19,7 @@ from prospect_pricing.prospect import (
     admission_price,
     admission_requirements,
     bandwidth_expansion,
+    equalized_levels,
     equalized_willingness,
     loss_strict_rrm,
     loss_with_reallocation,
@@ -501,3 +502,43 @@ def test_equalized_willingness_edge_cases(default_scenario, default_ref):
     x, alloc = equalized_willingness(default_scenario, default_ref, IDENTITY,
                                      served=())
     assert x == 0.0 and alloc == ()
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 3])
+def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
+    """Every level of an alpha x rate batch, checked by the scalar requirement.
+
+    The batch inverts in numpy and the check in math; the two differ by a few
+    ulp times the inversion's conditioning (up to 4e-11 of the summed band
+    on seed 3's sweep grid), so the sum must fit 1e-12 below the level and
+    exceed the band 1e-12 above it. The bisection stops at an absolute width
+    of 1e-14 for levels below 1, which the upper point adds.
+    """
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    budget = sc.total_bandwidth_hz
+    alphas = [0.85 + 0.01 * k for k in range(16)]
+    b_star = ref.rate_bps
+    rates = [b_star] + np.geomspace(1e-3 * b_star, 10.0 * b_star, 36).tolist()
+    levels = equalized_levels(sc, ref.served_set, np.tile(rates, len(alphas)),
+                              np.repeat(alphas, len(rates)), budget)
+    assert levels.shape == (len(alphas) * len(rates),)
+    for k, x in enumerate(levels.tolist()):
+        alpha, rate = alphas[k // len(rates)], rates[k % len(rates)]
+        model = WeightingModel(alpha=alpha)
+
+        def total(level):
+            return sum(prospect._required_bandwidth(sc, rate, i, level / sc.benefit(i)(rate),
+                                                    model)
+                       for i in ref.served_set)
+
+        assert total(x * (1.0 - 1e-12)) < budget, (alpha, rate, x)
+        assert total(x * (1.0 + 1e-12) + 1e-14) >= budget, (alpha, rate, x)
+
+
+def test_equalized_willingness_is_one_batched_problem(default_scenario, default_ref):
+    model = WeightingModel(alpha=0.9)
+    rate = 0.5 * default_ref.rate_bps
+    x, alloc = equalized_willingness(default_scenario, default_ref, model, rate_bps=rate)
+    assert x == equalized_levels(default_scenario, default_ref.served_set, rate, 0.9,
+                                 default_scenario.total_bandwidth_hz)[0]
+    assert math.isclose(sum(alloc), default_scenario.total_bandwidth_hz, rel_tol=1e-12)
