@@ -369,7 +369,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     within reach).
 
     The equalized willingness of every alpha, at the offered rate and at each
-    point of the 36-rate grid, comes from one equalized_levels search.
+    point of the 36-rate grid, comes from one equalized_levels search, and
+    the rate control of every alpha from one rate_controls search.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
@@ -387,8 +388,10 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
                               np.repeat(alphas, len(rates)), budget)
     levels = levels.reshape(len(alphas), len(rates)).tolist()
 
+    rate_outcomes = prospect.rate_controls(sc, ref, alphas)
+
     rows = []
-    for a, (x_hat, *grid_levels) in zip(alphas, levels):
+    for a, (x_hat, *grid_levels), rc in zip(alphas, levels, rate_outcomes):
         model = WeightingModel(alpha=a)
         need = ne_preserved(sc, ref, model).aggregate_required
         bw_np = _empty_if_inf(need / budget)
@@ -411,7 +414,6 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
             else:
                 rev_adm = (len(kept) * (p_cap - c1 * b_star) - c3 * budget) / eut
 
-        rc = prospect.rate_control(sc, ref, model)
         bw_rate = _empty_if_inf(rc.min_bandwidth_threshold_hz / budget)
         best = -math.inf
         for b_pt, x in zip(rate_grid, grid_levels):
@@ -492,7 +494,8 @@ def fit_psychophysics(records: list[PsychRecord]) -> tuple[WeightingModel, float
 
 def ne_table(scenario: Scenario) -> SweepTable:
     ne = solve_nash(scenario)
-    return SweepTable(HEADER_NE, ((ne.rate_bps, ne.n_served, ne.sp_revenue),))
+    # no rate fits any set size when every per-size revenue is -inf
+    return SweepTable(HEADER_NE, ((ne.rate_bps, ne.n_served, _empty_if_inf(ne.sp_revenue)),))
 
 
 def fit_table(records: list[PsychRecord]) -> SweepTable:

@@ -195,27 +195,41 @@ def _feasible(total_required: float, budget: float) -> bool:
     return total_required < budget * (1.0 - FEASIBILITY_SLACK)
 
 
-def _rate_feasibility_boundary(reqs: _Requirements, budget: float, n: int) -> float | None:
-    """Largest rate at which the n cheapest users still fit in the band.
+def _rate_feasibility_interval(reqs: _Requirements, scenario: Scenario,
+                               n: int) -> tuple[float, float] | None:
+    """Rates at which the n cheapest users fit in the band, as (lower, upper).
 
-    The summed requirement grows with the rate for increasing r/h ratios, so the
-    feasible rates form an interval anchored at 0.
+    The summed requirement grows with the rate for increasing r/h ratios, so
+    the feasible rates usually form an interval anchored at 0, found by
+    probing 1 bps and below. When the price grows more slowly than the
+    benefit, r/h grows without bound as the rate goes to 0 and the interval
+    starts above it: the probe then doubles upward until the rates fit or
+    the margin r(b) - c1*b stops being positive, and the lower edge is
+    bisected as well.
     """
+    budget = scenario.total_bandwidth_hz
     on_ladder = lambda b: _feasible(reqs.cheapest_total(b, n, keep=True), budget)
     fits = lambda b: _feasible(reqs.cheapest_total(b, n), budget)
-    lo = 1.0
+    lower, lo = 0.0, 1.0
     if not on_ladder(lo):
         while lo > 1e-9 and not on_ladder(lo):
             lo *= 0.5
         if not on_ladder(lo):
-            return None
+            below, lo = 1.0, 2.0
+            while not on_ladder(lo):
+                if not scenario.pricing(lo) > scenario.cost.c1 * lo or lo > 1e18:
+                    return None
+                below, lo = lo, 2.0 * lo
+            _, lower = _search.bisect_boundary(lambda b: not fits(b), below, lo,
+                                               rel_tol=1e-12)
+            lo = lower
     hi = lo
     while on_ladder(hi):
         hi *= 2.0
         if hi > 1e18:
             break
     lo, hi = _search.bisect_boundary(fits, lo, hi, rel_tol=1e-12)
-    return lo
+    return lower, lo
 
 
 def solve_nash(scenario: Scenario) -> NashResult:
@@ -236,12 +250,13 @@ def solve_nash(scenario: Scenario) -> NashResult:
     best_rates: list[float | None] = [None] * (n_users + 1)
     per_n = [0.0] * (n_users + 1)
     for n in range(n_users, 0, -1):
-        boundary = _rate_feasibility_boundary(reqs, budget, n)
-        if boundary is None:
+        interval = _rate_feasibility_interval(reqs, scenario, n)
+        if interval is None:
             per_n[n] = -math.inf
             continue
+        lower, boundary = interval
         b_star, _ = _search.golden_max(
-            lambda b: n * (price(b) - c1 * b), 0.0, boundary, rel_tol=1e-9)
+            lambda b: n * (price(b) - c1 * b), lower, boundary, rel_tol=1e-9)
         if b_star <= 0.0 or not fits(b_star, n):
             # boundary end may sit epsilon outside the strict constraint
             b_star = boundary

@@ -152,49 +152,80 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     return ne.n_served * gap
 
 
+class _RequirementMatrix:
+    """Bandwidths a set of users needs, for many independent problems at once.
+
+    Problem k offers the users rates_bps[k] under the weighting exponent
+    alphas[k]; the two broadcast to one 1-D array of problems. Called with a
+    willingness target per problem, it returns the users x problems matrix of
+    bandwidths at which h_i(rate) * w(guarantee) reaches that target: with
+    q = target / h_i(rate), the Prelec inverse taken in log space and
+    inverted by _spectral_efficiency, 0 at a zero target and inf at or above
+    the wide-band supremum, as in _required_bandwidth.
+    """
+
+    def __init__(self, scenario: Scenario, users: tuple[int, ...], rates_bps,
+                 alphas) -> None:
+        self.rates, self.alphas = np.broadcast_arrays(*(
+            np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas)))
+        channels = [scenario.channel(i) for i in users]
+        benefits = [scenario.benefit(i) for i in users]
+        col = lambda values: np.array(values)[:, None]
+        self.benefit = (col([h.coefficient for h in benefits])
+                        * (self.rates * 1e-3) ** col([h.exponent for h in benefits]))
+        self.ln_sup = _ln_supremum(self.rates,
+                                   col([ch.noise_psd_w_per_hz for ch in channels]),
+                                   col([ch.received_power_w for ch in channels]))
+        self._inv_alpha = 1.0 / self.alphas
+        self._rate_ln2 = self.rates * _LN2
+
+    def __call__(self, targets) -> np.ndarray:
+        q = targets / self.benefit
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ln_target = -(-np.log(q)) ** self._inv_alpha
+            need = self._rate_ln2 / _spectral_efficiency(ln_target, self.ln_sup, np)
+        return np.where((q >= 1.0) | (ln_target >= self.ln_sup), np.inf,
+                        np.where(q <= 0.0, 0.0, need))
+
+
+def _column_totals(need: np.ndarray) -> np.ndarray:
+    """Requirement summed over users, one total per problem."""
+    # cumsum adds in user order, as a scalar loop would; sum pairs terms on a
+    # short axis
+    return np.cumsum(need, axis=0)[-1]
+
+
+def _bisect_levels(need: _RequirementMatrix, totals) -> np.ndarray:
+    """Levels at which the summed requirement meets each problem's band.
+
+    The requirement grows with the level x, so each level solves
+    sum-of-requirements == total by bisection on [0, min_i h_i*w(sup_i)],
+    all problems in lockstep. Returns the true ends of the brackets, where
+    the requirements still fit the band.
+    """
+    caps = (need.benefit * np.exp(-(-need.ln_sup) ** need.alphas)).min(axis=0)
+    x_hi = caps * (1.0 - 1e-12)
+    x, _ = _search.bisect_boundary(lambda x: _column_totals(need(x)) < totals,
+                                   np.zeros_like(x_hi), x_hi, rel_tol=1e-14)
+    return x
+
+
 def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
                      alphas, totals_hz) -> np.ndarray:
     """Common weighted-willingness level of many independent band splits.
 
     Problem k splits the band totals_hz[k] over users at rates_bps[k] under
     the weighting exponent alphas[k]; the three broadcast to one 1-D array of
-    problems. User i needs the bandwidth at which h_i(rate) * w(guarantee)
-    reaches the level x (0 at a zero target, inf at or above the wide-band
-    supremum, as in _required_bandwidth). That requirement grows with x, so
-    each level solves sum-of-requirements == total by bisection on
-    [0, min_i h_i*w(sup_i)]. All problems bisect in lockstep: each step
-    inverts one users x problems matrix, with the Prelec inverse taken in log
-    space. Returns the levels, one per problem.
+    problems. The level is the largest x at which the users' requirements
+    (each reaching h_i(rate) * w(guarantee) == x) still fit the band. All
+    problems bisect in lockstep, one users x problems requirement matrix per
+    step. Returns the levels, one per problem.
     """
     rates, alphas, totals = np.broadcast_arrays(*(
         np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
     if not users:
         return np.zeros(rates.shape)
-    channels = [scenario.channel(i) for i in users]
-    benefits = [scenario.benefit(i) for i in users]
-    col = lambda values: np.array(values)[:, None]
-    benefit = (col([h.coefficient for h in benefits])
-               * (rates * 1e-3) ** col([h.exponent for h in benefits]))
-    ln_sup = _ln_supremum(rates, col([ch.noise_psd_w_per_hz for ch in channels]),
-                          col([ch.received_power_w for ch in channels]))
-    inv_alpha = 1.0 / alphas
-    rate_ln2 = rates * _LN2
-
-    def fits(x: np.ndarray) -> np.ndarray:
-        q = x / benefit
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln_target = -(-np.log(q)) ** inv_alpha
-            need = rate_ln2 / _spectral_efficiency(ln_target, ln_sup, np)
-        need = np.where((q >= 1.0) | (ln_target >= ln_sup), np.inf,
-                        np.where(q <= 0.0, 0.0, need))
-        # cumsum adds in user order, as a scalar loop would; sum pairs terms
-        # on a short axis
-        return np.cumsum(need, axis=0)[-1] < totals
-
-    caps = (benefit * np.exp(-(-ln_sup) ** alphas)).min(axis=0)  # min_i h_i * w(sup_i)
-    x_hi = caps * (1.0 - 1e-12)
-    x, _ = _search.bisect_boundary(fits, np.zeros_like(x_hi), x_hi, rel_tol=1e-14)
-    return x
+    return _bisect_levels(_RequirementMatrix(scenario, users, rates, alphas), totals)
 
 
 def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
@@ -204,7 +235,8 @@ def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingMo
     """Split a band so every served user's weighted willingness equals a common x.
 
     The one-problem case of equalized_levels. Returns (x, allocation over the
-    served subset).
+    served subset); the allocation is the search's own requirement column at
+    x, which fits the band, plus an equal share of what is left.
     """
     total = scenario.total_bandwidth_hz if total_bandwidth_hz is None else total_bandwidth_hz
     rate = ne.rate_bps if rate_bps is None else rate_bps
@@ -212,16 +244,13 @@ def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingMo
     if total <= 0.0 or not users:
         return 0.0, tuple(0.0 for _ in users)
 
-    x = float(equalized_levels(scenario, users, rate, model.alpha, total)[0])
-    alloc = []
-    for i in users:
-        h = scenario.benefit(i)
-        alloc.append(_required_bandwidth(scenario, rate, i, x / h(rate), model))
-    # the equalized requirements sit just inside the band; spread the remainder
+    need = _RequirementMatrix(scenario, users, rate, model.alpha)
+    x = _bisect_levels(need, total)
+    alloc = need(x)[:, 0].tolist()
     slack = total - sum(alloc)
-    if slack > 0.0 and len(alloc) > 0:
+    if slack > 0.0:
         alloc = [a + slack / len(alloc) for a in alloc]
-    return x, tuple(alloc)
+    return float(x[0]), tuple(alloc)
 
 
 def reallocation_price(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
@@ -365,79 +394,99 @@ def rate_control_price(scenario: Scenario, ne: NashResult, rate_bps: float) -> f
     return ne.price + scenario.cost.c1 * (rate_bps - ne.rate_bps)
 
 
+def _rate_needs(scenario: Scenario, ne: NashResult, rates_bps, alphas,
+                enforce_benefit_margin_bound: bool) -> np.ndarray:
+    """Users x problems requirements of the served users at shifted rates.
+
+    Problem k moves the offered rate to rates_bps[k] at the revenue-preserving
+    price, under the weighting exponent alphas[k]. A problem whose price is
+    not positive, or that breaks the side condition when it is enforced, gets
+    a column of inf.
+    """
+    need = _RequirementMatrix(scenario, ne.served_set, rates_bps, alphas)
+    c1 = scenario.cost.c1
+    price = rate_control_price(scenario, ne, need.rates)
+    out_of_reach = price <= 0.0
+    if enforce_benefit_margin_bound:
+        # stated side condition on admissible rates, normally disabled
+        out_of_reach |= ~np.all(need.benefit - c1 * need.rates
+                                < ne.price - c1 * ne.rate_bps, axis=0)
+    return np.where(out_of_reach, np.inf, need(price))
+
+
 def rate_requirement(scenario: Scenario, ne: NashResult, model: WeightingModel,
                      rate_bps: float,
                      enforce_benefit_margin_bound: bool = False) -> float:
     """Total bandwidth needed to keep all served users at the shifted rate."""
-    price = rate_control_price(scenario, ne, rate_bps)
-    if price <= 0.0:
-        return math.inf
-    total = 0.0
-    for i in ne.served_set:
-        h = scenario.benefit(i)
-        if enforce_benefit_margin_bound:
-            # stated side condition on admissible rates, normally disabled
-            if not (h(rate_bps) - scenario.cost.c1 * rate_bps
-                    < ne.price - scenario.cost.c1 * ne.rate_bps):
-                return math.inf
-        lam = price / h(rate_bps)
-        total += _required_bandwidth(scenario, rate_bps, i, lam, model)
-        if math.isinf(total):
-            return total
-    return total
+    return float(_column_totals(_rate_needs(scenario, ne, rate_bps, model.alpha,
+                                            enforce_benefit_margin_bound))[0])
 
 
-def rate_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                 enforce_benefit_margin_bound: bool = False) -> StrategyOutcome:
+def rate_controls(scenario: Scenario, ne: NashResult, alphas,
+                  enforce_benefit_margin_bound: bool = False) -> list[StrategyOutcome]:
     """Shift the offered rate to wherever the total requirement is smallest.
 
-    The objective need not be unimodal, so the bracket
-    [1e-3 * rate, 10 * rate] is covered by log-spaced golden-section
-    multi-starts.
+    One outcome per weighting exponent in alphas. The objective need not be
+    unimodal, so the bracket [1e-3 * rate, 10 * rate] is covered by
+    log-spaced golden-section multi-starts. Every start of every alpha runs
+    in one lockstep golden_min, one users x problems requirement matrix per
+    step. Per alpha, the best rate starts at the offered one and a start
+    replaces it only when strictly smaller.
     """
     budget = scenario.total_bandwidth_hz
     eut_rev = _eut_revenue(scenario, ne)
-
-    def obj(log_b: float) -> float:
-        return rate_requirement(scenario, ne, model, math.exp(log_b),
-                                enforce_benefit_margin_bound)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
 
     lo = math.log(1e-3 * ne.rate_bps)
     hi = math.log(10.0 * ne.rate_bps)
     n_starts = 12
-    best_rate, best_total = ne.rate_bps, rate_requirement(
-        scenario, ne, model, ne.rate_bps, enforce_benefit_margin_bound)
-    for k in range(n_starts):
-        a = lo + (hi - lo) * k / n_starts
-        b = lo + (hi - lo) * (k + 1) / n_starts
-        x, fx = _search.golden_min(obj, a, b, rel_tol=1e-10)
-        if fx < best_total:
-            best_total, best_rate = fx, math.exp(x)
+    edges = lo + (hi - lo) * np.arange(n_starts + 1.0) / n_starts
+    start_alphas = np.tile(alphas, n_starts)  # start-major, like the brackets
+    obj = lambda log_b: _column_totals(_rate_needs(
+        scenario, ne, np.exp(log_b), start_alphas, enforce_benefit_margin_bound))
+    x, fx = _search.golden_min(obj, np.repeat(edges[:-1], len(alphas)),
+                               np.repeat(edges[1:], len(alphas)), rel_tol=1e-10)
+    x, fx = x.reshape(n_starts, -1), fx.reshape(n_starts, -1)
 
-    feasible = not math.isinf(best_total) and best_total < budget * (1.0 - FEASIBILITY_SLACK)
-    price = rate_control_price(scenario, ne, best_rate)
-    allocation = tuple(0.0 for _ in range(scenario.n_users))
-    if feasible:
-        reqs = {}
-        for i in ne.served_set:
-            h = scenario.benefit(i)
-            reqs[i] = _required_bandwidth(scenario, best_rate, i,
-                                          price / h(best_rate), model)
-        pad = (budget - best_total) / ne.n_served
-        full = [0.0] * scenario.n_users
-        for i in ne.served_set:
-            full[i] = reqs[i] + pad
-        allocation = tuple(full)
-    return StrategyOutcome(
-        strategy_name="rate",
-        recovered_revenue=eut_rev if feasible else 0.0,
-        revenue_loss=0.0 if feasible else eut_rev,
-        new_price=price - PRICE_EPS_REL * ne.price,
-        min_bandwidth_threshold_hz=best_total,
-        feasible=feasible,
-        new_rate_bps=best_rate,
-        served_set=ne.served_set,
-        allocation=allocation)
+    best_rate = np.full(len(alphas), ne.rate_bps)
+    best_total = _column_totals(_rate_needs(scenario, ne, best_rate, alphas,
+                                            enforce_benefit_margin_bound))
+    for k in range(n_starts):
+        better = fx[k] < best_total
+        best_total = np.where(better, fx[k], best_total)
+        best_rate = np.where(better, np.exp(x[k]), best_rate)
+    # the threshold and the allocation come from one requirement column
+    need = _rate_needs(scenario, ne, best_rate, alphas, enforce_benefit_margin_bound)
+    best_total = _column_totals(need)
+
+    outcomes = []
+    for j in range(len(alphas)):
+        total, rate = float(best_total[j]), float(best_rate[j])
+        feasible = not math.isinf(total) and total < budget * (1.0 - FEASIBILITY_SLACK)
+        allocation = tuple(0.0 for _ in range(scenario.n_users))
+        if feasible:
+            pad = (budget - total) / ne.n_served
+            full = [0.0] * scenario.n_users
+            for i, bw in zip(ne.served_set, need[:, j].tolist()):
+                full[i] = bw + pad
+            allocation = tuple(full)
+        outcomes.append(StrategyOutcome(
+            strategy_name="rate",
+            recovered_revenue=eut_rev if feasible else 0.0,
+            revenue_loss=0.0 if feasible else eut_rev,
+            new_price=rate_control_price(scenario, ne, rate) - PRICE_EPS_REL * ne.price,
+            min_bandwidth_threshold_hz=total,
+            feasible=feasible,
+            new_rate_bps=rate,
+            served_set=ne.served_set,
+            allocation=allocation))
+    return outcomes
+
+
+def rate_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
+                 enforce_benefit_margin_bound: bool = False) -> StrategyOutcome:
+    """The one-alpha case of rate_controls."""
+    return rate_controls(scenario, ne, model.alpha, enforce_benefit_margin_bound)[0]
 
 
 STRATEGY_IDS = ("no_pricing", "admission", "expansion", "rate")

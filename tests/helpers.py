@@ -53,6 +53,34 @@ STD_BENEFIT = PowerLaw(coefficient=1e-2, exponent=0.65)
 STD_COST = CostModel(c1=(1.0 / 3.0) * 1e-6, c3=1e-8)
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_reference(f, lo, hi, rel_tol=1e-9, max_iter=200):
+    """The one-bracket golden-section loop, as it stood before arrays were
+    accepted: the reference for _search.golden_max and the rate-control oracle."""
+    if hi < lo:
+        lo, hi = hi, lo
+    a, b = lo, hi
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if b - a <= rel_tol * max(abs(a), abs(b), 1.0):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = f(x1)
+    cands = [(f(a), a), (f1, x1), (f2, x2), (f(b), b)]
+    fx, x = max(cands)
+    return x, fx
+
+
 def make_budget(distance_m, shadow_db=0.0):
     return LinkBudget(
         tx_power_dbm=40.0,

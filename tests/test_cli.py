@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from prospect_pricing import cli
@@ -395,3 +396,43 @@ def test_main_exits_with_dispatch_status(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz over the validated domain
+
+
+def fuzz_configs(n=40, seed=20260):
+    """In-domain configs: exponents in (0.3, 1], either cost term may be 0."""
+    rng = np.random.default_rng(seed)
+    log_scale = lambda value: value * 10.0 ** rng.uniform(-1.0, 1.0)
+    for _ in range(n):
+        yield {
+            "seed": int(rng.integers(0, 10_000)),
+            "n_users": int(rng.integers(1, 17)),
+            "cell_radius_m": rng.uniform(100.0, 1000.0),
+            "tx_power_dbm": rng.uniform(10.0, 46.0),
+            "pathloss_exponent": rng.uniform(2.0, 5.0),
+            "shadow_sigma_db": rng.uniform(0.0, 8.0),
+            "price_exp": 1.0 - rng.uniform(0.0, 0.7),
+            "benefit_exp": 1.0 - rng.uniform(0.0, 0.7),
+            "c1": 0.0 if rng.random() < 0.1 else log_scale((1.0 / 3.0) * 1e-6),
+            "c3": 0.0 if rng.random() < 0.1 else log_scale(1e-8),
+            "price_coeff": log_scale(2e-3),
+            "benefit_coeff": log_scale(1e-2),
+        }
+
+
+def test_in_domain_fuzz_solves_or_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "fuzz.json"
+    window = ["--alpha-min", "0.95", "--alpha-max", "1.0", "--alpha-step", "0.025"]
+    for config in fuzz_configs():
+        path.write_text(json.dumps(config))
+        for argv in (["ne-solve"], ["sweep-loss", *window], ["sweep-compare", *window]):
+            status, out, err = run([*argv, "--config", str(path)], capsys)
+            where = f"{argv[0]} on {config}"
+            assert status in (0, 2, 3, 64), where
+            assert "Traceback" not in err, where
+            # compare whole cells: "infeasible" contains "inf"
+            cells = [c for line in out.splitlines() for c in line.split(",")]
+            assert not {"nan", "inf", "-inf"} & {c.lower() for c in cells}, where

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from prospect_pricing import experiments
+from prospect_pricing import experiments, prospect
 from prospect_pricing.channel import watts_to_dbm
 from prospect_pricing.game import min_bandwidth_for_user, solve_nash
 from prospect_pricing.weighting import InsufficientDataError
@@ -275,6 +275,26 @@ def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
         assert sizes == [n_alphas * per_alpha] * batches
 
 
+def test_comparison_runs_every_rate_control_in_one_batch(default_scenario, monkeypatch):
+    real = prospect.rate_controls
+    batches = []
+
+    def counting(scenario, ne, alphas, *args):
+        batches.append(len(alphas))
+        return real(scenario, ne, alphas, *args)
+
+    def one_alpha(*args, **kw):
+        raise AssertionError("the sweep ran rate control for a single alpha")
+
+    monkeypatch.setattr(prospect, "rate_controls", counting)
+    monkeypatch.setattr(prospect, "rate_control", one_alpha)
+    for n_alphas in (1, 4):
+        batches.clear()
+        sweep_comparison(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0,
+                                  step=0.05))
+        assert batches == [n_alphas]
+
+
 def test_sweeps_are_deterministic(default_scenario):
     spec = spec_for(default_scenario, 0.93, 0.95, step=0.01)
     helpers.check_sweep_deterministic(sweep_revenue_loss, spec)
@@ -317,6 +337,13 @@ def test_ne_table(default_scenario, default_ne):
     assert rate == default_ne.rate_bps
     assert n_served == 10
     assert revenue == default_ne.sp_revenue
+
+
+def test_ne_table_leaves_revenue_empty_when_no_rate_fits():
+    # with the price growing more slowly than the benefit, r/h is unbounded
+    # at small rates, and this band fits no user at any rate
+    sc = build_scenario(3, price_exp=0.5, benefit_exp=0.9, total_bandwidth_hz=1e-3)
+    assert ne_table(sc).rows == ((0.0, 0, None),)
 
 
 def test_format_cell_conventions():

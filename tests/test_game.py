@@ -201,6 +201,32 @@ def test_solver_matches_brute_force():
             assert fast.sp_revenue - slow.sp_revenue <= slack
 
 
+# the price grows more slowly than the benefit, so r/h is unbounded at small
+# rates and no rate at or below 1 bps fits a user: the feasible rates start
+# near 10 bps
+RISING_AT_ZERO = {"seed": 8465, "cell_radius_m": 763.3046782678164,
+                  "tx_power_dbm": 23.142466997304687,
+                  "pathloss_exponent": 4.243336880390416,
+                  "shadow_sigma_db": 5.932261655089591,
+                  "price_exp": 0.5112139324540586, "benefit_exp": 0.8648852266034239,
+                  "c1": 3.5432803729283845e-07, "c3": 3.420674350857891e-08,
+                  "price_coeff": 0.0002652909412138356,
+                  "benefit_coeff": 0.002464028307956114}
+
+
+@pytest.mark.parametrize("n_users", [3, 4])
+def test_solver_finds_rates_above_an_infeasible_start(n_users):
+    sc = experiments.build_scenario(n_users, **RISING_AT_ZERO)
+    fast = solve_nash(sc)
+    slow = brute_force_nash(sc)
+    assert fast.equilibrium and slow.equilibrium
+    assert fast.n_served == slow.n_served == n_users
+    slack = revenue_slack(sc) + 1e-9 * abs(fast.sp_revenue)
+    assert fast.sp_revenue >= slow.sp_revenue - 1e-9 * abs(slow.sp_revenue)
+    assert fast.sp_revenue - slow.sp_revenue <= slack
+    helpers.check_solver_posthoc(sc, fast)
+
+
 def test_brute_force_rejects_large_instances():
     sc = make_scenario([200.0, 300.0, 400.0, 500.0, 600.0], budget=1e8)
     with pytest.raises(ValueError):

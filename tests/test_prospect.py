@@ -8,6 +8,7 @@ import helpers
 from prospect_pricing import experiments, prospect
 from prospect_pricing.channel import guarantee_supremum, min_bandwidth, service_guarantee
 from prospect_pricing.game import (
+    FEASIBILITY_SLACK,
     NashResult,
     Scenario,
     min_bandwidth_for_user,
@@ -355,13 +356,17 @@ def test_expansion_identity_alpha_full_recovery(default_scenario, default_ref):
     assert out.min_bandwidth_threshold_hz < default_scenario.total_bandwidth_hz
 
 
-def rate_requirement_oracle(sc, ne, model, rate):
-    price = ne.price + sc.cost.c1 * (rate - ne.rate_bps)
+def rate_requirement_oracle(sc, ne, model, rate, enforce_benefit_margin_bound=False):
+    c1 = sc.cost.c1
+    price = ne.price + c1 * (rate - ne.rate_bps)
     if price <= 0.0:
         return math.inf
     tot = 0.0
     for i in ne.served_set:
         ch, h = sc.users[i]
+        if enforce_benefit_margin_bound and not (
+                h(rate) - c1 * rate < ne.price - c1 * ne.rate_bps):
+            return math.inf
         lam = price / h(rate)
         if lam >= 1.0:
             return math.inf
@@ -373,6 +378,50 @@ def rate_requirement_oracle(sc, ne, model, rate):
         if tgt > 0.0:
             tot += min_bandwidth(rate, tgt, ch)
     return tot
+
+
+def rate_control_oracle(sc, ne, model, enforce_benefit_margin_bound=False):
+    """Smallest total requirement of rate control's scalar multi-start: the
+    offered rate, then 12 log-spaced golden searches of the oracle, each kept
+    only when strictly smaller."""
+    def obj(log_b):
+        return rate_requirement_oracle(sc, ne, model, math.exp(log_b),
+                                       enforce_benefit_margin_bound)
+
+    lo, hi = math.log(1e-3 * ne.rate_bps), math.log(10.0 * ne.rate_bps)
+    best = rate_requirement_oracle(sc, ne, model, ne.rate_bps, enforce_benefit_margin_bound)
+    for k in range(12):
+        _, neg = helpers.golden_reference(lambda t: -obj(t), lo + (hi - lo) * k / 12,
+                                          lo + (hi - lo) * (k + 1) / 12, rel_tol=1e-10)
+        best = min(best, -neg)
+    return best
+
+
+@pytest.mark.parametrize("seed, n_users, alphas", [
+    (experiments.DEFAULT_SEED, 10, [0.3, 0.4, 0.85, 0.9, 0.95, 0.985, 1.0]),
+    (experiments.DEFAULT_SEED, 3, [0.9]),
+    (7, 10, [0.86, 0.93])])
+@pytest.mark.parametrize("enforce", [False, True])
+def test_rate_controls_match_the_scalar_oracle(seed, n_users, alphas, enforce):
+    sc = experiments.build_scenario(n_users, seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    budget = sc.total_bandwidth_hz
+    outcomes = prospect.rate_controls(sc, ref, alphas, enforce)
+    assert len(outcomes) == len(alphas)
+    for alpha, out in zip(alphas, outcomes):
+        want = rate_control_oracle(sc, ref, WeightingModel(alpha=alpha), enforce)
+        got = out.min_bandwidth_threshold_hz
+        assert got == want or abs(got - want) <= 1e-12 * want, (alpha, got, want)
+        assert out.feasible == (want < budget * (1.0 - FEASIBILITY_SLACK))
+        assert out == rate_control(sc, ref, WeightingModel(alpha=alpha), enforce)
+        if math.isinf(want):
+            # no start is strictly smaller, so the offered rate stays
+            assert out.new_rate_bps == ref.rate_bps
+        if out.feasible:
+            # the allocation is the threshold's own requirement column plus
+            # an equal share of the rest of the band
+            n = ref.n_served
+            assert abs(math.fsum(out.allocation) - budget) <= n * 2.0 ** -52 * budget
 
 
 def test_rate_control_matches_grid_search(trio):
@@ -542,3 +591,20 @@ def test_equalized_willingness_is_one_batched_problem(default_scenario, default_
     assert x == equalized_levels(default_scenario, default_ref.served_set, rate, 0.9,
                                  default_scenario.total_bandwidth_hz)[0]
     assert math.isclose(sum(alloc), default_scenario.total_bandwidth_hz, rel_tol=1e-12)
+
+
+def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
+    """Every split of the default sweep-compare grid stays inside the band,
+    to the rounding of its n additions (at alpha 0.985 and 1,036,762 bps,
+    re-inverting each user at the level overshot it by 2.5e-14)."""
+    sc, ref = default_scenario, default_ref
+    total = sc.total_bandwidth_hz
+    b_star = ref.rate_bps
+    rates = [b_star] + np.geomspace(1e-3 * b_star, 10.0 * b_star, 36).tolist()
+    for alpha in experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas():
+        model = WeightingModel(alpha=alpha)
+        for rate in rates:
+            _, alloc = equalized_willingness(sc, ref, model, rate_bps=rate)
+            if all(math.isfinite(a) for a in alloc):
+                assert math.fsum(alloc) <= total * (1.0 + ref.n_served * 2.0 ** -52), \
+                    (alpha, rate)
