@@ -12,7 +12,7 @@ from .channel import (LinkBudget, UnattainableGuaranteeError, UserChannel,
                       channel_from_budget, dbm_to_watts, guarantee_supremum,
                       min_bandwidth, min_bandwidths, received_power,
                       service_guarantee, watts_to_dbm)
-from .experiments import NoEquilibriumError, ScenarioParams
+from .experiments import InfeasibleScenarioError, NoEquilibriumError, ScenarioParams
 from .game import (CostModel, NashResult, Offer, PowerLaw, Scenario,
                    brute_force_nash, min_bandwidth_for_user, solve_nash,
                    sp_utility, user_utility)
@@ -28,7 +28,7 @@ from .weighting import (InsufficientDataError, Lottery, WeightingModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostModel", "InsufficientDataError", "LinkBudget", "Lottery",
+    "CostModel", "InfeasibleScenarioError", "InsufficientDataError", "LinkBudget", "Lottery",
     "MinAlphaResult", "NashResult", "NePreservation", "NoEquilibriumError",
     "Offer", "PowerLaw", "Scenario", "ScenarioParams", "StrategyOutcome",
     "UnattainableGuaranteeError", "UserChannel", "WeightingModel",

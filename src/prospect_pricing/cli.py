@@ -13,7 +13,7 @@ from .channel import UnattainableGuaranteeError
 from .experiments import (DEFAULT_ALPHA_STEP, DEFAULT_RANGE_ADMISSION,
                           DEFAULT_RANGE_COMPARISON, DEFAULT_RANGE_EXPANSION,
                           DEFAULT_RANGE_LOSS, DEFAULT_RANGE_PRICE,
-                          NoEquilibriumError, ScenarioParams, SweepSpec,
+                          InfeasibleScenarioError, NoEquilibriumError, ScenarioParams, SweepSpec,
                           SweepTable, build_scenario)
 from .weighting import InsufficientDataError
 
@@ -181,7 +181,7 @@ def _run(args) -> tuple[SweepTable, int]:
 
     try:
         scenario = build_scenario(**dataclasses.asdict(params))
-    except UnattainableGuaranteeError as exc:
+    except InfeasibleScenarioError as exc:
         return _diagnostic("infeasible", exc), EXIT_INFEASIBLE
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

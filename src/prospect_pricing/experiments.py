@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
 
 from . import _search, prospect
-from .channel import LinkBudget, channel_from_budget
+from .channel import LinkBudget, UnattainableGuaranteeError, channel_from_budget
 from .game import (CostModel, NashResult, PowerLaw, Scenario,
                    min_bandwidth_for_user, solve_nash)
 from .prospect import PRICE_EPS_REL, equalized_levels, ne_preserved
@@ -50,6 +50,10 @@ HEADER_FIT = ("alpha", "mse", "p", "w")
 
 class NoEquilibriumError(ValueError):
     """The scenario's pricing game has no equilibrium for a sweep to perturb."""
+
+
+class InfeasibleScenarioError(UnattainableGuaranteeError):
+    """Band sizing found a user no bandwidth serves at the optimal rate."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,8 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
     regression tests; changing it silently changes every golden dataset.
 
     Unless total_bandwidth_hz is given, the band is sized to the per-user
-    minimum at the unconstrained optimal rate plus the stated margin.
+    minimum at the unconstrained optimal rate plus the stated margin, or
+    raises InfeasibleScenarioError when some user cannot be served there.
     """
     p = ScenarioParams(n_users=n_users, **params)
     rng = np.random.default_rng(p.seed)
@@ -151,8 +156,11 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
         scratch = Scenario(users=tuple(users), pricing=pricing, cost=cost,
                            total_bandwidth_hz=1.0)
         rate_opt = unconstrained_optimal_rate(pricing, cost)
-        need = sum(min_bandwidth_for_user(rate_opt, i, scratch)
-                   for i in range(p.n_users))
+        try:
+            need = sum(min_bandwidth_for_user(rate_opt, i, scratch)
+                       for i in range(p.n_users))
+        except UnattainableGuaranteeError as exc:
+            raise InfeasibleScenarioError(exc.rate_bps, exc.target, exc.supremum) from exc
         total_bandwidth_hz = (1.0 + p.bandwidth_margin) * need
     return Scenario(users=tuple(users), pricing=pricing, cost=cost,
                     total_bandwidth_hz=total_bandwidth_hz)
@@ -180,11 +188,7 @@ def reference_offer(scenario: Scenario, ne: NashResult,
     alloc = [0.0] * scenario.n_users
     for i in ne.served_set:
         alloc[i] = (1.0 + margin) * min_bandwidth_for_user(ne.rate_bps, i, scenario)
-    return NashResult(rate_bps=ne.rate_bps, served_set=ne.served_set,
-                      allocation=tuple(alloc), price=ne.price,
-                      sp_revenue=ne.sp_revenue,
-                      per_n_revenues=ne.per_n_revenues,
-                      equilibrium=ne.equilibrium)
+    return replace(ne, allocation=tuple(alloc))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,18 @@ solver locates the revenue-maximizing pure-strategy equilibrium by scanning
 served-set sizes n from large to small: maximize n*(r(b) - c1*b) over rates b
 whose n cheapest users fit in the band, then disqualify any n for which a
 strictly larger set would also fit at that rate.
+
+The scan stops early: no rate earns a user more than m* = max_b r(b) - c1*b,
+so size n earns at most n*m* - c3*B. Once a positive revenue found so far is
+>= that bound for the next n, no smaller set can earn strictly more, and the
+pick (the first strictly larger revenue, large n to small) is bitwise that of
+the full scan. Without a positive revenue the scan runs to n = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .weighting import IDENTITY, WeightingModel, weight
 
 # strict "<" feasibility comparisons carry this relative slack for determinism
 FEASIBILITY_SLACK = 1e-9
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,6 @@ class NashResult:
     allocation: tuple[float, ...]
     price: float
     sp_revenue: float
-    per_n_revenues: tuple[float, ...] = field(default=())
     equilibrium: bool = True
 
     @property
@@ -223,13 +229,40 @@ def _rate_feasibility_interval(reqs: _Requirements, scenario: Scenario,
             _, lower = _search.bisect_boundary(lambda b: not fits(b), below, lo,
                                                rel_tol=1e-12)
             lo = lower
-    hi = lo
-    while on_ladder(hi):
+    hi = 2.0 * lo  # lo fits: the ladder climbs from the next rung
+    while hi <= 1e18 and on_ladder(hi):
         hi *= 2.0
-        if hi > 1e18:
-            break
     lo, hi = _search.bisect_boundary(fits, lo, hi, rel_tol=1e-12)
     return lower, lo
+
+
+def _margin(pricing: PowerLaw, c1: float, rate_bps: float) -> float:
+    """The provider's margin per served user, r(b) - c1*b, before the band cost."""
+    return pricing(rate_bps) - c1 * rate_bps
+
+
+def _margin_bound(pricing: PowerLaw, c1: float) -> float:
+    """A float no computed _margin(pricing, c1, b) exceeds; inf when unbounded.
+
+    The margin k*(b/1e3)^e - c1*b peaks at b* = 1e3*(1e3*c1/(k*e))^(1/(e-1))
+    for c1 > 0 and e < 1; with c1 = 0 or e = 1 (within 1e-12) it has no peak.
+    """
+    k, e = pricing.coefficient, pricing.exponent
+    if c1 == 0.0 or e > 1.0 - 1e-12:
+        return math.inf
+    try:
+        peak = 1e3 * (1e3 * c1 / (k * e)) ** (1.0 / (e - 1.0))
+        operands = pricing(peak) + c1 * peak
+    except OverflowError:
+        return math.inf
+    # A computed margin is off by up to ~2 eps of its operands S(b) = r(b) + c1*b,
+    # not of the margin (at the peak m* = (1 - e)*r(b*): cancellation). Up to
+    # 2b*, S(b) <= 2*S(b*), so no computed margin exceeds m* + 4 eps*S(b*);
+    # beyond, the exact margin falls by >= (1 - 2^(e-1))*c1 per bps while S
+    # rises by <= 2*c1, outpacing the error for e <= 1 - 1e-12. Rounding is
+    # monotone, so n*bound - c3*B also bounds every computed n*margin - c3*B.
+    bound = _margin(pricing, c1, peak) + 8.0 * _EPS * operands
+    return bound if 0.0 < peak and math.isfinite(bound) else math.inf
 
 
 def solve_nash(scenario: Scenario) -> NashResult:
@@ -238,44 +271,44 @@ def solve_nash(scenario: Scenario) -> NashResult:
     Scans served-set sizes n from all users down to one. For each n the margin
     n*(r(b) - c1*b) is concave in b and is maximized by golden section over the
     feasible rate interval; an n is disqualified when a larger set also fits at
-    its optimal rate, since those users would accept too. Returns a
-    no-equilibrium result (equilibrium=False) when every n earns <= 0.
+    its optimal rate, since those users would accept too. The scan stops once
+    a positive revenue is >= the bound n*m* - c3*B of the next n (m* from
+    _margin_bound): a smaller set could at best tie, and only a strictly
+    larger revenue displaces a larger set, so the result is bitwise the full
+    scan's. Returns a no-equilibrium result (equilibrium=False) when every n
+    earns <= 0; its sp_revenue is then the largest revenue over every n.
     """
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
     reqs = _Requirements(scenario)
     fits = lambda b, n: _feasible(reqs.cheapest_total(b, n, keep=True), budget)
+    bound = _margin_bound(price, c1)
 
-    best_rates: list[float | None] = [None] * (n_users + 1)
-    per_n = [0.0] * (n_users + 1)
+    n_star, best_rev, best_rate, top = 0, 0.0, 0.0, -math.inf
     for n in range(n_users, 0, -1):
+        if n_star and best_rev >= n * bound - c3 * budget:
+            break
         interval = _rate_feasibility_interval(reqs, scenario, n)
         if interval is None:
-            per_n[n] = -math.inf
             continue
         lower, boundary = interval
         b_star, _ = _search.golden_max(
-            lambda b: n * (price(b) - c1 * b), lower, boundary, rel_tol=1e-9)
+            lambda b: n * _margin(price, c1, b), lower, boundary, rel_tol=1e-9)
         if b_star <= 0.0 or not fits(b_star, n):
             # boundary end may sit epsilon outside the strict constraint
             b_star = boundary
-        best_rates[n] = b_star
-        per_n[n] = n * (price(b_star) - c1 * b_star) - c3 * budget
+        rev = n * _margin(price, c1, b_star) - c3 * budget
         if n < n_users and fits(b_star, n + 1):
-            per_n[n] = 0.0  # a larger set accepts at this rate, not an equilibrium
-
-    n_star, best_rev = 0, 0.0
-    for n in range(n_users, 0, -1):
-        if per_n[n] > best_rev:
-            n_star, best_rev = n, per_n[n]
+            rev = 0.0  # a larger set accepts at this rate, not an equilibrium
+        top = max(top, rev)
+        if rev > best_rev:
+            n_star, best_rev, best_rate = n, rev, b_star
     if n_star == 0:
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
-                          price=0.0, sp_revenue=max(x for x in per_n[1:]),
-                          per_n_revenues=tuple(per_n[1:]), equilibrium=False)
+                          price=0.0, sp_revenue=top, equilibrium=False)
 
-    b_star = best_rates[n_star]
-    need = reqs(b_star).tolist()
+    need = reqs(best_rate).tolist()
     order = sorted(range(n_users), key=lambda i: (need[i], i))
     served = tuple(sorted(order[:n_star]))
     served_total = sum(need[i] for i in served)
@@ -284,14 +317,8 @@ def solve_nash(scenario: Scenario) -> NashResult:
     # sp_utility on the returned offer exactly
     pad = (budget - served_total) / n_star
     allocation = tuple(need[i] + pad if i in served else 0.0 for i in range(n_users))
-    return NashResult(
-        rate_bps=b_star,
-        served_set=served,
-        allocation=allocation,
-        price=price(b_star),
-        sp_revenue=n_star * (price(b_star) - c1 * b_star) - c3 * budget,
-        per_n_revenues=tuple(per_n[1:]),
-        equilibrium=True)
+    return NashResult(rate_bps=best_rate, served_set=served, allocation=allocation,
+                      price=price(best_rate), sp_revenue=best_rev, equilibrium=True)
 
 
 def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashResult:
@@ -318,7 +345,7 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
     for k in range(1, grid_resolution + 1):
         b = hi * k / grid_resolution
         reqs = requirements(b).tolist()
-        margin = price(b) - c1 * b
+        margin = _margin(price, c1, b)
         for subset in subsets:
             if not _feasible(sum(reqs[i] for i in subset), budget):
                 continue

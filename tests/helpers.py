@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from prospect_pricing import _search, game
 from prospect_pricing.channel import (
     LinkBudget,
     UnattainableGuaranteeError,
@@ -22,6 +23,7 @@ from prospect_pricing.channel import (
 )
 from prospect_pricing.game import (
     CostModel,
+    NashResult,
     Offer,
     PowerLaw,
     Scenario,
@@ -299,6 +301,62 @@ def check_solver_posthoc(scenario, res):
         else:
             assert alloc[i] == 0.0
     assert abs(sum(alloc) - scenario.total_bandwidth_hz) <= 1e-9 * scenario.total_bandwidth_hz
+
+
+def full_scan_nash(scenario):
+    """solve_nash as it stood before the scan was pruned: every set size n
+    from N down to 1 is solved, and the pick is made over all of them. The
+    reference solve_nash must match bitwise."""
+    n_users = scenario.n_users
+    budget = scenario.total_bandwidth_hz
+    price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
+    reqs = game._Requirements(scenario)
+    fits = lambda b, n: game._feasible(reqs.cheapest_total(b, n), budget)
+
+    best_rates = [None] * (n_users + 1)
+    per_n = [0.0] * (n_users + 1)
+    for n in range(n_users, 0, -1):
+        interval = game._rate_feasibility_interval(reqs, scenario, n)
+        if interval is None:
+            per_n[n] = -math.inf
+            continue
+        lower, boundary = interval
+        b_star, _ = _search.golden_max(
+            lambda b: n * (price(b) - c1 * b), lower, boundary, rel_tol=1e-9)
+        if b_star <= 0.0 or not fits(b_star, n):
+            b_star = boundary
+        best_rates[n] = b_star
+        per_n[n] = n * (price(b_star) - c1 * b_star) - c3 * budget
+        if n < n_users and fits(b_star, n + 1):
+            per_n[n] = 0.0
+
+    n_star, best_rev = 0, 0.0
+    for n in range(n_users, 0, -1):
+        if per_n[n] > best_rev:
+            n_star, best_rev = n, per_n[n]
+    if n_star == 0:
+        return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
+                          price=0.0, sp_revenue=max(x for x in per_n[1:]),
+                          equilibrium=False)
+
+    b_star = best_rates[n_star]
+    need = reqs(b_star).tolist()
+    order = sorted(range(n_users), key=lambda i: (need[i], i))
+    served = tuple(sorted(order[:n_star]))
+    served_total = sum(need[i] for i in served)
+    pad = (budget - served_total) / n_star
+    allocation = tuple(need[i] + pad if i in served else 0.0 for i in range(n_users))
+    return NashResult(rate_bps=b_star, served_set=served, allocation=allocation,
+                      price=price(b_star),
+                      sp_revenue=n_star * (price(b_star) - c1 * b_star) - c3 * budget,
+                      equilibrium=True)
+
+
+def nash_bits(res):
+    """A NashResult's fields with every float as its exact bit pattern."""
+    hexed = lambda x: x.hex() if isinstance(x, float) else x
+    return (hexed(res.rate_bps), res.served_set, tuple(map(hexed, res.allocation)),
+            hexed(res.price), hexed(res.sp_revenue), res.equilibrium)
 
 
 def check_solver_random_scenarios(n, seed):

@@ -252,6 +252,18 @@ def test_no_equilibrium_ne_solve_exits_3(tmp_path, capsys):
     assert out == ",".join(HEADER_NE) + "\n0,0,0\n"
 
 
+@pytest.mark.parametrize("command", ["ne-solve", "sweep-loss"])
+def test_unservable_user_exits_3_with_infeasible_row(tmp_path, capsys, command):
+    # band sizing raises InfeasibleScenarioError for this cell
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"cell_radius_m": 3000.0}))
+    status, out, _ = run([command, "--config", str(path)], capsys)
+    assert status == 3
+    lines = out.split("\n")
+    assert lines[0] == "status,detail"
+    assert lines[1].startswith("infeasible,guarantee ")
+
+
 def test_no_equilibrium_sweep_writes_diagnostic(tmp_path, capsys):
     path = tmp_path / "dead.json"
     path.write_text(json.dumps({"n_users": 2, "c3": 1.0}))

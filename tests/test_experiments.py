@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from prospect_pricing import experiments, prospect
-from prospect_pricing.channel import watts_to_dbm
+from prospect_pricing.channel import UnattainableGuaranteeError, watts_to_dbm
 from prospect_pricing.game import min_bandwidth_for_user, solve_nash
 from prospect_pricing.weighting import InsufficientDataError
 from prospect_pricing.experiments import (
@@ -18,6 +18,7 @@ from prospect_pricing.experiments import (
     HEADER_LOSS,
     HEADER_NE,
     HEADER_PRICE,
+    InfeasibleScenarioError,
     PsychRecord,
     SweepSpec,
     SweepTable,
@@ -141,6 +142,17 @@ def test_explicit_band_override():
 def test_build_scenario_rejects_empty():
     with pytest.raises(ValueError):
         build_scenario(n_users=0)
+
+
+def test_band_sizing_raises_a_typed_error_for_an_unservable_user():
+    # in a 3 km cell a far user's guarantee stays below the price-to-benefit
+    # target at the optimal rate, whatever the band
+    with pytest.raises(InfeasibleScenarioError) as exc:
+        build_scenario(cell_radius_m=3000.0)
+    assert isinstance(exc.value, UnattainableGuaranteeError)
+    assert exc.value.target > exc.value.supremum
+    # a given band skips the sizing, and the scenario builds
+    assert build_scenario(cell_radius_m=3000.0, total_bandwidth_hz=1e6).n_users == 10
 
 
 def test_nash_anchors(default_scenario, default_ne):

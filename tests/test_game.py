@@ -328,3 +328,123 @@ def test_solve_nash_makes_no_scalar_inversion(monkeypatch, cell_80):
         monkeypatch.setattr(module, "min_bandwidth", forbidden)
     monkeypatch.setattr(game, "min_bandwidth_for_user", forbidden)
     assert solve_nash(cell_80).n_served == 80
+
+
+# ---------------------------------------------------------------------------
+# the pruned set-size scan: bitwise the full scan's result, a bound that holds
+# for computed floats, and the work it saves
+
+def oracle_cases():
+    def small(seed, count):
+        rng = np.random.default_rng(seed)
+        return [helpers.random_small_scenario(rng) for _ in range(count)]
+    return {
+        # the band is sized at the margin's peak: one size is scanned
+        "default": lambda: [experiments.build_scenario()],
+        # the draws of test_solver_invariants_on_random_scenarios and the
+        # first 60 of acceptance criterion 8's
+        "random-302": lambda: small(302, 12),
+        "random-809": lambda: small(809, 60),
+        # the band binds far below the margin's peak: 5 sizes are scanned
+        "band-1e6-800m": lambda: [experiments.build_scenario(
+            10, cell_radius_m=800.0, total_bandwidth_hz=1e6)],
+        # the winner serves 9 of 10 users, after 7 sizes are scanned
+        "winner-below-n": lambda: [experiments.build_scenario(
+            10, cell_radius_m=3000.0, total_bandwidth_hz=1e6)],
+        # serving all 5 users earns a positive revenue, serving 4 earns more:
+        # pruning one size too early would return the 5
+        "winner-after-a-positive-n": lambda: [experiments.build_scenario(
+            5, cell_radius_m=2000.0, total_bandwidth_hz=5e6)],
+        "no-equilibrium": lambda: [make_scenario(
+            [300.0, 500.0], budget=2e7, cost=CostModel(c1=(1.0 / 3.0) * 1e-6, c3=1.0))],
+        "c1-zero": lambda: [experiments.build_scenario(
+            10, c1=0.0, total_bandwidth_hz=1e7)],
+        "linear-price": lambda: [experiments.build_scenario(
+            10, price_exp=1.0, total_bandwidth_hz=1e7)],
+        "rising-at-zero": lambda: [experiments.build_scenario(n, **RISING_AT_ZERO)
+                                   for n in (3, 4)],
+    }
+
+
+@pytest.mark.parametrize("case", list(oracle_cases()))
+def test_pruned_scan_matches_full_scan_bitwise(case):
+    for sc in oracle_cases()[case]():
+        assert helpers.nash_bits(solve_nash(sc)) == helpers.nash_bits(helpers.full_scan_nash(sc))
+
+
+def test_oracle_cases_cover_what_they_name():
+    cases = oracle_cases()
+    assert solve_nash(cases["winner-below-n"]()[0]).n_served == 9
+    sc = cases["winner-after-a-positive-n"]()[0]
+    assert solve_nash(sc).n_served == 4 and game._margin_bound(
+        sc.pricing, sc.cost.c1) < math.inf
+    assert not solve_nash(cases["no-equilibrium"]()[0]).equilibrium
+    for case in ("c1-zero", "linear-price"):
+        sc = cases[case]()[0]
+        assert game._margin_bound(sc.pricing, sc.cost.c1) == math.inf
+
+
+def exact_margin_peak(k, e, c1):
+    """max_b k*(b/1e3)^e - c1*b at 50 digits, from the zero of its slope."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        k, e, c1 = mpmath.mpf(k), mpmath.mpf(e), mpmath.mpf(c1)
+        peak = 1000 * (1000 * c1 / (k * e)) ** (1 / (e - 1))
+        price = k * (peak / 1000) ** e
+        return price - c1 * peak, price + c1 * peak
+
+
+@pytest.mark.parametrize("k", [2e-3, 0.7])
+@pytest.mark.parametrize("e", [0.3, 0.65, 0.82, 0.999])
+# c1 as a share of k*e*1e-3, the rate cost at which the peak sits at 1 kbps;
+# toward 1 the margin nears break-even, where the linear term cancels the
+# price at small rates
+@pytest.mark.parametrize("share", [0.01, 0.5, 0.99, 1.0 - 1e-9])
+def test_margin_bound_is_above_the_exact_peak(k, e, share):
+    c1 = share * k * e * 1e-3
+    bound = game._margin_bound(PowerLaw(k, e), c1)
+    exact, operands = exact_margin_peak(k, e, c1)
+    assert bound >= exact
+    if operands < 1e300:
+        # finite and no looser than the rounding it covers
+        assert bound - exact <= 16 * 2.0 ** -52 * float(operands)
+
+
+def test_margin_bound_is_infinite_without_a_peak():
+    assert game._margin_bound(PowerLaw(2e-3, 0.82), 0.0) == math.inf
+    assert game._margin_bound(PowerLaw(2e-3, 1.0), 1e-7) == math.inf
+    assert game._margin_bound(PowerLaw(2e-3, 1.0 - 1e-13), 1e-7) == math.inf
+    # the peak lies beyond the largest float
+    assert game._margin_bound(PowerLaw(2e-3, 0.999), 1e-9) == math.inf
+
+
+@pytest.mark.parametrize("case", ["default", "band-1e6-800m", "winner-below-n",
+                                  "rising-at-zero"])
+def test_margin_bound_covers_every_margin_a_solve_computes(monkeypatch, case):
+    seen = []
+    margin = game._margin
+
+    def recorded(pricing, c1, rate_bps):
+        seen.append(margin(pricing, c1, rate_bps))
+        return seen[-1]
+    monkeypatch.setattr(game, "_margin", recorded)
+    sc = oracle_cases()[case]()[0]
+    solve_nash(sc)
+    assert len(seen) > 40
+    assert max(seen) <= game._margin_bound(sc.pricing, sc.cost.c1)
+
+
+def test_pruned_solve_of_cell_80_scans_one_set_size(monkeypatch, cell_80):
+    counts = {"intervals": 0, "vectors": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(game, "_rate_feasibility_interval",
+                        counted("intervals", game._rate_feasibility_interval))
+    monkeypatch.setattr(game, "min_bandwidths", counted("vectors", game.min_bandwidths))
+    assert solve_nash(cell_80).n_served == 80
+    assert counts["intervals"] == 1
+    assert 0 < counts["vectors"] <= 100
