@@ -17,7 +17,7 @@ from .game import (CostModel, NashResult, Offer, PowerLaw, Scenario,
                    brute_force_nash, min_bandwidth_for_user, solve_nash,
                    sp_utility, user_utility)
 from .prospect import (MinAlphaResult, NePreservation, StrategyOutcome,
-                       admission_control, bandwidth_expansion,
+                       admission_control, bandwidth_expansion, bandwidth_expansions,
                        equalized_levels, equalized_willingness,
                        loss_strict_rrm, loss_with_reallocation, min_alpha, ne_preserved,
                        rate_control, rate_controls, reallocation_price,
@@ -32,8 +32,8 @@ __all__ = [
     "MinAlphaResult", "NashResult", "NePreservation", "NoEquilibriumError",
     "Offer", "PowerLaw", "Scenario", "ScenarioParams", "StrategyOutcome",
     "UnattainableGuaranteeError", "UserChannel", "WeightingModel",
-    "admission_control", "bandwidth_expansion", "brute_force_nash",
-    "channel_from_budget", "dbm_to_watts", "equalized_levels",
+    "admission_control", "bandwidth_expansion", "bandwidth_expansions",
+    "brute_force_nash", "channel_from_budget", "dbm_to_watts", "equalized_levels",
     "equalized_willingness", "fit_alpha", "guarantee_supremum",
     "inverse_weight", "loss_strict_rrm",
     "loss_with_reallocation", "lottery_value", "min_alpha", "min_bandwidth",

@@ -103,27 +103,17 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
     indifference level is unattainable at any bandwidth are reported in
     unrecoverable rather than raising.
     """
-    per_user: list[bool] = []
-    required: list[float] = []
-    unrecoverable: list[int] = []
-    for i in ne.served_set:
-        h = scenario.benefit(i)
-        lam = ne.price / h(ne.rate_bps)
-        req = _required_bandwidth(scenario, ne.rate_bps, i, lam, model)
-        required.append(req)
-        if math.isinf(req):
-            unrecoverable.append(i)
-            per_user.append(False)
-        else:
-            per_user.append(ne.allocation[i] > req)
+    reqs = admission_requirements(scenario, ne, model, ne.price)
+    required = tuple(reqs[i] for i in ne.served_set)
+    per_user = tuple(ne.allocation[i] > reqs[i] for i in ne.served_set)
     aggregate = sum(required)
     return NePreservation(
-        per_user=tuple(per_user),
+        per_user=per_user,
         preserved=all(per_user) and len(per_user) > 0,
-        required_bandwidths=tuple(required),
+        required_bandwidths=required,
         aggregate_required=aggregate,
         aggregate_sufficient=scenario.total_bandwidth_hz > aggregate,
-        unrecoverable=tuple(unrecoverable))
+        unrecoverable=tuple(i for i in ne.served_set if math.isinf(reqs[i])))
 
 
 def _min_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
@@ -166,7 +156,7 @@ class _RequirementMatrix:
 
     def __init__(self, scenario: Scenario, users: tuple[int, ...], rates_bps,
                  alphas) -> None:
-        self.rates, self.alphas = np.broadcast_arrays(*(
+        self.rates, alphas = np.broadcast_arrays(*(
             np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas)))
         channels = [scenario.channel(i) for i in users]
         benefits = [scenario.benefit(i) for i in users]
@@ -176,8 +166,15 @@ class _RequirementMatrix:
         self.ln_sup = _ln_supremum(self.rates,
                                    col([ch.noise_psd_w_per_hz for ch in channels]),
                                    col([ch.received_power_w for ch in channels]))
+        # full-size exponents: numpy powers a one-problem matrix's broadcast
+        # exponent in another kernel, at times an ulp apart from a batch's
+        self.alphas = np.broadcast_to(alphas, self.ln_sup.shape).copy()
         self._inv_alpha = 1.0 / self.alphas
         self._rate_ln2 = self.rates * _LN2
+
+    def caps(self) -> np.ndarray:
+        """Per problem, the level min_i h_i*w(sup_i) no band size reaches."""
+        return (self.benefit * np.exp(-(-self.ln_sup) ** self.alphas)).min(axis=0)
 
     def __call__(self, targets) -> np.ndarray:
         q = targets / self.benefit
@@ -186,6 +183,14 @@ class _RequirementMatrix:
             need = self._rate_ln2 / _spectral_efficiency(ln_target, self.ln_sup, np)
         return np.where((q >= 1.0) | (ln_target >= self.ln_sup), np.inf,
                         np.where(q <= 0.0, 0.0, need))
+
+
+def _spread(scenario: Scenario, users, bandwidths, pad: float = 0.0) -> tuple[float, ...]:
+    """Allocation over every user: bandwidths[k] + pad to users[k], 0 elsewhere."""
+    full = [0.0] * scenario.n_users
+    for i, bw in zip(users, bandwidths):
+        full[i] = bw + pad
+    return tuple(full)
 
 
 def _column_totals(need: np.ndarray) -> np.ndarray:
@@ -203,8 +208,7 @@ def _bisect_levels(need: _RequirementMatrix, totals) -> np.ndarray:
     all problems in lockstep. Returns the true ends of the brackets, where
     the requirements still fit the band.
     """
-    caps = (need.benefit * np.exp(-(-need.ln_sup) ** need.alphas)).min(axis=0)
-    x_hi = caps * (1.0 - 1e-12)
+    x_hi = need.caps() * (1.0 - 1e-12)
     x, _ = _search.bisect_boundary(lambda x: _column_totals(need(x)) < totals,
                                    np.zeros_like(x_hi), x_hi, rel_tol=1e-14)
     return x
@@ -268,11 +272,7 @@ def loss_with_reallocation(scenario: Scenario, ne: NashResult,
     the full user vector).
     """
     x, served_alloc = equalized_willingness(scenario, ne, model)
-    gap = max(0.0, ne.price - x)
-    full = [0.0] * scenario.n_users
-    for i, bw in zip(ne.served_set, served_alloc):
-        full[i] = bw
-    return ne.n_served * gap, tuple(full)
+    return ne.n_served * max(0.0, ne.price - x), _spread(scenario, ne.served_set, served_alloc)
 
 
 def admission_price(scenario: Scenario, ne: NashResult, n_kept: int) -> float:
@@ -285,12 +285,10 @@ def admission_price(scenario: Scenario, ne: NashResult, n_kept: int) -> float:
 
 def admission_requirements(scenario: Scenario, ne: NashResult, model: WeightingModel,
                             price: float) -> dict[int, float]:
-    reqs = {}
-    for i in ne.served_set:
-        h = scenario.benefit(i)
-        lam = price / h(ne.rate_bps)
-        reqs[i] = _required_bandwidth(scenario, ne.rate_bps, i, lam, model)
-    return reqs
+    """Bandwidth at which each served user accepts price at the offered rate."""
+    return {i: _required_bandwidth(scenario, ne.rate_bps, i,
+                                   price / scenario.benefit(i)(ne.rate_bps), model)
+            for i in ne.served_set}
 
 
 def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
@@ -321,13 +319,10 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
 
     threshold, subset, price, reqs = best
     feasible = not math.isinf(threshold) and threshold < budget * (1.0 - FEASIBILITY_SLACK)
-    allocation = tuple(0.0 for _ in range(scenario.n_users))
+    allocation = (0.0,) * scenario.n_users
     if feasible:
-        pad = (budget - threshold) / len(subset)
-        full = [0.0] * scenario.n_users
-        for i in subset:
-            full[i] = reqs[i] + pad
-        allocation = tuple(full)
+        allocation = _spread(scenario, subset, [reqs[i] for i in subset],
+                             (budget - threshold) / len(subset))
     return StrategyOutcome(
         strategy_name="admission",
         recovered_revenue=eut_rev if feasible else 0.0,
@@ -339,54 +334,55 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
         allocation=allocation)
 
 
-def expansion_value(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                    total_bandwidth_hz: float) -> float:
-    """n * (equalized willingness at this band size) - c3 * band size."""
-    x, _ = equalized_willingness(scenario, ne, model, total_bandwidth_hz)
-    return ne.n_served * x - scenario.cost.c3 * total_bandwidth_hz
+def bandwidth_expansions(scenario: Scenario, ne: NashResult,
+                         alphas) -> list[StrategyOutcome]:
+    """Resize the whole band, repricing at the equalized weighted willingness.
+
+    One outcome per weighting exponent in alphas. The served users need S(x)
+    in total to reach level x; S rises strictly on [0, cap), cap =
+    min_i h_i*w(sup_i), so max_B n*x(B) - c3*B is max_x n*x - c3*S(x). One
+    lockstep golden search over u = x/cap in [0, 1 - 1e-12] (a tolerance
+    relative to each cap) solves every alpha, one users x alphas requirement
+    matrix per step; the band S(x*) sums the column that is the allocation.
+    Full recovery is possible iff the threshold (n*r - best value)/c3 stays
+    below the endowment; with c3 = 0 the level takes the cap end and the
+    threshold is -inf.
+    """
+    c1, c3 = scenario.cost.c1, scenario.cost.c3
+    n = ne.n_served
+    eut_rev = _eut_revenue(scenario, ne)
+    need = _RequirementMatrix(scenario, ne.served_set, ne.rate_bps, alphas)
+    caps = need.caps()
+    u = np.full(caps.shape, 1.0 - 1e-12)
+    if c3 > 0.0:
+        value = lambda t: n * (t * caps) - c3 * _column_totals(need(t * caps))
+        u, _ = _search.golden_max(value, np.zeros_like(u), u, rel_tol=1e-10)
+    x = u * caps
+    alloc = need(x)
+    band = _column_totals(alloc)
+
+    outcomes = []
+    for j, (x_j, band_j) in enumerate(zip(x.tolist(), band.tolist())):
+        value = n * x_j - c3 * band_j
+        threshold = (n * ne.price - value) / c3 if c3 > 0.0 else -math.inf
+        max_revenue = n * (x_j - c1 * ne.rate_bps) - c3 * band_j
+        outcomes.append(StrategyOutcome(
+            strategy_name="expansion",
+            recovered_revenue=max_revenue,
+            revenue_loss=max(0.0, eut_rev - max_revenue),
+            new_price=x_j - PRICE_EPS_REL * ne.price,
+            min_bandwidth_threshold_hz=threshold,
+            feasible=threshold < scenario.total_bandwidth_hz * (1.0 - FEASIBILITY_SLACK),
+            new_total_bandwidth_hz=band_j,
+            served_set=ne.served_set,
+            allocation=_spread(scenario, ne.served_set, alloc[:, j].tolist())))
+    return outcomes
 
 
 def bandwidth_expansion(scenario: Scenario, ne: NashResult,
                         model: WeightingModel) -> StrategyOutcome:
-    """Resize the whole band, repricing at the acceptance cap.
-
-    Inner problem: for a candidate band size, the best split equalizes weighted
-    willingness. Outer problem: 1-D maximization of n*x(B) - c3*B over the band
-    size B by golden section on a doubling bracket. Full recovery is possible
-    iff the implied threshold (n*r - best value)/c3 stays below the endowment.
-    """
-    budget = scenario.total_bandwidth_hz
-    c1, c3 = scenario.cost.c1, scenario.cost.c3
-    eut_rev = _eut_revenue(scenario, ne)
-
-    f = lambda bw: expansion_value(scenario, ne, model, bw)
-    hi = budget
-    f_hi = f(hi)
-    while True:
-        nxt = hi * 2.0
-        f_nxt = f(nxt)
-        if f_nxt <= f_hi or nxt > budget * 2.0 ** 40:
-            break
-        hi, f_hi = nxt, f_nxt
-    bw_star, value = _search.golden_max(f, budget * 1e-6, hi * 2.0, rel_tol=1e-10)
-
-    threshold = (ne.n_served * ne.price - value) / c3 if c3 > 0.0 else -math.inf
-    feasible = threshold < budget * (1.0 - FEASIBILITY_SLACK)
-    x, served_alloc = equalized_willingness(scenario, ne, model, bw_star)
-    max_revenue = ne.n_served * (x - c1 * ne.rate_bps) - c3 * bw_star
-    full = [0.0] * scenario.n_users
-    for i, bw in zip(ne.served_set, served_alloc):
-        full[i] = bw
-    return StrategyOutcome(
-        strategy_name="expansion",
-        recovered_revenue=max_revenue,
-        revenue_loss=max(0.0, eut_rev - max_revenue),
-        new_price=x - PRICE_EPS_REL * ne.price,
-        min_bandwidth_threshold_hz=threshold,
-        feasible=feasible,
-        new_total_bandwidth_hz=bw_star,
-        served_set=ne.served_set,
-        allocation=tuple(full))
+    """The one-alpha case of bandwidth_expansions."""
+    return bandwidth_expansions(scenario, ne, model.alpha)[0]
 
 
 def rate_control_price(scenario: Scenario, ne: NashResult, rate_bps: float) -> float:
@@ -463,13 +459,10 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas,
     for j in range(len(alphas)):
         total, rate = float(best_total[j]), float(best_rate[j])
         feasible = not math.isinf(total) and total < budget * (1.0 - FEASIBILITY_SLACK)
-        allocation = tuple(0.0 for _ in range(scenario.n_users))
+        allocation = (0.0,) * scenario.n_users
         if feasible:
-            pad = (budget - total) / ne.n_served
-            full = [0.0] * scenario.n_users
-            for i, bw in zip(ne.served_set, need[:, j].tolist()):
-                full[i] = bw + pad
-            allocation = tuple(full)
+            allocation = _spread(scenario, ne.served_set, need[:, j].tolist(),
+                                 (budget - total) / ne.n_served)
         outcomes.append(StrategyOutcome(
             strategy_name="rate",
             recovered_revenue=eut_rev if feasible else 0.0,
@@ -492,18 +485,27 @@ def rate_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
 STRATEGY_IDS = ("no_pricing", "admission", "expansion", "rate")
 
 
+def _strategy_thresholds(scenario: Scenario, ne: NashResult, alphas: list[float],
+                         strategy_id: str, max_drops: int) -> list[float]:
+    """strategy_threshold at each alpha; expansion and rate search all at once."""
+    models = [WeightingModel(alpha=a) for a in alphas]
+    if strategy_id == "no_pricing":
+        return [ne_preserved(scenario, ne, m).aggregate_required for m in models]
+    if strategy_id == "admission":
+        outcomes = [admission_control(scenario, ne, m, max_drops) for m in models]
+    elif strategy_id == "expansion":
+        outcomes = bandwidth_expansions(scenario, ne, alphas)
+    elif strategy_id == "rate":
+        outcomes = rate_controls(scenario, ne, alphas)
+    else:
+        raise ValueError(f"unknown strategy {strategy_id!r}, expected one of {STRATEGY_IDS}")
+    return [o.min_bandwidth_threshold_hz for o in outcomes]
+
+
 def strategy_threshold(scenario: Scenario, ne: NashResult, model: WeightingModel,
                        strategy_id: str, max_drops: int = 1) -> float:
     """Required-bandwidth threshold a strategy compares against the endowment."""
-    if strategy_id == "no_pricing":
-        return ne_preserved(scenario, ne, model).aggregate_required
-    if strategy_id == "admission":
-        return admission_control(scenario, ne, model, max_drops).min_bandwidth_threshold_hz
-    if strategy_id == "expansion":
-        return bandwidth_expansion(scenario, ne, model).min_bandwidth_threshold_hz
-    if strategy_id == "rate":
-        return rate_control(scenario, ne, model).min_bandwidth_threshold_hz
-    raise ValueError(f"unknown strategy {strategy_id!r}, expected one of {STRATEGY_IDS}")
+    return _strategy_thresholds(scenario, ne, [model.alpha], strategy_id, max_drops)[0]
 
 
 def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
@@ -511,26 +513,25 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
     """Smallest alpha at which the strategy's threshold still fits the endowment.
 
     Bisection to 1e-4 between the search floor and 1. Feasibility is expected
-    monotone in alpha; the predicate is sampled on a coarse grid first and a
-    violation is reported (warning + monotone=False) instead of silently
-    bisecting through it.
+    monotone in alpha; the predicate is sampled on a coarse grid first, in
+    one batched search for expansion and rate, and a violation is reported
+    (warning + monotone=False) instead of silently bisecting through it.
     """
     budget = scenario.total_bandwidth_hz
 
-    def pred(alpha: float) -> bool:
-        t = strategy_threshold(scenario, ne, WeightingModel(alpha=alpha),
-                               strategy_id, max_drops)
-        return t < budget * (1.0 - FEASIBILITY_SLACK)
+    def fits(alphas: list[float]) -> list[bool]:
+        return [t < budget * (1.0 - FEASIBILITY_SLACK) for t in
+                _strategy_thresholds(scenario, ne, alphas, strategy_id, max_drops)]
 
-    if not pred(1.0):
+    if not fits([1.0])[0]:
         return MinAlphaResult(alpha=None, never_infeasible=False,
                               recoverable_at_one=False, monotone=True)
-    if pred(floor):
+    if fits([floor])[0]:
         return MinAlphaResult(alpha=floor, never_infeasible=True,
                               recoverable_at_one=True, monotone=True)
 
     grid = [floor + (1.0 - floor) * k / 8 for k in range(9)]
-    flags = [pred(a) for a in grid]
+    flags = fits(grid)
     monotone = all(not (flags[k] and not flags[k + 1]) for k in range(len(flags) - 1))
     if not monotone:
         warnings.warn(f"feasibility of {strategy_id} is not monotone in alpha "
@@ -544,6 +545,6 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
             hi = grid[k + 1] if k + 1 < len(grid) else 1.0
             break
     # alpha <= 1, so the relative tolerance is an absolute 1e-4
-    _, hi = _search.bisect_boundary(lambda a: not pred(a), lo, hi, rel_tol=1e-4)
+    _, hi = _search.bisect_boundary(lambda a: not fits([a])[0], lo, hi, rel_tol=1e-4)
     return MinAlphaResult(alpha=hi, never_infeasible=False,
                           recoverable_at_one=True, monotone=monotone)

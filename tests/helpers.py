@@ -32,7 +32,10 @@ from prospect_pricing.game import (
     sp_utility,
 )
 from prospect_pricing.prospect import (
+    PRICE_EPS_REL,
     STRATEGY_IDS,
+    StrategyOutcome,
+    equalized_willingness,
     loss_strict_rrm,
     loss_with_reallocation,
     ne_preserved,
@@ -419,6 +422,48 @@ def check_loss_zero_iff_preserved(scenario, ne, alphas):
                 willingness(scenario, ne, model, i, ne.allocation[i]) for i in ne.served_set
             )
             assert abs(worst - ne.price) <= 1e-7 * max(1.0, ne.price)
+
+
+def nested_expansion(scenario, ne, model):
+    """bandwidth_expansion as it stood before the search moved to level space:
+    a golden search over the band size B on a doubling bracket, with a full
+    equalized_willingness bisection at every probe. The oracle for
+    bandwidth_expansions."""
+    budget = scenario.total_bandwidth_hz
+    c1, c3 = scenario.cost.c1, scenario.cost.c3
+    eut_rev = ne.n_served * (ne.price - c1 * ne.rate_bps) - c3 * budget
+
+    def f(bw):
+        x, _ = equalized_willingness(scenario, ne, model, bw)
+        return ne.n_served * x - c3 * bw
+
+    hi = budget
+    f_hi = f(hi)
+    while True:
+        nxt = hi * 2.0
+        f_nxt = f(nxt)
+        if f_nxt <= f_hi or nxt > budget * 2.0 ** 40:
+            break
+        hi, f_hi = nxt, f_nxt
+    bw_star, value = _search.golden_max(f, budget * 1e-6, hi * 2.0, rel_tol=1e-10)
+
+    threshold = (ne.n_served * ne.price - value) / c3 if c3 > 0.0 else -math.inf
+    feasible = threshold < budget * (1.0 - game.FEASIBILITY_SLACK)
+    x, served_alloc = equalized_willingness(scenario, ne, model, bw_star)
+    max_revenue = ne.n_served * (x - c1 * ne.rate_bps) - c3 * bw_star
+    full = [0.0] * scenario.n_users
+    for i, bw in zip(ne.served_set, served_alloc):
+        full[i] = bw
+    return StrategyOutcome(
+        strategy_name="expansion",
+        recovered_revenue=max_revenue,
+        revenue_loss=max(0.0, eut_rev - max_revenue),
+        new_price=x - PRICE_EPS_REL * ne.price,
+        min_bandwidth_threshold_hz=threshold,
+        feasible=feasible,
+        new_total_bandwidth_hz=bw_star,
+        served_set=ne.served_set,
+        allocation=tuple(full))
 
 
 def check_threshold_monotone(scenario, ne, alphas, strategies=STRATEGY_IDS, max_drops=1):

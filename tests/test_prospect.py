@@ -20,6 +20,7 @@ from prospect_pricing.prospect import (
     admission_price,
     admission_requirements,
     bandwidth_expansion,
+    bandwidth_expansions,
     equalized_levels,
     equalized_willingness,
     loss_strict_rrm,
@@ -356,6 +357,99 @@ def test_expansion_identity_alpha_full_recovery(default_scenario, default_ref):
     assert out.min_bandwidth_threshold_hz < default_scenario.total_bandwidth_hz
 
 
+EXPANSION_ALPHAS = (0.5, 0.8, 0.9, 0.95, 1.0)
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 1, 3, 5, 7])
+@pytest.mark.parametrize("n_users, radius_m", [(10, 800.0), (40, 300.0)])
+def test_bandwidth_expansions_match_the_nested_search(seed, n_users, radius_m):
+    """The level-space search against the golden search over band size with a
+    bisection at every probe. Both maximize n*x - c3*S(x); the nested search
+    only reaches levels its bisection finds, so it never earns more. The
+    objective is sampled on [0, cap) to show that no second peak was missed."""
+    sc = experiments.build_scenario(n_users, seed=seed, cell_radius_m=radius_m)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    n, c1, c3 = ref.n_served, sc.cost.c1, sc.cost.c3
+    outcomes = bandwidth_expansions(sc, ref, EXPANSION_ALPHAS)
+    assert len(outcomes) == len(EXPANSION_ALPHAS)
+    for alpha, out in zip(EXPANSION_ALPHAS, outcomes):
+        model = WeightingModel(alpha=alpha)
+        want = helpers.nested_expansion(sc, ref, model)
+        got_t, want_t = out.min_bandwidth_threshold_hz, want.min_bandwidth_threshold_hz
+        assert abs(got_t - want_t) <= 1e-12 * abs(want_t), (alpha, got_t, want_t)
+        assert out.feasible == want.feasible
+        assert out.recovered_revenue >= want.recovered_revenue \
+            - 1e-12 * abs(want.recovered_revenue), alpha
+        assert out == bandwidth_expansion(sc, ref, model)
+        # the band is the sum of the allocation, added in user order
+        assert sum(out.allocation) == out.new_total_bandwidth_hz
+        if out.feasible:
+            recheck_acceptance(sc, ref, out, model)
+
+        need = prospect._RequirementMatrix(sc, ref.served_set, ref.rate_bps, alpha)
+        x = need.caps()[0] * np.arange(2000) / 2000
+        grid = n * (x - c1 * ref.rate_bps) - c3 * prospect._column_totals(need(x))
+        best = grid.max()
+        assert out.recovered_revenue >= best - 1e-12 * abs(best), alpha
+
+
+def assert_expansion_finite(out):
+    assert math.isfinite(out.recovered_revenue)
+    assert math.isfinite(out.revenue_loss)
+    assert math.isfinite(out.new_total_bandwidth_hz) and out.new_total_bandwidth_hz > 0.0
+    assert all(math.isfinite(bw) for bw in out.allocation)
+
+
+def test_expansion_with_free_band_goes_to_the_level_cap():
+    """c3 = 0: every level is worth buying, so the level goes to the cap end
+    of the bracket and the band is the finite requirement there."""
+    sc = experiments.build_scenario(c3=0.0)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    alphas = (0.5, 0.9, 1.0)
+    for alpha, out in zip(alphas, bandwidth_expansions(sc, ref, alphas)):
+        assert_expansion_finite(out)
+        assert out.min_bandwidth_threshold_hz == -math.inf and out.feasible
+        need = prospect._RequirementMatrix(sc, ref.served_set, ref.rate_bps, alpha)
+        x = need.caps()[0] * (1.0 - 1e-12)
+        assert out.new_price == x - PRICE_EPS_REL * ref.price
+        assert out.new_total_bandwidth_hz == float(prospect._column_totals(need(x))[0])
+    want = helpers.nested_expansion(sc, ref, WeightingModel(alpha=0.9))
+    assert want.min_bandwidth_threshold_hz == -math.inf
+    assert bandwidth_expansions(sc, ref, 0.9)[0].recovered_revenue >= want.recovered_revenue
+
+
+def test_expansion_with_linear_price_and_no_rate_cost():
+    """c1 = 0 with a linear price: the margin has no peak, the band is given."""
+    band = experiments.build_scenario().total_bandwidth_hz
+    sc = experiments.build_scenario(c1=0.0, price_exp=1.0, total_bandwidth_hz=band)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    outcomes = bandwidth_expansions(sc, ref, EXPANSION_ALPHAS)
+    for out in outcomes:
+        assert_expansion_finite(out)
+        assert math.isfinite(out.min_bandwidth_threshold_hz)
+    want = helpers.nested_expansion(sc, ref, WeightingModel(alpha=0.9))
+    got = outcomes[EXPANSION_ALPHAS.index(0.9)].min_bandwidth_threshold_hz
+    assert abs(got - want.min_bandwidth_threshold_hz) \
+        <= 1e-12 * abs(want.min_bandwidth_threshold_hz)
+
+
+def test_bandwidth_expansions_evaluate_few_requirement_matrices(default_scenario, default_ref,
+                                                                monkeypatch):
+    """One golden search over the level for every alpha: about 50 matrices
+    for all five, where the nested search took about 2,700 for one."""
+    real = prospect._RequirementMatrix.__call__
+    calls = []
+
+    def counting(self, targets):
+        calls.append(np.shape(targets))
+        return real(self, targets)
+
+    monkeypatch.setattr(prospect._RequirementMatrix, "__call__", counting)
+    bandwidth_expansions(default_scenario, default_ref, EXPANSION_ALPHAS)
+    assert len(calls) <= 60
+    assert all(shape == (len(EXPANSION_ALPHAS),) for shape in calls)
+
+
 def rate_requirement_oracle(sc, ne, model, rate, enforce_benefit_margin_bound=False):
     c1 = sc.cost.c1
     price = ne.price + c1 * (rate - ne.rate_bps)
@@ -497,22 +591,49 @@ def test_feasible_outcomes_pass_acceptance_recheck(default_scenario, default_ref
 MIN_ALPHA_NO_PRICING = 0.8785461425781249
 MIN_ALPHA_ADMISSION_1 = 0.7071209716796875
 MIN_ALPHA_RATE = 0.3533337402343749
+MIN_ALPHA_EXPANSION = 0.628145751953125
 
 
 def test_min_alpha_frozen_values(default_scenario, default_ref):
-    res = min_alpha(default_scenario, default_ref, "no_pricing")
-    assert abs(res.alpha - MIN_ALPHA_NO_PRICING) <= 1e-12
-    assert res.recoverable_at_one and res.monotone and not res.never_infeasible
     budget = default_scenario.total_bandwidth_hz
-    for da, want in ((1e-3, True), (-1e-3, False)):
-        model = WeightingModel(alpha=res.alpha + da)
-        t = strategy_threshold(default_scenario, default_ref, model, "no_pricing")
-        assert (t < budget * (1.0 - 1e-9)) == want
+    for strategy_id, frozen in (("no_pricing", MIN_ALPHA_NO_PRICING),
+                                ("expansion", MIN_ALPHA_EXPANSION)):
+        res = min_alpha(default_scenario, default_ref, strategy_id)
+        assert abs(res.alpha - frozen) <= 1e-12
+        assert res.recoverable_at_one and res.monotone and not res.never_infeasible
+        for da, want in ((1e-3, True), (-1e-3, False)):
+            model = WeightingModel(alpha=res.alpha + da)
+            t = strategy_threshold(default_scenario, default_ref, model, strategy_id)
+            assert (t < budget * (1.0 - 1e-9)) == want
 
     res = min_alpha(default_scenario, default_ref, "admission", max_drops=1)
     assert abs(res.alpha - MIN_ALPHA_ADMISSION_1) <= 1e-12
     res = min_alpha(default_scenario, default_ref, "rate")
     assert abs(res.alpha - MIN_ALPHA_RATE) <= 1e-12
+
+
+@pytest.mark.parametrize("strategy_id, batched",
+                         [("expansion", "bandwidth_expansions"), ("rate", "rate_controls")])
+def test_min_alpha_samples_its_grid_in_one_batched_call(default_scenario, default_ref,
+                                                        monkeypatch, strategy_id, batched):
+    sc, ref = default_scenario, default_ref
+    grid = [0.01 + 0.99 * k / 8 for k in range(9)]
+    thresholds = prospect._strategy_thresholds(sc, ref, grid, strategy_id, 1)
+    one_by_one = [strategy_threshold(sc, ref, WeightingModel(alpha=a), strategy_id)
+                  for a in grid]
+    assert [t.hex() for t in thresholds] == [t.hex() for t in one_by_one]
+
+    real = getattr(prospect, batched)
+    sizes = []
+
+    def counting(scenario, ne, alphas, *args):
+        sizes.append(np.size(alphas))
+        return real(scenario, ne, alphas, *args)
+
+    monkeypatch.setattr(prospect, batched, counting)
+    min_alpha(sc, ref, strategy_id)
+    # 1.0, the floor, the grid, then one alpha per bisection step
+    assert sizes[:3] == [1, 1, len(grid)] and set(sizes[3:]) == {1}
 
 
 def test_min_alpha_floor_when_never_infeasible():
