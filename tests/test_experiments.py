@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import helpers
-from prospect_pricing import experiments, prospect
+import prospect_pricing
+from prospect_pricing import channel, experiments, game, prospect
 from prospect_pricing.channel import UnattainableGuaranteeError, watts_to_dbm
 from prospect_pricing.game import min_bandwidth_for_user, solve_nash
-from prospect_pricing.weighting import InsufficientDataError
+from prospect_pricing.weighting import InsufficientDataError, WeightingModel
 from prospect_pricing.experiments import (
     DEFAULT_SEED,
     HEADER_ADMISSION,
@@ -318,6 +319,31 @@ def test_sweep_requires_equilibrium():
     assert not solve_nash(sc).equilibrium
     with pytest.raises(ValueError, match="no equilibrium"):
         sweep_revenue_loss(spec_for(sc, 0.95, 1.0))
+
+
+def test_no_equilibrium_error_is_one_class_everywhere():
+    assert experiments.NoEquilibriumError is game.NoEquilibriumError
+    assert prospect_pricing.NoEquilibriumError is game.NoEquilibriumError
+
+
+def test_sweeps_and_strategies_make_no_one_user_inversion(monkeypatch, default_scenario,
+                                                          default_ref):
+    """Past band sizing, every requirement comes from the numpy evaluator."""
+    def forbidden(*args):
+        raise AssertionError("a requirement was inverted one user at a time")
+    for module in (channel, game):
+        monkeypatch.setattr(module, "min_bandwidth", forbidden)
+    spec = spec_for(default_scenario, 0.9, 1.0, step=0.05)
+    for sweep in (sweep_revenue_loss, sweep_price, sweep_expansion, sweep_admission,
+                  sweep_comparison):
+        assert sweep(spec).rows
+    model = WeightingModel(alpha=0.9)
+    prospect.ne_preserved(default_scenario, default_ref, model)
+    prospect.admission_control(default_scenario, default_ref, model, 1)
+    prospect.bandwidth_expansion(default_scenario, default_ref, model)
+    prospect.rate_control(default_scenario, default_ref, model)
+    for strategy_id in prospect.STRATEGY_IDS:
+        assert prospect.min_alpha(default_scenario, default_ref, strategy_id).alpha
 
 
 def test_sweep_spec_validation(default_scenario):

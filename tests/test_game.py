@@ -18,7 +18,7 @@ from prospect_pricing.game import (
     sp_utility,
     user_utility,
 )
-from prospect_pricing.weighting import WeightingModel
+from prospect_pricing.weighting import WeightingModel, inverse_weight
 
 # frozen values at the unconstrained optimal rate of the standard economics
 B_U = 6986353.7310231712945
@@ -287,38 +287,53 @@ def cell_80():
 def test_requirement_vector_matches_scalar_path(n_users, radius):
     """numpy's power, log, log1p and expm1 differ from math's by an ulp or
     two here and there, and the inversion turns a relative change in the
-    target q into kappa = 1 / (min(1, -ln q) * x * d/dx log(expm1(x)/x)) times
-    that change in the bandwidth, x = rate*ln2/bw. Measured worst case over
-    16 cells and 700 rates: 2.9 eps * kappa."""
+    raw target p = w^-1(q) into kappa = 1 / (min(1, -ln p) * x * d/dx
+    log(expm1(x)/x)) times that change in the bandwidth, x = rate*ln2/bw.
+    The Prelec inverse adds an ulp or two to ln p, which kappa scales the
+    same way, so every alpha keeps the alpha = 1 bound. Measured worst case
+    over seeds 4966, 1, 2, 3, 5, 7 of both cells and 60 rates: 2.3 eps * kappa
+    at every alpha (relative 3.6e-12 at alpha 0.5, 4.8e-16 at alpha 1)."""
     sc = experiments.build_scenario(n_users, cell_radius_m=radius)
-    reqs = game._Requirements(sc)
+    users = game._Users(sc)
+    alphas = (0.5, 0.85, 0.95, 1.0)
     for rate in np.geomspace(1e2, 2e7, 60):
         rate = float(rate)
-        vector = reqs(rate)
-        for i in range(n_users):
-            try:
-                want = min_bandwidth_for_user(rate, i, sc)
-            except UnattainableGuaranteeError:
-                assert vector[i] == math.inf
-                continue
-            q = sc.pricing(rate) / sc.benefit(i)(rate)
-            x = rate * math.log(2.0) / want
-            slope = x * (1.0 / -math.expm1(-x) - 1.0 / x)
-            kappa = max(1.0, 1.0 / (min(1.0, -math.log(q)) * slope))
-            assert abs(vector[i] - want) <= 8 * 2.0 ** -52 * kappa * want, (rate, i)
+        matrix = users.at(rate, alphas)(sc.pricing(rate))
+        # the solve's price-target vector is the alpha = 1 column's problem
+        columns = [*zip(alphas, matrix.T), (1.0, users.price_requirements(rate))]
+        for alpha, column in columns:
+            model = WeightingModel(alpha=alpha)
+            for i in range(n_users):
+                q = sc.pricing(rate) / sc.benefit(i)(rate)
+                want = helpers.required_bandwidth(sc, rate, i, q, model)
+                if math.isinf(want):
+                    assert column[i] == math.inf
+                    continue
+                p = inverse_weight(q, model)
+                x = rate * math.log(2.0) / want
+                slope = x * (1.0 / -math.expm1(-x) - 1.0 / x)
+                kappa = max(1.0, 1.0 / (min(1.0, -math.log(p)) * slope))
+                assert abs(column[i] - want) <= 8 * 2.0 ** -52 * kappa * want, \
+                    (alpha, rate, i)
+
+
+def test_price_targets_are_the_alpha_1_column_bitwise(cell_80):
+    """A float alpha of 1 at a float rate leaves out the powers (x ** 1.0 is
+    exact) and keeps the rate a float; the requirements are bitwise those of
+    the array path, alone or batched with another alpha."""
+    users = game._Users(cell_80)
+    for rate in np.geomspace(1e2, 2e7, 60).tolist():
+        price = cell_80.pricing(rate)
+        floats = users.at(rate, 1.0)(price)[:, 0]
+        assert (floats == users.at([rate], [1.0])(price)[:, 0]).all(), rate
+        assert (floats == users.at(rate, [0.5, 1.0])(price)[:, 1]).all(), rate
 
 
 def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
-    calls = [0]
-    batch = game.min_bandwidths
-
-    def counted(*args):
-        calls[0] += 1
-        return batch(*args)
-    monkeypatch.setattr(game, "min_bandwidths", counted)
+    calls = helpers.count_evaluations(monkeypatch)
     ne = solve_nash(cell_80)
     assert ne.n_served == 80
-    assert 0 < calls[0] <= NASH_80_VECTORS
+    assert 0 < len(calls) <= NASH_80_VECTORS
 
 
 def test_solve_nash_makes_no_scalar_inversion(monkeypatch, cell_80):
@@ -435,16 +450,14 @@ def test_margin_bound_covers_every_margin_a_solve_computes(monkeypatch, case):
 
 
 def test_pruned_solve_of_cell_80_scans_one_set_size(monkeypatch, cell_80):
-    counts = {"intervals": 0, "vectors": 0}
+    intervals = [0]
+    scan = game._rate_feasibility_interval
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-    monkeypatch.setattr(game, "_rate_feasibility_interval",
-                        counted("intervals", game._rate_feasibility_interval))
-    monkeypatch.setattr(game, "min_bandwidths", counted("vectors", game.min_bandwidths))
+    def counted(*args):
+        intervals[0] += 1
+        return scan(*args)
+    monkeypatch.setattr(game, "_rate_feasibility_interval", counted)
+    vectors = helpers.count_evaluations(monkeypatch)
     assert solve_nash(cell_80).n_served == 80
-    assert counts["intervals"] == 1
-    assert 0 < counts["vectors"] <= 100
+    assert intervals[0] == 1
+    assert 0 < len(vectors) <= 100

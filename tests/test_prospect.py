@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import helpers
-from prospect_pricing import experiments, prospect
+from prospect_pricing import experiments, game, prospect
 from prospect_pricing.channel import guarantee_supremum, min_bandwidth, service_guarantee
 from prospect_pricing.game import (
     FEASIBILITY_SLACK,
     NashResult,
+    NoEquilibriumError,
     Scenario,
     min_bandwidth_for_user,
     solve_nash,
@@ -211,15 +212,12 @@ def test_admission_zero_drops_reproduces_preservation(default_scenario, default_
 
 def test_admission_inverts_each_candidate_price_once(monkeypatch, default_scenario,
                                                     default_ref):
-    calls = []
-
-    def counted(sc, ne, model, price):
-        calls.append(price)
-        return admission_requirements(sc, ne, model, price)
-    monkeypatch.setattr(prospect, "admission_requirements", counted)
+    """Both candidate prices, one problem each, in a single evaluation."""
+    calls = helpers.count_evaluations(monkeypatch)
     out = admission_control(default_scenario, default_ref, WeightingModel(alpha=1.0), 1)
     assert out.feasible
-    assert len(calls) == len(set(calls)) == 2
+    [(problems, prices)] = calls
+    assert problems == 2 and prices.shape == (2,) and prices[0] != prices[1]
 
 
 def admission_oracle(sc, ne, model, max_drops):
@@ -386,7 +384,7 @@ def test_bandwidth_expansions_match_the_nested_search(seed, n_users, radius_m):
         if out.feasible:
             recheck_acceptance(sc, ref, out, model)
 
-        need = prospect._RequirementMatrix(sc, ref.served_set, ref.rate_bps, alpha)
+        need = game._Users(sc, ref.served_set).at(ref.rate_bps, alpha)
         x = need.caps()[0] * np.arange(2000) / 2000
         grid = n * (x - c1 * ref.rate_bps) - c3 * prospect._column_totals(need(x))
         best = grid.max()
@@ -409,7 +407,7 @@ def test_expansion_with_free_band_goes_to_the_level_cap():
     for alpha, out in zip(alphas, bandwidth_expansions(sc, ref, alphas)):
         assert_expansion_finite(out)
         assert out.min_bandwidth_threshold_hz == -math.inf and out.feasible
-        need = prospect._RequirementMatrix(sc, ref.served_set, ref.rate_bps, alpha)
+        need = game._Users(sc, ref.served_set).at(ref.rate_bps, alpha)
         x = need.caps()[0] * (1.0 - 1e-12)
         assert out.new_price == x - PRICE_EPS_REL * ref.price
         assert out.new_total_bandwidth_hz == float(prospect._column_totals(need(x))[0])
@@ -437,17 +435,10 @@ def test_bandwidth_expansions_evaluate_few_requirement_matrices(default_scenario
                                                                 monkeypatch):
     """One golden search over the level for every alpha: about 50 matrices
     for all five, where the nested search took about 2,700 for one."""
-    real = prospect._RequirementMatrix.__call__
-    calls = []
-
-    def counting(self, targets):
-        calls.append(np.shape(targets))
-        return real(self, targets)
-
-    monkeypatch.setattr(prospect._RequirementMatrix, "__call__", counting)
+    calls = helpers.count_evaluations(monkeypatch)
     bandwidth_expansions(default_scenario, default_ref, EXPANSION_ALPHAS)
     assert len(calls) <= 60
-    assert all(shape == (len(EXPANSION_ALPHAS),) for shape in calls)
+    assert all(targets.shape == (len(EXPANSION_ALPHAS),) for _, targets in calls)
 
 
 def rate_requirement_oracle(sc, ne, model, rate, enforce_benefit_margin_bound=False):
@@ -636,6 +627,22 @@ def test_min_alpha_samples_its_grid_in_one_batched_call(default_scenario, defaul
     assert sizes[:3] == [1, 1, len(grid)] and set(sizes[3:]) == {1}
 
 
+def test_min_alpha_samples_the_no_pricing_grid_in_one_evaluation(default_scenario,
+                                                                 default_ref, monkeypatch):
+    sc, ref = default_scenario, default_ref
+    grid = [0.01 + 0.99 * k / 8 for k in range(9)]
+    thresholds = prospect._strategy_thresholds(sc, ref, grid, "no_pricing", 1)
+    one_by_one = [ne_preserved(sc, ref, WeightingModel(alpha=a)).aggregate_required
+                  for a in grid]
+    assert [t.hex() for t in thresholds] == [t.hex() for t in one_by_one]
+
+    calls = helpers.count_evaluations(monkeypatch)
+    min_alpha(sc, ref, "no_pricing")
+    # 1.0, the floor, the grid, then one alpha per bisection step
+    problems = [n for n, _ in calls]
+    assert problems[:3] == [1, 1, len(grid)] and set(problems[3:]) == {1}
+
+
 def test_min_alpha_floor_when_never_infeasible():
     sc = experiments.build_scenario(n_users=3, price_coeff=6e-4)
     ne = solve_nash(sc)
@@ -658,6 +665,31 @@ def test_min_alpha_unrecoverable_offer():
     res = min_alpha(sc, crafted, "no_pricing")
     assert res.alpha is None
     assert not res.recoverable_at_one and not res.never_infeasible
+
+
+HALF = WeightingModel(alpha=0.5)
+NO_EQUILIBRIUM_CALLS = {
+    "bandwidth_expansion": lambda sc, ne: bandwidth_expansion(sc, ne, HALF),
+    "bandwidth_expansions": lambda sc, ne: bandwidth_expansions(sc, ne, [0.5, 0.9]),
+    "rate_control": lambda sc, ne: rate_control(sc, ne, HALF),
+    "rate_controls": lambda sc, ne: prospect.rate_controls(sc, ne, [0.5, 0.9]),
+    "loss_strict_rrm": lambda sc, ne: loss_strict_rrm(sc, ne, HALF),
+    "strict_rrm_price": lambda sc, ne: strict_rrm_price(sc, ne, HALF),
+    "admission_control": lambda sc, ne: admission_control(sc, ne, HALF, 0),
+    **{f"min_alpha-{sid}": (lambda sc, ne, sid=sid: min_alpha(sc, ne, sid))
+       for sid in prospect.STRATEGY_IDS},
+}
+
+
+@pytest.mark.parametrize("entry", NO_EQUILIBRIUM_CALLS)
+def test_strategies_reject_a_no_equilibrium_result(entry):
+    """A result that serves nobody has no offer to restructure: each entry
+    point says so instead of failing inside a reduction or a search."""
+    sc = experiments.build_scenario(2, c3=1.0, total_bandwidth_hz=1e6)
+    ne = solve_nash(sc)
+    assert not ne.equilibrium
+    with pytest.raises(NoEquilibriumError, match="no equilibrium"):
+        NO_EQUILIBRIUM_CALLS[entry](sc, ne)
 
 
 def test_unknown_strategy_rejected(default_scenario, default_ref):
@@ -697,8 +729,8 @@ def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
         model = WeightingModel(alpha=alpha)
 
         def total(level):
-            return sum(prospect._required_bandwidth(sc, rate, i, level / sc.benefit(i)(rate),
-                                                    model)
+            return sum(helpers.required_bandwidth(sc, rate, i, level / sc.benefit(i)(rate),
+                                                  model)
                        for i in ref.served_set)
 
         assert total(x * (1.0 - 1e-12)) < budget, (alpha, rate, x)
