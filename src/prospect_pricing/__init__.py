@@ -20,7 +20,7 @@ from .prospect import (MinAlphaResult, NePreservation, StrategyOutcome,
                        admission_control, bandwidth_expansion, bandwidth_expansions,
                        equalized_levels, equalized_willingness,
                        loss_strict_rrm, loss_with_reallocation, min_alpha, ne_preserved,
-                       rate_control, rate_controls, reallocation_price,
+                       no_pricing_bands, rate_control, rate_controls, reallocation_price,
                        strict_rrm_price)
 from .weighting import (InsufficientDataError, Lottery, WeightingModel,
                         fit_alpha, inverse_weight, lottery_value, weight)
@@ -37,7 +37,7 @@ __all__ = [
     "equalized_willingness", "fit_alpha", "guarantee_supremum",
     "inverse_weight", "loss_strict_rrm",
     "loss_with_reallocation", "lottery_value", "min_alpha", "min_bandwidth",
-    "min_bandwidth_for_user", "ne_preserved", "rate_control",
+    "min_bandwidth_for_user", "ne_preserved", "no_pricing_bands", "rate_control",
     "rate_controls", "reallocation_price", "received_power", "service_guarantee", "solve_nash",
     "sp_utility", "strict_rrm_price", "user_utility", "watts_to_dbm",
     "__version__",

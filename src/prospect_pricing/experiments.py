@@ -21,7 +21,7 @@ from . import _search, prospect
 from .channel import LinkBudget, UnattainableGuaranteeError, channel_from_budget
 from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
                    _require_equilibrium, _Users, min_bandwidth_for_user, solve_nash)
-from .prospect import PRICE_EPS_REL, equalized_levels, ne_preserved
+from .prospect import PRICE_EPS_REL, equalized_levels, no_pricing_bands
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
 DEFAULT_SEED = 4966
@@ -306,9 +306,8 @@ def sweep_expansion(spec: SweepSpec) -> SweepTable:
     budget = sc.total_bandwidth_hz
     alphas = spec.alphas()
     rows = []
-    for a, x in zip(alphas, _offered_levels(sc, ref, alphas)):
-        model = WeightingModel(alpha=a)
-        need = ne_preserved(sc, ref, model).aggregate_required
+    for a, x, need in zip(alphas, _offered_levels(sc, ref, alphas),
+                          no_pricing_bands(sc, ref, alphas)):
         rev = (ref.n_served * (x - sc.cost.c1 * ref.rate_bps)
                - sc.cost.c3 * budget)
         rows.append((a, _empty_if_inf(need / budget), rev / eut, 1.0))
@@ -368,8 +367,9 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     within reach).
 
     The equalized willingness of every alpha, at the offered rate and at each
-    point of the 36-rate grid, comes from one equalized_levels search, and
-    the rate control of every alpha from one rate_controls search.
+    point of the 36-rate grid, comes from one equalized_levels search, the
+    rate control of every alpha from one rate_controls search, and the
+    no-pricing and admission bands from one evaluation each.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
@@ -388,11 +388,16 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     levels = levels.reshape(len(alphas), len(rates)).tolist()
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
+    # the survivors' band at the markup, every alpha in one evaluation
+    kept_bands = [None] * len(alphas)
+    if kept:
+        at_markup = _Users(sc, kept).at(b_star, alphas)(markup)
+        kept_bands = [sum(column) for column in at_markup.T.tolist()]
 
     rows = []
-    for a, (x_hat, *grid_levels), rc in zip(alphas, levels, rate_outcomes):
+    for a, (x_hat, *grid_levels), rc, need, kept_band in zip(
+            alphas, levels, rate_outcomes, no_pricing_bands(sc, ref, alphas), kept_bands):
         model = WeightingModel(alpha=a)
-        need = ne_preserved(sc, ref, model).aggregate_required
         bw_np = _empty_if_inf(need / budget)
         bw_exp = bw_np
 
@@ -407,8 +412,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
             p_cap = min(prospect.willingness(sc, ref, model, i, ref.allocation[i])
                         for i in kept)
             if p_cap >= markup:
-                reqs = prospect.admission_requirements(sc, ref, model, markup)
-                bw_adm = sum(reqs[i] for i in kept) / budget
+                bw_adm = kept_band / budget
                 rev_adm = 1.0
             else:
                 rev_adm = (len(kept) * (p_cap - c1 * b_star) - c3 * budget) / eut

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import _search
 from .channel import service_guarantee
-from .game import (FEASIBILITY_SLACK, NashResult, Scenario, _RequirementMatrix, _Users,
-                   _require_equilibrium)
+from .game import NashResult, Scenario, _feasible, _RequirementMatrix, _Users, _require_equilibrium
 from .weighting import WeightingModel, weight
 
 # strict acceptance inequalities are realized by shaving this relative amount
@@ -80,6 +79,7 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
     indifference level is unattainable at any bandwidth are reported in
     unrecoverable rather than raising.
     """
+    _require_equilibrium(ne)
     reqs = admission_requirements(scenario, ne, model, ne.price)
     required = tuple(reqs[i] for i in ne.served_set)
     per_user = tuple(ne.allocation[i] > reqs[i] for i in ne.served_set)
@@ -91,6 +91,15 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
         aggregate_required=aggregate,
         aggregate_sufficient=scenario.total_bandwidth_hz > aggregate,
         unrecoverable=tuple(i for i in ne.served_set if math.isinf(reqs[i])))
+
+
+def no_pricing_bands(scenario: Scenario, ne: NashResult, alphas) -> list[float]:
+    """The no-pricing threshold of every alpha in one evaluation: the band the
+    served users need, summed in user order, to accept the unchanged offer.
+    The aggregate_required of ne_preserved; inf when a target is out of reach."""
+    _require_equilibrium(ne)
+    need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)(ne.price)
+    return [sum(column) for column in need.T.tolist()]
 
 
 def _min_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
@@ -167,23 +176,19 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     return _bisect_levels(_Users(scenario, users).at(rates, alphas), totals)
 
 
-def equalized_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                          total_bandwidth_hz: float | None = None,
-                          rate_bps: float | None = None,
-                          served: tuple[int, ...] | None = None) -> tuple[float, tuple[float, ...]]:
-    """Split a band so every served user's weighted willingness equals a common x.
+def equalized_willingness(scenario: Scenario, ne: NashResult,
+                          model: WeightingModel) -> tuple[float, tuple[float, ...]]:
+    """Split the band so every served user's weighted willingness equals a common x.
 
-    The one-problem case of equalized_levels. Returns (x, allocation over the
-    served subset); the allocation is the search's own requirement column at
-    x, which fits the band, plus an equal share of what is left.
+    The one-problem case of equalized_levels, at the offered rate and the
+    whole endowment; dataclasses.replace on the scenario or the result moves
+    either. Returns (x, allocation over the served subset); the allocation is
+    the search's own requirement column at x, which fits the band, plus an
+    equal share of what is left.
     """
-    total = scenario.total_bandwidth_hz if total_bandwidth_hz is None else total_bandwidth_hz
-    rate = ne.rate_bps if rate_bps is None else rate_bps
-    users = ne.served_set if served is None else served
-    if total <= 0.0 or not users:
-        return 0.0, tuple(0.0 for _ in users)
-
-    need = _Users(scenario, users).at(rate, model.alpha)
+    _require_equilibrium(ne)
+    total = scenario.total_bandwidth_hz
+    need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)
     x = _bisect_levels(need, total)
     alloc = need(x)[:, 0].tolist()
     slack = total - sum(alloc)
@@ -256,7 +261,7 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
             best = (total, subset, price, reqs)
 
     threshold, subset, price, reqs = best
-    feasible = not math.isinf(threshold) and threshold < budget * (1.0 - FEASIBILITY_SLACK)
+    feasible = _feasible(threshold, budget)
     allocation = (0.0,) * scenario.n_users
     if feasible:
         allocation = _spread(scenario, subset, [reqs[i] for i in subset],
@@ -311,7 +316,7 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
             revenue_loss=max(0.0, eut_rev - max_revenue),
             new_price=x_j - PRICE_EPS_REL * ne.price,
             min_bandwidth_threshold_hz=threshold,
-            feasible=threshold < scenario.total_bandwidth_hz * (1.0 - FEASIBILITY_SLACK),
+            feasible=_feasible(threshold, scenario.total_bandwidth_hz),
             new_total_bandwidth_hz=band_j,
             served_set=ne.served_set,
             allocation=_spread(scenario, ne.served_set, alloc[:, j].tolist())))
@@ -329,37 +334,20 @@ def rate_control_price(scenario: Scenario, ne: NashResult, rate_bps: float) -> f
     return ne.price + scenario.cost.c1 * (rate_bps - ne.rate_bps)
 
 
-def _rate_needs(scenario: Scenario, ne: NashResult, served: _Users, rates_bps, alphas,
-                enforce_benefit_margin_bound: bool) -> np.ndarray:
+def _rate_needs(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
+                alphas) -> np.ndarray:
     """Users x problems requirements of the served users at shifted rates.
 
     Problem k moves the offered rate to rates_bps[k] at the revenue-preserving
     price, under the weighting exponent alphas[k]. A problem whose price is
-    not positive, or that breaks the side condition when it is enforced, gets
-    a column of inf.
+    not positive gets a column of inf.
     """
     need = served.at(rates_bps, alphas)
-    c1 = scenario.cost.c1
     price = rate_control_price(scenario, ne, need.rates)
-    out_of_reach = price <= 0.0
-    if enforce_benefit_margin_bound:
-        # stated side condition on admissible rates, normally disabled
-        out_of_reach |= ~np.all(need.benefit - c1 * need.rates
-                                < ne.price - c1 * ne.rate_bps, axis=0)
-    return np.where(out_of_reach, np.inf, need(price))
+    return np.where(price <= 0.0, np.inf, need(price))
 
 
-def rate_requirement(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                     rate_bps: float,
-                     enforce_benefit_margin_bound: bool = False) -> float:
-    """Total bandwidth needed to keep all served users at the shifted rate."""
-    served = _Users(scenario, ne.served_set)
-    return float(_column_totals(_rate_needs(scenario, ne, served, rate_bps, model.alpha,
-                                            enforce_benefit_margin_bound))[0])
-
-
-def rate_controls(scenario: Scenario, ne: NashResult, alphas,
-                  enforce_benefit_margin_bound: bool = False) -> list[StrategyOutcome]:
+def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOutcome]:
     """Shift the offered rate to wherever the total requirement is smallest.
 
     One outcome per weighting exponent in alphas. The objective need not be
@@ -380,27 +368,26 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas,
     n_starts = 12
     edges = lo + (hi - lo) * np.arange(n_starts + 1.0) / n_starts
     start_alphas = np.tile(alphas, n_starts)  # start-major, like the brackets
-    obj = lambda log_b: _column_totals(_rate_needs(
-        scenario, ne, served, np.exp(log_b), start_alphas, enforce_benefit_margin_bound))
+    obj = lambda log_b: _column_totals(_rate_needs(scenario, ne, served, np.exp(log_b),
+                                                   start_alphas))
     x, fx = _search.golden_min(obj, np.repeat(edges[:-1], len(alphas)),
                                np.repeat(edges[1:], len(alphas)), rel_tol=1e-10)
     x, fx = x.reshape(n_starts, -1), fx.reshape(n_starts, -1)
 
     best_rate = np.full(len(alphas), ne.rate_bps)
-    best_total = _column_totals(_rate_needs(scenario, ne, served, best_rate, alphas,
-                                            enforce_benefit_margin_bound))
+    best_total = _column_totals(_rate_needs(scenario, ne, served, best_rate, alphas))
     for k in range(n_starts):
         better = fx[k] < best_total
         best_total = np.where(better, fx[k], best_total)
         best_rate = np.where(better, np.exp(x[k]), best_rate)
     # the threshold and the allocation come from one requirement column
-    need = _rate_needs(scenario, ne, served, best_rate, alphas, enforce_benefit_margin_bound)
+    need = _rate_needs(scenario, ne, served, best_rate, alphas)
     best_total = _column_totals(need)
 
     outcomes = []
     for j in range(len(alphas)):
         total, rate = float(best_total[j]), float(best_rate[j])
-        feasible = not math.isinf(total) and total < budget * (1.0 - FEASIBILITY_SLACK)
+        feasible = _feasible(total, budget)
         allocation = (0.0,) * scenario.n_users
         if feasible:
             allocation = _spread(scenario, ne.served_set, need[:, j].tolist(),
@@ -418,10 +405,9 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas,
     return outcomes
 
 
-def rate_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                 enforce_benefit_margin_bound: bool = False) -> StrategyOutcome:
+def rate_control(scenario: Scenario, ne: NashResult, model: WeightingModel) -> StrategyOutcome:
     """The one-alpha case of rate_controls."""
-    return rate_controls(scenario, ne, model.alpha, enforce_benefit_margin_bound)[0]
+    return rate_controls(scenario, ne, model.alpha)[0]
 
 
 STRATEGY_IDS = ("no_pricing", "admission", "expansion", "rate")
@@ -433,9 +419,7 @@ def _strategy_thresholds(scenario: Scenario, ne: NashResult, alphas: list[float]
     evaluation, and expansion and rate search all at once."""
     _require_equilibrium(ne)
     if strategy_id == "no_pricing":
-        # summed as ne_preserved sums its aggregate
-        need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)(ne.price)
-        return [sum(column) for column in need.T.tolist()]
+        return no_pricing_bands(scenario, ne, alphas)
     if strategy_id == "admission":
         outcomes = [admission_control(scenario, ne, WeightingModel(alpha=a), max_drops)
                     for a in alphas]
@@ -463,10 +447,8 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
     one batched call for no_pricing, expansion and rate, and a violation is reported
     (warning + monotone=False) instead of silently bisecting through it.
     """
-    budget = scenario.total_bandwidth_hz
-
     def fits(alphas: list[float]) -> list[bool]:
-        return [t < budget * (1.0 - FEASIBILITY_SLACK) for t in
+        return [_feasible(t, scenario.total_bandwidth_hz) for t in
                 _strategy_thresholds(scenario, ne, alphas, strategy_id, max_drops)]
 
     if not fits([1.0])[0]:

@@ -7,6 +7,7 @@ with the same seed exercises identical inputs.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -470,7 +471,7 @@ def nested_expansion(scenario, ne, model):
     eut_rev = ne.n_served * (ne.price - c1 * ne.rate_bps) - c3 * budget
 
     def f(bw):
-        x, _ = equalized_willingness(scenario, ne, model, bw)
+        x, _ = equalized_willingness(replace(scenario, total_bandwidth_hz=bw), ne, model)
         return ne.n_served * x - c3 * bw
 
     hi = budget
@@ -485,7 +486,8 @@ def nested_expansion(scenario, ne, model):
 
     threshold = (ne.n_served * ne.price - value) / c3 if c3 > 0.0 else -math.inf
     feasible = threshold < budget * (1.0 - game.FEASIBILITY_SLACK)
-    x, served_alloc = equalized_willingness(scenario, ne, model, bw_star)
+    x, served_alloc = equalized_willingness(replace(scenario, total_bandwidth_hz=bw_star),
+                                            ne, model)
     max_revenue = ne.n_served * (x - c1 * ne.rate_bps) - c3 * bw_star
     full = [0.0] * scenario.n_users
     for i, bw in zip(ne.served_set, served_alloc):

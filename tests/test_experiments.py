@@ -308,6 +308,23 @@ def test_comparison_runs_every_rate_control_in_one_batch(default_scenario, monke
         assert batches == [n_alphas]
 
 
+@pytest.mark.parametrize("sweep", [sweep_expansion, sweep_comparison])
+def test_sweeps_take_each_one_target_band_in_one_evaluation(default_scenario, monkeypatch,
+                                                            sweep):
+    """The no-pricing band (target: the offered price) and sweep-compare's
+    admission band (target: the markup) each come from one evaluation over
+    every alpha, so 33 alphas make as many one-target evaluations as 3."""
+    calls = helpers.count_evaluations(monkeypatch)
+    counts = []
+    for step in (0.08, 0.005):
+        calls.clear()
+        spec = spec_for(default_scenario, 0.84, 1.0, step=step)
+        assert len(spec.alphas()) in (3, 33)
+        sweep(spec)
+        counts.append(sum(np.ndim(targets) == 0 for _, targets in calls))
+    assert counts[0] == counts[1]
+
+
 def test_sweeps_are_deterministic(default_scenario):
     spec = spec_for(default_scenario, 0.93, 0.95, step=0.01)
     helpers.check_sweep_deterministic(sweep_revenue_loss, spec)

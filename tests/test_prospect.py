@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from prospect_pricing.prospect import (
     loss_with_reallocation,
     min_alpha,
     ne_preserved,
+    no_pricing_bands,
     rate_control,
     rate_control_price,
-    rate_requirement,
     reallocation_price,
     strategy_threshold,
     strict_rrm_price,
@@ -441,17 +442,13 @@ def test_bandwidth_expansions_evaluate_few_requirement_matrices(default_scenario
     assert all(targets.shape == (len(EXPANSION_ALPHAS),) for _, targets in calls)
 
 
-def rate_requirement_oracle(sc, ne, model, rate, enforce_benefit_margin_bound=False):
-    c1 = sc.cost.c1
-    price = ne.price + c1 * (rate - ne.rate_bps)
+def rate_requirement_oracle(sc, ne, model, rate):
+    price = ne.price + sc.cost.c1 * (rate - ne.rate_bps)
     if price <= 0.0:
         return math.inf
     tot = 0.0
     for i in ne.served_set:
         ch, h = sc.users[i]
-        if enforce_benefit_margin_bound and not (
-                h(rate) - c1 * rate < ne.price - c1 * ne.rate_bps):
-            return math.inf
         lam = price / h(rate)
         if lam >= 1.0:
             return math.inf
@@ -465,16 +462,15 @@ def rate_requirement_oracle(sc, ne, model, rate, enforce_benefit_margin_bound=Fa
     return tot
 
 
-def rate_control_oracle(sc, ne, model, enforce_benefit_margin_bound=False):
+def rate_control_oracle(sc, ne, model):
     """Smallest total requirement of rate control's scalar multi-start: the
     offered rate, then 12 log-spaced golden searches of the oracle, each kept
     only when strictly smaller."""
     def obj(log_b):
-        return rate_requirement_oracle(sc, ne, model, math.exp(log_b),
-                                       enforce_benefit_margin_bound)
+        return rate_requirement_oracle(sc, ne, model, math.exp(log_b))
 
     lo, hi = math.log(1e-3 * ne.rate_bps), math.log(10.0 * ne.rate_bps)
-    best = rate_requirement_oracle(sc, ne, model, ne.rate_bps, enforce_benefit_margin_bound)
+    best = rate_requirement_oracle(sc, ne, model, ne.rate_bps)
     for k in range(12):
         _, neg = helpers.golden_reference(lambda t: -obj(t), lo + (hi - lo) * k / 12,
                                           lo + (hi - lo) * (k + 1) / 12, rel_tol=1e-10)
@@ -486,19 +482,18 @@ def rate_control_oracle(sc, ne, model, enforce_benefit_margin_bound=False):
     (experiments.DEFAULT_SEED, 10, [0.3, 0.4, 0.85, 0.9, 0.95, 0.985, 1.0]),
     (experiments.DEFAULT_SEED, 3, [0.9]),
     (7, 10, [0.86, 0.93])])
-@pytest.mark.parametrize("enforce", [False, True])
-def test_rate_controls_match_the_scalar_oracle(seed, n_users, alphas, enforce):
+def test_rate_controls_match_the_scalar_oracle(seed, n_users, alphas):
     sc = experiments.build_scenario(n_users, seed=seed)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     budget = sc.total_bandwidth_hz
-    outcomes = prospect.rate_controls(sc, ref, alphas, enforce)
+    outcomes = prospect.rate_controls(sc, ref, alphas)
     assert len(outcomes) == len(alphas)
     for alpha, out in zip(alphas, outcomes):
-        want = rate_control_oracle(sc, ref, WeightingModel(alpha=alpha), enforce)
+        want = rate_control_oracle(sc, ref, WeightingModel(alpha=alpha))
         got = out.min_bandwidth_threshold_hz
         assert got == want or abs(got - want) <= 1e-12 * want, (alpha, got, want)
         assert out.feasible == (want < budget * (1.0 - FEASIBILITY_SLACK))
-        assert out == rate_control(sc, ref, WeightingModel(alpha=alpha), enforce)
+        assert out == rate_control(sc, ref, WeightingModel(alpha=alpha))
         if math.isinf(want):
             # no start is strictly smaller, so the offered rate stays
             assert out.new_rate_bps == ref.rate_bps
@@ -530,22 +525,11 @@ def test_rate_control_improves_on_fixed_rate(trio):
     sc, _, ref = trio
     model = WeightingModel(alpha=0.9)
     out = rate_control(sc, ref, model)
-    at_baseline = rate_requirement(sc, ref, model, ref.rate_bps)
+    at_baseline = ne_preserved(sc, ref, model).aggregate_required
     assert out.min_bandwidth_threshold_hz <= at_baseline * (1.0 + 1e-9)
     assert out.min_bandwidth_threshold_hz < 0.99 * at_baseline
     assert out.new_price == rate_control_price(sc, ref, out.new_rate_bps) \
         - PRICE_EPS_REL * ref.price
-
-
-def test_rate_side_condition_excludes_every_rate(trio):
-    sc, _, ref = trio
-    model = WeightingModel(alpha=0.9)
-    assert math.isinf(rate_requirement(sc, ref, model, ref.rate_bps,
-                                       enforce_benefit_margin_bound=True))
-    out = rate_control(sc, ref, model, enforce_benefit_margin_bound=True)
-    assert not out.feasible
-    assert math.isinf(out.min_bandwidth_threshold_hz)
-    assert rate_control(sc, ref, model).feasible
 
 
 def test_strategy_thresholds_monotone(default_scenario, default_ref):
@@ -676,6 +660,11 @@ NO_EQUILIBRIUM_CALLS = {
     "loss_strict_rrm": lambda sc, ne: loss_strict_rrm(sc, ne, HALF),
     "strict_rrm_price": lambda sc, ne: strict_rrm_price(sc, ne, HALF),
     "admission_control": lambda sc, ne: admission_control(sc, ne, HALF, 0),
+    "ne_preserved": lambda sc, ne: ne_preserved(sc, ne, HALF),
+    "no_pricing_bands": lambda sc, ne: no_pricing_bands(sc, ne, [0.5, 0.9]),
+    "equalized_willingness": lambda sc, ne: equalized_willingness(sc, ne, HALF),
+    "reallocation_price": lambda sc, ne: reallocation_price(sc, ne, HALF),
+    "loss_with_reallocation": lambda sc, ne: loss_with_reallocation(sc, ne, HALF),
     **{f"min_alpha-{sid}": (lambda sc, ne, sid=sid: min_alpha(sc, ne, sid))
        for sid in prospect.STRATEGY_IDS},
 }
@@ -697,13 +686,22 @@ def test_unknown_strategy_rejected(default_scenario, default_ref):
         strategy_threshold(default_scenario, default_ref, IDENTITY, "bogus")
 
 
-def test_equalized_willingness_edge_cases(default_scenario, default_ref):
-    x, alloc = equalized_willingness(default_scenario, default_ref, IDENTITY,
-                                     total_bandwidth_hz=0.0)
-    assert x == 0.0 and all(a == 0.0 for a in alloc)
-    x, alloc = equalized_willingness(default_scenario, default_ref, IDENTITY,
-                                     served=())
-    assert x == 0.0 and alloc == ()
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5])
+def test_no_pricing_bands_are_the_preserved_aggregates_bitwise(seed):
+    """One evaluation gives every alpha's no-pricing band, bit for bit the
+    aggregate ne_preserved sums, in the sweep-compare window and in a wide
+    one whose low alphas put some target out of reach."""
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    wide = experiments.SweepSpec(sc, 0.3, 1.0, 0.05).alphas()
+    assert any(math.isinf(t) for t in no_pricing_bands(sc, ref, wide))
+    for alphas in (experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas(),
+                   wide):
+        bands = no_pricing_bands(sc, ref, alphas)
+        one_by_one = [ne_preserved(sc, ref, WeightingModel(alpha=a)).aggregate_required
+                      for a in alphas]
+        assert [t.hex() for t in bands] == [t.hex() for t in one_by_one]
+
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 3])
 def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
@@ -740,7 +738,8 @@ def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
 def test_equalized_willingness_is_one_batched_problem(default_scenario, default_ref):
     model = WeightingModel(alpha=0.9)
     rate = 0.5 * default_ref.rate_bps
-    x, alloc = equalized_willingness(default_scenario, default_ref, model, rate_bps=rate)
+    x, alloc = equalized_willingness(default_scenario, replace(default_ref, rate_bps=rate),
+                                     model)
     assert x == equalized_levels(default_scenario, default_ref.served_set, rate, 0.9,
                                  default_scenario.total_bandwidth_hz)[0]
     assert math.isclose(sum(alloc), default_scenario.total_bandwidth_hz, rel_tol=1e-12)
@@ -749,15 +748,21 @@ def test_equalized_willingness_is_one_batched_problem(default_scenario, default_
 def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
     """Every split of the default sweep-compare grid stays inside the band,
     to the rounding of its n additions (at alpha 0.985 and 1,036,762 bps,
-    re-inverting each user at the level overshot it by 2.5e-14)."""
+    re-inverting each user at the level overshot it by 2.5e-14). The grid is
+    one equalized_levels search, its requirement columns one evaluation at
+    the levels; equalized_willingness pads each alpha's split at the offered
+    rate to the whole band."""
     sc, ref = default_scenario, default_ref
-    total = sc.total_bandwidth_hz
+    bound = sc.total_bandwidth_hz * (1.0 + ref.n_served * 2.0 ** -52)
     b_star = ref.rate_bps
     rates = [b_star] + np.geomspace(1e-3 * b_star, 10.0 * b_star, 36).tolist()
-    for alpha in experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas():
-        model = WeightingModel(alpha=alpha)
-        for rate in rates:
-            _, alloc = equalized_willingness(sc, ref, model, rate_bps=rate)
-            if all(math.isfinite(a) for a in alloc):
-                assert math.fsum(alloc) <= total * (1.0 + ref.n_served * 2.0 ** -52), \
-                    (alpha, rate)
+    alphas = experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas()
+    rate_col, alpha_col = np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
+    levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, sc.total_bandwidth_hz)
+    need = game._Users(sc, ref.served_set).at(rate_col, alpha_col)(levels)
+    for k, column in enumerate(need.T.tolist()):
+        if all(math.isfinite(a) for a in column):
+            assert math.fsum(column) <= bound, (alpha_col[k], rate_col[k])
+    for alpha in alphas:
+        _, alloc = equalized_willingness(sc, ref, WeightingModel(alpha=alpha))
+        assert math.fsum(alloc) <= bound, alpha
