@@ -20,8 +20,10 @@ import numpy as np
 from . import _search, prospect
 from .channel import LinkBudget, UnattainableGuaranteeError, channel_from_budget
 from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
-                   _require_equilibrium, _Users, min_bandwidth_for_user, solve_nash)
-from .prospect import PRICE_EPS_REL, equalized_levels, no_pricing_bands
+                   _require_equilibrium, _revenue, _spread, _total, _Users,
+                   min_bandwidth_for_user, solve_nash)
+from .prospect import (PRICE_EPS_REL, _capped_price, _min_willingness, _price_gap_loss,
+                       equalized_levels, no_pricing_bands)
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
 DEFAULT_SEED = 4966
@@ -154,8 +156,8 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
         rate_opt = unconstrained_optimal_rate(pricing, cost)
         # scalar inversions: bench/test_bench.py expects every workload to make some
         try:
-            need = sum(min_bandwidth_for_user(rate_opt, i, scratch)
-                       for i in range(p.n_users))
+            need = float(_total([min_bandwidth_for_user(rate_opt, i, scratch)
+                                 for i in range(p.n_users)]))
         except UnattainableGuaranteeError as exc:
             raise InfeasibleScenarioError(exc.rate_bps, exc.target, exc.supremum) from exc
         total_bandwidth_hz = (1.0 + p.bandwidth_margin) * need
@@ -183,8 +185,8 @@ def reference_offer(scenario: Scenario, ne: NashResult,
     sized by the same margin it exhausts the endowment.
     """
     need = _Users(scenario, ne.served_set).price_requirements(ne.rate_bps)
-    return replace(ne, allocation=prospect._spread(scenario, ne.served_set,
-                                                   ((1.0 + margin) * need).tolist()))
+    return replace(ne, allocation=_spread(scenario, ne.served_set,
+                                          ((1.0 + margin) * need).tolist()))
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,7 @@ def sweep_revenue_loss(spec: SweepSpec) -> SweepTable:
     for a, x in zip(alphas, _offered_levels(spec.scenario, ref, alphas)):
         model = WeightingModel(alpha=a)
         strict = prospect.loss_strict_rrm(spec.scenario, ref, model)
-        # loss_with_reallocation at the batched level
-        realloc = ref.n_served * max(0.0, ref.price - x)
+        realloc = _price_gap_loss(ref, x)
         rows.append((a, min(1.0, strict / eut), min(1.0, realloc / eut)))
     return SweepTable(HEADER_LOSS, tuple(rows))
 
@@ -287,8 +288,7 @@ def sweep_price(spec: SweepSpec) -> SweepTable:
     for a, x in zip(alphas, _offered_levels(spec.scenario, ref, alphas)):
         model = WeightingModel(alpha=a)
         ps = prospect.strict_rrm_price(spec.scenario, ref, model) / ref.price
-        # reallocation_price at the batched level
-        pr = min(ref.price, x - PRICE_EPS_REL * ref.price) / ref.price
+        pr = _capped_price(ref, x) / ref.price
         rows.append((a, ps, pr))
     return SweepTable(HEADER_PRICE, tuple(rows))
 
@@ -308,8 +308,7 @@ def sweep_expansion(spec: SweepSpec) -> SweepTable:
     rows = []
     for a, x, need in zip(alphas, _offered_levels(sc, ref, alphas),
                           no_pricing_bands(sc, ref, alphas)):
-        rev = (ref.n_served * (x - sc.cost.c1 * ref.rate_bps)
-               - sc.cost.c3 * budget)
+        rev = _revenue(sc, ref.n_served, x, ref.rate_bps)
         rows.append((a, _empty_if_inf(need / budget), rev / eut, 1.0))
     return SweepTable(HEADER_EXPANSION, tuple(rows))
 
@@ -344,8 +343,7 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
             cap = kept_caps[j]
             feasible = cap > target
             price = target if feasible else cap - PRICE_EPS_REL * ref.price
-            rev = (len(kept) * (price - sc.cost.c1 * ref.rate_bps)
-                   - sc.cost.c3 * sc.total_bandwidth_hz)
+            rev = _revenue(sc, len(kept), price, ref.rate_bps)
             loss = min(1.0, max(0.0, (eut - max(0.0, rev)) / eut))
             rows.append((a, len(kept), price / ref.price, loss, feasible))
     return SweepTable(HEADER_ADMISSION, tuple(rows))
@@ -374,7 +372,6 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     ref, eut = _baseline(spec)
     sc = spec.scenario
     budget = sc.total_bandwidth_hz
-    c1, c3 = sc.cost.c1, sc.cost.c3
     b_star = ref.rate_bps
     order = _drop_order(sc, ref)
     kept = tuple(sorted(order[1:]))
@@ -392,7 +389,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     kept_bands = [None] * len(alphas)
     if kept:
         at_markup = _Users(sc, kept).at(b_star, alphas)(markup)
-        kept_bands = [sum(column) for column in at_markup.T.tolist()]
+        kept_bands = _total(at_markup).tolist()
 
     rows = []
     for a, (x_hat, *grid_levels), rc, need, kept_band in zip(
@@ -401,26 +398,25 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
         bw_np = _empty_if_inf(need / budget)
         bw_exp = bw_np
 
-        rev_np = _empty_if_inf((ref.n_served * (ref.price - c1 * b_star)
-                                - c3 * max(budget, need)) / eut)
-        rev_exp = (ref.n_served * (x_hat - c1 * b_star) - c3 * budget) / eut
+        rev_np = _empty_if_inf(_revenue(sc, ref.n_served, ref.price, b_star,
+                                        max(budget, need)) / eut)
+        rev_exp = _revenue(sc, ref.n_served, x_hat, b_star) / eut
 
         # admission: survivors keep their original split; the markup must be
         # acceptable as-is, else the strategy has no solution at this alpha
         bw_adm = rev_adm = None
         if kept:
-            p_cap = min(prospect.willingness(sc, ref, model, i, ref.allocation[i])
-                        for i in kept)
+            p_cap = _min_willingness(sc, ref, model, kept)
             if p_cap >= markup:
                 bw_adm = kept_band / budget
                 rev_adm = 1.0
             else:
-                rev_adm = (len(kept) * (p_cap - c1 * b_star) - c3 * budget) / eut
+                rev_adm = _revenue(sc, len(kept), p_cap, b_star) / eut
 
         bw_rate = _empty_if_inf(rc.min_bandwidth_threshold_hz / budget)
         best = -math.inf
         for b_pt, x in zip(rate_grid, grid_levels):
-            best = max(best, (ref.n_served * (x - c1 * b_pt) - c3 * budget) / eut)
+            best = max(best, _revenue(sc, ref.n_served, x, b_pt) / eut)
         rows.append((a, bw_np, bw_exp, bw_adm, bw_rate,
                      rev_np, rev_exp, rev_adm, best))
     return SweepTable(HEADER_COMPARISON, tuple(rows))

@@ -132,14 +132,43 @@ class NashResult:
         return len(self.served_set)
 
 
+def _total(need):
+    """Requirements summed over users (axis 0), one total per problem: cumsum
+    adds left to right on every Python, where the builtin sum compensates its
+    rounding from 3.12 on and numpy's sum pairs terms."""
+    return np.cumsum(need, axis=0)[-1]
+
+
+def _revenue(scenario: Scenario, n: int, price: float, rate_bps: float,
+             band_hz: float | None = None) -> float:
+    """The provider's revenue from n users accepting price at rate_bps: their
+    margin less c3 per Hz of band_hz, the whole endowment by default."""
+    band = scenario.total_bandwidth_hz if band_hz is None else band_hz
+    return n * (price - scenario.cost.c1 * rate_bps) - scenario.cost.c3 * band
+
+
+def willingness(scenario: Scenario, ne: NashResult | Offer, model: WeightingModel,
+                i: int, bandwidth_hz: float) -> float:
+    """User i's weighted willingness to pay at the offered rate and bandwidth_hz."""
+    ch, h = scenario.users[i]
+    return h(ne.rate_bps) * weight(service_guarantee(ne.rate_bps, bandwidth_hz, ch), model)
+
+
+def _spread(scenario: Scenario, users, bandwidths, pad: float = 0.0) -> tuple[float, ...]:
+    """Allocation over every user: bandwidths[k] + pad to users[k], 0 elsewhere."""
+    full = [0.0] * scenario.n_users
+    for i, bw in zip(users, bandwidths):
+        full[i] = bw + pad
+    return tuple(full)
+
+
 def user_utility(accept_prob: float, offer: Offer, user_index: int,
                  scenario: Scenario, model: WeightingModel = IDENTITY) -> float:
     """accept_prob * (benefit * weighted guarantee - price); declining yields 0."""
     if accept_prob == 0.0:
         return 0.0
-    ch, h = scenario.users[user_index]
-    guar = service_guarantee(offer.rate_bps, offer.allocation[user_index], ch)
-    return accept_prob * (-offer.price + h(offer.rate_bps) * weight(guar, model))
+    own = willingness(scenario, offer, model, user_index, offer.allocation[user_index])
+    return accept_prob * (-offer.price + own)
 
 
 def sp_utility(accept_probs: list[float] | tuple[float, ...], offer: Offer,
@@ -369,7 +398,7 @@ def solve_nash(scenario: Scenario) -> NashResult:
         if b_star <= 0.0 or not fits(b_star, n):
             # boundary end may sit epsilon outside the strict constraint
             b_star = boundary
-        rev = n * _margin(price, c1, b_star) - c3 * budget
+        rev = _revenue(scenario, n, price(b_star), b_star)
         if n < n_users and fits(b_star, n + 1):
             rev = 0.0  # a larger set accepts at this rate, not an equilibrium
         top = max(top, rev)
@@ -382,12 +411,12 @@ def solve_nash(scenario: Scenario) -> NashResult:
     need = reqs.price_requirements(best_rate).tolist()
     order = sorted(range(n_users), key=lambda i: (need[i], i))
     served = tuple(sorted(order[:n_star]))
-    served_total = sum(need[i] for i in served)
+    served_need = [need[i] for i in served]
     # hand the whole band to the served users: every acceptance strict, and the
     # reported revenue (which charges c3 on the full endowment) matches
     # sp_utility on the returned offer exactly
-    pad = (budget - served_total) / n_star
-    allocation = tuple(need[i] + pad if i in served else 0.0 for i in range(n_users))
+    pad = (budget - float(_total(served_need))) / n_star
+    allocation = _spread(scenario, served, served_need, pad)
     return NashResult(rate_bps=best_rate, served_set=served, allocation=allocation,
                       price=price(best_rate), sp_revenue=best_rev, equilibrium=True)
 
@@ -396,12 +425,15 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
     """Exhaustive oracle: enumerate served subsets on a dense rate grid.
 
     Each subset is allocated its per-user minimum bandwidths; the revenue
-    maximizer wins. Only for small instances.
+    maximizer wins. Only for small instances. One evaluation inverts every
+    user at every grid rate, and every subset's totals come from one users x
+    subsets x rates array holding 0 for non-members: adding 0.0 is exact, and
+    masking keeps an unservable user's inf (inf * 0 is NaN) out of the rest.
     """
     n_users = scenario.n_users
     if n_users > 4:
         raise ValueError(f"brute force limited to 4 users, got {n_users}")
-    price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
+    price, c1 = scenario.pricing, scenario.cost.c1
     budget = scenario.total_bandwidth_hz
 
     # profitable rates live below the break-even point r(b) = c1*b
@@ -411,25 +443,25 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
 
     subsets = [tuple(i for i in range(n_users) if mask & (1 << i))
                for mask in range(1, 1 << n_users)]
-    requirements = _Users(scenario)
-    best_rev, best_n, best_subset, best_rate = -math.inf, 0, (), 0.0
-    for k in range(1, grid_resolution + 1):
-        b = hi * k / grid_resolution
-        reqs = requirements.price_requirements(b).tolist()
-        margin = _margin(price, c1, b)
-        for subset in subsets:
-            if not _feasible(sum(reqs[i] for i in subset), budget):
+    members = np.array([[[i in subset] for subset in subsets] for i in range(n_users)])
+    rates = [hi * k / grid_resolution for k in range(1, grid_resolution + 1)]
+    prices = [price(b) for b in rates]
+    need = _Users(scenario).at(rates, 1.0)(np.array(prices))
+    totals = _total(np.where(members, need[:, None, :], 0.0)).tolist()
+    best_rev, best_n, best_subset, best_k = -math.inf, 0, (), 0
+    for k, (b, p) in enumerate(zip(rates, prices)):
+        for subset, total in zip(subsets, totals):
+            if not _feasible(total[k], budget):
                 continue
-            rev = len(subset) * margin - c3 * budget
+            rev = _revenue(scenario, len(subset), p, b)
             if rev > best_rev or (rev == best_rev and len(subset) > best_n):
-                best_rev, best_n = rev, len(subset)
-                best_subset, best_rate = subset, b
+                best_rev, best_n, best_subset, best_k = rev, len(subset), subset, k
 
     if best_n == 0 or best_rev <= 0.0:
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
                           price=0.0, sp_revenue=best_rev,
                           equilibrium=False)
-    reqs = requirements.price_requirements(best_rate).tolist()
-    allocation = tuple(reqs[i] if i in best_subset else 0.0 for i in range(n_users))
-    return NashResult(rate_bps=best_rate, served_set=best_subset, allocation=allocation,
-                      price=price(best_rate), sp_revenue=best_rev, equilibrium=True)
+    reqs = need[:, best_k].tolist()
+    allocation = _spread(scenario, best_subset, [reqs[i] for i in best_subset])
+    return NashResult(rate_bps=rates[best_k], served_set=best_subset, allocation=allocation,
+                      price=prices[best_k], sp_revenue=best_rev, equilibrium=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _search
-from .channel import service_guarantee
-from .game import NashResult, Scenario, _feasible, _RequirementMatrix, _Users, _require_equilibrium
-from .weighting import WeightingModel, weight
+from .game import (NashResult, Scenario, _feasible, _RequirementMatrix, _require_equilibrium,
+                   _revenue, _spread, _total, _Users, willingness)
+from .weighting import WeightingModel
 
 # strict acceptance inequalities are realized by shaving this relative amount
 # off every computed price
@@ -59,17 +59,6 @@ class MinAlphaResult:
     monotone: bool
 
 
-def _eut_revenue(scenario: Scenario, ne: NashResult) -> float:
-    margin = ne.price - scenario.cost.c1 * ne.rate_bps
-    return ne.n_served * margin - scenario.cost.c3 * scenario.total_bandwidth_hz
-
-
-def willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                 i: int, bandwidth_hz: float) -> float:
-    ch, h = scenario.users[i]
-    return h(ne.rate_bps) * weight(service_guarantee(ne.rate_bps, bandwidth_hz, ch), model)
-
-
 def ne_preserved(scenario: Scenario, ne: NashResult,
                  model: WeightingModel) -> NePreservation:
     """Does every served user still accept the unchanged offer under weighting?
@@ -83,7 +72,7 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
     reqs = admission_requirements(scenario, ne, model, ne.price)
     required = tuple(reqs[i] for i in ne.served_set)
     per_user = tuple(ne.allocation[i] > reqs[i] for i in ne.served_set)
-    aggregate = sum(required)
+    aggregate = float(_total(required))
     return NePreservation(
         per_user=per_user,
         preserved=all(per_user) and len(per_user) > 0,
@@ -99,13 +88,25 @@ def no_pricing_bands(scenario: Scenario, ne: NashResult, alphas) -> list[float]:
     The aggregate_required of ne_preserved; inf when a target is out of reach."""
     _require_equilibrium(ne)
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)(ne.price)
-    return [sum(column) for column in need.T.tolist()]
+    return _total(need).tolist()
 
 
-def _min_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
+def _min_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
+                     users=None) -> float:
+    """The lowest willingness of the served (or given) users at their allocation."""
     _require_equilibrium(ne)
     return min(willingness(scenario, ne, model, i, ne.allocation[i])
-               for i in ne.served_set)
+               for i in (ne.served_set if users is None else users))
+
+
+def _capped_price(ne: NashResult, level: float) -> float:
+    """The price users at willingness level accept, never above the offered one."""
+    return min(ne.price, level - PRICE_EPS_REL * ne.price)
+
+
+def _price_gap_loss(ne: NashResult, level: float) -> float:
+    """Revenue lost dropping the price to level: the gap, floored at 0, per served user."""
+    return ne.n_served * max(0.0, ne.price - level)
 
 
 def strict_rrm_price(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
@@ -114,8 +115,7 @@ def strict_rrm_price(scenario: Scenario, ne: NashResult, model: WeightingModel) 
     Capped at the original price: the provider never needs to charge more than
     it did before weighting entered.
     """
-    cap = _min_willingness(scenario, ne, model)
-    return min(ne.price, cap - PRICE_EPS_REL * ne.price)
+    return _capped_price(ne, _min_willingness(scenario, ne, model))
 
 
 def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
@@ -125,23 +125,7 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     served set; the per-user gap, floored at zero, is charged once per served
     user.
     """
-    gap = max(0.0, ne.price - _min_willingness(scenario, ne, model))
-    return ne.n_served * gap
-
-
-def _spread(scenario: Scenario, users, bandwidths, pad: float = 0.0) -> tuple[float, ...]:
-    """Allocation over every user: bandwidths[k] + pad to users[k], 0 elsewhere."""
-    full = [0.0] * scenario.n_users
-    for i, bw in zip(users, bandwidths):
-        full[i] = bw + pad
-    return tuple(full)
-
-
-def _column_totals(need: np.ndarray) -> np.ndarray:
-    """Requirement summed over users, one total per problem."""
-    # cumsum adds in user order, as a scalar loop would; sum pairs terms on a
-    # short axis
-    return np.cumsum(need, axis=0)[-1]
+    return _price_gap_loss(ne, _min_willingness(scenario, ne, model))
 
 
 def _bisect_levels(need: _RequirementMatrix, totals) -> np.ndarray:
@@ -153,7 +137,7 @@ def _bisect_levels(need: _RequirementMatrix, totals) -> np.ndarray:
     the requirements still fit the band.
     """
     x_hi = need.caps() * (1.0 - 1e-12)
-    x, _ = _search.bisect_boundary(lambda x: _column_totals(need(x)) < totals,
+    x, _ = _search.bisect_boundary(lambda x: _total(need(x)) < totals,
                                    np.zeros_like(x_hi), x_hi, rel_tol=1e-14)
     return x
 
@@ -191,7 +175,7 @@ def equalized_willingness(scenario: Scenario, ne: NashResult,
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)
     x = _bisect_levels(need, total)
     alloc = need(x)[:, 0].tolist()
-    slack = total - sum(alloc)
+    slack = total - float(_total(alloc))
     if slack > 0.0:
         alloc = [a + slack / len(alloc) for a in alloc]
     return float(x[0]), tuple(alloc)
@@ -200,7 +184,7 @@ def equalized_willingness(scenario: Scenario, ne: NashResult,
 def reallocation_price(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
     """Highest common price after the provider re-splits the band optimally."""
     x, _ = equalized_willingness(scenario, ne, model)
-    return min(ne.price, x - PRICE_EPS_REL * ne.price)
+    return _capped_price(ne, x)
 
 
 def loss_with_reallocation(scenario: Scenario, ne: NashResult,
@@ -212,7 +196,7 @@ def loss_with_reallocation(scenario: Scenario, ne: NashResult,
     the full user vector).
     """
     x, served_alloc = equalized_willingness(scenario, ne, model)
-    return ne.n_served * max(0.0, ne.price - x), _spread(scenario, ne.served_set, served_alloc)
+    return _price_gap_loss(ne, x), _spread(scenario, ne.served_set, served_alloc)
 
 
 def admission_price(scenario: Scenario, ne: NashResult, n_kept: int) -> float:
@@ -230,6 +214,30 @@ def admission_requirements(scenario: Scenario, ne: NashResult, model: WeightingM
     return dict(zip(ne.served_set, need[:, 0].tolist()))
 
 
+def _fit_outcome(scenario: Scenario, ne: NashResult, strategy_name: str, total: float,
+                 price: float, users: tuple[int, ...], need,
+                 new_rate_bps: float | None = None) -> StrategyOutcome:
+    """The outcome of a revenue-preserving strategy: users, whose requirements
+    at price are need and sum to total, keep the baseline revenue iff total
+    fits the band, and then split what is left of it equally."""
+    budget = scenario.total_bandwidth_hz
+    eut_rev = _revenue(scenario, ne.n_served, ne.price, ne.rate_bps)
+    feasible = _feasible(total, budget)
+    allocation = (0.0,) * scenario.n_users
+    if feasible:
+        allocation = _spread(scenario, users, need, (budget - total) / len(users))
+    return StrategyOutcome(
+        strategy_name=strategy_name,
+        recovered_revenue=eut_rev if feasible else 0.0,
+        revenue_loss=0.0 if feasible else eut_rev,
+        new_price=price - PRICE_EPS_REL * ne.price,
+        min_bandwidth_threshold_hz=total,
+        feasible=feasible,
+        new_rate_bps=new_rate_bps,
+        served_set=users,
+        allocation=allocation)
+
+
 def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
                       max_drops: int) -> StrategyOutcome:
     """Serve a subset at the revenue-preserving markup, if any subset fits.
@@ -242,39 +250,22 @@ def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
     _require_equilibrium(ne)
     if not (0 <= max_drops < ne.n_served):
         raise ValueError(f"max_drops must lie in [0, {ne.n_served}), got {max_drops}")
-    budget = scenario.total_bandwidth_hz
-    eut_rev = _eut_revenue(scenario, ne)
-
     # one problem per number of drops, each at its revenue-preserving price
     prices = [admission_price(scenario, ne, ne.n_served - n_drop)
               for n_drop in range(max_drops + 1)]
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, [model.alpha] * len(prices))(prices)
-    # (total, subset, price, requirements at that price)
-    best: tuple[float, tuple[int, ...], float, dict[int, float]] | None = None
+    # (total, price, subset, the subset's requirements at that price)
+    best: tuple[float, float, tuple[int, ...], list[float]] | None = None
     for n_drop, price in enumerate(prices):
         n_kept = ne.n_served - n_drop
         reqs = dict(zip(ne.served_set, need[:, n_drop].tolist()))
         order = sorted(ne.served_set, key=lambda i: (reqs[i], i))
         subset = tuple(sorted(order[:n_kept]))
-        total = sum(reqs[i] for i in subset)
+        kept_need = [reqs[i] for i in subset]
+        total = float(_total(kept_need))
         if best is None or total < best[0]:
-            best = (total, subset, price, reqs)
-
-    threshold, subset, price, reqs = best
-    feasible = _feasible(threshold, budget)
-    allocation = (0.0,) * scenario.n_users
-    if feasible:
-        allocation = _spread(scenario, subset, [reqs[i] for i in subset],
-                             (budget - threshold) / len(subset))
-    return StrategyOutcome(
-        strategy_name="admission",
-        recovered_revenue=eut_rev if feasible else 0.0,
-        revenue_loss=0.0 if feasible else eut_rev,
-        new_price=price - PRICE_EPS_REL * ne.price,
-        min_bandwidth_threshold_hz=threshold,
-        feasible=feasible,
-        served_set=subset,
-        allocation=allocation)
+            best = (total, price, subset, kept_need)
+    return _fit_outcome(scenario, ne, "admission", *best)
 
 
 def bandwidth_expansions(scenario: Scenario, ne: NashResult,
@@ -292,24 +283,24 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     threshold is -inf.
     """
     _require_equilibrium(ne)
-    c1, c3 = scenario.cost.c1, scenario.cost.c3
+    c3 = scenario.cost.c3
     n = ne.n_served
-    eut_rev = _eut_revenue(scenario, ne)
+    eut_rev = _revenue(scenario, n, ne.price, ne.rate_bps)
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)
     caps = need.caps()
     u = np.full(caps.shape, 1.0 - 1e-12)
     if c3 > 0.0:
-        value = lambda t: n * (t * caps) - c3 * _column_totals(need(t * caps))
+        value = lambda t: n * (t * caps) - c3 * _total(need(t * caps))
         u, _ = _search.golden_max(value, np.zeros_like(u), u, rel_tol=1e-10)
     x = u * caps
     alloc = need(x)
-    band = _column_totals(alloc)
+    band = _total(alloc)
 
     outcomes = []
     for j, (x_j, band_j) in enumerate(zip(x.tolist(), band.tolist())):
         value = n * x_j - c3 * band_j
         threshold = (n * ne.price - value) / c3 if c3 > 0.0 else -math.inf
-        max_revenue = n * (x_j - c1 * ne.rate_bps) - c3 * band_j
+        max_revenue = _revenue(scenario, n, x_j, ne.rate_bps, band_j)
         outcomes.append(StrategyOutcome(
             strategy_name="expansion",
             recovered_revenue=max_revenue,
@@ -358,8 +349,6 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
     replaces it only when strictly smaller.
     """
     _require_equilibrium(ne)
-    budget = scenario.total_bandwidth_hz
-    eut_rev = _eut_revenue(scenario, ne)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     served = _Users(scenario, ne.served_set)
 
@@ -368,41 +357,23 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
     n_starts = 12
     edges = lo + (hi - lo) * np.arange(n_starts + 1.0) / n_starts
     start_alphas = np.tile(alphas, n_starts)  # start-major, like the brackets
-    obj = lambda log_b: _column_totals(_rate_needs(scenario, ne, served, np.exp(log_b),
-                                                   start_alphas))
+    obj = lambda log_b: _total(_rate_needs(scenario, ne, served, np.exp(log_b), start_alphas))
     x, fx = _search.golden_min(obj, np.repeat(edges[:-1], len(alphas)),
                                np.repeat(edges[1:], len(alphas)), rel_tol=1e-10)
     x, fx = x.reshape(n_starts, -1), fx.reshape(n_starts, -1)
 
     best_rate = np.full(len(alphas), ne.rate_bps)
-    best_total = _column_totals(_rate_needs(scenario, ne, served, best_rate, alphas))
+    best_total = _total(_rate_needs(scenario, ne, served, best_rate, alphas))
     for k in range(n_starts):
         better = fx[k] < best_total
         best_total = np.where(better, fx[k], best_total)
         best_rate = np.where(better, np.exp(x[k]), best_rate)
     # the threshold and the allocation come from one requirement column
     need = _rate_needs(scenario, ne, served, best_rate, alphas)
-    best_total = _column_totals(need)
-
-    outcomes = []
-    for j in range(len(alphas)):
-        total, rate = float(best_total[j]), float(best_rate[j])
-        feasible = _feasible(total, budget)
-        allocation = (0.0,) * scenario.n_users
-        if feasible:
-            allocation = _spread(scenario, ne.served_set, need[:, j].tolist(),
-                                 (budget - total) / ne.n_served)
-        outcomes.append(StrategyOutcome(
-            strategy_name="rate",
-            recovered_revenue=eut_rev if feasible else 0.0,
-            revenue_loss=0.0 if feasible else eut_rev,
-            new_price=rate_control_price(scenario, ne, rate) - PRICE_EPS_REL * ne.price,
-            min_bandwidth_threshold_hz=total,
-            feasible=feasible,
-            new_rate_bps=rate,
-            served_set=ne.served_set,
-            allocation=allocation))
-    return outcomes
+    return [_fit_outcome(scenario, ne, "rate", total, rate_control_price(scenario, ne, rate),
+                         ne.served_set, column, new_rate_bps=rate)
+            for total, rate, column in zip(_total(need).tolist(), best_rate.tolist(),
+                                           need.T.tolist())]
 
 
 def rate_control(scenario: Scenario, ne: NashResult, model: WeightingModel) -> StrategyOutcome:
@@ -443,35 +414,32 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
     """Smallest alpha at which the strategy's threshold still fits the endowment.
 
     Bisection to 1e-4 between the search floor and 1. Feasibility is expected
-    monotone in alpha; the predicate is sampled on a coarse grid first, in
-    one batched call for no_pricing, expansion and rate, and a violation is reported
+    monotone in alpha; the predicate is sampled on a coarse grid from the
+    floor to 1 first, in one batched call for no_pricing, expansion and rate.
+    The grid's ends decide the early returns, and a violation is reported
     (warning + monotone=False) instead of silently bisecting through it.
     """
     def fits(alphas: list[float]) -> list[bool]:
         return [_feasible(t, scenario.total_bandwidth_hz) for t in
                 _strategy_thresholds(scenario, ne, alphas, strategy_id, max_drops)]
 
-    if not fits([1.0])[0]:
+    grid = [floor + (1.0 - floor) * k / 8 for k in range(8)] + [1.0]
+    flags = fits(grid)
+    if not flags[-1]:
         return MinAlphaResult(alpha=None, never_infeasible=False,
                               recoverable_at_one=False, monotone=True)
-    if fits([floor])[0]:
+    if flags[0]:
         return MinAlphaResult(alpha=floor, never_infeasible=True,
                               recoverable_at_one=True, monotone=True)
-
-    grid = [floor + (1.0 - floor) * k / 8 for k in range(9)]
-    flags = fits(grid)
     monotone = all(not (flags[k] and not flags[k + 1]) for k in range(len(flags) - 1))
     if not monotone:
         warnings.warn(f"feasibility of {strategy_id} is not monotone in alpha "
                       f"on the sampled grid; bisection result may bracket only "
                       f"one of several transitions", RuntimeWarning)
 
-    lo, hi = floor, 1.0
-    for k in range(len(flags) - 1, -1, -1):
-        if not flags[k]:
-            lo = grid[k]
-            hi = grid[k + 1] if k + 1 < len(grid) else 1.0
-            break
+    # flags[-1] holds and flags[0] does not: the last failing point has a successor
+    k = max(k for k, ok in enumerate(flags) if not ok)
+    lo, hi = grid[k], grid[k + 1]
     # alpha <= 1, so the relative tolerance is an absolute 1e-4
     _, hi = _search.bisect_boundary(lambda a: not fits([a])[0], lo, hi, rel_tol=1e-4)
     return MinAlphaResult(alpha=hi, never_infeasible=False,

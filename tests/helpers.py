@@ -87,6 +87,51 @@ def golden_reference(f, lo, hi, rel_tol=1e-9, max_iter=200):
     return x, fx
 
 
+def compensated_sum(iterable, /, start=0):
+    """The builtin sum() as CPython 3.12 computes it (builtin_sum_impl).
+
+    Exact ints add exactly; from the first exact float on, floats add with
+    Neumaier's compensation, and the compensation joins the result at the
+    end only when it is nonzero and finite. Ints keep the float path as
+    plain doubles; anything else falls back to generic addition. Up to 3.11
+    the float path adds left to right without compensation, so a float sum
+    can differ between the two in its last bits.
+    """
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is int or type(item) is bool:
+                result += item
+                continue
+            result = result + item
+            break
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2 ** 63 <= item < 2 ** 63:
+                total += float(item)
+            else:
+                if comp and math.isfinite(comp):
+                    total += comp
+                result = total + item
+                break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
 def make_budget(distance_m, shadow_db=0.0):
     return LinkBudget(
         tx_power_dbm=40.0,
@@ -383,7 +428,7 @@ def full_scan_nash(scenario):
     need = reqs.price_requirements(b_star).tolist()
     order = sorted(range(n_users), key=lambda i: (need[i], i))
     served = tuple(sorted(order[:n_star]))
-    served_total = sum(need[i] for i in served)
+    served_total = float(game._total([need[i] for i in served]))
     pad = (budget - served_total) / n_star
     allocation = tuple(need[i] + pad if i in served else 0.0 for i in range(n_users))
     return NashResult(rate_bps=b_star, served_set=served, allocation=allocation,

@@ -132,7 +132,7 @@ def test_band_sizing_rule(default_scenario):
     # sits within 1e-6 relative of it, moving each requirement by under 1 Hz
     for got, want in zip(mins, FROZEN_MIN_BW):
         assert abs(got - want) <= 1.0
-    assert sc.total_bandwidth_hz == (1.0 + 0.10) * sum(mins)
+    assert sc.total_bandwidth_hz == (1.0 + 0.10) * float(game._total(mins))
 
 
 def test_explicit_band_override():

@@ -3,14 +3,18 @@
 Each file holds the stdout of `prospect-pricing <command> --seed <seed>`
 (or of the named config) exactly as the CLI printed it when it was recorded.
 A change that moves any printed digit fails here; if the move is intended,
-re-record the file with the same command and say why in CHANGES.md.
+re-record the file with the same command and say why in CHANGES.md. Every
+file is checked twice: under this Python's sum(), and under the compensated
+float sum() of Python 3.12 and later (helpers.compensated_sum).
 """
 
+import builtins
 import json
 import pathlib
 
 import pytest
 
+import helpers
 from prospect_pricing.cli import dispatch
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -29,6 +33,20 @@ CASES = ([(f"{command}.seed{seed}.csv", [command, "--seed", str(seed)], None, 0)
 @pytest.mark.parametrize("name, argv, config, status", CASES,
                          ids=[case[0] for case in CASES])
 def test_stdout_matches_golden_file(name, argv, config, status, tmp_path, capsys):
+    assert_stdout_matches(name, argv, config, status, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name, argv, config, status", CASES,
+                         ids=[case[0] for case in CASES])
+def test_stdout_matches_golden_file_under_compensated_sum(name, argv, config, status,
+                                                         tmp_path, capsys, monkeypatch):
+    """The same bytes when sum() compensates its rounding, as it does from
+    Python 3.12 on: no printed digit may rest on how sum() rounds."""
+    monkeypatch.setattr(builtins, "sum", helpers.compensated_sum)
+    assert_stdout_matches(name, argv, config, status, tmp_path, capsys)
+
+
+def assert_stdout_matches(name, argv, config, status, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

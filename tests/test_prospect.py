@@ -381,13 +381,13 @@ def test_bandwidth_expansions_match_the_nested_search(seed, n_users, radius_m):
             - 1e-12 * abs(want.recovered_revenue), alpha
         assert out == bandwidth_expansion(sc, ref, model)
         # the band is the sum of the allocation, added in user order
-        assert sum(out.allocation) == out.new_total_bandwidth_hz
+        assert float(game._total(out.allocation)) == out.new_total_bandwidth_hz
         if out.feasible:
             recheck_acceptance(sc, ref, out, model)
 
         need = game._Users(sc, ref.served_set).at(ref.rate_bps, alpha)
         x = need.caps()[0] * np.arange(2000) / 2000
-        grid = n * (x - c1 * ref.rate_bps) - c3 * prospect._column_totals(need(x))
+        grid = n * (x - c1 * ref.rate_bps) - c3 * game._total(need(x))
         best = grid.max()
         assert out.recovered_revenue >= best - 1e-12 * abs(best), alpha
 
@@ -411,7 +411,7 @@ def test_expansion_with_free_band_goes_to_the_level_cap():
         need = game._Users(sc, ref.served_set).at(ref.rate_bps, alpha)
         x = need.caps()[0] * (1.0 - 1e-12)
         assert out.new_price == x - PRICE_EPS_REL * ref.price
-        assert out.new_total_bandwidth_hz == float(prospect._column_totals(need(x))[0])
+        assert out.new_total_bandwidth_hz == float(game._total(need(x))[0])
     want = helpers.nested_expansion(sc, ref, WeightingModel(alpha=0.9))
     assert want.min_bandwidth_threshold_hz == -math.inf
     assert bandwidth_expansions(sc, ref, 0.9)[0].recovered_revenue >= want.recovered_revenue
@@ -607,8 +607,8 @@ def test_min_alpha_samples_its_grid_in_one_batched_call(default_scenario, defaul
 
     monkeypatch.setattr(prospect, batched, counting)
     min_alpha(sc, ref, strategy_id)
-    # 1.0, the floor, the grid, then one alpha per bisection step
-    assert sizes[:3] == [1, 1, len(grid)] and set(sizes[3:]) == {1}
+    # the grid, its ends included, then one alpha per bisection step
+    assert sizes[0] == len(grid) and set(sizes[1:]) == {1}
 
 
 def test_min_alpha_samples_the_no_pricing_grid_in_one_evaluation(default_scenario,
@@ -622,9 +622,9 @@ def test_min_alpha_samples_the_no_pricing_grid_in_one_evaluation(default_scenari
 
     calls = helpers.count_evaluations(monkeypatch)
     min_alpha(sc, ref, "no_pricing")
-    # 1.0, the floor, the grid, then one alpha per bisection step
+    # the grid, its ends included, then one alpha per bisection step
     problems = [n for n, _ in calls]
-    assert problems[:3] == [1, 1, len(grid)] and set(problems[3:]) == {1}
+    assert problems[0] == len(grid) and set(problems[1:]) == {1}
 
 
 def test_min_alpha_floor_when_never_infeasible():
