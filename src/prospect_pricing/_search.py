@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -10,6 +11,11 @@ import numpy as np
 from .channel import _Scalar
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+
+
+def _warn_cap(search: str, max_iter: int, rel_tol: float) -> None:
+    warnings.warn(f"{search} stopped at max_iter={max_iter} with a bracket still wider "
+                  f"than rel_tol={rel_tol:g}", RuntimeWarning, stacklevel=3)
 
 
 def golden_max(f: Callable, lo, hi, rel_tol: float = 1e-9, max_iter: int = 200):
@@ -21,7 +27,8 @@ def golden_max(f: Callable, lo, hi, rel_tol: float = 1e-9, max_iter: int = 200):
     array of values. Each element takes the points of its own scalar search
     and stops moving once its bracket meets the tolerance; the search ends
     when every bracket has, so f is called as often as the longest of the
-    scalar searches would call it.
+    scalar searches would call it. A bracket still wider than the tolerance
+    after max_iter steps issues a RuntimeWarning.
     """
     xp = np if isinstance(lo, np.ndarray) else _Scalar
     # looked up once: the scalar searches of solve_nash run this loop too
@@ -31,9 +38,12 @@ def golden_max(f: Callable, lo, hi, rel_tol: float = 1e-9, max_iter: int = 200):
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for step in range(max_iter + 1):
         wide = b - a > rel_tol * maximum(maximum(abs(a), abs(b)), 1.0)
         if not any_(wide):
+            break
+        if step == max_iter:
+            _warn_cap("golden_max", max_iter, rel_tol)
             break
         rises = f1 < f2
         up, down = wide & rises, wide > rises  # on bools, a > b is a and not b
@@ -69,14 +79,18 @@ def bisect_boundary(pred: Callable, lo, hi, rel_tol: float = 1e-12,
     midpoints to a bool array. Each element takes the midpoints of its own
     scalar search and stops moving once its bracket meets the tolerance; the
     search ends when every bracket has, so pred is called as often as the
-    longest of the scalar searches would call it.
+    longest of the scalar searches would call it. A bracket still wider than
+    the tolerance after max_iter steps issues a RuntimeWarning.
     """
     xp = np if isinstance(lo, np.ndarray) else _Scalar
     # looked up once: the scalar searches of solve_nash run this loop too
     maximum, where, any_ = xp.maximum, xp.where, xp.any
-    for _ in range(max_iter):
+    for step in range(max_iter + 1):
         wide = hi - lo > rel_tol * maximum(maximum(abs(lo), abs(hi)), 1.0)
         if not any_(wide):
+            break
+        if step == max_iter:
+            _warn_cap("bisect_boundary", max_iter, rel_tol)
             break
         mid = 0.5 * (lo + hi)
         below = pred(mid)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -196,12 +197,15 @@ def _run(args) -> tuple[SweepTable, int]:
     amin = amin_default if args.alpha_min is None else args.alpha_min
     amax = amax_default if args.alpha_max is None else args.alpha_max
     step = DEFAULT_ALPHA_STEP if args.alpha_step is None else args.alpha_step
-    if step <= 0.0:
-        raise _UsageError("--alpha-step must be > 0")
+    if not 0.0 < step < math.inf:
+        raise _UsageError("--alpha-step must be finite and > 0")
     if not 0.0 < amin <= amax <= 1.0:
         raise _UsageError("alpha range must satisfy 0 < min <= max <= 1")
-    spec = SweepSpec(scenario=scenario, alpha_min=amin, alpha_max=amax,
-                     alpha_step=step, offer_margin=params.bandwidth_margin)
+    try:
+        spec = SweepSpec(scenario=scenario, alpha_min=amin, alpha_max=amax,
+                         alpha_step=step, offer_margin=params.bandwidth_margin)
+    except ValueError as exc:  # range and step are valid, so the grid is too fine
+        raise _UsageError(f"--alpha-step: {exc}") from exc
     extra = {"max_drops": args.max_drops} if args.command == "sweep-admission" else {}
     try:
         table = runner(spec, **extra)

@@ -28,6 +28,8 @@ from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
 DEFAULT_SEED = 4966
 DEFAULT_ALPHA_STEP = 0.005
+# the most alphas one sweep takes: a 1e-4 step over all of (0, 1]
+_MAX_ALPHAS = 10_001
 # per-sweep default alpha windows; the loss/price window starts where the
 # strict-vs-reallocation gap is still small, the others where the curves of
 # interest (crossings, admission boundaries) live
@@ -200,8 +202,13 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha_min <= self.alpha_max <= 1.0):
             raise ValueError("alpha range must satisfy 0 < alpha_min <= alpha_max <= 1")
-        if self.alpha_step <= 0.0:
-            raise ValueError("alpha_step must be > 0")
+        if not 0.0 < self.alpha_step < math.inf:
+            raise ValueError("alpha_step must be finite and > 0")
+        # counted, not built: the grid holds about floor(steps) + 1 alphas
+        steps = (self.alpha_max - self.alpha_min + 1e-12) / self.alpha_step
+        if steps >= _MAX_ALPHAS:
+            raise ValueError(f"a step of {self.alpha_step!r} gives more than {_MAX_ALPHAS} "
+                             f"alphas from {self.alpha_min!r} to {self.alpha_max!r}")
 
     def alphas(self) -> list[float]:
         out = []
@@ -272,11 +279,10 @@ def sweep_revenue_loss(spec: SweepSpec) -> SweepTable:
     ref, eut = _baseline(spec)
     alphas = spec.alphas()
     rows = []
-    for a, x in zip(alphas, _offered_levels(spec.scenario, ref, alphas)):
-        model = WeightingModel(alpha=a)
-        strict = prospect.loss_strict_rrm(spec.scenario, ref, model)
-        realloc = _price_gap_loss(ref, x)
-        rows.append((a, min(1.0, strict / eut), min(1.0, realloc / eut)))
+    for a, x, strict in zip(alphas, _offered_levels(spec.scenario, ref, alphas),
+                            _min_willingness(spec.scenario, ref, alphas)):
+        rows.append((a, min(1.0, _price_gap_loss(ref, strict) / eut),
+                     min(1.0, _price_gap_loss(ref, x) / eut)))
     return SweepTable(HEADER_LOSS, tuple(rows))
 
 
@@ -285,11 +291,9 @@ def sweep_price(spec: SweepSpec) -> SweepTable:
     ref, _ = _baseline(spec)
     alphas = spec.alphas()
     rows = []
-    for a, x in zip(alphas, _offered_levels(spec.scenario, ref, alphas)):
-        model = WeightingModel(alpha=a)
-        ps = prospect.strict_rrm_price(spec.scenario, ref, model) / ref.price
-        pr = _capped_price(ref, x) / ref.price
-        rows.append((a, ps, pr))
+    for a, x, strict in zip(alphas, _offered_levels(spec.scenario, ref, alphas),
+                            _min_willingness(spec.scenario, ref, alphas)):
+        rows.append((a, _capped_price(ref, strict) / ref.price, _capped_price(ref, x) / ref.price))
     return SweepTable(HEADER_PRICE, tuple(rows))
 
 
@@ -336,10 +340,10 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     alphas = spec.alphas()
     kept_sets = [tuple(sorted(order[k:])) for k in range(max_drops + 1)]
     caps = [_offered_levels(sc, ref, alphas, kept) for kept in kept_sets]
+    targets = [prospect.admission_price(sc, ref, len(kept)) for kept in kept_sets]
     rows = []
     for j, a in enumerate(alphas):
-        for kept, kept_caps in zip(kept_sets, caps):
-            target = prospect.admission_price(sc, ref, len(kept))
+        for kept, kept_caps, target in zip(kept_sets, caps, targets):
             cap = kept_caps[j]
             feasible = cap > target
             price = target if feasible else cap - PRICE_EPS_REL * ref.price
@@ -366,8 +370,10 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
 
     The equalized willingness of every alpha, at the offered rate and at each
     point of the 36-rate grid, comes from one equalized_levels search, the
-    rate control of every alpha from one rate_controls search, and the
-    no-pricing and admission bands from one evaluation each.
+    rate control of every alpha from one rate_controls search, the
+    no-pricing and admission bands from one evaluation each, and the
+    admission price cap of every alpha from one pass over the survivors'
+    guarantees.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
@@ -385,16 +391,17 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     levels = levels.reshape(len(alphas), len(rates)).tolist()
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
-    # the survivors' band at the markup, every alpha in one evaluation
-    kept_bands = [None] * len(alphas)
+    # the survivors' band at the markup and their price cap, every alpha in one pass
+    kept_bands = p_caps = [None] * len(alphas)
     if kept:
         at_markup = _Users(sc, kept).at(b_star, alphas)(markup)
         kept_bands = _total(at_markup).tolist()
+        p_caps = _min_willingness(sc, ref, alphas, kept)
 
     rows = []
-    for a, (x_hat, *grid_levels), rc, need, kept_band in zip(
-            alphas, levels, rate_outcomes, no_pricing_bands(sc, ref, alphas), kept_bands):
-        model = WeightingModel(alpha=a)
+    for a, (x_hat, *grid_levels), rc, need, kept_band, p_cap in zip(
+            alphas, levels, rate_outcomes, no_pricing_bands(sc, ref, alphas), kept_bands,
+            p_caps):
         bw_np = _empty_if_inf(need / budget)
         bw_exp = bw_np
 
@@ -406,7 +413,6 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
         # acceptable as-is, else the strategy has no solution at this alpha
         bw_adm = rev_adm = None
         if kept:
-            p_cap = _min_willingness(sc, ref, model, kept)
             if p_cap >= markup:
                 bw_adm = kept_band / budget
                 rev_adm = 1.0

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _search
+from .channel import service_guarantee
 from .game import (NashResult, Scenario, _feasible, _RequirementMatrix, _require_equilibrium,
-                   _revenue, _spread, _total, _Users, willingness)
-from .weighting import WeightingModel
+                   _revenue, _spread, _total, _Users)
+from .weighting import WeightingModel, weight
 
 # strict acceptance inequalities are realized by shaving this relative amount
 # off every computed price
@@ -91,12 +92,14 @@ def no_pricing_bands(scenario: Scenario, ne: NashResult, alphas) -> list[float]:
     return _total(need).tolist()
 
 
-def _min_willingness(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                     users=None) -> float:
-    """The lowest willingness of the served (or given) users at their allocation."""
+def _min_willingness(scenario: Scenario, ne: NashResult, alphas, users=None) -> list[float]:
+    """The lowest willingness of the served (or given) users at their allocation, per
+    alpha: bitwise game.willingness, each guarantee evaluated once for every alpha."""
     _require_equilibrium(ne)
-    return min(willingness(scenario, ne, model, i, ne.allocation[i])
-               for i in (ne.served_set if users is None else users))
+    terms = [(scenario.benefit(i)(ne.rate_bps),
+              service_guarantee(ne.rate_bps, ne.allocation[i], scenario.channel(i)))
+             for i in (ne.served_set if users is None else users)]
+    return [min(h * weight(g, WeightingModel(alpha=a)) for h, g in terms) for a in alphas]
 
 
 def _capped_price(ne: NashResult, level: float) -> float:
@@ -115,7 +118,7 @@ def strict_rrm_price(scenario: Scenario, ne: NashResult, model: WeightingModel) 
     Capped at the original price: the provider never needs to charge more than
     it did before weighting entered.
     """
-    return _capped_price(ne, _min_willingness(scenario, ne, model))
+    return _capped_price(ne, _min_willingness(scenario, ne, [model.alpha])[0])
 
 
 def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -> float:
@@ -125,7 +128,7 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     served set; the per-user gap, floored at zero, is charged once per served
     user.
     """
-    return _price_gap_loss(ne, _min_willingness(scenario, ne, model))
+    return _price_gap_loss(ne, _min_willingness(scenario, ne, [model.alpha])[0])
 
 
 def _bisect_levels(need: _RequirementMatrix, totals) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from prospect_pricing import _search, game
+from prospect_pricing import _search, channel, experiments, game, prospect
 from prospect_pricing.channel import (
     LinkBudget,
     UnattainableGuaranteeError,
@@ -31,6 +31,7 @@ from prospect_pricing.game import (
     min_bandwidth_for_user,
     solve_nash,
     sp_utility,
+    willingness,
 )
 from prospect_pricing.prospect import (
     PRICE_EPS_REL,
@@ -41,7 +42,6 @@ from prospect_pricing.prospect import (
     loss_with_reallocation,
     ne_preserved,
     strategy_threshold,
-    willingness,
 )
 from prospect_pricing.weighting import (
     IDENTITY,
@@ -347,6 +347,20 @@ def count_evaluations(monkeypatch):
         calls.append((np.size(self.rates), np.asarray(targets)))
         return evaluate(self, targets)
     monkeypatch.setattr(game._RequirementMatrix, "__call__", counting)
+    return calls
+
+
+def count_guarantees(monkeypatch):
+    """Record the arguments of every service_guarantee call, through each
+    module that binds the function."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return service_guarantee(*args)
+    for module in (channel, game, prospect, experiments):
+        if getattr(module, "service_guarantee", None) is service_guarantee:
+            monkeypatch.setattr(module, "service_guarantee", counting)
     return calls
 
 

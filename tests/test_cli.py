@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from prospect_pricing import cli
+from prospect_pricing import cli, experiments
 from prospect_pricing.cli import (ConfigError, config_from_mapping, dispatch,
                                   parse_config, serialize_config)
 from prospect_pricing.experiments import (HEADER_COMPARISON, HEADER_FIT,
@@ -164,6 +164,20 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_zero_alpha_step_is_usage_error(capsys):
     status, out, err = run(["sweep-loss", "--alpha-step", "0"], capsys)
     assert status == 64
+    assert "--alpha-step" in err
+    assert "usage:" in err
+
+
+@pytest.mark.parametrize("step", ["1e-13", "1.5e-9", "nan", "inf"])
+def test_unbounded_alpha_grid_is_usage_error(step, capsys, monkeypatch):
+    """A step that would make the grid too long, or endless, exits 64 at once
+    without building it."""
+    def build(self):
+        raise AssertionError("the grid was built")
+    monkeypatch.setattr(experiments.SweepSpec, "alphas", build)
+    status, out, err = run(["sweep-compare", "--alpha-step", step], capsys)
+    assert status == 64
+    assert out == ""
     assert "--alpha-step" in err
     assert "usage:" in err
 

@@ -325,6 +325,23 @@ def test_sweeps_take_each_one_target_band_in_one_evaluation(default_scenario, mo
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("sweep", [sweep_revenue_loss, sweep_price, sweep_expansion,
+                                   sweep_admission, sweep_comparison])
+def test_sweeps_weigh_each_guarantee_once(default_scenario, monkeypatch, sweep):
+    """Only the weighting depends on alpha, so a sweep evaluates each user's
+    guarantee at its allocation at most once: 33 alphas make as many
+    service_guarantee calls as 3."""
+    calls = helpers.count_guarantees(monkeypatch)
+    counts = []
+    for step in (0.08, 0.005):
+        calls.clear()
+        spec = spec_for(default_scenario, 0.84, 1.0, step=step)
+        assert len(spec.alphas()) in (3, 33)
+        sweep(spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= default_scenario.n_users
+
+
 def test_sweeps_are_deterministic(default_scenario):
     spec = spec_for(default_scenario, 0.93, 0.95, step=0.01)
     helpers.check_sweep_deterministic(sweep_revenue_loss, spec)
@@ -372,6 +389,22 @@ def test_sweep_spec_validation(default_scenario):
         spec_for(default_scenario, 0.9, 1.1)
     with pytest.raises(ValueError):
         spec_for(default_scenario, 0.9, 1.0, step=0.0)
+
+
+def test_sweep_spec_counts_its_grid_before_building_it(default_scenario, monkeypatch):
+    """The finest grid a sweep takes, a 1e-4 step over all of (0, 1], has
+    10,001 alphas; a finer one is refused by counting, never by building."""
+    assert len(spec_for(default_scenario, 1e-12, 1.0, step=1e-4).alphas()) == 10_001
+
+    def build(self):
+        raise AssertionError("the grid was built")
+    monkeypatch.setattr(SweepSpec, "alphas", build)
+    for step in (1e-13, 1.5e-9, 5e-324, 1e-4 / 1.001):
+        with pytest.raises(ValueError, match="more than 10001 alphas"):
+            spec_for(default_scenario, 1e-12, 1.0, step=step)
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            spec_for(default_scenario, 0.9, 1.0, step=step)
 
 
 def test_sweep_spec_alpha_grid(default_scenario):

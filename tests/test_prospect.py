@@ -15,6 +15,7 @@ from prospect_pricing.game import (
     Scenario,
     min_bandwidth_for_user,
     solve_nash,
+    willingness,
 )
 from prospect_pricing.prospect import (
     PRICE_EPS_REL,
@@ -35,7 +36,6 @@ from prospect_pricing.prospect import (
     reallocation_price,
     strategy_threshold,
     strict_rrm_price,
-    willingness,
 )
 from prospect_pricing.weighting import IDENTITY, WeightingModel, inverse_weight, weight
 
@@ -701,6 +701,25 @@ def test_no_pricing_bands_are_the_preserved_aggregates_bitwise(seed):
         one_by_one = [ne_preserved(sc, ref, WeightingModel(alpha=a)).aggregate_required
                       for a in alphas]
         assert [t.hex() for t in bands] == [t.hex() for t in one_by_one]
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5])
+def test_min_willingness_is_the_scalar_minimum_bitwise(seed):
+    """One guarantee pass gives every alpha's lowest willingness, bit for bit
+    the minimum of game.willingness, over the served set and over
+    sweep_comparison's kept set (the heaviest consumer denied), in the
+    sweep-compare window and in a wide one."""
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    kept = tuple(sorted(experiments._drop_order(sc, ref)[1:]))
+    for alphas in (experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas(),
+                   experiments.SweepSpec(sc, 0.3, 1.0, 0.05).alphas()):
+        for users in (None, kept):
+            got = prospect._min_willingness(sc, ref, alphas, users)
+            want = [min(willingness(sc, ref, WeightingModel(alpha=a), i, ref.allocation[i])
+                        for i in (ref.served_set if users is None else users))
+                    for a in alphas]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 3])

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from helpers import golden_reference
 from prospect_pricing._search import bisect_boundary, golden_max, golden_min
@@ -119,3 +120,26 @@ def test_array_golden_follows_each_scalar_search():
             counts.append(n[0])
         assert len(set(counts)) > 3
         assert calls[0] == max(counts)
+
+
+@pytest.mark.parametrize("search", ["golden_max", "bisect_boundary"])
+def test_a_search_stopped_at_its_cap_warns(search):
+    """A bracket still wider than its tolerance after max_iter steps is
+    reported, for one bracket and for an array of them."""
+    def run(lo, hi, max_iter):
+        if search == "golden_max":
+            return golden_max(lambda x: -(x - 0.3) ** 2, lo, hi, 1e-12, max_iter)
+        return bisect_boundary(lambda x: x < 0.3, lo, hi, 1e-12, max_iter)
+
+    for lo, hi in ((0.0, 1.0), (np.zeros(3), np.ones(3))):
+        with pytest.warns(RuntimeWarning, match=f"{search} stopped at max_iter=5"):
+            run(lo, hi, 5)
+
+
+def test_a_bisection_closing_on_its_last_step_does_not_warn():
+    # [0, 1] halves to the tolerance 2^-5 in exactly 5 steps; the suite's
+    # error::RuntimeWarning filter fails the first call if it warns
+    pred = lambda x: x < 0.3
+    assert bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=5) == (0.28125, 0.3125)
+    with pytest.warns(RuntimeWarning, match="bisect_boundary"):
+        bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=4)
