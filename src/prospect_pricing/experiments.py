@@ -180,7 +180,7 @@ def unconstrained_optimal_rate(pricing: PowerLaw, cost: CostModel) -> float:
 
 
 def reference_offer(scenario: Scenario, ne: NashResult,
-                    margin: float = 0.10) -> NashResult:
+                    margin: float = ScenarioParams.bandwidth_margin) -> NashResult:
     """The solved outcome with each served user given margin over their minimum.
 
     This proportional split is the offer the sweeps perturb; with the band
@@ -197,13 +197,15 @@ class SweepSpec:
     alpha_min: float
     alpha_max: float
     alpha_step: float = DEFAULT_ALPHA_STEP
-    offer_margin: float = 0.10
+    offer_margin: float = ScenarioParams.bandwidth_margin
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha_min <= self.alpha_max <= 1.0):
             raise ValueError("alpha range must satisfy 0 < alpha_min <= alpha_max <= 1")
         if not 0.0 < self.alpha_step < math.inf:
             raise ValueError("alpha_step must be finite and > 0")
+        if not 0.0 <= self.offer_margin < math.inf:
+            raise ValueError("offer_margin must be finite and >= 0")
         # counted, not built: the grid holds about floor(steps) + 1 alphas
         steps = (self.alpha_max - self.alpha_min + 1e-12) / self.alpha_step
         if steps >= _MAX_ALPHAS:

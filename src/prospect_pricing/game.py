@@ -259,10 +259,7 @@ class _Users:
     """Some users' channel and benefit parameters, gathered once into columns.
 
     The one place a bandwidth requirement is inverted in numpy: at(rates,
-    alphas) makes the cheap per-problem evaluator over these columns. A
-    solve makes one over every user: it holds on to the running totals of
-    the sorted price requirements at the rates that several searches probe,
-    so each is inverted once.
+    alphas) makes the cheap per-problem evaluator over these columns.
     """
 
     def __init__(self, scenario: Scenario, users=None) -> None:
@@ -272,7 +269,6 @@ class _Users:
                          for ch, h in picked]).reshape(-1, 4)
         # one contiguous users x 1 column per parameter
         self.noise, self.power, self.coeff, self.exp = rows.T[:, :, None].copy()
-        self._kept: dict[float, np.ndarray] = {}
 
     def at(self, rates_bps, alphas) -> _RequirementMatrix:
         """Evaluator of the problems rates_bps x alphas, broadcast to one 1-D array."""
@@ -282,28 +278,14 @@ class _Users:
         """Each user's min_bandwidth_for_user at one rate, inf where unservable."""
         return self.at(rate_bps, 1.0)(self.pricing(rate_bps))[:, 0]
 
-    def cheapest_total(self, rate_bps: float, n: int, keep: bool = False) -> float:
-        """Summed requirement of the n cheapest users, n >= 1.
-
-        keep=True holds the rate's totals for later calls: the doubling ladder
-        every set size climbs, and the rate of the n and n + 1 checks, pass
-        it. The bisection's midpoints are mostly probed once and do not.
-        """
-        totals = self._kept.get(rate_bps)
-        if totals is None:
-            totals = np.cumsum(np.sort(self.price_requirements(rate_bps)))
-            if keep:
-                self._kept[rate_bps] = totals
-        return float(totals[n - 1])
-
 
 def _feasible(total_required: float, budget: float) -> bool:
     return total_required < budget * (1.0 - FEASIBILITY_SLACK)
 
 
-def _rate_feasibility_interval(reqs: _Users, scenario: Scenario,
-                               n: int) -> tuple[float, float] | None:
-    """Rates at which the n cheapest users fit in the band, as (lower, upper).
+def _rate_feasibility_interval(fits, scenario: Scenario) -> tuple[float, float] | None:
+    """Rates b at which fits(b), the n cheapest users fitting in the band,
+    holds, as (lower, upper).
 
     The summed requirement grows with the rate for increasing r/h ratios, so
     the feasible rates usually form an interval anchored at 0, found by
@@ -313,16 +295,13 @@ def _rate_feasibility_interval(reqs: _Users, scenario: Scenario,
     the margin r(b) - c1*b stops being positive, and the lower edge is
     bisected as well.
     """
-    budget = scenario.total_bandwidth_hz
-    on_ladder = lambda b: _feasible(reqs.cheapest_total(b, n, keep=True), budget)
-    fits = lambda b: _feasible(reqs.cheapest_total(b, n), budget)
     lower, lo = 0.0, 1.0
-    if not on_ladder(lo):
-        while lo > 1e-9 and not on_ladder(lo):
+    if not fits(lo):
+        while lo > 1e-9 and not fits(lo):
             lo *= 0.5
-        if not on_ladder(lo):
+        if not fits(lo):
             below, lo = 1.0, 2.0
-            while not on_ladder(lo):
+            while not fits(lo):
                 if not scenario.pricing(lo) > scenario.cost.c1 * lo or lo > 1e18:
                     return None
                 below, lo = lo, 2.0 * lo
@@ -330,7 +309,7 @@ def _rate_feasibility_interval(reqs: _Users, scenario: Scenario,
                                                rel_tol=1e-12)
             lo = lower
     hi = 2.0 * lo  # lo fits: the ladder climbs from the next rung
-    while hi <= 1e18 and on_ladder(hi):
+    while hi <= 1e18 and fits(hi):
         hi *= 2.0
     lo, hi = _search.bisect_boundary(fits, lo, hi, rel_tol=1e-12)
     return lower, lo
@@ -382,14 +361,21 @@ def solve_nash(scenario: Scenario) -> NashResult:
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
     reqs = _Users(scenario)
-    fits = lambda b, n: _feasible(reqs.cheapest_total(b, n, keep=True), budget)
+    totals: dict[float, np.ndarray] = {}
+
+    def fits(b: float, n: int) -> bool:
+        # the ladders and bisections of several set sizes probe the same rates
+        if b not in totals:
+            totals[b] = np.cumsum(np.sort(reqs.price_requirements(b)))
+        return _feasible(float(totals[b][n - 1]), budget)
+
     bound = _margin_bound(price, c1)
 
     n_star, best_rev, best_rate, top = 0, 0.0, 0.0, -math.inf
     for n in range(n_users, 0, -1):
         if n_star and best_rev >= n * bound - c3 * budget:
             break
-        interval = _rate_feasibility_interval(reqs, scenario, n)
+        interval = _rate_feasibility_interval(lambda b: fits(b, n), scenario)
         if interval is None:
             continue
         lower, boundary = interval
@@ -428,7 +414,7 @@ def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashRes
     maximizer wins. Only for small instances. One evaluation inverts every
     user at every grid rate, and every subset's totals come from one users x
     subsets x rates array holding 0 for non-members: adding 0.0 is exact, and
-    masking keeps an unservable user's inf (inf * 0 is NaN) out of the rest.
+    masking holds an unservable user's inf (inf * 0 is NaN) out of the rest.
     """
     n_users = scenario.n_users
     if n_users > 4:

@@ -410,12 +410,13 @@ def full_scan_nash(scenario):
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
     reqs = game._Users(scenario)
-    fits = lambda b, n: game._feasible(reqs.cheapest_total(b, n), budget)
+    fits = lambda b, n: game._feasible(
+        float(np.cumsum(np.sort(reqs.price_requirements(b)))[n - 1]), budget)
 
     best_rates = [None] * (n_users + 1)
     per_n = [0.0] * (n_users + 1)
     for n in range(n_users, 0, -1):
-        interval = game._rate_feasibility_interval(reqs, scenario, n)
+        interval = game._rate_feasibility_interval(lambda b: fits(b, n), scenario)
         if interval is None:
             per_n[n] = -math.inf
             continue

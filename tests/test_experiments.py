@@ -389,6 +389,10 @@ def test_sweep_spec_validation(default_scenario):
         spec_for(default_scenario, 0.9, 1.1)
     with pytest.raises(ValueError):
         spec_for(default_scenario, 0.9, 1.0, step=0.0)
+    for margin in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="offer_margin"):
+            SweepSpec(scenario=default_scenario, alpha_min=0.9, alpha_max=1.0,
+                      offer_margin=margin)
 
 
 def test_sweep_spec_counts_its_grid_before_building_it(default_scenario, monkeypatch):

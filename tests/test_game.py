@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -273,8 +274,8 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # that do not depend on the machine
 
 # requirement vectors one solve of the 80-user 300 m cell inverts (5,505
-# without sharing): the doubling ladder every set size climbs, and the rate
-# of the n and n + 1 checks, are inverted once
+# without sharing): every rate the searches of all set sizes probe is
+# inverted once
 NASH_80_VECTORS = 3379
 
 
@@ -334,6 +335,25 @@ def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
     ne = solve_nash(cell_80)
     assert ne.n_served == 80
     assert 0 < len(calls) <= NASH_80_VECTORS
+
+
+def test_solve_nash_inverts_each_probed_rate_once(monkeypatch, cell_80):
+    """At 1/10 of its band the cell's solve scans 41 set sizes, whose ladders
+    and bisections probe many rates more than once; only the served-set read
+    at the best rate inverts a probed rate again."""
+    sc = dataclasses.replace(cell_80, total_bandwidth_hz=cell_80.total_bandwidth_hz / 10)
+    calls = helpers.count_evaluations(monkeypatch)
+    rates = []
+    price_requirements = game._Users.price_requirements
+
+    def recorded(self, rate_bps):
+        rates.append(rate_bps)
+        return price_requirements(self, rate_bps)
+    monkeypatch.setattr(game._Users, "price_requirements", recorded)
+    ne = solve_nash(sc)
+    assert ne.n_served == 80
+    assert len(calls) == len(set(rates)) + 1
+    assert rates[-1] == ne.rate_bps
 
 
 def test_solve_nash_makes_no_scalar_inversion(monkeypatch, cell_80):
