@@ -69,31 +69,23 @@ def golden_min(f: Callable, lo, hi, rel_tol: float = 1e-9, max_iter: int = 200):
     return x, -fneg
 
 
-def bisect_boundary(pred: Callable, lo, hi, rel_tol: float = 1e-12,
-                    max_iter: int = 200):
+def bisect_boundary(pred: Callable, lo: float, hi: float, rel_tol: float = 1e-12,
+                    max_iter: int = 200) -> tuple[float, float]:
     """Shrink [lo, hi] around the flip point of a monotone predicate.
 
     Requires pred(lo) is True and pred(hi) is False; returns the final
-    (true_end, false_end) bracket. lo and hi may instead be equal-length
-    numpy arrays of independent brackets, and pred then maps an array of
-    midpoints to a bool array. Each element takes the midpoints of its own
-    scalar search and stops moving once its bracket meets the tolerance; the
-    search ends when every bracket has, so pred is called as often as the
-    longest of the scalar searches would call it. A bracket still wider than
-    the tolerance after max_iter steps issues a RuntimeWarning.
+    (true_end, false_end) bracket. A bracket still wider than the tolerance
+    after max_iter steps issues a RuntimeWarning.
     """
-    xp = np if isinstance(lo, np.ndarray) else _Scalar
-    # looked up once: the scalar searches of solve_nash run this loop too
-    maximum, where, any_ = xp.maximum, xp.where, xp.any
     for step in range(max_iter + 1):
-        wide = hi - lo > rel_tol * maximum(maximum(abs(lo), abs(hi)), 1.0)
-        if not any_(wide):
+        if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1.0):
             break
         if step == max_iter:
             _warn_cap("bisect_boundary", max_iter, rel_tol)
             break
         mid = 0.5 * (lo + hi)
-        below = pred(mid)
-        lo = where(wide & below, mid, lo)
-        hi = where(wide > below, mid, hi)  # on bools, a > b is a and not b
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
     return lo, hi

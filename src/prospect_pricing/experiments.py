@@ -371,7 +371,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     within reach).
 
     The equalized willingness of every alpha, at the offered rate and at each
-    point of the 36-rate grid, comes from one equalized_levels search, the
+    point of the 36-rate grid, comes from one equalized_levels search (a
+    lockstep Newton search that evaluates only the problems still open), the
     rate control of every alpha from one rate_controls search, the
     no-pricing and admission bands from one evaluation each, and the
     admission price cap of every alpha from one pass over the survivors'

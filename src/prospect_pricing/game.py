@@ -241,6 +241,36 @@ class _RequirementMatrix:
         """Per problem, the level min_i h_i*w(sup_i) no band size reaches."""
         return (self.benefit * self._weighted_sup).min(axis=0)
 
+    def columns(self, keep) -> _RequirementMatrix:
+        """The evaluator of the problems that the index array keep picks.
+
+        Full-width parameters are gathered. A float, or a users x 1 column,
+        which only a one-problem evaluator holds (a float rate at a float
+        alpha), serves every kept problem as it is.
+        """
+        sub = object.__new__(_RequirementMatrix)
+        for name, value in vars(self).items():
+            if np.ndim(value) and np.shape(value)[-1] > 1:
+                value = value[..., keep]
+            setattr(sub, name, value)
+        return sub
+
+    def slopes(self, targets, need) -> np.ndarray:
+        """d need/d ln target of need = self(targets), formed from need itself.
+
+        y = rate*ln2/need is the root of log(expm1(y)/y) = lc that
+        _spectral_efficiency solved, with lc = log(ln target/ln sup), so y
+        moves by 1/g'(y), g'(y) = 1/(1 - e^-y) - 1/y, per unit of lc, and lc
+        by 1/(alpha*ln q) per unit of ln target. Hence
+        d need/d ln target = -(rate*ln2)/(y^2*g'(y))/(alpha*ln q). Not finite
+        where need is 0 or inf.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = self._rate_ln2 / need
+            slope = need * need / (self._rate_ln2 * (1.0 / -np.expm1(-y) - 1.0 / y)
+                                   * np.log(targets / self.benefit))
+            return -slope if self._inv_alpha is None else -slope * self._inv_alpha
+
     def __call__(self, targets) -> np.ndarray:
         q = targets / self.benefit
         if self._inv_alpha is None and isinstance(targets, float) and targets > 0.0:

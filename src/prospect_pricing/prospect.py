@@ -11,6 +11,7 @@ threshold compared against the provider's endowment.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ from .weighting import WeightingModel, weight
 # strict acceptance inequalities are realized by shaving this relative amount
 # off every computed price
 PRICE_EPS_REL = 1e-9
+# the level search's smallest positive level, and its tolerance step in ln x
+_TINY = 5e-324
+_LEVEL_TOL = 5e-15
 
 
 @dataclass(frozen=True)
@@ -131,17 +135,77 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     return _price_gap_loss(ne, _min_willingness(scenario, ne, [model.alpha])[0])
 
 
-def _bisect_levels(need: _RequirementMatrix, totals) -> np.ndarray:
+def _sum_and_slope(need: _RequirementMatrix, x) -> tuple[np.ndarray, np.ndarray]:
+    """The summed requirement at levels x and its derivative in ln x, both
+    added in user order: a problem's level does not depend on the problems
+    it is batched with, nor on the memory order of a subset's columns."""
+    at_x = need(x)
+    return _total(at_x), functools.reduce(np.add, need.slopes(x, at_x))
+
+
+def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.ndarray:
     """Levels at which the summed requirement meets each problem's band.
 
-    The requirement grows with the level x, so each level solves
-    sum-of-requirements == total by bisection on [0, min_i h_i*w(sup_i)],
-    all problems in lockstep. Returns the true ends of the brackets, where
-    the requirements still fit the band.
+    The summed requirement S grows with the level x up to the cap
+    min_i h_i*w(sup_i), but falls only like 1/log log(1/x) as x goes to 0:
+    Newton in x or in log x stalls. In v = log t, t = -ln(x/cap), each
+    user's lc is linear in log(-ln q), so each level is found by Newton on
+    ln S - ln B in v, safeguarded by a bracket (rtsafe, Press et al.,
+    Numerical Recipes, section 9.4). All problems run in lockstep, and each
+    step evaluates only the problems whose brackets are still open.
+
+    The bracket is held in x, so a step of dv moves x to
+    x*exp(-t*expm1(dv)) at full float resolution. It runs from
+    x = cap*(1 - 1e-12), returned when it fits, down to the smallest
+    positive float, below which the level is 0. Newton starts at the top,
+    where ln S is about -v + const. A step that is not finite or leaves the
+    bracket is replaced by the midpoint in v (in x, once the ends are
+    within a factor of 2). A step below the tolerance steps across the root
+    by the tolerance, 5e-15 of x, and each further one in a row by twice
+    the last. A bracket closes at a width of 1e-14 of its upper end, or at
+    adjacent floats, as subnormal levels do. Returns the ends that fit.
     """
-    x_hi = need.caps() * (1.0 - 1e-12)
-    x, _ = _search.bisect_boundary(lambda x: _total(need(x)) < totals,
-                                   np.zeros_like(x_hi), x_hi, rel_tol=1e-14)
+    caps = need.caps()
+    totals = np.broadcast_to(totals, caps.shape)
+    x_top, x_tiny = caps * (1.0 - 1e-12), np.full_like(caps, _TINY)
+    top, top_slope = _sum_and_slope(need, x_top)
+    x = np.where(top < totals, x_top, 0.0)
+    keep = np.flatnonzero((top >= totals) & (_total(need(x_tiny)) < totals))
+    if not keep.size:
+        return x
+    need = need.columns(keep)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        band, ln_cap = totals[keep], np.log(caps[keep])
+        # x_in fits, x_out does not; Newton steps from the point last evaluated
+        x_in, x_out = x_tiny[keep], x_top[keep]
+        at, s, ds = x_out, top[keep], top_slope[keep]
+        creep = np.zeros(keep.shape)
+        for _ in range(max_iter):
+            # Newton in v: with ds = dS/d ln x, dS/dv = -t*ds, and a step dv
+            # moves ln x by -t*expm1(dv)
+            t = ln_cap - np.log(at)
+            step = -t * np.expm1(np.log(s / band) * s / (t * ds))
+            tiny = np.abs(step) < _LEVEL_TOL
+            creep = np.where(tiny, np.where(creep > 0.0, 2.0 * creep, _LEVEL_TOL), 0.0)
+            step = np.where(tiny, np.where(at == x_in, creep, -creep), step)
+            t_mid = np.sqrt((ln_cap - np.log(x_in)) * (ln_cap - np.log(x_out)))
+            mid = np.where(x_out > 2.0 * x_in, np.exp(ln_cap - t_mid), 0.5 * (x_in + x_out))
+            at = at * np.exp(step)
+            at = np.where((x_in < at) & (at < x_out), at, mid)
+            s, ds = _sum_and_slope(need, at)
+            fits = s < band
+            x_in, x_out = np.where(fits, at, x_in), np.where(fits, x_out, at)
+            closed = (x_out - x_in <= 1e-14 * x_out) | (np.nextafter(x_in, np.inf) >= x_out)
+            x[keep[closed]] = x_in[closed]
+            if closed.all():
+                return x
+            if closed.any():
+                left = np.flatnonzero(~closed)
+                need, keep = need.columns(left), keep[left]
+                band, ln_cap, x_in, x_out, at, s, ds, creep = (
+                    a[left] for a in (band, ln_cap, x_in, x_out, at, s, ds, creep))
+    _search._warn_cap("equalized_levels", max_iter, 1e-14)
+    x[keep] = x_in
     return x
 
 
@@ -153,14 +217,16 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     the weighting exponent alphas[k]; the three broadcast to one 1-D array of
     problems. The level is the largest x at which the users' requirements
     (each reaching h_i(rate) * w(guarantee) == x) still fit the band. All
-    problems bisect in lockstep, one users x problems requirement matrix per
-    step. Returns the levels, one per problem.
+    problems search in lockstep by a bracketed Newton step, each step
+    inverting the requirement columns of the problems whose brackets are
+    still open: on sweep-compare's grid about 9 columns per problem, two of
+    them the end checks. Returns the levels, one per problem.
     """
     rates, alphas, totals = np.broadcast_arrays(*(
         np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
     if not users:
         return np.zeros(rates.shape)
-    return _bisect_levels(_Users(scenario, users).at(rates, alphas), totals)
+    return _solve_levels(_Users(scenario, users).at(rates, alphas), totals)
 
 
 def equalized_willingness(scenario: Scenario, ne: NashResult,
@@ -169,14 +235,15 @@ def equalized_willingness(scenario: Scenario, ne: NashResult,
 
     The one-problem case of equalized_levels, at the offered rate and the
     whole endowment; dataclasses.replace on the scenario or the result moves
-    either. Returns (x, allocation over the served subset); the allocation is
-    the search's own requirement column at x, which fits the band, plus an
-    equal share of what is left.
+    either. Returns (x, allocation over the served subset); x is the end of
+    the Newton search's bracket that fits, and the allocation is the
+    requirement column at x, which fits the band, plus an equal share of what
+    is left.
     """
     _require_equilibrium(ne)
     total = scenario.total_bandwidth_hz
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)
-    x = _bisect_levels(need, total)
+    x = _solve_levels(need, total)
     alloc = need(x)[:, 0].tolist()
     slack = total - float(_total(alloc))
     if slack > 0.0:

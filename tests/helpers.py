@@ -320,7 +320,9 @@ def required_bandwidth(scenario, rate_bps, i, weighted_target, model):
 
     weighted_target is the willingness level divided by h_i(rate), i.e. the
     value w(guarantee) must reach. Returns inf when unattainable. The oracle
-    of the numpy requirement matrix.
+    of the numpy requirement matrix. Where the raw target underflows (levels
+    below about 1e-200 at alpha 0.85), its log, -(-ln q)^(1/alpha), goes to
+    min_bandwidth's kernel instead, as the matrix keeps it in log space.
     """
     if weighted_target <= 0.0:
         return 0.0
@@ -331,11 +333,30 @@ def required_bandwidth(scenario, rate_bps, i, weighted_target, model):
     if raw_target >= 1.0:
         return math.inf
     if raw_target <= 0.0:
-        return 0.0
+        ch = scenario.channel(i)
+        ln_raw = -(-math.log(weighted_target)) ** (1.0 / model.alpha)
+        ln_sup = channel._ln_supremum(rate_bps, ch.noise_psd_w_per_hz, ch.received_power_w)
+        return rate_bps * math.log(2.0) / channel._spectral_efficiency(ln_raw, ln_sup,
+                                                                       channel._Scalar)
     try:
         return min_bandwidth(rate_bps, raw_target, scenario.channel(i))
     except UnattainableGuaranteeError:
         return math.inf
+
+
+def mp_min_bandwidth(mpmath, rate, target, ch):
+    """50-digit root of F(bw) = target, from expm1(x)/x = ln(target)/ln(sup).
+
+    With x = rate*ln2/bw the guarantee is ln F = ln sup * expm1(x)/x, and
+    e^(x/2) <= expm1(x)/x <= e^x brackets the root x in [log c, 2 log c].
+    """
+    with mpmath.workdps(50):
+        b, q = mpmath.mpf(rate), mpmath.mpf(target)
+        ln_sup = -b * mpmath.log(2) * ch.noise_psd_w_per_hz / ch.received_power_w
+        c = mpmath.log(q) / ln_sup
+        x = mpmath.findroot(lambda x: mpmath.expm1(x) / x - c,
+                            (mpmath.log(c), 2 * mpmath.log(c)), solver="anderson")
+        return b * mpmath.log(2) / x
 
 
 def count_evaluations(monkeypatch):

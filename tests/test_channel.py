@@ -154,21 +154,6 @@ ORACLE_RATES = [10.0 ** k for k in range(2, 9)]
 ORACLE_GAPS = [0.5, 1e-3, 1e-6, 1e-9, 1e-12]
 
 
-def _mp_min_bandwidth(mpmath, rate, target, ch):
-    """50-digit root of F(bw) = target, from expm1(x)/x = ln(target)/ln(sup).
-
-    With x = rate*ln2/bw the guarantee is ln F = ln sup * expm1(x)/x, and
-    e^(x/2) <= expm1(x)/x <= e^x brackets the root x in [log c, 2 log c].
-    """
-    with mpmath.workdps(50):
-        b, q = mpmath.mpf(rate), mpmath.mpf(target)
-        ln_sup = -b * mpmath.log(2) * ch.noise_psd_w_per_hz / ch.received_power_w
-        c = mpmath.log(q) / ln_sup
-        x = mpmath.findroot(lambda x: mpmath.expm1(x) / x - c,
-                            (mpmath.log(c), 2 * mpmath.log(c)), solver="anderson")
-        return b * mpmath.log(2) / x
-
-
 def test_min_bandwidth_matches_mpmath_root(default_scenario):
     """Relative error within the problem's own conditioning: a target `gap`
     below the supremum (relative) fixes the root only to about 1e-16/gap."""
@@ -179,7 +164,7 @@ def test_min_bandwidth_matches_mpmath_root(default_scenario):
             for gap in ORACLE_GAPS:
                 target = sup * (1.0 - gap)
                 got = min_bandwidth(rate, target, ch)
-                want = _mp_min_bandwidth(mpmath, rate, target, ch)
+                want = helpers.mp_min_bandwidth(mpmath, rate, target, ch)
                 rel = float(abs(got - want) / want)
                 assert rel <= 1e-14 + 1e-15 / gap, (rate, gap, got, want)
 

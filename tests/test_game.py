@@ -330,6 +330,44 @@ def test_price_targets_are_the_alpha_1_column_bitwise(cell_80):
         assert (floats == users.at(rate, [0.5, 1.0])(price)[:, 1]).all(), rate
 
 
+# every form of the evaluator: a float rate at a float alpha of 1 keeps users x 1
+# parameters; the others hold one column per problem
+EVALUATOR_FORMS = [(3e6, 1.0), ([1e5, 3e6, 2e7], 1.0), (3e6, [0.85, 0.9, 1.0]),
+                   ([1e5, 3e6, 2e7], [0.85, 0.9, 1.0])]
+
+
+@pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
+def test_a_column_subset_evaluates_its_problems_bitwise(default_scenario, rates, alphas):
+    """columns(keep) is the evaluator of the kept problems alone: its
+    requirements and caps are bitwise the full evaluator's kept columns."""
+    need = game._Users(default_scenario).at(rates, alphas)
+    caps = need.caps()
+    targets = 0.5 * caps
+    full = need(targets)
+    keeps = [[0], [2, 0], [1]] if caps.size > 1 else [[0]]
+    for keep in map(np.array, keeps):
+        sub = need.columns(keep)
+        assert np.size(sub.rates) == keep.size
+        assert (sub.caps() == caps[keep]).all(), keep
+        assert (sub(targets[keep]) == full[:, keep]).all(), keep
+
+
+@pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
+def test_requirement_slopes_match_a_central_difference(default_scenario, rates, alphas):
+    """slopes(targets, need) is d need/d ln target, formed from need alone;
+    a central difference of step 1e-6 in ln target agrees to 1e-7, plus the
+    difference's own rounding of a few ulp of need over 2e-6, from targets
+    of 1e-300 of the cap up to 0.9 of it."""
+    need = game._Users(default_scenario).at(rates, alphas)
+    for share in (1e-300, 1e-30, 1e-3, 0.5, 0.9):
+        targets = share * need.caps()
+        at = need(targets)
+        h = 1e-6
+        diff = (need(targets * math.exp(h)) - need(targets * math.exp(-h))) / (2.0 * h)
+        got = need.slopes(targets, at)
+        assert (abs(got - diff) <= 1e-7 * abs(diff) + 1e-9 * at).all(), share
+
+
 def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
     calls = helpers.count_evaluations(monkeypatch)
     ne = solve_nash(cell_80)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -722,15 +723,16 @@ def test_min_willingness_is_the_scalar_minimum_bitwise(seed):
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 3])
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 3, 7, 11])
 def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
     """Every level of an alpha x rate batch, checked by the scalar requirement.
 
     The batch inverts in numpy and the check in math; the two differ by a few
     ulp times the inversion's conditioning (up to 4e-11 of the summed band
     on seed 3's sweep grid), so the sum must fit 1e-12 below the level and
-    exceed the band 1e-12 above it. The bisection stops at an absolute width
-    of 1e-14 for levels below 1, which the upper point adds.
+    exceed the band 1e-12 above it, or one float above it where 1e-12 is
+    less than an ulp (subnormal levels). A level of 0 means that not even
+    the smallest positive level fits.
     """
     sc = experiments.build_scenario(seed=seed)
     ref = experiments.reference_offer(sc, solve_nash(sc))
@@ -750,8 +752,12 @@ def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
                                                   model)
                        for i in ref.served_set)
 
+        if x == 0.0:
+            assert total(5e-324) >= budget, (alpha, rate)
+            continue
         assert total(x * (1.0 - 1e-12)) < budget, (alpha, rate, x)
-        assert total(x * (1.0 + 1e-12) + 1e-14) >= budget, (alpha, rate, x)
+        assert total(max(x * (1.0 + 1e-12), math.nextafter(x, math.inf))) >= budget, (
+            alpha, rate, x)
 
 
 def test_equalized_willingness_is_one_batched_problem(default_scenario, default_ref):
@@ -764,6 +770,87 @@ def test_equalized_willingness_is_one_batched_problem(default_scenario, default_
     assert math.isclose(sum(alloc), default_scenario.total_bandwidth_hz, rel_tol=1e-12)
 
 
+def compare_grid(sc, ref):
+    """sweep-compare's problems: every default alpha at the offered rate and
+    at 36 rates from 1e-3 to 10 times it, as (rates, alphas) columns."""
+    b_star = ref.rate_bps
+    rates = [b_star] + np.geomspace(1e-3 * b_star, 10.0 * b_star, 36).tolist()
+    alphas = experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas()
+    return np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 11])
+def test_equalized_levels_invert_few_columns_and_converge(seed, monkeypatch):
+    """The 1,147 levels of sweep-compare's grid take at most 10 requirement
+    columns each (two end checks, then one per Newton step while a bracket
+    is open; bisection took 51), and every 20th of them, searched alone,
+    has the same bits as in the batch. At seeds 2 and 11 some levels are
+    subnormal, where only adjacent floats close a bracket: the whole sweep
+    must finish without a search stopping at its cap."""
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    budget = sc.total_bandwidth_hz
+    rate_col, alpha_col = compare_grid(sc, ref)
+    calls = helpers.count_evaluations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, budget)
+        assert sum(np.size(targets) for _, targets in calls) <= 10 * levels.size
+        for k in range(0, levels.size, 20):
+            alone = equalized_levels(sc, ref.served_set, rate_col[k], alpha_col[k], budget)
+            assert alone[0] == levels[k], k
+        experiments.sweep_comparison(
+            experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON))
+
+
+def test_a_level_search_stopped_at_its_cap_warns(default_scenario, default_ref):
+    """Brackets still open after max_iter steps are reported, and their
+    levels are the ends that fit."""
+    sc, ref = default_scenario, default_ref
+    need = game._Users(sc, ref.served_set).at(*compare_grid(sc, ref))
+    with pytest.warns(RuntimeWarning, match="equalized_levels stopped at max_iter=2"):
+        levels = prospect._solve_levels(need, sc.total_bandwidth_hz, max_iter=2)
+    assert (game._total(need(levels)) < sc.total_bandwidth_hz).all()
+
+
+def mp_level(mpmath, sc, users, rate, alpha, band, guess):
+    """50-digit root x of S(x) = band, by secant in ln x from 1e-9 around
+    ln guess. S sums the users' bands at which h_i(rate)*w(F) reaches x: the
+    raw target exp(-(-ln(x/h_i))^(1/alpha)), inverted by
+    helpers.mp_min_bandwidth."""
+    with mpmath.workdps(50):
+        kbps, inv_alpha = mpmath.mpf(rate) / 1000, 1 / mpmath.mpf(alpha)
+        benefits = [sc.benefit(i).coefficient * kbps ** sc.benefit(i).exponent for i in users]
+
+        def excess(x):
+            return sum(helpers.mp_min_bandwidth(
+                mpmath, rate, mpmath.exp(-(-mpmath.log(x / h)) ** inv_alpha), sc.channel(i))
+                for i, h in zip(users, benefits)) - band
+
+        u = mpmath.log(guess)
+        root = mpmath.findroot(lambda u: excess(mpmath.exp(u)), (u - 1e-9, u + 1e-9),
+                               solver="secant", tol=mpmath.mpf(10) ** -40)
+        return mpmath.exp(root)
+
+
+def test_equalized_levels_match_a_50_digit_root(default_scenario, default_ref):
+    """Six levels of the default sweep-compare grid, from 2.9 down to one of
+    4.6e-33 (alpha 0.85 at 1.87e7 bps) that bisection returned as 0, each
+    within 1e-12 of the root of S(x) = B taken at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    sc, ref = default_scenario, default_ref
+    rate_col, alpha_col = compare_grid(sc, ref)
+    levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, sc.total_bandwidth_hz)
+    # (alpha index, rate index) on the 31 x 37 grid
+    picks = [(0, 0), (30, 10), (15, 20), (10, 28), (20, 30), (0, 31)]
+    assert levels[31] < 1e-32
+    for a, r in picks:
+        k = 37 * a + r
+        want = mp_level(mpmath, sc, ref.served_set, rate_col[k], alpha_col[k],
+                        sc.total_bandwidth_hz, levels[k])
+        assert float(abs(levels[k] - want) / want) <= 1e-12, (a, r, levels[k])
+
+
 def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
     """Every split of the default sweep-compare grid stays inside the band,
     to the rounding of its n additions (at alpha 0.985 and 1,036,762 bps,
@@ -773,15 +860,12 @@ def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
     rate to the whole band."""
     sc, ref = default_scenario, default_ref
     bound = sc.total_bandwidth_hz * (1.0 + ref.n_served * 2.0 ** -52)
-    b_star = ref.rate_bps
-    rates = [b_star] + np.geomspace(1e-3 * b_star, 10.0 * b_star, 36).tolist()
-    alphas = experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas()
-    rate_col, alpha_col = np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
+    rate_col, alpha_col = compare_grid(sc, ref)
     levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, sc.total_bandwidth_hz)
     need = game._Users(sc, ref.served_set).at(rate_col, alpha_col)(levels)
     for k, column in enumerate(need.T.tolist()):
         if all(math.isfinite(a) for a in column):
             assert math.fsum(column) <= bound, (alpha_col[k], rate_col[k])
-    for alpha in alphas:
+    for alpha in np.unique(alpha_col).tolist():
         _, alloc = equalized_willingness(sc, ref, WeightingModel(alpha=alpha))
         assert math.fsum(alloc) <= bound, alpha
