@@ -5,7 +5,8 @@ P_r = P_t + K - 10*gamma*log10(d/d0) + shadow (all in dB). The delivered rate
 on a Rayleigh channel exceeds an advertised rate b with probability
 exp(-(2^(b/bw) - 1) * bw * N0 / P_r), the closed-form service guarantee this
 module inverts with respect to bandwidth: min_bandwidth for one user in math,
-and _spectral_efficiency for the numpy requirement matrix of game._Users.
+and _spectral_efficiency (lc by _log_ratio, then _efficiency_root) for the
+numpy requirement matrix of game._Users.
 """
 
 from __future__ import annotations
@@ -131,19 +132,32 @@ def _series_root(lc):
 def _spectral_efficiency(ln_target, ln_sup, xp):
     """x = rate*ln2/bandwidth at which the guarantee meets its target.
 
-    With x so defined, ln F = ln_sup * expm1(x)/x, so the root solves
-    log(expm1(x)/x) = log(ln_target/ln_sup) =: lc > 0, the W_-1 branch of the
-    Lambert W function (Corless et al., 1996). log(expm1(x)/x) is convex and
-    increasing; from the series start below lc = 1 and the asymptote
-    x = lc + log x above it, three Newton steps reach the root to within an
-    ulp times max(1, 1/lc), the conditioning of lc itself, for every lc from
-    1e-5 to 700 (checked against mpmath). Below 1e-5 the series is the root
-    to 2e-17, and Newton would meet cancellation in its derivative. A target
-    within rounding of the supremum is solved as one 2^-52 below it, so it
-    gets a finite bandwidth. xp is numpy for arrays, _Scalar for a float.
+    With x so defined, ln F = ln_sup * expm1(x)/x, so x is _efficiency_root
+    of lc = _log_ratio(ln_target, ln_sup). xp is numpy for arrays, _Scalar
+    for a float.
     """
-    # ln_target - ln_sup is exact near the supremum, where the ratio is not
-    lc = xp.log1p(xp.maximum((ln_target - ln_sup) / ln_sup, 2.0 ** -52))
+    return _efficiency_root(_log_ratio(ln_target, ln_sup, xp), xp)
+
+
+def _log_ratio(ln_target, ln_sup, xp):
+    """lc = log(ln_target/ln_sup), formed from ln_target - ln_sup, which is
+    exact near the supremum, where the ratio is not. A target within
+    rounding of the supremum is taken as one 2^-52 below it, so it gets a
+    finite bandwidth."""
+    return xp.log1p(xp.maximum((ln_target - ln_sup) / ln_sup, 2.0 ** -52))
+
+
+def _efficiency_root(lc, xp):
+    """The root x of log(expm1(x)/x) = lc > 0.
+
+    It is the W_-1 branch of the Lambert W function (Corless et al., 1996).
+    log(expm1(x)/x) is convex and increasing; from the series start below
+    lc = 1 and the asymptote x = lc + log x above it, three Newton steps
+    reach the root to within an ulp times max(1, 1/lc), the conditioning of
+    lc itself, for every lc from 1e-5 to 700 (checked against mpmath). Below
+    1e-5 the series is the root to 2e-17, and Newton would meet cancellation
+    in its derivative.
+    """
     lcn = xp.maximum(lc, 1e-5)
     # 0.43 keeps the asymptotic start within 0.06 of the root for every lc >= 1
     x = xp.where(lcn < 1.0, _series_root(lcn), lcn + xp.log(lcn + xp.log1p(lcn) + 0.43))

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _search
-from .channel import (_LN2, UnattainableGuaranteeError, UserChannel, _ln_supremum,
-                      _spectral_efficiency, guarantee_supremum, min_bandwidth,
-                      service_guarantee)
+from .channel import (_LN2, UnattainableGuaranteeError, UserChannel, _efficiency_root,
+                      _ln_supremum, _log_ratio, _spectral_efficiency, guarantee_supremum,
+                      min_bandwidth, service_guarantee)
 from .weighting import IDENTITY, WeightingModel, weight
 
 # strict "<" feasibility comparisons carry this relative slack for determinism
@@ -206,83 +206,82 @@ class _RequirementMatrix:
     """Bandwidths a set of users needs, for many independent problems at once.
 
     Problem k offers the users rates[k] under the weighting exponent
-    alphas[k]. Called with a willingness target per problem, it returns the
-    users x problems matrix of bandwidths at which h_i(rate) * w(guarantee)
-    reaches that target: with q = target / h_i(rate), the Prelec inverse
-    taken in log space and inverted by _spectral_efficiency, 0 at a zero
-    target and inf where q reaches w(sup), the weighted wide-band supremum.
-    A price target at alpha = 1 gives min_bandwidth_for_user, since x ** 1.0
-    is exact and w(sup) is then the supremum itself. Made by _Users.at.
+    alphas[k], each in (0, 1]. Called with a willingness target per problem,
+    it returns the users x problems matrix of bandwidths at which
+    h_i(rate) * w(guarantee) reaches that target: with q = target / h_i(rate),
+    the Prelec inverse taken in log space and inverted by _efficiency_root,
+    0 only at a zero target and inf where q reaches w(sup), the weighted
+    wide-band supremum. Where q underflows to 0 for a positive target, ln q
+    is ln target - ln h_i; where (-ln q)^(1/alpha) or its ratio to ln sup
+    overflows, lc = log(ln target/ln sup) is (1/alpha)*log(-ln q) -
+    log(-ln sup). A price target at alpha = 1 gives min_bandwidth_for_user,
+    since x ** 1.0 is exact and w(sup) is then the supremum itself. Made by
+    _Users.at.
     """
 
     def __init__(self, users: _Users, rates_bps, alphas) -> None:
-        # x ** 1.0 is exact, so a float alpha of 1 (expected utility) leaves
-        # the powers out, and with a float rate (price targets) stays in floats
-        weighted = not (isinstance(alphas, float) and alphas == 1.0)
-        rates = rates_bps
-        if weighted or not isinstance(rates, float):
-            rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
-                                                  for v in (rates_bps, alphas)))
+        rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
+                                              for v in (rates_bps, alphas)))
+        if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
+            bad = alphas[~((0.0 < alphas) & (alphas <= 1.0))]
+            raise ValueError(f"alpha must lie in (0, 1], got {bad[0]}")
         self.rates = rates
         self.benefit = users.coeff * (rates * 1e-3) ** users.exp
         self.ln_sup = _ln_supremum(rates, users.noise, users.power)
         self._rate_ln2 = rates * _LN2
-        self._inv_alpha = None
-        if weighted:
-            # full-size exponents: numpy powers a one-problem matrix's broadcast
-            # exponent in another kernel, at times an ulp apart from a batch's
-            full = np.zeros_like(self.ln_sup) + alphas
-            self._inv_alpha = 1.0 / full
-            self._weighted_sup = np.exp(-(-self.ln_sup) ** full)
-        else:
-            self._weighted_sup = np.exp(self.ln_sup)
+        # full-size exponents: numpy powers a one-problem matrix's broadcast
+        # exponent in another kernel, at times an ulp apart from a batch's
+        full = np.zeros_like(self.ln_sup) + alphas
+        self._inv_alpha = 1.0 / full
+        self._weighted_sup = np.exp(-(-self.ln_sup) ** full)
 
     def caps(self) -> np.ndarray:
         """Per problem, the level min_i h_i*w(sup_i) no band size reaches."""
         return (self.benefit * self._weighted_sup).min(axis=0)
 
     def columns(self, keep) -> _RequirementMatrix:
-        """The evaluator of the problems that the index array keep picks.
-
-        Full-width parameters are gathered. A float, or a users x 1 column,
-        which only a one-problem evaluator holds (a float rate at a float
-        alpha), serves every kept problem as it is.
-        """
+        """The evaluator of the problems that the index array keep picks."""
         sub = object.__new__(_RequirementMatrix)
         for name, value in vars(self).items():
-            if np.ndim(value) and np.shape(value)[-1] > 1:
-                value = value[..., keep]
-            setattr(sub, name, value)
+            setattr(sub, name, value[..., keep])
         return sub
+
+    def _ln_share(self, targets, q):
+        """ln q, taken as ln target - ln h_i where q = target/h_i underflows to 0."""
+        ln_q = np.log(q)
+        if q.all():
+            return ln_q
+        return np.where(q == 0.0, np.log(targets) - np.log(self.benefit), ln_q)
 
     def slopes(self, targets, need) -> np.ndarray:
         """d need/d ln target of need = self(targets), formed from need itself.
 
         y = rate*ln2/need is the root of log(expm1(y)/y) = lc that
-        _spectral_efficiency solved, with lc = log(ln target/ln sup), so y
+        _efficiency_root solved, with lc = log(ln target/ln sup), so y
         moves by 1/g'(y), g'(y) = 1/(1 - e^-y) - 1/y, per unit of lc, and lc
         by 1/(alpha*ln q) per unit of ln target. Hence
         d need/d ln target = -(rate*ln2)/(y^2*g'(y))/(alpha*ln q). Not finite
         where need is 0 or inf.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ln_q = self._ln_share(targets, targets / self.benefit)
             y = self._rate_ln2 / need
-            slope = need * need / (self._rate_ln2 * (1.0 / -np.expm1(-y) - 1.0 / y)
-                                   * np.log(targets / self.benefit))
-            return -slope if self._inv_alpha is None else -slope * self._inv_alpha
+            slope = need * need / (self._rate_ln2 * (1.0 / -np.expm1(-y) - 1.0 / y) * ln_q)
+            return -slope * self._inv_alpha
 
     def __call__(self, targets) -> np.ndarray:
+        targets = np.asarray(targets)
         q = targets / self.benefit
-        if self._inv_alpha is None and isinstance(targets, float) and targets > 0.0:
-            # a positive price target: no zero to mask, nothing for numpy to warn of
-            need = self._rate_ln2 / _spectral_efficiency(np.log(q), self.ln_sup, np)
-            return np.where(q >= self._weighted_sup, np.inf, need)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln_target = np.log(q)
-            if self._inv_alpha is not None:
-                ln_target = -(-ln_target) ** self._inv_alpha
-            need = self._rate_ln2 / _spectral_efficiency(ln_target, self.ln_sup, np)
-        return np.where(q >= self._weighted_sup, np.inf, np.where(q <= 0.0, 0.0, need))
+            ln_q = np.log(q)
+            lc = _log_ratio(-(-ln_q) ** self._inv_alpha, self.ln_sup, np)
+            big = np.isinf(lc)
+            if big.any():
+                # q underflowed to 0, or (-ln q)^(1/alpha) or its ratio to ln sup overflowed
+                ln_q = self._ln_share(targets, q)
+                lc = np.where(big, self._inv_alpha * np.log(-ln_q) - np.log(-self.ln_sup), lc)
+            need = self._rate_ln2 / _efficiency_root(lc, np)
+        return np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))
 
 
 class _Users:
@@ -305,8 +304,16 @@ class _Users:
         return _RequirementMatrix(self, rates_bps, alphas)
 
     def price_requirements(self, rate_bps: float) -> np.ndarray:
-        """Each user's min_bandwidth_for_user at one rate, inf where unservable."""
-        return self.at(rate_bps, 1.0)(self.pricing(rate_bps))[:, 0]
+        """Each user's min_bandwidth_for_user at one rate, inf where unservable.
+
+        Bitwise the column of at(rate_bps, 1.0)(r(rate_bps)) at a positive
+        price, but cheaper: the rate stays a float, the Prelec powers are left
+        out (x ** 1.0 is exact) and a positive target needs no zero mask.
+        """
+        q = self.pricing(rate_bps) / (self.coeff * (rate_bps * 1e-3) ** self.exp)
+        ln_sup = _ln_supremum(rate_bps, self.noise, self.power)
+        need = rate_bps * _LN2 / _spectral_efficiency(np.log(q), ln_sup, np)
+        return np.where(q >= np.exp(ln_sup), np.inf, need)[:, 0]
 
 
 def _feasible(total_required: float, budget: float) -> bool:

@@ -11,7 +11,6 @@ threshold compared against the provider's endowment.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -140,7 +139,7 @@ def _sum_and_slope(need: _RequirementMatrix, x) -> tuple[np.ndarray, np.ndarray]
     added in user order: a problem's level does not depend on the problems
     it is batched with, nor on the memory order of a subset's columns."""
     at_x = need(x)
-    return _total(at_x), functools.reduce(np.add, need.slopes(x, at_x))
+    return _total(at_x), _total(need.slopes(x, at_x))
 
 
 def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.ndarray:
@@ -219,14 +218,15 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     (each reaching h_i(rate) * w(guarantee) == x) still fit the band. All
     problems search in lockstep by a bracketed Newton step, each step
     inverting the requirement columns of the problems whose brackets are
-    still open: on sweep-compare's grid about 9 columns per problem, two of
+    still open: on sweep-compare's grid about 7 columns per problem, two of
     them the end checks. Returns the levels, one per problem.
     """
     rates, alphas, totals = np.broadcast_arrays(*(
         np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
+    need = _Users(scenario, users).at(rates, alphas)
     if not users:
         return np.zeros(rates.shape)
-    return _solve_levels(_Users(scenario, users).at(rates, alphas), totals)
+    return _solve_levels(need, totals)
 
 
 def equalized_willingness(scenario: Scenario, ne: NashResult,
@@ -488,7 +488,10 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
     floor to 1 first, in one batched call for no_pricing, expansion and rate.
     The grid's ends decide the early returns, and a violation is reported
     (warning + monotone=False) instead of silently bisecting through it.
+    The floor must lie in (0, 1].
     """
+    if not (0.0 < floor <= 1.0):
+        raise ValueError(f"floor must lie in (0, 1], got {floor}")
     def fits(alphas: list[float]) -> list[bool]:
         return [_feasible(t, scenario.total_bandwidth_hz) for t in
                 _strategy_thresholds(scenario, ne, alphas, strategy_id, max_drops)]

@@ -314,18 +314,21 @@ def random_small_scenario(rng, n_users=None):
     )
 
 
-def required_bandwidth(scenario, rate_bps, i, weighted_target, model):
-    """Bandwidth giving user i weighted willingness == h_i * w(guarantee) target,
+def required_bandwidth(scenario, rate_bps, i, level, model):
+    """Bandwidth giving user i weighted willingness h_i * w(guarantee) == level,
     by the scalar route: inverse_weight, then min_bandwidth.
 
-    weighted_target is the willingness level divided by h_i(rate), i.e. the
-    value w(guarantee) must reach. Returns inf when unattainable. The oracle
-    of the numpy requirement matrix. Where the raw target underflows (levels
-    below about 1e-200 at alpha 0.85), its log, -(-ln q)^(1/alpha), goes to
-    min_bandwidth's kernel instead, as the matrix keeps it in log space.
+    The value w(guarantee) must reach is q = level / h_i(rate). Returns inf
+    when unattainable and 0 only at a zero level. The oracle of the numpy
+    requirement matrix. Where the raw target underflows (levels below about
+    1e-200 at alpha 0.85), its log, -(-ln q)^(1/alpha), goes to
+    min_bandwidth's kernel instead, as the matrix keeps it in log space; where
+    q itself underflows, ln q is ln level - ln h_i, as in the matrix.
     """
-    if weighted_target <= 0.0:
+    if level <= 0.0:
         return 0.0
+    h = scenario.benefit(i)(rate_bps)
+    weighted_target = level / h
     if weighted_target >= 1.0:
         return math.inf
     raw_target = inverse_weight(weighted_target, model)
@@ -334,7 +337,9 @@ def required_bandwidth(scenario, rate_bps, i, weighted_target, model):
         return math.inf
     if raw_target <= 0.0:
         ch = scenario.channel(i)
-        ln_raw = -(-math.log(weighted_target)) ** (1.0 / model.alpha)
+        ln_q = (math.log(weighted_target) if weighted_target > 0.0
+                else math.log(level) - math.log(h))
+        ln_raw = -(-ln_q) ** (1.0 / model.alpha)
         ln_sup = channel._ln_supremum(rate_bps, ch.noise_psd_w_per_hz, ch.received_power_w)
         return rate_bps * math.log(2.0) / channel._spectral_efficiency(ln_raw, ln_sup,
                                                                        channel._Scalar)
@@ -345,29 +350,40 @@ def required_bandwidth(scenario, rate_bps, i, weighted_target, model):
 
 
 def mp_min_bandwidth(mpmath, rate, target, ch):
-    """50-digit root of F(bw) = target, from expm1(x)/x = ln(target)/ln(sup).
+    """50-digit root of F(bw) = target, from log(expm1(x)/x) = log c, with
+    c = ln(target)/ln(sup).
 
     With x = rate*ln2/bw the guarantee is ln F = ln sup * expm1(x)/x, and
     e^(x/2) <= expm1(x)/x <= e^x brackets the root x in [log c, 2 log c].
+    Solved in log form, the root keeps its tolerance where c is
+    astronomically large (raw targets like exp(-1e900) at small alpha).
     """
     with mpmath.workdps(50):
         b, q = mpmath.mpf(rate), mpmath.mpf(target)
         ln_sup = -b * mpmath.log(2) * ch.noise_psd_w_per_hz / ch.received_power_w
-        c = mpmath.log(q) / ln_sup
-        x = mpmath.findroot(lambda x: mpmath.expm1(x) / x - c,
-                            (mpmath.log(c), 2 * mpmath.log(c)), solver="anderson")
+        log_c = mpmath.log(mpmath.log(q) / ln_sup)
+        x = mpmath.findroot(lambda x: mpmath.log(mpmath.expm1(x) / x) - log_c,
+                            (log_c, 2 * log_c), solver="anderson")
         return b * mpmath.log(2) / x
 
 
 def count_evaluations(monkeypatch):
-    """Record (problems, targets) of every call of the requirement evaluator."""
+    """Record (problems, targets) of every requirement evaluation: each call
+    of the evaluator, and each price vector of _Users.price_requirements as
+    one problem whose target is the price."""
     calls = []
     evaluate = game._RequirementMatrix.__call__
+    price_requirements = game._Users.price_requirements
 
     def counting(self, targets):
         calls.append((np.size(self.rates), np.asarray(targets)))
         return evaluate(self, targets)
+
+    def counting_prices(self, rate_bps):
+        calls.append((1, np.asarray(self.pricing(rate_bps))))
+        return price_requirements(self, rate_bps)
     monkeypatch.setattr(game._RequirementMatrix, "__call__", counting)
+    monkeypatch.setattr(game._Users, "price_requirements", counting_prices)
     return calls
 
 

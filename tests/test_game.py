@@ -306,7 +306,7 @@ def test_requirement_vector_matches_scalar_path(n_users, radius):
             model = WeightingModel(alpha=alpha)
             for i in range(n_users):
                 q = sc.pricing(rate) / sc.benefit(i)(rate)
-                want = helpers.required_bandwidth(sc, rate, i, q, model)
+                want = helpers.required_bandwidth(sc, rate, i, sc.pricing(rate), model)
                 if math.isinf(want):
                     assert column[i] == math.inf
                     continue
@@ -319,21 +319,23 @@ def test_requirement_vector_matches_scalar_path(n_users, radius):
 
 
 def test_price_targets_are_the_alpha_1_column_bitwise(cell_80):
-    """A float alpha of 1 at a float rate leaves out the powers (x ** 1.0 is
-    exact) and keeps the rate a float; the requirements are bitwise those of
-    the array path, alone or batched with another alpha."""
+    """price_requirements keeps the rate a float and leaves out the powers
+    (x ** 1.0 is exact); its requirements are bitwise the evaluator's
+    alpha = 1 column, alone or batched with another alpha."""
     users = game._Users(cell_80)
     for rate in np.geomspace(1e2, 2e7, 60).tolist():
         price = cell_80.pricing(rate)
-        floats = users.at(rate, 1.0)(price)[:, 0]
+        floats = users.price_requirements(rate)
+        assert (floats == users.at(rate, 1.0)(price)[:, 0]).all(), rate
         assert (floats == users.at([rate], [1.0])(price)[:, 0]).all(), rate
         assert (floats == users.at(rate, [0.5, 1.0])(price)[:, 1]).all(), rate
 
 
-# every form of the evaluator: a float rate at a float alpha of 1 keeps users x 1
-# parameters; the others hold one column per problem
+# rates and alphas as floats or lists: the evaluator broadcasts every form to
+# one 1-D array of problems; below alpha 0.01, (-ln q)^(1/alpha) overflows
+# and lc is taken in log space
 EVALUATOR_FORMS = [(3e6, 1.0), ([1e5, 3e6, 2e7], 1.0), (3e6, [0.85, 0.9, 1.0]),
-                   ([1e5, 3e6, 2e7], [0.85, 0.9, 1.0])]
+                   ([1e5, 3e6, 2e7], [0.85, 0.9, 1.0]), (3e6, [0.001, 0.003, 0.01])]
 
 
 @pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -652,6 +653,30 @@ def test_min_alpha_unrecoverable_offer():
     assert not res.recoverable_at_one and not res.never_infeasible
 
 
+# each entry point that takes alphas, and min_alpha's floor, given one value
+BAD_ALPHA_CALLS = {
+    "no_pricing_bands": lambda sc, ne, a: no_pricing_bands(sc, ne, [0.9, a]),
+    "equalized_levels": lambda sc, ne, a: equalized_levels(
+        sc, ne.served_set, ne.rate_bps, [0.9, a], sc.total_bandwidth_hz),
+    "bandwidth_expansions": lambda sc, ne, a: bandwidth_expansions(sc, ne, [a]),
+    "rate_controls": lambda sc, ne, a: prospect.rate_controls(sc, ne, [a]),
+    "min_alpha": lambda sc, ne, a: min_alpha(sc, ne, "no_pricing", floor=a),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("call", BAD_ALPHA_CALLS.values(), ids=BAD_ALPHA_CALLS.keys())
+def test_alphas_outside_the_unit_interval_are_refused(default_scenario, default_ref,
+                                                      call, bad):
+    """The evaluator refuses an alpha outside (0, 1], or NaN, by name, and
+    min_alpha such a floor, before any work: no outcome, no inf band and no
+    numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"(alpha|floor) must lie in \(0, 1\]"):
+            call(default_scenario, default_ref, bad)
+
+
 HALF = WeightingModel(alpha=0.5)
 NO_EQUILIBRIUM_CALLS = {
     "bandwidth_expansion": lambda sc, ne: bandwidth_expansion(sc, ne, HALF),
@@ -748,8 +773,7 @@ def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
         model = WeightingModel(alpha=alpha)
 
         def total(level):
-            return sum(helpers.required_bandwidth(sc, rate, i, level / sc.benefit(i)(rate),
-                                                  model)
+            return sum(helpers.required_bandwidth(sc, rate, i, level, model)
                        for i in ref.served_set)
 
         if x == 0.0:
@@ -781,11 +805,11 @@ def compare_grid(sc, ref):
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 11])
 def test_equalized_levels_invert_few_columns_and_converge(seed, monkeypatch):
-    """The 1,147 levels of sweep-compare's grid take at most 10 requirement
+    """The 1,147 levels of sweep-compare's grid take at most 8 requirement
     columns each (two end checks, then one per Newton step while a bracket
     is open; bisection took 51), and every 20th of them, searched alone,
-    has the same bits as in the batch. At seeds 2 and 11 some levels are
-    subnormal, where only adjacent floats close a bracket: the whole sweep
+    has the same bits as in the batch. At seed 11 one level is subnormal,
+    where only adjacent floats close a bracket: the whole sweep
     must finish without a search stopping at its cap."""
     sc = experiments.build_scenario(seed=seed)
     ref = experiments.reference_offer(sc, solve_nash(sc))
@@ -795,7 +819,7 @@ def test_equalized_levels_invert_few_columns_and_converge(seed, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, budget)
-        assert sum(np.size(targets) for _, targets in calls) <= 10 * levels.size
+        assert sum(np.size(targets) for _, targets in calls) <= 8 * levels.size
         for k in range(0, levels.size, 20):
             alone = equalized_levels(sc, ref.served_set, rate_col[k], alpha_col[k], budget)
             assert alone[0] == levels[k], k
@@ -813,23 +837,26 @@ def test_a_level_search_stopped_at_its_cap_warns(default_scenario, default_ref):
     assert (game._total(need(levels)) < sc.total_bandwidth_hz).all()
 
 
-def mp_level(mpmath, sc, users, rate, alpha, band, guess):
-    """50-digit root x of S(x) = band, by secant in ln x from 1e-9 around
-    ln guess. S sums the users' bands at which h_i(rate)*w(F) reaches x: the
-    raw target exp(-(-ln(x/h_i))^(1/alpha)), inverted by
+def mp_total(mpmath, sc, users, rate, alpha, x):
+    """50-digit S(x), the sum of the users' bands at which h_i(rate)*w(F)
+    reaches x: the raw target exp(-(-ln(x/h_i))^(1/alpha)), inverted by
     helpers.mp_min_bandwidth."""
     with mpmath.workdps(50):
         kbps, inv_alpha = mpmath.mpf(rate) / 1000, 1 / mpmath.mpf(alpha)
         benefits = [sc.benefit(i).coefficient * kbps ** sc.benefit(i).exponent for i in users]
+        return sum(helpers.mp_min_bandwidth(
+            mpmath, rate, mpmath.exp(-(-mpmath.log(x / h)) ** inv_alpha), sc.channel(i))
+            for i, h in zip(users, benefits))
 
-        def excess(x):
-            return sum(helpers.mp_min_bandwidth(
-                mpmath, rate, mpmath.exp(-(-mpmath.log(x / h)) ** inv_alpha), sc.channel(i))
-                for i, h in zip(users, benefits)) - band
 
+def mp_level(mpmath, sc, users, rate, alpha, band, guess):
+    """50-digit root x of S(x) = band (mp_total), by secant in ln x from
+    1e-9 around ln guess."""
+    with mpmath.workdps(50):
         u = mpmath.log(guess)
-        root = mpmath.findroot(lambda u: excess(mpmath.exp(u)), (u - 1e-9, u + 1e-9),
-                               solver="secant", tol=mpmath.mpf(10) ** -40)
+        root = mpmath.findroot(
+            lambda u: mp_total(mpmath, sc, users, rate, alpha, mpmath.exp(u)) - band,
+            (u - 1e-9, u + 1e-9), solver="secant", tol=mpmath.mpf(10) ** -40)
         return mpmath.exp(root)
 
 
@@ -849,6 +876,45 @@ def test_equalized_levels_match_a_50_digit_root(default_scenario, default_ref):
         want = mp_level(mpmath, sc, ref.served_set, rate_col[k], alpha_col[k],
                         sc.total_bandwidth_hz, levels[k])
         assert float(abs(levels[k] - want) / want) <= 1e-12, (a, r, levels[k])
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.003])
+def test_levels_at_small_alphas_match_a_50_digit_root(default_scenario, default_ref, alpha):
+    """Below alpha 0.0093, (-ln q)^(1/alpha) overflows at the smallest
+    levels, and at alpha 0.003 wherever q = x/h_i is below 2e-4; the
+    evaluator then takes lc = log(ln target/ln sup) in log space. Every
+    level over the sweep-compare rate grid is positive, and three of them
+    lie within 1e-13 of the root of S(x) = B taken at 50 digits. Left as
+    NaN, these requirements turned 24 of the 36 levels at alpha 0.003
+    into 0."""
+    mpmath = pytest.importorskip("mpmath")
+    sc, ref = default_scenario, default_ref
+    rates = np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36)
+    levels = equalized_levels(sc, ref.served_set, rates, alpha, sc.total_bandwidth_hz)
+    assert (levels > 0.0).all()
+    for k in (0, 10, 20):
+        want = mp_level(mpmath, sc, ref.served_set, rates[k], alpha, sc.total_bandwidth_hz,
+                        levels[k])
+        assert float(abs(levels[k] - want) / want) <= 1e-13, (k, levels[k])
+
+
+def test_zero_levels_leave_the_band_out_of_reach_at_50_digits(default_scenario,
+                                                              default_ref):
+    """A level of 0 means that not even the smallest positive level fits: at
+    every level-0 problem of the default sweep-compare grid, S(5e-324) taken
+    at 50 digits still reaches the band. Where q = x/h_i underflows, the
+    evaluator takes ln q as ln x - ln h_i; formed as a quotient, q was 0,
+    every requirement with it, and these problems got subnormal levels."""
+    mpmath = pytest.importorskip("mpmath")
+    sc, ref = default_scenario, default_ref
+    rate_col, alpha_col = compare_grid(sc, ref)
+    levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, sc.total_bandwidth_hz)
+    zeros = np.flatnonzero(levels == 0.0)
+    assert zeros.size > 0
+    assert not ((0.0 < levels) & (levels < sys.float_info.min)).any()
+    for k in zeros.tolist():
+        tiny = mp_total(mpmath, sc, ref.served_set, rate_col[k], alpha_col[k], 5e-324)
+        assert tiny >= sc.total_bandwidth_hz, (alpha_col[k], rate_col[k])
 
 
 def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
