@@ -63,12 +63,6 @@ def golden_max(f: Callable, lo, hi, rel_tol: float = 1e-9, max_iter: int = 200):
     return best_x, best_f
 
 
-def golden_min(f: Callable, lo, hi, rel_tol: float = 1e-9, max_iter: int = 200):
-    """Minimize f on [lo, hi]: golden_max of -f, for floats or arrays alike."""
-    x, fneg = golden_max(lambda t: -f(t), lo, hi, rel_tol, max_iter)
-    return x, -fneg
-
-
 def bisect_boundary(pred: Callable, lo: float, hi: float, rel_tol: float = 1e-12,
                     max_iter: int = 200) -> tuple[float, float]:
     """Shrink [lo, hi] around the flip point of a monotone predicate.
@@ -88,4 +82,51 @@ def bisect_boundary(pred: Callable, lo: float, hi: float, rel_tol: float = 1e-12
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
+                   max_iter: int = 100):
+    """Shrink each bracket [lo, hi] around a root of f, where f(lo) < 0 < f(hi).
+
+    lo, hi, f_lo and f_hi are equal-length numpy arrays of independent
+    brackets; an end value may be infinite. f(x, open) maps the points x of
+    the brackets still open, picked by the index array open, to f there.
+    All brackets step in lockstep, each step evaluating every open bracket
+    once: at the secant through its last two points evaluated, when both
+    values are finite, the secant lands inside the bracket and the step
+    before was a midpoint or halved the bracket; at the midpoint otherwise,
+    so the bracket at least halves every two steps. A point stays half
+    the tolerance inside its bracket, so a root within that distance of an
+    end closes the bracket on the next step. A value of 0 closes the
+    bracket at its point; NaN counts as above 0. A bracket closes at a width
+    of rel_tol*max(|lo|, |hi|, 1), and one still wider after max_iter steps
+    issues a RuntimeWarning. Returns the final (lo, hi).
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    # the last two points evaluated, the end of smaller |f| the later
+    lo_last = np.abs(f_lo) < np.abs(f_hi)
+    x1, f1 = np.where(lo_last, lo, hi), np.where(lo_last, f_lo, f_hi)
+    x0, f0 = np.where(lo_last, hi, lo), np.where(lo_last, f_hi, f_lo)
+    halved = np.ones(lo.shape, dtype=bool)
+    open_ = np.arange(lo.size)
+    for step in range(max_iter + 1):
+        a, b = lo[open_], hi[open_]
+        tol = rel_tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
+        wide = b - a > tol
+        open_, a, b, tol = open_[wide], a[wide], b[wide], tol[wide]
+        if not open_.size:
+            break
+        if step == max_iter:
+            _warn_cap("bracketed_root", max_iter, rel_tol)
+            break
+        p1, q1, p0, q0 = x1[open_], f1[open_], x0[open_], f0[open_]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = p1 - q1 * (p1 - p0) / (q1 - q0)
+        take = halved[open_] & np.isfinite(q0) & np.isfinite(q1) & (a < secant) & (secant < b)
+        x = np.clip(np.where(take, secant, 0.5 * (a + b)), a + 0.5 * tol, b - 0.5 * tol)
+        fx = f(x, open_)
+        lo[open_], hi[open_] = np.where(fx <= 0.0, x, a), np.where(fx < 0.0, b, x)
+        halved[open_] = ~take | (hi[open_] - lo[open_] <= 0.5 * (b - a))
+        x0[open_], f0[open_], x1[open_], f1[open_] = p1, q1, x, fx
     return lo, hi

@@ -373,7 +373,9 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     The equalized willingness of every alpha, at the offered rate and at each
     point of the 36-rate grid, comes from one equalized_levels search (a
     lockstep Newton search that evaluates only the problems still open), the
-    rate control of every alpha from one rate_controls search, the
+    rate control of every alpha from one rate_controls call (one evaluation
+    at its 13 edges, then a lockstep root search of dT/d ln b in the
+    brackets that hold a minimum, about 20 evaluations in all), the
     no-pricing and admission bands from one evaluation each, and the
     admission price cap of every alpha from one pass over the survivors'
     guarantees.

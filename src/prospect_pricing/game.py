@@ -18,6 +18,7 @@ the full scan. Without a positive revenue the scan runs to n = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .weighting import IDENTITY, WeightingModel, weight
 # strict "<" feasibility comparisons carry this relative slack for determinism
 FEASIBILITY_SLACK = 1e-9
 _EPS = 2.0 ** -52
+_TINY_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,11 @@ class NashResult:
         return len(self.served_set)
 
 
+def _efficiency_slope(y):
+    """g'(y) = 1/(1 - e^-y) - 1/y, the derivative of log(expm1(y)/y)."""
+    return 1.0 / -np.expm1(-y) - 1.0 / y
+
+
 def _total(need):
     """Requirements summed over users (axis 0), one total per problem: cumsum
     adds left to right on every Python, where the builtin sum compensates its
@@ -211,12 +218,12 @@ class _RequirementMatrix:
     h_i(rate) * w(guarantee) reaches that target: with q = target / h_i(rate),
     the Prelec inverse taken in log space and inverted by _efficiency_root,
     0 only at a zero target and inf where q reaches w(sup), the weighted
-    wide-band supremum. Where q underflows to 0 for a positive target, ln q
-    is ln target - ln h_i; where (-ln q)^(1/alpha) or its ratio to ln sup
-    overflows, lc = log(ln target/ln sup) is (1/alpha)*log(-ln q) -
-    log(-ln sup). A price target at alpha = 1 gives min_bandwidth_for_user,
-    since x ** 1.0 is exact and w(sup) is then the supremum itself. Made by
-    _Users.at.
+    wide-band supremum. Where q is subnormal or underflows to 0 for a
+    positive target, ln q is ln target - ln h_i; where (-ln q)^(1/alpha) or
+    its ratio to ln sup overflows, lc = log(ln target/ln sup) is
+    (1/alpha)*log(-ln q) - log(-ln sup). A price target at alpha = 1 gives
+    min_bandwidth_for_user, since x ** 1.0 is exact and w(sup) is then the
+    supremum itself. Made by _Users.at.
     """
 
     def __init__(self, users: _Users, rates_bps, alphas) -> None:
@@ -229,6 +236,7 @@ class _RequirementMatrix:
         self.benefit = users.coeff * (rates * 1e-3) ** users.exp
         self.ln_sup = _ln_supremum(rates, users.noise, users.power)
         self._rate_ln2 = rates * _LN2
+        self._exp = np.broadcast_to(users.exp, self.ln_sup.shape)
         # full-size exponents: numpy powers a one-problem matrix's broadcast
         # exponent in another kernel, at times an ulp apart from a batch's
         full = np.zeros_like(self.ln_sup) + alphas
@@ -247,11 +255,13 @@ class _RequirementMatrix:
         return sub
 
     def _ln_share(self, targets, q):
-        """ln q, taken as ln target - ln h_i where q = target/h_i underflows to 0."""
+        """ln q, taken as ln target - ln h_i where q = target/h_i is below the
+        smallest normal float, where the quotient keeps few bits or none."""
         ln_q = np.log(q)
-        if q.all():
+        low = q < _TINY_NORMAL
+        if not low.any():
             return ln_q
-        return np.where(q == 0.0, np.log(targets) - np.log(self.benefit), ln_q)
+        return np.where(low, np.log(targets) - np.log(self.benefit), ln_q)
 
     def slopes(self, targets, need) -> np.ndarray:
         """d need/d ln target of need = self(targets), formed from need itself.
@@ -266,19 +276,46 @@ class _RequirementMatrix:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ln_q = self._ln_share(targets, targets / self.benefit)
             y = self._rate_ln2 / need
-            slope = need * need / (self._rate_ln2 * (1.0 / -np.expm1(-y) - 1.0 / y) * ln_q)
+            slope = need * need / (self._rate_ln2 * _efficiency_slope(y) * ln_q)
             return -slope * self._inv_alpha
+
+    def rate_slopes(self, targets, need, elasticity) -> np.ndarray:
+        """d need/d ln rate of need = self(targets), where each problem's
+        target moves with its rate by elasticity = d ln target/d ln rate.
+
+        With ln q held, ln sup is linear in the rate, so lc falls by 1 per
+        unit of ln rate and y = rate*ln2/need rises by 1/g'(y); ln q itself
+        moves by elasticity - e_i, e_i user i's benefit exponent, and lc by
+        1/(alpha*ln q) per unit of it. Hence, with s = need/(y*g'(y)),
+        d need/d ln rate = need + s*(1 - (elasticity - e_i)/(alpha*ln q)):
+        the slopes term times elasticity - e_i, plus need*(1 + 1/(y*g'(y))).
+        Formed from need like slopes; not finite where need is 0 or inf.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ln_q = self._ln_share(targets, targets / self.benefit)
+            y = self._rate_ln2 / need
+            s = need * need / (self._rate_ln2 * _efficiency_slope(y))
+            return need + s * (1.0 - (elasticity - self._exp) * self._inv_alpha / ln_q)
+
+    def margins(self, targets, elasticity) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's reach margin m = ln h_i - ln target - (-ln sup_i)^alpha,
+        positive where need is finite, and its derivative in ln rate,
+        e_i - elasticity - alpha*(-ln sup_i)^alpha, with elasticity as in
+        rate_slopes."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sup_power = (-self.ln_sup) ** (1.0 / self._inv_alpha)
+            margin = np.log(self.benefit) - np.log(targets) - sup_power
+            return margin, self._exp - elasticity - sup_power / self._inv_alpha
 
     def __call__(self, targets) -> np.ndarray:
         targets = np.asarray(targets)
         q = targets / self.benefit
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln_q = np.log(q)
+            ln_q = self._ln_share(targets, q)
             lc = _log_ratio(-(-ln_q) ** self._inv_alpha, self.ln_sup, np)
             big = np.isinf(lc)
             if big.any():
-                # q underflowed to 0, or (-ln q)^(1/alpha) or its ratio to ln sup overflowed
-                ln_q = self._ln_share(targets, q)
+                # (-ln q)^(1/alpha) or its ratio to ln sup overflowed
                 lc = np.where(big, self._inv_alpha * np.log(-ln_q) - np.log(-self.ln_sup), lc)
             need = self._rate_ln2 / _efficiency_root(lc, np)
         return np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))

@@ -396,27 +396,60 @@ def rate_control_price(scenario: Scenario, ne: NashResult, rate_bps: float) -> f
 
 
 def _rate_needs(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
-                alphas) -> np.ndarray:
+                alphas) -> tuple[_RequirementMatrix, np.ndarray, np.ndarray]:
     """Users x problems requirements of the served users at shifted rates.
 
     Problem k moves the offered rate to rates_bps[k] at the revenue-preserving
-    price, under the weighting exponent alphas[k]. A problem whose price is
-    not positive gets a column of inf.
+    price, under the weighting exponent alphas[k]. Returns the evaluator, the
+    prices and the requirements; a problem whose price is not positive gets
+    a column of inf.
     """
     need = served.at(rates_bps, alphas)
     price = rate_control_price(scenario, ne, need.rates)
-    return np.where(price <= 0.0, np.inf, need(price))
+    return need, price, np.where(price <= 0.0, np.inf, need(price))
+
+
+def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
+                 alphas) -> tuple[np.ndarray, np.ndarray]:
+    """The summed requirement T of each problem of _rate_needs and dT/d ln rate.
+
+    Where T is finite its slope is the sum of the evaluator's rate_slopes,
+    the price moving by c1*b/p per unit of ln b. Each user's reach margin
+    (_RequirementMatrix.margins) is concave in ln b while the price less
+    c1*b stays positive, so the rates that keep every target within reach
+    form one interval and T is finite exactly there. Where T is inf, the
+    user of the smallest margin tells on which side of that interval the
+    rate lies: left if its margin rises, and the slope is then -inf; right
+    otherwise, and the slope is +inf. A price that is not positive lies left
+    of every positive one.
+    """
+    need, price, at = _rate_needs(scenario, ne, served, rates_bps, alphas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        elasticity = scenario.cost.c1 * need.rates / price
+        total, slope = _total(at), _total(need.rate_slopes(price, at, elasticity))
+    out = np.isinf(total)
+    if out.any():
+        margin, rising = need.margins(price, elasticity)
+        worst = np.argmin(margin, axis=0)
+        left = (price <= 0.0) | (rising[worst, np.arange(worst.size)] > 0.0)
+        slope = np.where(out, np.where(left, -np.inf, np.inf), slope)
+    return total, slope
 
 
 def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOutcome]:
     """Shift the offered rate to wherever the total requirement is smallest.
 
-    One outcome per weighting exponent in alphas. The objective need not be
-    unimodal, so the bracket [1e-3 * rate, 10 * rate] is covered by
-    log-spaced golden-section multi-starts. Every start of every alpha runs
-    in one lockstep golden_min, one users x problems requirement matrix per
-    step. Per alpha, the best rate starts at the offered one and a start
-    replaces it only when strictly smaller.
+    One outcome per weighting exponent in alphas. The objective T need not
+    be unimodal, so the range [1e-3 * rate, 10 * rate] is cut at 13
+    log-spaced edges, and one evaluation gives T and dT/d ln b at every
+    edge of every alpha, and T at the offered rate (_rate_totals). Only the
+    brackets where dT is negative at the lower edge and positive at the
+    upper one hold an interior minimum; one lockstep bracketed_root search
+    finds the roots of dT in all of them, each step evaluating only the
+    brackets still open. Per alpha, the best rate starts at the offered one,
+    and the edges and roots, in order, replace it only when strictly
+    smaller. The threshold and the allocation are the best rate's
+    requirement column.
     """
     _require_equilibrium(ne)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
@@ -426,20 +459,33 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
     hi = math.log(10.0 * ne.rate_bps)
     n_starts = 12
     edges = lo + (hi - lo) * np.arange(n_starts + 1.0) / n_starts
-    start_alphas = np.tile(alphas, n_starts)  # start-major, like the brackets
-    obj = lambda log_b: _total(_rate_needs(scenario, ne, served, np.exp(log_b), start_alphas))
-    x, fx = _search.golden_min(obj, np.repeat(edges[:-1], len(alphas)),
-                               np.repeat(edges[1:], len(alphas)), rel_tol=1e-10)
-    x, fx = x.reshape(n_starts, -1), fx.reshape(n_starts, -1)
+    # edge-major rows of alphas, then the offered rate
+    rates = np.append(np.repeat(np.exp(edges), len(alphas)), np.full(len(alphas), ne.rate_bps))
+    total, slope = _rate_totals(scenario, ne, served, rates, np.tile(alphas, n_starts + 2))
+    total, slope = total.reshape(n_starts + 2, -1), slope.reshape(n_starts + 2, -1)
+    # bracket start of alpha j holds a minimum where dT rises through 0
+    start, j = np.nonzero((slope[:-2] < 0.0) & (slope[1:-1] > 0.0))
+    # each bracket's smallest T evaluated and its point
+    root_t, root_total = edges[start], np.full(start.shape, np.inf)
 
-    best_rate = np.full(len(alphas), ne.rate_bps)
-    best_total = _total(_rate_needs(scenario, ne, served, best_rate, alphas))
-    for k in range(n_starts):
-        better = fx[k] < best_total
-        best_total = np.where(better, fx[k], best_total)
-        best_rate = np.where(better, np.exp(x[k]), best_rate)
+    def rate_slope(t, open_):
+        at_t, d = _rate_totals(scenario, ne, served, np.exp(t), alphas[j[open_]])
+        better = at_t < root_total[open_]
+        root_t[open_[better]], root_total[open_[better]] = t[better], at_t[better]
+        return d
+
+    _search.bracketed_root(rate_slope, edges[start], edges[start + 1], slope[start, j],
+                           slope[start + 1, j], rel_tol=1e-10)
+
+    # candidates in order: the offered rate, then each edge and its bracket's root
+    cand_rate = np.full((2 * n_starts + 2, len(alphas)), np.inf)
+    cand_total = np.full(cand_rate.shape, np.inf)
+    cand_rate[0], cand_total[0] = ne.rate_bps, total[-1]
+    cand_rate[1::2], cand_total[1::2] = np.exp(edges)[:, None], total[:-1]
+    cand_rate[2 + 2 * start, j], cand_total[2 + 2 * start, j] = np.exp(root_t), root_total
+    best_rate = cand_rate[np.argmin(cand_total, axis=0), np.arange(len(alphas))]
     # the threshold and the allocation come from one requirement column
-    need = _rate_needs(scenario, ne, served, best_rate, alphas)
+    _, _, need = _rate_needs(scenario, ne, served, best_rate, alphas)
     return [_fit_outcome(scenario, ne, "rate", total, rate_control_price(scenario, ne, rate),
                          ne.served_set, column, new_rate_bps=rate)
             for total, rate, column in zip(_total(need).tolist(), best_rate.tolist(),

@@ -7,6 +7,7 @@ with the same seed exercises identical inputs.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -323,7 +324,8 @@ def required_bandwidth(scenario, rate_bps, i, level, model):
     requirement matrix. Where the raw target underflows (levels below about
     1e-200 at alpha 0.85), its log, -(-ln q)^(1/alpha), goes to
     min_bandwidth's kernel instead, as the matrix keeps it in log space; where
-    q itself underflows, ln q is ln level - ln h_i, as in the matrix.
+    q itself is subnormal or underflows, ln q is ln level - ln h_i, as in the
+    matrix.
     """
     if level <= 0.0:
         return 0.0
@@ -335,9 +337,9 @@ def required_bandwidth(scenario, rate_bps, i, level, model):
     # at alpha < 1 the inverse can round to 1.0, which min_bandwidth rejects
     if raw_target >= 1.0:
         return math.inf
-    if raw_target <= 0.0:
+    if raw_target <= 0.0 or weighted_target < sys.float_info.min:
         ch = scenario.channel(i)
-        ln_q = (math.log(weighted_target) if weighted_target > 0.0
+        ln_q = (math.log(weighted_target) if weighted_target >= sys.float_info.min
                 else math.log(level) - math.log(h))
         ln_raw = -(-ln_q) ** (1.0 / model.alpha)
         ln_sup = channel._ln_supremum(rate_bps, ch.noise_psd_w_per_hz, ch.received_power_w)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -368,6 +369,83 @@ def test_requirement_slopes_match_a_central_difference(default_scenario, rates, 
         diff = (need(targets * math.exp(h)) - need(targets * math.exp(-h))) / (2.0 * h)
         got = need.slopes(targets, at)
         assert (abs(got - diff) <= 1e-7 * abs(diff) + 1e-9 * at).all(), share
+
+
+# alphas 1 and 0.9, and 0.003, where the smaller targets take lc in log space
+RATE_SLOPE_FORMS = [([1e5, 3e6, 2e7], [1.0, 0.9, 0.003]), (3e6, [0.9, 0.003, 1.0])]
+
+
+@pytest.mark.parametrize("rates, alphas", RATE_SLOPE_FORMS)
+@pytest.mark.parametrize("elasticity", [-0.5, 0.0, 0.4, 3.0])
+def test_rate_slopes_match_a_central_difference(default_scenario, rates, alphas, elasticity):
+    """rate_slopes(targets, need, e) is d need/d ln rate while each target
+    moves by e per unit of ln rate, formed from need alone. A central
+    difference of step 1e-6 in ln rate agrees to the bound of the slopes
+    test, 1e-7 plus a few ulp of need over 2e-6 (measured: 2.6e-8), from
+    targets of 1e-300 of the cap up to 0.9 of it."""
+    users = game._Users(default_scenario)
+    need = users.at(rates, alphas)
+    h = 1e-6
+    for share in (1e-300, 1e-30, 1e-3, 0.5, 0.9):
+        targets = share * need.caps()
+        at = need(targets)
+        up = users.at(need.rates * math.exp(h), alphas)(targets * math.exp(elasticity * h))
+        down = users.at(need.rates * math.exp(-h), alphas)(targets * math.exp(-elasticity * h))
+        diff = (up - down) / (2.0 * h)
+        got = need.rate_slopes(targets, at, elasticity)
+        assert (abs(got - diff) <= 1e-7 * abs(diff) + 1e-9 * at).all(), share
+
+
+@pytest.mark.parametrize("rates, alphas", RATE_SLOPE_FORMS)
+def test_reach_margins_tell_where_a_target_is_out_of_reach(default_scenario, rates, alphas):
+    """margins(targets, e) is positive exactly where the requirement is
+    finite, and its derivative in ln rate matches a central difference to
+    1e-7, out of reach as well as within it (targets from 0.5 to 3 times
+    each problem's cap)."""
+    users = game._Users(default_scenario)
+    need = users.at(rates, alphas)
+    elasticity, h = 0.4, 1e-6
+    for share in (0.5, 0.99, 1.01, 3.0):
+        targets = share * need.caps()
+        margin, rising = need.margins(targets, elasticity)
+        assert ((margin > 0.0) == np.isfinite(need(targets))).all(), share
+        assert (~np.isfinite(need.rate_slopes(targets, need(targets), elasticity))
+                == (margin <= 0.0)).all(), share
+        up, _ = users.at(need.rates * math.exp(h), alphas).margins(
+            targets * math.exp(elasticity * h), elasticity)
+        down, _ = users.at(need.rates * math.exp(-h), alphas).margins(
+            targets * math.exp(-elasticity * h), elasticity)
+        diff = (up - down) / (2.0 * h)
+        assert (abs(rising - diff) <= 1e-7 * np.maximum(abs(diff), 1.0)).all(), share
+
+
+def test_subnormal_shares_invert_in_log_space(default_scenario, default_ref):
+    """At 69.9 kbps and alpha 0.003 the level 5e-324 leaves every served
+    user the share q = x/h_i = 3e-323, a subnormal float of 3 bits; ln q
+    is then ln x - ln h_i. Each requirement matches the 50-digit inversion
+    to 1e-14 (the quotient's log put them 1.07e-5 off), and each slope a
+    50-digit central difference of step 1e-12 in ln x to 1e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    sc, ref = default_scenario, default_ref
+    rate, alpha, x = 69.9e3, 0.003, 5e-324
+    need = game._Users(sc, ref.served_set).at(rate, alpha)
+    assert ((x / need.benefit) < sys.float_info.min).all()
+    at = need(x)
+    slopes = need.slopes(x, at)
+    with mpmath.workdps(50):
+        kbps, inv_alpha, h = mpmath.mpf(rate) / 1000, 1 / mpmath.mpf(alpha), mpmath.mpf(1e-12)
+        for k, i in enumerate(ref.served_set):
+            benefit = sc.benefit(i).coefficient * kbps ** sc.benefit(i).exponent
+
+            def mp_need(u):
+                share = mpmath.exp(u) / benefit
+                return helpers.mp_min_bandwidth(
+                    mpmath, rate, mpmath.exp(-(-mpmath.log(share)) ** inv_alpha), sc.channel(i))
+            u = mpmath.log(mpmath.mpf(x))
+            want = mp_need(u)
+            assert float(abs(at[k, 0] - want) / want) <= 1e-14, i
+            slope = (mp_need(u + h) - mp_need(u - h)) / (2 * h)
+            assert float(abs(slopes[k, 0] - slope) / abs(slope)) <= 1e-12, i
 
 
 def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import golden_reference
-from prospect_pricing._search import bisect_boundary, golden_max, golden_min
+from prospect_pricing._search import bisect_boundary, bracketed_root, golden_max
 
 
 def scalar_reference(pred, lo, hi, rel_tol=1e-12, max_iter=200):
@@ -71,7 +71,6 @@ def test_scalar_golden_keeps_its_results():
             got = golden_max(f, a, b, rel_tol)
             assert got == golden_reference(f, a, b, rel_tol)
             assert all(type(v) is float for v in got)
-            assert golden_min(lambda x: -f(x), a, b, rel_tol) == (got[0], -got[1])
 
 
 def test_array_golden_follows_each_scalar_search():
@@ -123,3 +122,56 @@ def test_a_bisection_closing_on_its_last_step_does_not_warn():
     assert bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=5) == (0.28125, 0.3125)
     with pytest.warns(RuntimeWarning, match="bisect_boundary"):
         bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=4)
+
+
+def rooted(seed=5, n=40):
+    """Roots from 1e-3 to 1e6 in brackets of widths from 1e-6 to 1e3 times
+    the root, some of them infinite below and above a window around it."""
+    rng = np.random.default_rng(seed)
+    root = 10.0 ** rng.uniform(-3.0, 6.0, n)
+    lo = root - root * 10.0 ** rng.uniform(-6.0, 3.0, n)
+    hi = root + root * 10.0 ** rng.uniform(-6.0, 3.0, n)
+    window = np.where(np.arange(n) % 3 == 0, 1e-3 * (hi - lo), np.inf)
+    return root, window, lo, hi
+
+
+def slope(x, root, window):
+    """Increasing through root, steep far from it, -inf and +inf beyond the window."""
+    d = x - root
+    value = d * (1.0 + (d / root) ** 2)
+    return np.where(d < -window, -np.inf, np.where(d > window, np.inf, value))
+
+
+def test_bracketed_root_closes_every_bracket_around_its_root():
+    root, window, lo, hi = rooted()
+    rel_tol = 1e-10
+    calls = []
+
+    def f(x, open_):
+        calls.append(open_)
+        return slope(x, root[open_], window[open_])
+
+    a, b = bracketed_root(f, lo, hi, slope(lo, root, window), slope(hi, root, window), rel_tol)
+    assert ((a <= root) & (root <= b)).all()
+    assert (b - a <= rel_tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)).all()
+    # each step evaluates only the brackets still open; none takes more
+    # points than its bisection would, and all take about half as many
+    assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
+    points = np.bincount(np.concatenate(calls), minlength=lo.size)
+    bisection = np.ceil(np.log2((hi - lo) / (rel_tol * np.maximum(hi, 1.0))))
+    assert (points <= bisection).all()
+    assert points.sum() <= 0.6 * bisection.sum()
+
+
+def test_bracketed_root_closes_on_a_zero():
+    a, b = bracketed_root(lambda x, open_: x - 0.5, np.array([0.0]), np.array([1.0]),
+                          np.array([-0.5]), np.array([0.5]))
+    assert a[0] == b[0] == 0.5
+
+
+def test_bracketed_root_stopped_at_its_cap_warns():
+    lo, hi = np.zeros(3), np.ones(3)
+    f = lambda x, open_: np.where(x < 0.3, -np.inf, np.inf)
+    with pytest.warns(RuntimeWarning, match="bracketed_root stopped at max_iter=5"):
+        a, b = bracketed_root(f, lo, hi, f(lo, None), f(hi, None), 1e-12, max_iter=5)
+    assert ((a < 0.3) & (0.3 <= b)).all()
