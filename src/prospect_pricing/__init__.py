@@ -14,8 +14,7 @@ from .channel import (LinkBudget, UnattainableGuaranteeError, UserChannel,
                       service_guarantee, watts_to_dbm)
 from .experiments import InfeasibleScenarioError, NoEquilibriumError, ScenarioParams
 from .game import (CostModel, NashResult, Offer, PowerLaw, Scenario,
-                   brute_force_nash, min_bandwidth_for_user, solve_nash,
-                   sp_utility, user_utility)
+                   min_bandwidth_for_user, solve_nash, sp_utility, user_utility)
 from .prospect import (MinAlphaResult, NePreservation, StrategyOutcome,
                        admission_control, bandwidth_expansion, bandwidth_expansions,
                        equalized_levels, equalized_willingness,
@@ -33,7 +32,7 @@ __all__ = [
     "Offer", "PowerLaw", "Scenario", "ScenarioParams", "StrategyOutcome",
     "UnattainableGuaranteeError", "UserChannel", "WeightingModel",
     "admission_control", "bandwidth_expansion", "bandwidth_expansions",
-    "brute_force_nash", "channel_from_budget", "dbm_to_watts", "equalized_levels",
+    "channel_from_budget", "dbm_to_watts", "equalized_levels",
     "equalized_willingness", "fit_alpha", "guarantee_supremum",
     "inverse_weight", "loss_strict_rrm",
     "loss_with_reallocation", "lottery_value", "min_alpha", "min_bandwidth",

@@ -8,8 +8,6 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import _Scalar
-
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -18,49 +16,33 @@ def _warn_cap(search: str, max_iter: int, rel_tol: float) -> None:
                   f"than rel_tol={rel_tol:g}", RuntimeWarning, stacklevel=3)
 
 
-def golden_max(f: Callable, lo, hi, rel_tol: float = 1e-9, max_iter: int = 200):
+def golden_max(f: Callable, lo: float, hi: float, rel_tol: float = 1e-9, max_iter: int = 200):
     """Maximize f on [lo, hi] by golden-section; returns (argmax, max).
 
-    Exact only for unimodal f; callers with possibly multimodal objectives
-    multi-start over subintervals. lo and hi may instead be equal-length numpy
-    arrays of independent brackets, and f then maps an array of points to an
-    array of values. Each element takes the points of its own scalar search
-    and stops moving once its bracket meets the tolerance; the search ends
-    when every bracket has, so f is called as often as the longest of the
-    scalar searches would call it. A bracket still wider than the tolerance
+    Exact only for unimodal f. The bracket ends are candidates too, since
+    the max may sit on a constraint boundary: the largest value wins, and of
+    equal values the largest point. A bracket still wider than the tolerance
     after max_iter steps issues a RuntimeWarning.
     """
-    xp = np if isinstance(lo, np.ndarray) else _Scalar
-    # looked up once: the scalar searches of solve_nash run this loop too
-    maximum, where, any_ = xp.maximum, xp.where, xp.any
-    flip = hi < lo
-    a, b = where(flip, hi, lo), where(flip, lo, hi)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
+    a, b = (hi, lo) if hi < lo else (lo, hi)
+    x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
     for step in range(max_iter + 1):
-        wide = b - a > rel_tol * maximum(maximum(abs(a), abs(b)), 1.0)
-        if not any_(wide):
+        if b - a <= rel_tol * max(abs(a), abs(b), 1.0):
             break
         if step == max_iter:
             _warn_cap("golden_max", max_iter, rel_tol)
             break
-        rises = f1 < f2
-        up, down = wide & rises, wide > rises  # on bools, a > b is a and not b
-        # up keeps [x1, b] and probes right of x2; down keeps [a, x2] and
-        # probes left of x1; a closed bracket keeps everything
-        a, b = where(up, x1, a), where(down, x2, b)
-        x = where(up, a + _INV_PHI * (b - a), b - _INV_PHI * (b - a))
-        fx = f(x)
-        x1, x2 = where(up, x2, where(down, x, x1)), where(up, x, where(down, x1, x2))
-        f1, f2 = where(up, f2, where(down, fx, f1)), where(up, fx, where(down, f1, f2))
-    # include the bracket ends, the max may sit on a constraint boundary; the
-    # largest value wins, and of equal values the largest point
-    best_f, best_x = f(a), a
-    for fx, x in ((f1, x1), (f2, x2), (f(b), b)):
-        better = (fx > best_f) | ((fx == best_f) & (x > best_x))
-        best_f, best_x = where(better, fx, best_f), where(better, x, best_x)
-    return best_x, best_f
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = f(x1)
+    fx, x = max((f(a), a), (f1, x1), (f2, x2), (f(b), b))
+    return x, fx
 
 
 def bisect_boundary(pred: Callable, lo: float, hi: float, rel_tol: float = 1e-12,
@@ -130,3 +112,42 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
         halved[open_] = ~take | (hi[open_] - lo[open_] <= 0.5 * (b - a))
         x0[open_], f0[open_], x1[open_], f1[open_] = p1, q1, x, fx
     return lo, hi
+
+
+def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize one function per start over the range the edges cut; returns
+    each one's best point and value.
+
+    f(points, problems) maps points and the index of the problem of each to
+    the value there and a slope of the sign of d value/d point, maybe
+    infinite. One call evaluates every edge of every problem, edge-major,
+    then the starts. Only brackets between edges where the slope rises
+    through 0 hold a minimum; one lockstep bracketed_root search closes
+    them all to its default tolerance, each keeping the smallest value
+    evaluated in it. The best point starts at the start, and each edge and
+    its bracket's point, in order, replace it only when strictly smaller.
+    """
+    edges, starts = np.asarray(edges, dtype=float), np.asarray(starts, dtype=float)
+    n = starts.size
+    value, slope = f(np.append(np.repeat(edges, n), starts),
+                     np.tile(np.arange(n), edges.size + 1))
+    value, slope = value.reshape(-1, n), slope.reshape(-1, n)
+    # bracket k of problem j holds a minimum where the slope rises through 0
+    k, j = np.nonzero((slope[:-2] < 0.0) & (slope[1:-1] > 0.0))
+    root, root_value = edges[k], np.full(k.shape, np.inf)
+
+    def root_slope(x, open_):
+        at_x, d = f(x, j[open_])
+        better = at_x < root_value[open_]
+        root[open_[better]], root_value[open_[better]] = x[better], at_x[better]
+        return d
+
+    bracketed_root(root_slope, edges[k], edges[k + 1], slope[k, j], slope[k + 1, j])
+
+    # candidates in order: the start, then each edge and its bracket's point
+    cand, cand_value = np.full((2 * edges.size, n), np.nan), np.full((2 * edges.size, n), np.inf)
+    cand[0], cand_value[0] = starts, value[-1]
+    cand[1::2], cand_value[1::2] = edges[:, None], value[:-1]
+    cand[2 + 2 * k, j], cand_value[2 + 2 * k, j] = root, root_value
+    best = np.argmin(cand_value, axis=0), np.arange(n)
+    return cand[best], cand_value[best]

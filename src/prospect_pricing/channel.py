@@ -112,8 +112,7 @@ def guarantee_supremum(rate_bps: float, ch: UserChannel) -> float:
 
 
 class _Scalar:
-    """The numpy functions that _spectral_efficiency and the searches in
-    _search use, for one Python float."""
+    """The numpy functions that _spectral_efficiency uses, for one Python float."""
 
     log, log1p, expm1 = math.log, math.log1p, math.expm1
     maximum = staticmethod(max)

@@ -344,10 +344,17 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
 
     One outcome per weighting exponent in alphas. The served users need S(x)
     in total to reach level x; S rises strictly on [0, cap), cap =
-    min_i h_i*w(sup_i), so max_B n*x(B) - c3*B is max_x n*x - c3*S(x). One
-    lockstep golden search over u = x/cap in [0, 1 - 1e-12] (a tolerance
-    relative to each cap) solves every alpha, one users x alphas requirement
-    matrix per step; the band S(x*) sums the column that is the allocation.
+    min_i h_i*w(sup_i), so max_B n*x(B) - c3*B is the minimum of the loss
+    c3*S(x) - n*x, whose slope in ln x is c3*sum(slopes) - n*x.
+    _search.stationary_min finds every alpha's minimum at once over u =
+    x/cap, from the start u = 0 (no band, loss 0) and edges at k/12 and at
+    the cap end 1 - 1e-12. S' grows without bound at 0, so the loss rises
+    first, peaks near u = 1e-4 and, on the cells measured, is least between
+    u = 0.8 (alphas near 0.1 at the largest c3 that leaves an equilibrium)
+    and 1 - 1e-4 (c3 = 1e-10). Even edges keep the peak apart from the
+    minimum; edges at 1 - 10^-k would make [0, 0.9] one bracket and miss
+    the minima below 0.9. The band S(x*) sums the column that is the
+    allocation.
     Full recovery is possible iff the threshold (n*r - best value)/c3 stays
     below the endowment; with c3 = 0 the level takes the cap end and the
     threshold is -inf.
@@ -360,8 +367,13 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     caps = need.caps()
     u = np.full(caps.shape, 1.0 - 1e-12)
     if c3 > 0.0:
-        value = lambda t: n * (t * caps) - c3 * _total(need(t * caps))
-        u, _ = _search.golden_max(value, np.zeros_like(u), u, rel_tol=1e-10)
+        def loss(u, j):
+            x = u * caps[j]
+            total, slope = _sum_and_slope(need.columns(j), x)
+            return c3 * total - n * x, c3 * slope - n * x
+
+        edges = np.append(np.arange(1.0, 12.0) / 12, 1.0 - 1e-12)
+        u, _ = _search.stationary_min(loss, edges, np.zeros(caps.size))
     x = u * caps
     alloc = need(x)
     band = _total(alloc)
@@ -440,50 +452,30 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
     """Shift the offered rate to wherever the total requirement is smallest.
 
     One outcome per weighting exponent in alphas. The objective T need not
-    be unimodal, so the range [1e-3 * rate, 10 * rate] is cut at 13
-    log-spaced edges, and one evaluation gives T and dT/d ln b at every
-    edge of every alpha, and T at the offered rate (_rate_totals). Only the
-    brackets where dT is negative at the lower edge and positive at the
-    upper one hold an interior minimum; one lockstep bracketed_root search
-    finds the roots of dT in all of them, each step evaluating only the
-    brackets still open. Per alpha, the best rate starts at the offered one,
-    and the edges and roots, in order, replace it only when strictly
-    smaller. The threshold and the allocation are the best rate's
-    requirement column.
+    be unimodal, so _search.stationary_min cuts the range [1e-3 * rate,
+    10 * rate] at 13 log-spaced edges: one evaluation gives T and
+    dT/d ln b at every edge of every alpha, and T at the offered rate, the
+    start (_rate_totals), and one lockstep root search of dT closes the
+    brackets where dT rises through 0. Per alpha, the best rate starts at
+    the offered one, and the edges and roots, in order, replace it only
+    when strictly smaller. The threshold and the allocation are the best
+    rate's requirement column.
     """
     _require_equilibrium(ne)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     served = _Users(scenario, ne.served_set)
 
-    lo = math.log(1e-3 * ne.rate_bps)
-    hi = math.log(10.0 * ne.rate_bps)
-    n_starts = 12
-    edges = lo + (hi - lo) * np.arange(n_starts + 1.0) / n_starts
-    # edge-major rows of alphas, then the offered rate
-    rates = np.append(np.repeat(np.exp(edges), len(alphas)), np.full(len(alphas), ne.rate_bps))
-    total, slope = _rate_totals(scenario, ne, served, rates, np.tile(alphas, n_starts + 2))
-    total, slope = total.reshape(n_starts + 2, -1), slope.reshape(n_starts + 2, -1)
-    # bracket start of alpha j holds a minimum where dT rises through 0
-    start, j = np.nonzero((slope[:-2] < 0.0) & (slope[1:-1] > 0.0))
-    # each bracket's smallest T evaluated and its point
-    root_t, root_total = edges[start], np.full(start.shape, np.inf)
+    lo, hi = math.log(1e-3 * ne.rate_bps), math.log(10.0 * ne.rate_bps)
+    edges = lo + (hi - lo) * np.arange(13.0) / 12
 
-    def rate_slope(t, open_):
-        at_t, d = _rate_totals(scenario, ne, served, np.exp(t), alphas[j[open_]])
-        better = at_t < root_total[open_]
-        root_t[open_[better]], root_total[open_[better]] = t[better], at_t[better]
-        return d
+    def rates(t):
+        # the offered rate, the start, enters as t = nan: exp(ln b) need not be b
+        return np.where(np.isnan(t), ne.rate_bps, np.exp(t))
 
-    _search.bracketed_root(rate_slope, edges[start], edges[start + 1], slope[start, j],
-                           slope[start + 1, j], rel_tol=1e-10)
-
-    # candidates in order: the offered rate, then each edge and its bracket's root
-    cand_rate = np.full((2 * n_starts + 2, len(alphas)), np.inf)
-    cand_total = np.full(cand_rate.shape, np.inf)
-    cand_rate[0], cand_total[0] = ne.rate_bps, total[-1]
-    cand_rate[1::2], cand_total[1::2] = np.exp(edges)[:, None], total[:-1]
-    cand_rate[2 + 2 * start, j], cand_total[2 + 2 * start, j] = np.exp(root_t), root_total
-    best_rate = cand_rate[np.argmin(cand_total, axis=0), np.arange(len(alphas))]
+    best_t, _ = _search.stationary_min(
+        lambda t, j: _rate_totals(scenario, ne, served, rates(t), alphas[j]),
+        edges, np.full(len(alphas), np.nan))
+    best_rate = rates(best_t)
     # the threshold and the allocation come from one requirement column
     _, _, need = _rate_needs(scenario, ne, served, best_rate, alphas)
     return [_fit_outcome(scenario, ne, "rate", total, rate_control_price(scenario, ne, rate),

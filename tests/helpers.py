@@ -491,6 +491,52 @@ def full_scan_nash(scenario):
                       equilibrium=True)
 
 
+def brute_force_nash(scenario: Scenario, grid_resolution: int = 2000) -> NashResult:
+    """Exhaustive oracle: enumerate served subsets on a dense rate grid.
+
+    Each subset is allocated its per-user minimum bandwidths; the revenue
+    maximizer wins. Only for small instances. One evaluation inverts every
+    user at every grid rate, and every subset's totals come from one users x
+    subsets x rates array holding 0 for non-members: adding 0.0 is exact, and
+    masking holds an unservable user's inf (inf * 0 is NaN) out of the rest.
+    """
+    n_users = scenario.n_users
+    if n_users > 4:
+        raise ValueError(f"brute force limited to 4 users, got {n_users}")
+    price, c1 = scenario.pricing, scenario.cost.c1
+    budget = scenario.total_bandwidth_hz
+
+    # profitable rates live below the break-even point r(b) = c1*b
+    hi = 1.0
+    while price(hi) > c1 * hi and hi < 1e18:
+        hi *= 2.0
+
+    subsets = [tuple(i for i in range(n_users) if mask & (1 << i))
+               for mask in range(1, 1 << n_users)]
+    members = np.array([[[i in subset] for subset in subsets] for i in range(n_users)])
+    rates = [hi * k / grid_resolution for k in range(1, grid_resolution + 1)]
+    prices = [price(b) for b in rates]
+    need = game._Users(scenario).at(rates, 1.0)(np.array(prices))
+    totals = game._total(np.where(members, need[:, None, :], 0.0)).tolist()
+    best_rev, best_n, best_subset, best_k = -math.inf, 0, (), 0
+    for k, (b, p) in enumerate(zip(rates, prices)):
+        for subset, total in zip(subsets, totals):
+            if not game._feasible(total[k], budget):
+                continue
+            rev = game._revenue(scenario, len(subset), p, b)
+            if rev > best_rev or (rev == best_rev and len(subset) > best_n):
+                best_rev, best_n, best_subset, best_k = rev, len(subset), subset, k
+
+    if best_n == 0 or best_rev <= 0.0:
+        return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
+                          price=0.0, sp_revenue=best_rev,
+                          equilibrium=False)
+    reqs = need[:, best_k].tolist()
+    allocation = game._spread(scenario, best_subset, [reqs[i] for i in best_subset])
+    return NashResult(rate_bps=rates[best_k], served_set=best_subset, allocation=allocation,
+                      price=prices[best_k], sp_revenue=best_rev, equilibrium=True)
+
+
 def nash_bits(res):
     """A NashResult's fields with every float as its exact bit pattern."""
     hexed = lambda x: x.hex() if isinstance(x, float) else x

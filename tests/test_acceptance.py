@@ -24,7 +24,7 @@ from prospect_pricing.experiments import (
     sweep_expansion,
     sweep_revenue_loss,
 )
-from prospect_pricing.game import brute_force_nash, solve_nash
+from prospect_pricing.game import solve_nash
 from prospect_pricing.prospect import ne_preserved
 from prospect_pricing.weighting import (
     IDENTITY,
@@ -103,7 +103,7 @@ def test_criterion_3_solver_matches_exhaustive_search():
         for _ in range(20):
             sc = helpers.random_small_scenario(rng)
             fast = solve_nash(sc)
-            slow = brute_force_nash(sc)
+            slow = helpers.brute_force_nash(sc)
             assert fast.equilibrium == slow.equilibrium
             assert fast.n_served == slow.n_served
             if fast.equilibrium:

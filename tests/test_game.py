@@ -13,7 +13,6 @@ from prospect_pricing.game import (
     Offer,
     PowerLaw,
     Scenario,
-    brute_force_nash,
     min_bandwidth,
     min_bandwidth_for_user,
     solve_nash,
@@ -194,7 +193,7 @@ def test_solver_matches_brute_force():
     for _ in range(6):
         sc = helpers.random_small_scenario(rng)
         fast = solve_nash(sc)
-        slow = brute_force_nash(sc)
+        slow = helpers.brute_force_nash(sc)
         assert fast.equilibrium == slow.equilibrium
         if fast.equilibrium:
             assert fast.n_served == slow.n_served
@@ -220,7 +219,7 @@ RISING_AT_ZERO = {"seed": 8465, "cell_radius_m": 763.3046782678164,
 def test_solver_finds_rates_above_an_infeasible_start(n_users):
     sc = experiments.build_scenario(n_users, **RISING_AT_ZERO)
     fast = solve_nash(sc)
-    slow = brute_force_nash(sc)
+    slow = helpers.brute_force_nash(sc)
     assert fast.equilibrium and slow.equilibrium
     assert fast.n_served == slow.n_served == n_users
     slack = revenue_slack(sc) + 1e-9 * abs(fast.sp_revenue)
@@ -232,7 +231,7 @@ def test_solver_finds_rates_above_an_infeasible_start(n_users):
 def test_brute_force_rejects_large_instances():
     sc = make_scenario([200.0, 300.0, 400.0, 500.0, 600.0], budget=1e8)
     with pytest.raises(ValueError):
-        brute_force_nash(sc)
+        helpers.brute_force_nash(sc)
 
 
 def test_no_equilibrium_when_band_cost_dominates():
@@ -244,7 +243,7 @@ def test_no_equilibrium_when_band_cost_dominates():
     assert res.rate_bps == 0.0
     assert res.price == 0.0
     assert res.sp_revenue <= 0.0
-    assert not brute_force_nash(sc).equilibrium
+    assert not helpers.brute_force_nash(sc).equilibrium
 
 
 def test_solver_invariants_on_random_scenarios():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import golden_reference
-from prospect_pricing._search import bisect_boundary, bracketed_root, golden_max
+from prospect_pricing._search import (bisect_boundary, bracketed_root, golden_max,
+                                      stationary_min)
 
 
 def scalar_reference(pred, lo, hi, rel_tol=1e-12, max_iter=200):
@@ -73,46 +74,14 @@ def test_scalar_golden_keeps_its_results():
             assert all(type(v) is float for v in got)
 
 
-def test_array_golden_follows_each_scalar_search():
-    peak, floor, lo, hi = peaks()
-    for rel_tol in (1e-10, 1e-6):
-        calls = [0]
-
-        def f(x):
-            calls[0] += 1
-            return hill(x, peak, floor)
-
-        got_x, got_f = golden_max(f, lo, hi, rel_tol)
-        counts = []
-        for k, (p, fl, a, b) in enumerate(zip(peak.tolist(), floor.tolist(),
-                                              lo.tolist(), hi.tolist())):
-            n = [0]
-
-            def one(x):
-                n[0] += 1
-                return float(hill(x, p, fl))
-
-            assert (got_x[k], got_f[k]) == golden_reference(one, a, b, rel_tol)
-            counts.append(n[0])
-        assert len(set(counts)) > 3
-        assert calls[0] == max(counts)
-
-
 @pytest.mark.parametrize("search", ["golden_max", "bisect_boundary"])
 def test_a_search_stopped_at_its_cap_warns(search):
-    """A bracket still wider than its tolerance after max_iter steps is
-    reported, for one bracket and, by golden_max, for an array of them."""
-    def run(lo, hi, max_iter):
+    """A bracket still wider than its tolerance after max_iter steps is reported."""
+    with pytest.warns(RuntimeWarning, match=f"{search} stopped at max_iter=5"):
         if search == "golden_max":
-            return golden_max(lambda x: -(x - 0.3) ** 2, lo, hi, 1e-12, max_iter)
-        return bisect_boundary(lambda x: x < 0.3, lo, hi, 1e-12, max_iter)
-
-    brackets = [(0.0, 1.0)]
-    if search == "golden_max":
-        brackets.append((np.zeros(3), np.ones(3)))
-    for lo, hi in brackets:
-        with pytest.warns(RuntimeWarning, match=f"{search} stopped at max_iter=5"):
-            run(lo, hi, 5)
+            golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-12, 5)
+        else:
+            bisect_boundary(lambda x: x < 0.3, 0.0, 1.0, 1e-12, 5)
 
 
 def test_a_bisection_closing_on_its_last_step_does_not_warn():
@@ -175,3 +144,57 @@ def test_bracketed_root_stopped_at_its_cap_warns():
     with pytest.warns(RuntimeWarning, match="bracketed_root stopped at max_iter=5"):
         a, b = bracketed_root(f, lo, hi, f(lo, None), f(hi, None), 1e-12, max_iter=5)
     assert ((a < 0.3) & (0.3 <= b)).all()
+
+
+def flat(x, problems):
+    """The same value everywhere, with a slope rising through 0 at 0."""
+    return np.zeros(x.shape), x
+
+
+def test_a_start_wins_ties():
+    x, value = stationary_min(flat, [-1.0, 1.0], [0.5, 0.25])
+    assert x.tolist() == [0.5, 0.25] and value.tolist() == [0.0, 0.0]
+
+
+def test_an_edge_comes_before_its_root():
+    points = []
+
+    def recorded(x, problems):
+        points.extend(x.tolist())
+        # the start, at 5, is worth more than every other point
+        return np.where(x == 5.0, 1.0, 0.0), x
+
+    x, _ = stationary_min(recorded, [-1.0, 1.0], [5.0])
+    # the bracket was searched, and its points tie the edge before it
+    assert len(points) > 3 and x.tolist() == [-1.0]
+    # a root strictly smaller than the edges wins
+    x, value = stationary_min(lambda x, problems: (x * x, x), [-1.0, 3.0], [5.0])
+    assert abs(x[0]) <= 1e-10 and value[0] == x[0] * x[0]
+
+
+def test_brackets_with_infinite_end_slopes_close_on_each_problems_root():
+    """Each problem's slope is -inf and +inf beyond a window around its own
+    minimum, which lies between the middle edges."""
+    root, window, _, _ = rooted(n=12)
+    edges = [0.0, 1e-3, 2e6]
+
+    def f(x, problems):
+        d = x - root[problems]
+        return d * d, slope(x, root[problems], window[problems])
+
+    for edge, sign in ((edges[1], -1.0), (edges[2], 1.0)):
+        assert (slope(np.full(root.shape, edge), root, window) == sign * np.inf).any()
+    x, _ = stationary_min(f, edges, np.zeros(root.size))
+    assert (np.abs(x - root) <= 1e-10 * np.maximum(root, 1.0)).all()
+
+
+def test_a_problem_with_no_bracket_returns_its_best_edge():
+    """Problem 0 falls across the edges and problem 1 is concave: neither has
+    a slope rising through 0, and problem 2's bracket is searched beside them."""
+    def f(x, problems):
+        value = np.choose(problems, [-x, -x * x, (x - 0.5) ** 2])
+        return value, np.choose(problems, [-np.ones_like(x), -2.0 * x, 2.0 * (x - 0.5)])
+
+    x, value = stationary_min(f, [-1.0, 0.25, 2.0], [0.0, 0.0, 0.0])
+    assert x[:2].tolist() == [2.0, 2.0] and value[:2].tolist() == [-2.0, -4.0]
+    assert abs(x[2] - 0.5) <= 1e-10
