@@ -389,6 +389,45 @@ def count_evaluations(monkeypatch):
     return calls
 
 
+def count_level_searches(monkeypatch):
+    """Record the number of problems of every lockstep level search
+    (prospect._solve_levels), whether through equalized_levels or not."""
+    sizes = []
+    solve = prospect._solve_levels
+
+    def counting(need, totals, *args):
+        sizes.append(need.rates.size)
+        return solve(need, totals, *args)
+    monkeypatch.setattr(prospect, "_solve_levels", counting)
+    return sizes
+
+
+def full_grid_comparison(spec):
+    """sweep_comparison's level-dependent cells as a search of every grid
+    point finds them: one equalized_levels call over the 37 problems of each
+    alpha (the offered rate, then the 36-rate grid), the best grid revenue
+    taken in grid order. Returns (levels, caps, cells): the levels and their
+    problems' caps, alpha-major, and per alpha the cells
+    (rev_expansion_norm, rev_rate_norm)."""
+    sc = spec.scenario
+    ne = solve_nash(sc)
+    ref = experiments.reference_offer(sc, ne, spec.offer_margin)
+    b_star, n, eut = ref.rate_bps, ref.n_served, ne.sp_revenue
+    rate_grid = [float(b) for b in np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)]
+    rates, alphas = [b_star] + rate_grid, spec.alphas()
+    rate_col, alpha_col = np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
+    levels = prospect.equalized_levels(sc, ref.served_set, rate_col, alpha_col,
+                                       sc.total_bandwidth_hz)
+    caps = game._Users(sc, ref.served_set).at(rate_col, alpha_col).caps()
+    cells = []
+    for x_hat, *grid in levels.reshape(len(alphas), len(rates)).tolist():
+        best = -math.inf
+        for b, x in zip(rate_grid, grid):
+            best = max(best, game._revenue(sc, n, x, b) / eut)
+        cells.append((game._revenue(sc, n, x_hat, b_star) / eut, best))
+    return levels, caps, cells
+
+
 def count_guarantees(monkeypatch):
     """Record the arguments of every service_guarantee call, through each
     module that binds the function."""

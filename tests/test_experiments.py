@@ -264,7 +264,7 @@ def test_comparison_sweep_frozen_rows(default_scenario):
 
 @pytest.mark.parametrize("sweep, kwargs, batches", [
     (sweep_revenue_loss, {}, 1), (sweep_price, {}, 1), (sweep_expansion, {}, 1),
-    (sweep_comparison, {}, 1), (sweep_admission, {"max_drops": 2}, 3)])
+    (sweep_comparison, {}, 2), (sweep_admission, {"max_drops": 2}, 3)])
 def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
                                                sweep, kwargs, batches):
     real = experiments.equalized_levels
@@ -280,12 +280,49 @@ def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
 
     monkeypatch.setattr(experiments, "equalized_levels", counting)
     monkeypatch.setattr(experiments.prospect, "equalized_willingness", one_problem)
-    per_alpha = 37 if sweep is sweep_comparison else 1  # offered rate + 36-rate grid
+    if sweep is sweep_comparison:
+        # below equalized_levels: every alpha's offered rate and best-bounded
+        # grid point, then the grid points whose bound can still beat it
+        sizes = helpers.count_level_searches(monkeypatch)
     for n_alphas in (1, 3):
         sizes.clear()
         sweep(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0, step=0.05),
               **kwargs)
-        assert sizes == [n_alphas * per_alpha] * batches
+        if sweep is sweep_comparison:
+            assert len(sizes) == batches and sizes[0] == 2 * n_alphas
+        else:
+            assert sizes == [n_alphas] * batches
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5, 10])
+def test_comparison_matches_a_search_of_every_grid_point(seed):
+    """The level cap skips only grid points strictly below their row's best,
+    so every cell that reads a level (rev_expansion_norm at the offered
+    rate, rev_rate_norm over the grid) has the bits a search of every grid
+    point gives: in the default window and over 0.01-1.0, where targets go
+    out of reach. The bound's premise holds: no level passes
+    cap*(1 - 1e-12). The other seven columns read no level."""
+    sc = build_scenario(seed=seed)
+    for window in (experiments.DEFAULT_RANGE_COMPARISON, (0.01, 1.0, 0.01)):
+        spec = SweepSpec(sc, *window)
+        levels, caps, cells = helpers.full_grid_comparison(spec)
+        assert (levels <= caps * (1.0 - 1e-12)).all()
+        assert [(row[6], row[8]) for row in sweep_comparison(spec).rows] == cells
+
+
+def test_comparison_solves_few_level_problems(default_scenario, monkeypatch):
+    """Of sweep-compare's 1,147 level problems at the default config, the
+    level cap leaves 93 to solve, and the sweep inverts 1,898 requirement
+    columns, the scenario solve's price vectors included (8,675 when every
+    grid point was solved); over 0.01-1.0, 279 problems of 3,700."""
+    columns = helpers.count_evaluations(monkeypatch)
+    problems = helpers.count_level_searches(monkeypatch)
+    sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
+    assert sum(np.size(targets) for _, targets in columns) <= 2000
+    assert sum(problems) <= 100
+    problems.clear()
+    sweep_comparison(spec_for(default_scenario, 0.01, 1.0, step=0.01))
+    assert sum(problems) <= 300
 
 
 def test_comparison_runs_every_rate_control_in_one_batch(default_scenario, monkeypatch):

@@ -27,7 +27,11 @@ FAR_CELL = {"cell_radius_m": 3000.0}
 CASES = ([(f"{command}.seed{seed}.csv", [command, "--seed", str(seed)], None, 0)
           for command in SWEEPS for seed in SEEDS]
          + [("fit-pwf.csv", ["fit-pwf"], None, 0),
-            ("ne-solve.radius3000.csv", ["ne-solve"], FAR_CELL, 3)])
+            ("ne-solve.radius3000.csv", ["ne-solve"], FAR_CELL, 3),
+            # alphas where targets go out of reach and cells print empty
+            ("sweep-compare.wide.seed4966.csv",
+             ["sweep-compare", "--seed", "4966", "--alpha-min", "0.01", "--alpha-max", "1.0",
+              "--alpha-step", "0.01"], None, 0)])
 
 
 @pytest.mark.parametrize("name, argv, config, status", CASES,
