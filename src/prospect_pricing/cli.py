@@ -13,10 +13,8 @@ from . import experiments
 from .channel import UnattainableGuaranteeError
 from .experiments import (DEFAULT_ALPHA_STEP, DEFAULT_RANGE_ADMISSION,
                           DEFAULT_RANGE_COMPARISON, DEFAULT_RANGE_EXPANSION,
-                          DEFAULT_RANGE_LOSS, DEFAULT_RANGE_PRICE,
-                          InfeasibleScenarioError, NoEquilibriumError, ScenarioParams, SweepSpec,
-                          SweepTable, build_scenario)
-from .weighting import InsufficientDataError
+                          DEFAULT_RANGE_LOSS, DEFAULT_RANGE_PRICE, NoEquilibriumError,
+                          ScenarioParams, SweepSpec, SweepTable, build_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,22 +26,19 @@ class ConfigError(ValueError):
     pass
 
 
-_INT_KEYS = {"n_users", "seed"}
-_OPTIONAL_KEYS = {"total_bandwidth_hz"}
-
-
 def config_from_mapping(data: dict) -> ScenarioParams:
-    names = {f.name for f in dataclasses.fields(ScenarioParams)}
+    # the field annotations as written: "int", "float" or "float | None"
+    types = {f.name: f.type for f in dataclasses.fields(ScenarioParams)}
     for key in data:
-        if key not in names:
+        if key not in types:
             raise ConfigError(f"unknown config key: {key!r}")
     coerced = {}
     for key, value in data.items():
-        if key in _INT_KEYS:
+        if types[key] == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"invalid config value for {key!r}: expected an integer")
             coerced[key] = value
-        elif key in _OPTIONAL_KEYS and value is None:
+        elif value is None and types[key] == "float | None":
             coerced[key] = None
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -83,64 +78,46 @@ class _UsageError(Exception):
     pass
 
 
-class _ExitRequest(Exception):
-    def __init__(self, status: int) -> None:
-        self.status = status
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
-    def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
-        if message:
-            sys.stderr.write(message)
-        raise _ExitRequest(status)
 
-
+# command -> (runner, default alpha window, help)
 _SWEEPS = {
-    "sweep-loss": (experiments.sweep_revenue_loss, DEFAULT_RANGE_LOSS),
-    "sweep-price": (experiments.sweep_price, DEFAULT_RANGE_PRICE),
-    "sweep-expansion": (experiments.sweep_expansion, DEFAULT_RANGE_EXPANSION),
-    "sweep-admission": (experiments.sweep_admission, DEFAULT_RANGE_ADMISSION),
-    "sweep-compare": (experiments.sweep_comparison, DEFAULT_RANGE_COMPARISON),
-}
-
-_SWEEP_HELP = {
-    "sweep-loss": "revenue lost when the offer is priced for unweighted users",
-    "sweep-price": "highest posted price users still accept, per exponent",
-    "sweep-expansion": "bandwidth needed to win the revenue back by expansion",
-    "sweep-admission": "revenue recovery by dropping the costliest users",
-    "sweep-compare": "bandwidth and revenue of every recovery strategy",
+    "sweep-loss": (experiments.sweep_revenue_loss, DEFAULT_RANGE_LOSS,
+                   "revenue lost when the offer is priced for unweighted users"),
+    "sweep-price": (experiments.sweep_price, DEFAULT_RANGE_PRICE,
+                    "highest posted price users still accept, per exponent"),
+    "sweep-expansion": (experiments.sweep_expansion, DEFAULT_RANGE_EXPANSION,
+                        "bandwidth needed to win the revenue back by expansion"),
+    "sweep-admission": (experiments.sweep_admission, DEFAULT_RANGE_ADMISSION,
+                        "revenue recovery by dropping the costliest users"),
+    "sweep-compare": (experiments.sweep_comparison, DEFAULT_RANGE_COMPARISON,
+                      "bandwidth and revenue of every recovery strategy"),
 }
 
 
 def _build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None,
+                        help="JSON config path, or 'default' for built-ins")
+    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    common.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    alpha_flags = argparse.ArgumentParser(add_help=False)
+    for flag in ("--alpha-min", "--alpha-max", "--alpha-step"):
+        alpha_flags.add_argument(flag, type=float, default=None)
+
     parser = _Parser(prog="prospect-pricing",
                      description="Spectrum-pricing game solver and sweep runner")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(p: _Parser) -> None:
-        p.add_argument("--config", default=None,
-                       help="JSON config path, or 'default' for built-ins")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-
-    def alpha_flags(p: _Parser) -> None:
-        p.add_argument("--alpha-min", type=float, default=None)
-        p.add_argument("--alpha-max", type=float, default=None)
-        p.add_argument("--alpha-step", type=float, default=None)
-
-    common(sub.add_parser("ne-solve", help="solve the pricing game once"))
-    for name in _SWEEPS:
-        p = sub.add_parser(name, help=_SWEEP_HELP[name])
-        common(p)
-        alpha_flags(p)
+    sub.add_parser("ne-solve", help="solve the pricing game once", parents=[common])
+    for name, (_, _, text) in _SWEEPS.items():
+        p = sub.add_parser(name, help=text, parents=[common, alpha_flags])
         if name == "sweep-admission":
             p.add_argument("--max-drops", type=int, default=3)
-    fit = sub.add_parser("fit-pwf", help="fit the weighting exponent to rating data")
-    common(fit)
+    fit = sub.add_parser("fit-pwf", help="fit the weighting exponent to rating data",
+                         parents=[common])
     fit.add_argument("--data", default=None,
                      help="ratings/fps CSV (default: bundled dataset)")
     return parser
@@ -160,12 +137,10 @@ def _diagnostic(status: str, exc: Exception) -> SweepTable:
 
 
 def _run(args) -> tuple[SweepTable, int]:
+    """The command's table and exit status; every refusal is raised for dispatch."""
     params = ScenarioParams() if args.config is None else parse_config(args.config)
     if args.seed is not None:
-        try:
-            params = dataclasses.replace(params, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        params = dataclasses.replace(params, seed=args.seed)
 
     if args.command == "fit-pwf":
         if args.data is None:
@@ -176,24 +151,16 @@ def _run(args) -> tuple[SweepTable, int]:
                     records = experiments.load_psych_records(f)
             except OSError as exc:
                 raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
         return experiments.fit_table(records), EXIT_OK
 
-    try:
-        scenario = build_scenario(**dataclasses.asdict(params))
-    except InfeasibleScenarioError as exc:
-        return _diagnostic("infeasible", exc), EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    scenario = build_scenario(**dataclasses.asdict(params))
     if args.command == "ne-solve":
         table = experiments.ne_table(scenario)
         _, n_served, _ = table.rows[0]
         # the solver serves nobody exactly when the game has no equilibrium
         return table, EXIT_OK if n_served else EXIT_INFEASIBLE
 
-    runner, (amin_default, amax_default) = _SWEEPS[args.command]
+    runner, (amin_default, amax_default), _ = _SWEEPS[args.command]
     amin = amin_default if args.alpha_min is None else args.alpha_min
     amax = amax_default if args.alpha_max is None else args.alpha_max
     step = DEFAULT_ALPHA_STEP if args.alpha_step is None else args.alpha_step
@@ -207,32 +174,31 @@ def _run(args) -> tuple[SweepTable, int]:
     except ValueError as exc:  # range and step are valid, so the grid is too fine
         raise _UsageError(f"--alpha-step: {exc}") from exc
     extra = {"max_drops": args.max_drops} if args.command == "sweep-admission" else {}
-    try:
-        table = runner(spec, **extra)
-    except UnattainableGuaranteeError as exc:
-        return _diagnostic("infeasible", exc), EXIT_INFEASIBLE
-    except NoEquilibriumError as exc:
-        return _diagnostic("no-equilibrium", exc), EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return table, EXIT_OK
+    return runner(spec, **extra), EXIT_OK
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    """Run one command; the one place a refusal becomes an exit status: usage
+    64; no equilibrium or an unattainable guarantee 3, with a status,detail
+    row; any other ValueError, or an unwritable --out, 2 with its message."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        except SystemExit as exc:  # --help
+            return exc.code
         if args.command is None:
             raise _UsageError("a subcommand is required")
         table, status = _run(args)
-    except _ExitRequest as exc:
-        return exc.status
     except _UsageError as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         sys.stderr.write(parser.format_usage())
         return EXIT_USAGE
-    except (ConfigError, InsufficientDataError) as exc:
+    except NoEquilibriumError as exc:
+        table, status = _diagnostic("no-equilibrium", exc), EXIT_INFEASIBLE
+    except UnattainableGuaranteeError as exc:
+        table, status = _diagnostic("infeasible", exc), EXIT_INFEASIBLE
+    except ValueError as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return EXIT_CONFIG
     try:
@@ -241,6 +207,10 @@ def dispatch(argv: list[str] | None = None) -> int:
         # the reader stopped early (`| head`); point stdout at devnull so the
         # flush at interpreter exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        path = "<stdout>" if args.out is None else args.out
+        sys.stderr.write(f"{parser.prog}: error: cannot write output file {path!r}: {exc}\n")
+        return EXIT_CONFIG
     return status
 
 

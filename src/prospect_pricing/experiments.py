@@ -216,7 +216,8 @@ class SweepSpec:
         out = []
         k = 0
         while True:
-            a = round(self.alpha_min + k * self.alpha_step, 12)
+            # the rounding snaps float drift; an alpha_min below 5e-13 stays itself
+            a = max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min)
             if a > self.alpha_max + 1e-12:
                 break
             out.append(min(a, 1.0))
@@ -471,6 +472,8 @@ class PsychRecord:
         if self.valid:
             if self.fps_mean is None or not self.fps_mean > 0.0:
                 raise ValueError("valid records need fps_mean > 0")
+            if self.fps_mean == math.inf:
+                raise ValueError("valid records need a finite fps_mean")
             if self.rating_mean is None or not 1.0 <= self.rating_mean <= 4.0:
                 raise ValueError("valid records need rating_mean in [1, 4]")
 

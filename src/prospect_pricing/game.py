@@ -222,8 +222,10 @@ class _RequirementMatrix:
     positive target, ln q is ln target - ln h_i; where (-ln q)^(1/alpha) or
     its ratio to ln sup overflows, lc = log(ln target/ln sup) is
     (1/alpha)*log(-ln q) - log(-ln sup). A price target at alpha = 1 gives
-    min_bandwidth_for_user, since x ** 1.0 is exact and w(sup) is then the
-    supremum itself. Made by _Users.at.
+    bitwise _Users.price_requirements, since x ** 1.0 is exact and w(sup) is
+    then the supremum itself; it is min_bandwidth_for_user only to a few ulps,
+    as numpy's log, log1p and expm1 can round apart from math's (test_game
+    bounds the gap by 8 eps kappa). Made by _Users.at.
     """
 
     def __init__(self, users: _Users, rates_bps, alphas) -> None:

@@ -462,3 +462,145 @@ def test_in_domain_fuzz_solves_or_exits_cleanly(tmp_path, capsys):
             # compare whole cells: "infeasible" contains "inf"
             cells = [c for line in out.splitlines() for c in line.split(",")]
             assert not {"nan", "inf", "-inf"} & {c.lower() for c in cells}, where
+
+
+# ---------------------------------------------------------------------------
+# the command surface and the exit policy
+
+COMMON_OPTIONS = ["-h", "--help", "--config", "--seed", "--out"]
+ALPHA_OPTIONS = ["--alpha-min", "--alpha-max", "--alpha-step"]
+COMMAND_OPTIONS = {
+    "ne-solve": COMMON_OPTIONS,
+    "sweep-loss": COMMON_OPTIONS + ALPHA_OPTIONS,
+    "sweep-price": COMMON_OPTIONS + ALPHA_OPTIONS,
+    "sweep-expansion": COMMON_OPTIONS + ALPHA_OPTIONS,
+    "sweep-admission": COMMON_OPTIONS + ALPHA_OPTIONS + ["--max-drops"],
+    "sweep-compare": COMMON_OPTIONS + ALPHA_OPTIONS,
+    "fit-pwf": COMMON_OPTIONS + ["--data"],
+}
+
+
+def subparsers():
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, cli.argparse._SubParsersAction)]
+    return commands.choices
+
+
+def test_the_commands_are_the_documented_seven():
+    assert list(subparsers()) == list(COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_each_command_takes_its_options_in_order(command):
+    options = [s for a in subparsers()[command]._actions for s in a.option_strings]
+    assert options == COMMAND_OPTIONS[command]
+
+
+def test_config_key_types_are_the_field_annotations():
+    """An int field refuses a float and a bool, a float field a bool and a
+    string, and only the optional field takes null."""
+    for f in dataclasses.fields(ScenarioParams):
+        assert f.type in ("int", "float", "float | None"), f.name
+        if f.type == "int":
+            for value in (2.5, True, None):
+                with pytest.raises(ConfigError, match="expected an integer"):
+                    config_from_mapping({f.name: value})
+        else:
+            for value in (True, "1", [1.0]):
+                with pytest.raises(ConfigError, match="expected a number"):
+                    config_from_mapping({f.name: value})
+            if f.type == "float":
+                with pytest.raises(ConfigError, match="expected a number"):
+                    config_from_mapping({f.name: None})
+    assert config_from_mapping({"total_bandwidth_hz": None}) == ScenarioParams()
+
+
+def _raise(exc):
+    def runner(*args, **kwargs):
+        raise exc
+    return runner
+
+
+@pytest.mark.parametrize("exc, status, first_cell", [
+    (experiments.NoEquilibriumError("no equilibrium here"), 3, "no-equilibrium"),
+    (cli.UnattainableGuaranteeError(1e6, 0.9, 0.5), 3, "infeasible"),
+    (ValueError("plain refusal"), 2, None),
+], ids=["no-equilibrium", "infeasible", "value-error"])
+@pytest.mark.parametrize("command", ["ne-solve", "sweep-loss"])
+def test_dispatch_maps_each_refusal_to_its_exit_status(capsys, monkeypatch,
+                                                       command, exc, status, first_cell):
+    if command == "ne-solve":
+        monkeypatch.setattr(experiments, "ne_table", _raise(exc))
+    else:
+        _, window, text = cli._SWEEPS[command]
+        monkeypatch.setitem(cli._SWEEPS, command, (_raise(exc), window, text))
+    got, out, err = run([command], capsys)
+    assert got == status
+    assert "Traceback" not in err
+    if first_cell is None:
+        assert out == ""
+        assert err == f"prospect-pricing: error: {exc}\n"
+    else:
+        assert out == f"status,detail\n{first_cell},{format_cell(str(exc))}\n"
+        assert err == ""
+
+
+def test_out_to_a_directory_exits_2(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "prospect_pricing", "ne-solve",
+                           "--out", str(tmp_path)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"prospect-pricing: error: cannot write output file {str(tmp_path)!r}: ")
+
+
+def test_out_under_a_missing_directory_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "ne.csv")
+    status, out, err = run(["ne-solve", "--out", path], capsys)
+    assert status == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"prospect-pricing: error: cannot write output file {path!r}: ")
+    assert "No such file or directory" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_full_stdout_exits_2():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "prospect_pricing", "ne-solve"],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "prospect-pricing: error: cannot write output file '<stdout>': ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_fit_pwf_infinite_fps_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text(
+        "packet_loss_pct,delay_ms,rating_mean,rating_dev,fps_mean,fps_dev\n"
+        "0,0,3.5,0.5,inf,1\n"
+        "2,40,3.0,0.5,20,1\n"
+        "1,0,2.0,1.0,10,1\n")
+    status, out, err = run(["fit-pwf", "--data", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "prospect-pricing: error: valid records need a finite fps_mean\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", ["1e-300", "1e-200", "1e-100", "1e-20", "4e-13"])
+@pytest.mark.parametrize("command", list(cli._SWEEPS))
+def test_sweeps_solve_at_a_tiny_alpha(capsys, command, alpha):
+    """An alpha_min below the grid's 12-decimal rounding is swept as given."""
+    status, out, err = run([command, "--alpha-min", alpha, "--alpha-max", alpha], capsys)
+    assert status == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows and all(cells[0] == alpha for cells in rows)
+    assert not {"nan", "inf", "-inf"} & {c.lower() for cells in rows for c in cells}

@@ -459,6 +459,16 @@ def test_sweep_spec_alpha_grid(default_scenario):
     assert np.allclose(diffs, 0.005, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e-100, 1e-20, 4e-13, 0.123456789012345])
+def test_sweep_spec_grid_starts_at_its_alpha_min(default_scenario, alpha):
+    """Rounding to 12 decimals snaps float drift but never moves an alpha below
+    alpha_min: a window of one tiny alpha is that alpha, not 0."""
+    assert spec_for(default_scenario, alpha, alpha).alphas() == [alpha]
+    alphas = spec_for(default_scenario, alpha, 0.2).alphas()
+    assert alphas[0] == alpha
+    assert alphas[1:] == [round(alpha + k * 0.005, 12) for k in range(1, len(alphas))]
+
+
 def test_ne_table(default_scenario, default_ne):
     table = ne_table(default_scenario)
     assert table.header == HEADER_NE
@@ -558,6 +568,16 @@ def test_load_psych_records_parses_blanks():
     assert [rec.valid for rec in records] == [True, False]
     assert records[0].fps_mean == 22.1
     assert records[1].rating_mean is None
+
+
+@pytest.mark.parametrize("fps", ["inf", "Infinity", "1e999"])
+def test_load_psych_records_refuses_an_infinite_fps_mean(fps):
+    """inf / inf would map the record to p = nan; the record names the field."""
+    text = ("packet_loss_pct,delay_ms,rating_mean,rating_dev,fps_mean,fps_dev\n"
+            f"0,0,3.5,0.2,{fps},0.4\n"
+            "2,40,3.0,0.3,20.0,0.5\n")
+    with pytest.raises(ValueError, match="finite fps_mean"):
+        load_psych_records(io.StringIO(text))
 
 
 def test_load_psych_records_missing_column():
