@@ -9,6 +9,8 @@ from typing import Callable
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+# bracketed_root's steps before a bracket must halve twice every three steps
+_GRACE = 12
 
 
 def _warn_cap(search: str, max_iter: int, rel_tol: float) -> None:
@@ -75,22 +77,34 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     brackets; an end value may be infinite. f(x, open) maps the points x of
     the brackets still open, picked by the index array open, to f there.
     All brackets step in lockstep, each step evaluating every open bracket
-    once: at the secant through its last two points evaluated, when both
-    values are finite, the secant lands inside the bracket and the step
-    before was a midpoint or halved the bracket; at the midpoint otherwise,
-    so the bracket at least halves every two steps. A point stays half
-    the tolerance inside its bracket, so a root within that distance of an
-    end closes the bracket on the next step. A value of 0 closes the
-    bracket at its point; NaN counts as above 0. A bracket closes at a width
-    of rel_tol*max(|lo|, |hi|, 1), and one still wider after max_iter steps
+    once. Brent's rule (Brent 1973; Press et al., Numerical Recipes,
+    section 9.3) picks the point: the secant through the last two points
+    evaluated when both values are finite, the secant lands inside the
+    bracket and its step from the end of smaller |f| is shorter than half
+    the step before last; the midpoint otherwise. A secant step shorter
+    than the tolerance right after a secant step has converged: the point
+    goes half the tolerance past the secant, so the next bracket closes
+    across the root. Such a step after a midpoint, or on the first step,
+    takes the midpoint instead. After _GRACE steps, a bracket wider than
+    its first width halved twice every three steps since then takes
+    midpoints too, so none takes more than about 1.5 times its bisection
+    count plus _GRACE points. A point stays half the tolerance inside its
+    bracket, so a root within that distance of an end closes the bracket
+    on the next step. A value of 0 closes the bracket at its point; NaN
+    counts as above 0. A bracket closes at a width of
+    rel_tol*max(|lo|, |hi|, 1), and one still wider after max_iter steps
     issues a RuntimeWarning. Returns the final (lo, hi).
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f_lo, f_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
     # the last two points evaluated, the end of smaller |f| the later
     lo_last = np.abs(f_lo) < np.abs(f_hi)
     x1, f1 = np.where(lo_last, lo, hi), np.where(lo_last, f_lo, f_hi)
     x0, f0 = np.where(lo_last, hi, lo), np.where(lo_last, f_hi, f_lo)
-    halved = np.ones(lo.shape, dtype=bool)
+    # the first width; the last step and the one before it, that width at first
+    width = hi - lo
+    last, before = width.copy(), width.copy()
+    secant_last = np.zeros(lo.shape, dtype=bool)
     open_ = np.arange(lo.size)
     for step in range(max_iter + 1):
         a, b = lo[open_], hi[open_]
@@ -105,11 +119,22 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
         p1, q1, p0, q0 = x1[open_], f1[open_], x0[open_], f0[open_]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             secant = p1 - q1 * (p1 - p0) / (q1 - q0)
-        take = halved[open_] & np.isfinite(q0) & np.isfinite(q1) & (a < secant) & (secant < b)
-        x = np.clip(np.where(take, secant, 0.5 * (a + b)), a + 0.5 * tol, b - 0.5 * tol)
+        # steps run from the end of smaller |f|; NaN, above 0, is at hi
+        best = np.where(np.abs(f_hi[open_]) < np.abs(f_lo[open_]), b, a)
+        move = np.abs(secant - best)
+        closing = move < tol
+        take = (np.isfinite(q0) & np.isfinite(q1) & (a < secant) & (secant < b)
+                & (move < 0.5 * before[open_]) & (secant_last[open_] | ~closing)
+                & (b - a <= width[open_] * 2.0 ** ((_GRACE - step) / 1.5)))
+        x = np.where(take, secant + np.where(closing, np.copysign(0.5 * tol, secant - best), 0.0),
+                     0.5 * (a + b))
+        x = np.clip(x, a + 0.5 * tol, b - 0.5 * tol)
         fx = f(x, open_)
-        lo[open_], hi[open_] = np.where(fx <= 0.0, x, a), np.where(fx < 0.0, b, x)
-        halved[open_] = ~take | (hi[open_] - lo[open_] <= 0.5 * (b - a))
+        below, above = fx <= 0.0, ~(fx < 0.0)
+        lo[open_], f_lo[open_] = np.where(below, x, a), np.where(below, fx, f_lo[open_])
+        hi[open_], f_hi[open_] = np.where(above, x, b), np.where(above, fx, f_hi[open_])
+        before[open_] = np.where(take, last[open_], np.abs(x - best))
+        last[open_], secant_last[open_] = np.abs(x - best), take
         x0[open_], f0[open_], x1[open_], f1[open_] = p1, q1, x, fx
     return lo, hi
 
@@ -119,28 +144,40 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     each one's best point and value.
 
     f(points, problems) maps points and the index of the problem of each to
-    the value there and a slope of the sign of d value/d point, maybe
-    infinite. One call evaluates every edge of every problem, edge-major,
-    then the starts. Only brackets between edges where the slope rises
-    through 0 hold a minimum; one lockstep bracketed_root search closes
-    them all to its default tolerance, each keeping the smallest value
-    evaluated in it. The best point starts at the start, and each edge and
-    its bracket's point, in order, replace it only when strictly smaller.
+    the value there, a slope of the sign of d value/d point, maybe
+    infinite, and bounds lower and upper, arrays or scalars: the problem's
+    value is finite only strictly between them. One call evaluates every
+    edge of every problem, edge-major, then the starts. Only brackets
+    between edges where the slope rises through 0 hold a minimum, and of
+    those only the ones whose points, ends included, leave a range between
+    the largest lower and the smallest upper bound: a bracket without one
+    is dropped before the search, or closed at the point that shows it.
+    One lockstep bracketed_root search closes them all to its default
+    tolerance, each keeping the smallest value evaluated in it. The best
+    point starts at the start, and each edge and its bracket's point, in
+    order, replace it only when strictly smaller.
     """
     edges, starts = np.asarray(edges, dtype=float), np.asarray(starts, dtype=float)
     n = starts.size
-    value, slope = f(np.append(np.repeat(edges, n), starts),
-                     np.tile(np.arange(n), edges.size + 1))
-    value, slope = value.reshape(-1, n), slope.reshape(-1, n)
+    value, slope, lower, upper = (np.broadcast_to(v, (edges.size + 1) * n).reshape(-1, n) for v in
+                                  f(np.append(np.repeat(edges, n), starts),
+                                    np.tile(np.arange(n), edges.size + 1)))
     # bracket k of problem j holds a minimum where the slope rises through 0
     k, j = np.nonzero((slope[:-2] < 0.0) & (slope[1:-1] > 0.0))
+    # and its finite values lie strictly between floor and ceil
+    floor = np.maximum(lower[k, j], lower[k + 1, j])
+    ceil = np.minimum(upper[k, j], upper[k + 1, j])
+    keep = floor < ceil
+    k, j, floor, ceil = k[keep], j[keep], floor[keep], ceil[keep]
     root, root_value = edges[k], np.full(k.shape, np.inf)
 
     def root_slope(x, open_):
-        at_x, d = f(x, j[open_])
+        at_x, d, low, high = f(x, j[open_])
+        floor[open_], ceil[open_] = np.maximum(floor[open_], low), np.minimum(ceil[open_], high)
         better = at_x < root_value[open_]
         root[open_[better]], root_value[open_[better]] = x[better], at_x[better]
-        return d
+        # a bracket shown to hold no finite value closes at this point
+        return np.where(floor[open_] < ceil[open_], d, 0.0)
 
     bracketed_root(root_slope, edges[k], edges[k + 1], slope[k, j], slope[k + 1, j])
 

@@ -171,7 +171,7 @@ def _run(args) -> tuple[SweepTable, int]:
     try:
         spec = SweepSpec(scenario=scenario, alpha_min=amin, alpha_max=amax,
                          alpha_step=step, offer_margin=params.bandwidth_margin)
-    except ValueError as exc:  # range and step are valid, so the grid is too fine
+    except ValueError as exc:  # range and step are valid, so the grid is too long or fine
         raise _UsageError(f"--alpha-step: {exc}") from exc
     extra = {"max_drops": args.max_drops} if args.command == "sweep-admission" else {}
     return runner(spec, **extra), EXIT_OK

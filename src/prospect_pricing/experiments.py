@@ -211,6 +211,10 @@ class SweepSpec:
         if steps >= _MAX_ALPHAS:
             raise ValueError(f"a step of {self.alpha_step!r} gives more than {_MAX_ALPHAS} "
                              f"alphas from {self.alpha_min!r} to {self.alpha_max!r}")
+        # alphas() rounds to 12 decimals, where a finer step repeats alphas
+        if self.alpha_step < 1e-12:
+            raise ValueError(f"a step of {self.alpha_step!r} is finer than the grid's "
+                             f"rounding to 12 decimals")
 
     def alphas(self) -> list[float]:
         out = []

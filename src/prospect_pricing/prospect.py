@@ -370,7 +370,7 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
         def loss(u, j):
             x = u * caps[j]
             total, slope = _sum_and_slope(need.columns(j), x)
-            return c3 * total - n * x, c3 * slope - n * x
+            return c3 * total - n * x, c3 * slope - n * x, -np.inf, np.inf
 
         edges = np.append(np.arange(1.0, 12.0) / 12, 1.0 - 1e-12)
         u, _ = _search.stationary_min(loss, edges, np.zeros(caps.size))
@@ -422,8 +422,9 @@ def _rate_needs(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
 
 
 def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
-                 alphas) -> tuple[np.ndarray, np.ndarray]:
-    """The summed requirement T of each problem of _rate_needs and dT/d ln rate.
+                 alphas) -> tuple[np.ndarray, ...]:
+    """The summed requirement T of each problem of _rate_needs, dT/d ln rate,
+    and bounds on the ln rates where T can be finite.
 
     Where T is finite its slope is the sum of the evaluator's rate_slopes,
     the price moving by c1*b/p per unit of ln b. Each user's reach margin
@@ -433,19 +434,30 @@ def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
     user of the smallest margin tells on which side of that interval the
     rate lies: left if its margin rises, and the slope is then -inf; right
     otherwise, and the slope is +inf. A price that is not positive lies left
-    of every positive one.
+    of every positive one. There, too, each user's tangent lies above its
+    concave margin, so the interval lies strictly between the largest zero
+    of a rising tangent and the smallest zero of a falling one: the bounds.
+    Elsewhere, or where the offer's price is not above c1 times its rate,
+    the bounds are -inf and inf.
     """
     need, price, at = _rate_needs(scenario, ne, served, rates_bps, alphas)
     with np.errstate(divide="ignore", invalid="ignore"):
         elasticity = scenario.cost.c1 * need.rates / price
         total, slope = _total(at), _total(need.rate_slopes(price, at, elasticity))
+    lower, upper = -np.inf, np.inf
     out = np.isinf(total)
     if out.any():
         margin, rising = need.margins(price, elasticity)
         worst = np.argmin(margin, axis=0)
         left = (price <= 0.0) | (rising[worst, np.arange(worst.size)] > 0.0)
         slope = np.where(out, np.where(left, -np.inf, np.inf), slope)
-    return total, slope
+        if ne.price > scenario.cost.c1 * ne.rate_bps:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                zero = np.log(need.rates) - margin / rising
+            known = out & ~np.isnan(zero)
+            lower = np.where(known & (rising > 0.0), zero, -np.inf).max(axis=0)
+            upper = np.where(known & (rising < 0.0), zero, np.inf).min(axis=0)
+    return total, slope, lower, upper
 
 
 def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOutcome]:
@@ -456,10 +468,12 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
     10 * rate] at 13 log-spaced edges: one evaluation gives T and
     dT/d ln b at every edge of every alpha, and T at the offered rate, the
     start (_rate_totals), and one lockstep root search of dT closes the
-    brackets where dT rises through 0. Per alpha, the best rate starts at
-    the offered one, and the edges and roots, in order, replace it only
-    when strictly smaller. The threshold and the allocation are the best
-    rate's requirement column.
+    brackets where dT rises through 0. Out of reach, the users' tangents
+    bound the rates where T can be finite, so a bracket whose points leave
+    no such rate is dropped before the search or closed at the point that
+    shows it. Per alpha, the best rate starts at the offered one, and the
+    edges and roots, in order, replace it only when strictly smaller. The
+    threshold and the allocation are the best rate's requirement column.
     """
     _require_equilibrium(ne)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))

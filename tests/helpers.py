@@ -402,6 +402,23 @@ def count_level_searches(monkeypatch):
     return sizes
 
 
+def count_root_steps(monkeypatch):
+    """Record the number of lockstep steps, each one evaluation of its open
+    brackets, of every _search.bracketed_root search."""
+    steps = []
+    search = _search.bracketed_root
+
+    def counting(f, *args, **kwargs):
+        steps.append(0)
+
+        def counted(x, open_):
+            steps[-1] += 1
+            return f(x, open_)
+        return search(counted, *args, **kwargs)
+    monkeypatch.setattr(_search, "bracketed_root", counting)
+    return steps
+
+
 def full_grid_comparison(spec):
     """sweep_comparison's level-dependent cells as a search of every grid
     point finds them: one equalized_levels call over the 37 problems of each

@@ -182,6 +182,17 @@ def test_unbounded_alpha_grid_is_usage_error(step, capsys, monkeypatch):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("alpha", ["0.5", "1e-300"])
+def test_alpha_step_finer_than_the_grid_rounding_is_usage_error(alpha, capsys):
+    """A window of one alpha at a step of 1e-13 printed 15 rows of it."""
+    status, out, err = run(["sweep-loss", "--alpha-min", alpha, "--alpha-max", alpha,
+                            "--alpha-step", "1e-13"], capsys)
+    assert status == 64
+    assert out == ""
+    assert "--alpha-step: a step of 1e-13 is finer than the grid's rounding" in err
+    assert "usage:" in err
+
+
 def test_bad_alpha_range_is_usage_error(capsys):
     status, out, err = run(
         ["sweep-loss", "--alpha-min", "0.9", "--alpha-max", "0.8"], capsys)

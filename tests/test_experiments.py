@@ -448,6 +448,17 @@ def test_sweep_spec_counts_its_grid_before_building_it(default_scenario, monkeyp
             spec_for(default_scenario, 0.9, 1.0, step=step)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1e-300])
+def test_sweep_spec_refuses_a_step_finer_than_its_rounding(default_scenario, alpha):
+    """alphas() rounds to 12 decimals, so a step below 1e-12 would repeat
+    alphas: refused, though the grid would be short. A step of 1e-12 is not."""
+    with pytest.raises(ValueError, match="finer than the grid's rounding"):
+        spec_for(default_scenario, alpha, alpha, step=1e-13)
+    alphas = spec_for(default_scenario, 0.5, 0.5 + 1e-11, step=1e-12).alphas()
+    assert alphas[:11] == [round(0.5 + k * 1e-12, 12) for k in range(11)]
+    assert (np.diff(alphas) > 0.0).all()
+
+
 def test_sweep_spec_alpha_grid(default_scenario):
     spec = spec_for(default_scenario, 0.85, 1.0)
     alphas = spec.alphas()

@@ -448,14 +448,14 @@ def test_bandwidth_expansions_evaluate_few_requirement_matrices(default_scenario
                                                                 monkeypatch):
     """One evaluation at the start and the 12 edges of every alpha, each root
     step one over the brackets still open, and a last one the allocation: at
-    most 30 evaluations for all five alphas (measured: 23 of 162 columns),
-    where the lockstep golden search made 53 and the nested search about
-    2,700 for one."""
+    most 18 evaluations of 150 columns for all five alphas (measured: 16 of
+    131), where the root search without Brent's rule made 23 of 162, the
+    lockstep golden search 53 and the nested search about 2,700 for one."""
     calls = helpers.count_evaluations(monkeypatch)
     bandwidth_expansions(default_scenario, default_ref, EXPANSION_ALPHAS)
     assert calls[0][0] == 13 * len(EXPANSION_ALPHAS) and calls[-1][0] == len(EXPANSION_ALPHAS)
-    assert len(calls) <= 30
-    assert sum(problems for problems, _ in calls) <= 250
+    assert len(calls) <= 18
+    assert sum(problems for problems, _ in calls) <= 150
 
 
 def rate_requirement_oracle(sc, ne, model, rate):
@@ -544,16 +544,46 @@ def test_rate_controls_evaluate_few_requirement_matrices(default_scenario, defau
                                                          monkeypatch):
     """One evaluation gives T and dT at the 13 edges and the offered rate of
     every alpha, each root step one over the brackets still open, and a last
-    one the best rates' columns: on the default 31-alpha grid at most 30
-    evaluations of 1,500 columns in all (measured: 20 of 990), where the
-    golden multi-start made 49 of 17,546."""
+    one the best rates' columns: on the default 31-alpha grid at most 16
+    evaluations of 900 columns in all (measured: 14 of 805), where the root
+    search without Brent's rule made 20 of 990 and the golden multi-start
+    49 of 17,546."""
     calls = helpers.count_evaluations(monkeypatch)
     alphas = experiments.SweepSpec(default_scenario,
                                    *experiments.DEFAULT_RANGE_COMPARISON).alphas()
     prospect.rate_controls(default_scenario, default_ref, alphas)
     assert calls[0][0] == 14 * len(alphas) and calls[-1][0] == len(alphas)
-    assert len(calls) <= 30
-    assert sum(problems for problems, _ in calls) <= 1500
+    assert len(calls) <= 16
+    assert sum(problems for problems, _ in calls) <= 900
+
+
+def test_rate_controls_drop_brackets_out_of_reach(default_scenario, default_ref, monkeypatch):
+    """Over alphas 0.01 to 1, 34 of the default cell's 100 brackets hold no
+    rate that brings every target within reach: the tangent bounds at their
+    ends drop 32 before the search, and the bounds at their points close
+    the other 2. The root search takes at most 15 steps (measured: 12) and
+    rate control 2,500 columns (2,117), where bisecting those brackets took
+    29 steps and 3,436 columns."""
+    steps = helpers.count_root_steps(monkeypatch)
+    calls = helpers.count_evaluations(monkeypatch)
+    prospect.rate_controls(default_scenario, default_ref, [0.01 * k for k in range(1, 101)])
+    assert len(steps) == 1 and steps[0] <= 15
+    assert sum(problems for problems, _ in calls) <= 2500
+
+
+def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
+    """The 40-user 300 m cell at the default seed, alphas 0.90 and 0.95: each
+    rate-control root search takes at most 14 steps (measured: 11 and 10)
+    and each expansion search at most 18 (14 and 14), where the root search
+    without Brent's rule took 19 and 20 to 21."""
+    sc = experiments.build_scenario(40, seed=experiments.DEFAULT_SEED, cell_radius_m=300.0)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    steps = helpers.count_root_steps(monkeypatch)
+    for alpha in (0.90, 0.95):
+        bandwidth_expansions(sc, ref, [alpha])
+        prospect.rate_controls(sc, ref, [alpha])
+    assert len(steps) == 4
+    assert max(steps[0::2]) <= 18 and max(steps[1::2]) <= 14
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5, 11])
@@ -574,13 +604,23 @@ def test_rate_slopes_out_of_reach_point_to_the_reachable_rates(alpha):
     one interval of rates (each margin is concave in ln b), and where it is
     inf the slope is -inf below that interval and +inf above it. Where no
     rate is within reach (alphas 0.003 and 0.3 here), the slope still
-    changes sign once, from -inf to +inf."""
+    changes sign once, from -inf to +inf. Every rate's bounds hold the
+    interval strictly inside them, and where no rate is within reach the
+    bounds of the grid leave nothing between them."""
     sc = experiments.build_scenario(seed=2)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     assert ref.price - sc.cost.c1 * ref.rate_bps > 0.0
     served = game._Users(sc, ref.served_set)
     rates = np.geomspace(1e-4 * ref.rate_bps, 100.0 * ref.rate_bps, 2001)
-    total, slope = prospect._rate_totals(sc, ref, served, rates, alpha)
+    total, slope, lower, upper = prospect._rate_totals(sc, ref, served, rates, alpha)
+    lower, upper = np.broadcast_to(lower, rates.shape), np.broadcast_to(upper, rates.shape)
+    assert (lower[np.isfinite(total)] == -np.inf).all()
+    assert (upper[np.isfinite(total)] == np.inf).all()
+    reach = np.log(rates[np.isfinite(total)])
+    if reach.size:
+        assert lower.max() < reach.min() and reach.max() < upper.min()
+    else:
+        assert lower.max() >= upper.min()
     finite = np.flatnonzero(np.isfinite(total))
     if finite.size:
         assert (np.diff(finite) == 1).all()
@@ -598,7 +638,8 @@ def test_rate_control_of_an_offer_below_its_rate_cost_terminates(default_scenari
     """An offer whose price is at or below c1 times its rate (share of it)
     has prices that are not positive at lower rates, and margins that need
     not be concave: the searches still close without a warning, and the
-    threshold is finite and no larger than at the offered rate."""
+    threshold is finite and no larger than at the offered rate. Such
+    margins bound no rates."""
     sc = default_scenario
     offer = replace(default_ref, price=share * sc.cost.c1 * default_ref.rate_bps)
     served = game._Users(sc, offer.served_set)
@@ -606,10 +647,14 @@ def test_rate_control_of_an_offer_below_its_rate_cost_terminates(default_scenari
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         outcomes = prospect.rate_controls(sc, offer, alphas)
-        at_offer, _ = prospect._rate_totals(sc, offer, served, offer.rate_bps, alphas)
+        at_offer = prospect._rate_totals(sc, offer, served, offer.rate_bps, alphas)[0]
     for out, offered in zip(outcomes, at_offer.tolist()):
         assert math.isfinite(out.min_bandwidth_threshold_hz)
         assert out.min_bandwidth_threshold_hz <= offered
+    rates = np.geomspace(1e-4 * offer.rate_bps, 100.0 * offer.rate_bps, 201)
+    for alpha in alphas:
+        total, _, lower, upper = prospect._rate_totals(sc, offer, served, rates, alpha)
+        assert np.isinf(total).any() and (lower, upper) == (-np.inf, np.inf)
 
 
 def test_rate_control_matches_grid_search(trio):
