@@ -16,8 +16,8 @@ from .experiments import InfeasibleScenarioError, NoEquilibriumError, ScenarioPa
 from .game import (CostModel, NashResult, Offer, PowerLaw, Scenario,
                    min_bandwidth_for_user, solve_nash, sp_utility, user_utility)
 from .prospect import (MinAlphaResult, NePreservation, StrategyOutcome,
-                       admission_control, bandwidth_expansion, bandwidth_expansions,
-                       equalized_levels, equalized_willingness,
+                       admission_control, admission_controls, bandwidth_expansion,
+                       bandwidth_expansions, equalized_levels, equalized_willingness,
                        loss_strict_rrm, loss_with_reallocation, min_alpha, ne_preserved,
                        no_pricing_bands, rate_control, rate_controls, reallocation_price,
                        strict_rrm_price)
@@ -31,7 +31,7 @@ __all__ = [
     "MinAlphaResult", "NashResult", "NePreservation", "NoEquilibriumError",
     "Offer", "PowerLaw", "Scenario", "ScenarioParams", "StrategyOutcome",
     "UnattainableGuaranteeError", "UserChannel", "WeightingModel",
-    "admission_control", "bandwidth_expansion", "bandwidth_expansions",
+    "admission_control", "admission_controls", "bandwidth_expansion", "bandwidth_expansions",
     "channel_from_budget", "dbm_to_watts", "equalized_levels",
     "equalized_willingness", "fit_alpha", "guarantee_supremum",
     "inverse_weight", "loss_strict_rrm",

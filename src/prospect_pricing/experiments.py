@@ -206,9 +206,13 @@ class SweepSpec:
             raise ValueError("alpha_step must be finite and > 0")
         if not 0.0 <= self.offer_margin < math.inf:
             raise ValueError("offer_margin must be finite and >= 0")
-        # counted, not built: the grid holds about floor(steps) + 1 alphas
-        steps = (self.alpha_max - self.alpha_min + 1e-12) / self.alpha_step
-        if steps >= _MAX_ALPHAS:
+        # the grid's length, counted once, never built: alpha_min and one alpha per
+        # whole step to alpha_max, allowing 1e-12 of float drift (the grid's
+        # rounding) but under half a step, so a one-alpha window stays one alpha
+        slack = min(1e-12, 0.5 * self.alpha_step)
+        steps = (self.alpha_max - self.alpha_min + slack) / self.alpha_step
+        object.__setattr__(self, "n_alphas", math.floor(min(steps, _MAX_ALPHAS)) + 1)
+        if self.n_alphas > _MAX_ALPHAS:
             raise ValueError(f"a step of {self.alpha_step!r} gives more than {_MAX_ALPHAS} "
                              f"alphas from {self.alpha_min!r} to {self.alpha_max!r}")
         # alphas() rounds to 12 decimals, where a finer step repeats alphas
@@ -217,16 +221,9 @@ class SweepSpec:
                              f"rounding to 12 decimals")
 
     def alphas(self) -> list[float]:
-        out = []
-        k = 0
-        while True:
-            # the rounding snaps float drift; an alpha_min below 5e-13 stays itself
-            a = max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min)
-            if a > self.alpha_max + 1e-12:
-                break
-            out.append(min(a, 1.0))
-            k += 1
-        return out
+        # the rounding snaps float drift; an alpha_min below 5e-13 stays itself
+        return [min(max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min), 1.0)
+                for k in range(self.n_alphas)]
 
 
 @dataclass(frozen=True)

@@ -308,34 +308,44 @@ def _fit_outcome(scenario: Scenario, ne: NashResult, strategy_name: str, total: 
         allocation=allocation)
 
 
-def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                      max_drops: int) -> StrategyOutcome:
+def admission_controls(scenario: Scenario, ne: NashResult, alphas,
+                       max_drops: int) -> list[StrategyOutcome]:
     """Serve a subset at the revenue-preserving markup, if any subset fits.
 
-    Candidate subsets keep at least n_served - max_drops users. The
-    revenue-preserving price depends on the subset only through its size and
-    per-user requirements are separable, so for each size the cheapest subset
-    is the size-many smallest-requirement users.
+    One outcome per weighting exponent in alphas. Candidate subsets keep at
+    least n_served - max_drops users. The revenue-preserving price depends
+    on the subset only through its size and per-user requirements are
+    separable, so for each size the cheapest subset is the size-many
+    smallest-requirement users, ties going to the lower index. One
+    evaluation inverts every alpha at every candidate price; each total
+    sums the kept users' requirements in user order, the dropped ones
+    entering as +0.0, which adds exactly. Per alpha the first smallest
+    total wins, so on a tie the fewest drops do.
     """
     _require_equilibrium(ne)
-    if not (0 <= max_drops < ne.n_served):
-        raise ValueError(f"max_drops must lie in [0, {ne.n_served}), got {max_drops}")
-    # one problem per number of drops, each at its revenue-preserving price
-    prices = [admission_price(scenario, ne, ne.n_served - n_drop)
-              for n_drop in range(max_drops + 1)]
-    need = _Users(scenario, ne.served_set).at(ne.rate_bps, [model.alpha] * len(prices))(prices)
-    # (total, price, subset, the subset's requirements at that price)
-    best: tuple[float, float, tuple[int, ...], list[float]] | None = None
-    for n_drop, price in enumerate(prices):
-        n_kept = ne.n_served - n_drop
-        reqs = dict(zip(ne.served_set, need[:, n_drop].tolist()))
-        order = sorted(ne.served_set, key=lambda i: (reqs[i], i))
-        subset = tuple(sorted(order[:n_kept]))
-        kept_need = [reqs[i] for i in subset]
-        total = float(_total(kept_need))
-        if best is None or total < best[0]:
-            best = (total, price, subset, kept_need)
-    return _fit_outcome(scenario, ne, "admission", *best)
+    n = ne.n_served
+    if not (0 <= max_drops < n):
+        raise ValueError(f"max_drops must lie in [0, {n}), got {max_drops}")
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    # one problem per alpha and number of drops, each at its revenue-preserving price
+    prices = [admission_price(scenario, ne, n - drop) for drop in range(max_drops + 1)]
+    d = len(prices)
+    need = _Users(scenario, ne.served_set).at(ne.rate_bps, np.repeat(alphas, d))(
+        np.tile(prices, alphas.size))
+    rank = np.argsort(np.argsort(need, axis=0, kind="stable"), axis=0, kind="stable")
+    kept = rank < n - np.tile(np.arange(d), alphas.size)
+    totals = _total(np.where(kept, need, 0.0))
+    best = np.argmin(totals.reshape(-1, d), axis=1) + d * np.arange(alphas.size)
+    return [_fit_outcome(scenario, ne, "admission", total, prices[k % d],
+                         tuple(i for i, keep in zip(ne.served_set, kept[:, k]) if keep),
+                         need[kept[:, k], k].tolist())
+            for k, total in zip(best.tolist(), totals[best].tolist())]
+
+
+def admission_control(scenario: Scenario, ne: NashResult, model: WeightingModel,
+                      max_drops: int) -> StrategyOutcome:
+    """The one-alpha case of admission_controls."""
+    return admission_controls(scenario, ne, model.alpha, max_drops)[0]
 
 
 def bandwidth_expansions(scenario: Scenario, ne: NashResult,
@@ -508,14 +518,14 @@ STRATEGY_IDS = ("no_pricing", "admission", "expansion", "rate")
 
 def _strategy_thresholds(scenario: Scenario, ne: NashResult, alphas: list[float],
                          strategy_id: str, max_drops: int) -> list[float]:
-    """strategy_threshold at each alpha; no_pricing inverts every alpha in one
-    evaluation, and expansion and rate search all at once."""
+    """strategy_threshold at each alpha, from one batched call: no_pricing
+    and admission invert every alpha in one evaluation, and expansion and
+    rate search all at once."""
     _require_equilibrium(ne)
     if strategy_id == "no_pricing":
         return no_pricing_bands(scenario, ne, alphas)
     if strategy_id == "admission":
-        outcomes = [admission_control(scenario, ne, WeightingModel(alpha=a), max_drops)
-                    for a in alphas]
+        outcomes = admission_controls(scenario, ne, alphas, max_drops)
     elif strategy_id == "expansion":
         outcomes = bandwidth_expansions(scenario, ne, alphas)
     elif strategy_id == "rate":
@@ -537,7 +547,7 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
 
     Bisection to 1e-4 between the search floor and 1. Feasibility is expected
     monotone in alpha; the predicate is sampled on a coarse grid from the
-    floor to 1 first, in one batched call for no_pricing, expansion and rate.
+    floor to 1 first, in one batched call whatever the strategy.
     The grid's ends decide the early returns, and a violation is reported
     (warning + monotone=False) instead of silently bisecting through it.
     The floor must lie in (0, 1].

@@ -52,6 +52,8 @@ def test_guarantee_argument_validation(ch_400m):
         service_guarantee(1e6, -1.0, ch_400m)
     with pytest.raises(ValueError):
         service_guarantee(-1.0, 1e6, ch_400m)
+    with pytest.raises(ValueError, match="rate must be >= 0, got -1.0"):
+        guarantee_supremum(-1.0, ch_400m)
 
 
 def test_db_roundtrip():

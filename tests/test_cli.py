@@ -124,6 +124,24 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "pathloss_exponent" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("ref_distance_m", 0.0), ("cell_radius_m", 19.0),
+    ("price_coeff", 0.0), ("benefit_coeff", -1e-2), ("c1", -1e-9), ("c3", -1e-8),
+    ("bandwidth_margin", -0.1),
+])
+def test_config_value_outside_its_range_exits_2(tmp_path, capsys, key, value):
+    """Each range ScenarioParams checks refuses by the field's name, and the
+    CLI turns the refusal into exit 2 with nothing on stdout."""
+    with pytest.raises(ValueError, match=f"invalid config value for {key!r}"):
+        ScenarioParams(**{key: value})
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({key: value}))
+    status, out, err = run(["ne-solve", "--config", str(path)], capsys)
+    assert status == 2
+    assert out == ""
+    assert f"invalid config value for {key!r}" in err
+
+
 # Python's json reads NaN and Infinity; c1 = 0 and a linear price leave the
 # per-user margin without a peak, so the band cannot be sized
 @pytest.mark.parametrize("command", ["ne-solve", "sweep-loss", "sweep-compare"])
@@ -180,6 +198,15 @@ def test_unbounded_alpha_grid_is_usage_error(step, capsys, monkeypatch):
     assert out == ""
     assert "--alpha-step" in err
     assert "usage:" in err
+
+
+def test_a_one_alpha_window_at_the_finest_step_prints_one_row(capsys):
+    """The grid's count allows float drift of under half a step: at a step of
+    1e-12 the window 0.5 to 0.5 printed 0.5 and 0.500000000001."""
+    status, out, err = run(["sweep-loss", "--alpha-min", "0.5", "--alpha-max", "0.5",
+                            "--alpha-step", "1e-12"], capsys)
+    assert status == 0
+    assert len(out.splitlines()) == 2
 
 
 @pytest.mark.parametrize("alpha", ["0.5", "1e-300"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -22,6 +23,7 @@ from prospect_pricing.game import (
 from prospect_pricing.prospect import (
     PRICE_EPS_REL,
     admission_control,
+    admission_controls,
     admission_price,
     admission_requirements,
     bandwidth_expansion,
@@ -201,6 +203,8 @@ def test_admission_price_formula(default_scenario, default_ref):
     expected = ratio * ne.price - (ratio - 1.0) * default_scenario.cost.c1 * ne.rate_bps
     assert got == expected
     assert admission_price(default_scenario, ne, ne.n_served) == ne.price
+    with pytest.raises(ValueError, match="n_kept must be >= 1, got 0"):
+        admission_price(default_scenario, ne, 0)
 
 
 def test_admission_zero_drops_reproduces_preservation(default_scenario, default_ref):
@@ -260,16 +264,46 @@ def test_admission_matches_exhaustive_subsets():
         ne = solve_nash(sc)
         ref = experiments.reference_offer(sc, ne)
         assert ne.n_served == n_users
-        for alpha, drops in itertools.product(alphas, range(max_drops + 1)):
-            model = WeightingModel(alpha=alpha)
-            out = admission_control(sc, ref, model, drops)
-            want_total, want_subset = admission_oracle(sc, ref, model, drops)
-            assert abs(out.min_bandwidth_threshold_hz - want_total) <= 1e-9 * want_total
-            assert out.served_set == want_subset
-            assert out.feasible == (want_total < sc.total_bandwidth_hz * (1.0 - 1e-9))
-            if out.feasible:
-                assert out.revenue_loss == 0.0
-                assert sum(out.allocation) <= sc.total_bandwidth_hz * (1.0 + 1e-9)
+        # the batched form, each outcome equal to its one-alpha call
+        for drops in range(max_drops + 1):
+            for alpha, out in zip(alphas, admission_controls(sc, ref, alphas, drops)):
+                model = WeightingModel(alpha=alpha)
+                assert admission_control(sc, ref, model, drops) == out
+                want_total, want_subset = admission_oracle(sc, ref, model, drops)
+                assert abs(out.min_bandwidth_threshold_hz - want_total) <= 1e-9 * want_total
+                assert out.served_set == want_subset
+                assert out.feasible == (want_total < sc.total_bandwidth_hz * (1.0 - 1e-9))
+                if out.feasible:
+                    assert out.revenue_loss == 0.0
+                    assert sum(out.allocation) <= sc.total_bandwidth_hz * (1.0 + 1e-9)
+
+
+def outcome_bits(out):
+    """Every field of a strategy outcome, floats as hex: equal bits, and
+    Python floats and ints rather than numpy scalars."""
+    def bits(v):
+        if isinstance(v, tuple):
+            return tuple(bits(x) for x in v)
+        assert v is None or type(v) in (str, bool, int, float), type(v)
+        return v.hex() if type(v) is float else v
+    return {f.name: bits(getattr(out, f.name)) for f in dataclasses.fields(out)}
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5])
+def test_admission_controls_are_the_one_alpha_outcomes_bitwise(seed):
+    """One evaluation over alphas 0.01 to 1 gives every alpha's admission
+    outcome bit for bit; the low alphas put every requirement out of reach,
+    so their totals tie at inf and the fewest drops win."""
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    alphas = [round(0.01 * k, 2) for k in range(1, 101)]
+    for drops in range(4):
+        batched = admission_controls(sc, ref, alphas, drops)
+        one_by_one = [admission_control(sc, ref, WeightingModel(alpha=a), drops)
+                      for a in alphas]
+        assert [outcome_bits(o) for o in batched] == [outcome_bits(o) for o in one_by_one]
+        assert math.isinf(batched[0].min_bandwidth_threshold_hz)
+        assert len(batched[0].served_set) == ref.n_served
 
 
 def test_admission_infeasible_when_markup_exceeds_benefit():
@@ -741,7 +775,8 @@ def test_min_alpha_frozen_values(default_scenario, default_ref):
 
 
 @pytest.mark.parametrize("strategy_id, batched",
-                         [("expansion", "bandwidth_expansions"), ("rate", "rate_controls")])
+                         [("admission", "admission_controls"),
+                          ("expansion", "bandwidth_expansions"), ("rate", "rate_controls")])
 def test_min_alpha_samples_its_grid_in_one_batched_call(default_scenario, default_ref,
                                                         monkeypatch, strategy_id, batched):
     sc, ref = default_scenario, default_ref
@@ -778,6 +813,33 @@ def test_min_alpha_samples_the_no_pricing_grid_in_one_evaluation(default_scenari
     # the grid, its ends included, then one alpha per bisection step
     problems = [n for n, _ in calls]
     assert problems[0] == len(grid) and set(problems[1:]) == {1}
+
+
+def test_min_alpha_samples_the_admission_grid_in_one_evaluation(default_scenario,
+                                                                default_ref, monkeypatch):
+    calls = helpers.count_evaluations(monkeypatch)
+    res = min_alpha(default_scenario, default_ref, "admission", max_drops=1)
+    assert res.alpha == MIN_ALPHA_ADMISSION_1
+    # the grid at both candidate prices, then both prices per bisection step
+    problems = [n for n, _ in calls]
+    assert problems[0] == 18 and set(problems[1:]) == {2}
+
+
+def test_min_alpha_warns_when_feasibility_is_not_monotone(default_scenario, default_ref,
+                                                          monkeypatch):
+    """A grid that fits at its second point, fails at the next two and fits
+    from the fifth on is reported, and the bisection takes the last change."""
+    grid = [0.01 + 0.99 * k / 8 for k in range(8)] + [1.0]
+    edge = 0.5 * (grid[3] + grid[4])
+
+    def thresholds(scenario, ne, alphas, strategy_id, max_drops):
+        return [0.0 if a == grid[1] or a >= edge else math.inf for a in alphas]
+
+    monkeypatch.setattr(prospect, "_strategy_thresholds", thresholds)
+    with pytest.warns(RuntimeWarning, match="feasibility of rate is not monotone"):
+        res = min_alpha(default_scenario, default_ref, "rate")
+    assert not res.monotone and res.recoverable_at_one and not res.never_infeasible
+    assert edge <= res.alpha <= edge + 1e-4
 
 
 def test_min_alpha_floor_when_never_infeasible():
@@ -943,6 +1005,16 @@ def test_equalized_willingness_is_one_batched_problem(default_scenario, default_
     assert x == equalized_levels(default_scenario, default_ref.served_set, rate, 0.9,
                                  default_scenario.total_bandwidth_hz)[0]
     assert math.isclose(sum(alloc), default_scenario.total_bandwidth_hz, rel_tol=1e-12)
+
+
+def test_equalized_levels_of_no_users_are_zero(default_scenario, default_ref):
+    """With no users there is no requirement to fit: every level is 0, and
+    an alpha outside (0, 1] is still refused."""
+    rates = [0.5 * default_ref.rate_bps, default_ref.rate_bps]
+    levels = equalized_levels(default_scenario, (), rates, 0.9, [1e6, 2e6])
+    assert levels.shape == (2,) and (levels == 0.0).all()
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+        equalized_levels(default_scenario, (), rates, 1.5, 1e6)
 
 
 def compare_grid(sc, ref):
