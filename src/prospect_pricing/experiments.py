@@ -263,12 +263,10 @@ def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
     return ref, eut
 
 
-def _offered_levels(sc: Scenario, ref: NashResult, alphas: list[float],
-                    served: tuple[int, ...] | None = None) -> list[float]:
-    """Equalized willingness of the served (or given) users at the offered
-    rate and the whole endowment, for every alpha in one lockstep search."""
-    users = ref.served_set if served is None else served
-    return equalized_levels(sc, users, ref.rate_bps, alphas,
+def _offered_levels(sc: Scenario, ref: NashResult, alphas: list[float]) -> list[float]:
+    """Equalized willingness of the served users at the offered rate and the
+    whole endowment, for every alpha in one lockstep search."""
+    return equalized_levels(sc, ref.served_set, ref.rate_bps, alphas,
                             sc.total_bandwidth_hz).tolist()
 
 
@@ -334,7 +332,8 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     Denial order is largest minimum-bandwidth consumer first. The freed band is
     re-split over the retained users; the provider charges the
     revenue-preserving markup when the retained users accept it, otherwise the
-    highest price they do accept.
+    highest price they do accept. One level search over the served users solves
+    each (alpha, kept set), the set as members, never empty as max_drops < n_served.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
@@ -342,18 +341,22 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
         raise ValueError(f"max_drops must lie in [0, {ref.n_served}), got {max_drops}")
     order = _drop_order(sc, ref)
     alphas = spec.alphas()
-    kept_sets = [tuple(sorted(order[k:])) for k in range(max_drops + 1)]
-    caps = [_offered_levels(sc, ref, alphas, kept) for kept in kept_sets]
-    targets = [prospect.admission_price(sc, ref, len(kept)) for kept in kept_sets]
+    drops = np.arange(max_drops + 1)
+    # members[u, d]: served user u is kept once the first d users of order are denied
+    members = np.array([order.index(i) for i in ref.served_set])[:, None] >= drops
+    need = _Users(sc, ref.served_set).at(ref.rate_bps, np.repeat(alphas, drops.size),
+                                         np.tile(members, len(alphas)))
+    caps = prospect._solve_levels(need, sc.total_bandwidth_hz).reshape(len(alphas), -1)
+    kept_sizes = (ref.n_served - drops).tolist()
+    targets = [prospect.admission_price(sc, ref, n_kept) for n_kept in kept_sizes]
     rows = []
-    for j, a in enumerate(alphas):
-        for kept, kept_caps, target in zip(kept_sets, caps, targets):
-            cap = kept_caps[j]
+    for a, alpha_caps in zip(alphas, caps.tolist()):
+        for n_kept, cap, target in zip(kept_sizes, alpha_caps, targets):
             feasible = cap > target
             price = target if feasible else cap - PRICE_EPS_REL * ref.price
-            rev = _revenue(sc, len(kept), price, ref.rate_bps)
+            rev = _revenue(sc, n_kept, price, ref.rate_bps)
             loss = min(1.0, max(0.0, (eut - max(0.0, rev)) / eut))
-            rows.append((a, len(kept), price / ref.price, loss, feasible))
+            rows.append((a, n_kept, price / ref.price, loss, feasible))
     return SweepTable(HEADER_ADMISSION, tuple(rows))
 
 
@@ -389,7 +392,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     root search of dT/d ln b in the brackets that hold a minimum, about 20
     evaluations in all), the no-pricing and admission bands from one
     evaluation each, and the admission price cap of every alpha from one
-    pass over the survivors' guarantees.
+    pass over the survivors' guarantees. The survivors' band uses the served
+    users' evaluator, with them as members.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
@@ -402,8 +406,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     rate_grid = np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)
     alphas = spec.alphas()
     rates = np.append(b_star, rate_grid)
-    need = _Users(sc, ref.served_set).at(np.tile(rates, len(alphas)),
-                                         np.repeat(alphas, rates.size))
+    served = _Users(sc, ref.served_set)
+    need = served.at(np.tile(rates, len(alphas)), np.repeat(alphas, rates.size))
     # problem[a, j]: alpha a at rates[j], the offered rate first
     problem = np.arange(need.rates.size).reshape(len(alphas), rates.size)
     row = np.arange(len(alphas))
@@ -428,7 +432,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     # the survivors' band at the markup and their price cap, every alpha in one pass
     kept_bands = p_caps = [None] * len(alphas)
     if kept:
-        at_markup = _Users(sc, kept).at(b_star, alphas)(markup)
+        at_markup = served.at(b_star, alphas, np.isin(ref.served_set, kept)[:, None])(markup)
         kept_bands = _total(at_markup).tolist()
         p_caps = _min_willingness(sc, ref, alphas, kept)
 

@@ -225,10 +225,13 @@ class _RequirementMatrix:
     bitwise _Users.price_requirements, since x ** 1.0 is exact and w(sup) is
     then the supremum itself; it is min_bandwidth_for_user only to a few ulps,
     as numpy's log, log1p and expm1 can round apart from math's (test_game
-    bounds the gap by 8 eps kappa). Made by _Users.at.
+    bounds the gap by 8 eps kappa). Made by _Users.at, with membership, a
+    users x problems bool array, as per-problem data (every user by default):
+    a non-member's requirement and slopes() are +0.0, so a total over users is
+    bitwise the members' sum in user order, and caps() is the members' minimum.
     """
 
-    def __init__(self, users: _Users, rates_bps, alphas) -> None:
+    def __init__(self, users: _Users, rates_bps, alphas, members=True) -> None:
         rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (rates_bps, alphas)))
         if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
@@ -244,10 +247,11 @@ class _RequirementMatrix:
         full = np.zeros_like(self.ln_sup) + alphas
         self._inv_alpha = 1.0 / full
         self._weighted_sup = np.exp(-(-self.ln_sup) ** full)
+        self.members = np.full(self.ln_sup.shape, members)
 
     def caps(self) -> np.ndarray:
-        """Per problem, the level min_i h_i*w(sup_i) no band size reaches."""
-        return (self.benefit * self._weighted_sup).min(axis=0)
+        """Per problem, the level min_i h_i*w(sup_i) of members no band reaches."""
+        return (self.benefit * self._weighted_sup).min(axis=0, initial=np.inf, where=self.members)
 
     def columns(self, keep) -> _RequirementMatrix:
         """The evaluator of the problems that the index array keep picks."""
@@ -279,7 +283,9 @@ class _RequirementMatrix:
             ln_q = self._ln_share(targets, targets / self.benefit)
             y = self._rate_ln2 / need
             slope = need * need / (self._rate_ln2 * _efficiency_slope(y) * ln_q)
-            return -slope * self._inv_alpha
+            slope = -slope * self._inv_alpha
+        np.copyto(slope, 0.0, where=~self.members)
+        return slope
 
     def rate_slopes(self, targets, need, elasticity) -> np.ndarray:
         """d need/d ln rate of need = self(targets), where each problem's
@@ -320,7 +326,9 @@ class _RequirementMatrix:
                 # (-ln q)^(1/alpha) or its ratio to ln sup overflowed
                 lc = np.where(big, self._inv_alpha * np.log(-ln_q) - np.log(-self.ln_sup), lc)
             need = self._rate_ln2 / _efficiency_root(lc, np)
-        return np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))
+        need = np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))
+        np.copyto(need, 0.0, where=~self.members)
+        return need
 
 
 class _Users:
@@ -338,9 +346,9 @@ class _Users:
         # one contiguous users x 1 column per parameter
         self.noise, self.power, self.coeff, self.exp = rows.T[:, :, None].copy()
 
-    def at(self, rates_bps, alphas) -> _RequirementMatrix:
-        """Evaluator of the problems rates_bps x alphas, broadcast to one 1-D array."""
-        return _RequirementMatrix(self, rates_bps, alphas)
+    def at(self, rates_bps, alphas, members=True) -> _RequirementMatrix:
+        """Evaluator of the problems rates_bps x alphas, one 1-D array, and their members."""
+        return _RequirementMatrix(self, rates_bps, alphas, members)
 
     def price_requirements(self, rate_bps: float) -> np.ndarray:
         """Each user's min_bandwidth_for_user at one rate, inf where unservable.

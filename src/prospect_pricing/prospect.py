@@ -317,10 +317,10 @@ def admission_controls(scenario: Scenario, ne: NashResult, alphas,
     on the subset only through its size and per-user requirements are
     separable, so for each size the cheapest subset is the size-many
     smallest-requirement users, ties going to the lower index. One
-    evaluation inverts every alpha at every candidate price; each total
-    sums the kept users' requirements in user order, the dropped ones
-    entering as +0.0, which adds exactly. Per alpha the first smallest
-    total wins, so on a tie the fewest drops do.
+    evaluation inverts every alpha at every candidate price. Each total adds
+    the kept users in user order, the dropped as +0.0: the evaluator's
+    membership rule, applied here as the kept set ranks the evaluated need.
+    Per alpha the first smallest total wins; on a tie, the fewest drops.
     """
     _require_equilibrium(ne)
     n = ne.n_served

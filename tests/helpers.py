@@ -445,6 +445,49 @@ def full_grid_comparison(spec):
     return levels, caps, cells
 
 
+def per_set_admission(spec, max_drops):
+    """sweep_admission's rows as one equalized_levels search per kept set
+    finds them, each over an evaluator of the kept users alone."""
+    sc = spec.scenario
+    ne = solve_nash(sc)
+    ref = experiments.reference_offer(sc, ne, spec.offer_margin)
+    eut = ne.sp_revenue
+    order = experiments._drop_order(sc, ref)
+    alphas = spec.alphas()
+    kept_sets = [tuple(sorted(order[k:])) for k in range(max_drops + 1)]
+    caps = [prospect.equalized_levels(sc, kept, ref.rate_bps, alphas,
+                                      sc.total_bandwidth_hz).tolist() for kept in kept_sets]
+    targets = [prospect.admission_price(sc, ref, len(kept)) for kept in kept_sets]
+    rows = []
+    for j, a in enumerate(alphas):
+        for kept, kept_caps, target in zip(kept_sets, caps, targets):
+            cap = kept_caps[j]
+            feasible = cap > target
+            price = target if feasible else cap - PRICE_EPS_REL * ref.price
+            rev = game._revenue(sc, len(kept), price, ref.rate_bps)
+            loss = min(1.0, max(0.0, (eut - max(0.0, rev)) / eut))
+            rows.append((a, len(kept), price / ref.price, loss, feasible))
+    return rows
+
+
+def survivors_bands(spec):
+    """sweep_comparison's admission band before the price-cap test: the
+    survivors' summed requirement at the markup, from an evaluator of the
+    survivors alone, over the endowment, one per alpha."""
+    sc = spec.scenario
+    ref = experiments.reference_offer(sc, solve_nash(sc), spec.offer_margin)
+    kept = tuple(sorted(experiments._drop_order(sc, ref)[1:]))
+    markup = prospect.admission_price(sc, ref, len(kept))
+    need = game._Users(sc, kept).at(ref.rate_bps, spec.alphas())(markup)
+    return (game._total(need) / sc.total_bandwidth_hz).tolist()
+
+
+def row_bits(rows):
+    """Table rows with every cell as its type and, for a float, its exact bits."""
+    return [tuple((type(v), v.hex() if type(v) is float else v) for v in row)
+            for row in rows]
+
+
 def count_guarantees(monkeypatch):
     """Record the arguments of every service_guarantee call, through each
     module that binds the function."""

@@ -264,9 +264,13 @@ def test_comparison_sweep_frozen_rows(default_scenario):
 
 @pytest.mark.parametrize("sweep, kwargs, batches", [
     (sweep_revenue_loss, {}, 1), (sweep_price, {}, 1), (sweep_expansion, {}, 1),
-    (sweep_comparison, {}, 2), (sweep_admission, {"max_drops": 2}, 3)])
+    (sweep_comparison, {}, 2), (sweep_admission, {"max_drops": 2}, 1)])
 def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
                                                sweep, kwargs, batches):
+    """sweep-compare and sweep-admission search below equalized_levels:
+    sweep-compare twice, first every alpha's offered rate and best-bounded
+    grid point, then the grid points whose bound can still beat it, and
+    sweep-admission once, over every alpha and kept set."""
     real = experiments.equalized_levels
     sizes = []
 
@@ -280,18 +284,36 @@ def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
 
     monkeypatch.setattr(experiments, "equalized_levels", counting)
     monkeypatch.setattr(experiments.prospect, "equalized_willingness", one_problem)
-    if sweep is sweep_comparison:
-        # below equalized_levels: every alpha's offered rate and best-bounded
-        # grid point, then the grid points whose bound can still beat it
-        sizes = helpers.count_level_searches(monkeypatch)
+    searches = helpers.count_level_searches(monkeypatch)
     for n_alphas in (1, 3):
         sizes.clear()
+        searches.clear()
         sweep(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0, step=0.05),
               **kwargs)
         if sweep is sweep_comparison:
-            assert len(sizes) == batches and sizes[0] == 2 * n_alphas
+            assert not sizes and len(searches) == batches and searches[0] == 2 * n_alphas
+        elif sweep is sweep_admission:
+            assert not sizes and searches == [n_alphas * (kwargs["max_drops"] + 1)] * batches
         else:
-            assert sizes == [n_alphas] * batches
+            assert sizes == searches == [n_alphas] * batches
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 1, 2, 3, 5, 11])
+def test_admission_sweep_matches_one_search_per_kept_set(seed):
+    """One search over the served users, each kept set a membership column,
+    gives every row bitwise what one search per kept set gives: over alphas
+    0.01 to 1.0, where targets go out of reach, for 0 to 3 drops. The
+    survivors' band of sweep-compare, taken from the served users'
+    evaluator, is bitwise the survivors' own evaluator's wherever it prints:
+    at seeds 2 and 5 the survivors accept the markup at no alpha."""
+    spec = SweepSpec(build_scenario(seed=seed), 0.01, 1.0, 0.01)
+    for max_drops in range(4):
+        want = helpers.per_set_admission(spec, max_drops)
+        assert helpers.row_bits(sweep_admission(spec, max_drops).rows) == helpers.row_bits(want)
+    bands = [row[3] for row in sweep_comparison(spec).rows]
+    assert any(band is not None for band in bands) == (seed not in (2, 5))
+    for band, want in zip(bands, helpers.survivors_bands(spec)):
+        assert band is None or band.hex() == want.hex()
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5, 10])

@@ -354,6 +354,76 @@ def test_a_column_subset_evaluates_its_problems_bitwise(default_scenario, rates,
         assert (sub(targets[keep]) == full[:, keep]).all(), keep
 
 
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _per_problem_members(n_users, rates, alphas):
+    """A users x problems membership that differs per problem: problem k
+    keeps the users i with (i + k) % 3 != 0."""
+    n_problems = np.broadcast(np.atleast_1d(rates), np.atleast_1d(alphas)).size
+    return (np.arange(n_users)[:, None] + np.arange(n_problems)) % 3 != 0
+
+
+@pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
+def test_members_evaluate_as_their_own_evaluator_bitwise(default_scenario, rates, alphas):
+    """With a membership per problem, each problem's members have the
+    requirements, slopes and cap of an evaluator over them alone, bitwise,
+    and every non-member's requirement and slope is +0.0: at targets
+    from far below the cap to above it, where some members are out of
+    reach."""
+    members = _per_problem_members(default_scenario.n_users, rates, alphas)
+    need = game._Users(default_scenario).at(rates, alphas, members)
+    caps = need.caps()
+    for k, column in enumerate(members.T):
+        own = game._Users(default_scenario, np.flatnonzero(column)).at(rates, alphas)
+        assert _bits(caps[k]) == _bits(own.caps()[k]), k
+    for share in (1e-30, 0.5, 0.999, 1.5):
+        targets = share * caps
+        at = need(targets)
+        slopes = need.slopes(targets, at)
+        assert (_bits(at[~members]) == 0).all() and (_bits(slopes[~members]) == 0).all()
+        for k, column in enumerate(members.T):
+            own = game._Users(default_scenario, np.flatnonzero(column)).at(rates, alphas)
+            own_at = own(targets)
+            assert (_bits(at[column, k]) == _bits(own_at[:, k])).all(), (share, k)
+            assert (_bits(slopes[column, k])
+                    == _bits(own.slopes(targets, own_at)[:, k])).all(), (share, k)
+
+
+@pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
+def test_a_column_subset_keeps_its_membership(default_scenario, rates, alphas):
+    """columns(keep) of an evaluator with members keeps each kept problem's
+    membership, so its requirements are the kept columns', bitwise."""
+    members = _per_problem_members(default_scenario.n_users, rates, alphas)
+    need = game._Users(default_scenario).at(rates, alphas, members)
+    targets = 0.5 * need.caps()
+    full = need(targets)
+    for keep in map(np.array, [[0], [2, 0], [1]] if members.shape[1] > 1 else [[0]]):
+        sub = need.columns(keep)
+        assert (sub.members == members[:, keep]).all(), keep
+        assert (_bits(sub.caps()) == _bits(need.caps()[keep])).all(), keep
+        assert (_bits(sub(targets[keep])) == _bits(full[:, keep])).all(), keep
+
+
+@pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
+def test_the_default_membership_is_every_user(default_scenario, rates, alphas):
+    """Given no membership, the evaluator is every user's: bitwise the
+    evaluator given every user as a member, in requirements, slopes and
+    caps, and its caps the plain minimum over users."""
+    users = game._Users(default_scenario)
+    need = users.at(rates, alphas)
+    every = users.at(rates, alphas, np.ones((default_scenario.n_users, 1), dtype=bool))
+    assert need.members.all()
+    assert (_bits(need.caps()) == _bits(every.caps())).all()
+    assert (_bits(need.caps()) == _bits((need.benefit * need._weighted_sup).min(axis=0))).all()
+    for share in (1e-30, 0.5, 1.5):
+        targets = share * need.caps()
+        at = need(targets)
+        assert (_bits(at) == _bits(every(targets))).all(), share
+        assert (_bits(need.slopes(targets, at)) == _bits(every.slopes(targets, at))).all()
+
+
 @pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
 def test_requirement_slopes_match_a_central_difference(default_scenario, rates, alphas):
     """slopes(targets, need) is d need/d ln target, formed from need alone;

@@ -31,6 +31,10 @@ CASES = ([(f"{command}.seed{seed}.csv", [command, "--seed", str(seed)], None, 0)
             # alphas where targets go out of reach and cells print empty
             ("sweep-compare.wide.seed4966.csv",
              ["sweep-compare", "--seed", "4966", "--alpha-min", "0.01", "--alpha-max", "1.0",
+              "--alpha-step", "0.01"], None, 0),
+            # admission over the same alphas, where the levels near 0
+            ("sweep-admission.wide.seed4966.csv",
+             ["sweep-admission", "--seed", "4966", "--alpha-min", "0.01", "--alpha-max", "1.0",
               "--alpha-step", "0.01"], None, 0)])
 
 
