@@ -29,6 +29,13 @@ class UnattainableGuaranteeError(ValueError):
             f"(supremum {supremum})")
 
 
+def _require_finite(**fields: float) -> None:
+    """Refuse a NaN or infinite field: NaN passes every < 0 or <= 0 check."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     tx_power_dbm: float
@@ -56,6 +63,8 @@ class UserChannel:
     noise_psd_w_per_hz: float
 
     def __post_init__(self) -> None:
+        _require_finite(received_power_w=self.received_power_w,
+                        noise_psd_w_per_hz=self.noise_psd_w_per_hz)
         if self.received_power_w <= 0.0 or self.noise_psd_w_per_hz <= 0.0:
             raise ValueError("received power and noise PSD must be strictly positive")
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import _search
 from .channel import (_LN2, UnattainableGuaranteeError, UserChannel, _efficiency_root,
-                      _ln_supremum, _log_ratio, _spectral_efficiency, guarantee_supremum,
-                      min_bandwidth, service_guarantee)
+                      _ln_supremum, _log_ratio, _require_finite, _spectral_efficiency,
+                      guarantee_supremum, min_bandwidth, service_guarantee)
 from .weighting import IDENTITY, WeightingModel, weight
 
 # strict "<" feasibility comparisons carry this relative slack for determinism
@@ -46,6 +46,7 @@ class PowerLaw:
     exponent: float
 
     def __post_init__(self) -> None:
+        _require_finite(coefficient=self.coefficient)
         if self.coefficient <= 0.0:
             raise ValueError(f"coefficient must be > 0, got {self.coefficient}")
         if not (0.0 < self.exponent <= 1.0):
@@ -65,6 +66,7 @@ class CostModel:
     c3: float
 
     def __post_init__(self) -> None:
+        _require_finite(c1=self.c1, c3=self.c3)
         if self.c1 < 0.0 or self.c3 < 0.0:
             raise ValueError("cost coefficients must be >= 0")
 
@@ -84,6 +86,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if len(self.users) == 0:
             raise ValueError("scenario needs at least one user")
+        _require_finite(total_bandwidth_hz=self.total_bandwidth_hz)
         if self.total_bandwidth_hz <= 0.0:
             raise ValueError("total bandwidth must be > 0")
 
@@ -107,6 +110,8 @@ class Offer:
     allocation: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _require_finite(rate_bps=self.rate_bps, price=self.price,
+                        **{f"allocation[{i}]": a for i, a in enumerate(self.allocation)})
         if self.rate_bps < 0.0 or self.price < 0.0:
             raise ValueError("rate and price must be >= 0")
         if any(a < 0.0 for a in self.allocation):
@@ -192,6 +197,8 @@ def sp_utility(accept_probs: list[float] | tuple[float, ...], offer: Offer,
 
 def min_bandwidth_for_user(rate_bps: float, user_index: int, scenario: Scenario) -> float:
     """Bandwidth where the user is exactly indifferent: guarantee == r(b)/h_i(b)."""
+    if rate_bps <= 0.0:
+        raise ValueError(f"rate must be > 0, got {rate_bps}")
     ch, h = scenario.users[user_index]
     target = scenario.pricing(rate_bps) / h(rate_bps)
     if target >= 1.0:
@@ -241,7 +248,7 @@ class _RequirementMatrix:
         self.benefit = users.coeff * (rates * 1e-3) ** users.exp
         self.ln_sup = _ln_supremum(rates, users.noise, users.power)
         self._rate_ln2 = rates * _LN2
-        self._exp = np.broadcast_to(users.exp, self.ln_sup.shape)
+        self._exp = np.full(self.ln_sup.shape, users.exp)
         # full-size exponents: numpy powers a one-problem matrix's broadcast
         # exponent in another kernel, at times an ulp apart from a batch's
         full = np.zeros_like(self.ln_sup) + alphas

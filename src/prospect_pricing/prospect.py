@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _search
 from .channel import service_guarantee
-from .game import (NashResult, Scenario, _feasible, _RequirementMatrix, _require_equilibrium,
-                   _revenue, _spread, _total, _Users)
+from .game import (_EPS, FEASIBILITY_SLACK, NashResult, Scenario, _feasible, _RequirementMatrix,
+                   _require_equilibrium, _revenue, _spread, _total, _Users)
 from .weighting import WeightingModel, weight
 
 # strict acceptance inequalities are realized by shaving this relative amount
@@ -545,37 +545,44 @@ def min_alpha(scenario: Scenario, ne: NashResult, strategy_id: str,
               max_drops: int = 1, floor: float = 0.01) -> MinAlphaResult:
     """Smallest alpha at which the strategy's threshold still fits the endowment.
 
-    Bisection to 1e-4 between the search floor and 1. Feasibility is expected
-    monotone in alpha; the predicate is sampled on a coarse grid from the
-    floor to 1 first, in one batched call whatever the strategy.
-    The grid's ends decide the early returns, and a violation is reported
-    (warning + monotone=False) instead of silently bisecting through it.
-    The floor must lie in (0, 1].
+    The threshold T is sampled on a 9-point grid from the floor to 1, in one
+    batched call whatever the strategy; the grid's ends decide the early
+    returns. Between the last failing and the first fitting grid point,
+    _search.bracketed_root closes on a root of f = 1 - T/(B*(1 - slack)),
+    game's feasibility rule as a margin: f > 0 exactly where T fits, and f
+    is kept strictly below 0 where T does not, so the returned end fits. A
+    grid that fits and then fails again is reported (warning +
+    monotone=False), and the search takes its last change. The floor must
+    lie in (0, 1].
     """
     if not (0.0 < floor <= 1.0):
         raise ValueError(f"floor must lie in (0, 1], got {floor}")
-    def fits(alphas: list[float]) -> list[bool]:
-        return [_feasible(t, scenario.total_bandwidth_hz) for t in
-                _strategy_thresholds(scenario, ne, alphas, strategy_id, max_drops)]
+    budget = scenario.total_bandwidth_hz * (1.0 - FEASIBILITY_SLACK)
+
+    def margin(alphas, _=None):
+        t = np.array(_strategy_thresholds(scenario, ne, list(alphas), strategy_id, max_drops))
+        f = 1.0 - t / budget
+        # a failing T, even one equal to the budget, is at least one rounding of
+        # T/budget below 0: never a root, and a secant through it still moves
+        return np.where(t < budget, f, np.fmin(f, -_EPS))
 
     grid = [floor + (1.0 - floor) * k / 8 for k in range(8)] + [1.0]
-    flags = fits(grid)
+    f = margin(grid)
+    flags = f > 0.0
     if not flags[-1]:
         return MinAlphaResult(alpha=None, never_infeasible=False,
                               recoverable_at_one=False, monotone=True)
     if flags[0]:
         return MinAlphaResult(alpha=floor, never_infeasible=True,
                               recoverable_at_one=True, monotone=True)
-    monotone = all(not (flags[k] and not flags[k + 1]) for k in range(len(flags) - 1))
+    monotone = not np.any(flags[:-1] & ~flags[1:])
     if not monotone:
         warnings.warn(f"feasibility of {strategy_id} is not monotone in alpha "
-                      f"on the sampled grid; bisection result may bracket only "
-                      f"one of several transitions", RuntimeWarning)
+                      f"on the sampled grid; the result may bracket only "
+                      f"one of several transitions", RuntimeWarning, stacklevel=2)
 
     # flags[-1] holds and flags[0] does not: the last failing point has a successor
-    k = max(k for k, ok in enumerate(flags) if not ok)
-    lo, hi = grid[k], grid[k + 1]
-    # alpha <= 1, so the relative tolerance is an absolute 1e-4
-    _, hi = _search.bisect_boundary(lambda a: not fits([a])[0], lo, hi, rel_tol=1e-4)
-    return MinAlphaResult(alpha=hi, never_infeasible=False,
+    k = np.flatnonzero(~flags)[-1]
+    _, hi = _search.bracketed_root(margin, [grid[k]], [grid[k + 1]], [f[k]], [f[k + 1]])
+    return MinAlphaResult(alpha=float(hi[0]), never_infeasible=False,
                           recoverable_at_one=True, monotone=monotone)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _search
 
 
@@ -80,35 +82,40 @@ def lottery_value(lottery: Lottery, model: WeightingModel) -> float:
     return sum(payoff * weight(prob, model) for payoff, prob in lottery.outcomes)
 
 
-def _mse(samples: list[tuple[float, float]], alpha: float) -> float:
-    m = WeightingModel(alpha=alpha)
-    n = len(samples)
-    return sum((weight(p, m) - wp) ** 2 for p, wp in samples) / n
+def _mse_and_slope(p: np.ndarray, wp: np.ndarray, alphas: np.ndarray):
+    """The fit's mean squared error at each alpha and its slope dMSE/dalpha.
+
+    p and wp are the samples, alphas the points: samples x alphas in one
+    evaluation, with dw/dalpha = -w * L^alpha * ln L, L = -ln p. At p = 0
+    and p = 1, w is 0 and 1 whatever alpha, and its slope 0.
+    """
+    p, wp = p[:, None], wp[:, None]
+    inner = (0.0 < p) & (p < 1.0)
+    ln_l = np.log(-np.log(np.where(inner, p, 0.5)))
+    power = np.exp(ln_l * alphas)
+    w = np.where(inner, np.exp(-power), p)
+    slope = np.where(inner, -w * power * ln_l, 0.0)
+    return np.mean((w - wp) ** 2, axis=0), np.mean(2.0 * (w - wp) * slope, axis=0)
 
 
 def fit_alpha(samples: list[tuple[float, float]]) -> tuple[WeightingModel, float]:
-    """Least-squares fit of alpha to (p, w(p)) samples.
+    """Least-squares fit of alpha to (p, w(p)) samples; returns (model, mse).
 
-    Coarse grid (step 0.001 over (0, 1]) then golden-section refinement to 1e-6.
-    Returns (model, mse).
+    _search.stationary_min takes the MSE and its slope at the edges k/1000,
+    k = 1..999, and at the start alpha = 1, in one evaluation, then closes
+    every bracket where the slope rises through 0 on a root of the slope.
+    The best alpha starts at 1, so a minimum at that end is kept, and each
+    edge and root, in order, replace it only when strictly smaller.
     """
     if len(samples) < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {len(samples)}")
     for p, wp in samples:
         if not (0.0 <= p <= 1.0 and 0.0 <= wp <= 1.0):
             raise ValueError(f"sample ({p}, {wp}) outside the unit square")
+    p, wp = np.array(samples, dtype=float).T
 
-    best_alpha, best_err = 1.0, _mse(samples, 1.0)
-    for k in range(1, 1000):
-        a = k / 1000.0
-        err = _mse(samples, a)
-        if err < best_err:
-            best_alpha, best_err = a, err
+    def mse(alphas, _):
+        return (*_mse_and_slope(p, wp, alphas), -np.inf, np.inf)
 
-    lo = max(1e-6, best_alpha - 0.001)
-    hi = min(1.0, best_alpha + 0.001)
-    a_star, neg = _search.golden_max(lambda a: -_mse(samples, a), lo, hi,
-                                     rel_tol=1e-6)
-    if -neg < best_err:
-        best_alpha, best_err = a_star, -neg
-    return WeightingModel(alpha=best_alpha), best_err
+    alpha, err = _search.stationary_min(mse, np.arange(1, 1000) / 1000.0, [1.0])
+    return WeightingModel(alpha=float(alpha[0])), float(err[0])

@@ -419,7 +419,7 @@ def test_fit_pwf_bundled(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == ",".join(HEADER_FIT)
     assert len(lines) == 31
-    assert all(line.startswith("0.697524198,") for line in lines[1:])
+    assert all(line.startswith("0.697524036,") for line in lines[1:])
 
 
 def test_fit_pwf_data_flag(capsys):

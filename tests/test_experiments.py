@@ -88,7 +88,7 @@ FROZEN_COMPARISON_ROWS = {
     0.96: (0.933943686, 0.933943686, 0.777350873, 0.099817066,
            1.0, 1.113140809, 1.0, 1.609448488),
 }
-FROZEN_FIT_ALPHA = 0.6975241983578211
+FROZEN_FIT_ALPHA = 0.6975240356393876
 FROZEN_FIT_MSE = 0.025088496317807272
 
 

@@ -97,6 +97,38 @@ def test_offer_validation():
     Offer(rate_bps=1e6, price=1.0, allocation=(1e6,)).validate_against(sc)
 
 
+# every float field of the library's value types, built with one value in it
+FINITE_FIELDS = {
+    "PowerLaw.coefficient": lambda v: PowerLaw(v, 0.5),
+    "CostModel.c1": lambda v: CostModel(v, 0.0),
+    "CostModel.c3": lambda v: CostModel(0.0, v),
+    "UserChannel.received_power_w": lambda v: channel.UserChannel(v, 1e-20),
+    "UserChannel.noise_psd_w_per_hz": lambda v: channel.UserChannel(1e-9, v),
+    "Offer.rate_bps": lambda v: Offer(v, 1.0, (1.0,)),
+    "Offer.price": lambda v: Offer(1.0, v, (1.0,)),
+    "Offer.allocation": lambda v: Offer(1.0, 1.0, (1.0, v)),
+    "Scenario.total_bandwidth_hz": lambda v: make_scenario([300.0], budget=v),
+}
+
+
+@pytest.mark.parametrize("field", FINITE_FIELDS)
+def test_value_types_refuse_non_finite_fields(field):
+    """NaN passes every < 0 or <= 0 check, and inf every lower bound: both
+    are refused by name, where a finite value is accepted."""
+    build = FINITE_FIELDS[field]
+    build(1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{field.split('.')[1]}.* must be finite"):
+            build(value)
+
+
+def test_min_bandwidth_for_user_refuses_a_rate_at_or_below_0():
+    sc = make_scenario([400.0], budget=1e7)
+    for rate in (0.0, -5.0, -math.inf):
+        with pytest.raises(ValueError, match="rate must be > 0"):
+            min_bandwidth_for_user(rate, 0, sc)
+
+
 def test_min_bandwidth_for_user_matches_direct():
     sc = make_scenario([400.0], budget=1e7)
     got = min_bandwidth_for_user(7e6, 0, sc)

@@ -749,11 +749,11 @@ def test_feasible_outcomes_pass_acceptance_recheck(default_scenario, default_ref
         recheck_acceptance(default_scenario, default_ref, out, model)
 
 
-# deterministic bisection outputs on the default scenario, frozen
-MIN_ALPHA_NO_PRICING = 0.8785461425781249
-MIN_ALPHA_ADMISSION_1 = 0.7071209716796875
-MIN_ALPHA_RATE = 0.3533337402343749
-MIN_ALPHA_EXPANSION = 0.628145751953125
+# deterministic root-search outputs on the default scenario, frozen
+MIN_ALPHA_NO_PRICING = 0.8785190907736807
+MIN_ALPHA_ADMISSION_1 = 0.7070997941466662
+MIN_ALPHA_RATE = 0.353297551556778
+MIN_ALPHA_EXPANSION = 0.6281400363535388
 
 
 def test_min_alpha_frozen_values(default_scenario, default_ref):
@@ -795,7 +795,7 @@ def test_min_alpha_samples_its_grid_in_one_batched_call(default_scenario, defaul
 
     monkeypatch.setattr(prospect, batched, counting)
     min_alpha(sc, ref, strategy_id)
-    # the grid, its ends included, then one alpha per bisection step
+    # the grid, its ends included, then one alpha per root-search step
     assert sizes[0] == len(grid) and set(sizes[1:]) == {1}
 
 
@@ -810,7 +810,7 @@ def test_min_alpha_samples_the_no_pricing_grid_in_one_evaluation(default_scenari
 
     calls = helpers.count_evaluations(monkeypatch)
     min_alpha(sc, ref, "no_pricing")
-    # the grid, its ends included, then one alpha per bisection step
+    # the grid, its ends included, then one alpha per root-search step
     problems = [n for n, _ in calls]
     assert problems[0] == len(grid) and set(problems[1:]) == {1}
 
@@ -820,7 +820,7 @@ def test_min_alpha_samples_the_admission_grid_in_one_evaluation(default_scenario
     calls = helpers.count_evaluations(monkeypatch)
     res = min_alpha(default_scenario, default_ref, "admission", max_drops=1)
     assert res.alpha == MIN_ALPHA_ADMISSION_1
-    # the grid at both candidate prices, then both prices per bisection step
+    # the grid at both candidate prices, then both prices per root-search step
     problems = [n for n, _ in calls]
     assert problems[0] == 18 and set(problems[1:]) == {2}
 
@@ -828,7 +828,8 @@ def test_min_alpha_samples_the_admission_grid_in_one_evaluation(default_scenario
 def test_min_alpha_warns_when_feasibility_is_not_monotone(default_scenario, default_ref,
                                                           monkeypatch):
     """A grid that fits at its second point, fails at the next two and fits
-    from the fifth on is reported, and the bisection takes the last change."""
+    from the fifth on is reported, the warning names the caller's file, and
+    the search takes the last change."""
     grid = [0.01 + 0.99 * k / 8 for k in range(8)] + [1.0]
     edge = 0.5 * (grid[3] + grid[4])
 
@@ -836,10 +837,69 @@ def test_min_alpha_warns_when_feasibility_is_not_monotone(default_scenario, defa
         return [0.0 if a == grid[1] or a >= edge else math.inf for a in alphas]
 
     monkeypatch.setattr(prospect, "_strategy_thresholds", thresholds)
-    with pytest.warns(RuntimeWarning, match="feasibility of rate is not monotone"):
+    with pytest.warns(RuntimeWarning, match="feasibility of rate is not monotone") as record:
         res = min_alpha(default_scenario, default_ref, "rate")
+    assert [w.filename for w in record] == [__file__]
     assert not res.monotone and res.recoverable_at_one and not res.never_infeasible
-    assert edge <= res.alpha <= edge + 1e-4
+    assert edge <= res.alpha <= edge + 1e-10
+
+
+def test_min_alpha_never_returns_a_threshold_equal_to_the_budget(default_scenario,
+                                                                 default_ref, monkeypatch):
+    """A threshold that equals the budget exactly, from 0.5 to 0.7, fails
+    there: the result lies just above 0.7, where the threshold fits."""
+    budget = default_scenario.total_bandwidth_hz * (1.0 - FEASIBILITY_SLACK)
+
+    def threshold(a):
+        return budget * (1.0 + 0.5 - a if a < 0.5 else 1.0 if a <= 0.7 else 1.0 - (a - 0.7))
+
+    monkeypatch.setattr(prospect, "_strategy_thresholds",
+                        lambda scenario, ne, alphas, *args: [threshold(a) for a in alphas])
+    res = min_alpha(default_scenario, default_ref, "rate")
+    assert threshold(res.alpha) < budget
+    assert 0.7 < res.alpha <= 0.7 + 1e-10
+
+
+def bisected_min_alpha(scenario, ne, strategy_id, lo, hi):
+    """The alpha where the strategy's threshold starts to fit, bisected to
+    1e-14 between lo, where it fails, and hi, where it fits."""
+    def fits(a):
+        t = prospect._strategy_thresholds(scenario, ne, [a], strategy_id, 1)[0]
+        return t < scenario.total_bandwidth_hz * (1.0 - FEASIBILITY_SLACK)
+
+    assert not fits(lo) and fits(hi)
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("strategy_id", prospect.STRATEGY_IDS)
+def test_min_alpha_is_the_root_of_its_threshold(default_scenario, default_ref, strategy_id):
+    res = min_alpha(default_scenario, default_ref, strategy_id)
+    root = bisected_min_alpha(default_scenario, default_ref, strategy_id,
+                              res.alpha - 1e-4, res.alpha + 1e-4)
+    assert abs(res.alpha - root) <= 1e-10
+
+
+# strategy calls of min_alpha on the default cell: 12 each for the 1e-4
+# bisection; measured 6, 8, 5 and 12 for the root search
+MIN_ALPHA_CALLS = {"no_pricing": 8, "admission": 10, "expansion": 7, "rate": 12}
+
+
+@pytest.mark.parametrize("strategy_id", prospect.STRATEGY_IDS)
+def test_min_alpha_takes_few_strategy_calls(default_scenario, default_ref, monkeypatch,
+                                            strategy_id):
+    calls = []
+    real = prospect._strategy_thresholds
+
+    def counting(scenario, ne, alphas, *args):
+        calls.append(len(alphas))
+        return real(scenario, ne, alphas, *args)
+
+    monkeypatch.setattr(prospect, "_strategy_thresholds", counting)
+    min_alpha(default_scenario, default_ref, strategy_id)
+    assert len(calls) <= MIN_ALPHA_CALLS[strategy_id]
 
 
 def test_min_alpha_floor_when_never_infeasible():

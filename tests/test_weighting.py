@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from prospect_pricing import experiments, weighting
 from prospect_pricing.weighting import (
     IDENTITY,
     InsufficientDataError,
@@ -136,6 +137,65 @@ def test_fit_mse_matches_recompute():
         worse = sum((weight(p, WeightingModel(alpha=a)) - wp) ** 2
                     for p, wp in samples) / len(samples)
         assert worse >= mse - 1e-15
+
+
+def noisy_samples():
+    """Noisy alpha = 0.55 ratings, with a sample at p = 0 and one at p = 1."""
+    rng = np.random.default_rng(105)
+    gen = WeightingModel(alpha=0.55)
+    return [(0.0, 0.0), (1.0, 1.0)] + [
+        (float(p), float(np.clip(weight(float(p), gen) + rng.normal(0.0, 0.02), 0.0, 1.0)))
+        for p in np.linspace(0.05, 0.95, 19)]
+
+
+FIT_SETS = {
+    "bundled": lambda: list(experiments.fit_psychophysics(
+        experiments.bundled_psych_records())[2]),
+    "noisy": noisy_samples,
+    # undistorted ratings: the minimum is at the edge alpha = 1
+    "identity": lambda: [(float(p), float(p)) for p in np.linspace(0.0, 1.0, 21)],
+}
+
+
+def mp_fit_root(mpmath, samples, start):
+    """The root of dMSE/dalpha nearest start, at 50 digits. Samples at p = 0
+    or 1 have w = p at every alpha, so they add nothing to the slope."""
+    with mpmath.workdps(50):
+        inner = [(mpmath.log(-mpmath.log(p)), mpmath.mpf(wp)) for p, wp in samples
+                 if 0.0 < p < 1.0]
+
+        def slope(alpha):
+            total = mpmath.mpf(0)
+            for ln_l, wp in inner:
+                power = mpmath.exp(alpha * ln_l)
+                w = mpmath.exp(-power)
+                total += (w - wp) * w * power * ln_l
+            return total
+
+        return float(mpmath.findroot(slope, mpmath.mpf(start)))
+
+
+@pytest.mark.parametrize("name", FIT_SETS)
+def test_fit_is_the_root_of_the_mse_slope(name, monkeypatch):
+    """The fitted alpha against a 50-digit root of dMSE/dalpha. The search
+    keeps the smallest MSE it evaluates, and the MSE is flat to rounding
+    within about 1e-9 of its minimum, so 1e-8 is asked, not 1e-12. The fit
+    is one numpy evaluation: no scalar weight call."""
+    mpmath = pytest.importorskip("mpmath")
+    samples = FIT_SETS[name]()
+
+    def scalar_weight(p, model):
+        raise AssertionError("fit_alpha called the scalar weight")
+
+    monkeypatch.setattr(weighting, "weight", scalar_weight)
+    model, mse = fit_alpha(samples)
+    monkeypatch.undo()
+    root = mp_fit_root(mpmath, samples, model.alpha)
+    assert abs(model.alpha - root) <= 1e-8 * root
+    recomputed = sum((weight(p, model) - wp) ** 2 for p, wp in samples) / len(samples)
+    assert abs(mse - recomputed) <= 1e-15
+    if name == "identity":
+        assert model.alpha == 1.0
 
 
 def test_fit_insufficient_data():
