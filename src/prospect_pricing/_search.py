@@ -155,10 +155,13 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     One lockstep bracketed_root search closes them all to its default
     tolerance, each keeping the smallest value evaluated in it. The best
     point starts at the start, and each edge and its bracket's point, in
-    order, replace it only when strictly smaller.
+    order, replace it only when strictly smaller. Without starts, f is not
+    called and both arrays are empty.
     """
     edges, starts = np.asarray(edges, dtype=float), np.asarray(starts, dtype=float)
     n = starts.size
+    if not n:
+        return np.empty(0), np.empty(0)
     value, slope, lower, upper = (np.broadcast_to(v, (edges.size + 1) * n).reshape(-1, n) for v in
                                   f(np.append(np.repeat(edges, n), starts),
                                     np.tile(np.arange(n), edges.size + 1)))

@@ -93,9 +93,10 @@ def channel_from_budget(lb: LinkBudget) -> UserChannel:
 
 def service_guarantee(rate_bps: float, bandwidth_hz: float, ch: UserChannel) -> float:
     """P(delivered rate > rate_bps) on bandwidth_hz; 1 at rate 0, falls to 0 as rate grows."""
-    if bandwidth_hz <= 0.0:
+    # written so that NaN fails each check
+    if not bandwidth_hz > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
-    if rate_bps < 0.0:
+    if not rate_bps >= 0.0:
         raise ValueError(f"rate must be >= 0, got {rate_bps}")
     if rate_bps == 0.0:
         return 1.0
@@ -115,7 +116,7 @@ def _ln_supremum(rate_bps, noise_psd_w_per_hz, received_power_w):
 
 def guarantee_supremum(rate_bps: float, ch: UserChannel) -> float:
     """Least upper bound of service_guarantee over bandwidth at fixed rate."""
-    if rate_bps < 0.0:
+    if not rate_bps >= 0.0:
         raise ValueError(f"rate must be >= 0, got {rate_bps}")
     return math.exp(_ln_supremum(rate_bps, ch.noise_psd_w_per_hz, ch.received_power_w))
 
@@ -183,7 +184,7 @@ def min_bandwidth(rate_bps: float, target: float, ch: UserChannel) -> float:
     _spectral_efficiency solves for it to double precision.
     Raises UnattainableGuaranteeError when target >= the supremum at this rate.
     """
-    if rate_bps <= 0.0:
+    if not rate_bps > 0.0:
         raise ValueError(f"rate must be > 0, got {rate_bps}")
     if not (0.0 < target < 1.0):
         raise ValueError(f"target must lie in (0, 1), got {target}")

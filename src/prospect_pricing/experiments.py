@@ -148,12 +148,12 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
                         ref_distance_m=p.ref_distance_m,
                         shadow_db=shadow,
                         noise_psd_dbm_per_hz=p.noise_psd_dbm_per_hz)
-        users.append((channel_from_budget(lb), benefit))
+        users.append(channel_from_budget(lb))
     cost = CostModel(c1=p.c1, c3=p.c3)
 
     total_bandwidth_hz = p.total_bandwidth_hz
     if total_bandwidth_hz is None:
-        scratch = Scenario(users=tuple(users), pricing=pricing, cost=cost,
+        scratch = Scenario(users=tuple(users), benefit=benefit, pricing=pricing, cost=cost,
                            total_bandwidth_hz=1.0)
         rate_opt = unconstrained_optimal_rate(pricing, cost)
         # scalar inversions: bench/test_bench.py expects every workload to make some
@@ -163,7 +163,7 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
         except UnattainableGuaranteeError as exc:
             raise InfeasibleScenarioError(exc.rate_bps, exc.target, exc.supremum) from exc
         total_bandwidth_hz = (1.0 + p.bandwidth_margin) * need
-    return Scenario(users=tuple(users), pricing=pricing, cost=cost,
+    return Scenario(users=tuple(users), benefit=benefit, pricing=pricing, cost=cost,
                     total_bandwidth_hz=total_bandwidth_hz)
 
 
@@ -376,8 +376,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     within reach).
 
     The best revenue over the 36-rate grid is found by branch and bound. No
-    equalized level passes x_top = cap*(1 - 1e-12), the cap min_i
-    h_i*w(sup_i) of its problem, and the revenue (n*(x - c1*b) - c3*B)/eut,
+    equalized level passes x_top = cap*(1 - 1e-12) (prospect._CAP_END), the
+    cap min_i h*w(sup_i) of its problem, and the revenue (n*(x - c1*b) - c3*B)/eut,
     with n >= 1 users served and eut > 0 at an equilibrium, does not fall
     as x rises in any rounding, so the same expression at x_top bounds a
     grid point's value. The levels come from two lockstep searches
@@ -415,7 +415,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     def revenues(levels, j):
         return _revenue(sc, ref.n_served, levels, rate_grid[j]) / eut
 
-    bounds = revenues(need.caps()[problem[:, 1:]] * (1.0 - 1e-12), np.arange(rate_grid.size))
+    bounds = revenues(need.caps()[problem[:, 1:]] * prospect._CAP_END, np.arange(rate_grid.size))
     first = bounds.argmax(axis=1)
     x_hat, x_first = prospect._solve_levels(
         need.columns(np.concatenate((problem[:, 0], problem[row, first + 1]))),

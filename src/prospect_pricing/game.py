@@ -1,8 +1,9 @@
 """Leader-follower pricing game: scenario model, utilities, equilibrium solver.
 
 The provider offers every user the same rate and price and a per-user bandwidth
-slice; a user accepts when weighted willingness to pay, benefit times the
-(possibly probability-weighted) service guarantee, exceeds the price. The
+slice; a user accepts when weighted willingness to pay, the benefit h(b) times
+the (possibly probability-weighted) service guarantee, exceeds the price.
+Users share one benefit law and differ only by their channel. The
 solver locates the revenue-maximizing pure-strategy equilibrium by scanning
 served-set sizes n from large to small: maximize n*(r(b) - c1*b) over rates b
 whose n cheapest users fit in the band, then disqualify any n for which a
@@ -39,7 +40,7 @@ _TINY_NORMAL = sys.float_info.min
 class PowerLaw:
     """coefficient * (b * 1e-3)^exponent, 0 at b = 0, increasing and concave.
 
-    Both the provider's price r(b) and each user's benefit h(b) take this form.
+    Both the provider's price r(b) and the users' benefit h(b) take this form.
     """
 
     coefficient: float
@@ -76,9 +77,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Users (channel, benefit) plus the shared pricing, cost and band endowment."""
+    """Each user's channel, plus the benefit law, pricing, cost and band endowment
+    that all users share."""
 
-    users: tuple[tuple[UserChannel, PowerLaw], ...]
+    users: tuple[UserChannel, ...]
+    benefit: PowerLaw
     pricing: PowerLaw
     cost: CostModel
     total_bandwidth_hz: float
@@ -93,12 +96,6 @@ class Scenario:
     @property
     def n_users(self) -> int:
         return len(self.users)
-
-    def channel(self, i: int) -> UserChannel:
-        return self.users[i][0]
-
-    def benefit(self, i: int) -> PowerLaw:
-        return self.users[i][1]
 
 
 @dataclass(frozen=True)
@@ -162,8 +159,8 @@ def _revenue(scenario: Scenario, n: int, price: float, rate_bps: float,
 def willingness(scenario: Scenario, ne: NashResult | Offer, model: WeightingModel,
                 i: int, bandwidth_hz: float) -> float:
     """User i's weighted willingness to pay at the offered rate and bandwidth_hz."""
-    ch, h = scenario.users[i]
-    return h(ne.rate_bps) * weight(service_guarantee(ne.rate_bps, bandwidth_hz, ch), model)
+    guarantee = service_guarantee(ne.rate_bps, bandwidth_hz, scenario.users[i])
+    return scenario.benefit(ne.rate_bps) * weight(guarantee, model)
 
 
 def _spread(scenario: Scenario, users, bandwidths, pad: float = 0.0) -> tuple[float, ...]:
@@ -196,11 +193,11 @@ def sp_utility(accept_probs: list[float] | tuple[float, ...], offer: Offer,
 
 
 def min_bandwidth_for_user(rate_bps: float, user_index: int, scenario: Scenario) -> float:
-    """Bandwidth where the user is exactly indifferent: guarantee == r(b)/h_i(b)."""
-    if rate_bps <= 0.0:
+    """Bandwidth where the user is exactly indifferent: guarantee == r(b)/h(b)."""
+    if not rate_bps > 0.0:
         raise ValueError(f"rate must be > 0, got {rate_bps}")
-    ch, h = scenario.users[user_index]
-    target = scenario.pricing(rate_bps) / h(rate_bps)
+    ch = scenario.users[user_index]
+    target = scenario.pricing(rate_bps) / scenario.benefit(rate_bps)
     if target >= 1.0:
         raise UnattainableGuaranteeError(rate_bps, target, guarantee_supremum(rate_bps, ch))
     return min_bandwidth(rate_bps, target, ch)
@@ -222,11 +219,13 @@ class _RequirementMatrix:
     Problem k offers the users rates[k] under the weighting exponent
     alphas[k], each in (0, 1]. Called with a willingness target per problem,
     it returns the users x problems matrix of bandwidths at which
-    h_i(rate) * w(guarantee) reaches that target: with q = target / h_i(rate),
+    h(rate) * w(guarantee) reaches that target: with q = target / h(rate),
     the Prelec inverse taken in log space and inverted by _efficiency_root,
     0 only at a zero target and inf where q reaches w(sup), the weighted
-    wide-band supremum. Where q is subnormal or underflows to 0 for a
-    positive target, ln q is ln target - ln h_i; where (-ln q)^(1/alpha) or
+    wide-band supremum. The users share h, so the benefit, q, ln q and
+    (-ln q)^(1/alpha) are one value per problem, and only the supremum and
+    what follows from it are per user. Where q is subnormal or underflows to
+    0 for a positive target, ln q is ln target - ln h; where (-ln q)^(1/alpha) or
     its ratio to ln sup overflows, lc = log(ln target/ln sup) is
     (1/alpha)*log(-ln q) - log(-ln sup). A price target at alpha = 1 gives
     bitwise _Users.price_requirements, since x ** 1.0 is exact and w(sup) is
@@ -241,23 +240,23 @@ class _RequirementMatrix:
     def __init__(self, users: _Users, rates_bps, alphas, members=True) -> None:
         rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (rates_bps, alphas)))
-        if not (alphas.min() > 0.0 and alphas.max() <= 1.0):
-            bad = alphas[~((0.0 < alphas) & (alphas <= 1.0))]
-            raise ValueError(f"alpha must lie in (0, 1], got {bad[0]}")
+        valid = (0.0 < alphas) & (alphas <= 1.0)
+        if not valid.all():
+            raise ValueError(f"alpha must lie in (0, 1], got {alphas[~valid][0]}")
         self.rates = rates
-        self.benefit = users.coeff * (rates * 1e-3) ** users.exp
+        # full-size exponents: numpy powers a one-problem matrix's broadcast
+        # exponent in another kernel, at times an ulp apart from a batch's, and
+        # takes a broadcast exponent of 0.5 as a square root
+        self._exp = np.full(rates.shape, users.benefit.exponent)
+        self.benefit = users.benefit.coefficient * np.power(rates * 1e-3, self._exp)
         self.ln_sup = _ln_supremum(rates, users.noise, users.power)
         self._rate_ln2 = rates * _LN2
-        self._exp = np.full(self.ln_sup.shape, users.exp)
-        # full-size exponents: numpy powers a one-problem matrix's broadcast
-        # exponent in another kernel, at times an ulp apart from a batch's
-        full = np.zeros_like(self.ln_sup) + alphas
-        self._inv_alpha = 1.0 / full
-        self._weighted_sup = np.exp(-(-self.ln_sup) ** full)
+        self._inv_alpha = 1.0 / alphas
+        self._weighted_sup = np.exp(-(-self.ln_sup) ** (np.zeros_like(self.ln_sup) + alphas))
         self.members = np.full(self.ln_sup.shape, members)
 
     def caps(self) -> np.ndarray:
-        """Per problem, the level min_i h_i*w(sup_i) of members no band reaches."""
+        """Per problem, the level min_i h*w(sup_i) of members no band reaches."""
         return (self.benefit * self._weighted_sup).min(axis=0, initial=np.inf, where=self.members)
 
     def columns(self, keep) -> _RequirementMatrix:
@@ -268,7 +267,7 @@ class _RequirementMatrix:
         return sub
 
     def _ln_share(self, targets, q):
-        """ln q, taken as ln target - ln h_i where q = target/h_i is below the
+        """ln q, taken as ln target - ln h where q = target/h is below the
         smallest normal float, where the quotient keeps few bits or none."""
         ln_q = np.log(q)
         low = q < _TINY_NORMAL
@@ -300,10 +299,10 @@ class _RequirementMatrix:
 
         With ln q held, ln sup is linear in the rate, so lc falls by 1 per
         unit of ln rate and y = rate*ln2/need rises by 1/g'(y); ln q itself
-        moves by elasticity - e_i, e_i user i's benefit exponent, and lc by
+        moves by elasticity - e, e the benefit exponent, and lc by
         1/(alpha*ln q) per unit of it. Hence, with s = need/(y*g'(y)),
-        d need/d ln rate = need + s*(1 - (elasticity - e_i)/(alpha*ln q)):
-        the slopes term times elasticity - e_i, plus need*(1 + 1/(y*g'(y))).
+        d need/d ln rate = need + s*(1 - (elasticity - e)/(alpha*ln q)):
+        the slopes term times elasticity - e, plus need*(1 + 1/(y*g'(y))).
         Formed from need like slopes; not finite where need is 0 or inf.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -313,12 +312,14 @@ class _RequirementMatrix:
             return need + s * (1.0 - (elasticity - self._exp) * self._inv_alpha / ln_q)
 
     def margins(self, targets, elasticity) -> tuple[np.ndarray, np.ndarray]:
-        """Each user's reach margin m = ln h_i - ln target - (-ln sup_i)^alpha,
+        """Each user's reach margin m = ln h - ln target - (-ln sup_i)^alpha,
         positive where need is finite, and its derivative in ln rate,
-        e_i - elasticity - alpha*(-ln sup_i)^alpha, with elasticity as in
+        e - elasticity - alpha*(-ln sup_i)^alpha, with elasticity and e as in
         rate_slopes."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            sup_power = (-self.ln_sup) ** (1.0 / self._inv_alpha)
+            # a full-size exponent, as for _weighted_sup
+            alpha = np.zeros_like(self.ln_sup) + 1.0 / self._inv_alpha
+            sup_power = (-self.ln_sup) ** alpha
             margin = np.log(self.benefit) - np.log(targets) - sup_power
             return margin, self._exp - elasticity - sup_power / self._inv_alpha
 
@@ -339,19 +340,20 @@ class _RequirementMatrix:
 
 
 class _Users:
-    """Some users' channel and benefit parameters, gathered once into columns.
+    """Some users' channel parameters, gathered once into columns, with the
+    pricing and the benefit law that they share.
 
     The one place a bandwidth requirement is inverted in numpy: at(rates,
     alphas) makes the cheap per-problem evaluator over these columns.
     """
 
     def __init__(self, scenario: Scenario, users=None) -> None:
-        self.pricing = scenario.pricing
+        self.pricing, self.benefit = scenario.pricing, scenario.benefit
         picked = scenario.users if users is None else [scenario.users[i] for i in users]
-        rows = np.array([(ch.noise_psd_w_per_hz, ch.received_power_w, h.coefficient, h.exponent)
-                         for ch, h in picked]).reshape(-1, 4)
+        rows = np.array([(ch.noise_psd_w_per_hz, ch.received_power_w)
+                         for ch in picked]).reshape(-1, 2)
         # one contiguous users x 1 column per parameter
-        self.noise, self.power, self.coeff, self.exp = rows.T[:, :, None].copy()
+        self.noise, self.power = rows.T[:, :, None].copy()
 
     def at(self, rates_bps, alphas, members=True) -> _RequirementMatrix:
         """Evaluator of the problems rates_bps x alphas, one 1-D array, and their members."""
@@ -364,7 +366,11 @@ class _Users:
         price, but cheaper: the rate stays a float, the Prelec powers are left
         out (x ** 1.0 is exact) and a positive target needs no zero mask.
         """
-        q = self.pricing(rate_bps) / (self.coeff * (rate_bps * 1e-3) ** self.exp)
+        h = self.benefit
+        # numpy's power on an exponent array, as at(), where Python's ** can
+        # round an ulp apart
+        q = self.pricing(rate_bps) / (h.coefficient * np.power(rate_bps * 1e-3,
+                                                               np.full(1, h.exponent)))
         ln_sup = _ln_supremum(rate_bps, self.noise, self.power)
         need = rate_bps * _LN2 / _spectral_efficiency(np.log(q), ln_sup, np)
         return np.where(q >= np.exp(ln_sup), np.inf, need)[:, 0]

@@ -29,6 +29,8 @@ PRICE_EPS_REL = 1e-9
 # the level search's smallest positive level, and its tolerance step in ln x
 _TINY = 5e-324
 _LEVEL_TOL = 5e-15
+# the top of every level search, as a fraction of the cap no level reaches
+_CAP_END = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,13 @@ def no_pricing_bands(scenario: Scenario, ne: NashResult, alphas) -> list[float]:
 
 def _min_willingness(scenario: Scenario, ne: NashResult, alphas, users=None) -> list[float]:
     """The lowest willingness of the served (or given) users at their allocation, per
-    alpha: bitwise game.willingness, each guarantee evaluated once for every alpha."""
+    alpha: bitwise game.willingness, the benefit and each guarantee evaluated once for
+    every alpha."""
     _require_equilibrium(ne)
-    terms = [(scenario.benefit(i)(ne.rate_bps),
-              service_guarantee(ne.rate_bps, ne.allocation[i], scenario.channel(i)))
-             for i in (ne.served_set if users is None else users)]
-    return [min(h * weight(g, WeightingModel(alpha=a)) for h, g in terms) for a in alphas]
+    h = scenario.benefit(ne.rate_bps)
+    guarantees = [service_guarantee(ne.rate_bps, ne.allocation[i], scenario.users[i])
+                  for i in (ne.served_set if users is None else users)]
+    return [min(h * weight(g, model) for g in guarantees) for model in map(WeightingModel, alphas)]
 
 
 def _capped_price(ne: NashResult, level: float) -> float:
@@ -146,7 +149,7 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     """Levels at which the summed requirement meets each problem's band.
 
     The summed requirement S grows with the level x up to the cap
-    min_i h_i*w(sup_i), but falls only like 1/log log(1/x) as x goes to 0:
+    min_i h*w(sup_i), but falls only like 1/log log(1/x) as x goes to 0:
     Newton in x or in log x stalls. In v = log t, t = -ln(x/cap), each
     user's lc is linear in log(-ln q), so each level is found by Newton on
     ln S - ln B in v, safeguarded by a bracket (rtsafe, Press et al.,
@@ -155,8 +158,8 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
 
     The bracket is held in x, so a step of dv moves x to
     x*exp(-t*expm1(dv)) at full float resolution. It runs from
-    x = cap*(1 - 1e-12), returned when it fits, down to the smallest
-    positive float, below which the level is 0. Newton starts at the top,
+    x = cap*_CAP_END = cap*(1 - 1e-12), returned when it fits, down to the
+    smallest positive float, below which the level is 0. Newton starts at the top,
     where ln S is about -v + const. A step that is not finite or leaves the
     bracket is replaced by the midpoint in v (in x, once the ends are
     within a factor of 2). A step below the tolerance steps across the root
@@ -166,7 +169,7 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     """
     caps = need.caps()
     totals = np.broadcast_to(totals, caps.shape)
-    x_top, x_tiny = caps * (1.0 - 1e-12), np.full_like(caps, _TINY)
+    x_top, x_tiny = caps * _CAP_END, np.full_like(caps, _TINY)
     top, top_slope = _sum_and_slope(need, x_top)
     x = np.where(top < totals, x_top, 0.0)
     keep = np.flatnonzero((top >= totals) & (_total(need(x_tiny)) < totals))
@@ -215,14 +218,21 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     Problem k splits the band totals_hz[k] over users at rates_bps[k] under
     the weighting exponent alphas[k]; the three broadcast to one 1-D array of
     problems. The level is the largest x at which the users' requirements
-    (each reaching h_i(rate) * w(guarantee) == x) still fit the band. All
+    (each reaching h(rate) * w(guarantee) == x) still fit the band. All
     problems search in lockstep by a bracketed Newton step, each step
     inverting the requirement columns of the problems whose brackets are
     still open: on sweep-compare's grid about 7 columns per problem, two of
-    them the end checks. Returns the levels, one per problem.
+    them the end checks. Returns the levels, one per problem. A rate must be
+    finite and > 0, and a band >= 0: a band of 0 gives level 0, and an
+    infinite one the top of the search.
     """
     rates, alphas, totals = np.broadcast_arrays(*(
         np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
+    bad_rate, bad_band = ~(np.isfinite(rates) & (rates > 0.0)), ~(totals >= 0.0)
+    if bad_rate.any():
+        raise ValueError(f"rates_bps must be finite and > 0, got {rates[bad_rate][0]}")
+    if bad_band.any():
+        raise ValueError(f"totals_hz must be >= 0, got {totals[bad_band][0]}")
     need = _Users(scenario, users).at(rates, alphas)
     if not users:
         return np.zeros(rates.shape)
@@ -245,9 +255,9 @@ def equalized_willingness(scenario: Scenario, ne: NashResult,
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)
     x = _solve_levels(need, total)
     alloc = need(x)[:, 0].tolist()
+    # the level's summed requirement is below the band, so the slack is positive
     slack = total - float(_total(alloc))
-    if slack > 0.0:
-        alloc = [a + slack / len(alloc) for a in alloc]
+    alloc = [a + slack / len(alloc) for a in alloc]
     return float(x[0]), tuple(alloc)
 
 
@@ -354,7 +364,7 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
 
     One outcome per weighting exponent in alphas. The served users need S(x)
     in total to reach level x; S rises strictly on [0, cap), cap =
-    min_i h_i*w(sup_i), so max_B n*x(B) - c3*B is the minimum of the loss
+    min_i h*w(sup_i), so max_B n*x(B) - c3*B is the minimum of the loss
     c3*S(x) - n*x, whose slope in ln x is c3*sum(slopes) - n*x.
     _search.stationary_min finds every alpha's minimum at once over u =
     x/cap, from the start u = 0 (no band, loss 0) and edges at k/12 and at
@@ -375,14 +385,14 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     eut_rev = _revenue(scenario, n, ne.price, ne.rate_bps)
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)
     caps = need.caps()
-    u = np.full(caps.shape, 1.0 - 1e-12)
+    u = np.full(caps.shape, _CAP_END)
     if c3 > 0.0:
         def loss(u, j):
             x = u * caps[j]
             total, slope = _sum_and_slope(need.columns(j), x)
             return c3 * total - n * x, c3 * slope - n * x, -np.inf, np.inf
 
-        edges = np.append(np.arange(1.0, 12.0) / 12, 1.0 - 1e-12)
+        edges = np.append(np.arange(1.0, 12.0) / 12, _CAP_END)
         u, _ = _search.stationary_min(loss, edges, np.zeros(caps.size))
     x = u * caps
     alloc = need(x)

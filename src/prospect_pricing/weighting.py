@@ -35,7 +35,7 @@ IDENTITY = WeightingModel(alpha=1.0)
 
 @dataclass(frozen=True)
 class Lottery:
-    """Discrete lottery: (payoff, probability) pairs with probabilities summing to 1."""
+    """Discrete lottery: (finite payoff, probability) pairs with probabilities summing to 1."""
 
     outcomes: tuple[tuple[float, float], ...]
 
@@ -44,6 +44,8 @@ class Lottery:
             raise ValueError("lottery must have at least one outcome")
         total = 0.0
         for payoff, prob in self.outcomes:
+            if not math.isfinite(payoff):
+                raise ValueError(f"outcome payoff {payoff} is not finite")
             if not (0.0 <= prob <= 1.0):
                 raise ValueError(f"outcome probability {prob} outside [0, 1]")
             total += prob

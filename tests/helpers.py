@@ -308,7 +308,8 @@ def random_small_scenario(rng, n_users=None):
         need = 2e6
     budget = need * float(rng.uniform(0.5, 1.5))
     return Scenario(
-        users=tuple((ch, STD_BENEFIT) for ch in channels),
+        users=tuple(channels),
+        benefit=STD_BENEFIT,
         pricing=STD_PRICING,
         cost=STD_COST,
         total_bandwidth_hz=budget,
@@ -329,7 +330,7 @@ def required_bandwidth(scenario, rate_bps, i, level, model):
     """
     if level <= 0.0:
         return 0.0
-    h = scenario.benefit(i)(rate_bps)
+    h = scenario.benefit(rate_bps)
     weighted_target = level / h
     if weighted_target >= 1.0:
         return math.inf
@@ -338,7 +339,7 @@ def required_bandwidth(scenario, rate_bps, i, level, model):
     if raw_target >= 1.0:
         return math.inf
     if raw_target <= 0.0 or weighted_target < sys.float_info.min:
-        ch = scenario.channel(i)
+        ch = scenario.users[i]
         ln_q = (math.log(weighted_target) if weighted_target >= sys.float_info.min
                 else math.log(level) - math.log(h))
         ln_raw = -(-ln_q) ** (1.0 / model.alpha)
@@ -346,7 +347,7 @@ def required_bandwidth(scenario, rate_bps, i, level, model):
         return rate_bps * math.log(2.0) / channel._spectral_efficiency(ln_raw, ln_sup,
                                                                        channel._Scalar)
     try:
-        return min_bandwidth(rate_bps, raw_target, scenario.channel(i))
+        return min_bandwidth(rate_bps, raw_target, scenario.users[i])
     except UnattainableGuaranteeError:
         return math.inf
 

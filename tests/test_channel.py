@@ -56,6 +56,23 @@ def test_guarantee_argument_validation(ch_400m):
         guarantee_supremum(-1.0, ch_400m)
 
 
+def test_nan_arguments_are_refused_and_inf_kept(ch_400m):
+    """NaN fails every argument check, with the message of an out-of-range
+    value; an infinite rate behaves as it always has."""
+    with pytest.raises(ValueError, match="rate must be >= 0, got nan"):
+        service_guarantee(math.nan, 1e6, ch_400m)
+    with pytest.raises(ValueError, match="bandwidth must be > 0, got nan"):
+        service_guarantee(1e6, math.nan, ch_400m)
+    with pytest.raises(ValueError, match="rate must be >= 0, got nan"):
+        guarantee_supremum(math.nan, ch_400m)
+    with pytest.raises(ValueError, match="rate must be > 0, got nan"):
+        min_bandwidth(math.nan, 0.5, ch_400m)
+    assert service_guarantee(math.inf, 1e6, ch_400m) == 0.0
+    assert guarantee_supremum(math.inf, ch_400m) == 0.0
+    with pytest.raises(UnattainableGuaranteeError):
+        min_bandwidth(math.inf, 0.5, ch_400m)
+
+
 def test_db_roundtrip():
     helpers.check_db_roundtrip(200, seed=201)
 
@@ -160,7 +177,7 @@ def test_min_bandwidth_matches_mpmath_root(default_scenario):
     """Relative error within the problem's own conditioning: a target `gap`
     below the supremum (relative) fixes the root only to about 1e-16/gap."""
     mpmath = pytest.importorskip("mpmath")
-    for ch, _ in default_scenario.users:
+    for ch in default_scenario.users:
         for rate in ORACLE_RATES:
             sup = guarantee_supremum(rate, ch)
             for gap in ORACLE_GAPS:
@@ -172,7 +189,7 @@ def test_min_bandwidth_matches_mpmath_root(default_scenario):
 
 
 def test_min_bandwidth_one_ulp_below_supremum_is_finite(default_scenario):
-    for ch, _ in default_scenario.users:
+    for ch in default_scenario.users:
         for rate in ORACLE_RATES:
             target = math.nextafter(guarantee_supremum(rate, ch), 0.0)
             got = min_bandwidth(rate, target, ch)
@@ -182,7 +199,7 @@ def test_min_bandwidth_one_ulp_below_supremum_is_finite(default_scenario):
 def test_service_guarantee_near_supremum_matches_mpmath(default_scenario):
     """Wide bands put 2^(b/bw) - 1 near 0, where exp(t) - 1 cancels."""
     mpmath = pytest.importorskip("mpmath")
-    for ch, _ in default_scenario.users:
+    for ch in default_scenario.users:
         for rate in (1e5, 7e6, 1e8):
             for t in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
                 bw = rate * math.log(2.0) / t
@@ -211,7 +228,7 @@ def test_requirement_matrix_matches_scalar_and_marks_unattainable(ch_400m):
     targets = np.array([0.3, 0.6, 0.9, sup, 0.999999])
     # h(7e6) = 7000 exactly, and 7000 * t / 7000 gives back each t
     benefit = game.PowerLaw(1.0, 1.0)
-    sc = game.Scenario(users=((ch_400m, benefit),), pricing=benefit,
+    sc = game.Scenario(users=(ch_400m,), benefit=benefit, pricing=benefit,
                        cost=game.CostModel(0.0, 0.0), total_bandwidth_hz=1.0)
     willingness = targets * benefit(rate)
     assert (willingness / benefit(rate) == targets).all()

@@ -105,7 +105,7 @@ def test_default_scenario_frozen_draws(default_scenario):
     sc = default_scenario
     assert sc.n_users == 10
     for i in range(10):
-        rx = watts_to_dbm(sc.channel(i).received_power_w)
+        rx = watts_to_dbm(sc.users[i].received_power_w)
         assert abs(rx - FROZEN_RX_DBM[i]) <= 1e-6
     rng = np.random.default_rng(DEFAULT_SEED)
     for i in range(10):
@@ -119,7 +119,7 @@ def test_build_scenario_deterministic():
     a = build_scenario()
     b = build_scenario()
     for i in range(a.n_users):
-        assert a.channel(i).received_power_w == b.channel(i).received_power_w
+        assert a.users[i].received_power_w == b.users[i].received_power_w
     assert a.total_bandwidth_hz == b.total_bandwidth_hz
 
 

@@ -65,22 +65,21 @@ def test_frozen_economics_at_optimal_rate():
 
 def make_scenario(distances, budget, shadows=None, cost=helpers.STD_COST):
     shadows = shadows or [0.0] * len(distances)
-    users = tuple((helpers.make_channel(d, s), helpers.STD_BENEFIT)
-                  for d, s in zip(distances, shadows))
-    return Scenario(users=users, pricing=helpers.STD_PRICING, cost=cost,
-                    total_bandwidth_hz=budget)
+    users = tuple(helpers.make_channel(d, s) for d, s in zip(distances, shadows))
+    return Scenario(users=users, benefit=helpers.STD_BENEFIT, pricing=helpers.STD_PRICING,
+                    cost=cost, total_bandwidth_hz=budget)
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(users=(), pricing=helpers.STD_PRICING, cost=helpers.STD_COST,
-                 total_bandwidth_hz=1e6)
+        Scenario(users=(), benefit=helpers.STD_BENEFIT, pricing=helpers.STD_PRICING,
+                 cost=helpers.STD_COST, total_bandwidth_hz=1e6)
     with pytest.raises(ValueError):
         make_scenario([300.0], budget=0.0)
     sc = make_scenario([300.0, 500.0], budget=1e6)
     assert sc.n_users == 2
-    assert sc.channel(1) is sc.users[1][0]
-    assert sc.benefit(0) is helpers.STD_BENEFIT
+    assert sc.users[1] == helpers.make_channel(500.0, 0.0)
+    assert sc.benefit is helpers.STD_BENEFIT
 
 
 def test_offer_validation():
@@ -133,7 +132,7 @@ def test_min_bandwidth_for_user_matches_direct():
     sc = make_scenario([400.0], budget=1e7)
     got = min_bandwidth_for_user(7e6, 0, sc)
     target = helpers.STD_PRICING(7e6) / helpers.STD_BENEFIT(7e6)
-    assert got == min_bandwidth(7e6, target, sc.channel(0))
+    assert got == min_bandwidth(7e6, target, sc.users[0])
 
 
 def test_min_bandwidth_for_user_unattainable_at_high_rates():
@@ -143,6 +142,12 @@ def test_min_bandwidth_for_user_unattainable_at_high_rates():
         min_bandwidth_for_user(2e7, 0, sc)
 
 
+def test_min_bandwidth_for_user_refuses_a_nan_rate():
+    sc = make_scenario([400.0], budget=1e7)
+    with pytest.raises(ValueError, match="rate must be > 0, got nan"):
+        min_bandwidth_for_user(math.nan, 0, sc)
+
+
 def test_user_utility_formula():
     from prospect_pricing.channel import service_guarantee
     from prospect_pricing.weighting import weight
@@ -150,7 +155,7 @@ def test_user_utility_formula():
     sc = make_scenario([400.0], budget=1e7)
     offer = Offer(rate_bps=7e6, price=2.0, allocation=(2e6,))
     model = WeightingModel(alpha=0.8)
-    guar = service_guarantee(7e6, 2e6, sc.channel(0))
+    guar = service_guarantee(7e6, 2e6, sc.users[0])
     expected = 0.75 * (-2.0 + helpers.STD_BENEFIT(7e6) * weight(guar, model))
     assert abs(user_utility(0.75, offer, 0, sc, model) - expected) <= 1e-12
     assert user_utility(0.0, offer, 0, sc, model) == 0.0
@@ -171,7 +176,7 @@ def test_sp_utility_formula():
 def grid_best_revenue(scenario, n_rates=40000, hi=3.4e7):
     """Single-user oracle: full-band offers on a dense rate grid, recomputing
     the outage guarantee and economics directly with numpy."""
-    ch = scenario.channel(0)
+    ch = scenario.users[0]
     band = scenario.total_bandwidth_hz
     b = np.linspace(hi / n_rates, hi, n_rates)
     r = 2e-3 * (b * 1e-3) ** 0.82
@@ -316,6 +321,24 @@ def cell_80():
     return experiments.build_scenario(80, cell_radius_m=300.0)
 
 
+def test_benefit_exponent_of_one_half_is_batched_bitwise():
+    """numpy takes a broadcast exponent of 0.5 as a square root, which can
+    round apart from its power; with a full-size exponent, a batch of
+    problems, each problem alone and price_requirements all agree to the bit."""
+    sc = dataclasses.replace(make_scenario([300.0, 500.0], budget=1e7),
+                             benefit=PowerLaw(1e-2, 0.5))
+    users = game._Users(sc)
+    rates = np.geomspace(1e4, 1e7, 2000)
+    batch = users.at(rates, 1.0)
+    prices = np.array([sc.pricing(rate) for rate in rates.tolist()])
+    need = batch(prices)
+    for k, rate in enumerate(rates.tolist()):
+        alone = users.at(rate, 1.0)
+        assert alone.benefit[0] == batch.benefit[k], rate
+        assert (alone(prices[k])[:, 0] == need[:, k]).all(), rate
+        assert (users.price_requirements(rate) == need[:, k]).all(), rate
+
+
 @pytest.mark.parametrize("n_users, radius", [(10, 800.0), (80, 300.0)])
 def test_requirement_vector_matches_scalar_path(n_users, radius):
     """numpy's power, log, log1p and expm1 differ from math's by an ulp or
@@ -337,7 +360,7 @@ def test_requirement_vector_matches_scalar_path(n_users, radius):
         for alpha, column in columns:
             model = WeightingModel(alpha=alpha)
             for i in range(n_users):
-                q = sc.pricing(rate) / sc.benefit(i)(rate)
+                q = sc.pricing(rate) / sc.benefit(rate)
                 want = helpers.required_bandwidth(sc, rate, i, sc.pricing(rate), model)
                 if math.isinf(want):
                     assert column[i] == math.inf
@@ -536,12 +559,12 @@ def test_subnormal_shares_invert_in_log_space(default_scenario, default_ref):
     with mpmath.workdps(50):
         kbps, inv_alpha, h = mpmath.mpf(rate) / 1000, 1 / mpmath.mpf(alpha), mpmath.mpf(1e-12)
         for k, i in enumerate(ref.served_set):
-            benefit = sc.benefit(i).coefficient * kbps ** sc.benefit(i).exponent
+            benefit = sc.benefit.coefficient * kbps ** sc.benefit.exponent
 
             def mp_need(u):
                 share = mpmath.exp(u) / benefit
                 return helpers.mp_min_bandwidth(
-                    mpmath, rate, mpmath.exp(-(-mpmath.log(share)) ** inv_alpha), sc.channel(i))
+                    mpmath, rate, mpmath.exp(-(-mpmath.log(share)) ** inv_alpha), sc.users[i])
             u = mpmath.log(mpmath.mpf(x))
             want = mp_need(u)
             assert float(abs(at[k, 0] - want) / want) <= 1e-14, i

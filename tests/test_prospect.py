@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -64,8 +65,7 @@ def eut_revenue(sc, ne):
 
 
 def direct_willingness(sc, rate, i, bw, model):
-    ch, h = sc.users[i]
-    return h(rate) * weight(service_guarantee(rate, bw, ch), model)
+    return sc.benefit(rate) * weight(service_guarantee(rate, bw, sc.users[i]), model)
 
 
 def test_willingness_formula(default_scenario, default_ref):
@@ -152,12 +152,12 @@ def test_loss_zero_iff_preserved(default_scenario, default_ref):
 
 def test_identical_users_reallocation_matches_strict():
     ch = helpers.make_channel(450.0, 1.5)
-    users = tuple((ch, helpers.STD_BENEFIT) for _ in range(3))
-    scratch = Scenario(users=users, pricing=helpers.STD_PRICING,
+    users = (ch,) * 3
+    scratch = Scenario(users=users, benefit=helpers.STD_BENEFIT, pricing=helpers.STD_PRICING,
                        cost=helpers.STD_COST, total_bandwidth_hz=1.0)
     b_opt = experiments.unconstrained_optimal_rate(helpers.STD_PRICING, helpers.STD_COST)
     need = 3.0 * min_bandwidth_for_user(b_opt, 0, scratch)
-    sc = Scenario(users=users, pricing=helpers.STD_PRICING,
+    sc = Scenario(users=users, benefit=helpers.STD_BENEFIT, pricing=helpers.STD_PRICING,
                   cost=helpers.STD_COST, total_bandwidth_hz=1.05 * need)
     ne = solve_nash(sc)
     assert ne.equilibrium and ne.n_served == 3
@@ -236,7 +236,7 @@ def admission_oracle(sc, ne, model, max_drops):
         for sub in itertools.combinations(ne.served_set, n_kept):
             tot = 0.0
             for i in sub:
-                ch, h = sc.users[i]
+                ch, h = sc.users[i], sc.benefit
                 lam = price_k / h(ne.rate_bps)
                 if lam >= 1.0:
                     tot = math.inf
@@ -312,7 +312,7 @@ def test_admission_infeasible_when_markup_exceeds_benefit():
     ne = solve_nash(sc)
     assert ne.equilibrium and ne.n_served == 3
     markup = admission_price(sc, ne, 2)
-    assert markup / sc.benefit(0)(ne.rate_bps) > 1.0
+    assert markup / sc.benefit(ne.rate_bps) > 1.0
     model = WeightingModel(alpha=0.5)
     assert all(math.isinf(v)
                for v in admission_requirements(sc, ne, model, markup).values())
@@ -337,14 +337,14 @@ def expansion_oracle(sc, ne, model, n_coarse=500):
     and buy exactly the band that supports it."""
     caps = []
     for i in ne.served_set:
-        ch, h = sc.users[i]
+        ch, h = sc.users[i], sc.benefit
         caps.append(h(ne.rate_bps) * weight(guarantee_supremum(ne.rate_bps, ch), model))
     x_cap = min(caps) * (1.0 - 1e-9)
 
     def band_for(x):
         tot = 0.0
         for i in ne.served_set:
-            ch, h = sc.users[i]
+            ch, h = sc.users[i], sc.benefit
             lam = x / h(ne.rate_bps)
             if lam >= 1.0:
                 return math.inf
@@ -498,7 +498,7 @@ def rate_requirement_oracle(sc, ne, model, rate):
         return math.inf
     tot = 0.0
     for i in ne.served_set:
-        ch, h = sc.users[i]
+        ch, h = sc.users[i], sc.benefit
         lam = price / h(rate)
         if lam >= 1.0:
             return math.inf
@@ -905,7 +905,7 @@ def test_min_alpha_takes_few_strategy_calls(default_scenario, default_ref, monke
 def test_min_alpha_floor_when_never_infeasible():
     sc = experiments.build_scenario(n_users=3, price_coeff=6e-4)
     ne = solve_nash(sc)
-    assert ne.price / sc.benefit(0)(ne.rate_bps) < math.exp(-1.0)
+    assert ne.price / sc.benefit(ne.rate_bps) < math.exp(-1.0)
     ref = experiments.reference_offer(sc, ne)
     res = min_alpha(sc, ref, "no_pricing")
     assert res.alpha == 0.01
@@ -948,6 +948,27 @@ def test_alphas_outside_the_unit_interval_are_refused(default_scenario, default_
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=r"(alpha|floor) must lie in \(0, 1\]"):
             call(default_scenario, default_ref, bad)
+
+
+# each batched entry point, given an alpha grid
+EMPTY_ALPHA_CALLS = {
+    "no_pricing_bands": no_pricing_bands,
+    "admission_controls": functools.partial(admission_controls, max_drops=1),
+    "bandwidth_expansions": bandwidth_expansions,
+    "rate_controls": prospect.rate_controls,
+    "equalized_levels": lambda sc, ne, alphas: equalized_levels(
+        sc, ne.served_set, ne.rate_bps, alphas, sc.total_bandwidth_hz),
+    **{f"_strategy_thresholds[{s}]": functools.partial(prospect._strategy_thresholds,
+                                                       strategy_id=s, max_drops=1)
+       for s in prospect.STRATEGY_IDS},
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_ALPHA_CALLS.values(), ids=EMPTY_ALPHA_CALLS.keys())
+def test_an_empty_alpha_grid_gives_an_empty_result(default_scenario, default_ref, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert len(call(default_scenario, default_ref, [])) == 0
 
 
 HALF = WeightingModel(alpha=0.5)
@@ -1077,6 +1098,24 @@ def test_equalized_levels_of_no_users_are_zero(default_scenario, default_ref):
         equalized_levels(default_scenario, (), rates, 1.5, 1e6)
 
 
+def test_equalized_levels_refuses_bad_rates_and_bands(default_scenario, default_ref):
+    """A rate must be finite and > 0 and a band >= 0, each refused by name
+    before any work; a band of 0 gives level 0, an infinite one the top of
+    the search, cap*(1 - 1e-12)."""
+    sc, served, rate = default_scenario, default_ref.served_set, default_ref.rate_bps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rates_bps must be finite and > 0"):
+                equalized_levels(sc, served, [rate, bad], 0.9, 1e6)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="totals_hz must be >= 0"):
+                equalized_levels(sc, served, rate, 0.9, [1e6, bad])
+        levels = equalized_levels(sc, served, rate, 0.9, [0.0, math.inf])
+    cap = game._Users(sc, served).at(rate, 0.9).caps()[0]
+    assert levels.tolist() == [0.0, cap * prospect._CAP_END]
+
+
 def compare_grid(sc, ref):
     """sweep-compare's problems: every default alpha at the offered rate and
     at 36 rates from 1e-3 to 10 times it, as (rates, alphas) columns."""
@@ -1121,15 +1160,15 @@ def test_a_level_search_stopped_at_its_cap_warns(default_scenario, default_ref):
 
 
 def mp_total(mpmath, sc, users, rate, alpha, x):
-    """50-digit S(x), the sum of the users' bands at which h_i(rate)*w(F)
-    reaches x: the raw target exp(-(-ln(x/h_i))^(1/alpha)), inverted by
+    """50-digit S(x), the sum of the users' bands at which h(rate)*w(F)
+    reaches x: the raw target exp(-(-ln(x/h))^(1/alpha)), inverted by
     helpers.mp_min_bandwidth."""
     with mpmath.workdps(50):
         kbps, inv_alpha = mpmath.mpf(rate) / 1000, 1 / mpmath.mpf(alpha)
-        benefits = [sc.benefit(i).coefficient * kbps ** sc.benefit(i).exponent for i in users]
+        h = sc.benefit.coefficient * kbps ** sc.benefit.exponent
         return sum(helpers.mp_min_bandwidth(
-            mpmath, rate, mpmath.exp(-(-mpmath.log(x / h)) ** inv_alpha), sc.channel(i))
-            for i, h in zip(users, benefits))
+            mpmath, rate, mpmath.exp(-(-mpmath.log(x / h)) ** inv_alpha), sc.users[i])
+            for i in users)
 
 
 def mp_level(mpmath, sc, users, rate, alpha, band, guess):

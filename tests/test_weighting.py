@@ -112,6 +112,14 @@ def test_lottery_validation():
     Lottery(outcomes=((0.0, 0.25), (1.0, 0.75),))
 
 
+@pytest.mark.parametrize("payoff", [math.nan, math.inf, -math.inf])
+def test_lottery_refuses_a_non_finite_payoff(payoff):
+    with pytest.raises(ValueError, match="payoff .* is not finite"):
+        Lottery(outcomes=((payoff, 1.0),))
+    with pytest.raises(ValueError, match="payoff .* is not finite"):
+        Lottery(outcomes=((1.0, 0.5), (payoff, 0.5)))
+
+
 @pytest.mark.parametrize("alpha_true", [0.6, 0.35])
 def test_fit_recovers_generating_alpha(alpha_true):
     gen = WeightingModel(alpha=alpha_true)
