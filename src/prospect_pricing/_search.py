@@ -11,6 +11,8 @@ import numpy as np
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 # bracketed_root's steps before a bracket must halve twice every three steps
 _GRACE = 12
+# bisect_boundary probes the midpoints of this many steps per predicate call
+_LOOKAHEAD = 3
 
 
 def _warn_cap(search: str, max_iter: int, rel_tol: float) -> None:
@@ -51,22 +53,50 @@ def bisect_boundary(pred: Callable, lo: float, hi: float, rel_tol: float = 1e-12
                     max_iter: int = 200) -> tuple[float, float]:
     """Shrink [lo, hi] around the flip point of a monotone predicate.
 
-    Requires pred(lo) is True and pred(hi) is False; returns the final
-    (true_end, false_end) bracket. A bracket still wider than the tolerance
-    after max_iter steps issues a RuntimeWarning.
+    pred maps a 1-D array of points to a bool array. Requires pred is True
+    at lo and False at hi; returns the final (true_end, false_end) bracket.
+    Each pred call takes every midpoint that the next _LOOKAHEAD steps can
+    probe, each formed as 0.5 * (lo + hi) from the ends that step would
+    have, and the walk then takes those steps as a one-point-per-call loop
+    would: the same stop test, and the same bracket bit for bit, even where
+    pred is not monotone. A bracket still wider than the tolerance after
+    max_iter steps issues a RuntimeWarning.
     """
+    def settled(a, b):
+        return b - a <= rel_tol * max(abs(a), abs(b), 1.0)
+
+    probes, node = {}, 0
     for step in range(max_iter + 1):
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1.0):
+        if settled(lo, hi):
             break
         if step == max_iter:
             _warn_cap("bisect_boundary", max_iter, rel_tol)
             break
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
+        if node not in probes:
+            mids = _midpoints(lo, hi, settled, min(_LOOKAHEAD, max_iter - step))
+            truth = np.asarray(pred(np.array(list(mids.values())))).tolist()
+            probes, node = dict(zip(mids, zip(mids.values(), truth))), 0
+        mid, true = probes[node]
+        if true:
+            lo, node = mid, 2 * node + 2
         else:
-            hi = mid
+            hi, node = mid, 2 * node + 1
     return lo, hi
+
+
+def _midpoints(lo: float, hi: float, settled: Callable, depth: int) -> dict[int, float]:
+    """The midpoints that depth bisection steps from [lo, hi] can probe, by
+    heap index: node k splits its bracket at 0.5 * (a + b), node 2k + 1 is
+    its lower half and 2k + 2 its upper half. A settled bracket is not split."""
+    mids, level = {}, [(0, lo, hi)]
+    for _ in range(depth):
+        below = []
+        for k, a, b in level:
+            if not settled(a, b):
+                mids[k] = mid = 0.5 * (a + b)
+                below += [(2 * k + 1, a, mid), (2 * k + 2, mid, b)]
+        level = below
+    return mids
 
 
 def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,

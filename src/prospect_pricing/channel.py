@@ -74,7 +74,8 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
+    # written so that NaN fails the check
+    if not watts > 0.0:
         raise ValueError(f"power must be positive, got {watts}")
     return 10.0 * math.log10(watts) + 30.0
 
@@ -100,6 +101,9 @@ def service_guarantee(rate_bps: float, bandwidth_hz: float, ch: UserChannel) -> 
         raise ValueError(f"rate must be >= 0, got {rate_bps}")
     if rate_bps == 0.0:
         return 1.0
+    if bandwidth_hz == math.inf:
+        # the wide-band limit, where expm1(t) * scale below is 0 * inf
+        return guarantee_supremum(rate_bps, ch)
     t = (rate_bps / bandwidth_hz) * _LN2
     scale = bandwidth_hz * ch.noise_psd_w_per_hz / ch.received_power_w
     if t > 60.0:

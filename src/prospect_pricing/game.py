@@ -196,6 +196,9 @@ def min_bandwidth_for_user(rate_bps: float, user_index: int, scenario: Scenario)
     """Bandwidth where the user is exactly indifferent: guarantee == r(b)/h(b)."""
     if not rate_bps > 0.0:
         raise ValueError(f"rate must be > 0, got {rate_bps}")
+    if rate_bps == math.inf:
+        # r(b)/h(b) would be inf/inf
+        raise ValueError(f"rate must be finite, got {rate_bps}")
     ch = scenario.users[user_index]
     target = scenario.pricing(rate_bps) / scenario.benefit(rate_bps)
     if target >= 1.0:
@@ -359,56 +362,93 @@ class _Users:
         """Evaluator of the problems rates_bps x alphas, one 1-D array, and their members."""
         return _RequirementMatrix(self, rates_bps, alphas, members)
 
-    def price_requirements(self, rate_bps: float) -> np.ndarray:
-        """Each user's min_bandwidth_for_user at one rate, inf where unservable.
+    def price_requirements(self, rates_bps) -> np.ndarray:
+        """Each user's min_bandwidth_for_user at each rate, inf where unservable:
+        a users vector for a float rate, users x rates for a 1-D array.
 
-        Bitwise the column of at(rate_bps, 1.0)(r(rate_bps)) at a positive
-        price, but cheaper: the rate stays a float, the Prelec powers are left
+        Bitwise the column of at(rate, 1.0)(r(rate)) at a positive price, but
+        cheaper: each price is the float r(rate), the Prelec powers are left
         out (x ** 1.0 is exact) and a positive target needs no zero mask.
         """
+        rates = np.array(rates_bps, dtype=float, ndmin=1)
+        prices = np.array([self.pricing(b) for b in rates.tolist()])
         h = self.benefit
         # numpy's power on an exponent array, as at(), where Python's ** can
         # round an ulp apart
-        q = self.pricing(rate_bps) / (h.coefficient * np.power(rate_bps * 1e-3,
-                                                               np.full(1, h.exponent)))
-        ln_sup = _ln_supremum(rate_bps, self.noise, self.power)
-        need = rate_bps * _LN2 / _spectral_efficiency(np.log(q), ln_sup, np)
-        return np.where(q >= np.exp(ln_sup), np.inf, need)[:, 0]
+        q = prices / (h.coefficient * np.power(rates * 1e-3, np.full(rates.shape, h.exponent)))
+        ln_sup = _ln_supremum(rates, self.noise, self.power)
+        need = rates * _LN2 / _spectral_efficiency(np.log(q), ln_sup, np)
+        need = np.where(q >= np.exp(ln_sup), np.inf, need)
+        return need.reshape(need.shape[:1] + np.shape(rates_bps))
 
 
-def _feasible(total_required: float, budget: float) -> bool:
+def _feasible(total_required, budget: float):
+    """Whether each total fits the budget: strictly below it less the slack."""
     return total_required < budget * (1.0 - FEASIBILITY_SLACK)
+
+
+# rates per requirement evaluation of a ladder: from 1 bps, one call reaches
+# 2^31 bps, past every boundary of the bundled scenarios
+_RUNGS_PER_CALL = 32
+
+
+def _first_false(pred, rates: list[float]) -> int:
+    """Index of the first rate where pred fails, len(rates) if none: rates are
+    evaluated in order, _RUNGS_PER_CALL to a call, up to the first failing one."""
+    for start in range(0, len(rates), _RUNGS_PER_CALL):
+        held = pred(np.array(rates[start:start + _RUNGS_PER_CALL]))
+        if not held.all():
+            return start + int(np.argmin(held))
+    return len(rates)
+
+
+def _doublings(rate: float, more) -> list[float]:
+    """rate, 2*rate, 4*rate, ... up to the first rung where more(rung) fails."""
+    rungs = [rate]
+    while more(rungs[-1]):
+        rungs.append(2.0 * rungs[-1])
+    return rungs
 
 
 def _rate_feasibility_interval(fits, scenario: Scenario) -> tuple[float, float] | None:
     """Rates b at which fits(b), the n cheapest users fitting in the band,
-    holds, as (lower, upper).
+    holds, as (lower, upper); fits maps a 1-D array of rates to a bool array.
 
     The summed requirement grows with the rate for increasing r/h ratios, so
     the feasible rates usually form an interval anchored at 0, found by
-    probing 1 bps and below. When the price grows more slowly than the
-    benefit, r/h grows without bound as the rate goes to 0 and the interval
-    starts above it: the probe then doubles upward until the rates fit or
-    the margin r(b) - c1*b stops being positive, and the lower edge is
-    bisected as well.
+    probing 1 bps and its halvings down to 2^-30. When the price grows more
+    slowly than the benefit, r/h grows without bound as the rate goes to 0
+    and the interval starts above it: the probe then doubles upward until
+    the rates fit or the margin r(b) - c1*b stops being positive, and the
+    lower edge is bisected as well. From the lowest rate that fits, the
+    upper ladder doubles up to 1e18 and the upper edge is bisected. Each
+    ladder is evaluated many rungs to a call; the result is bitwise that of
+    probing its rungs one at a time.
     """
+    unfit = lambda b: ~fits(b)
+    below_cap = lambda b: b <= 1e18
     lower, lo = 0.0, 1.0
-    if not fits(lo):
-        while lo > 1e-9 and not fits(lo):
-            lo *= 0.5
-        if not fits(lo):
-            below, lo = 1.0, 2.0
-            while not fits(lo):
-                if not scenario.pricing(lo) > scenario.cost.c1 * lo or lo > 1e18:
-                    return None
-                below, lo = lo, 2.0 * lo
-            _, lower = _search.bisect_boundary(lambda b: not fits(b), below, lo,
-                                               rel_tol=1e-12)
+    # 1 bps and the ladder above it; the last rung, past the cap, is not probed
+    rungs = _doublings(lo, below_cap)
+    k = _first_false(fits, rungs[:-1])
+    if k == 0:
+        halvings = [2.0 ** -j for j in range(1, 31)]
+        k = _first_false(unfit, halvings)
+        if k < len(halvings):
+            lo = halvings[k]
+        else:
+            pays = lambda b: scenario.pricing(b) > scenario.cost.c1 * b and b <= 1e18
+            climb = _doublings(2.0, pays)
+            k = _first_false(unfit, climb)
+            if k == len(climb):
+                return None
+            below = climb[k - 1] if k else 1.0
+            _, lower = _search.bisect_boundary(unfit, below, climb[k], rel_tol=1e-12)
             lo = lower
-    hi = 2.0 * lo  # lo fits: the ladder climbs from the next rung
-    while hi <= 1e18 and fits(hi):
-        hi *= 2.0
-    lo, hi = _search.bisect_boundary(fits, lo, hi, rel_tol=1e-12)
+        # lo fits, and is known: the ladder climbs from the next rung
+        rungs = _doublings(lo, below_cap)
+        k = _first_false(fits, rungs[:-1])
+    lo, hi = _search.bisect_boundary(fits, lo, rungs[k], rel_tol=1e-12)
     return lower, lo
 
 
@@ -460,11 +500,16 @@ def solve_nash(scenario: Scenario) -> NashResult:
     reqs = _Users(scenario)
     totals: dict[float, np.ndarray] = {}
 
-    def fits(b: float, n: int) -> bool:
-        # the ladders and bisections of several set sizes probe the same rates
-        if b not in totals:
-            totals[b] = np.cumsum(np.sort(reqs.price_requirements(b)))
-        return _feasible(float(totals[b][n - 1]), budget)
+    def fits(rates_bps, n: int):
+        # the ladders and bisections of several set sizes probe the same rates:
+        # each new rate is evaluated once, all of a call's in one evaluation
+        rates = np.array(rates_bps, dtype=float, ndmin=1).tolist()
+        new = [b for b in dict.fromkeys(rates) if b not in totals]
+        if new:
+            columns = np.cumsum(np.sort(reqs.price_requirements(new).T, axis=1), axis=1)
+            totals.update(zip(new, columns))
+        held = _feasible(np.array([totals[b][n - 1] for b in rates]), budget)
+        return held.reshape(np.shape(rates_bps))
 
     bound = _margin_bound(price, c1)
 

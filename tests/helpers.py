@@ -372,8 +372,8 @@ def mp_min_bandwidth(mpmath, rate, target, ch):
 
 def count_evaluations(monkeypatch):
     """Record (problems, targets) of every requirement evaluation: each call
-    of the evaluator, and each price vector of _Users.price_requirements as
-    one problem whose target is the price."""
+    of the evaluator, and each call of _Users.price_requirements, with a
+    problem per rate whose target is the price."""
     calls = []
     evaluate = game._RequirementMatrix.__call__
     price_requirements = game._Users.price_requirements
@@ -382,9 +382,10 @@ def count_evaluations(monkeypatch):
         calls.append((np.size(self.rates), np.asarray(targets)))
         return evaluate(self, targets)
 
-    def counting_prices(self, rate_bps):
-        calls.append((1, np.asarray(self.pricing(rate_bps))))
-        return price_requirements(self, rate_bps)
+    def counting_prices(self, rates_bps):
+        rates = np.array(rates_bps, dtype=float, ndmin=1).tolist()
+        calls.append((len(rates), np.array([self.pricing(b) for b in rates])))
+        return price_requirements(self, rates_bps)
     monkeypatch.setattr(game._RequirementMatrix, "__call__", counting)
     monkeypatch.setattr(game._Users, "price_requirements", counting_prices)
     return calls
@@ -541,10 +542,48 @@ def check_solver_posthoc(scenario, res):
     assert abs(sum(alloc) - scenario.total_bandwidth_hz) <= 1e-9 * scenario.total_bandwidth_hz
 
 
+def sequential_bisection(pred, lo, hi, rel_tol=1e-12, max_iter=200):
+    """The one-point-per-call bisection loop, with no cap warning: pred takes
+    one point."""
+    for _ in range(max_iter):
+        if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1.0):
+            break
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def sequential_feasibility_interval(fits, scenario):
+    """game._rate_feasibility_interval as it stood before its ladders and
+    bisections probed many rates per evaluation: one rate at a time."""
+    lower, lo = 0.0, 1.0
+    if not fits(lo):
+        while lo > 1e-9 and not fits(lo):
+            lo *= 0.5
+        if not fits(lo):
+            below, lo = 1.0, 2.0
+            while not fits(lo):
+                if not scenario.pricing(lo) > scenario.cost.c1 * lo or lo > 1e18:
+                    return None
+                below, lo = lo, 2.0 * lo
+            _, lower = sequential_bisection(lambda b: not fits(b), below, lo)
+            lo = lower
+    hi = 2.0 * lo
+    while hi <= 1e18 and fits(hi):
+        hi *= 2.0
+    lo, hi = sequential_bisection(fits, lo, hi)
+    return lower, lo
+
+
 def full_scan_nash(scenario):
-    """solve_nash as it stood before the scan was pruned: every set size n
-    from N down to 1 is solved, and the pick is made over all of them. The
-    reference solve_nash must match bitwise."""
+    """solve_nash as it stood before the scan was pruned and before its
+    probes were batched: every set size n from N down to 1 is solved, one
+    rate per requirement vector (sequential_feasibility_interval), and the
+    pick is made over all of them. The reference solve_nash must match
+    bitwise."""
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
@@ -555,7 +594,7 @@ def full_scan_nash(scenario):
     best_rates = [None] * (n_users + 1)
     per_n = [0.0] * (n_users + 1)
     for n in range(n_users, 0, -1):
-        interval = game._rate_feasibility_interval(lambda b: fits(b, n), scenario)
+        interval = sequential_feasibility_interval(lambda b: fits(b, n), scenario)
         if interval is None:
             per_n[n] = -math.inf
             continue

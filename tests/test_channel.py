@@ -58,7 +58,8 @@ def test_guarantee_argument_validation(ch_400m):
 
 def test_nan_arguments_are_refused_and_inf_kept(ch_400m):
     """NaN fails every argument check, with the message of an out-of-range
-    value; an infinite rate behaves as it always has."""
+    value; an infinite rate behaves as it always has, and an infinite band
+    gives the wide-band limit."""
     with pytest.raises(ValueError, match="rate must be >= 0, got nan"):
         service_guarantee(math.nan, 1e6, ch_400m)
     with pytest.raises(ValueError, match="bandwidth must be > 0, got nan"):
@@ -71,6 +72,10 @@ def test_nan_arguments_are_refused_and_inf_kept(ch_400m):
     assert guarantee_supremum(math.inf, ch_400m) == 0.0
     with pytest.raises(UnattainableGuaranteeError):
         min_bandwidth(math.inf, 0.5, ch_400m)
+    for rate in (1e3, 1e6, 7e6):
+        assert service_guarantee(rate, math.inf, ch_400m) == guarantee_supremum(rate, ch_400m)
+    assert service_guarantee(0.0, math.inf, ch_400m) == 1.0
+    assert service_guarantee(math.inf, math.inf, ch_400m) == 0.0
 
 
 def test_db_roundtrip():
@@ -82,6 +87,11 @@ def test_watts_to_dbm_rejects_nonpositive():
         watts_to_dbm(0.0)
     with pytest.raises(ValueError):
         watts_to_dbm(-1e-9)
+
+
+def test_watts_to_dbm_refuses_nan():
+    with pytest.raises(ValueError, match="power must be positive, got nan"):
+        watts_to_dbm(math.nan)
 
 
 def test_channel_from_budget_consistency(link_400m, ch_400m):

@@ -128,6 +128,13 @@ def test_min_bandwidth_for_user_refuses_a_rate_at_or_below_0():
             min_bandwidth_for_user(rate, 0, sc)
 
 
+def test_min_bandwidth_for_user_refuses_an_infinite_rate():
+    """r(b)/h(b) is inf/inf there: the rate is named, not a NaN target."""
+    sc = make_scenario([400.0], budget=1e7)
+    with pytest.raises(ValueError, match="rate must be finite, got inf"):
+        min_bandwidth_for_user(math.inf, 0, sc)
+
+
 def test_min_bandwidth_for_user_matches_direct():
     sc = make_scenario([400.0], budget=1e7)
     got = min_bandwidth_for_user(7e6, 0, sc)
@@ -310,10 +317,13 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # the batched requirement vector: agreement with the scalar path, and counts
 # that do not depend on the machine
 
-# requirement vectors one solve of the 80-user 300 m cell inverts (5,505
-# without sharing): every rate the searches of all set sizes probe is
-# inverted once
-NASH_80_VECTORS = 3379
+# requirement evaluations one solve of the 80-user 300 m cell makes: a
+# ladder of up to 32 rungs per call and a bisection of 7 midpoints per call,
+# 17 calls of 128 rates, against 67 calls of one rate each when every probe
+# was its own evaluation. At 1/10 of its band the solve scans 41 set sizes,
+# in 493 calls of 3,296 rates (1,485 calls of one rate each)
+NASH_80_CALLS = 20
+NASH_80_TENTH_BAND_CALLS = 500
 
 
 @pytest.fixture(scope="module")
@@ -572,30 +582,90 @@ def test_subnormal_shares_invert_in_log_space(default_scenario, default_ref):
             assert float(abs(slopes[k, 0] - slope) / abs(slope)) <= 1e-12, i
 
 
+def tenth_band(scenario):
+    return dataclasses.replace(scenario, total_bandwidth_hz=scenario.total_bandwidth_hz / 10)
+
+
 def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
     calls = helpers.count_evaluations(monkeypatch)
     ne = solve_nash(cell_80)
     assert ne.n_served == 80
-    assert 0 < len(calls) <= NASH_80_VECTORS
+    assert 0 < len(calls) <= NASH_80_CALLS
+
+
+def test_band_bound_solve_evaluation_count(monkeypatch, cell_80):
+    calls = helpers.count_evaluations(monkeypatch)
+    assert solve_nash(tenth_band(cell_80)).n_served == 80
+    assert 0 < len(calls) <= NASH_80_TENTH_BAND_CALLS
 
 
 def test_solve_nash_inverts_each_probed_rate_once(monkeypatch, cell_80):
     """At 1/10 of its band the cell's solve scans 41 set sizes, whose ladders
-    and bisections probe many rates more than once; only the served-set read
-    at the best rate inverts a probed rate again."""
-    sc = dataclasses.replace(cell_80, total_bandwidth_hz=cell_80.total_bandwidth_hz / 10)
-    calls = helpers.count_evaluations(monkeypatch)
-    rates = []
+    and bisections probe many rates more than once; each probed rate is a
+    column of one evaluation only, and only the served-set read at the best
+    rate inverts a probed rate again."""
+    evaluations = []
     price_requirements = game._Users.price_requirements
 
-    def recorded(self, rate_bps):
-        rates.append(rate_bps)
-        return price_requirements(self, rate_bps)
+    def recorded(self, rates_bps):
+        evaluations.append(np.array(rates_bps, dtype=float, ndmin=1).tolist())
+        return price_requirements(self, rates_bps)
     monkeypatch.setattr(game._Users, "price_requirements", recorded)
-    ne = solve_nash(sc)
+    ne = solve_nash(tenth_band(cell_80))
     assert ne.n_served == 80
-    assert len(calls) == len(set(rates)) + 1
-    assert rates[-1] == ne.rate_bps
+    *probes, final = evaluations
+    assert final == [ne.rate_bps]
+    columns = [rate for rates in probes for rate in rates]
+    assert len(columns) == len(set(columns))
+    assert ne.rate_bps in columns
+    # a ladder's rungs and a bisection's look-ahead fill one evaluation
+    assert max(map(len, probes)) > 1
+
+
+def test_batched_price_requirements_are_each_rates_vector_bitwise(cell_80):
+    """A users x rates evaluation is, column by column, bitwise the one-rate
+    vector, at every rung the solve's ladders can probe: 2^-30 to 2^60 bps
+    doubling, and 60 rates between."""
+    users = game._Users(cell_80)
+    rates = [2.0 ** k for k in range(-30, 61)] + np.geomspace(1e2, 2e7, 60).tolist()
+    batch = users.price_requirements(rates)
+    assert batch.shape == (80, len(rates))
+    for k, rate in enumerate(rates):
+        assert (users.price_requirements(rate) == batch[:, k]).all(), rate
+
+
+@pytest.mark.parametrize("lowest, highest", [
+    (0.0, 0.3), (0.0, 1e-9), (0.0, 3e-10), (0.0, 1.0), (0.0, 7e6), (0.0, 7e17), (0.0, 3e18),
+    (0.7, 5.0), (5.0, 7e6), (3e4, 3e4 * (1.0 + 1e-13)), (1e5, 1e3)])
+def test_feasibility_interval_of_a_rate_window(default_scenario, lowest, highest):
+    """Rates fit strictly inside (lowest, highest): every ladder, the halvings
+    below 1 bps down to the last, 2^-30, the climb of a rising-at-zero price,
+    a window no ladder rung falls in and one past the 1e18 cap, ends as
+    probing one rate at a time."""
+    fits = lambda rates: (lowest < rates) & (rates < highest)
+    got = game._rate_feasibility_interval(fits, default_scenario)
+    want = helpers.sequential_feasibility_interval(
+        lambda b: bool(fits(np.array([b]))[0]), default_scenario)
+    assert got == want
+
+
+@pytest.mark.parametrize("case", ["default", "band-1e6-800m", "rising-at-zero"])
+def test_ladders_probe_rates_as_one_at_a_time(monkeypatch, case):
+    """The batched ladders and bisections end on the bracket that probing one
+    rate at a time reaches, set size by set size."""
+    seen = []
+    interval = game._rate_feasibility_interval
+
+    def compared(fits, scenario):
+        got = interval(fits, scenario)
+        want = helpers.sequential_feasibility_interval(lambda b: bool(fits([b])[0]), scenario)
+        seen.append(got)
+        assert got == want
+        return got
+    monkeypatch.setattr(game, "_rate_feasibility_interval", compared)
+    for sc in oracle_cases()[case]():
+        solve_nash(sc)
+    assert seen
 
 
 def test_solve_nash_makes_no_scalar_inversion(monkeypatch, cell_80):

@@ -23,11 +23,16 @@ SWEEPS = ("ne-solve", "sweep-loss", "sweep-price", "sweep-expansion",
 SEEDS = (4966, 2, 5)
 # band sizing finds a user no bandwidth serves in a 3 km cell
 FAR_CELL = {"cell_radius_m": 3000.0}
+# the 80-user 300 m cell at 1/10 of its band: the band binds and the solve
+# scans 41 set sizes
+CELL_80_TENTH_BAND = {"n_users": 80, "cell_radius_m": 300.0,
+                      "total_bandwidth_hz": 4325122.839508054}
 
 CASES = ([(f"{command}.seed{seed}.csv", [command, "--seed", str(seed)], None, 0)
           for command in SWEEPS for seed in SEEDS]
          + [("fit-pwf.csv", ["fit-pwf"], None, 0),
             ("ne-solve.radius3000.csv", ["ne-solve"], FAR_CELL, 3),
+            ("ne-solve.cell80-tenth-band.csv", ["ne-solve"], CELL_80_TENTH_BAND, 0),
             # alphas where targets go out of reach and cells print empty
             ("sweep-compare.wide.seed4966.csv",
              ["sweep-compare", "--seed", "4966", "--alpha-min", "0.01", "--alpha-max", "1.0",

@@ -3,22 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import golden_reference
+from helpers import golden_reference, sequential_bisection
 from prospect_pricing._search import (_GRACE, bisect_boundary, bracketed_root, golden_max,
                                       stationary_min)
-
-
-def scalar_reference(pred, lo, hi, rel_tol=1e-12, max_iter=200):
-    """The one-bracket bisection loop, as it stood before arrays were accepted."""
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi), 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 def brackets(seed=7, n=40):
@@ -31,13 +18,51 @@ def brackets(seed=7, n=40):
     return flips, lo, hi
 
 
+def batched(pred, calls=None):
+    """pred over a 1-D array of points, recording each call's points."""
+    def over(points):
+        if calls is not None:
+            calls.append(points.size)
+        return np.array([pred(x) for x in points.tolist()], dtype=bool)
+    return over
+
+
 def test_scalar_bisection_keeps_its_brackets():
-    flips, lo, hi = brackets()
-    for rel_tol in (1e-12, 1e-4):
+    """Random monotone predicates, including brackets that settle partway
+    through a look-ahead and one already closed: the bracket is the
+    one-point loop's, bit for bit, and no call takes more than 7 points."""
+    flips, lo, hi = brackets(seed=13, n=200)
+    for rel_tol in (1e-12, 1e-7, 1e-4, 0.3):
         for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
-            pred = lambda m: m < f
-            want = scalar_reference(pred, a, b, rel_tol)
-            assert bisect_boundary(pred, a, b, rel_tol) == want
+            pred, calls = (lambda m: m < f), []
+            got = bisect_boundary(batched(pred, calls), a, b, rel_tol)
+            assert got == sequential_bisection(pred, a, b, rel_tol)
+            assert all(1 <= size <= 7 for size in calls)
+
+
+def test_batched_bisection_walks_a_non_monotone_predicate():
+    """True on alternating bands of [0, 1): the walk follows the one-point
+    loop's path through the tree, where a search for the first False among
+    the 7 midpoints of a call would stop in another band."""
+    pred = lambda x: math.floor(x * 10.0) % 2 == 0
+    for a, b in ((0.0, 1.0), (0.05, 0.97), (0.21, 0.9)):
+        want = sequential_bisection(pred, a, b)
+        assert bisect_boundary(batched(pred), a, b) == want
+    # the first three steps from [0, 1] probe 0.5 (False), 0.25 (True) and
+    # 0.375 (False); the first of the seven sorted midpoints where pred fails
+    # is 0.125, left of the bracket the walk keeps
+    lo, hi = bisect_boundary(batched(pred), 0.0, 1.0)
+    assert 0.25 <= lo < hi <= 0.375
+
+
+def test_batched_bisection_warns_at_its_cap_after_as_many_steps():
+    """A cap that is not a multiple of the look-ahead: the bracket of the
+    capped one-point loop, and the warning."""
+    pred = lambda x: x < 0.3
+    for max_iter in (1, 4, 7, 11):
+        with pytest.warns(RuntimeWarning, match=f"bisect_boundary stopped at max_iter={max_iter}"):
+            got = bisect_boundary(batched(pred), 0.0, 1.0, 1e-12, max_iter)
+        assert got == sequential_bisection(pred, 0.0, 1.0, 1e-12, max_iter)
 
 
 def peaks(seed=11, n=40):
