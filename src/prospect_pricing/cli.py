@@ -98,28 +98,31 @@ _SWEEPS = {
 }
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="JSON config path, or 'default' for built-ins")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    alpha_flags = argparse.ArgumentParser(add_help=False)
-    for flag in ("--alpha-min", "--alpha-max", "--alpha-step"):
-        alpha_flags.add_argument(flag, type=float, default=None)
+# command -> help, in the order --help lists them
+_COMMANDS = {"ne-solve": "solve the pricing game once",
+             **{name: text for name, (_, _, text) in _SWEEPS.items()},
+             "fit-pwf": "fit the weighting exponent to rating data"}
 
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of command's subparser alone."""
     parser = _Parser(prog="prospect-pricing",
                      description="Spectrum-pricing game solver and sweep runner")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.add_parser("ne-solve", help="solve the pricing game once", parents=[common])
-    for name, (_, _, text) in _SWEEPS.items():
-        p = sub.add_parser(name, help=text, parents=[common, alpha_flags])
+    for name in _COMMANDS if command is None else [command]:
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        p.add_argument("--config", default=None,
+                       help="JSON config path, or 'default' for built-ins")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        if name in _SWEEPS:
+            for flag in ("--alpha-min", "--alpha-max", "--alpha-step"):
+                p.add_argument(flag, type=float, default=None)
         if name == "sweep-admission":
             p.add_argument("--max-drops", type=int, default=3)
-    fit = sub.add_parser("fit-pwf", help="fit the weighting exponent to rating data",
-                         parents=[common])
-    fit.add_argument("--data", default=None,
-                     help="ratings/fps CSV (default: bundled dataset)")
+        if name == "fit-pwf":
+            p.add_argument("--data", default=None,
+                           help="ratings/fps CSV (default: bundled dataset)")
     return parser
 
 
@@ -181,10 +184,13 @@ def dispatch(argv: list[str] | None = None) -> int:
     """Run one command; the one place a refusal becomes an exit status: usage
     64; no equilibrium or an unattainable guarantee 3, with a status,detail
     row; any other ValueError, or an unwritable --out, 2 with its message."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs its own subparser only; --help, an unknown
+    # command and a missing one need them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         try:
-            args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+            args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return exc.code
         if args.command is None:

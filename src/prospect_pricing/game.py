@@ -396,7 +396,7 @@ def _first_false(pred, rates: list[float]) -> int:
     """Index of the first rate where pred fails, len(rates) if none: rates are
     evaluated in order, _RUNGS_PER_CALL to a call, up to the first failing one."""
     for start in range(0, len(rates), _RUNGS_PER_CALL):
-        held = pred(np.array(rates[start:start + _RUNGS_PER_CALL]))
+        held, _ = pred(np.array(rates[start:start + _RUNGS_PER_CALL]))
         if not held.all():
             return start + int(np.argmin(held))
     return len(rates)
@@ -412,7 +412,8 @@ def _doublings(rate: float, more) -> list[float]:
 
 def _rate_feasibility_interval(fits, scenario: Scenario) -> tuple[float, float] | None:
     """Rates b at which fits(b), the n cheapest users fitting in the band,
-    holds, as (lower, upper); fits maps a 1-D array of rates to a bool array.
+    holds, as (lower, upper); fits maps a 1-D array of rates to the pair
+    (held, value) that _search.bisect_boundary takes.
 
     The summed requirement grows with the rate for increasing r/h ratios, so
     the feasible rates usually form an interval anchored at 0, found by
@@ -425,7 +426,10 @@ def _rate_feasibility_interval(fits, scenario: Scenario) -> tuple[float, float] 
     ladder is evaluated many rungs to a call; the result is bitwise that of
     probing its rungs one at a time.
     """
-    unfit = lambda b: ~fits(b)
+    def unfit(rates):
+        held, value = fits(rates)
+        return ~held, -value
+
     below_cap = lambda b: b <= 1e18
     lower, lo = 0.0, 1.0
     # 1 bps and the ladder above it; the last rung, past the cap, is not probed
@@ -448,8 +452,22 @@ def _rate_feasibility_interval(fits, scenario: Scenario) -> tuple[float, float] 
         # lo fits, and is known: the ladder climbs from the next rung
         rungs = _doublings(lo, below_cap)
         k = _first_false(fits, rungs[:-1])
+    if k == len(rungs) - 1:
+        # every rung up to the cap fits: the bisection reads no value past it
+        fits = _unprobed(fits, rungs[k])
     lo, hi = _search.bisect_boundary(fits, lo, rungs[k], rel_tol=1e-12)
     return lower, lo
+
+
+def _unprobed(pred, rate: float):
+    """pred, except that rate, a rung no ladder probed, reads as failing with
+    a NaN value instead of being evaluated."""
+    def read(rates):
+        rest = rates != rate
+        held, value = np.zeros(rates.shape, dtype=bool), np.full(rates.shape, math.nan)
+        held[rest], value[rest] = pred(rates[rest])
+        return held, value
+    return read
 
 
 def _margin(pricing: PowerLaw, c1: float, rate_bps: float) -> float:
@@ -499,17 +517,19 @@ def solve_nash(scenario: Scenario) -> NashResult:
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
     reqs = _Users(scenario)
     totals: dict[float, np.ndarray] = {}
+    ln_room = math.log(budget * (1.0 - FEASIBILITY_SLACK))
 
     def fits(rates_bps, n: int):
         # the ladders and bisections of several set sizes probe the same rates:
-        # each new rate is evaluated once, all of a call's in one evaluation
+        # each new rate is evaluated once, all of a call's in one evaluation.
+        # held is _feasible; value, ln T_n - ln(B*(1 - slack)), is below 0 where held
         rates = np.array(rates_bps, dtype=float, ndmin=1).tolist()
         new = [b for b in dict.fromkeys(rates) if b not in totals]
         if new:
             columns = np.cumsum(np.sort(reqs.price_requirements(new).T, axis=1), axis=1)
             totals.update(zip(new, columns))
-        held = _feasible(np.array([totals[b][n - 1] for b in rates]), budget)
-        return held.reshape(np.shape(rates_bps))
+        need = np.array([totals[b][n - 1] for b in rates]).reshape(np.shape(rates_bps))
+        return _feasible(need, budget), np.log(need) - ln_room
 
     bound = _margin_bound(price, c1)
 
@@ -523,11 +543,11 @@ def solve_nash(scenario: Scenario) -> NashResult:
         lower, boundary = interval
         b_star, _ = _search.golden_max(
             lambda b: n * _margin(price, c1, b), lower, boundary, rel_tol=1e-9)
-        if b_star <= 0.0 or not fits(b_star, n):
+        if b_star <= 0.0 or not fits(b_star, n)[0]:
             # boundary end may sit epsilon outside the strict constraint
             b_star = boundary
         rev = _revenue(scenario, n, price(b_star), b_star)
-        if n < n_users and fits(b_star, n + 1):
+        if n < n_users and fits(b_star, n + 1)[0]:
             rev = 0.0  # a larger set accepts at this rate, not an equilibrium
         top = max(top, rev)
         if rev > best_rev:

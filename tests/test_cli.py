@@ -534,6 +534,57 @@ def test_each_command_takes_its_options_in_order(command):
     assert options == COMMAND_OPTIONS[command]
 
 
+HELP = ROOT / "tests" / "golden" / "help"
+USAGE = "usage: prospect-pricing [-h] COMMAND ...\n"
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+def test_help_matches_golden_file(command, capsys, monkeypatch):
+    """--help of the program and of each command, byte for byte as recorded
+    when every run built all seven subparsers; at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    status, out, err = run(["--help"] if command is None else [command, "--help"], capsys)
+    assert (status, err) == (0, "")
+    assert out == (HELP / f"{command or 'prospect-pricing'}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a subcommand is required"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["sweep-loss", "--bogus"], "unrecognized arguments: --bogus"),
+    (["ne-solve", "--alpha-step", "0.1"], "unrecognized arguments: --alpha-step 0.1"),
+    (["sweep-loss", "--alpha-step", "inf"], "--alpha-step must be finite and > 0"),
+], ids=["missing-command", "unknown-flag", "unknown-command-flag", "another-commands-flag",
+        "infinite-step"])
+def test_usage_errors_keep_their_stderr(argv, message, capsys):
+    assert run(argv, capsys) == (64, "", f"prospect-pricing: error: {message}\n{USAGE}")
+
+
+def test_an_unknown_command_lists_all_seven(capsys):
+    status, out, err = run(["frobnicate"], capsys)
+    message, rest = err.split("\n", 1)
+    assert (status, out, rest) == (64, "", USAGE)
+    prefix = "prospect-pricing: error: argument COMMAND: invalid choice: 'frobnicate' (choose from "
+    assert message.startswith(prefix)
+    assert re.findall(r"[\w-]+", message[len(prefix):]) == list(COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["ne-solve", "--alpha-step", "1"], "ne-solve"),
+    (["sweep-admission", "--bogus"], "sweep-admission"),
+    (["--help"], None), (["frobnicate"], None), ([], None), (["--bogus", "ne-solve"], None)])
+def test_dispatch_builds_only_the_named_commands_subparser(argv, built, capsys, monkeypatch):
+    seen = []
+    build = cli._build_parser
+
+    def recorded(command=None):
+        seen.append(command)
+        return build(command)
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    dispatch(argv)
+    assert seen == [built]
+
+
 def test_config_key_types_are_the_field_annotations():
     """An int field refuses a float and a bool, a float field a bool and a
     string, and only the optional field takes null."""

@@ -318,12 +318,15 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # that do not depend on the machine
 
 # requirement evaluations one solve of the 80-user 300 m cell makes: a
-# ladder of up to 32 rungs per call and a bisection of 7 midpoints per call,
-# 17 calls of 128 rates, against 67 calls of one rate each when every probe
-# was its own evaluation. At 1/10 of its band the solve scans 41 set sizes,
-# in 493 calls of 3,296 rates (1,485 calls of one rate each)
-NASH_80_CALLS = 20
-NASH_80_TENTH_BAND_CALLS = 500
+# ladder of up to 32 rungs per call and a bisection along a secant-predicted
+# path of up to 12 midpoints per call, 8 calls of 91 rates, against 17 of 128
+# for a bisection of 7 look-ahead midpoints per call and 67 calls of one rate
+# each when every probe was its own evaluation. At 1/10 of its band the solve
+# scans 41 set sizes, in 222 calls of 1,912 rates (493 of 3,296 with the
+# look-ahead, 1,485 of one rate each). The default cell's solve makes 8 calls
+# of 84 rates, within the same bound
+NASH_80_CALLS = 10
+NASH_80_TENTH_BAND_CALLS = 260
 
 
 @pytest.fixture(scope="module")
@@ -593,6 +596,12 @@ def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
     assert 0 < len(calls) <= NASH_80_CALLS
 
 
+def test_default_solve_evaluation_count(monkeypatch, default_scenario):
+    calls = helpers.count_evaluations(monkeypatch)
+    assert solve_nash(default_scenario).n_served == 10
+    assert 0 < len(calls) <= NASH_80_CALLS
+
+
 def test_band_bound_solve_evaluation_count(monkeypatch, cell_80):
     calls = helpers.count_evaluations(monkeypatch)
     assert solve_nash(tenth_band(cell_80)).n_served == 80
@@ -642,11 +651,28 @@ def test_feasibility_interval_of_a_rate_window(default_scenario, lowest, highest
     below 1 bps down to the last, 2^-30, the climb of a rising-at-zero price,
     a window no ladder rung falls in and one past the 1e18 cap, ends as
     probing one rate at a time."""
-    fits = lambda rates: (lowest < rates) & (rates < highest)
+    fits = lambda rates: ((lowest < rates) & (rates < highest),
+                          np.maximum(lowest - rates, rates - highest))
     got = game._rate_feasibility_interval(fits, default_scenario)
     want = helpers.sequential_feasibility_interval(
-        lambda b: bool(fits(np.array([b]))[0]), default_scenario)
+        lambda b: bool(fits(np.array([b]))[0][0]), default_scenario)
     assert got == want
+
+
+@pytest.mark.parametrize("highest", [7e17, 3e18])
+def test_the_rung_past_the_cap_is_never_probed(default_scenario, highest):
+    """Every rung up to 1e18 fits: the upper bisection ends at the rung past
+    the cap, 2^60 bps, which no ladder probed, and it is not evaluated for
+    its value either."""
+    probed = []
+
+    def fits(rates):
+        probed.extend(rates.tolist())
+        return rates < highest, rates - highest
+    got = game._rate_feasibility_interval(fits, default_scenario)
+    assert got == helpers.sequential_feasibility_interval(lambda b: b < highest,
+                                                          default_scenario)
+    assert 2.0 ** 59 in probed and 2.0 ** 60 not in probed
 
 
 @pytest.mark.parametrize("case", ["default", "band-1e6-800m", "rising-at-zero"])
@@ -658,7 +684,7 @@ def test_ladders_probe_rates_as_one_at_a_time(monkeypatch, case):
 
     def compared(fits, scenario):
         got = interval(fits, scenario)
-        want = helpers.sequential_feasibility_interval(lambda b: bool(fits([b])[0]), scenario)
+        want = helpers.sequential_feasibility_interval(lambda b: bool(fits([b])[0][0]), scenario)
         seen.append(got)
         assert got == want
         return got

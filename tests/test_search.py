@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import golden_reference, sequential_bisection
-from prospect_pricing._search import (_GRACE, bisect_boundary, bracketed_root, golden_max,
-                                      stationary_min)
+from prospect_pricing._search import (_GRACE, _PATH, bisect_boundary, bracketed_root,
+                                      golden_max, stationary_min)
 
 
 def brackets(seed=7, n=40):
@@ -18,51 +18,88 @@ def brackets(seed=7, n=40):
     return flips, lo, hi
 
 
-def batched(pred, calls=None):
-    """pred over a 1-D array of points, recording each call's points."""
+def batched(pred, calls=None, value=lambda x: 0.0):
+    """pred over a 1-D array of points, as (held, value), recording each
+    call's points."""
     def over(points):
         if calls is not None:
             calls.append(points.size)
-        return np.array([pred(x) for x in points.tolist()], dtype=bool)
+        return (np.array([pred(x) for x in points.tolist()], dtype=bool),
+                np.array([value(x) for x in points.tolist()], dtype=float))
     return over
 
 
 def test_scalar_bisection_keeps_its_brackets():
     """Random monotone predicates, including brackets that settle partway
-    through a look-ahead and one already closed: the bracket is the
-    one-point loop's, bit for bit, and no call takes more than 7 points."""
+    through a predicted path and one already closed: the bracket is the
+    one-point loop's, bit for bit, and no call takes more than _PATH points."""
     flips, lo, hi = brackets(seed=13, n=200)
     for rel_tol in (1e-12, 1e-7, 1e-4, 0.3):
         for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
             pred, calls = (lambda m: m < f), []
-            got = bisect_boundary(batched(pred, calls), a, b, rel_tol)
+            got = bisect_boundary(batched(pred, calls, lambda m: m - f), a, b, rel_tol)
             assert got == sequential_bisection(pred, a, b, rel_tol)
-            assert all(1 <= size <= 7 for size in calls)
+            assert all(1 <= size <= _PATH for size in calls)
 
 
 def test_batched_bisection_walks_a_non_monotone_predicate():
     """True on alternating bands of [0, 1): the walk follows the one-point
-    loop's path through the tree, where a search for the first False among
-    the 7 midpoints of a call would stop in another band."""
+    loop's steps into the band they lead to, whatever the value predicts."""
     pred = lambda x: math.floor(x * 10.0) % 2 == 0
+    value = lambda x: x - 0.5
     for a, b in ((0.0, 1.0), (0.05, 0.97), (0.21, 0.9)):
         want = sequential_bisection(pred, a, b)
-        assert bisect_boundary(batched(pred), a, b) == want
+        assert bisect_boundary(batched(pred, value=value), a, b) == want
     # the first three steps from [0, 1] probe 0.5 (False), 0.25 (True) and
-    # 0.375 (False); the first of the seven sorted midpoints where pred fails
-    # is 0.125, left of the bracket the walk keeps
-    lo, hi = bisect_boundary(batched(pred), 0.0, 1.0)
+    # 0.375 (False)
+    lo, hi = bisect_boundary(batched(pred, value=value), 0.0, 1.0)
     assert 0.25 <= lo < hi <= 0.375
 
 
+@pytest.mark.parametrize("value", [
+    lambda x, f: 1.0, lambda x, f: math.nan, lambda x, f: math.inf, lambda x, f: -math.inf,
+    lambda x, f: f - x, lambda x, f: math.sin(1e6 * x),
+    lambda x, f: math.inf if x >= f else -1.0, lambda x, f: 1e308 * (x / f - 1.0)],
+    ids=["constant", "nan", "inf", "-inf", "wrong-sign", "noise", "inf-past-the-flip",
+         "overflowing"])
+def test_a_misleading_value_keeps_the_bracket(value):
+    """A value that is constant, NaN, infinite, of the wrong sign, noise,
+    infinite on one side or overflowing the secant misleads the predictions:
+    it costs calls, never a bit of the bracket."""
+    flips, lo, hi = brackets(seed=17, n=40)
+    for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
+        pred = lambda m: m < f
+        got = bisect_boundary(batched(pred, value=lambda m: value(m, f)), a, b)
+        assert got == sequential_bisection(pred, a, b)
+
+
+def test_a_smooth_value_closes_a_wide_bracket_in_few_calls():
+    """From [1, 2^23], with the flip in the top octave as a doubling ladder
+    leaves it, the 45 steps to 1e-12 took 15 calls of 3 look-ahead levels.
+    Along secant-predicted paths, the ends' call included, they take at most
+    7 for ln x - ln f and 5 for a value linear in x."""
+    flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
+    for f in flips.tolist():
+        pred = lambda m: m < f
+        want = sequential_bisection(pred, 1.0, 2.0 ** 23)
+        for value, most in ((lambda m: math.log(m / f), 7), (lambda m: m / f - 1.0, 5)):
+            calls = []
+            assert bisect_boundary(batched(pred, calls, value), 1.0, 2.0 ** 23) == want
+            assert len(calls) <= most
+
+
 def test_batched_bisection_warns_at_its_cap_after_as_many_steps():
-    """A cap that is not a multiple of the look-ahead: the bracket of the
-    capped one-point loop, and the warning."""
+    """Caps shorter than one path, and longer ones that are no multiple of
+    it: the bracket of the capped one-point loop, and the warning."""
     pred = lambda x: x < 0.3
-    for max_iter in (1, 4, 7, 11):
+    for max_iter in (1, 4, 7, 11, 13, 25):
+        calls = []
         with pytest.warns(RuntimeWarning, match=f"bisect_boundary stopped at max_iter={max_iter}"):
-            got = bisect_boundary(batched(pred), 0.0, 1.0, 1e-12, max_iter)
+            got = bisect_boundary(batched(pred, calls, lambda x: x - 0.3), 0.0, 1.0, 1e-12,
+                                  max_iter)
         assert got == sequential_bisection(pred, 0.0, 1.0, 1e-12, max_iter)
+        # no point is probed past the cap: the ends, then max_iter midpoints
+        assert sum(calls) <= 2 + max_iter
 
 
 def peaks(seed=11, n=40):
@@ -106,13 +143,13 @@ def test_a_search_stopped_at_its_cap_warns(search):
         if search == "golden_max":
             golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-12, 5)
         else:
-            bisect_boundary(lambda x: x < 0.3, 0.0, 1.0, 1e-12, 5)
+            bisect_boundary(lambda x: (x < 0.3, x - 0.3), 0.0, 1.0, 1e-12, 5)
 
 
 def test_a_bisection_closing_on_its_last_step_does_not_warn():
     # [0, 1] halves to the tolerance 2^-5 in exactly 5 steps; the suite's
     # error::RuntimeWarning filter fails the first call if it warns
-    pred = lambda x: x < 0.3
+    pred = lambda x: (x < 0.3, x - 0.3)
     assert bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=5) == (0.28125, 0.3125)
     with pytest.warns(RuntimeWarning, match="bisect_boundary"):
         bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=4)
