@@ -106,8 +106,11 @@ _COMMANDS = {"ne-solve": "solve the pricing game once",
 
 def _build_parser(command: str | None = None) -> _Parser:
     """The parser of every command, or of command's subparser alone."""
+    # a fixed help column, 19: Python 3.13's argparse moves the default to 21
     parser = _Parser(prog="prospect-pricing",
-                     description="Spectrum-pricing game solver and sweep runner")
+                     description="Spectrum-pricing game solver and sweep runner",
+                     formatter_class=lambda prog: argparse.HelpFormatter(
+                         prog, max_help_position=19))
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name in _COMMANDS if command is None else [command]:
         p = sub.add_parser(name, help=_COMMANDS[name])

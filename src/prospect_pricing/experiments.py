@@ -319,33 +319,25 @@ def sweep_expansion(spec: SweepSpec) -> SweepTable:
     return SweepTable(HEADER_EXPANSION, tuple(rows))
 
 
-def _drop_order(scenario: Scenario, ref: NashResult) -> list[int]:
-    """Served users ordered by who gets denied first: largest minimum first."""
-    need = _Users(scenario, ref.served_set).price_requirements(ref.rate_bps).tolist()
-    reqs = dict(zip(ref.served_set, need))
-    return sorted(ref.served_set, key=lambda i: (-reqs[i], i))
-
-
 def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     """Markup price and residual loss when up to max_drops users are denied.
 
-    Denial order is largest minimum-bandwidth consumer first. The freed band is
-    re-split over the retained users; the provider charges the
-    revenue-preserving markup when the retained users accept it, otherwise the
-    highest price they do accept. One level search over the served users solves
-    each (alpha, kept set), the set as members, never empty as max_drops < n_served.
+    Denial order is worst channel first (_Users.kept), the largest consumer
+    at every rate and alpha. The freed band is re-split over the retained
+    users; the provider charges the revenue-preserving markup when the
+    retained users accept it, otherwise the highest price they do accept. One
+    level search over the served users solves each (alpha, kept set), the set
+    as members, never empty as max_drops < n_served.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
     if not (0 <= max_drops < ref.n_served):
         raise ValueError(f"max_drops must lie in [0, {ref.n_served}), got {max_drops}")
-    order = _drop_order(sc, ref)
     alphas = spec.alphas()
     drops = np.arange(max_drops + 1)
-    # members[u, d]: served user u is kept once the first d users of order are denied
-    members = np.array([order.index(i) for i in ref.served_set])[:, None] >= drops
-    need = _Users(sc, ref.served_set).at(ref.rate_bps, np.repeat(alphas, drops.size),
-                                         np.tile(members, len(alphas)))
+    served = _Users(sc, ref.served_set)
+    need = served.at(ref.rate_bps, np.repeat(alphas, drops.size),
+                     np.tile(served.kept(drops), len(alphas)))
     caps = prospect._solve_levels(need, sc.total_bandwidth_hz).reshape(len(alphas), -1)
     kept_sizes = (ref.n_served - drops).tolist()
     targets = [prospect.admission_price(sc, ref, n_kept) for n_kept in kept_sizes]
@@ -366,7 +358,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     The no-pricing baseline holds the old price and buys whatever band the
     aggregate requirement demands. Expansion reprices at the equalized
     willingness; its full-recovery band equals the baseline's. Admission denies
-    the heaviest consumer without re-splitting the survivors' band, so below
+    the worst channel without re-splitting the survivors' band, so below
     some alpha no markup is acceptable and the threshold cells are empty; with
     a single served user nobody is left and both admission cells are empty. Rate
     control additionally moves the offered rate to wherever the total
@@ -399,14 +391,13 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     sc = spec.scenario
     budget = sc.total_bandwidth_hz
     b_star = ref.rate_bps
-    order = _drop_order(sc, ref)
-    kept = tuple(sorted(order[1:]))
+    served = _Users(sc, ref.served_set)
+    kept = tuple(np.delete(ref.served_set, served.order[-1:]).tolist())
     markup = prospect.admission_price(sc, ref, len(kept)) if kept else None
 
     rate_grid = np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)
     alphas = spec.alphas()
     rates = np.append(b_star, rate_grid)
-    served = _Users(sc, ref.served_set)
     need = served.at(np.tile(rates, len(alphas)), np.repeat(alphas, rates.size))
     # problem[a, j]: alpha a at rates[j], the offered rate first
     problem = np.arange(need.rates.size).reshape(len(alphas), rates.size)

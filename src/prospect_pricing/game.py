@@ -6,8 +6,8 @@ the (possibly probability-weighted) service guarantee, exceeds the price.
 Users share one benefit law and differ only by their channel. The
 solver locates the revenue-maximizing pure-strategy equilibrium by scanning
 served-set sizes n from large to small: maximize n*(r(b) - c1*b) over rates b
-whose n cheapest users fit in the band, then disqualify any n for which a
-strictly larger set would also fit at that rate.
+whose n cheapest users, the first n of _Users.order, fit in the band, then
+disqualify any n for which a strictly larger set would also fit at that rate.
 
 The scan stops early: no rate earns a user more than m* = max_b r(b) - c1*b,
 so size n earns at most n*m* - c3*B. Once a positive revenue found so far is
@@ -348,6 +348,9 @@ class _Users:
 
     The one place a bandwidth requirement is inverted in numpy: at(rates,
     alphas) makes the cheap per-problem evaluator over these columns.
+    order, the one user ranking, sorts them by s = N0/P (a requirement rises
+    with s at every target), tied channels by index; served and kept sets are
+    its prefixes.
     """
 
     def __init__(self, scenario: Scenario, users=None) -> None:
@@ -357,6 +360,11 @@ class _Users:
                          for ch in picked]).reshape(-1, 2)
         # one contiguous users x 1 column per parameter
         self.noise, self.power = rows.T[:, :, None].copy()
+        self.order = np.argsort((self.noise / self.power)[:, 0], kind="stable")
+
+    def kept(self, drops) -> np.ndarray:
+        """users x len(drops) membership: all but the drops[k] last users of order."""
+        return np.argsort(self.order)[:, None] < self.order.size - np.asarray(drops)
 
     def at(self, rates_bps, alphas, members=True) -> _RequirementMatrix:
         """Evaluator of the problems rates_bps x alphas, one 1-D array, and their members."""
@@ -526,7 +534,7 @@ def solve_nash(scenario: Scenario) -> NashResult:
         rates = np.array(rates_bps, dtype=float, ndmin=1).tolist()
         new = [b for b in dict.fromkeys(rates) if b not in totals]
         if new:
-            columns = np.cumsum(np.sort(reqs.price_requirements(new).T, axis=1), axis=1)
+            columns = np.cumsum(reqs.price_requirements(new)[reqs.order].T, axis=1)
             totals.update(zip(new, columns))
         need = np.array([totals[b][n - 1] for b in rates]).reshape(np.shape(rates_bps))
         return _feasible(need, budget), np.log(need) - ln_room
@@ -556,10 +564,8 @@ def solve_nash(scenario: Scenario) -> NashResult:
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
                           price=0.0, sp_revenue=top, equilibrium=False)
 
-    need = reqs.price_requirements(best_rate).tolist()
-    order = sorted(range(n_users), key=lambda i: (need[i], i))
-    served = tuple(sorted(order[:n_star]))
-    served_need = [need[i] for i in served]
+    served = tuple(sorted(reqs.order[:n_star].tolist()))
+    served_need = reqs.price_requirements(best_rate)[list(served)].tolist()
     # hand the whole band to the served users: every acceptance strict, and the
     # reported revenue (which charges c3 on the full endowment) matches
     # sp_utility on the returned offer exactly

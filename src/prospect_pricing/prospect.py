@@ -99,13 +99,13 @@ def no_pricing_bands(scenario: Scenario, ne: NashResult, alphas) -> list[float]:
 
 def _min_willingness(scenario: Scenario, ne: NashResult, alphas, users=None) -> list[float]:
     """The lowest willingness of the served (or given) users at their allocation, per
-    alpha: bitwise game.willingness, the benefit and each guarantee evaluated once for
-    every alpha."""
+    alpha: h times w of the lowest guarantee, as w rises, bitwise the minimum of
+    game.willingness. The guarantees are evaluated once for every alpha."""
     _require_equilibrium(ne)
     h = scenario.benefit(ne.rate_bps)
-    guarantees = [service_guarantee(ne.rate_bps, ne.allocation[i], scenario.users[i])
-                  for i in (ne.served_set if users is None else users)]
-    return [min(h * weight(g, model) for g in guarantees) for model in map(WeightingModel, alphas)]
+    lowest = min(service_guarantee(ne.rate_bps, ne.allocation[i], scenario.users[i])
+                 for i in (ne.served_set if users is None else users))
+    return [h * weight(lowest, model) for model in map(WeightingModel, alphas)]
 
 
 def _capped_price(ne: NashResult, level: float) -> float:
@@ -325,12 +325,12 @@ def admission_controls(scenario: Scenario, ne: NashResult, alphas,
     One outcome per weighting exponent in alphas. Candidate subsets keep at
     least n_served - max_drops users. The revenue-preserving price depends
     on the subset only through its size and per-user requirements are
-    separable, so for each size the cheapest subset is the size-many
-    smallest-requirement users, ties going to the lower index. One
-    evaluation inverts every alpha at every candidate price. Each total adds
-    the kept users in user order, the dropped as +0.0: the evaluator's
-    membership rule, applied here as the kept set ranks the evaluated need.
-    Per alpha the first smallest total wins; on a tie, the fewest drops.
+    separable and rise with s = N0/P, so for each size the cheapest subset
+    keeps all but the d worst channels (_Users.kept), of tied ones the lower
+    index. One evaluation inverts every alpha at every candidate price, each
+    kept set as its members, so each total adds the kept users in user
+    order, the dropped as +0.0. Per alpha the first smallest total wins; on
+    a tie, the fewest drops.
     """
     _require_equilibrium(ne)
     n = ne.n_served
@@ -340,11 +340,10 @@ def admission_controls(scenario: Scenario, ne: NashResult, alphas,
     # one problem per alpha and number of drops, each at its revenue-preserving price
     prices = [admission_price(scenario, ne, n - drop) for drop in range(max_drops + 1)]
     d = len(prices)
-    need = _Users(scenario, ne.served_set).at(ne.rate_bps, np.repeat(alphas, d))(
-        np.tile(prices, alphas.size))
-    rank = np.argsort(np.argsort(need, axis=0, kind="stable"), axis=0, kind="stable")
-    kept = rank < n - np.tile(np.arange(d), alphas.size)
-    totals = _total(np.where(kept, need, 0.0))
+    served = _Users(scenario, ne.served_set)
+    kept = np.tile(served.kept(np.arange(d)), alphas.size)
+    need = served.at(ne.rate_bps, np.repeat(alphas, d), kept)(np.tile(prices, alphas.size))
+    totals = _total(need)
     best = np.argmin(totals.reshape(-1, d), axis=1) + d * np.arange(alphas.size)
     return [_fit_outcome(scenario, ne, "admission", total, prices[k % d],
                          tuple(i for i, keep in zip(ne.served_set, kept[:, k]) if keep),
@@ -451,12 +450,13 @@ def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
     (_RequirementMatrix.margins) is concave in ln b while the price less
     c1*b stays positive, so the rates that keep every target within reach
     form one interval and T is finite exactly there. Where T is inf, the
-    user of the smallest margin tells on which side of that interval the
-    rate lies: left if its margin rises, and the slope is then -inf; right
-    otherwise, and the slope is +inf. A price that is not positive lies left
-    of every positive one. There, too, each user's tangent lies above its
-    concave margin, so the interval lies strictly between the largest zero
-    of a rising tangent and the smallest zero of a falling one: the bounds.
+    worst channel (the last of served.order), whose margin is the smallest,
+    tells on which side of that interval the rate lies: left if its margin
+    rises, and the slope is then -inf; right otherwise, and the slope is
+    +inf. A price that is not positive lies left of every positive one.
+    There, too, each user's tangent lies above its concave margin, so the
+    interval lies strictly between the largest zero of a rising tangent and
+    the smallest zero of a falling one: the bounds.
     Elsewhere, or where the offer's price is not above c1 times its rate,
     the bounds are -inf and inf.
     """
@@ -468,8 +468,7 @@ def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
     out = np.isinf(total)
     if out.any():
         margin, rising = need.margins(price, elasticity)
-        worst = np.argmin(margin, axis=0)
-        left = (price <= 0.0) | (rising[worst, np.arange(worst.size)] > 0.0)
+        left = (price <= 0.0) | (rising[served.order[-1]] > 0.0)
         slope = np.where(out, np.where(left, -np.inf, np.inf), slope)
         if ne.price > scenario.cost.c1 * ne.rate_bps:
             with np.errstate(divide="ignore", invalid="ignore"):

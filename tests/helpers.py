@@ -447,6 +447,14 @@ def full_grid_comparison(spec):
     return levels, caps, cells
 
 
+def drop_order(scenario, ref):
+    """The served users in the order the sweeps deny them, from the scalar
+    requirements at the offered rate: the largest first, of equal ones the
+    higher index."""
+    reqs = {i: _requirement_or_inf(ref.rate_bps, i, scenario) for i in ref.served_set}
+    return sorted(ref.served_set, key=lambda i: (-reqs[i], -i))
+
+
 def per_set_admission(spec, max_drops):
     """sweep_admission's rows as one equalized_levels search per kept set
     finds them, each over an evaluator of the kept users alone."""
@@ -454,7 +462,7 @@ def per_set_admission(spec, max_drops):
     ne = solve_nash(sc)
     ref = experiments.reference_offer(sc, ne, spec.offer_margin)
     eut = ne.sp_revenue
-    order = experiments._drop_order(sc, ref)
+    order = drop_order(sc, ref)
     alphas = spec.alphas()
     kept_sets = [tuple(sorted(order[k:])) for k in range(max_drops + 1)]
     caps = [prospect.equalized_levels(sc, kept, ref.rate_bps, alphas,
@@ -478,7 +486,7 @@ def survivors_bands(spec):
     survivors alone, over the endowment, one per alpha."""
     sc = spec.scenario
     ref = experiments.reference_offer(sc, solve_nash(sc), spec.offer_margin)
-    kept = tuple(sorted(experiments._drop_order(sc, ref)[1:]))
+    kept = tuple(sorted(drop_order(sc, ref)[1:]))
     markup = prospect.admission_price(sc, ref, len(kept))
     need = game._Users(sc, kept).at(ref.rate_bps, spec.alphas())(markup)
     return (game._total(need) / sc.total_bandwidth_hz).tolist()

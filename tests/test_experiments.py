@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -314,6 +315,47 @@ def test_admission_sweep_matches_one_search_per_kept_set(seed):
     assert any(band is not None for band in bands) == (seed not in (2, 5))
     for band, want in zip(bands, helpers.survivors_bands(spec)):
         assert band is None or band.hex() == want.hex()
+
+
+def test_tied_channels_keep_the_lower_index(monkeypatch):
+    """Of two users with the same channel, every ranking keeps the lower
+    index: solve_nash serves it, and admission_controls, sweep_admission's
+    kept sets and sweep_comparison's survivors deny the higher one first.
+    The default cell with user 4's channel, its worst, copied to user 0."""
+    sc = build_scenario()
+    users = list(sc.users)
+    users[0] = users[4]
+    tied = dataclasses.replace(sc, users=tuple(users))
+    ref = experiments.reference_offer(tied, solve_nash(tied))
+    assert ref.served_set == tuple(range(10))
+    alphas = [0.01 * k for k in range(1, 101)]
+    kept_sets = {o.served_set for o in prospect.admission_controls(tied, ref, alphas, 1)}
+    assert kept_sets == {ref.served_set, (0, 1, 2, 3, 5, 6, 7, 8, 9)}
+    members = []
+    solve_levels = prospect._solve_levels
+
+    def recorded(need, totals, *args):
+        members.append(need.members)
+        return solve_levels(need, totals, *args)
+    monkeypatch.setattr(prospect, "_solve_levels", recorded)
+    sweep_admission(SweepSpec(tied, 0.9, 0.9), max_drops=2)
+    assert [np.flatnonzero(~column).tolist() for column in members[0].T] == [[], [4], [0, 4]]
+    survivors = []
+    min_willingness = experiments._min_willingness
+
+    def recorded_willingness(sc, ref, alphas, users=None):
+        survivors.append(users)
+        return min_willingness(sc, ref, alphas, users)
+    monkeypatch.setattr(experiments, "_min_willingness", recorded_willingness)
+    sweep_comparison(SweepSpec(tied, 0.9, 0.9))
+    assert survivors == [(0, 1, 2, 3, 5, 6, 7, 8, 9)]
+    # a pair only one of whom fits: a price rising more slowly than the
+    # benefit puts a floor under each requirement
+    far, near = helpers.make_channel(700.0), helpers.make_channel(300.0)
+    pair = game.Scenario(users=(far, near, far), benefit=helpers.STD_BENEFIT,
+                         pricing=game.PowerLaw(5e-3, 0.5), cost=helpers.STD_COST,
+                         total_bandwidth_hz=1.2)
+    assert solve_nash(pair).served_set == (0, 1)
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5, 10])

@@ -399,6 +399,79 @@ def test_price_targets_are_the_alpha_1_column_bitwise(cell_80):
         assert (floats == users.at(rate, [0.5, 1.0])(price)[:, 1]).all(), rate
 
 
+def requirement_columns(users, rates):
+    """users x problems requirements of every kind a ranking reads: the price
+    vectors, and at alphas 0.5, 0.8 and 1 the price targets and levels from
+    near 0 to past the cap."""
+    yield users.price_requirements(rates)
+    for alpha in (0.5, 0.8, 1.0):
+        need = users.at(rates, alpha)
+        yield need(np.array([users.pricing(b) for b in rates.tolist()]))
+        for fraction in (1e-6, 0.1, 0.5, 0.9, 0.999, 1.5):
+            yield need(fraction * need.caps())
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 1, 2, 3, 5, 11])
+def test_requirements_are_sorted_in_channel_order_bitwise(seed):
+    """A requirement rises with s = N0/P at every rate, alpha and target, so
+    on the bundled cells each evaluated column taken in _Users.order is
+    bitwise the column sorted: the running totals solve_nash reads, and the
+    kept sets admission reads, are those of ranking by requirement."""
+    rates = np.geomspace(1e2, 2e7, 200)
+    for n_users, radius in ((10, 800.0), (80, 300.0)):
+        users = game._Users(experiments.build_scenario(n_users, cell_radius_m=radius, seed=seed))
+        for need in requirement_columns(users, rates):
+            assert np.array_equal(need[users.order], np.sort(need, axis=0))
+
+
+def near_ties(rng, noise_apart):
+    """12 users, half of them a received power a few ulps from another's:
+    a common noise PSD, or noise PSDs a few ulps apart that keep each s
+    within ulps of its twin's."""
+    n0 = channel.dbm_to_watts(-174.0)
+    powers = [helpers.make_channel(float(rng.uniform(20.0, 800.0)),
+                                   float(rng.normal(0.0, 4.0))).received_power_w
+              for _ in range(6)]
+    users = []
+    for p in powers + [p * (1.0 + int(rng.integers(-4, 5)) * 2.0 ** -52) for p in powers]:
+        k = int(rng.integers(-3, 4)) if noise_apart else 0
+        users.append(channel.UserChannel(p * (1.0 + k * 2.0 ** -52), n0 * (1.0 + k * 2.0 ** -52)))
+    rng.shuffle(users)
+    return game._Users(Scenario(users=tuple(users), benefit=helpers.STD_BENEFIT,
+                                pricing=helpers.STD_PRICING, cost=helpers.STD_COST,
+                                total_bandwidth_hz=1e7))
+
+
+@pytest.mark.parametrize("noise_apart", [False, True])
+def test_channel_order_is_a_definition_within_ulps_of_equal_s(noise_apart):
+    """Where two users' s lie within ulps, the computed requirements need not
+    keep their order: the inversion rounds to a few ulps, not monotonically.
+    There the order is a definition. A column taken in order steps down, as
+    it does in these cells, only between neighbours whose s lie within 8 eps
+    of each other, and solve_nash's running totals at the price targets,
+    summed in order, lie within 4 eps of the sorted sums (measured over 200
+    such cells of each kind: up to 1.6 eps, in 19 and 109 of 91,096 totals)."""
+    rates = np.geomspace(1e2, 2e7, 40)
+    steps_down = 0
+    for seed in range(20):
+        users = near_ties(np.random.default_rng(seed), noise_apart)
+        s = (users.noise / users.power)[users.order, 0]
+        close = (np.diff(s) <= 8 * 2.0 ** -52 * s[1:])[:, None]
+        for need in requirement_columns(users, rates):
+            with np.errstate(invalid="ignore"):
+                down = np.diff(need[users.order], axis=0) < 0.0
+            assert not (down & ~close).any(), seed
+            steps_down += down.sum()
+        need = users.price_requirements(rates)
+        ordered = np.cumsum(need[users.order], axis=0)
+        ranked = np.cumsum(np.sort(need, axis=0), axis=0)
+        finite = np.isfinite(ranked)
+        assert np.array_equal(np.isfinite(ordered), finite)
+        gap = np.abs(ordered[finite] - ranked[finite])
+        assert (gap <= 4 * 2.0 ** -52 * ranked[finite]).all(), seed
+    assert steps_down > 0
+
+
 # rates and alphas as floats or lists: the evaluator broadcasts every form to
 # one 1-D array of problems; below alpha 0.01, (-ln q)^(1/alpha) overflows
 # and lc is taken in log space

@@ -23,6 +23,10 @@ SWEEPS = ("ne-solve", "sweep-loss", "sweep-price", "sweep-expansion",
 SEEDS = (4966, 2, 5)
 # band sizing finds a user no bandwidth serves in a 3 km cell
 FAR_CELL = {"cell_radius_m": 3000.0}
+# the 3 km cell with a band given: 9 of the 10 users are served (user 4 is
+# left out), so which subset the solve serves and the order in which the
+# sweeps deny users show in the printed bytes
+FAR_CELL_BAND = {"cell_radius_m": 3000.0, "total_bandwidth_hz": 2e7}
 # the 80-user 300 m cell at 1/10 of its band: the band binds and the solve
 # scans 41 set sizes
 CELL_80_TENTH_BAND = {"n_users": 80, "cell_radius_m": 300.0,
@@ -33,6 +37,8 @@ CASES = ([(f"{command}.seed{seed}.csv", [command, "--seed", str(seed)], None, 0)
          + [("fit-pwf.csv", ["fit-pwf"], None, 0),
             ("ne-solve.radius3000.csv", ["ne-solve"], FAR_CELL, 3),
             ("ne-solve.cell80-tenth-band.csv", ["ne-solve"], CELL_80_TENTH_BAND, 0),
+            *((f"{command}.radius3000-band2e7.csv", [command], FAR_CELL_BAND, 0)
+              for command in ("ne-solve", "sweep-admission", "sweep-compare")),
             # alphas where targets go out of reach and cells print empty
             ("sweep-compare.wide.seed4966.csv",
              ["sweep-compare", "--seed", "4966", "--alpha-min", "0.01", "--alpha-max", "1.0",

@@ -1025,21 +1025,24 @@ def test_no_pricing_bands_are_the_preserved_aggregates_bitwise(seed):
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5])
 def test_min_willingness_is_the_scalar_minimum_bitwise(seed):
-    """One guarantee pass gives every alpha's lowest willingness, bit for bit
-    the minimum of game.willingness, over the served set and over
+    """One guarantee pass gives every alpha's lowest willingness, h times the
+    weight of the lowest guarantee, bit for bit the minimum of
+    game.willingness over the users: over the served set and over
     sweep_comparison's kept set (the heaviest consumer denied), in the
-    sweep-compare window and in a wide one."""
-    sc = experiments.build_scenario(seed=seed)
-    ref = experiments.reference_offer(sc, solve_nash(sc))
-    kept = tuple(sorted(experiments._drop_order(sc, ref)[1:]))
-    for alphas in (experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas(),
-                   experiments.SweepSpec(sc, 0.3, 1.0, 0.05).alphas()):
-        for users in (None, kept):
-            got = prospect._min_willingness(sc, ref, alphas, users)
-            want = [min(willingness(sc, ref, WeightingModel(alpha=a), i, ref.allocation[i])
-                        for i in (ref.served_set if users is None else users))
-                    for a in alphas]
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+    sweep-compare window and over alphas 0.01 to 1, on the default cell and
+    the 80-user 300 m cell."""
+    for sc in (experiments.build_scenario(seed=seed),
+               experiments.build_scenario(80, cell_radius_m=300.0, seed=seed)):
+        ref = experiments.reference_offer(sc, solve_nash(sc))
+        kept = tuple(sorted(helpers.drop_order(sc, ref)[1:]))
+        for alphas in (experiments.SweepSpec(sc, *experiments.DEFAULT_RANGE_COMPARISON).alphas(),
+                       experiments.SweepSpec(sc, 0.01, 1.0, 0.01).alphas()):
+            for users in (None, kept):
+                got = prospect._min_willingness(sc, ref, alphas, users)
+                want = [min(willingness(sc, ref, WeightingModel(alpha=a), i, ref.allocation[i])
+                            for i in (ref.served_set if users is None else users))
+                        for a in alphas]
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 3, 7, 11])
