@@ -114,14 +114,18 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     the step before last; the midpoint otherwise. A secant step shorter
     than the tolerance right after a secant step has converged: the point
     goes half the tolerance past the secant, so the next bracket closes
-    across the root. Such a step after a midpoint, or on the first step,
-    takes the midpoint instead. After _GRACE steps, a bracket wider than
-    its first width halved twice every three steps since then takes
-    midpoints too, so none takes more than about 1.5 times its bisection
-    count plus _GRACE points. A point stays half the tolerance inside its
-    bracket, so a root within that distance of an end closes the bracket
-    on the next step. A value of 0 closes the bracket at its point; NaN
-    counts as above 0. A bracket closes at a width of
+    across the root. Such a step inside the bracket after a midpoint, or on
+    the first step, takes the midpoint instead. One that lands at or past
+    the end of smaller |f|, after any step, shows a root within rounding of
+    that end: the point goes half the tolerance inside from the end, so the
+    next bracket closes there, where a midpoint would leave the search
+    bisecting the far side down to the tolerance. After _GRACE steps, a
+    bracket wider than its first width halved twice every three steps since
+    then takes midpoints too, so none takes more than about 1.5 times its
+    bisection count plus _GRACE points. A point stays half the tolerance
+    inside its bracket, so a root within that distance of an end closes the
+    bracket on the next step. A value of 0 closes the bracket at its point;
+    NaN counts as above 0. A bracket closes at a width of
     rel_tol*max(|lo|, |hi|, 1), and one still wider after max_iter steps
     issues a RuntimeWarning. Returns the final (lo, hi).
     """
@@ -153,8 +157,12 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
         best = np.where(np.abs(f_hi[open_]) < np.abs(f_lo[open_]), b, a)
         move = np.abs(secant - best)
         closing = move < tol
-        take = (np.isfinite(q0) & np.isfinite(q1) & (a < secant) & (secant < b)
-                & (move < 0.5 * before[open_]) & (secant_last[open_] | ~closing)
+        # a converged secant at or past the end of smaller |f| is taken whatever
+        # came before it, and the clip below puts it half the tolerance inside
+        inside = (a < secant) & (secant < b)
+        take = (np.isfinite(q0) & np.isfinite(q1)
+                & np.where(inside, secant_last[open_] | ~closing, closing)
+                & (move < 0.5 * before[open_])
                 & (b - a <= width[open_] * 2.0 ** ((_GRACE - step) / 1.5)))
         x = np.where(take, secant + np.where(closing, np.copysign(0.5 * tol, secant - best), 0.0),
                      0.5 * (a + b))
@@ -183,10 +191,13 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     the largest lower and the smallest upper bound: a bracket without one
     is dropped before the search, or closed at the point that shows it.
     One lockstep bracketed_root search closes them all to its default
-    tolerance, each keeping the smallest value evaluated in it. The best
-    point starts at the start, and each edge and its bracket's point, in
-    order, replace it only when strictly smaller. Without starts, f is not
-    called and both arrays are empty.
+    tolerance. Each bracket's point is the end of its closed bracket of
+    smaller value, the lower end on a tie: a stationary point, where the
+    smallest value evaluated could be any point within rounding of a flat
+    minimum, however far from its root. The best point starts at the
+    start, and each edge and its bracket's point, in order, replace it only
+    when strictly smaller. Without starts, f is not called and both arrays
+    are empty.
     """
     edges, starts = np.asarray(edges, dtype=float), np.asarray(starts, dtype=float)
     n = starts.size
@@ -202,17 +213,21 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     ceil = np.minimum(upper[k, j], upper[k + 1, j])
     keep = floor < ceil
     k, j, floor, ceil = k[keep], j[keep], floor[keep], ceil[keep]
-    root, root_value = edges[k], np.full(k.shape, np.inf)
+    # the values at each bracket's ends, moved along with them
+    lo_value, hi_value = value[k, j], value[k + 1, j]
 
     def root_slope(x, open_):
         at_x, d, low, high = f(x, j[open_])
         floor[open_], ceil[open_] = np.maximum(floor[open_], low), np.minimum(ceil[open_], high)
-        better = at_x < root_value[open_]
-        root[open_[better]], root_value[open_[better]] = x[better], at_x[better]
         # a bracket shown to hold no finite value closes at this point
-        return np.where(floor[open_] < ceil[open_], d, 0.0)
+        d = np.where(floor[open_] < ceil[open_], d, 0.0)
+        lo_value[open_] = np.where(d <= 0.0, at_x, lo_value[open_])
+        hi_value[open_] = np.where(d < 0.0, hi_value[open_], at_x)
+        return d
 
-    bracketed_root(root_slope, edges[k], edges[k + 1], slope[k, j], slope[k + 1, j])
+    lo, hi = bracketed_root(root_slope, edges[k], edges[k + 1], slope[k, j], slope[k + 1, j])
+    at_hi = hi_value < lo_value
+    root, root_value = np.where(at_hi, hi, lo), np.where(at_hi, hi_value, lo_value)
 
     # candidates in order: the start, then each edge and its bracket's point
     cand, cand_value = np.full((2 * edges.size, n), np.nan), np.full((2 * edges.size, n), np.inf)

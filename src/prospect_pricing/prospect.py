@@ -31,6 +31,10 @@ _TINY = 5e-324
 _LEVEL_TOL = 5e-15
 # the top of every level search, as a fraction of the cap no level reaches
 _CAP_END = 1.0 - 1e-12
+# bandwidth expansion's edges in v = ln(-ln(x/cap)), rising: the cap end,
+# 1 - 10^-k for k = 11 down to 2, then k/12 for k = 11 down to 1
+_EXPANSION_EDGES = np.log(-np.log(np.concatenate((
+    [_CAP_END], 1.0 - 10.0 ** -np.arange(11.0, 1.0, -1.0), np.arange(11.0, 0.0, -1.0) / 12))))
 
 
 @dataclass(frozen=True)
@@ -364,16 +368,21 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     One outcome per weighting exponent in alphas. The served users need S(x)
     in total to reach level x; S rises strictly on [0, cap), cap =
     min_i h*w(sup_i), so max_B n*x(B) - c3*B is the minimum of the loss
-    c3*S(x) - n*x, whose slope in ln x is c3*sum(slopes) - n*x.
-    _search.stationary_min finds every alpha's minimum at once over u =
-    x/cap, from the start u = 0 (no band, loss 0) and edges at k/12 and at
-    the cap end 1 - 1e-12. S' grows without bound at 0, so the loss rises
-    first, peaks near u = 1e-4 and, on the cells measured, is least between
-    u = 0.8 (alphas near 0.1 at the largest c3 that leaves an equilibrium)
-    and 1 - 1e-4 (c3 = 1e-10). Even edges keep the peak apart from the
-    minimum; edges at 1 - 10^-k would make [0, 0.9] one bracket and miss
-    the minima below 0.9. The band S(x*) sums the column that is the
-    allocation.
+    L = c3*S(x) - n*x. _search.stationary_min finds every alpha's minimum at
+    once in v = ln(-ln u), u = x/cap, the coordinate _solve_levels steps in:
+    x = cap*exp(-e^v), and dL/dv = (n*x - c3*sum(slopes))*e^v. The start is
+    v = inf, u = 0 (no band, loss 0). The edges, in u, are k/12, 1 - 10^-k
+    for k = 2..11 and the cap end _CAP_END = 1 - 1e-12, to which its v maps
+    back bitwise. S' grows without bound at 0, so the loss rises first,
+    peaks near u = 1e-4 and, on the cells measured, is least between u =
+    0.8 (alphas near 0.1 at the largest c3 that leaves an equilibrium) and
+    1 - 1e-4 (c3 = 1e-10). Even edges keep the peak apart from the minimum;
+    edges at 1 - 10^-k alone would make [0, 0.9] one bracket and miss the
+    minima below 0.9. Near the cap the slope in u is flat and then turns
+    within 1e-3 of the cap, where the root search in u took midpoints; in v
+    it takes secants: 8 evaluations of 149 columns for five alphas on the
+    default cell, against 16 of 131 in u. The band S(x*) sums the column
+    that is the allocation.
     Full recovery is possible iff the threshold (n*r - best value)/c3 stays
     below the endowment; with c3 = 0 the level takes the cap end and the
     threshold is -inf.
@@ -384,16 +393,18 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     eut_rev = _revenue(scenario, n, ne.price, ne.rate_bps)
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)
     caps = need.caps()
-    u = np.full(caps.shape, _CAP_END)
+    v = np.full(caps.shape, _EXPANSION_EDGES[0])
     if c3 > 0.0:
-        def loss(u, j):
-            x = u * caps[j]
+        def loss(v, j):
+            t = np.exp(v)
+            x = caps[j] * np.exp(-t)
             total, slope = _sum_and_slope(need.columns(j), x)
-            return c3 * total - n * x, c3 * slope - n * x, -np.inf, np.inf
+            # the start, v = inf, has x = 0 and a slope of 0*inf, never read
+            with np.errstate(invalid="ignore"):
+                return c3 * total - n * x, (n * x - c3 * slope) * t, -np.inf, np.inf
 
-        edges = np.append(np.arange(1.0, 12.0) / 12, _CAP_END)
-        u, _ = _search.stationary_min(loss, edges, np.zeros(caps.size))
-    x = u * caps
+        v, _ = _search.stationary_min(loss, _EXPANSION_EDGES, np.full(caps.size, np.inf))
+    x = caps * np.exp(-np.exp(v))
     alloc = need(x)
     band = _total(alloc)
 

@@ -386,6 +386,37 @@ def test_module_entry_points_run_the_command(module):
     assert proc.stdout == NE_SOLVE_STDOUT
 
 
+NUMPY_MA_RUN = """
+import contextlib, io, sys
+from prospect_pricing import cli, experiments, prospect, solve_nash
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in cli._COMMANDS:
+        assert cli.dispatch([command]) == 0, command
+sc = experiments.build_scenario()
+ref = experiments.reference_offer(sc, solve_nash(sc))
+alphas = [0.5, 0.9]
+prospect.no_pricing_bands(sc, ref, alphas)
+prospect.admission_controls(sc, ref, alphas, 1)
+prospect.bandwidth_expansions(sc, ref, alphas)
+prospect.rate_controls(sc, ref, alphas)
+for strategy_id in prospect.STRATEGY_IDS:
+    prospect.min_alpha(sc, ref, strategy_id)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_or_strategy_imports_numpy_ma():
+    """np.unique, among others, imports numpy.ma on first use, which adds
+    1.7 MB to a process's peak memory (numpy 2.4): every command, the four
+    strategies and min_alpha run without it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_RUN], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_closed_stdout_pipe_is_not_an_error(tmp_path):
     """A reader that stops early (`| head`) gets no traceback and no failure."""
     path = tmp_path / "single.json"

@@ -445,6 +445,58 @@ def assert_expansion_finite(out):
     assert all(math.isfinite(bw) for bw in out.allocation)
 
 
+def bisected_expansion_bands(sc, ne, alphas):
+    """S(x*) per alpha at the root of dL/dv, the slope of the loss c3*S(x) -
+    n*x in v = ln(-ln(x/cap)), bisected in x from [cap/2, cap*(1 - 1e-12)]
+    to adjacent floats, where it has the sign of n*x - c3*sum(slopes)."""
+    need = game._Users(sc, ne.served_set).at(ne.rate_bps, alphas)
+    n, c3 = ne.n_served, sc.cost.c3
+
+    def rising(x):
+        return n * x - c3 * game._total(need.slopes(x, need(x))) > 0.0
+
+    caps = need.caps()
+    lo, hi = 0.5 * caps, caps * prospect._CAP_END
+    assert rising(lo).all() and not rising(hi).any()
+    while (np.nextafter(lo, np.inf) < hi).any():
+        mid = 0.5 * (lo + hi)
+        up = rising(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return game._total(need(lo))
+
+
+# the default cell from c3 = 1e-12, where the best level lies within about
+# 1e-6 of its cap, to 3e-7, where it lies at 0.95 to 0.97 of it; seed 2 has
+# no equilibrium at 3e-7
+NEAR_CAP_CELLS = [pytest.param(seed, c3, id=f"{seed}-c3={c3:g}")
+                  for c3 in (1e-12, 1e-11, 1e-10, 1e-8, 3e-7)
+                  for seed in (experiments.DEFAULT_SEED, 2, 5, 11) if (seed, c3) != (2, 3e-7)]
+
+
+@pytest.mark.parametrize("seed, c3", NEAR_CAP_CELLS)
+def test_expansion_near_the_cap_finds_the_root_in_few_evaluations(seed, c3, monkeypatch):
+    """Alphas 0.01 to 1 in at most 10 evaluations, without a warning (in u
+    = x/cap, 12 to 21, and seeds 5 and 11 at c3 = 3e-7 took 38 and 34 in v
+    before bracketed_root stepped inward from a bracket end). The band at
+    alphas 0.5 to 1 lies within 1e-8 of S at a float bisection of the
+    slope (measured: 6e-10): in u the search was up to 1e-6 off, and taking
+    the smallest loss evaluated in a bracket up to 8e-7, since the loss is
+    flat to rounding over up to about 1e-6 of v around its minimum."""
+    sc = experiments.build_scenario(seed=seed, c3=c3)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    alphas = [0.01 * k for k in range(1, 101)]
+    calls = helpers.count_evaluations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcomes = bandwidth_expansions(sc, ref, alphas)
+    assert len(calls) <= 10
+    monkeypatch.undo()
+    checked = alphas[49::5]
+    band = np.array([outcomes[alphas.index(a)].new_total_bandwidth_hz for a in checked])
+    want = bisected_expansion_bands(sc, ref, checked)
+    assert (np.abs(band / want - 1.0) <= 1e-8).all(), np.abs(band / want - 1.0).max()
+
+
 def test_expansion_with_free_band_goes_to_the_level_cap():
     """c3 = 0: every level is worth buying, so the level goes to the cap end
     of the bracket and the band is the finite requirement there."""
@@ -480,15 +532,18 @@ def test_expansion_with_linear_price_and_no_rate_cost():
 
 def test_bandwidth_expansions_evaluate_few_requirement_matrices(default_scenario, default_ref,
                                                                 monkeypatch):
-    """One evaluation at the start and the 12 edges of every alpha, each root
+    """One evaluation at the start and the 22 edges of every alpha, each root
     step one over the brackets still open, and a last one the allocation: at
-    most 18 evaluations of 150 columns for all five alphas (measured: 16 of
-    131), where the root search without Brent's rule made 23 of 162, the
-    lockstep golden search 53 and the nested search about 2,700 for one."""
+    most 10 evaluations of 150 columns for all five alphas (measured: 8 of
+    149), where the search in u = x/cap over 12 edges made 16 of 131, the
+    root search without Brent's rule 23 of 162, the lockstep golden search
+    53 and the nested search about 2,700 for one."""
     calls = helpers.count_evaluations(monkeypatch)
     bandwidth_expansions(default_scenario, default_ref, EXPANSION_ALPHAS)
-    assert calls[0][0] == 13 * len(EXPANSION_ALPHAS) and calls[-1][0] == len(EXPANSION_ALPHAS)
-    assert len(calls) <= 18
+    edges = len(prospect._EXPANSION_EDGES)
+    assert calls[0][0] == (edges + 1) * len(EXPANSION_ALPHAS)
+    assert calls[-1][0] == len(EXPANSION_ALPHAS)
+    assert len(calls) <= 10
     assert sum(problems for problems, _ in calls) <= 150
 
 
@@ -608,8 +663,9 @@ def test_rate_controls_drop_brackets_out_of_reach(default_scenario, default_ref,
 def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
     """The 40-user 300 m cell at the default seed, alphas 0.90 and 0.95: each
     rate-control root search takes at most 14 steps (measured: 11 and 10)
-    and each expansion search at most 18 (14 and 14), where the root search
-    without Brent's rule took 19 and 20 to 21."""
+    and each expansion search at most 8 (6 and 5), where the search in u =
+    x/cap took 14 and 14, and the root search without Brent's rule 19 and 20
+    to 21."""
     sc = experiments.build_scenario(40, seed=experiments.DEFAULT_SEED, cell_radius_m=300.0)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     steps = helpers.count_root_steps(monkeypatch)
@@ -617,7 +673,7 @@ def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
         bandwidth_expansions(sc, ref, [alpha])
         prospect.rate_controls(sc, ref, [alpha])
     assert len(steps) == 4
-    assert max(steps[0::2]) <= 18 and max(steps[1::2]) <= 14
+    assert max(steps[0::2]) <= 8 and max(steps[1::2]) <= 14
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5, 11])

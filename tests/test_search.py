@@ -248,6 +248,20 @@ def test_bracketed_root_closes_on_a_zero():
     assert a[0] == b[0] == 0.5
 
 
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_bracketed_root_closes_on_a_root_within_rounding_of_an_end(end):
+    """The end of smaller |f| holds 1e-300 of the value's range, so the
+    secant through the ends lands at or past it. The point half the
+    tolerance inside that end closes every bracket within 2 points, where
+    the midpoint the search took instead left it bisecting the far side
+    down to the tolerance: 8 to 44 points."""
+    _, _, lo, hi = rooted(n=200)
+    root, offset = (lo, -1e-300) if end == "lo" else (hi, 1e-300)
+    g = lambda x, r: np.tanh((x - r) / np.abs(r)) + offset
+    points = points_to_close(g, root, lo, hi, g(hi, root))
+    assert (points <= 2).all()
+
+
 def test_bracketed_root_stopped_at_its_cap_warns():
     lo, hi = np.zeros(3), np.ones(3)
     f = lambda x, open_: np.where(x < 0.3, -np.inf, np.inf)
@@ -280,6 +294,21 @@ def test_an_edge_comes_before_its_root():
     # a root strictly smaller than the edges wins
     x, value = stationary_min(lambda x, problems: (x * x, x, -np.inf, np.inf), [-1.0, 3.0], [5.0])
     assert abs(x[0]) <= 1e-10 and value[0] == x[0] * x[0]
+
+
+def test_a_flat_minimum_returns_its_root():
+    """A value flat within 1e-2 of the root, as rounding makes a loss flat
+    near its minimum: every point there ties, and the point is the end of
+    the closed bracket, within the tolerance of the root, not the first
+    point the search took on the flat (2e-3 to 6.4e-3 from the root)."""
+    root = np.array([0.3, 0.71, 0.123456])
+
+    def f(x, problems):
+        d = x - root[problems]
+        return np.floor(d * d * 1e4) / 1e4, d * (1.0 + 50.0 * d * d), -np.inf, np.inf
+
+    x, value = stationary_min(f, [-1.0, 1.0], np.zeros(root.size))
+    assert (np.abs(x - root) <= 1e-10).all() and (value == 0.0).all()
 
 
 def test_brackets_with_infinite_end_slopes_close_on_each_problems_root():

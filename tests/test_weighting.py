@@ -186,9 +186,11 @@ def mp_fit_root(mpmath, samples, start):
 @pytest.mark.parametrize("name", FIT_SETS)
 def test_fit_is_the_root_of_the_mse_slope(name, monkeypatch):
     """The fitted alpha against a 50-digit root of dMSE/dalpha. The search
-    keeps the smallest MSE it evaluates, and the MSE is flat to rounding
-    within about 1e-9 of its minimum, so 1e-8 is asked, not 1e-12. The fit
-    is one numpy evaluation: no scalar weight call."""
+    keeps the end of its closed bracket of smaller MSE, within the root
+    tolerance 1e-10 of the root (measured: 7.2e-11 and 3.9e-11 relative),
+    where the smallest MSE evaluated, flat to rounding within about 1e-9 of
+    the minimum, was up to 1.1e-9 off. The fit is one numpy evaluation: no
+    scalar weight call."""
     mpmath = pytest.importorskip("mpmath")
     samples = FIT_SETS[name]()
 
@@ -199,7 +201,7 @@ def test_fit_is_the_root_of_the_mse_slope(name, monkeypatch):
     model, mse = fit_alpha(samples)
     monkeypatch.undo()
     root = mp_fit_root(mpmath, samples, model.alpha)
-    assert abs(model.alpha - root) <= 1e-8 * root
+    assert abs(model.alpha - root) <= 2e-10 * root
     recomputed = sum((weight(p, model) - wp) ** 2 for p, wp in samples) / len(samples)
     assert abs(mse - recomputed) <= 1e-15
     if name == "identity":
