@@ -9,8 +9,6 @@ from typing import Callable
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-# bracketed_root's steps before a bracket must halve twice every three steps
-_GRACE = 12
 # bisect_boundary probes at most this many points of a predicted path per call
 _PATH = 12
 
@@ -107,74 +105,58 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     brackets; an end value may be infinite. f(x, open) maps the points x of
     the brackets still open, picked by the index array open, to f there.
     All brackets step in lockstep, each step evaluating every open bracket
-    once. Brent's rule (Brent 1973; Press et al., Numerical Recipes,
-    section 9.3) picks the point: the secant through the last two points
-    evaluated when both values are finite, the secant lands inside the
-    bracket and its step from the end of smaller |f| is shorter than half
-    the step before last; the midpoint otherwise. A secant step shorter
-    than the tolerance right after a secant step has converged: the point
-    goes half the tolerance past the secant, so the next bracket closes
-    across the root. Such a step inside the bracket after a midpoint, or on
-    the first step, takes the midpoint instead. One that lands at or past
-    the end of smaller |f|, after any step, shows a root within rounding of
-    that end: the point goes half the tolerance inside from the end, so the
-    next bracket closes there, where a midpoint would leave the search
-    bisecting the far side down to the tolerance. After _GRACE steps, a
-    bracket wider than its first width halved twice every three steps since
-    then takes midpoints too, so none takes more than about 1.5 times its
-    bisection count plus _GRACE points. A point stays half the tolerance
-    inside its bracket, so a root within that distance of an end closes the
-    bracket on the next step. A value of 0 closes the bracket at its point;
-    NaN counts as above 0. A bracket closes at a width of
-    rel_tol*max(|lo|, |hi|, 1), and one still wider after max_iter steps
-    issues a RuntimeWarning. Returns the final (lo, hi).
+    once, by Chandrupatla's method (T. R. Chandrupatla, "A new hybrid
+    quadratic/bisection algorithm for finding the zero of a nonlinear
+    function without using derivatives", Adv. Eng. Software 28(3), 1997).
+    The first point is the secant through the ends when both values are
+    finite, the midpoint otherwise. Each later point is the inverse
+    quadratic interpolation through the last point, the bracket's other end
+    and the end the last point replaced, where Chandrupatla's test on those
+    three shows it lies inside the bracket, and the midpoint otherwise. A
+    point stays at least half the tolerance inside its bracket, so a root
+    within that distance of an end closes the bracket on the next step. A
+    value of 0 closes the bracket at its point; NaN counts as above 0. A
+    bracket closes at a width of rel_tol*max(|lo|, |hi|, 1), and one still
+    wider after max_iter steps issues a RuntimeWarning. Returns the final
+    (lo, hi).
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo, f_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
-    # the last two points evaluated, the end of smaller |f| the later
-    lo_last = np.abs(f_lo) < np.abs(f_hi)
-    x1, f1 = np.where(lo_last, lo, hi), np.where(lo_last, f_lo, f_hi)
-    x0, f0 = np.where(lo_last, hi, lo), np.where(lo_last, f_hi, f_lo)
-    # the first width; the last step and the one before it, that width at first
-    width = hi - lo
-    last, before = width.copy(), width.copy()
-    secant_last = np.zeros(lo.shape, dtype=bool)
-    open_ = np.arange(lo.size)
+    # x1 the last point and x2 the bracket's other end
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f1, f2 = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    # the next point, as its fraction of the way from x1 to x2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
+    open_ = np.arange(x1.size)
     for step in range(max_iter + 1):
-        a, b = lo[open_], hi[open_]
-        tol = rel_tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)
-        wide = b - a > tol
-        open_, a, b, tol = open_[wide], a[wide], b[wide], tol[wide]
+        p1, p2 = x1[open_], x2[open_]
+        width = np.abs(p2 - p1)
+        tol = rel_tol * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), 1.0)
+        wide = width > tol
+        open_, p1, p2, width, tol = open_[wide], p1[wide], p2[wide], width[wide], tol[wide]
         if not open_.size:
             break
         if step == max_iter:
             _warn_cap("bracketed_root", max_iter, rel_tol)
             break
-        p1, q1, p0, q0 = x1[open_], f1[open_], x0[open_], f0[open_]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            secant = p1 - q1 * (p1 - p0) / (q1 - q0)
-        # steps run from the end of smaller |f|; NaN, above 0, is at hi
-        best = np.where(np.abs(f_hi[open_]) < np.abs(f_lo[open_]), b, a)
-        move = np.abs(secant - best)
-        closing = move < tol
-        # a converged secant at or past the end of smaller |f| is taken whatever
-        # came before it, and the clip below puts it half the tolerance inside
-        inside = (a < secant) & (secant < b)
-        take = (np.isfinite(q0) & np.isfinite(q1)
-                & np.where(inside, secant_last[open_] | ~closing, closing)
-                & (move < 0.5 * before[open_])
-                & (b - a <= width[open_] * 2.0 ** ((_GRACE - step) / 1.5)))
-        x = np.where(take, secant + np.where(closing, np.copysign(0.5 * tol, secant - best), 0.0),
-                     0.5 * (a + b))
-        x = np.clip(x, a + 0.5 * tol, b - 0.5 * tol)
+        # Chandrupatla's tl: half the tolerance, as a fraction of the width
+        tl = 0.5 * tol / width
+        x = p1 + np.clip(t[open_], tl, 1.0 - tl) * (p2 - p1)
         fx = f(x, open_)
-        below, above = fx <= 0.0, ~(fx < 0.0)
-        lo[open_], f_lo[open_] = np.where(below, x, a), np.where(below, fx, f_lo[open_])
-        hi[open_], f_hi[open_] = np.where(above, x, b), np.where(above, fx, f_hi[open_])
-        before[open_] = np.where(take, last[open_], np.abs(x - best))
-        last[open_], secant_last[open_] = np.abs(x - best), take
-        x0[open_], f0[open_], x1[open_], f1[open_] = p1, q1, x, fx
-    return lo, hi
+        # x replaces the end of its sign, p3; NaN counts as above 0
+        q1, q2 = f1[open_], f2[open_]
+        same = (fx < 0.0) == (q1 < 0.0)
+        p3, q3 = np.where(same, p1, p2), np.where(same, q1, q2)
+        p2, q2 = np.where(same, p2, p1), np.where(same, q2, q1)
+        # inverse quadratic interpolation through x, p2 and p3 where
+        # Chandrupatla's test puts it inside the bracket, the midpoint otherwise
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi, phi = (x - p2) / (p3 - p2), (fx - q2) / (q3 - q2)
+            quadratic = (fx / (q2 - fx) * q3 / (q2 - q3)
+                         + (p3 - x) / (p2 - x) * fx / (q3 - fx) * q2 / (q3 - q2))
+        t[open_] = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), quadratic, 0.5)
+        # a 0 closes the bracket at x
+        x1[open_], f1[open_], x2[open_], f2[open_] = x, fx, np.where(fx == 0.0, x, p2), q2
+    return np.fmin(x1, x2), np.fmax(x1, x2)
 
 
 def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -190,14 +172,14 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     those only the ones whose points, ends included, leave a range between
     the largest lower and the smallest upper bound: a bracket without one
     is dropped before the search, or closed at the point that shows it.
-    One lockstep bracketed_root search closes them all to its default
-    tolerance. Each bracket's point is the end of its closed bracket of
-    smaller value, the lower end on a tie: a stationary point, where the
-    smallest value evaluated could be any point within rounding of a flat
-    minimum, however far from its root. The best point starts at the
-    start, and each edge and its bracket's point, in order, replace it only
-    when strictly smaller. Without starts, f is not called and both arrays
-    are empty.
+    One lockstep bracketed_root search, Chandrupatla's method, closes them
+    all to its default tolerance. Each bracket's point is the end of its
+    closed bracket of smaller value, the lower end on a tie: a stationary
+    point, where the smallest value evaluated could be any point within
+    rounding of a flat minimum, however far from its root. The best point
+    starts at the start, and each edge and its bracket's point, in order,
+    replace it only when strictly smaller. Without starts, f is not called
+    and both arrays are empty.
     """
     edges, starts = np.asarray(edges, dtype=float), np.asarray(starts, dtype=float)
     n = starts.size

@@ -115,7 +115,9 @@ class Offer:
             raise ValueError("allocation entries must be >= 0")
 
     def validate_against(self, scenario: Scenario) -> None:
-        total = sum(self.allocation)
+        total = 0.0
+        for a in self.allocation:
+            total += a
         if total > scenario.total_bandwidth_hz * (1.0 + 1e-9):
             raise ValueError(
                 f"allocation sum {total:g} exceeds total bandwidth "

@@ -380,7 +380,7 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     edges at 1 - 10^-k alone would make [0, 0.9] one bracket and miss the
     minima below 0.9. Near the cap the slope in u is flat and then turns
     within 1e-3 of the cap, where the root search in u took midpoints; in v
-    it takes secants: 8 evaluations of 149 columns for five alphas on the
+    it interpolates: 8 evaluations of 150 columns for five alphas on the
     default cell, against 16 of 131 in u. The band S(x*) sums the column
     that is the allocation.
     Full recovery is possible iff the threshold (n*r - best value)/c3 stays

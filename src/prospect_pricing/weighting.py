@@ -80,8 +80,12 @@ def inverse_weight(q: float, model: WeightingModel) -> float:
 
 
 def lottery_value(lottery: Lottery, model: WeightingModel) -> float:
-    """Sum of payoff * w(probability); the plain expectation when alpha = 1."""
-    return sum(payoff * weight(prob, model) for payoff, prob in lottery.outcomes)
+    """Sum of payoff * w(probability), added left to right on every Python;
+    the plain expectation when alpha = 1."""
+    total = 0.0
+    for payoff, prob in lottery.outcomes:
+        total += payoff * weight(prob, model)
+    return total
 
 
 def _mse_and_slope(p: np.ndarray, wp: np.ndarray, alphas: np.ndarray):

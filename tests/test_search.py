@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import golden_reference, sequential_bisection
-from prospect_pricing._search import (_GRACE, _PATH, bisect_boundary, bracketed_root,
+from prospect_pricing._search import (_PATH, bisect_boundary, bracketed_root,
                                       golden_max, stationary_min)
 
 
@@ -186,7 +186,7 @@ def test_bracketed_root_closes_every_bracket_around_its_root():
     assert ((a <= root) & (root <= b)).all()
     assert (b - a <= rel_tol * np.maximum(np.maximum(abs(a), abs(b)), 1.0)).all()
     # each step evaluates only the brackets still open; none takes more
-    # points than its bisection would, and all take about 40% as many
+    # points than its bisection would, and all take about a third as many
     assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
     points = np.bincount(np.concatenate(calls), minlength=lo.size)
     bisection = np.ceil(np.log2((hi - lo) / (rel_tol * np.maximum(hi, 1.0))))
@@ -230,16 +230,30 @@ def test_bracketed_root_on_slopes_that_defeat_the_secant(end):
     assert (points <= bisections(lo, hi, root, 1e-10) + 2).all()
 
 
+def test_bracketed_root_falls_back_on_a_flat_then_jumping_slope():
+    """-1e-300 below the root and 1 above: the first secant lands on lo,
+    and every later point has the value of the end it replaces, so
+    Chandrupatla's test rejects each interpolation and the search bisects.
+    No bracket takes more than 1.2 times its bisection count plus 2 points
+    (measured: its bisection count plus 1), where a search by Brent's rule,
+    whose secants crept from the end of smaller |f|, took up to 2.29 times."""
+    root, _, lo, hi = rooted(n=400)
+    g = lambda x, r: np.where(x < r, -1e-300, 1.0)
+    points = points_to_close(g, root, lo, hi, g(hi, root))
+    assert (points <= 1.2 * bisections(lo, hi, root, 1e-10) + 2).all()
+
+
 @pytest.mark.parametrize("order", [3, 5, 21])
 def test_bracketed_root_keeps_pace_at_a_multiple_root(order):
     """At a root of odd order above 1 the secant creeps, with steps that
-    still halve every two: Brent's rule alone hit the cap of 100 steps at
-    order 3. The pace kept after _GRACE steps closes every bracket within
-    1.5 times its bisection count plus _GRACE + 1 points, without a warning."""
+    still halve every two: a secant rule with no fallback hit the cap of
+    100 steps at order 3. Chandrupatla's test bisects where interpolation
+    would creep, and closes every bracket within 1.5 times its bisection
+    count plus 13 points, without a warning."""
     root, _, lo, hi = rooted(n=200)
     g = lambda x, r: ((x - r) / r) ** order
     points = points_to_close(g, root, lo, hi, g(hi, root))
-    assert (points <= 1.5 * bisections(lo, hi, root, 1e-10) + _GRACE + 1).all()
+    assert (points <= 1.5 * bisections(lo, hi, root, 1e-10) + 13).all()
 
 
 def test_bracketed_root_closes_on_a_zero():
@@ -253,13 +267,27 @@ def test_bracketed_root_closes_on_a_root_within_rounding_of_an_end(end):
     """The end of smaller |f| holds 1e-300 of the value's range, so the
     secant through the ends lands at or past it. The point half the
     tolerance inside that end closes every bracket within 2 points, where
-    the midpoint the search took instead left it bisecting the far side
-    down to the tolerance: 8 to 44 points."""
+    a midpoint taken instead left the search bisecting the far side down
+    to the tolerance: 8 to 44 points."""
     _, _, lo, hi = rooted(n=200)
     root, offset = (lo, -1e-300) if end == "lo" else (hi, 1e-300)
     g = lambda x, r: np.tanh((x - r) / np.abs(r)) + offset
     points = points_to_close(g, root, lo, hi, g(hi, root))
     assert (points <= 2).all()
+
+
+def test_bracketed_root_closes_on_a_root_an_ulp_above_its_lower_end():
+    """log(x/lo) - 1e-16 over brackets from 1e-3 to 1e6 wide up to 1e3 times
+    lo: the root lies within rounding of lo, and the first secant converges
+    on it an ulp inside the bracket. The next point, half the tolerance
+    inside lo, closes every bracket within 3 points (measured: 2), where a
+    search that answered such a secant with a midpoint took up to 28."""
+    rng = np.random.default_rng(19)
+    lo = 10.0 ** rng.uniform(-3.0, 6.0, 200)
+    hi = lo * (1.0 + 10.0 ** rng.uniform(-6.0, 3.0, 200))
+    g = lambda x, r: np.log(x / r) - 1e-16
+    points = points_to_close(g, lo, lo, hi, g(hi, lo))
+    assert (points <= 3).all()
 
 
 def test_bracketed_root_stopped_at_its_cap_warns():

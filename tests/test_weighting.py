@@ -102,6 +102,14 @@ def test_lottery_weighted_value():
     assert abs(lottery_value(lot, WeightingModel(alpha=0.7)) - expected) <= 1e-15
 
 
+def test_lottery_value_adds_left_to_right():
+    """Terms of 1e16, 1 and -1e16: left to right, 1e16 + 1 rounds to 1e16
+    and the value is 0, where the builtin sum, compensated from Python 3.12
+    on, gives 1."""
+    lot = Lottery(outcomes=((2e16, 0.5), (4.0, 0.25), (-4e16, 0.25)))
+    assert lottery_value(lot, IDENTITY) == (1e16 + 1.0) - 1e16 == 0.0
+
+
 def test_lottery_validation():
     with pytest.raises(ValueError):
         Lottery(outcomes=())
