@@ -9,8 +9,6 @@ from typing import Callable
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-# bisect_boundary probes at most this many points of a predicted path per call
-_PATH = 12
 
 
 def _warn_cap(search: str, max_iter: int, rel_tol: float) -> None:
@@ -45,56 +43,6 @@ def golden_max(f: Callable, lo: float, hi: float, rel_tol: float = 1e-9, max_ite
             f1 = f(x1)
     fx, x = max((f(a), a), (f1, x1), (f2, x2), (f(b), b))
     return x, fx
-
-
-def bisect_boundary(pred: Callable, lo: float, hi: float, rel_tol: float = 1e-12,
-                    max_iter: int = 200) -> tuple[float, float]:
-    """Shrink [lo, hi] around the flip point of a monotone predicate.
-
-    pred maps a 1-D array of points to a pair of arrays (held, value).
-    Requires held at lo and not at hi; returns the final (true_end,
-    false_end) bracket. value is a float whose sign change, from below 0
-    where held to above 0, marks the flip. pred is first called on the two
-    ends, for their values alone. Each later call takes the midpoints the
-    one-point loop would probe, up to _PATH of them, if each fell on the
-    side of the flip's secant estimate through the bracket's ends: where no
-    estimate is finite, the midpoint's. The walk then takes those steps as
-    the one-point loop would, each reading held at 0.5 * (lo + hi) of its
-    own bracket, up to the first step whose held differs from the
-    prediction. So the stop test, and the bracket bit for bit, are that
-    loop's even where pred is not monotone, and a misleading, NaN or
-    infinite value can cost calls but never a bit. A bracket still wider
-    than the tolerance after max_iter steps issues a RuntimeWarning.
-    """
-    def settled(a, b):
-        return b - a <= rel_tol * max(abs(a), abs(b), 1.0)
-
-    v_lo, v_hi = np.asarray(pred(np.array([lo, hi]))[1], dtype=float).tolist()
-    path = []  # the steps ahead, last first: (mid, predicted, held, value)
-    for step in range(max_iter + 1):
-        if settled(lo, hi):
-            break
-        if step == max_iter:
-            _warn_cap("bisect_boundary", max_iter, rel_tol)
-            break
-        if not path:
-            flip = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_hi != v_lo else math.nan
-            flip = flip if math.isfinite(flip) else 0.5 * (lo + hi)
-            a, b, mids = lo, hi, []
-            while len(mids) < min(_PATH, max_iter - step) and not settled(a, b):
-                mids.append(0.5 * (a + b))
-                a, b = (mids[-1], b) if mids[-1] < flip else (a, mids[-1])
-            held, value = pred(np.array(mids))
-            path = list(zip(mids, [mid < flip for mid in mids], np.asarray(held).tolist(),
-                            np.asarray(value, dtype=float).tolist()))[::-1]
-        mid, guess, true, value = path.pop()
-        if true:
-            lo, v_lo = mid, value
-        else:
-            hi, v_hi = mid, value
-        if true != guess:
-            path = []
-    return lo, hi
 
 
 def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,

@@ -27,25 +27,12 @@ class ConfigError(ValueError):
 
 
 def config_from_mapping(data: dict) -> ScenarioParams:
-    # the field annotations as written: "int", "float" or "float | None"
-    types = {f.name: f.type for f in dataclasses.fields(ScenarioParams)}
+    names = {f.name for f in dataclasses.fields(ScenarioParams)}
     for key in data:
-        if key not in types:
+        if key not in names:
             raise ConfigError(f"unknown config key: {key!r}")
-    coerced = {}
-    for key, value in data.items():
-        if types[key] == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"invalid config value for {key!r}: expected an integer")
-            coerced[key] = value
-        elif value is None and types[key] == "float | None":
-            coerced[key] = None
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"invalid config value for {key!r}: expected a number")
-            coerced[key] = float(value)
     try:
-        return ScenarioParams(**coerced)
+        return ScenarioParams(**data)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
@@ -60,9 +61,11 @@ class InfeasibleScenarioError(UnattainableGuaranteeError):
 class ScenarioParams:
     """Scenario parameters; the defaults reproduce the published cell setup.
 
-    total_bandwidth_hz = None lets build_scenario size the band. Every other
-    value must be finite and inside the ranges checked below; a bad value
-    raises ValueError naming its field.
+    total_bandwidth_hz = None lets build_scenario size the band. An int field
+    takes any integral value but a bool, numpy's included; a float field any
+    real value but a bool, stored as a float. Every value must be finite and
+    inside the ranges checked below; a bad value raises ValueError naming its
+    field.
     """
 
     tx_power_dbm: float = 40.0
@@ -89,8 +92,20 @@ class ScenarioParams:
 
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                fail(f.name, "must be a finite number")
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    fail(f.name, "expected an integer")
+                object.__setattr__(self, f.name, int(value))
+            elif value is not None or f.type == "float":
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    fail(f.name, "expected a number")
+                try:
+                    value = float(value)
+                except OverflowError:
+                    value = math.inf
+                if not math.isfinite(value):
+                    fail(f.name, "must be a finite number")
+                object.__setattr__(self, f.name, value)
         if self.n_users < 1:
             fail("n_users", "must be >= 1")
         if self.seed < 0:

@@ -222,12 +222,12 @@ class _RequirementMatrix:
     """Bandwidths a set of users needs, for many independent problems at once.
 
     Problem k offers the users rates[k] under the weighting exponent
-    alphas[k], each in (0, 1]. Called with a willingness target per problem,
-    it returns the users x problems matrix of bandwidths at which
-    h(rate) * w(guarantee) reaches that target: with q = target / h(rate),
-    the Prelec inverse taken in log space and inverted by _efficiency_root,
-    0 only at a zero target and inf where q reaches w(sup), the weighted
-    wide-band supremum. The users share h, so the benefit, q, ln q and
+    alphas[k], each in (0, 1] with a finite reciprocal. Called with a
+    willingness target per problem, it returns the users x problems matrix of
+    bandwidths at which h(rate) * w(guarantee) reaches that target: with
+    q = target / h(rate), the Prelec inverse taken in log space and inverted
+    by _efficiency_root, 0 only at a zero target and inf where q reaches
+    w(sup), the weighted wide-band supremum. The users share h, so the benefit, q, ln q and
     (-ln q)^(1/alpha) are one value per problem, and only the supremum and
     what follows from it are per user. Where q is subnormal or underflows to
     0 for a positive target, ln q is ln target - ln h; where (-ln q)^(1/alpha) or
@@ -245,9 +245,12 @@ class _RequirementMatrix:
     def __init__(self, users: _Users, rates_bps, alphas, members=True) -> None:
         rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (rates_bps, alphas)))
-        valid = (0.0 < alphas) & (alphas <= 1.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self._inv_alpha = 1.0 / alphas
+        valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(self._inv_alpha)
         if not valid.all():
-            raise ValueError(f"alpha must lie in (0, 1], got {alphas[~valid][0]}")
+            raise ValueError(f"alpha must lie in (0, 1] with a finite reciprocal, "
+                             f"got {alphas[~valid][0]}")
         self.rates = rates
         # full-size exponents: numpy powers a one-problem matrix's broadcast
         # exponent in another kernel, at times an ulp apart from a batch's, and
@@ -256,7 +259,6 @@ class _RequirementMatrix:
         self.benefit = users.benefit.coefficient * np.power(rates * 1e-3, self._exp)
         self.ln_sup = _ln_supremum(rates, users.noise, users.power)
         self._rate_ln2 = rates * _LN2
-        self._inv_alpha = 1.0 / alphas
         self._weighted_sup = np.exp(-(-self.ln_sup) ** (np.zeros_like(self.ln_sup) + alphas))
         self.members = np.full(self.ln_sup.shape, members)
 
@@ -400,84 +402,92 @@ def _feasible(total_required, budget: float):
 # rates per requirement evaluation of a ladder: from 1 bps, one call reaches
 # 2^31 bps, past every boundary of the bundled scenarios
 _RUNGS_PER_CALL = 32
+# midpoints per requirement evaluation of a bisection's predicted path
+_PATH = 12
 
 
-def _first_false(pred, rates: list[float]) -> int:
-    """Index of the first rate where pred fails, len(rates) if none: rates are
-    evaluated in order, _RUNGS_PER_CALL to a call, up to the first failing one."""
-    for start in range(0, len(rates), _RUNGS_PER_CALL):
-        held, _ = pred(np.array(rates[start:start + _RUNGS_PER_CALL]))
-        if not held.all():
-            return start + int(np.argmin(held))
-    return len(rates)
+def _bisect_edge(probe, fits, value, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi], where fits(lo) and fits(hi) differ, down to
+    1e-12*max(|lo|, |hi|, 1), each midpoint taking the side of the end whose
+    fit it shares; returns the final (lo, hi).
+
+    probe(rates) evaluates rates into a memo, fits(b) reads whether the set
+    fits at b from it, None where b is unprobed, and value(b) a float of
+    either sign that changes sign at the edge, NaN where unprobed. A midpoint
+    the memo misses is probed with the midpoints the bisection would take
+    after it, _PATH in all, if each fell on the side of the edge's secant
+    estimate through the ends' values: the midpoint's where no estimate is
+    finite, as at an unprobed end. The probes decide only how many
+    evaluations the bisection takes, never its bracket. Within [2^-30, 2^60]
+    it closes within 100 midpoints.
+    """
+    def settled(a, b):
+        return b - a <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+    side = fits(lo)
+    while not settled(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if fits(mid) is None:
+            v_lo, v_hi = value(lo), value(hi)
+            flip = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_hi != v_lo else math.nan
+            flip = flip if math.isfinite(flip) else mid
+            a, b, path = lo, hi, []
+            while len(path) < _PATH and not settled(a, b):
+                path.append(0.5 * (a + b))
+                a, b = (path[-1], b) if path[-1] < flip else (a, path[-1])
+            probe(path)
+        if fits(mid) == side:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
-def _doublings(rate: float, more) -> list[float]:
-    """rate, 2*rate, 4*rate, ... up to the first rung where more(rung) fails."""
-    rungs = [rate]
-    while more(rungs[-1]):
-        rungs.append(2.0 * rungs[-1])
-    return rungs
-
-
-def _rate_feasibility_interval(fits, scenario: Scenario) -> tuple[float, float] | None:
+def _rate_feasibility_interval(probe, fits, value,
+                               scenario: Scenario) -> tuple[float, float] | None:
     """Rates b at which fits(b), the n cheapest users fitting in the band,
-    holds, as (lower, upper); fits maps a 1-D array of rates to the pair
-    (held, value) that _search.bisect_boundary takes.
+    holds, as (lower, upper), or None; probe, fits and value read a memo of
+    probed rates as _bisect_edge takes them.
 
     The summed requirement grows with the rate for increasing r/h ratios, so
     the feasible rates usually form an interval anchored at 0, found by
-    probing 1 bps and its halvings down to 2^-30. When the price grows more
-    slowly than the benefit, r/h grows without bound as the rate goes to 0
-    and the interval starts above it: the probe then doubles upward until
-    the rates fit or the margin r(b) - c1*b stops being positive, and the
-    lower edge is bisected as well. From the lowest rate that fits, the
-    upper ladder doubles up to 1e18 and the upper edge is bisected. Each
-    ladder is evaluated many rungs to a call; the result is bitwise that of
-    probing its rungs one at a time.
+    trying 1 bps and then its halvings down to 2^-30. When the price grows
+    more slowly than the benefit, r/h grows without bound as the rate goes to
+    0 and the interval starts above it: the probe then climbs by doublings
+    until the rates fit or the margin r(b) - c1*b stops being positive, and
+    the lower edge is bisected as well. From the lowest rate that fits, the
+    ladder doubles up to 1e18 and the upper edge is bisected. Rates are read
+    one at a time; a rung the memo misses is probed with the rungs its ladder
+    would read after it, _RUNGS_PER_CALL in all.
     """
-    def unfit(rates):
-        held, value = fits(rates)
-        return ~held, -value
+    def rung(b, factor, more):
+        # fits at rung b of a ladder that goes on past a rung while more holds
+        if fits(b) is None:
+            rungs = [b]
+            while len(rungs) < _RUNGS_PER_CALL and more(rungs[-1]):
+                rungs.append(factor * rungs[-1])
+            probe(rungs)
+        return fits(b)
 
-    below_cap = lambda b: b <= 1e18
+    below_cap, above_floor = (lambda b: 2.0 * b <= 1e18), (lambda b: b > 1e-9)
     lower, lo = 0.0, 1.0
-    # 1 bps and the ladder above it; the last rung, past the cap, is not probed
-    rungs = _doublings(lo, below_cap)
-    k = _first_false(fits, rungs[:-1])
-    if k == 0:
-        halvings = [2.0 ** -j for j in range(1, 31)]
-        k = _first_false(unfit, halvings)
-        if k < len(halvings):
-            lo = halvings[k]
-        else:
+    if not rung(lo, 2.0, below_cap):
+        while not rung(lo, 0.5, above_floor) and lo > 1e-9:
+            lo *= 0.5
+        if not fits(lo):
             pays = lambda b: scenario.pricing(b) > scenario.cost.c1 * b and b <= 1e18
-            climb = _doublings(2.0, pays)
-            k = _first_false(unfit, climb)
-            if k == len(climb):
-                return None
-            below = climb[k - 1] if k else 1.0
-            _, lower = _search.bisect_boundary(unfit, below, climb[k], rel_tol=1e-12)
+            below, lo = 1.0, 2.0
+            while not rung(lo, 2.0, pays):
+                if not pays(lo):
+                    return None
+                below, lo = lo, 2.0 * lo
+            _, lower = _bisect_edge(probe, fits, value, below, lo)
             lo = lower
-        # lo fits, and is known: the ladder climbs from the next rung
-        rungs = _doublings(lo, below_cap)
-        k = _first_false(fits, rungs[:-1])
-    if k == len(rungs) - 1:
-        # every rung up to the cap fits: the bisection reads no value past it
-        fits = _unprobed(fits, rungs[k])
-    lo, hi = _search.bisect_boundary(fits, lo, rungs[k], rel_tol=1e-12)
+    hi = 2.0 * lo
+    while hi <= 1e18 and rung(hi, 2.0, below_cap):
+        hi *= 2.0
+    lo, _ = _bisect_edge(probe, fits, value, lo, hi)
     return lower, lo
-
-
-def _unprobed(pred, rate: float):
-    """pred, except that rate, a rung no ladder probed, reads as failing with
-    a NaN value instead of being evaluated."""
-    def read(rates):
-        rest = rates != rate
-        held, value = np.zeros(rates.shape, dtype=bool), np.full(rates.shape, math.nan)
-        held[rest], value[rest] = pred(rates[rest])
-        return held, value
-    return read
 
 
 def _margin(pricing: PowerLaw, c1: float, rate_bps: float) -> float:
@@ -529,17 +539,20 @@ def solve_nash(scenario: Scenario) -> NashResult:
     totals: dict[float, np.ndarray] = {}
     ln_room = math.log(budget * (1.0 - FEASIBILITY_SLACK))
 
-    def fits(rates_bps, n: int):
+    def probe(rates):
         # the ladders and bisections of several set sizes probe the same rates:
-        # each new rate is evaluated once, all of a call's in one evaluation.
-        # held is _feasible; value, ln T_n - ln(B*(1 - slack)), is below 0 where held
-        rates = np.array(rates_bps, dtype=float, ndmin=1).tolist()
-        new = [b for b in dict.fromkeys(rates) if b not in totals]
+        # each new rate is evaluated once, all of a call's in one evaluation
+        new = [b for b in rates if b not in totals]
         if new:
             columns = np.cumsum(reqs.price_requirements(new)[reqs.order].T, axis=1)
             totals.update(zip(new, columns))
-        need = np.array([totals[b][n - 1] for b in rates]).reshape(np.shape(rates_bps))
-        return _feasible(need, budget), np.log(need) - ln_room
+
+    def fits(b, n: int):
+        return _feasible(totals[b][n - 1], budget) if b in totals else None
+
+    def value(b, n: int):
+        # ln T_n(b) - ln(B*(1 - slack)), below 0 where the set fits
+        return float(np.log(totals[b][n - 1])) - ln_room if b in totals else math.nan
 
     bound = _margin_bound(price, c1)
 
@@ -547,17 +560,20 @@ def solve_nash(scenario: Scenario) -> NashResult:
     for n in range(n_users, 0, -1):
         if n_star and best_rev >= n * bound - c3 * budget:
             break
-        interval = _rate_feasibility_interval(lambda b: fits(b, n), scenario)
+        interval = _rate_feasibility_interval(
+            probe, lambda b: fits(b, n), lambda b: value(b, n), scenario)
         if interval is None:
             continue
         lower, boundary = interval
         b_star, _ = _search.golden_max(
             lambda b: n * _margin(price, c1, b), lower, boundary, rel_tol=1e-9)
-        if b_star <= 0.0 or not fits(b_star, n)[0]:
+        if b_star > 0.0:
+            probe([b_star])
+        if b_star <= 0.0 or not fits(b_star, n):
             # boundary end may sit epsilon outside the strict constraint
             b_star = boundary
         rev = _revenue(scenario, n, price(b_star), b_star)
-        if n < n_users and fits(b_star, n + 1)[0]:
+        if n < n_users and fits(b_star, n + 1):
             rev = 0.0  # a larger set accepts at this rate, not an equilibrium
         top = max(top, rev)
         if rev > best_rev:

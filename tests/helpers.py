@@ -564,9 +564,26 @@ def sequential_bisection(pred, lo, hi, rel_tol=1e-12, max_iter=200):
     return lo, hi
 
 
+def fake_memo(pred, value=lambda b: 0.0, probes=None, seen=()):
+    """A memo of probed rates over a one-rate predicate, as
+    game._rate_feasibility_interval and game._bisect_edge read solve_nash's:
+    (probe, fits, value). fits and value read only the rates probed so far or
+    given in seen, None and NaN elsewhere; probes, if given, records the rates
+    of each probe."""
+    known = set(seen)
+
+    def probe(rates):
+        if probes is not None:
+            probes.append(list(rates))
+        known.update(rates)
+    return (probe, lambda b: bool(pred(b)) if b in known else None,
+            lambda b: float(value(b)) if b in known else math.nan)
+
+
 def sequential_feasibility_interval(fits, scenario):
     """game._rate_feasibility_interval as it stood before its ladders and
-    bisections probed many rates per evaluation: one rate at a time."""
+    bisections probed many rates per evaluation: one rate at a time, each
+    read of fits its own evaluation."""
     lower, lo = 0.0, 1.0
     if not fits(lo):
         while lo > 1e-9 and not fits(lo):

@@ -150,6 +150,9 @@ def test_config_value_outside_its_range_exits_2(tmp_path, capsys, key, value):
     ('{"c1": NaN}', "c1"),
     ('{"cell_radius_m": Infinity}', "cell_radius_m"),
     ('{"c3": -Infinity}', "c3"),
+    pytest.param('{"c1": 1%s}' % ("0" * 400),
+                 "invalid config value for 'c1': must be a finite number",
+                 id="an-integer-past-the-float-range"),
     ('{"c1": 0}', "does not peak"),
     ('{"price_exp": 1.0}', "does not peak"),
 ])
@@ -712,6 +715,19 @@ def test_fit_pwf_infinite_fps_exits_2(tmp_path, capsys):
     assert status == 2
     assert out == ""
     assert err == "prospect-pricing: error: valid records need a finite fps_mean\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", list(cli._SWEEPS))
+def test_sweeps_refuse_an_alpha_whose_reciprocal_overflows(capsys, command):
+    """Below 1/DBL_MAX an alpha passes every (0, 1] check, but 1/alpha is inf:
+    sweep-price printed price_realloc_norm -1e-09 at 5e-324, and 0.408463192
+    at 1e-300. It is refused with exit status 2, before any row."""
+    status, out, err = run([command, "--alpha-min", "5e-324", "--alpha-max", "5e-324"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == ("prospect-pricing: error: alpha must lie in (0, 1] with a finite "
+                   "reciprocal, got 5e-324\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -146,6 +146,28 @@ def test_build_scenario_rejects_empty():
         build_scenario(n_users=0)
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("n_users", 2.5, "an integer"), ("seed", 1.5, "an integer"), ("n_users", True, "an integer"),
+    ("seed", True, "an integer"), ("c1", True, "a number"), ("c1", "1e-7", "a number"),
+    ("total_bandwidth_hz", np.True_, "a number")])
+def test_scenario_params_refuse_a_value_of_the_wrong_type(key, value, expected):
+    """A bool is not taken as 1, nor a fraction of a user as a count: the
+    refusal names the field, in the CLI's words, before the builder runs."""
+    with pytest.raises(ValueError,
+                       match=f"invalid config value for {key!r}: expected {expected}$"):
+        build_scenario(**{key: value})
+
+
+def test_scenario_params_take_numpy_scalars_and_store_floats():
+    params = experiments.ScenarioParams(n_users=np.int64(3), seed=np.uint8(7), c1=0,
+                                        total_bandwidth_hz=np.float32(2e6))
+    assert params == experiments.ScenarioParams(n_users=3, seed=7, c1=0.0,
+                                                total_bandwidth_hz=2e6)
+    assert type(params.n_users) is int and type(params.seed) is int
+    assert type(params.c1) is float and type(params.total_bandwidth_hz) is float
+    assert build_scenario(np.int64(3), seed=np.uint8(7)).n_users == 3
+
+
 def test_band_sizing_raises_a_typed_error_for_an_unservable_user():
     # in a 3 km cell a far user's guarantee stays below the price-to-benefit
     # target at the optimal rate, whatever the band

@@ -317,16 +317,18 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # the batched requirement vector: agreement with the scalar path, and counts
 # that do not depend on the machine
 
-# requirement evaluations one solve of the 80-user 300 m cell makes: a
-# ladder of up to 32 rungs per call and a bisection along a secant-predicted
-# path of up to 12 midpoints per call, 8 calls of 91 rates, against 17 of 128
-# for a bisection of 7 look-ahead midpoints per call and 67 calls of one rate
-# each when every probe was its own evaluation. At 1/10 of its band the solve
-# scans 41 set sizes, in 222 calls of 1,912 rates (493 of 3,296 with the
-# look-ahead, 1,485 of one rate each). The default cell's solve makes 8 calls
-# of 84 rates, within the same bound
+# requirement evaluations one solve of the 80-user 300 m cell makes: rates
+# are read one at a time from a memo, and a miss probes up to 32 rungs of a
+# ladder or 12 midpoints of a bisection's secant-predicted path in one call,
+# 8 calls of 91 rates, against 17 of 128 for a bisection of 7 look-ahead
+# midpoints per call and 67 calls of one rate each when every probe was its
+# own evaluation. At 1/10 of its band the solve scans 41 set sizes, in 163
+# calls of 1,681 rates (222 of 1,912 when each bisection planned its probes
+# before reading the memo, 493 of 3,296 with the look-ahead, 1,485 of one
+# rate each).
+# The default cell's solve makes 8 calls of 84 rates, within the same bound
 NASH_80_CALLS = 10
-NASH_80_TENTH_BAND_CALLS = 260
+NASH_80_TENTH_BAND_CALLS = 163
 
 
 @pytest.fixture(scope="module")
@@ -700,7 +702,7 @@ def test_solve_nash_inverts_each_probed_rate_once(monkeypatch, cell_80):
     columns = [rate for rates in probes for rate in rates]
     assert len(columns) == len(set(columns))
     assert ne.rate_bps in columns
-    # a ladder's rungs and a bisection's look-ahead fill one evaluation
+    # a ladder's rungs and a bisection's predicted path fill one evaluation
     assert max(map(len, probes)) > 1
 
 
@@ -724,11 +726,10 @@ def test_feasibility_interval_of_a_rate_window(default_scenario, lowest, highest
     below 1 bps down to the last, 2^-30, the climb of a rising-at-zero price,
     a window no ladder rung falls in and one past the 1e18 cap, ends as
     probing one rate at a time."""
-    fits = lambda rates: ((lowest < rates) & (rates < highest),
-                          np.maximum(lowest - rates, rates - highest))
-    got = game._rate_feasibility_interval(fits, default_scenario)
-    want = helpers.sequential_feasibility_interval(
-        lambda b: bool(fits(np.array([b]))[0][0]), default_scenario)
+    fits = lambda b: lowest < b < highest
+    memo = helpers.fake_memo(fits, lambda b: max(lowest - b, b - highest))
+    got = game._rate_feasibility_interval(*memo, default_scenario)
+    want = helpers.sequential_feasibility_interval(fits, default_scenario)
     assert got == want
 
 
@@ -737,14 +738,12 @@ def test_the_rung_past_the_cap_is_never_probed(default_scenario, highest):
     """Every rung up to 1e18 fits: the upper bisection ends at the rung past
     the cap, 2^60 bps, which no ladder probed, and it is not evaluated for
     its value either."""
-    probed = []
-
-    def fits(rates):
-        probed.extend(rates.tolist())
-        return rates < highest, rates - highest
-    got = game._rate_feasibility_interval(fits, default_scenario)
+    probes = []
+    memo = helpers.fake_memo(lambda b: b < highest, lambda b: b - highest, probes)
+    got = game._rate_feasibility_interval(*memo, default_scenario)
     assert got == helpers.sequential_feasibility_interval(lambda b: b < highest,
                                                           default_scenario)
+    probed = [rate for rates in probes for rate in rates]
     assert 2.0 ** 59 in probed and 2.0 ** 60 not in probed
 
 
@@ -755,9 +754,13 @@ def test_ladders_probe_rates_as_one_at_a_time(monkeypatch, case):
     seen = []
     interval = game._rate_feasibility_interval
 
-    def compared(fits, scenario):
-        got = interval(fits, scenario)
-        want = helpers.sequential_feasibility_interval(lambda b: bool(fits([b])[0][0]), scenario)
+    def compared(probe, fits, value, scenario):
+        got = interval(probe, fits, value, scenario)
+
+        def one_rate(b):
+            probe([b])
+            return bool(fits(b))
+        want = helpers.sequential_feasibility_interval(one_rate, scenario)
         seen.append(got)
         assert got == want
         return got

@@ -16,6 +16,7 @@ import pytest
 
 import helpers
 from prospect_pricing.cli import dispatch
+from test_game import RISING_AT_ZERO
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 SWEEPS = ("ne-solve", "sweep-loss", "sweep-price", "sweep-expansion",
@@ -31,12 +32,16 @@ FAR_CELL_BAND = {"cell_radius_m": 3000.0, "total_bandwidth_hz": 2e7}
 # scans 41 set sizes
 CELL_80_TENTH_BAND = {"n_users": 80, "cell_radius_m": 300.0,
                       "total_bandwidth_hz": 4325122.839508054}
+# no rate at or below 1 bps fits a user: the solve climbs from 2 bps and
+# bisects the lower edge of the feasible rates
+RISING_AT_ZERO_4 = dict(RISING_AT_ZERO, n_users=4)
 
 CASES = ([(f"{command}.seed{seed}.csv", [command, "--seed", str(seed)], None, 0)
           for command in SWEEPS for seed in SEEDS]
          + [("fit-pwf.csv", ["fit-pwf"], None, 0),
             ("ne-solve.radius3000.csv", ["ne-solve"], FAR_CELL, 3),
             ("ne-solve.cell80-tenth-band.csv", ["ne-solve"], CELL_80_TENTH_BAND, 0),
+            ("ne-solve.rising-at-zero.csv", ["ne-solve"], RISING_AT_ZERO_4, 0),
             *((f"{command}.radius3000-band2e7.csv", [command], FAR_CELL_BAND, 0)
               for command in ("ne-solve", "sweep-admission", "sweep-compare")),
             # alphas where targets go out of reach and cells print empty

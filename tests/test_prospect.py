@@ -1002,13 +1002,13 @@ BAD_ALPHA_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("bad", [1.5, math.nan, -1.0, 0.0, 5e-324])
 @pytest.mark.parametrize("call", BAD_ALPHA_CALLS.values(), ids=BAD_ALPHA_CALLS.keys())
 def test_alphas_outside_the_unit_interval_are_refused(default_scenario, default_ref,
                                                       call, bad):
-    """The evaluator refuses an alpha outside (0, 1], or NaN, by name, and
-    min_alpha such a floor, before any work: no outcome, no inf band and no
-    numpy warning."""
+    """The evaluator refuses an alpha outside (0, 1], NaN, or one below
+    1/DBL_MAX, whose reciprocal overflows, by name, and min_alpha such a
+    floor: no outcome, no inf band and no numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=r"(alpha|floor) must lie in \(0, 1\]"):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import golden_reference, sequential_bisection
-from prospect_pricing._search import (_PATH, bisect_boundary, bracketed_root,
-                                      golden_max, stationary_min)
+from helpers import fake_memo, golden_reference, sequential_bisection
+from prospect_pricing._search import bracketed_root, golden_max, stationary_min
+from prospect_pricing.game import _PATH, _bisect_edge
 
 
 def brackets(seed=7, n=40):
@@ -18,28 +18,21 @@ def brackets(seed=7, n=40):
     return flips, lo, hi
 
 
-def batched(pred, calls=None, value=lambda x: 0.0):
-    """pred over a 1-D array of points, as (held, value), recording each
-    call's points."""
-    def over(points):
-        if calls is not None:
-            calls.append(points.size)
-        return (np.array([pred(x) for x in points.tolist()], dtype=bool),
-                np.array([value(x) for x in points.tolist()], dtype=float))
-    return over
+def edge(pred, a, b, value=lambda x: 0.0, probes=None):
+    """game._bisect_edge over a fake memo that holds the ends."""
+    return _bisect_edge(*fake_memo(pred, value, probes, seen=(a, b)), a, b)
 
 
 def test_scalar_bisection_keeps_its_brackets():
     """Random monotone predicates, including brackets that settle partway
     through a predicted path and one already closed: the bracket is the
-    one-point loop's, bit for bit, and no call takes more than _PATH points."""
+    one-point loop's, bit for bit, and no probe takes more than _PATH points."""
     flips, lo, hi = brackets(seed=13, n=200)
-    for rel_tol in (1e-12, 1e-7, 1e-4, 0.3):
-        for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
-            pred, calls = (lambda m: m < f), []
-            got = bisect_boundary(batched(pred, calls, lambda m: m - f), a, b, rel_tol)
-            assert got == sequential_bisection(pred, a, b, rel_tol)
-            assert all(1 <= size <= _PATH for size in calls)
+    for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
+        pred, calls = (lambda m: m < f), []
+        got = edge(pred, a, b, lambda m: m - f, calls)
+        assert got == sequential_bisection(pred, a, b)
+        assert all(1 <= len(rates) <= _PATH for rates in calls)
 
 
 def test_batched_bisection_walks_a_non_monotone_predicate():
@@ -49,10 +42,10 @@ def test_batched_bisection_walks_a_non_monotone_predicate():
     value = lambda x: x - 0.5
     for a, b in ((0.0, 1.0), (0.05, 0.97), (0.21, 0.9)):
         want = sequential_bisection(pred, a, b)
-        assert bisect_boundary(batched(pred, value=value), a, b) == want
+        assert edge(pred, a, b, value) == want
     # the first three steps from [0, 1] probe 0.5 (False), 0.25 (True) and
     # 0.375 (False)
-    lo, hi = bisect_boundary(batched(pred, value=value), 0.0, 1.0)
+    lo, hi = edge(pred, 0.0, 1.0, value)
     assert 0.25 <= lo < hi <= 0.375
 
 
@@ -65,41 +58,52 @@ def test_batched_bisection_walks_a_non_monotone_predicate():
 def test_a_misleading_value_keeps_the_bracket(value):
     """A value that is constant, NaN, infinite, of the wrong sign, noise,
     infinite on one side or overflowing the secant misleads the predictions:
-    it costs calls, never a bit of the bracket."""
+    it costs probes, never a bit of the bracket."""
     flips, lo, hi = brackets(seed=17, n=40)
     for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
-        pred = lambda m: m < f
-        got = bisect_boundary(batched(pred, value=lambda m: value(m, f)), a, b)
+        pred, calls = (lambda m: m < f), []
+        got = edge(pred, a, b, lambda m: value(m, f), calls)
         assert got == sequential_bisection(pred, a, b)
+        assert all(1 <= len(rates) <= _PATH for rates in calls)
 
 
 def test_a_smooth_value_closes_a_wide_bracket_in_few_calls():
     """From [1, 2^23], with the flip in the top octave as a doubling ladder
     leaves it, the 45 steps to 1e-12 took 15 calls of 3 look-ahead levels.
-    Along secant-predicted paths, the ends' call included, they take at most
-    7 for ln x - ln f and 5 for a value linear in x."""
+    Along secant-predicted paths, with the ends held in the memo, they take
+    at most 6 probes for ln x - ln f and 4 for a value linear in x."""
     flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
     for f in flips.tolist():
         pred = lambda m: m < f
         want = sequential_bisection(pred, 1.0, 2.0 ** 23)
-        for value, most in ((lambda m: math.log(m / f), 7), (lambda m: m / f - 1.0, 5)):
+        for value, most in ((lambda m: math.log(m / f), 6), (lambda m: m / f - 1.0, 4)):
             calls = []
-            assert bisect_boundary(batched(pred, calls, value), 1.0, 2.0 ** 23) == want
+            assert edge(pred, 1.0, 2.0 ** 23, value, calls) == want
             assert len(calls) <= most
 
 
-def test_batched_bisection_warns_at_its_cap_after_as_many_steps():
-    """Caps shorter than one path, and longer ones that are no multiple of
-    it: the bracket of the capped one-point loop, and the warning."""
-    pred = lambda x: x < 0.3
-    for max_iter in (1, 4, 7, 11, 13, 25):
-        calls = []
-        with pytest.warns(RuntimeWarning, match=f"bisect_boundary stopped at max_iter={max_iter}"):
-            got = bisect_boundary(batched(pred, calls, lambda x: x - 0.3), 0.0, 1.0, 1e-12,
-                                  max_iter)
-        assert got == sequential_bisection(pred, 0.0, 1.0, 1e-12, max_iter)
-        # no point is probed past the cap: the ends, then max_iter midpoints
-        assert sum(calls) <= 2 + max_iter
+@pytest.mark.parametrize("fits_below", [True, False], ids=["upper-edge", "lower-edge"])
+def test_flips_at_the_ends_of_the_rate_range_close_within_100_midpoints(fits_below):
+    """[2^-30, 2^60] spans every bracket a rate search bisects: a flip an ulp
+    from either end closes at the one-point loop's bracket, bit for bit,
+    within 100 midpoints, whichever end fits, and with no value at the
+    upper end, as at the unprobed rung past the 1e18 cap."""
+    lo, hi = 2.0 ** -30, 2.0 ** 60
+    flips = [math.nextafter(lo, math.inf), lo * (1.0 + 1e-9), 1e-9, 1.0,
+             math.nextafter(hi, 0.0), hi * (1.0 - 1e-15), 1e18]
+    for f in flips:
+        pred = (lambda m: m < f) if fits_below else (lambda m: m >= f)
+        probe, fits, value = fake_memo(pred, lambda m: math.log(m / f), seen=(lo,))
+        reads = []
+
+        def counted(b):
+            reads.append(b)
+            return fits(b)
+        got = _bisect_edge(probe, counted, value, lo, hi)
+        want = sequential_bisection(pred if fits_below else lambda m: not pred(m), lo, hi)
+        assert got == want
+        assert got[1] - got[0] <= 1e-12 * max(got[1], 1.0)
+        assert len(set(reads) - {lo}) <= 100
 
 
 def peaks(seed=11, n=40):
@@ -136,23 +140,11 @@ def test_scalar_golden_keeps_its_results():
             assert all(type(v) is float for v in got)
 
 
-@pytest.mark.parametrize("search", ["golden_max", "bisect_boundary"])
+@pytest.mark.parametrize("search", ["golden_max"])
 def test_a_search_stopped_at_its_cap_warns(search):
     """A bracket still wider than its tolerance after max_iter steps is reported."""
     with pytest.warns(RuntimeWarning, match=f"{search} stopped at max_iter=5"):
-        if search == "golden_max":
-            golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-12, 5)
-        else:
-            bisect_boundary(lambda x: (x < 0.3, x - 0.3), 0.0, 1.0, 1e-12, 5)
-
-
-def test_a_bisection_closing_on_its_last_step_does_not_warn():
-    # [0, 1] halves to the tolerance 2^-5 in exactly 5 steps; the suite's
-    # error::RuntimeWarning filter fails the first call if it warns
-    pred = lambda x: (x < 0.3, x - 0.3)
-    assert bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=5) == (0.28125, 0.3125)
-    with pytest.warns(RuntimeWarning, match="bisect_boundary"):
-        bisect_boundary(pred, 0.0, 1.0, 2.0 ** -5, max_iter=4)
+        golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-12, 5)
 
 
 def rooted(seed=5, n=40):
