@@ -76,7 +76,8 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
     User i passes iff the allocated bandwidth strictly exceeds the level where
     the weighted guarantee drops to the indifference ratio r/h. Users whose
     indifference level is unattainable at any bandwidth are reported in
-    unrecoverable rather than raising.
+    unrecoverable rather than raising. The aggregate is sufficient by the
+    strategies' one rule, game._feasible: below the endowment less its slack.
     """
     _require_equilibrium(ne)
     reqs = admission_requirements(scenario, ne, model, ne.price)
@@ -88,7 +89,7 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
         preserved=all(per_user) and len(per_user) > 0,
         required_bandwidths=required,
         aggregate_required=aggregate,
-        aggregate_sufficient=scenario.total_bandwidth_hz > aggregate,
+        aggregate_sufficient=_feasible(aggregate, scenario.total_bandwidth_hz),
         unrecoverable=tuple(i for i in ne.served_set if math.isinf(reqs[i])))
 
 

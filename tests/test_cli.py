@@ -212,6 +212,17 @@ def test_a_one_alpha_window_at_the_finest_step_prints_one_row(capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_a_one_alpha_sweep_compare_prints_its_row_of_the_default_sweep(capsys):
+    """Each alpha is solved on its own: alpha 0.95 alone prints the header and
+    the default sweep's row for 0.95, byte for byte."""
+    status, out, err = run(["sweep-compare", "--alpha-min", "0.95", "--alpha-max", "0.95"],
+                           capsys)
+    assert (status, err) == (0, "")
+    golden = (ROOT / "tests" / "golden" / "sweep-compare.seed4966.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    assert out == golden[0] + next(line for line in golden if line.startswith("0.95,"))
+
+
 @pytest.mark.parametrize("alpha", ["0.5", "1e-300"])
 def test_alpha_step_finer_than_the_grid_rounding_is_usage_error(alpha, capsys):
     """A window of one alpha at a step of 1e-13 printed 15 rows of it."""
@@ -570,16 +581,22 @@ def test_each_command_takes_its_options_in_order(command):
 
 HELP = ROOT / "tests" / "golden" / "help"
 USAGE = "usage: prospect-pricing [-h] COMMAND ...\n"
+# the program's help (None), then each command's
+HELP_COMMANDS = [None, *COMMAND_OPTIONS]
 
 
-@pytest.mark.parametrize("command", [None, *COMMAND_OPTIONS])
+def help_file(command):
+    return HELP / f"{command or 'prospect-pricing'}.txt"
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
 def test_help_matches_golden_file(command, capsys, monkeypatch):
     """--help of the program and of each command, byte for byte as recorded
     when every run built all seven subparsers; at 80 columns."""
     monkeypatch.setenv("COLUMNS", "80")
     status, out, err = run(["--help"] if command is None else [command, "--help"], capsys)
     assert (status, err) == (0, "")
-    assert out == (HELP / f"{command or 'prospect-pricing'}.txt").read_text(encoding="utf-8")
+    assert out == help_file(command).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -706,15 +723,16 @@ def test_full_stdout_exits_2():
 
 def test_fit_pwf_infinite_fps_exits_2(tmp_path, capsys):
     path = tmp_path / "inf.csv"
-    path.write_text(
-        "packet_loss_pct,delay_ms,rating_mean,rating_dev,fps_mean,fps_dev\n"
-        "0,0,3.5,0.5,inf,1\n"
-        "2,40,3.0,0.5,20,1\n"
-        "1,0,2.0,1.0,10,1\n")
-    status, out, err = run(["fit-pwf", "--data", str(path)], capsys)
-    assert status == 2
-    assert out == ""
-    assert err == "prospect-pricing: error: valid records need a finite fps_mean\n"
+    records = ("packet_loss_pct,delay_ms,rating_mean,rating_dev,fps_mean,fps_dev\n"
+               "0,0,3.5,0.5,inf,1\n"
+               "2,40,3.0,0.5,20,1\n")
+    # one valid record besides the infinite one, and two
+    for text in (records, records + "1,0,2.0,1.0,10,1\n"):
+        path.write_text(text)
+        status, out, err = run(["fit-pwf", "--data", str(path)], capsys)
+        assert status == 2
+        assert out == ""
+        assert err == "prospect-pricing: error: valid records need a finite fps_mean\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -16,6 +16,7 @@ import pytest
 
 import helpers
 from prospect_pricing.cli import dispatch
+from test_cli import HELP_COMMANDS, help_file
 from test_game import RISING_AT_ZERO
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -51,7 +52,17 @@ CASES = ([(f"{command}.seed{seed}.csv", [command, "--seed", str(seed)], None, 0)
             # admission over the same alphas, where the levels near 0
             ("sweep-admission.wide.seed4966.csv",
              ["sweep-admission", "--seed", "4966", "--alpha-min", "0.01", "--alpha-max", "1.0",
-              "--alpha-step", "0.01"], None, 0)])
+              "--alpha-step", "0.01"], None, 0),
+            ("sweep-admission.wide.seed2.csv",
+             ["sweep-admission", "--seed", "2", "--alpha-min", "0.01", "--alpha-max", "1.0",
+              "--alpha-step", "0.01"], None, 0),
+            # seed 11, where admission prints no band below alpha 0.975
+            ("sweep-compare.seed11.csv", ["sweep-compare", "--seed", "11"], None, 0),
+            # seed 2 at alphas 0.3 to 0.6: no-pricing prints nothing, and only
+            # rate control prints a band, on 25 of the 61 rows
+            ("sweep-compare.alpha0.3-0.6.seed2.csv",
+             ["sweep-compare", "--seed", "2", "--alpha-min", "0.3", "--alpha-max", "0.6"],
+             None, 0)])
 
 
 @pytest.mark.parametrize("name, argv, config, status", CASES,
@@ -68,6 +79,16 @@ def test_stdout_matches_golden_file_under_compensated_sum(name, argv, config, st
     Python 3.12 on: no printed digit may rest on how sum() rounds."""
     monkeypatch.setattr(builtins, "sum", helpers.compensated_sum)
     assert_stdout_matches(name, argv, config, status, tmp_path, capsys)
+
+
+def test_every_golden_file_is_checked_and_every_check_has_its_file():
+    """The files in tests/golden/ are the names in CASES, and those in
+    tests/golden/help/ the commands whose help is checked: a file added
+    without its case, or a case without its file, fails here."""
+    files = sorted(path.name for path in GOLDEN.iterdir() if path.is_file())
+    assert files == sorted(name for name, *_ in CASES)
+    assert sorted(path.name for path in (GOLDEN / "help").iterdir()) == sorted(
+        help_file(command).name for command in HELP_COMMANDS)
 
 
 def assert_stdout_matches(name, argv, config, status, tmp_path, capsys):

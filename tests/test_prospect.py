@@ -217,6 +217,20 @@ def test_admission_zero_drops_reproduces_preservation(default_scenario, default_
         assert out.new_price == default_ref.price - PRICE_EPS_REL * default_ref.price
 
 
+def test_preservation_judges_the_band_by_the_strategies_rule(default_scenario, default_ref):
+    """With the band at T/(1 - 0.5e-9), T the no-pricing band at alpha 1, the
+    band exceeds T but not T plus the 1e-9 feasibility slack: preservation,
+    admission without drops and min_alpha all find that it does not fit
+    (preservation said it did, by B > T)."""
+    band = no_pricing_bands(default_scenario, default_ref, [1.0])[0] / (1.0 - 0.5e-9)
+    sc = replace(default_scenario, total_bandwidth_hz=band)
+    rep = ne_preserved(sc, default_ref, IDENTITY)
+    assert band > rep.aggregate_required
+    assert rep.aggregate_sufficient == admission_control(sc, default_ref, IDENTITY, 0).feasible
+    assert not rep.aggregate_sufficient
+    assert min_alpha(sc, default_ref, "no_pricing").alpha is None
+
+
 def test_admission_inverts_each_candidate_price_once(monkeypatch, default_scenario,
                                                     default_ref):
     """Both candidate prices, one problem each, in a single evaluation."""
@@ -304,6 +318,17 @@ def test_admission_controls_are_the_one_alpha_outcomes_bitwise(seed):
         assert [outcome_bits(o) for o in batched] == [outcome_bits(o) for o in one_by_one]
         assert math.isinf(batched[0].min_bandwidth_threshold_hz)
         assert len(batched[0].served_set) == ref.n_served
+
+
+def test_admission_controls_of_unrounded_alphas_are_the_one_alpha_outcomes_bitwise(
+        default_scenario, default_ref):
+    """The grid 0.01*k as computed, not rounded (0.01*3 is 0.030000000000000002),
+    with one drop allowed."""
+    sc, ref = default_scenario, default_ref
+    alphas = [0.01 * k for k in range(1, 101)]
+    batched = admission_controls(sc, ref, alphas, 1)
+    assert [outcome_bits(o) for o in batched] == [
+        outcome_bits(admission_control(sc, ref, WeightingModel(alpha=a), 1)) for a in alphas]
 
 
 def test_admission_infeasible_when_markup_exceeds_benefit():
@@ -947,6 +972,20 @@ def test_min_alpha_is_the_root_of_its_threshold(default_scenario, default_ref, s
     assert 0.0 <= res.alpha - root <= 1e-10
 
 
+@pytest.mark.parametrize("seed, c3", [(5, 1e-10), (5, 3e-7), (11, 1e-10), (11, 3e-7)])
+def test_min_alpha_of_expansion_near_the_cap_is_the_root_of_its_threshold(seed, c3):
+    """Where the best level lies within 1e-3 of its cap (c3 = 1e-10) and at
+    0.95 to 0.97 of it (3e-7), min_alpha over bandwidth expansion fits and
+    lies at most 1e-10 above the first fitting alpha."""
+    sc = experiments.build_scenario(seed=seed, c3=c3)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    res = min_alpha(sc, ref, "expansion")
+    assert res.recoverable_at_one and res.monotone and not res.never_infeasible
+    root = bisected_min_alpha(sc, ref, "expansion", res.alpha - 1e-4, res.alpha + 1e-4)
+    assert threshold_fits(sc, ref, "expansion", res.alpha)
+    assert 0.0 <= res.alpha - root <= 1e-10
+
+
 # strategy calls of min_alpha on the default cell: 12 each for the 1e-4
 # bisection; measured 5, 7, 5 and 12 for the root search
 MIN_ALPHA_CALLS = {"no_pricing": 8, "admission": 10, "expansion": 7, "rate": 12}
@@ -1179,6 +1218,8 @@ def test_equalized_levels_refuses_bad_rates_and_bands(default_scenario, default_
         for bad in (-1.0, math.nan):
             with pytest.raises(ValueError, match="totals_hz must be >= 0"):
                 equalized_levels(sc, served, rate, 0.9, [1e6, bad])
+        with pytest.raises(ValueError, match="totals_hz must be >= 0, got nan"):
+            equalized_levels(sc, served, rate, 0.9, math.nan)
         levels = equalized_levels(sc, served, rate, 0.9, [0.0, math.inf])
     cap = game._Users(sc, served).at(rate, 0.9).caps()[0]
     assert levels.tolist() == [0.0, cap * prospect._CAP_END]

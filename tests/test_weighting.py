@@ -216,6 +216,14 @@ def test_fit_is_the_root_of_the_mse_slope(name, monkeypatch):
         assert model.alpha == 1.0
 
 
+def test_fit_of_undistorted_samples_keeps_alpha_one():
+    """Samples w = p at p = k/20, the ends included: the MSE's minimum lies
+    at the edge alpha = 1, and the fit keeps it."""
+    model, mse = fit_alpha([(k / 20, k / 20) for k in range(21)])
+    assert model.alpha == 1.0
+    assert mse <= 1e-30
+
+
 def test_fit_insufficient_data():
     with pytest.raises(InsufficientDataError):
         fit_alpha([])
