@@ -31,6 +31,11 @@ DEFAULT_SEED = 4966
 DEFAULT_ALPHA_STEP = 0.005
 # the most alphas one sweep takes: a 1e-4 step over all of (0, 1]
 _MAX_ALPHAS = 10_001
+# sweep_comparison's first level search takes, per alpha, this many grid
+# points of largest bound: at seed 2 and the bench pool's 12 seeds, in the
+# default window and over alphas 0.01-1.0, no other point's bound reaches
+# the best of them
+_FIRST_POINTS = 3
 # per-sweep default alpha windows; the loss/price window starts where the
 # strict-vs-reallocation gap is still small, the others where the curves of
 # interest (crossings, admission boundaries) live
@@ -387,20 +392,25 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     cap min_i h*w(sup_i) of its problem, and the revenue (n*(x - c1*b) - c3*B)/eut,
     with n >= 1 users served and eut > 0 at an equilibrium, does not fall
     as x rises in any rounding, so the same expression at x_top bounds a
-    grid point's value. The levels come from two lockstep searches
-    (bracketed Newton, evaluating only the problems still open) over one
-    evaluator of all 37 problems per alpha: first each alpha's offered rate
-    and its grid point of largest bound, then every other grid point whose
-    bound is not strictly below that point's revenue. A skipped point is strictly below its row's maximum,
-    so the first maximal point in grid order is the one a search of every
-    point finds, to the bit: at the default config 93 of the 1,147 level
-    problems are solved. The rate control of every alpha comes from one
-    rate_controls call (one evaluation at its 13 edges, then a lockstep
-    root search of dT/d ln b in the brackets that hold a minimum, about 20
-    evaluations in all), the no-pricing and admission bands from one
-    evaluation each, and the admission price cap of every alpha from one
-    pass over the survivors' guarantees. The survivors' band uses the served
-    users' evaluator, with them as members.
+    grid point's value. One evaluator holds all 37 problems per alpha. One
+    lockstep level search (bracketed Newton, evaluating only the problems
+    still open) solves each alpha's offered rate and its _FIRST_POINTS grid
+    points of largest bound; a second solves every other grid point whose
+    bound still reaches its row's best solved revenue, and runs only where
+    there is one. A skipped point is strictly below its row's maximum, and a
+    level does not depend on the problems batched with it, so the maximum
+    is the one a search of every point finds, to the bit. At the default
+    config one search of 8 steps solves 124 of the 1,147 level problems; a
+    step costs about the same whatever its problem count, so three points
+    per alpha beat one point and a second search.
+
+    The rate control of every alpha comes from one rate_controls call (one
+    evaluation at its 13 edges, then a lockstep root search of dT/d ln b in
+    the brackets that hold a minimum, about 20 evaluations in all), the
+    no-pricing and admission bands from one evaluation each, and the
+    admission price cap of every alpha from one pass over the survivors'
+    guarantees. The survivors' band uses the served users' evaluator, with
+    them as members.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario
@@ -422,17 +432,20 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
         return _revenue(sc, ref.n_served, levels, rate_grid[j]) / eut
 
     bounds = revenues(need.caps()[problem[:, 1:]] * prospect._CAP_END, np.arange(rate_grid.size))
-    first = bounds.argmax(axis=1)
-    x_hat, x_first = prospect._solve_levels(
-        need.columns(np.concatenate((problem[:, 0], problem[row, first + 1]))),
-        budget).reshape(2, len(alphas))
+    # each alpha's offered rate and its _FIRST_POINTS grid points of largest bound
+    first = np.argsort(-bounds, axis=1, kind="stable")[:, :_FIRST_POINTS]
+    pick = row[:, None], first
+    solved = prospect._solve_levels(
+        need.columns(np.concatenate((problem[:, 0], problem[:, 1:][pick].ravel()))), budget)
+    x_hat = solved[:len(alphas)]
     grid_rev = np.full(bounds.shape, -np.inf)
-    grid_rev[row, first] = revenues(x_first, first)
-    rest = bounds >= grid_rev[row, first][:, None]
-    rest[row, first] = False
+    grid_rev[pick] = revenues(solved[len(alphas):].reshape(first.shape), first)
+    rest = bounds >= grid_rev.max(axis=1, keepdims=True)
+    rest[pick] = False
     rest_a, rest_j = np.nonzero(rest)
-    grid_rev[rest_a, rest_j] = revenues(
-        prospect._solve_levels(need.columns(problem[rest_a, rest_j + 1]), budget), rest_j)
+    if rest_a.size:
+        grid_rev[rest_a, rest_j] = revenues(
+            prospect._solve_levels(need.columns(problem[rest_a, rest_j + 1]), budget), rest_j)
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
     # the survivors' band at the markup and their price cap, every alpha in one pass
@@ -449,8 +462,9 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
         bw_np = _empty_if_inf(np_band / budget)
         bw_exp = bw_np
 
-        rev_np = _empty_if_inf(_revenue(sc, ref.n_served, ref.price, b_star,
-                                        max(budget, np_band)) / eut)
+        # out of reach, the band is inf, and at c3 = 0 its cost c3*inf is NaN
+        rev_np = None if math.isinf(np_band) else _revenue(
+            sc, ref.n_served, ref.price, b_star, max(budget, np_band)) / eut
         rev_exp = _revenue(sc, ref.n_served, x, b_star) / eut
 
         # admission: survivors keep their original split; the markup must be

@@ -391,17 +391,31 @@ def count_evaluations(monkeypatch):
     return calls
 
 
-def count_level_searches(monkeypatch):
-    """Record the number of problems of every lockstep level search
-    (prospect._solve_levels), whether through equalized_levels or not."""
-    sizes = []
-    solve = prospect._solve_levels
+def count_level_steps(monkeypatch):
+    """Record, per lockstep level search (prospect._solve_levels), the
+    problems of each value-and-slope evaluation it makes in sequence: the
+    one at the level cap, then one per Newton step over the brackets still
+    open. A search's first entry is its problem count, and its length its
+    number of steps. The search's one value-only evaluation, at the
+    smallest positive level, is not a step."""
+    searches, inside = [], []
+    solve, sum_and_slope = prospect._solve_levels, prospect._sum_and_slope
 
-    def counting(need, totals, *args):
-        sizes.append(need.rates.size)
-        return solve(need, totals, *args)
-    monkeypatch.setattr(prospect, "_solve_levels", counting)
-    return sizes
+    def counting_search(need, totals, *args):
+        searches.append([])
+        inside.append(True)
+        try:
+            return solve(need, totals, *args)
+        finally:
+            inside.pop()
+
+    def counting_step(need, x):
+        if inside:
+            searches[-1].append(np.size(need.rates))
+        return sum_and_slope(need, x)
+    monkeypatch.setattr(prospect, "_solve_levels", counting_search)
+    monkeypatch.setattr(prospect, "_sum_and_slope", counting_step)
+    return searches
 
 
 def count_root_steps(monkeypatch):

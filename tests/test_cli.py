@@ -390,6 +390,23 @@ def test_target_out_of_reach_gives_empty_cells_not_inf(capsys):
     assert out.strip().split("\n")[1].split(",")[1] == ""
 
 
+def test_no_pricing_revenue_is_empty_where_its_band_is_at_zero_band_cost(tmp_path, capsys):
+    """At c3 = 0 an out-of-reach band costs 0*inf: rev_no_pricing_norm is
+    empty exactly where bw_no_pricing_norm is (16 of seed 2's 31 rows), and
+    no cell reads nan."""
+    path = tmp_path / "free-band.json"
+    path.write_text(json.dumps({"c3": 0.0}))
+    status, out, _ = run(["sweep-compare", "--config", str(path), "--seed", "2"], capsys)
+    assert status == 0
+    header, *rows = out.strip().split("\n")
+    cells = [row.split(",") for row in rows]
+    assert len(cells) == 31 and not any(cell == "nan" for row in cells for cell in row)
+    bw, rev = (header.split(",").index(name)
+               for name in ("bw_no_pricing_norm", "rev_no_pricing_norm"))
+    assert [row[rev] == "" for row in cells] == [row[bw] == "" for row in cells]
+    assert sum(row[bw] == "" for row in cells) == 16
+
+
 @pytest.mark.parametrize("module", ["prospect_pricing", "prospect_pricing.cli"])
 def test_module_entry_points_run_the_command(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -287,13 +287,13 @@ def test_comparison_sweep_frozen_rows(default_scenario):
 
 @pytest.mark.parametrize("sweep, kwargs, batches", [
     (sweep_revenue_loss, {}, 1), (sweep_price, {}, 1), (sweep_expansion, {}, 1),
-    (sweep_comparison, {}, 2), (sweep_admission, {"max_drops": 2}, 1)])
+    (sweep_comparison, {}, 1), (sweep_admission, {"max_drops": 2}, 1)])
 def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
                                                sweep, kwargs, batches):
     """sweep-compare and sweep-admission search below equalized_levels:
-    sweep-compare twice, first every alpha's offered rate and best-bounded
-    grid point, then the grid points whose bound can still beat it, and
-    sweep-admission once, over every alpha and kept set."""
+    sweep-compare every alpha's offered rate and its three grid points of
+    largest bound, no other point's bound reaching their best at the
+    default cell, and sweep-admission every alpha and kept set."""
     real = experiments.equalized_levels
     sizes = []
 
@@ -307,14 +307,15 @@ def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
 
     monkeypatch.setattr(experiments, "equalized_levels", counting)
     monkeypatch.setattr(experiments.prospect, "equalized_willingness", one_problem)
-    searches = helpers.count_level_searches(monkeypatch)
+    steps = helpers.count_level_steps(monkeypatch)
     for n_alphas in (1, 3):
         sizes.clear()
-        searches.clear()
+        steps.clear()
         sweep(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0, step=0.05),
               **kwargs)
+        searches = [search[0] for search in steps]
         if sweep is sweep_comparison:
-            assert not sizes and len(searches) == batches and searches[0] == 2 * n_alphas
+            assert not sizes and searches == [4 * n_alphas] * batches
         elif sweep is sweep_admission:
             assert not sizes and searches == [n_alphas * (kwargs["max_drops"] + 1)] * batches
         else:
@@ -397,18 +398,35 @@ def test_comparison_matches_a_search_of_every_grid_point(seed):
 
 
 def test_comparison_solves_few_level_problems(default_scenario, monkeypatch):
-    """Of sweep-compare's 1,147 level problems at the default config, the
-    level cap leaves 93 to solve, and the sweep inverts 1,898 requirement
-    columns, the scenario solve's price vectors included (8,675 when every
-    grid point was solved); over 0.01-1.0, 279 problems of 3,700."""
+    """Of sweep-compare's 1,147 level problems at the default config, one
+    lockstep search of 8 steps solves 124, each alpha's offered rate and
+    three grid points, and the sweep inverts 1,907 requirement columns, the
+    scenario solve's price vectors included (8,675 when every grid point
+    was solved); over 0.01-1.0, one search of 8 steps solves 400 problems
+    of 3,700."""
     columns = helpers.count_evaluations(monkeypatch)
-    problems = helpers.count_level_searches(monkeypatch)
+    steps = helpers.count_level_steps(monkeypatch)
     sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
     assert sum(np.size(targets) for _, targets in columns) <= 2000
-    assert sum(problems) <= 100
-    problems.clear()
+    assert len(steps) == 1 and steps[0][0] == 124 and len(steps[0]) <= 8
+    steps.clear()
     sweep_comparison(spec_for(default_scenario, 0.01, 1.0, step=0.01))
-    assert sum(problems) <= 300
+    assert len(steps) == 1 and steps[0][0] == 400 and len(steps[0]) <= 8
+
+
+def test_comparison_searches_again_where_a_bound_reaches_the_best(monkeypatch):
+    """Where a grid point beyond the three of largest bound still bounds
+    its row's best solved revenue, a second search solves every such point,
+    and the cells keep the bits a search of every grid point gives: at
+    price_exp 0.6, seed 59, the default window takes one search of 124
+    problems and one of 1,023."""
+    spec = SweepSpec(build_scenario(price_exp=0.6, seed=59),
+                     *experiments.DEFAULT_RANGE_COMPARISON)
+    _, _, cells = helpers.full_grid_comparison(spec)
+    steps = helpers.count_level_steps(monkeypatch)
+    rows = sweep_comparison(spec).rows
+    assert [search[0] for search in steps] == [124, 1023]
+    assert helpers.row_bits([(row[6], row[8]) for row in rows]) == helpers.row_bits(cells)
 
 
 def test_comparison_runs_every_rate_control_in_one_batch(default_scenario, monkeypatch):

@@ -1366,3 +1366,26 @@ def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
     for alpha in np.unique(alpha_col).tolist():
         _, alloc = equalized_willingness(sc, ref, WeightingModel(alpha=alpha))
         assert math.fsum(alloc) <= bound, alpha
+
+
+@pytest.mark.parametrize("seed", [2, experiments.DEFAULT_SEED, 5])
+def test_strategies_return_no_nan_at_zero_band_cost(seed):
+    """At c3 = 0 a band out of reach costs 0*inf: no field of an expansion,
+    a rate control, an admission control or a min_alpha result is NaN, over
+    alphas 0.05 to 1, at 11 to 18 of which some served user's target is
+    out of reach at any band."""
+    sc = experiments.build_scenario(seed=seed, c3=0.0)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    alphas = [round(0.05 * k, 2) for k in range(1, 21)]
+
+    def values(result):
+        for f in dataclasses.fields(result):
+            value = getattr(result, f.name)
+            yield from value if isinstance(value, tuple) else (value,)
+
+    results = [*bandwidth_expansions(sc, ref, alphas), *prospect.rate_controls(sc, ref, alphas),
+               *admission_controls(sc, ref, alphas, 1),
+               *(min_alpha(sc, ref, strategy) for strategy in prospect.STRATEGY_IDS)]
+    assert len(results) == 64
+    for result in results:
+        assert not any(isinstance(v, float) and math.isnan(v) for v in values(result)), result
