@@ -21,10 +21,10 @@ import numpy as np
 from . import _search, prospect
 from .channel import LinkBudget, UnattainableGuaranteeError, channel_from_budget
 from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
-                   _require_equilibrium, _revenue, _spread, _total, _Users,
+                   _reciprocals, _require_equilibrium, _revenue, _spread, _total, _Users,
                    min_bandwidth_for_user, solve_nash)
 from .prospect import (PRICE_EPS_REL, _capped_price, _min_willingness, _price_gap_loss,
-                       equalized_levels, no_pricing_bands)
+                       no_pricing_bands)
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
 DEFAULT_SEED = 4966
@@ -241,9 +241,15 @@ class SweepSpec:
                              f"rounding to 12 decimals")
 
     def alphas(self) -> list[float]:
+        """The sweep's alphas. Every sweep reads them before any requirement
+        evaluation, so an alpha whose reciprocal overflows is refused here
+        with the evaluator's ValueError, even where a sweep evaluates only
+        alpha = 1 (prospect._scaled_levels)."""
         # the rounding snaps float drift; an alpha_min below 5e-13 stays itself
-        return [min(max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min), 1.0)
-                for k in range(self.n_alphas)]
+        alphas = [min(max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min), 1.0)
+                  for k in range(self.n_alphas)]
+        _reciprocals(alphas)
+        return alphas
 
 
 @dataclass(frozen=True)
@@ -285,9 +291,9 @@ def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
 
 def _offered_levels(sc: Scenario, ref: NashResult, alphas: list[float]) -> list[float]:
     """Equalized willingness of the served users at the offered rate and the
-    whole endowment, for every alpha in one lockstep search."""
-    return equalized_levels(sc, ref.served_set, ref.rate_bps, alphas,
-                            sc.total_bandwidth_hz).tolist()
+    whole endowment, for every alpha from one level search at alpha = 1."""
+    return prospect._scaled_levels(_Users(sc, ref.served_set), ref.rate_bps, alphas,
+                                   sc.total_bandwidth_hz).tolist()
 
 
 def _empty_if_inf(value: float) -> float | None:
@@ -392,17 +398,21 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     cap min_i h*w(sup_i) of its problem, and the revenue (n*(x - c1*b) - c3*B)/eut,
     with n >= 1 users served and eut > 0 at an equilibrium, does not fall
     as x rises in any rounding, so the same expression at x_top bounds a
-    grid point's value. One evaluator holds all 37 problems per alpha. One
-    lockstep level search (bracketed Newton, evaluating only the problems
-    still open) solves each alpha's offered rate and its _FIRST_POINTS grid
-    points of largest bound; a second solves every other grid point whose
-    bound still reaches its row's best solved revenue, and runs only where
-    there is one. A skipped point is strictly below its row's maximum, and a
-    level does not depend on the problems batched with it, so the maximum
-    is the one a search of every point finds, to the bit. At the default
-    config one search of 8 steps solves 124 of the 1,147 level problems; a
-    step costs about the same whatever its problem count, so three points
-    per alpha beat one point and a second search.
+    grid point's value. The caps of every alpha come in closed form from
+    one evaluator of the grid at alpha = 1 (prospect._caps_at). The levels
+    of each alpha's offered rate and its _FIRST_POINTS grid points of
+    largest bound come from prospect._scaled_levels, which searches each
+    distinct rate once at alpha = 1 (bracketed Newton in lockstep) and
+    scales its level to every alpha; a second call solves every other grid
+    point whose bound still reaches its row's best solved revenue, and runs
+    only where there is one. A skipped point is strictly below its row's
+    maximum, and a level does not depend on the problems batched with it,
+    so the maximum is the one that grading every point through the same
+    levels finds, to the bit. At the default config one search of 8 steps
+    solves 4 problems, the offered rate and the same three grid points at
+    every alpha, for the 124 (alpha, rate) levels the bound reads of the
+    1,147; a step costs about the same whatever its problem count, so
+    three points per alpha beat one point and a second search.
 
     The rate control of every alpha comes from one rate_controls call (one
     evaluation at its 13 edges, then a lockstep root search of dT/d ln b in
@@ -422,21 +432,19 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
 
     rate_grid = np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)
     alphas = spec.alphas()
-    rates = np.append(b_star, rate_grid)
-    need = served.at(np.tile(rates, len(alphas)), np.repeat(alphas, rates.size))
-    # problem[a, j]: alpha a at rates[j], the offered rate first
-    problem = np.arange(need.rates.size).reshape(len(alphas), rates.size)
-    row = np.arange(len(alphas))
+    column = np.array(alphas)[:, None]
 
     def revenues(levels, j):
         return _revenue(sc, ref.n_served, levels, rate_grid[j]) / eut
 
-    bounds = revenues(need.caps()[problem[:, 1:]] * prospect._CAP_END, np.arange(rate_grid.size))
+    caps = prospect._caps_at(served.at(rate_grid, 1.0), column)
+    bounds = revenues(caps * prospect._CAP_END, np.arange(rate_grid.size))
     # each alpha's offered rate and its _FIRST_POINTS grid points of largest bound
     first = np.argsort(-bounds, axis=1, kind="stable")[:, :_FIRST_POINTS]
-    pick = row[:, None], first
-    solved = prospect._solve_levels(
-        need.columns(np.concatenate((problem[:, 0], problem[:, 1:][pick].ravel()))), budget)
+    pick = np.arange(len(alphas))[:, None], first
+    solved = prospect._scaled_levels(
+        served, np.append(np.full(len(alphas), b_star), rate_grid[first]),
+        np.append(alphas, np.broadcast_to(column, first.shape)), budget)
     x_hat = solved[:len(alphas)]
     grid_rev = np.full(bounds.shape, -np.inf)
     grid_rev[pick] = revenues(solved[len(alphas):].reshape(first.shape), first)
@@ -444,8 +452,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     rest[pick] = False
     rest_a, rest_j = np.nonzero(rest)
     if rest_a.size:
-        grid_rev[rest_a, rest_j] = revenues(
-            prospect._solve_levels(need.columns(problem[rest_a, rest_j + 1]), budget), rest_j)
+        grid_rev[rest_a, rest_j] = revenues(prospect._scaled_levels(
+            served, rate_grid[rest_j], column[rest_a, 0], budget), rest_j)
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
     # the survivors' band at the markup and their price cap, every alpha in one pass

@@ -171,13 +171,17 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     by the tolerance, 5e-15 of x, and each further one in a row by twice
     the last. A bracket closes at a width of 1e-14 of its upper end, or at
     adjacent floats, as subnormal levels do. Returns the ends that fit.
+    Both ends are checked in one evaluation, over the problems taken twice.
     """
     caps = need.caps()
     totals = np.broadcast_to(totals, caps.shape)
     x_top, x_tiny = caps * _CAP_END, np.full_like(caps, _TINY)
-    top, top_slope = _sum_and_slope(need, x_top)
+    n = caps.size
+    ends = need.columns(np.tile(np.arange(n), 2))(np.concatenate((x_top, x_tiny)))
+    at_top, at_tiny = ends[:, :n], ends[:, n:]
+    top, top_slope = _total(at_top), _total(need.slopes(x_top, at_top))
     x = np.where(top < totals, x_top, 0.0)
-    keep = np.flatnonzero((top >= totals) & (_total(need(x_tiny)) < totals))
+    keep = np.flatnonzero((top >= totals) & (_total(at_tiny) < totals))
     if not keep.size:
         return x
     need = need.columns(keep)
@@ -213,6 +217,50 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
                     a[left] for a in (band, ln_cap, x_in, x_out, at, s, ds, creep))
     _search._warn_cap("equalized_levels", max_iter, 1e-14)
     x[keep] = x_in
+    return x
+
+
+def _caps_at(one: _RequirementMatrix, alphas) -> np.ndarray:
+    """caps() of the problems of one, an evaluator of every user at alpha =
+    1, at alphas instead, broadcast against them: h*exp(-m^alpha), m the
+    largest -ln sup_i. Power and exp are monotone, so the minimum over the
+    users is the worst user's term, bitwise caps() of an evaluator at alphas."""
+    # full-size operands, as the evaluator's (_RequirementMatrix.__init__)
+    worst, alphas = map(np.array, np.broadcast_arrays(-one.ln_sup.min(axis=0), alphas))
+    return one.benefit * np.exp(-np.power(worst, alphas))
+
+
+def _scaled_levels(users: _Users, rates_bps, alphas, total_hz: float) -> np.ndarray:
+    """equalized_levels of the users' problems (rates_bps[k], alphas[k]) at
+    the band total_hz, each distinct rate searched once, at alpha = 1.
+
+    Under Prelec's weight a requirement depends on alpha and the level x
+    only through u = log(-ln(x/h))/alpha: the evaluator's lc is u - log(-ln
+    sup_i). So at a fixed rate S(x) = B has one root u*, and the level at
+    alpha = 1, x_1 = h*exp(-e^u*), gives x = h*exp(-exp(alpha*u*)) at every
+    alpha. Where x_1 is 0 or the cap end, u* lies outside the alpha = 1
+    search's range, and where the mapped level is not below its own cap
+    end, it lies outside that alpha's: those problems are searched at their
+    own alpha, so no level passes its cap end. A level does not depend on
+    the problems batched with it. Near h the map magnifies the alpha = 1
+    search's closing tolerance of 1e-14: a level whose x_1 lies within
+    about 1e-5 of h (the lowest rates, at alphas up to 0.1) keeps fewer
+    digits, down to about 3e-11.
+    """
+    rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
+                                          for v in (rates_bps, alphas)))
+    distinct, which = np.unique(rates, return_inverse=True)
+    one = users.at(distinct, 1.0)
+    x_one = _solve_levels(one, total_hz)
+    outside = (x_one == 0.0) | (x_one >= one.caps() * _CAP_END)
+    # from here on, one problem per (rate, alpha)
+    one, x_one, outside = one.columns(which), x_one[which], outside[which]
+    with np.errstate(divide="ignore"):
+        u = np.log(-np.log(x_one / one.benefit))
+    x = one.benefit * np.exp(-np.exp(alphas * u))
+    redo = np.flatnonzero(outside | ~(x < _caps_at(one, alphas) * _CAP_END))
+    if redo.size:
+        x[redo] = _solve_levels(users.at(rates[redo], alphas[redo]), total_hz)
     return x
 
 

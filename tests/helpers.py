@@ -393,16 +393,16 @@ def count_evaluations(monkeypatch):
 
 def count_level_steps(monkeypatch):
     """Record, per lockstep level search (prospect._solve_levels), the
-    problems of each value-and-slope evaluation it makes in sequence: the
-    one at the level cap, then one per Newton step over the brackets still
-    open. A search's first entry is its problem count, and its length its
-    number of steps. The search's one value-only evaluation, at the
-    smallest positive level, is not a step."""
+    problems of each evaluation it makes in sequence: the one of both
+    bracket ends, the level cap's value and slope and the smallest positive
+    level's value, then one value-and-slope evaluation per Newton step over
+    the brackets still open. A search's first entry is its problem count,
+    and its length its number of steps."""
     searches, inside = [], []
     solve, sum_and_slope = prospect._solve_levels, prospect._sum_and_slope
 
     def counting_search(need, totals, *args):
-        searches.append([])
+        searches.append([np.size(need.rates)])
         inside.append(True)
         try:
             return solve(need, totals, *args)
@@ -437,11 +437,12 @@ def count_root_steps(monkeypatch):
 
 def full_grid_comparison(spec):
     """sweep_comparison's level-dependent cells as a search of every grid
-    point finds them: one equalized_levels call over the 37 problems of each
-    alpha (the offered rate, then the 36-rate grid), the best grid revenue
-    taken in grid order. Returns (levels, caps, cells): the levels and their
-    problems' caps, alpha-major, and per alpha the cells
-    (rev_expansion_norm, rev_rate_norm)."""
+    point finds them: one prospect._scaled_levels call over the 37 problems
+    of each alpha (the offered rate, then the 36-rate grid), the best grid
+    revenue taken in grid order. Returns (levels, caps, cells): the levels
+    and their problems' caps, from an evaluator at each problem's alpha,
+    alpha-major, and per alpha the cells (rev_expansion_norm,
+    rev_rate_norm)."""
     sc = spec.scenario
     ne = solve_nash(sc)
     ref = experiments.reference_offer(sc, ne, spec.offer_margin)
@@ -449,9 +450,9 @@ def full_grid_comparison(spec):
     rate_grid = [float(b) for b in np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)]
     rates, alphas = [b_star] + rate_grid, spec.alphas()
     rate_col, alpha_col = np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
-    levels = prospect.equalized_levels(sc, ref.served_set, rate_col, alpha_col,
-                                       sc.total_bandwidth_hz)
-    caps = game._Users(sc, ref.served_set).at(rate_col, alpha_col).caps()
+    served = game._Users(sc, ref.served_set)
+    levels = prospect._scaled_levels(served, rate_col, alpha_col, sc.total_bandwidth_hz)
+    caps = served.at(rate_col, alpha_col).caps()
     cells = []
     for x_hat, *grid in levels.reshape(len(alphas), len(rates)).tolist():
         best = -math.inf

@@ -529,39 +529,56 @@ def test_main_exits_with_dispatch_status(monkeypatch, capsys):
 
 
 def fuzz_configs(n=40, seed=20260):
-    """In-domain configs: exponents in (0.3, 1], either cost term may be 0."""
+    """In-domain configs toward the domain's corners: radii of 20 m to 20 km
+    and -10 to 60 dBm of power, exponents in (0.3, 1], either cost term 0
+    in about 1 config in 7, and an explicit band of 1e3 to 1e10 Hz in
+    about 3 in 10."""
     rng = np.random.default_rng(seed)
     log_scale = lambda value: value * 10.0 ** rng.uniform(-1.0, 1.0)
     for _ in range(n):
-        yield {
+        config = {
             "seed": int(rng.integers(0, 10_000)),
             "n_users": int(rng.integers(1, 17)),
-            "cell_radius_m": rng.uniform(100.0, 1000.0),
-            "tx_power_dbm": rng.uniform(10.0, 46.0),
+            "cell_radius_m": 20.0 * 10.0 ** rng.uniform(0.0, 3.0),
+            "tx_power_dbm": rng.uniform(-10.0, 60.0),
             "pathloss_exponent": rng.uniform(2.0, 5.0),
             "shadow_sigma_db": rng.uniform(0.0, 8.0),
             "price_exp": 1.0 - rng.uniform(0.0, 0.7),
             "benefit_exp": 1.0 - rng.uniform(0.0, 0.7),
-            "c1": 0.0 if rng.random() < 0.1 else log_scale((1.0 / 3.0) * 1e-6),
-            "c3": 0.0 if rng.random() < 0.1 else log_scale(1e-8),
+            "c1": 0.0 if rng.random() < 0.15 else log_scale((1.0 / 3.0) * 1e-6),
+            "c3": 0.0 if rng.random() < 0.15 else log_scale(1e-8),
             "price_coeff": log_scale(2e-3),
             "benefit_coeff": log_scale(1e-2),
         }
+        if rng.random() < 0.3:
+            config["total_bandwidth_hz"] = 10.0 ** rng.uniform(3.0, 10.0)
+        yield config
 
 
 def test_in_domain_fuzz_solves_or_exits_cleanly(tmp_path, capsys):
+    """Every fuzz config solves or exits with a documented status, with no
+    traceback and no nan or inf cell: ne-solve, and where it solves,
+    sweep-loss and sweep-compare, every other config near alpha 1 and the
+    rest at alphas 0.01-0.05, where scaling a level from alpha = 1 is worst
+    conditioned and where a level of 0 at alpha = 1 sends problems to a
+    search at their own alpha. A config ne-solve refuses is refused by the
+    sweeps' first step, the same scenario build and solve."""
     path = tmp_path / "fuzz.json"
-    window = ["--alpha-min", "0.95", "--alpha-max", "1.0", "--alpha-step", "0.025"]
-    for config in fuzz_configs():
+    windows = (["--alpha-min", "0.95", "--alpha-max", "1.0", "--alpha-step", "0.025"],
+               ["--alpha-min", "0.01", "--alpha-max", "0.05", "--alpha-step", "0.02"])
+    for k, config in enumerate(fuzz_configs()):
         path.write_text(json.dumps(config))
-        for argv in (["ne-solve"], ["sweep-loss", *window], ["sweep-compare", *window]):
+        for argv in (["ne-solve"], ["sweep-loss", *windows[k % 2]],
+                     ["sweep-compare", *windows[k % 2]]):
             status, out, err = run([*argv, "--config", str(path)], capsys)
-            where = f"{argv[0]} on {config}"
+            where = f"{argv} on {config}"
             assert status in (0, 2, 3, 64), where
             assert "Traceback" not in err, where
             # compare whole cells: "infeasible" contains "inf"
             cells = [c for line in out.splitlines() for c in line.split(",")]
             assert not {"nan", "inf", "-inf"} & {c.lower() for c in cells}, where
+            if status:
+                break
 
 
 # ---------------------------------------------------------------------------

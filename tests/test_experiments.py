@@ -290,36 +290,39 @@ def test_comparison_sweep_frozen_rows(default_scenario):
     (sweep_comparison, {}, 1), (sweep_admission, {"max_drops": 2}, 1)])
 def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
                                                sweep, kwargs, batches):
-    """sweep-compare and sweep-admission search below equalized_levels:
-    sweep-compare every alpha's offered rate and its three grid points of
-    largest bound, no other point's bound reaching their best at the
-    default cell, and sweep-admission every alpha and kept set."""
-    real = experiments.equalized_levels
-    sizes = []
+    """Every sweep searches below equalized_levels, in one level search:
+    sweep-loss, sweep-price and sweep-expansion the offered rate once, at
+    alpha = 1 (prospect._scaled_levels); sweep-compare each distinct rate
+    it picks once, at alpha = 1: the offered rate and every alpha's three
+    grid points of largest bound, the same three at every alpha here, no
+    other point's bound reaching their best at the default cell; and
+    sweep-admission every alpha and kept set."""
+    def per_problem(*args, **kw):
+        raise AssertionError("a sweep searched one problem per (rate, alpha)")
 
-    def counting(scenario, users, rates, alphas, totals):
-        levels = real(scenario, users, rates, alphas, totals)
-        sizes.append(levels.size)
-        return levels
+    scaled = prospect._scaled_levels
+    picked = []
 
-    def one_problem(*args, **kw):
-        raise AssertionError("a sweep solved a single equalized problem")
+    def recorded(users, rates, alphas, total):
+        picked.append(np.unique(rates).size)
+        return scaled(users, rates, alphas, total)
 
-    monkeypatch.setattr(experiments, "equalized_levels", counting)
-    monkeypatch.setattr(experiments.prospect, "equalized_willingness", one_problem)
+    monkeypatch.setattr(prospect, "equalized_levels", per_problem)
+    monkeypatch.setattr(prospect, "equalized_willingness", per_problem)
+    monkeypatch.setattr(prospect, "_scaled_levels", recorded)
     steps = helpers.count_level_steps(monkeypatch)
     for n_alphas in (1, 3):
-        sizes.clear()
+        picked.clear()
         steps.clear()
         sweep(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0, step=0.05),
               **kwargs)
         searches = [search[0] for search in steps]
         if sweep is sweep_comparison:
-            assert not sizes and searches == [4 * n_alphas] * batches
+            assert searches == picked == [4] * batches
         elif sweep is sweep_admission:
-            assert not sizes and searches == [n_alphas * (kwargs["max_drops"] + 1)] * batches
+            assert not picked and searches == [n_alphas * (kwargs["max_drops"] + 1)] * batches
         else:
-            assert sizes == searches == [n_alphas] * batches
+            assert searches == picked == [1] * batches
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 1, 2, 3, 5, 11])
@@ -385,47 +388,87 @@ def test_tied_channels_keep_the_lower_index(monkeypatch):
 def test_comparison_matches_a_search_of_every_grid_point(seed):
     """The level cap skips only grid points strictly below their row's best,
     so every cell that reads a level (rev_expansion_norm at the offered
-    rate, rev_rate_norm over the grid) has the bits a search of every grid
-    point gives: in the default window and over 0.01-1.0, where targets go
-    out of reach. The bound's premise holds: no level passes
-    cap*(1 - 1e-12). The other seven columns read no level."""
+    rate, rev_rate_norm over the grid) has the bits that grading every grid
+    point through the same scaled levels (prospect._scaled_levels) gives:
+    in the default window and over 0.01-1.0, where targets go out of
+    reach. The bound's premise holds: no level passes cap*(1 - 1e-12), the
+    cap of an evaluator at the problem's own alpha, and the bound's caps,
+    formed from one evaluator at alpha = 1, are bitwise those caps. The
+    other seven columns read no level."""
     sc = build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    rates = np.append(ref.rate_bps, np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36))
+    one = game._Users(sc, ref.served_set).at(rates, 1.0)
     for window in (experiments.DEFAULT_RANGE_COMPARISON, (0.01, 1.0, 0.01)):
         spec = SweepSpec(sc, *window)
         levels, caps, cells = helpers.full_grid_comparison(spec)
         assert (levels <= caps * (1.0 - 1e-12)).all()
+        closed = prospect._caps_at(one, np.array(spec.alphas())[:, None])
+        assert closed.ravel().tobytes() == caps.tobytes()
         assert [(row[6], row[8]) for row in sweep_comparison(spec).rows] == cells
+
+
+def per_alpha_levels(users, rates, alphas, total):
+    """prospect._scaled_levels as a search at each problem's own alpha."""
+    return prospect._solve_levels(users.at(rates, alphas), total)
+
+
+@pytest.mark.parametrize("seed, benefit_exp", [
+    (experiments.DEFAULT_SEED, 0.65), (2, 0.65), (5, 0.65), (11, 0.65), (3, 0.9)])
+def test_scaled_levels_print_what_a_search_at_every_alpha_prints(seed, benefit_exp,
+                                                                monkeypatch):
+    """Solving each rate once at alpha = 1 and scaling its level to every
+    alpha moves no printed cell: sweep-compare, sweep-loss, sweep-price and
+    sweep-expansion over alphas 0.01-1.0 print exactly the CSV that one
+    level search at each problem's own alpha prints. At {"benefit_exp":
+    0.9}, seed 3, sweep-compare's grid rates whose level at alpha = 1 is 0
+    are searched at their own alphas; scaled instead, five rows moved."""
+    spec = SweepSpec(build_scenario(seed=seed, benefit_exp=benefit_exp), 0.01, 1.0, 0.01)
+    sweeps = (sweep_comparison, sweep_revenue_loss, sweep_price, sweep_expansion)
+    steps = helpers.count_level_steps(monkeypatch)
+    scaled = [sweep(spec).to_csv() for sweep in sweeps]
+    # sweep-compare's searches, then one search of one problem per other sweep
+    assert (len(steps) > 4) == (benefit_exp == 0.9)
+    monkeypatch.setattr(prospect, "_scaled_levels", per_alpha_levels)
+    for sweep, text in zip(sweeps, scaled):
+        steps.clear()
+        assert sweep(spec).to_csv() == text, sweep.__name__
+        assert steps[0][0] >= 100
 
 
 def test_comparison_solves_few_level_problems(default_scenario, monkeypatch):
     """Of sweep-compare's 1,147 level problems at the default config, one
-    lockstep search of 8 steps solves 124, each alpha's offered rate and
-    three grid points, and the sweep inverts 1,907 requirement columns, the
-    scenario solve's price vectors included (8,675 when every grid point
-    was solved); over 0.01-1.0, one search of 8 steps solves 400 problems
-    of 3,700."""
+    lockstep search of 8 steps at alpha = 1 solves 4: the offered rate and
+    the three grid points of largest bound, the same at every alpha, whose
+    levels scale to all 124 (alpha, rate) problems that the branch and
+    bound reads. The sweep inverts 857 requirement columns, the scenario
+    solve's price vectors included (1,907 when each alpha's problems were
+    searched, 8,675 when every grid point was). Over 0.01-1.0, one search
+    of 8 steps solves 14 problems for 400."""
     columns = helpers.count_evaluations(monkeypatch)
     steps = helpers.count_level_steps(monkeypatch)
     sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
-    assert sum(np.size(targets) for _, targets in columns) <= 2000
-    assert len(steps) == 1 and steps[0][0] == 124 and len(steps[0]) <= 8
+    assert sum(np.size(targets) for _, targets in columns) <= 900
+    assert len(steps) == 1 and steps[0][0] == 4 and len(steps[0]) <= 8
     steps.clear()
     sweep_comparison(spec_for(default_scenario, 0.01, 1.0, step=0.01))
-    assert len(steps) == 1 and steps[0][0] == 400 and len(steps[0]) <= 8
+    assert len(steps) == 1 and steps[0][0] == 14 and len(steps[0]) <= 8
 
 
 def test_comparison_searches_again_where_a_bound_reaches_the_best(monkeypatch):
     """Where a grid point beyond the three of largest bound still bounds
     its row's best solved revenue, a second search solves every such point,
-    and the cells keep the bits a search of every grid point gives: at
-    price_exp 0.6, seed 59, the default window takes one search of 124
-    problems and one of 1,023."""
+    and the cells keep the bits that grading every grid point gives. Where
+    a rate's level at alpha = 1 is 0 or the cap end, its problems are
+    searched at their own alphas. At price_exp 0.6, seed 59, the default
+    window searches 4 rates at alpha = 1, 3 of which fall back (93
+    problems), then 33 rates, 5 of which fall back (155 problems)."""
     spec = SweepSpec(build_scenario(price_exp=0.6, seed=59),
                      *experiments.DEFAULT_RANGE_COMPARISON)
     _, _, cells = helpers.full_grid_comparison(spec)
     steps = helpers.count_level_steps(monkeypatch)
     rows = sweep_comparison(spec).rows
-    assert [search[0] for search in steps] == [124, 1023]
+    assert [search[0] for search in steps] == [4, 93, 33, 155]
     assert helpers.row_bits([(row[6], row[8]) for row in rows]) == helpers.row_bits(cells)
 
 
@@ -582,6 +625,27 @@ def test_sweep_spec_grid_starts_at_its_alpha_min(default_scenario, alpha):
     alphas = spec_for(default_scenario, alpha, 0.2).alphas()
     assert alphas[0] == alpha
     assert alphas[1:] == [round(alpha + k * 0.005, 12) for k in range(1, len(alphas))]
+
+
+@pytest.mark.parametrize("sweep", [sweep_revenue_loss, sweep_price, sweep_expansion,
+                                   sweep_admission, sweep_comparison])
+def test_sweeps_refuse_a_tiny_alpha_before_any_evaluator(default_scenario, monkeypatch,
+                                                          sweep):
+    """Below 1/DBL_MAX an alpha's reciprocal overflows: SweepSpec.alphas(),
+    which every sweep reads before any evaluation, refuses it with the
+    evaluator's ValueError, so no requirement evaluator is built, though
+    the loss, price and expansion sweeps evaluate only alpha = 1."""
+    built = []
+    init = game._RequirementMatrix.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(game._RequirementMatrix, "__init__", recorded)
+    spec = spec_for(default_scenario, 5e-324, 5e-324)
+    with pytest.raises(ValueError, match=r"finite reciprocal, got 5e-324$"):
+        sweep(spec)
+    assert not built
 
 
 def test_ne_table(default_scenario, default_ne):

@@ -1309,6 +1309,122 @@ def test_equalized_levels_match_a_50_digit_root(default_scenario, default_ref):
         assert float(abs(levels[k] - want) / want) <= 1e-12, (a, r, levels[k])
 
 
+def mp_scale(mpmath, sc, users, rate, band, level_at_one):
+    """50-digit (h, u*) of a rate: its benefit h and the root u* =
+    log(-ln(x/h)) of S = band at alpha = 1, from mp_level around the
+    alpha = 1 level. The level at alpha is then h*exp(-exp(alpha*u*))."""
+    with mpmath.workdps(50):
+        h = sc.benefit.coefficient * (mpmath.mpf(rate) / 1000) ** sc.benefit.exponent
+        root = mp_level(mpmath, sc, users, rate, 1.0, band, level_at_one)
+        return h, mpmath.log(-mpmath.log(root / h))
+
+
+def mp_scaled(mpmath, h, u_star, alpha):
+    with mpmath.workdps(50):
+        return h * mpmath.exp(-mpmath.exp(mpmath.mpf(alpha) * u_star))
+
+
+def test_scaled_levels_match_a_50_digit_root(default_scenario, default_ref):
+    """prospect._scaled_levels against roots of S(x) = B taken at 50 digits
+    at each problem's own alpha: the offered rate at alphas 0.01, 0.3, 0.85
+    and 1, and the grid level of 4.6e-33 (alpha 0.85 at 1.87e7 bps), each
+    within 1e-12; the offered rate's u* = log(-ln(x/h)) at alpha = 1
+    within 1e-12 of the 50-digit one. A problem whose alpha = 1 level is 0
+    is searched at its own alpha ({"price_exp": 0.6}, seed 59, at 38,972
+    bps): at alpha 0.3 its level is within 1e-12 of the 50-digit root, and
+    at 0.9 it is 0, where S(5e-324) taken at 50 digits reaches the band."""
+    mpmath = pytest.importorskip("mpmath")
+    sc, ref = default_scenario, default_ref
+    served, band, b_star = game._Users(sc, ref.served_set), sc.total_bandwidth_hz, ref.rate_bps
+    one = served.at(b_star, 1.0)
+    x_one = prospect._solve_levels(one, band)[0]
+    h, u_star = mp_scale(mpmath, sc, ref.served_set, b_star, band, x_one)
+    u = math.log(-math.log(x_one / one.benefit[0]))
+    assert float(abs(u - u_star) / abs(u_star)) <= 1e-12
+    rate_31 = np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)[30]
+    rates, alphas = [b_star] * 4 + [rate_31], [0.01, 0.3, 0.85, 1.0, 0.85]
+    levels = prospect._scaled_levels(served, rates, alphas, band)
+    assert levels[-1] < 1e-32
+    for rate, alpha, level in zip(rates, alphas, levels.tolist()):
+        want = mp_level(mpmath, sc, ref.served_set, rate, alpha, band, level)
+        assert float(abs(level - want) / want) <= 1e-12, (rate, alpha, level)
+
+    sc = experiments.build_scenario(price_exp=0.6, seed=59)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    served, band = game._Users(sc, ref.served_set), sc.total_bandwidth_hz
+    rate = np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36)[28]
+    assert prospect._solve_levels(served.at(rate, 1.0), band)[0] == 0.0
+    level, zero = prospect._scaled_levels(served, rate, [0.3, 0.9], band).tolist()
+    want = mp_level(mpmath, sc, ref.served_set, rate, 0.3, band, level)
+    assert float(abs(level - want) / want) <= 1e-12, level
+    assert zero == 0.0
+    assert mp_total(mpmath, sc, ref.served_set, rate, 0.9, 5e-324) >= band
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5])
+def test_printed_scaled_levels_match_a_50_digit_root(seed):
+    """Every level that sweep-compare prints a revenue of, over alphas
+    0.01-1.0: the offered rate's (rev_expansion_norm) and the grid point's
+    that gives rev_rate_norm, each within 1e-12 of h*exp(-exp(alpha*u*))
+    with u* the rate's 50-digit root at alpha = 1 (mp_scale; the map
+    itself is checked against roots at the problem's own alpha above). The
+    10 or 11 grid points that give the maximum all have a level at alpha =
+    1 inside the search's range, so none of them falls back."""
+    mpmath = pytest.importorskip("mpmath")
+    sc = experiments.build_scenario(seed=seed)
+    spec = experiments.SweepSpec(sc, 0.01, 1.0, 0.01)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    b_star, band = ref.rate_bps, sc.total_bandwidth_hz
+    rates = np.append(b_star, np.geomspace(1e-3 * b_star, 10.0 * b_star, 36))
+    levels, _, cells = helpers.full_grid_comparison(spec)
+    levels = levels.reshape(-1, rates.size)
+    grid_rev = game._revenue(sc, ref.n_served, levels[:, 1:], rates[1:]) / solve_nash(sc).sp_revenue
+    best = np.argmax(grid_rev, axis=1) + 1
+    assert grid_rev.max(axis=1).tolist() == [rate_rev for _, rate_rev in cells]
+    one = game._Users(sc, ref.served_set).at(rates, 1.0)
+    at_one = prospect._solve_levels(one, band)
+    inside = (at_one > 0.0) & (at_one < one.caps() * prospect._CAP_END)
+    for j in sorted({0, *best.tolist()}):
+        assert inside[j], j
+        h, u_star = mp_scale(mpmath, sc, ref.served_set, rates[j], band, at_one[j])
+        for a in np.flatnonzero((best == j) | (j == 0)).tolist():
+            want = mp_scaled(mpmath, h, u_star, spec.alphas()[a])
+            assert float(abs(levels[a, j] - want) / want) <= 1e-12, (rates[j], a)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-20, 4e-13])
+def test_scaled_levels_stay_below_their_cap_end(default_scenario, default_ref, alpha):
+    """At an alpha so small that (-ln q)^alpha rounds to 1, every level
+    maps to the cap h/e itself, above the search's top: those problems are
+    searched at their own alpha, so no level passes its cap end (the
+    premise of sweep-compare's bound), and each lies within 1e-12 of the
+    level that search gives."""
+    sc, ref = default_scenario, default_ref
+    served = game._Users(sc, ref.served_set)
+    rates = np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36)
+    need = served.at(rates, alpha)
+    levels = prospect._scaled_levels(served, rates, alpha, sc.total_bandwidth_hz)
+    want = prospect._solve_levels(need, sc.total_bandwidth_hz)
+    assert (levels <= need.caps() * prospect._CAP_END).all()
+    assert (np.abs(levels - want) <= 1e-12 * want).all()
+
+
+def test_a_level_search_checks_both_ends_in_one_evaluation(default_scenario, default_ref,
+                                                          monkeypatch):
+    """The cap end's value and slope and the smallest positive level's
+    value come from one evaluator call over the problems taken twice, so a
+    search of sweep-compare's 1,147-problem grid makes exactly one
+    evaluator call per step (helpers.count_level_steps)."""
+    sc, ref = default_scenario, default_ref
+    need = game._Users(sc, ref.served_set).at(*compare_grid(sc, ref))
+    calls = helpers.count_evaluations(monkeypatch)
+    steps = helpers.count_level_steps(monkeypatch)
+    prospect._solve_levels(need, sc.total_bandwidth_hz)
+    assert len(steps) == 1 and steps[0][0] == 1147
+    assert len(calls) == len(steps[0])
+    assert calls[0][0] == 2 * 1147
+
+
 @pytest.mark.parametrize("alpha", [0.001, 0.003])
 def test_levels_at_small_alphas_match_a_50_digit_root(default_scenario, default_ref, alpha):
     """Below alpha 0.0093, (-ln q)^(1/alpha) overflows at the smallest
