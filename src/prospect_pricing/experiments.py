@@ -21,10 +21,10 @@ import numpy as np
 from . import _search, prospect
 from .channel import LinkBudget, UnattainableGuaranteeError, channel_from_budget
 from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
-                   _reciprocals, _require_equilibrium, _revenue, _spread, _total, _Users,
+                   _require_equilibrium, _revenue, _spread, _total, _Users,
                    min_bandwidth_for_user, solve_nash)
 from .prospect import (PRICE_EPS_REL, _capped_price, _min_willingness, _price_gap_loss,
-                       no_pricing_bands)
+                       equalized_levels, no_pricing_bands)
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
 
 DEFAULT_SEED = 4966
@@ -241,15 +241,9 @@ class SweepSpec:
                              f"rounding to 12 decimals")
 
     def alphas(self) -> list[float]:
-        """The sweep's alphas. Every sweep reads them before any requirement
-        evaluation, so an alpha whose reciprocal overflows is refused here
-        with the evaluator's ValueError, even where a sweep evaluates only
-        alpha = 1 (prospect._scaled_levels)."""
         # the rounding snaps float drift; an alpha_min below 5e-13 stays itself
-        alphas = [min(max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min), 1.0)
-                  for k in range(self.n_alphas)]
-        _reciprocals(alphas)
-        return alphas
+        return [min(max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min), 1.0)
+                for k in range(self.n_alphas)]
 
 
 @dataclass(frozen=True)
@@ -291,9 +285,9 @@ def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
 
 def _offered_levels(sc: Scenario, ref: NashResult, alphas: list[float]) -> list[float]:
     """Equalized willingness of the served users at the offered rate and the
-    whole endowment, for every alpha from one level search at alpha = 1."""
-    return prospect._scaled_levels(_Users(sc, ref.served_set), ref.rate_bps, alphas,
-                                   sc.total_bandwidth_hz).tolist()
+    whole endowment, for every alpha in one lockstep search."""
+    return equalized_levels(sc, ref.served_set, ref.rate_bps, alphas,
+                            sc.total_bandwidth_hz).tolist()
 
 
 def _empty_if_inf(value: float) -> float | None:

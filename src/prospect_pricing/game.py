@@ -218,19 +218,6 @@ def _require_equilibrium(ne: NashResult) -> None:
         raise NoEquilibriumError("scenario has no equilibrium to perturb")
 
 
-def _reciprocals(alphas) -> np.ndarray:
-    """1/alpha of each weighting exponent, refusing with a ValueError one
-    outside (0, 1], NaN, or below 1/DBL_MAX, whose reciprocal overflows."""
-    alphas = np.asarray(alphas, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_alpha = 1.0 / alphas
-    valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(inv_alpha)
-    if not valid.all():
-        raise ValueError(f"alpha must lie in (0, 1] with a finite reciprocal, "
-                         f"got {alphas[~valid][0]}")
-    return inv_alpha
-
-
 class _RequirementMatrix:
     """Bandwidths a set of users needs, for many independent problems at once.
 
@@ -258,7 +245,12 @@ class _RequirementMatrix:
     def __init__(self, users: _Users, rates_bps, alphas, members=True) -> None:
         rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (rates_bps, alphas)))
-        self._inv_alpha = _reciprocals(alphas)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            self._inv_alpha = 1.0 / alphas
+        valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(self._inv_alpha)
+        if not valid.all():
+            raise ValueError(f"alpha must lie in (0, 1] with a finite reciprocal, "
+                             f"got {alphas[~valid][0]}")
         self.rates = rates
         # full-size exponents: numpy powers a one-problem matrix's broadcast
         # exponent in another kernel, at times an ulp apart from a batch's, and

@@ -171,17 +171,13 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     by the tolerance, 5e-15 of x, and each further one in a row by twice
     the last. A bracket closes at a width of 1e-14 of its upper end, or at
     adjacent floats, as subnormal levels do. Returns the ends that fit.
-    Both ends are checked in one evaluation, over the problems taken twice.
     """
     caps = need.caps()
     totals = np.broadcast_to(totals, caps.shape)
     x_top, x_tiny = caps * _CAP_END, np.full_like(caps, _TINY)
-    n = caps.size
-    ends = need.columns(np.tile(np.arange(n), 2))(np.concatenate((x_top, x_tiny)))
-    at_top, at_tiny = ends[:, :n], ends[:, n:]
-    top, top_slope = _total(at_top), _total(need.slopes(x_top, at_top))
+    top, top_slope = _sum_and_slope(need, x_top)
     x = np.where(top < totals, x_top, 0.0)
-    keep = np.flatnonzero((top >= totals) & (_total(at_tiny) < totals))
+    keep = np.flatnonzero((top >= totals) & (_total(need(x_tiny)) < totals))
     if not keep.size:
         return x
     need = need.columns(keep)
@@ -231,8 +227,11 @@ def _caps_at(one: _RequirementMatrix, alphas) -> np.ndarray:
 
 
 def _scaled_levels(users: _Users, rates_bps, alphas, total_hz: float) -> np.ndarray:
-    """equalized_levels of the users' problems (rates_bps[k], alphas[k]) at
-    the band total_hz, each distinct rate searched once, at alpha = 1.
+    """Common weighted-willingness level of the users' problems (rates_bps[k],
+    alphas[k]) at the band total_hz, each distinct rate searched once, at
+    alpha = 1, and scaled to every alpha. Not bitwise equalized_levels: a
+    scaled level is within about 3e-11 of the root (see below), where a
+    search at the problem's own alpha is within about 1e-14.
 
     Under Prelec's weight a requirement depends on alpha and the level x
     only through u = log(-ln(x/h))/alpha: the evaluator's lc is u - log(-ln

@@ -393,16 +393,16 @@ def count_evaluations(monkeypatch):
 
 def count_level_steps(monkeypatch):
     """Record, per lockstep level search (prospect._solve_levels), the
-    problems of each evaluation it makes in sequence: the one of both
-    bracket ends, the level cap's value and slope and the smallest positive
-    level's value, then one value-and-slope evaluation per Newton step over
-    the brackets still open. A search's first entry is its problem count,
-    and its length its number of steps."""
+    problems of each value-and-slope evaluation it makes in sequence: the
+    one at the level cap, then one per Newton step over the brackets still
+    open. A search's first entry is its problem count, and its length its
+    number of steps. The search's one value-only evaluation, at the
+    smallest positive level, is not a step."""
     searches, inside = [], []
     solve, sum_and_slope = prospect._solve_levels, prospect._sum_and_slope
 
     def counting_search(need, totals, *args):
-        searches.append([np.size(need.rates)])
+        searches.append([])
         inside.append(True)
         try:
             return solve(need, totals, *args)

@@ -290,39 +290,47 @@ def test_comparison_sweep_frozen_rows(default_scenario):
     (sweep_comparison, {}, 1), (sweep_admission, {"max_drops": 2}, 1)])
 def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
                                                sweep, kwargs, batches):
-    """Every sweep searches below equalized_levels, in one level search:
-    sweep-loss, sweep-price and sweep-expansion the offered rate once, at
-    alpha = 1 (prospect._scaled_levels); sweep-compare each distinct rate
-    it picks once, at alpha = 1: the offered rate and every alpha's three
-    grid points of largest bound, the same three at every alpha here, no
-    other point's bound reaching their best at the default cell; and
-    sweep-admission every alpha and kept set."""
-    def per_problem(*args, **kw):
-        raise AssertionError("a sweep searched one problem per (rate, alpha)")
+    """sweep-loss, sweep-price and sweep-expansion search every alpha's
+    offered rate in one equalized_levels call; sweep-compare and
+    sweep-admission search below it, in one level search: sweep-compare
+    each distinct rate it picks once, at alpha = 1 (prospect._scaled_levels):
+    the offered rate and every alpha's three grid points of largest bound,
+    the same three at every alpha here, no other point's bound reaching
+    their best at the default cell; and sweep-admission every alpha and
+    kept set."""
+    real, scaled = experiments.equalized_levels, prospect._scaled_levels
+    sizes, picked = [], []
 
-    scaled = prospect._scaled_levels
-    picked = []
+    def counting(scenario, users, rates, alphas, totals):
+        levels = real(scenario, users, rates, alphas, totals)
+        sizes.append(levels.size)
+        return levels
 
     def recorded(users, rates, alphas, total):
         picked.append(np.unique(rates).size)
         return scaled(users, rates, alphas, total)
 
-    monkeypatch.setattr(prospect, "equalized_levels", per_problem)
-    monkeypatch.setattr(prospect, "equalized_willingness", per_problem)
+    def one_problem(*args, **kw):
+        raise AssertionError("a sweep solved a single equalized problem")
+
+    monkeypatch.setattr(experiments, "equalized_levels", counting)
+    monkeypatch.setattr(experiments.prospect, "equalized_willingness", one_problem)
     monkeypatch.setattr(prospect, "_scaled_levels", recorded)
     steps = helpers.count_level_steps(monkeypatch)
     for n_alphas in (1, 3):
+        sizes.clear()
         picked.clear()
         steps.clear()
         sweep(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0, step=0.05),
               **kwargs)
         searches = [search[0] for search in steps]
         if sweep is sweep_comparison:
-            assert searches == picked == [4] * batches
+            assert not sizes and searches == picked == [4] * batches
         elif sweep is sweep_admission:
-            assert not picked and searches == [n_alphas * (kwargs["max_drops"] + 1)] * batches
+            assert not sizes and not picked
+            assert searches == [n_alphas * (kwargs["max_drops"] + 1)] * batches
         else:
-            assert searches == picked == [1] * batches
+            assert not picked and sizes == searches == [n_alphas] * batches
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 1, 2, 3, 5, 11])
@@ -418,22 +426,20 @@ def per_alpha_levels(users, rates, alphas, total):
 def test_scaled_levels_print_what_a_search_at_every_alpha_prints(seed, benefit_exp,
                                                                 monkeypatch):
     """Solving each rate once at alpha = 1 and scaling its level to every
-    alpha moves no printed cell: sweep-compare, sweep-loss, sweep-price and
-    sweep-expansion over alphas 0.01-1.0 print exactly the CSV that one
-    level search at each problem's own alpha prints. At {"benefit_exp":
-    0.9}, seed 3, sweep-compare's grid rates whose level at alpha = 1 is 0
-    are searched at their own alphas; scaled instead, five rows moved."""
+    alpha moves no printed cell: sweep-compare over alphas 0.01-1.0 prints
+    exactly the CSV that one level search at each problem's own alpha
+    prints. (sweep-loss, sweep-price and sweep-expansion search each alpha
+    at its own alpha, through equalized_levels.) At {"benefit_exp": 0.9},
+    seed 3, the grid rates whose level at alpha = 1 is 0 are searched at
+    their own alphas; scaled instead, five rows moved."""
     spec = SweepSpec(build_scenario(seed=seed, benefit_exp=benefit_exp), 0.01, 1.0, 0.01)
-    sweeps = (sweep_comparison, sweep_revenue_loss, sweep_price, sweep_expansion)
     steps = helpers.count_level_steps(monkeypatch)
-    scaled = [sweep(spec).to_csv() for sweep in sweeps]
-    # sweep-compare's searches, then one search of one problem per other sweep
-    assert (len(steps) > 4) == (benefit_exp == 0.9)
+    scaled = sweep_comparison(spec).to_csv()
+    assert (len(steps) > 1) == (benefit_exp == 0.9)
     monkeypatch.setattr(prospect, "_scaled_levels", per_alpha_levels)
-    for sweep, text in zip(sweeps, scaled):
-        steps.clear()
-        assert sweep(spec).to_csv() == text, sweep.__name__
-        assert steps[0][0] >= 100
+    steps.clear()
+    assert sweep_comparison(spec).to_csv() == scaled
+    assert steps[0][0] >= 100
 
 
 def test_comparison_solves_few_level_problems(default_scenario, monkeypatch):
@@ -625,27 +631,6 @@ def test_sweep_spec_grid_starts_at_its_alpha_min(default_scenario, alpha):
     alphas = spec_for(default_scenario, alpha, 0.2).alphas()
     assert alphas[0] == alpha
     assert alphas[1:] == [round(alpha + k * 0.005, 12) for k in range(1, len(alphas))]
-
-
-@pytest.mark.parametrize("sweep", [sweep_revenue_loss, sweep_price, sweep_expansion,
-                                   sweep_admission, sweep_comparison])
-def test_sweeps_refuse_a_tiny_alpha_before_any_evaluator(default_scenario, monkeypatch,
-                                                          sweep):
-    """Below 1/DBL_MAX an alpha's reciprocal overflows: SweepSpec.alphas(),
-    which every sweep reads before any evaluation, refuses it with the
-    evaluator's ValueError, so no requirement evaluator is built, though
-    the loss, price and expansion sweeps evaluate only alpha = 1."""
-    built = []
-    init = game._RequirementMatrix.__init__
-
-    def recorded(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(game._RequirementMatrix, "__init__", recorded)
-    spec = spec_for(default_scenario, 5e-324, 5e-324)
-    with pytest.raises(ValueError, match=r"finite reciprocal, got 5e-324$"):
-        sweep(spec)
-    assert not built
 
 
 def test_ne_table(default_scenario, default_ne):

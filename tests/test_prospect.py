@@ -1409,22 +1409,6 @@ def test_scaled_levels_stay_below_their_cap_end(default_scenario, default_ref, a
     assert (np.abs(levels - want) <= 1e-12 * want).all()
 
 
-def test_a_level_search_checks_both_ends_in_one_evaluation(default_scenario, default_ref,
-                                                          monkeypatch):
-    """The cap end's value and slope and the smallest positive level's
-    value come from one evaluator call over the problems taken twice, so a
-    search of sweep-compare's 1,147-problem grid makes exactly one
-    evaluator call per step (helpers.count_level_steps)."""
-    sc, ref = default_scenario, default_ref
-    need = game._Users(sc, ref.served_set).at(*compare_grid(sc, ref))
-    calls = helpers.count_evaluations(monkeypatch)
-    steps = helpers.count_level_steps(monkeypatch)
-    prospect._solve_levels(need, sc.total_bandwidth_hz)
-    assert len(steps) == 1 and steps[0][0] == 1147
-    assert len(calls) == len(steps[0])
-    assert calls[0][0] == 2 * 1147
-
-
 @pytest.mark.parametrize("alpha", [0.001, 0.003])
 def test_levels_at_small_alphas_match_a_50_digit_root(default_scenario, default_ref, alpha):
     """Below alpha 0.0093, (-ln q)^(1/alpha) overflows at the smallest
