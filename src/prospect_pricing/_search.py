@@ -52,8 +52,9 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     lo, hi, f_lo and f_hi are equal-length numpy arrays of independent
     brackets; an end value may be infinite. f(x, open) maps the points x of
     the brackets still open, picked by the index array open, to f there.
-    All brackets step in lockstep, each step evaluating every open bracket
-    once, by Chandrupatla's method (T. R. Chandrupatla, "A new hybrid
+    open is ascending, and it changes only when brackets close, losing
+    them. All brackets step in lockstep, each step evaluating every open
+    bracket once, by Chandrupatla's method (T. R. Chandrupatla, "A new hybrid
     quadratic/bisection algorithm for finding the zero of a nonlinear
     function without using derivatives", Adv. Eng. Software 28(3), 1997).
     The first point is the secant through the ends when both values are
@@ -65,46 +66,54 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     within that distance of an end closes the bracket on the next step. A
     value of 0 closes the bracket at its point; NaN counts as above 0. A
     bracket closes at a width of rel_tol*max(|lo|, |hi|, 1), and one still
-    wider after max_iter steps issues a RuntimeWarning. Returns the final
-    (lo, hi).
+    wider after max_iter steps issues a RuntimeWarning. The search holds
+    state only for the brackets still open, and f runs outside its
+    errstate, so an objective's own floating-point errors still warn.
+    Returns the final (lo, hi); without brackets, f is not called.
     """
-    # x1 the last point and x2 the bracket's other end
+    # x1 the last point and x2 the bracket's other end, of the open brackets
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
     f1, f2 = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    # every bracket's final ends, written as it closes
+    end1, end2 = x1.copy(), x2.copy()
     # the next point, as its fraction of the way from x1 to x2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
     open_ = np.arange(x1.size)
     for step in range(max_iter + 1):
-        p1, p2 = x1[open_], x2[open_]
-        width = np.abs(p2 - p1)
-        tol = rel_tol * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), 1.0)
+        span = x2 - x1
+        width = np.abs(span)
+        tol = rel_tol * np.maximum(np.maximum(np.abs(x1), np.abs(x2)), 1.0)
         wide = width > tol
-        open_, p1, p2, width, tol = open_[wide], p1[wide], p2[wide], width[wide], tol[wide]
+        if not wide.all():
+            shut = ~wide
+            end1[open_[shut]], end2[open_[shut]] = x1[shut], x2[shut]
+            open_, x1, x2, f1, f2, t, span, width, tol = (
+                a[wide] for a in (open_, x1, x2, f1, f2, t, span, width, tol))
         if not open_.size:
             break
         if step == max_iter:
             _warn_cap("bracketed_root", max_iter, rel_tol)
+            end1[open_], end2[open_] = x1, x2
             break
         # Chandrupatla's tl: half the tolerance, as a fraction of the width
         tl = 0.5 * tol / width
-        x = p1 + np.clip(t[open_], tl, 1.0 - tl) * (p2 - p1)
+        x = x1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * span
         fx = f(x, open_)
-        # x replaces the end of its sign, p3; NaN counts as above 0
-        q1, q2 = f1[open_], f2[open_]
-        same = (fx < 0.0) == (q1 < 0.0)
-        p3, q3 = np.where(same, p1, p2), np.where(same, q1, q2)
-        p2, q2 = np.where(same, p2, p1), np.where(same, q2, q1)
-        # inverse quadratic interpolation through x, p2 and p3 where
-        # Chandrupatla's test puts it inside the bracket, the midpoint otherwise
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # x replaces the end of its sign, p3; NaN counts as above 0
+            same = (fx < 0.0) == (f1 < 0.0)
+            p3, q3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            p2, q2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            # inverse quadratic interpolation through x, p2 and p3 where
+            # Chandrupatla's test puts it inside the bracket, the midpoint otherwise
             xi, phi = (x - p2) / (p3 - p2), (fx - q2) / (q3 - q2)
             quadratic = (fx / (q2 - fx) * q3 / (q2 - q3)
                          + (p3 - x) / (p2 - x) * fx / (q3 - fx) * q2 / (q3 - q2))
-        t[open_] = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), quadratic, 0.5)
+            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), quadratic, 0.5)
         # a 0 closes the bracket at x
-        x1[open_], f1[open_], x2[open_], f2[open_] = x, fx, np.where(fx == 0.0, x, p2), q2
-    return np.fmin(x1, x2), np.fmax(x1, x2)
+        x1, f1, x2, f2 = x, fx, np.where(fx == 0.0, x, p2), q2
+    return np.fmin(end1, end2), np.fmax(end1, end2)
 
 
 def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -145,19 +154,29 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     k, j, floor, ceil = k[keep], j[keep], floor[keep], ceil[keep]
     # the values at each bracket's ends, moved along with them
     lo_value, hi_value = value[k, j], value[k + 1, j]
+    # the state of the brackets still open, as bracketed_root's open picks them
+    held, problem, low, high, at_lo, at_hi = np.arange(k.size), j, floor, ceil, lo_value, hi_value
 
     def root_slope(x, open_):
-        at_x, d, low, high = f(x, j[open_])
-        floor[open_], ceil[open_] = np.maximum(floor[open_], low), np.minimum(ceil[open_], high)
+        nonlocal held, problem, low, high, at_lo, at_hi
+        if open_.size < held.size:
+            # brackets closed: store their end values, and keep the rest
+            lo_value[held], hi_value[held] = at_lo, at_hi
+            kept = np.searchsorted(held, open_)
+            held, problem, low, high, at_lo, at_hi = (
+                a[kept] for a in (held, problem, low, high, at_lo, at_hi))
+        at_x, d, lower, upper = f(x, problem)
+        low, high = np.maximum(low, lower), np.minimum(high, upper)
         # a bracket shown to hold no finite value closes at this point
-        d = np.where(floor[open_] < ceil[open_], d, 0.0)
-        lo_value[open_] = np.where(d <= 0.0, at_x, lo_value[open_])
-        hi_value[open_] = np.where(d < 0.0, hi_value[open_], at_x)
+        d = np.where(low < high, d, 0.0)
+        at_lo = np.where(d <= 0.0, at_x, at_lo)
+        at_hi = np.where(d < 0.0, at_hi, at_x)
         return d
 
     lo, hi = bracketed_root(root_slope, edges[k], edges[k + 1], slope[k, j], slope[k + 1, j])
-    at_hi = hi_value < lo_value
-    root, root_value = np.where(at_hi, hi, lo), np.where(at_hi, hi_value, lo_value)
+    lo_value[held], hi_value[held] = at_lo, at_hi
+    on_hi = hi_value < lo_value
+    root, root_value = np.where(on_hi, hi, lo), np.where(on_hi, hi_value, lo_value)
 
     # candidates in order: the start, then each edge and its bracket's point
     cand, cand_value = np.full((2 * edges.size, n), np.nan), np.full((2 * edges.size, n), np.inf)

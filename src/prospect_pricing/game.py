@@ -238,20 +238,25 @@ class _RequirementMatrix:
     as numpy's log, log1p and expm1 can round apart from math's (test_game
     bounds the gap by 8 eps kappa). Made by _Users.at, with membership, a
     users x problems bool array, as per-problem data (every user by default):
-    a non-member's requirement and slopes() are +0.0, so a total over users is
-    bitwise the members' sum in user order, and caps() is the members' minimum.
+    a non-member's requirement and with_slopes() slope are +0.0, so a total
+    over users is bitwise the members' sum in user order, and caps() is the
+    members' minimum.
     """
 
     def __init__(self, users: _Users, rates_bps, alphas, members=True) -> None:
         rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (rates_bps, alphas)))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self._inv_alpha = 1.0 / alphas
-        valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(self._inv_alpha)
+            inv_alpha = 1.0 / alphas
+        valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(inv_alpha)
         if not valid.all():
             raise ValueError(f"alpha must lie in (0, 1] with a finite reciprocal, "
                              f"got {alphas[~valid][0]}")
-        self.rates = rates
+        self._fill(users, rates, alphas, inv_alpha, members)
+
+    def _fill(self, users: _Users, rates, alphas, inv_alpha, members) -> None:
+        """Set the problems' rate and users data, for alphas already checked."""
+        self._users, self.rates, self._alphas, self._inv_alpha = users, rates, alphas, inv_alpha
         # full-size exponents: numpy powers a one-problem matrix's broadcast
         # exponent in another kernel, at times an ulp apart from a batch's, and
         # takes a broadcast exponent of 0.5 as a square root
@@ -270,7 +275,17 @@ class _RequirementMatrix:
         """The evaluator of the problems that the index array keep picks."""
         sub = object.__new__(_RequirementMatrix)
         for name, value in vars(self).items():
-            setattr(sub, name, value[..., keep])
+            setattr(sub, name, value if name == "_users" else value[..., keep])
+        return sub
+
+    def at_rates(self, rates, keep) -> _RequirementMatrix:
+        """The evaluator of the problems that the index array keep picks, at
+        rates, one per kept problem, instead of their own: bitwise
+        _Users.at(rates, their alphas, their members), without checking
+        the alphas again."""
+        sub = object.__new__(_RequirementMatrix)
+        sub._fill(self._users, rates, self._alphas[keep], self._inv_alpha[keep],
+                  self.members[:, keep])
         return sub
 
     def _ln_share(self, targets, q):
@@ -282,47 +297,11 @@ class _RequirementMatrix:
             return ln_q
         return np.where(low, np.log(targets) - np.log(self.benefit), ln_q)
 
-    def slopes(self, targets, need) -> np.ndarray:
-        """d need/d ln target of need = self(targets), formed from need itself.
-
-        y = rate*ln2/need is the root of log(expm1(y)/y) = lc that
-        _efficiency_root solved, with lc = log(ln target/ln sup), so y
-        moves by 1/g'(y), g'(y) = 1/(1 - e^-y) - 1/y, per unit of lc, and lc
-        by 1/(alpha*ln q) per unit of ln target. Hence
-        d need/d ln target = -(rate*ln2)/(y^2*g'(y))/(alpha*ln q). Not finite
-        where need is 0 or inf.
-        """
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln_q = self._ln_share(targets, targets / self.benefit)
-            y = self._rate_ln2 / need
-            slope = need * need / (self._rate_ln2 * _efficiency_slope(y) * ln_q)
-            slope = -slope * self._inv_alpha
-        np.copyto(slope, 0.0, where=~self.members)
-        return slope
-
-    def rate_slopes(self, targets, need, elasticity) -> np.ndarray:
-        """d need/d ln rate of need = self(targets), where each problem's
-        target moves with its rate by elasticity = d ln target/d ln rate.
-
-        With ln q held, ln sup is linear in the rate, so lc falls by 1 per
-        unit of ln rate and y = rate*ln2/need rises by 1/g'(y); ln q itself
-        moves by elasticity - e, e the benefit exponent, and lc by
-        1/(alpha*ln q) per unit of it. Hence, with s = need/(y*g'(y)),
-        d need/d ln rate = need + s*(1 - (elasticity - e)/(alpha*ln q)):
-        the slopes term times elasticity - e, plus need*(1 + 1/(y*g'(y))).
-        Formed from need like slopes; not finite where need is 0 or inf.
-        """
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln_q = self._ln_share(targets, targets / self.benefit)
-            y = self._rate_ln2 / need
-            s = need * need / (self._rate_ln2 * _efficiency_slope(y))
-            return need + s * (1.0 - (elasticity - self._exp) * self._inv_alpha / ln_q)
-
     def margins(self, targets, elasticity) -> tuple[np.ndarray, np.ndarray]:
         """Each user's reach margin m = ln h - ln target - (-ln sup_i)^alpha,
         positive where need is finite, and its derivative in ln rate,
         e - elasticity - alpha*(-ln sup_i)^alpha, with elasticity and e as in
-        rate_slopes."""
+        with_rate_slopes."""
         with np.errstate(divide="ignore", invalid="ignore"):
             # a full-size exponent, as for _weighted_sup
             alpha = np.zeros_like(self.ln_sup) + 1.0 / self._inv_alpha
@@ -331,8 +310,43 @@ class _RequirementMatrix:
             return margin, self._exp - elasticity - sup_power / self._inv_alpha
 
     def __call__(self, targets) -> np.ndarray:
+        """The users x problems requirements at one willingness target per problem."""
+        return self._pass(targets)[0]
+
+    def with_slopes(self, targets) -> tuple[np.ndarray, np.ndarray]:
+        """self(targets) and d need/d ln target, from one pass.
+
+        y = rate*ln2/need is the root of log(expm1(y)/y) = lc that
+        _efficiency_root solved, with lc = log(ln target/ln sup), so y
+        moves by 1/g'(y), g'(y) = 1/(1 - e^-y) - 1/y, per unit of lc, and lc
+        by 1/(alpha*ln q) per unit of ln target. Hence
+        d need/d ln target = -(rate*ln2)/(y^2*g'(y))/(alpha*ln q). Not finite
+        where need is 0 or inf; a non-member's slope is +0.0.
+        """
+        return self._pass(targets, level=True)
+
+    def with_rate_slopes(self, targets, elasticity) -> tuple[np.ndarray, np.ndarray]:
+        """self(targets) and d need/d ln rate, from one pass, where each
+        problem's target moves with its rate by elasticity = d ln target/d ln
+        rate.
+
+        With ln q held, ln sup is linear in the rate, so lc falls by 1 per
+        unit of ln rate and y = rate*ln2/need rises by 1/g'(y); ln q itself
+        moves by elasticity - e, e the benefit exponent, and lc by
+        1/(alpha*ln q) per unit of it. Hence, with s = need/(y*g'(y)),
+        d need/d ln rate = need + s*(1 - (elasticity - e)/(alpha*ln q)):
+        the with_slopes term times elasticity - e, plus need*(1 + 1/(y*g'(y))).
+        Not finite where need is 0 or inf.
+        """
+        return self._pass(targets, elasticity=elasticity)
+
+    def _pass(self, targets, level=False, elasticity=None):
+        """The evaluator's one pass: the requirements at targets and, for
+        with_slopes (level) or with_rate_slopes (elasticity), their slopes,
+        formed from the requirements and the same ln q; None otherwise."""
         targets = np.asarray(targets)
         q = targets / self.benefit
+        outside = ~self.members
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ln_q = self._ln_share(targets, q)
             lc = _log_ratio(-(-ln_q) ** self._inv_alpha, self.ln_sup, np)
@@ -341,9 +355,20 @@ class _RequirementMatrix:
                 # (-ln q)^(1/alpha) or its ratio to ln sup overflowed
                 lc = np.where(big, self._inv_alpha * np.log(-ln_q) - np.log(-self.ln_sup), lc)
             need = self._rate_ln2 / _efficiency_root(lc, np)
-        need = np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))
-        np.copyto(need, 0.0, where=~self.members)
-        return need
+            need = np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))
+            np.copyto(need, 0.0, where=outside)
+            if level:
+                y = self._rate_ln2 / need
+                slope = need * need / (self._rate_ln2 * _efficiency_slope(y) * ln_q)
+                slope = -slope * self._inv_alpha
+                np.copyto(slope, 0.0, where=outside)
+            elif elasticity is not None:
+                y = self._rate_ln2 / need
+                s = need * need / (self._rate_ln2 * _efficiency_slope(y))
+                slope = need + s * (1.0 - (elasticity - self._exp) * self._inv_alpha / ln_q)
+            else:
+                slope = None
+        return need, slope
 
 
 class _Users:

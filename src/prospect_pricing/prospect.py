@@ -142,12 +142,40 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     return _price_gap_loss(ne, _min_willingness(scenario, ne, [model.alpha])[0])
 
 
-def _sum_and_slope(need: _RequirementMatrix, x) -> tuple[np.ndarray, np.ndarray]:
-    """The summed requirement at levels x and its derivative in ln x, both
-    added in user order: a problem's level does not depend on the problems
-    it is batched with, nor on the memory order of a subset's columns."""
-    at_x = need(x)
-    return _total(at_x), _total(need.slopes(x, at_x))
+def _sum_and_slope(need: _RequirementMatrix, x) -> tuple[np.ndarray, ...]:
+    """The summed requirement at levels x, its derivative in ln x and the
+    requirements themselves, from one evaluator pass (with_slopes). Both
+    sums add in user order: a problem's level does not depend on the
+    problems it is batched with, nor on the memory order of a subset's
+    columns."""
+    at_x, slope = need.with_slopes(x)
+    return _total(at_x), _total(slope), at_x
+
+
+class _Seen:
+    """The requirement columns a search evaluates, each at a point of one of
+    its problems, kept per evaluation, to read back each problem's column
+    at its best point without evaluating it again."""
+
+    def __init__(self, n_users: int) -> None:
+        self._points, self._problems = [np.empty(0)], [np.empty(0, dtype=int)]
+        self._needs = [np.empty((n_users, 0))]
+
+    def add(self, points, problems, need) -> None:
+        """Keep need, whose column k is problem problems[k]'s at points[k]."""
+        self._points.append(points)
+        self._problems.append(problems)
+        self._needs.append(need)
+
+    def columns(self, best) -> np.ndarray:
+        """Users x problems: problem k's column at best[k], a point added for
+        it. Columns at one point of one problem are bitwise the same, as a
+        column does not depend on the columns evaluated with it."""
+        points, problems = np.concatenate(self._points), np.concatenate(self._problems)
+        at = np.flatnonzero(points == best[problems])
+        pick = np.empty(best.size, dtype=int)
+        pick[problems[at]] = at
+        return np.concatenate(self._needs, axis=1)[:, pick]
 
 
 def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.ndarray:
@@ -175,7 +203,7 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     caps = need.caps()
     totals = np.broadcast_to(totals, caps.shape)
     x_top, x_tiny = caps * _CAP_END, np.full_like(caps, _TINY)
-    top, top_slope = _sum_and_slope(need, x_top)
+    top, top_slope, _ = _sum_and_slope(need, x_top)
     x = np.where(top < totals, x_top, 0.0)
     keep = np.flatnonzero((top >= totals) & (_total(need(x_tiny)) < totals))
     if not keep.size:
@@ -199,7 +227,7 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
             mid = np.where(x_out > 2.0 * x_in, np.exp(ln_cap - t_mid), 0.5 * (x_in + x_out))
             at = at * np.exp(step)
             at = np.where((x_in < at) & (at < x_out), at, mid)
-            s, ds = _sum_and_slope(need, at)
+            s, ds, _ = _sum_and_slope(need, at)
             fits = s < band
             x_in, x_out = np.where(fits, at, x_in), np.where(fits, x_out, at)
             closed = (x_out - x_in <= 1e-14 * x_out) | (np.nextafter(x_in, np.inf) >= x_out)
@@ -428,12 +456,12 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     edges at 1 - 10^-k alone would make [0, 0.9] one bracket and miss the
     minima below 0.9. Near the cap the slope in u is flat and then turns
     within 1e-3 of the cap, where the root search in u took midpoints; in v
-    it interpolates: 8 evaluations of 150 columns for five alphas on the
-    default cell, against 16 of 131 in u. The band S(x*) sums the column
-    that is the allocation.
-    Full recovery is possible iff the threshold (n*r - best value)/c3 stays
-    below the endowment; with c3 = 0 the level takes the cap end and the
-    threshold is -inf.
+    it interpolates: 7 evaluations of 145 columns for five alphas on the
+    default cell, against 16 of 131 in u. The allocation is the requirement
+    column the search evaluated at the best level (_Seen), and the band
+    S(x*) sums it. Full recovery is possible iff the threshold (n*r - best
+    value)/c3 stays below the endowment; with c3 = 0 the level takes the cap
+    end, whose column is the one evaluation, and the threshold is -inf.
     """
     _require_equilibrium(ne)
     c3 = scenario.cost.c3
@@ -443,17 +471,20 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     caps = need.caps()
     v = np.full(caps.shape, _EXPANSION_EDGES[0])
     if c3 > 0.0:
+        seen = _Seen(n)
+
         def loss(v, j):
             t = np.exp(v)
             x = caps[j] * np.exp(-t)
-            total, slope = _sum_and_slope(need.columns(j), x)
+            total, slope, at_x = _sum_and_slope(need.columns(j), x)
+            seen.add(v, j, at_x)
             # the start, v = inf, has x = 0 and a slope of 0*inf, never read
             with np.errstate(invalid="ignore"):
                 return c3 * total - n * x, (n * x - c3 * slope) * t, -np.inf, np.inf
 
         v, _ = _search.stationary_min(loss, _EXPANSION_EDGES, np.full(caps.size, np.inf))
     x = caps * np.exp(-np.exp(v))
-    alloc = need(x)
+    alloc = seen.columns(v) if c3 > 0.0 else need(x)
     band = _total(alloc)
 
     outcomes = []
@@ -485,27 +516,18 @@ def rate_control_price(scenario: Scenario, ne: NashResult, rate_bps: float) -> f
     return ne.price + scenario.cost.c1 * (rate_bps - ne.rate_bps)
 
 
-def _rate_needs(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
-                alphas) -> tuple[_RequirementMatrix, np.ndarray, np.ndarray]:
-    """Users x problems requirements of the served users at shifted rates.
+def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, need: _RequirementMatrix,
+                 keep=None) -> tuple[np.ndarray, ...]:
+    """The summed requirement T of the served users at shifted rates,
+    dT/d ln rate, and bounds on the ln rates where T can be finite.
 
-    Problem k moves the offered rate to rates_bps[k] at the revenue-preserving
-    price, under the weighting exponent alphas[k]. Returns the evaluator, the
-    prices and the requirements; a problem whose price is not positive gets
-    a column of inf.
-    """
-    need = served.at(rates_bps, alphas)
-    price = rate_control_price(scenario, ne, need.rates)
-    return need, price, np.where(price <= 0.0, np.inf, need(price))
-
-
-def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
-                 alphas) -> tuple[np.ndarray, ...]:
-    """The summed requirement T of each problem of _rate_needs, dT/d ln rate,
-    and bounds on the ln rates where T can be finite.
-
-    Where T is finite its slope is the sum of the evaluator's rate_slopes,
-    the price moving by c1*b/p per unit of ln b. Each user's reach margin
+    need is an evaluator of the served users (served.at): its problem k
+    moves the offered rate to need.rates[k] at the revenue-preserving
+    price. A problem whose price is not positive gets a column of inf. One
+    evaluator pass (with_rate_slopes) gives the requirements and their
+    slopes, the price moving by c1*b/p per unit of ln b, and where T is
+    finite its slope is the sum of theirs. keep, if given, is called with
+    the users x problems requirements. Each user's reach margin
     (_RequirementMatrix.margins) is concave in ln b while the price less
     c1*b stays positive, so the rates that keep every target within reach
     form one interval and T is finite exactly there. Where T is inf, the
@@ -519,10 +541,14 @@ def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, rates_bps,
     Elsewhere, or where the offer's price is not above c1 times its rate,
     the bounds are -inf and inf.
     """
-    need, price, at = _rate_needs(scenario, ne, served, rates_bps, alphas)
+    price = rate_control_price(scenario, ne, need.rates)
     with np.errstate(divide="ignore", invalid="ignore"):
         elasticity = scenario.cost.c1 * need.rates / price
-        total, slope = _total(at), _total(need.rate_slopes(price, at, elasticity))
+    at, slopes = need.with_rate_slopes(price, elasticity)
+    at = np.where(price <= 0.0, np.inf, at)
+    if keep is not None:
+        keep(at)
+    total, slope = _total(at), _total(slopes)
     lower, upper = -np.inf, np.inf
     out = np.isinf(total)
     if out.any():
@@ -551,7 +577,9 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
     no such rate is dropped before the search or closed at the point that
     shows it. Per alpha, the best rate starts at the offered one, and the
     edges and roots, in order, replace it only when strictly smaller. The
-    threshold and the allocation are the best rate's requirement column.
+    threshold and the allocation are the best rate's requirement column, as
+    the search evaluated it (_Seen): no evaluation follows the search's last
+    root step.
     """
     _require_equilibrium(ne)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
@@ -564,12 +592,19 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
         # the offered rate, the start, enters as t = nan: exp(ln b) need not be b
         return np.where(np.isnan(t), ne.rate_bps, np.exp(t))
 
-    best_t, _ = _search.stationary_min(
-        lambda t, j: _rate_totals(scenario, ne, served, rates(t), alphas[j]),
-        edges, np.full(len(alphas), np.nan))
+    # the alphas, checked once; each step moves their problems' rates
+    offered, seen = served.at(ne.rate_bps, alphas), _Seen(ne.n_served)
+
+    def totals(t, j):
+        # columns are picked by rate: the start's t is nan
+        b = rates(t)
+        return _rate_totals(scenario, ne, served, offered.at_rates(b, j),
+                            lambda at: seen.add(b, j, at))
+
+    best_t, _ = _search.stationary_min(totals, edges, np.full(len(alphas), np.nan))
     best_rate = rates(best_t)
     # the threshold and the allocation come from one requirement column
-    _, _, need = _rate_needs(scenario, ne, served, best_rate, alphas)
+    need = seen.columns(best_rate)
     return [_fit_outcome(scenario, ne, "rate", total, rate_control_price(scenario, ne, rate),
                          ne.served_set, column, new_rate_bps=rate)
             for total, rate, column in zip(_total(need).tolist(), best_rate.tolist(),

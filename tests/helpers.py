@@ -88,6 +88,42 @@ def golden_reference(f, lo, hi, rel_tol=1e-9, max_iter=200):
     return x, fx
 
 
+def gathered_chandrupatla(f, lo, hi, f_lo, f_hi, rel_tol=1e-10, max_iter=100):
+    """_search.bracketed_root as it stood when it kept every bracket's state
+    at full length, gathering and scattering it by the open index on every
+    step: the reference for the points the search takes and its cap warning."""
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f1, f2 = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
+    open_ = np.arange(x1.size)
+    for step in range(max_iter + 1):
+        p1, p2 = x1[open_], x2[open_]
+        width = np.abs(p2 - p1)
+        tol = rel_tol * np.maximum(np.maximum(np.abs(p1), np.abs(p2)), 1.0)
+        wide = width > tol
+        open_, p1, p2, width, tol = open_[wide], p1[wide], p2[wide], width[wide], tol[wide]
+        if not open_.size:
+            break
+        if step == max_iter:
+            _search._warn_cap("bracketed_root", max_iter, rel_tol)
+            break
+        tl = 0.5 * tol / width
+        x = p1 + np.clip(t[open_], tl, 1.0 - tl) * (p2 - p1)
+        fx = f(x, open_)
+        q1, q2 = f1[open_], f2[open_]
+        same = (fx < 0.0) == (q1 < 0.0)
+        p3, q3 = np.where(same, p1, p2), np.where(same, q1, q2)
+        p2, q2 = np.where(same, p2, p1), np.where(same, q2, q1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi, phi = (x - p2) / (p3 - p2), (fx - q2) / (q3 - q2)
+            quadratic = (fx / (q2 - fx) * q3 / (q2 - q3)
+                         + (p3 - x) / (p2 - x) * fx / (q3 - fx) * q2 / (q3 - q2))
+        t[open_] = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), quadratic, 0.5)
+        x1[open_], f1[open_], x2[open_], f2[open_] = x, fx, np.where(fx == 0.0, x, p2), q2
+    return np.fmin(x1, x2), np.fmax(x1, x2)
+
+
 def compensated_sum(iterable, /, start=0):
     """The builtin sum() as CPython 3.12 computes it (builtin_sum_impl).
 
@@ -371,22 +407,24 @@ def mp_min_bandwidth(mpmath, rate, target, ch):
 
 
 def count_evaluations(monkeypatch):
-    """Record (problems, targets) of every requirement evaluation: each call
-    of the evaluator, and each call of _Users.price_requirements, with a
-    problem per rate whose target is the price."""
+    """Record (problems, targets) of every requirement evaluation: each pass
+    of the evaluator, whether it gives the requirements alone or with their
+    slopes (with_slopes, with_rate_slopes), and each call of
+    _Users.price_requirements, with a problem per rate whose target is the
+    price."""
     calls = []
-    evaluate = game._RequirementMatrix.__call__
+    evaluate = game._RequirementMatrix._pass
     price_requirements = game._Users.price_requirements
 
-    def counting(self, targets):
+    def counting(self, targets, *args, **kwargs):
         calls.append((np.size(self.rates), np.asarray(targets)))
-        return evaluate(self, targets)
+        return evaluate(self, targets, *args, **kwargs)
 
     def counting_prices(self, rates_bps):
         rates = np.array(rates_bps, dtype=float, ndmin=1).tolist()
         calls.append((len(rates), np.array([self.pricing(b) for b in rates])))
         return price_requirements(self, rates_bps)
-    monkeypatch.setattr(game._RequirementMatrix, "__call__", counting)
+    monkeypatch.setattr(game._RequirementMatrix, "_pass", counting)
     monkeypatch.setattr(game._Users, "price_requirements", counting_prices)
     return calls
 
@@ -433,6 +471,22 @@ def count_root_steps(monkeypatch):
         return search(counted, *args, **kwargs)
     monkeypatch.setattr(_search, "bracketed_root", counting)
     return steps
+
+
+def count_search_ends(monkeypatch, calls):
+    """Record, as each _search.stationary_min search returns, how many
+    evaluations calls (of count_evaluations) holds: the search makes none
+    after its last root step, so a strategy that takes its result from the
+    search's own evaluations makes no evaluation after that number."""
+    ends = []
+    search = _search.stationary_min
+
+    def recording(*args, **kwargs):
+        found = search(*args, **kwargs)
+        ends.append(len(calls))
+        return found
+    monkeypatch.setattr(_search, "stationary_min", recording)
+    return ends
 
 
 def full_grid_comparison(spec):

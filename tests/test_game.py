@@ -523,15 +523,14 @@ def test_members_evaluate_as_their_own_evaluator_bitwise(default_scenario, rates
         assert _bits(caps[k]) == _bits(own.caps()[k]), k
     for share in (1e-30, 0.5, 0.999, 1.5):
         targets = share * caps
-        at = need(targets)
-        slopes = need.slopes(targets, at)
+        at, slopes = need.with_slopes(targets)
+        assert (_bits(at) == _bits(need(targets))).all(), share
         assert (_bits(at[~members]) == 0).all() and (_bits(slopes[~members]) == 0).all()
         for k, column in enumerate(members.T):
             own = game._Users(default_scenario, np.flatnonzero(column)).at(rates, alphas)
-            own_at = own(targets)
+            own_at, own_slopes = own.with_slopes(targets)
             assert (_bits(at[column, k]) == _bits(own_at[:, k])).all(), (share, k)
-            assert (_bits(slopes[column, k])
-                    == _bits(own.slopes(targets, own_at)[:, k])).all(), (share, k)
+            assert (_bits(slopes[column, k]) == _bits(own_slopes[:, k])).all(), (share, k)
 
 
 @pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
@@ -564,13 +563,15 @@ def test_the_default_membership_is_every_user(default_scenario, rates, alphas):
         targets = share * need.caps()
         at = need(targets)
         assert (_bits(at) == _bits(every(targets))).all(), share
-        assert (_bits(need.slopes(targets, at)) == _bits(every.slopes(targets, at))).all()
+        assert (_bits(need.with_slopes(targets)[1])
+                == _bits(every.with_slopes(targets)[1])).all(), share
 
 
 @pytest.mark.parametrize("rates, alphas", EVALUATOR_FORMS)
 def test_requirement_slopes_match_a_central_difference(default_scenario, rates, alphas):
-    """slopes(targets, need) is d need/d ln target, formed from need alone;
-    a central difference of step 1e-6 in ln target agrees to 1e-7, plus the
+    """with_slopes(targets) gives d need/d ln target, formed from need and
+    ln q in the pass that gives need, bitwise need(targets); a central
+    difference of step 1e-6 in ln target agrees to 1e-7, plus the
     difference's own rounding of a few ulp of need over 2e-6, from targets
     of 1e-300 of the cap up to 0.9 of it."""
     need = game._Users(default_scenario).at(rates, alphas)
@@ -579,7 +580,8 @@ def test_requirement_slopes_match_a_central_difference(default_scenario, rates, 
         at = need(targets)
         h = 1e-6
         diff = (need(targets * math.exp(h)) - need(targets * math.exp(-h))) / (2.0 * h)
-        got = need.slopes(targets, at)
+        fused, got = need.with_slopes(targets)
+        assert (_bits(fused) == _bits(at)).all(), share
         assert (abs(got - diff) <= 1e-7 * abs(diff) + 1e-9 * at).all(), share
 
 
@@ -590,8 +592,9 @@ RATE_SLOPE_FORMS = [([1e5, 3e6, 2e7], [1.0, 0.9, 0.003]), (3e6, [0.9, 0.003, 1.0
 @pytest.mark.parametrize("rates, alphas", RATE_SLOPE_FORMS)
 @pytest.mark.parametrize("elasticity", [-0.5, 0.0, 0.4, 3.0])
 def test_rate_slopes_match_a_central_difference(default_scenario, rates, alphas, elasticity):
-    """rate_slopes(targets, need, e) is d need/d ln rate while each target
-    moves by e per unit of ln rate, formed from need alone. A central
+    """with_rate_slopes(targets, e) gives d need/d ln rate while each target
+    moves by e per unit of ln rate, formed from need and ln q in the pass
+    that gives need, bitwise need(targets). A central
     difference of step 1e-6 in ln rate agrees to the bound of the slopes
     test, 1e-7 plus a few ulp of need over 2e-6 (measured: 2.6e-8), from
     targets of 1e-300 of the cap up to 0.9 of it."""
@@ -604,7 +607,8 @@ def test_rate_slopes_match_a_central_difference(default_scenario, rates, alphas,
         up = users.at(need.rates * math.exp(h), alphas)(targets * math.exp(elasticity * h))
         down = users.at(need.rates * math.exp(-h), alphas)(targets * math.exp(-elasticity * h))
         diff = (up - down) / (2.0 * h)
-        got = need.rate_slopes(targets, at, elasticity)
+        fused, got = need.with_rate_slopes(targets, elasticity)
+        assert (_bits(fused) == _bits(at)).all(), share
         assert (abs(got - diff) <= 1e-7 * abs(diff) + 1e-9 * at).all(), share
 
 
@@ -621,7 +625,7 @@ def test_reach_margins_tell_where_a_target_is_out_of_reach(default_scenario, rat
         targets = share * need.caps()
         margin, rising = need.margins(targets, elasticity)
         assert ((margin > 0.0) == np.isfinite(need(targets))).all(), share
-        assert (~np.isfinite(need.rate_slopes(targets, need(targets), elasticity))
+        assert (~np.isfinite(need.with_rate_slopes(targets, elasticity)[1])
                 == (margin <= 0.0)).all(), share
         up, _ = users.at(need.rates * math.exp(h), alphas).margins(
             targets * math.exp(elasticity * h), elasticity)
@@ -642,8 +646,7 @@ def test_subnormal_shares_invert_in_log_space(default_scenario, default_ref):
     rate, alpha, x = 69.9e3, 0.003, 5e-324
     need = game._Users(sc, ref.served_set).at(rate, alpha)
     assert ((x / need.benefit) < sys.float_info.min).all()
-    at = need(x)
-    slopes = need.slopes(x, at)
+    at, slopes = need.with_slopes(x)
     with mpmath.workdps(50):
         kbps, inv_alpha, h = mpmath.mpf(rate) / 1000, 1 / mpmath.mpf(alpha), mpmath.mpf(1e-12)
         for k, i in enumerate(ref.served_set):

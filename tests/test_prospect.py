@@ -478,7 +478,7 @@ def bisected_expansion_bands(sc, ne, alphas):
     n, c3 = ne.n_served, sc.cost.c3
 
     def rising(x):
-        return n * x - c3 * game._total(need.slopes(x, need(x))) > 0.0
+        return n * x - c3 * game._total(need.with_slopes(x)[1]) > 0.0
 
     caps = need.caps()
     lo, hi = 0.5 * caps, caps * prospect._CAP_END
@@ -500,21 +500,24 @@ NEAR_CAP_CELLS = [pytest.param(seed, c3, id=f"{seed}-c3={c3:g}")
 
 @pytest.mark.parametrize("seed, c3", NEAR_CAP_CELLS)
 def test_expansion_near_the_cap_finds_the_root_in_few_evaluations(seed, c3, monkeypatch):
-    """Alphas 0.01 to 1 in at most 10 evaluations, without a warning (in u
-    = x/cap, 12 to 21, and seeds 5 and 11 at c3 = 3e-7 took 38 and 34 in v
-    before bracketed_root stepped inward from a bracket end). The band at
-    alphas 0.5 to 1 lies within 1e-8 of S at a float bisection of the
-    slope (measured: 6e-10): in u the search was up to 1e-6 off, and taking
-    the smallest loss evaluated in a bracket up to 8e-7, since the loss is
-    flat to rounding over up to about 1e-6 of v around its minimum."""
+    """Alphas 0.01 to 1 in at most 9 evaluations, one before the root
+    search and one per root step, without a warning (in u = x/cap, 12 to
+    21, and seeds 5 and 11 at c3 = 3e-7 took 38 and 34 in v before
+    bracketed_root stepped inward from a bracket end; 10 while a last
+    evaluation read the allocation). The band at alphas 0.5 to 1 lies
+    within 1e-8 of S at a float bisection of the slope (measured: 6e-10):
+    in u the search was up to 1e-6 off, and taking the smallest loss
+    evaluated in a bracket up to 8e-7, since the loss is flat to rounding
+    over up to about 1e-6 of v around its minimum."""
     sc = experiments.build_scenario(seed=seed, c3=c3)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     alphas = [0.01 * k for k in range(1, 101)]
     calls = helpers.count_evaluations(monkeypatch)
+    steps = helpers.count_root_steps(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         outcomes = bandwidth_expansions(sc, ref, alphas)
-    assert len(calls) <= 10
+    assert len(calls) == 1 + steps[0] <= 9
     monkeypatch.undo()
     checked = alphas[49::5]
     band = np.array([outcomes[alphas.index(a)].new_total_bandwidth_hz for a in checked])
@@ -557,19 +560,22 @@ def test_expansion_with_linear_price_and_no_rate_cost():
 
 def test_bandwidth_expansions_evaluate_few_requirement_matrices(default_scenario, default_ref,
                                                                 monkeypatch):
-    """One evaluation at the start and the 22 edges of every alpha, each root
-    step one over the brackets still open, and a last one the allocation: at
-    most 10 evaluations of 150 columns for all five alphas (measured: 8 of
-    150), where the search in u = x/cap over 12 edges made 16 of 131, a
-    secant-or-midpoint root search 23 of 162, the lockstep golden search
-    53 and the nested search about 2,700 for one."""
+    """One evaluation at the start and the 22 edges of every alpha, then
+    each root step one over the brackets still open, and none after the
+    last step: the allocation is a column the search evaluated. At most 9
+    evaluations of 145 columns for all five alphas (measured: 7 of 145;
+    8 of 150 with a last evaluation for the allocation), where the search
+    in u = x/cap over 12 edges made 16 of 131, a secant-or-midpoint root
+    search 23 of 162, the lockstep golden search 53 and the nested search
+    about 2,700 for one."""
     calls = helpers.count_evaluations(monkeypatch)
+    ends = helpers.count_search_ends(monkeypatch, calls)
     bandwidth_expansions(default_scenario, default_ref, EXPANSION_ALPHAS)
     edges = len(prospect._EXPANSION_EDGES)
     assert calls[0][0] == (edges + 1) * len(EXPANSION_ALPHAS)
-    assert calls[-1][0] == len(EXPANSION_ALPHAS)
-    assert len(calls) <= 10
-    assert sum(problems for problems, _ in calls) <= 150
+    assert ends == [len(calls)]
+    assert len(calls) <= 9
+    assert sum(problems for problems, _ in calls) <= 145
 
 
 def rate_requirement_oracle(sc, ne, model, rate):
@@ -657,18 +663,21 @@ def test_rate_control_of_a_300m_cell_matches_the_scalar_oracle():
 def test_rate_controls_evaluate_few_requirement_matrices(default_scenario, default_ref,
                                                          monkeypatch):
     """One evaluation gives T and dT at the 13 edges and the offered rate of
-    every alpha, each root step one over the brackets still open, and a last
-    one the best rates' columns: on the default 31-alpha grid at most 16
-    evaluations of 900 columns in all (measured: 11 of 735), where a root
-    search by Brent's rule made 14 of 805, a secant-or-midpoint one 20 of
-    990 and the golden multi-start 49 of 17,546."""
+    every alpha, then each root step one over the brackets still open, and
+    none follows the last step: the best rates' columns are ones the search
+    evaluated. On the default 31-alpha grid at most 15 evaluations of 869
+    columns in all (measured: 10 of 704; 11 of 735 with a last evaluation
+    of the best rates), where a root search by Brent's rule made 14 of 805,
+    a secant-or-midpoint one 20 of 990 and the golden multi-start 49 of
+    17,546."""
     calls = helpers.count_evaluations(monkeypatch)
+    ends = helpers.count_search_ends(monkeypatch, calls)
     alphas = experiments.SweepSpec(default_scenario,
                                    *experiments.DEFAULT_RANGE_COMPARISON).alphas()
     prospect.rate_controls(default_scenario, default_ref, alphas)
-    assert calls[0][0] == 14 * len(alphas) and calls[-1][0] == len(alphas)
-    assert len(calls) <= 16
-    assert sum(problems for problems, _ in calls) <= 900
+    assert calls[0][0] == 14 * len(alphas) and ends == [len(calls)]
+    assert len(calls) <= 15
+    assert sum(problems for problems, _ in calls) <= 869
 
 
 def test_rate_controls_drop_brackets_out_of_reach(default_scenario, default_ref, monkeypatch):
@@ -676,13 +685,15 @@ def test_rate_controls_drop_brackets_out_of_reach(default_scenario, default_ref,
     rate that brings every target within reach: the tangent bounds at their
     ends drop 32 before the search, and the bounds at their points close
     the other 2. The root search takes at most 15 steps (measured: 9) and
-    rate control 2,500 columns (2,044), where bisecting those brackets took
-    29 steps and 3,436 columns."""
+    rate control 2,400 columns, one evaluation before the search and one
+    per step (1,944; 2,044 with a last evaluation of the best rates), where
+    bisecting those brackets took 29 steps and 3,436 columns."""
     steps = helpers.count_root_steps(monkeypatch)
     calls = helpers.count_evaluations(monkeypatch)
     prospect.rate_controls(default_scenario, default_ref, [0.01 * k for k in range(1, 101)])
     assert len(steps) == 1 and steps[0] <= 15
-    assert sum(problems for problems, _ in calls) <= 2500
+    assert len(calls) == 1 + steps[0]
+    assert sum(problems for problems, _ in calls) <= 2400
 
 
 def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
@@ -690,15 +701,22 @@ def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
     rate-control root search takes at most 14 steps (measured: 9 and 9)
     and each expansion search at most 8 (7 and 4), where the search in u =
     x/cap took 14 and 14, and a secant-or-midpoint root search 19 and 20
-    to 21."""
+    to 21. Each strategy evaluates once before its root steps and once per
+    step: rate control 10 times at both alphas, expansion 8 and 5 (11, 9
+    and 6 with a last evaluation of the best point)."""
     sc = experiments.build_scenario(40, seed=experiments.DEFAULT_SEED, cell_radius_m=300.0)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     steps = helpers.count_root_steps(monkeypatch)
+    calls = helpers.count_evaluations(monkeypatch)
+    evaluations = []
     for alpha in (0.90, 0.95):
-        bandwidth_expansions(sc, ref, [alpha])
-        prospect.rate_controls(sc, ref, [alpha])
+        for strategy in (bandwidth_expansions, prospect.rate_controls):
+            calls.clear()
+            strategy(sc, ref, [alpha])
+            evaluations.append(len(calls))
     assert len(steps) == 4
     assert max(steps[0::2]) <= 8 and max(steps[1::2]) <= 14
+    assert evaluations == [1 + n for n in steps]
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5, 11])
@@ -727,7 +745,7 @@ def test_rate_slopes_out_of_reach_point_to_the_reachable_rates(alpha):
     assert ref.price - sc.cost.c1 * ref.rate_bps > 0.0
     served = game._Users(sc, ref.served_set)
     rates = np.geomspace(1e-4 * ref.rate_bps, 100.0 * ref.rate_bps, 2001)
-    total, slope, lower, upper = prospect._rate_totals(sc, ref, served, rates, alpha)
+    total, slope, lower, upper = prospect._rate_totals(sc, ref, served, served.at(rates, alpha))
     lower, upper = np.broadcast_to(lower, rates.shape), np.broadcast_to(upper, rates.shape)
     assert (lower[np.isfinite(total)] == -np.inf).all()
     assert (upper[np.isfinite(total)] == np.inf).all()
@@ -762,13 +780,14 @@ def test_rate_control_of_an_offer_below_its_rate_cost_terminates(default_scenari
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         outcomes = prospect.rate_controls(sc, offer, alphas)
-        at_offer = prospect._rate_totals(sc, offer, served, offer.rate_bps, alphas)[0]
+        at_offer = prospect._rate_totals(sc, offer, served, served.at(offer.rate_bps, alphas))[0]
     for out, offered in zip(outcomes, at_offer.tolist()):
         assert math.isfinite(out.min_bandwidth_threshold_hz)
         assert out.min_bandwidth_threshold_hz <= offered
     rates = np.geomspace(1e-4 * offer.rate_bps, 100.0 * offer.rate_bps, 201)
     for alpha in alphas:
-        total, _, lower, upper = prospect._rate_totals(sc, offer, served, rates, alpha)
+        total, _, lower, upper = prospect._rate_totals(sc, offer, served,
+                                                       served.at(rates, alpha))
         assert np.isinf(total).any() and (lower, upper) == (-np.inf, np.inf)
 
 

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import fake_memo, golden_reference, sequential_bisection
+from helpers import fake_memo, gathered_chandrupatla, golden_reference, sequential_bisection
 from prospect_pricing._search import bracketed_root, golden_max, stationary_min
 from prospect_pricing.game import _PATH, _bisect_edge
 
@@ -383,3 +384,158 @@ def test_a_problem_with_no_bracket_returns_its_best_edge():
     x, value = stationary_min(f, [-1.0, 0.25, 2.0], [0.0, 0.0, 0.0])
     assert x[:2].tolist() == [2.0, 2.0] and value[:2].tolist() == [-2.0, -4.0]
     assert abs(x[2] - 0.5) <= 1e-10
+
+
+def searched_points(search, f, lo, hi, f_lo, f_hi, **kwargs):
+    """The open brackets and the points, in hex, of every step of search,
+    and the hex of its final ends."""
+    points = []
+
+    def recorded(x, open_):
+        points.append((open_.tolist(), [v.hex() for v in x.tolist()]))
+        return f(x, open_)
+
+    ends = search(recorded, lo, hi, f_lo, f_hi, **kwargs)
+    return points, [[v.hex() for v in end.tolist()] for end in ends]
+
+
+def cubic(x, open_):
+    """d*(1 + d*d), d = x - r, on four brackets: its operations round the
+    same on every platform."""
+    d = x - np.array([0.3, 0.7, 2.2, 0.5])[open_]
+    return d * (1.0 + d * d)
+
+
+# every step of bracketed_root on cubic's brackets, in hex, as the search
+# with state at full length took them: the brackets close after 5, 6, 10
+# and 1 steps, the last on a 0 at its first point
+CUBIC_POINTS = [
+    ([0, 1, 2, 3], ["0x1.e8d4464285cb0p-3", "0x1.04f4704f47050p-2",
+                    "0x1.18e1daad37fc3p+1", "0x1.0000000000000p-1"]),
+    ([0, 1, 2], ["0x1.29ec5f996a607p-2", "0x1.71ad9ee32bf15p-2", "0x1.198f5e01f9e6ep+1"]),
+    ([0, 1, 2], ["0x1.32fe6eb6d454bp-2", "0x1.ae35b3dc657e2p+0", "0x1.199995df0df9ep+1"]),
+    ([0, 1, 2], ["0x1.33330bd3de338p-2", "0x1.05508dca983d4p+0", "0x1.1999999986538p+1"]),
+    ([0, 1, 2], ["0x1.333333328f5c5p-2", "0x1.75a1ddd04b3bdp-1", "0x1.19999999cb0bbp+1"]),
+    ([0, 1], ["0x1.333333336b435p-2", "0x1.67e48a049b4cfp-1"]),
+    ([1], ["0x1.66699923639fep-1"]),
+    ([1], ["0x1.6666670d8b797p-1"]),
+    ([1], ["0x1.6666666666af4p-1"]),
+    ([1], ["0x1.66666665f8bbcp-1"]),
+]
+CUBIC_ENDS = [
+    ["0x1.333333328f5c5p-2", "0x1.66666665f8bbcp-1", "0x1.1999999986538p+1", "0x1.0000000000000p-1"],
+    ["0x1.333333336b435p-2", "0x1.6666666666af4p-1", "0x1.19999999cb0bbp+1", "0x1.0000000000000p-1"],
+]
+
+
+def test_bracketed_root_takes_its_recorded_points():
+    lo, hi = np.array([0.0, -1.0, 2.0, 0.0]), np.array([1.0, 3.0, 2.5, 1.0])
+    every = np.arange(4)
+    points, ends = searched_points(bracketed_root, cubic, lo, hi, cubic(lo, every),
+                                   cubic(hi, every))
+    assert points == CUBIC_POINTS and ends == CUBIC_ENDS
+
+
+def nan_above(x, r, window):
+    """slope's line, -inf below the window and NaN above it."""
+    d = x - r
+    return np.where(d < -window, -np.inf, np.where(d > window, np.nan, d))
+
+
+def root_families():
+    """Each test family of bracketed_root above as (g(x, open), lo, hi, f_hi),
+    f_lo being g at lo: brackets that close at different steps, with +-inf
+    and NaN values, secant-defeating, flat-then-jumping and multiple roots,
+    zero hits and roots within rounding of an end."""
+    root, window, lo, hi = rooted(n=200)
+    root4, _, lo4, hi4 = rooted(n=400)
+    rng = np.random.default_rng(19)
+    lo_ulp = 10.0 ** rng.uniform(-3.0, 6.0, 200)
+    hi_ulp = lo_ulp * (1.0 + 10.0 ** rng.uniform(-6.0, 3.0, 200))
+    # 0 within 1e-3 of the shorter side of each root
+    flat = 1e-3 * np.minimum(root - lo, hi - root)
+    families = {
+        "windowed": (lambda x, o: slope(x, root[o], window[o]), lo, hi),
+        "nan-above": (lambda x, o: nan_above(x, root[o], window[o]), lo, hi),
+        "step": (lambda x, o: np.sign(x - root[o]), lo, hi),
+        "huge": (lambda x, o: x - root[o], lo, hi, np.full(root.shape, 1e300)),
+        "flat-then-jumping": (lambda x, o: np.where(x < root4[o], -1e-300, 1.0), lo4, hi4),
+        **{f"order-{k}": (lambda x, o, k=k: ((x - root[o]) / root[o]) ** k, lo, hi)
+           for k in (3, 5, 21)},
+        "zero": (lambda x, o: np.where(np.abs(x - root[o]) <= flat[o], 0.0,
+                                       slope(x, root[o], np.inf)), lo, hi),
+        "near-lo": (lambda x, o: np.tanh((x - lo[o]) / np.abs(lo[o])) - 1e-300, lo, hi),
+        "near-hi": (lambda x, o: np.tanh((x - hi[o]) / np.abs(hi[o])) + 1e-300, lo, hi),
+        "ulp-above-lo": (lambda x, o: np.log(x / lo_ulp[o]) - 1e-16, lo_ulp, hi_ulp),
+    }
+    for name, (g, a, b, *f_hi) in families.items():
+        every = np.arange(a.size)
+        yield pytest.param(g, a, b, f_hi[0] if f_hi else g(b, every), id=name)
+
+
+@pytest.mark.parametrize("g, lo, hi, f_hi", root_families())
+def test_bracketed_root_keeps_the_points_of_the_full_length_search(g, lo, hi, f_hi):
+    """Holding state only for the brackets still open moves no point: every
+    step's open brackets and points, and the final ends, are bitwise those
+    of the search that gathered and scattered every bracket's state."""
+    f_lo = g(lo, np.arange(lo.size))
+    want = searched_points(gathered_chandrupatla, g, lo, hi, f_lo, f_hi)
+    assert len(want[0]) > 1
+    assert searched_points(bracketed_root, g, lo, hi, f_lo, f_hi) == want
+
+
+def test_bracketed_root_keeps_its_points_and_warning_at_the_cap():
+    lo, hi = np.zeros(3), np.ones(3)
+    f = lambda x, open_: np.where(x < 0.3, -np.inf, np.inf)
+    with pytest.warns(RuntimeWarning, match="bracketed_root stopped at max_iter=5"):
+        want = searched_points(gathered_chandrupatla, f, lo, hi, f(lo, None), f(hi, None),
+                               rel_tol=1e-12, max_iter=5)
+    with pytest.warns(RuntimeWarning, match="bracketed_root stopped at max_iter=5"):
+        got = searched_points(bracketed_root, f, lo, hi, f(lo, None), f(hi, None),
+                              rel_tol=1e-12, max_iter=5)
+    assert got == want and len(got[0]) == 5
+
+
+def test_bracketed_root_without_brackets_calls_nothing():
+    def f(x, open_):
+        raise AssertionError("f called without brackets")
+
+    empty = np.empty(0)
+    lo, hi = bracketed_root(f, empty, empty, empty, empty)
+    assert lo.shape == hi.shape == (0,)
+
+
+def overflowing(x):
+    """The sign of x - 0.3 at 0 and 1, and, unguarded, 1e318 times x - 0.3
+    elsewhere, which overflows: at every point a root search of [0, 1]
+    takes."""
+    d = x - 0.3
+    value = np.sign(d)
+    inner = (x != 0.0) & (x != 1.0)
+    value[inner] = d[inner] * 1e308 * 1e10
+    return value
+
+
+@pytest.mark.parametrize("search", ["bracketed_root", "stationary_min"])
+def test_an_objectives_own_overflow_still_warns(search):
+    """The searches' errstate covers their own arithmetic only: an objective
+    that overflows without a guard at a root step raises under the suite's
+    error::RuntimeWarning filter, from bracketed_root and from
+    stationary_min alike."""
+    steps = []
+
+    def counted(x, _):
+        steps.append(x.size)
+        return overflowing(x)
+
+    with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="overflow"):
+        warnings.simplefilter("error", RuntimeWarning)
+        if search == "bracketed_root":
+            ends = np.array([0.0, 1.0])
+            bracketed_root(counted, ends[:1], ends[1:], overflowing(ends[:1]),
+                           overflowing(ends[1:]))
+        else:
+            stationary_min(lambda x, j: (np.zeros(x.shape), counted(x, j), -np.inf, np.inf),
+                           [0.0, 1.0], [0.0])
+    # the objective raised at a root step, not at the edges
+    assert steps[-1] == 1 and len(steps) == (1 if search == "bracketed_root" else 2)
