@@ -45,6 +45,69 @@ def golden_max(f: Callable, lo: float, hi: float, rel_tol: float = 1e-9, max_ite
     return x, fx
 
 
+class _Arrays:
+    """The operations of bracketed_root and stationary_min on many brackets
+    in lockstep: numpy's, on arrays."""
+
+    abs, isfinite, maximum, minimum, where = np.abs, np.isfinite, np.maximum, np.minimum, np.where
+
+    @staticmethod
+    def all(a):
+        return a.all()
+
+    @staticmethod
+    def value(v):
+        return v
+
+    @staticmethod
+    def evaluate(f, x, open_):
+        return f(x, open_)
+
+    @staticmethod
+    def close(wide, open_, end1, end2, state):
+        """Write the final ends of the brackets no longer wide, and keep the
+        open brackets' state, of which the first two are x1 and x2."""
+        shut = ~wide
+        end1[open_[shut]], end2[open_[shut]] = state[0][shut], state[1][shut]
+        return open_[wide], [a[wide] for a in state]
+
+
+class _Scalars:
+    """The operations of _Arrays on one bracket's np.float64 scalars, bitwise
+    the same: an np.float64 operation costs about a tenth of a ufunc call on
+    a one-element array. maximum and minimum return NaN as numpy's do, and b
+    on a tie, so that -0.0 and 0.0 compare as there."""
+
+    abs, isfinite, all = abs, math.isfinite, bool
+
+    @staticmethod
+    def maximum(a, b):
+        return a if a > b or a != a else b
+
+    @staticmethod
+    def minimum(a, b):
+        return a if a < b or a != a else b
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    @staticmethod
+    def value(v):
+        """The one element of an array, or a scalar, as an np.float64."""
+        return v[0] if isinstance(v, np.ndarray) else np.float64(v)
+
+    @staticmethod
+    def evaluate(f, x, open_):
+        return _Scalars.value(f(np.array([x]), open_))
+
+    @staticmethod
+    def close(wide, open_, end1, end2, state):
+        """Write the one bracket's final ends: none stays open."""
+        end1[open_], end2[open_] = state[0], state[1]
+        return open_[:0], state
+
+
 def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
                    max_iter: int = 100):
     """Shrink each bracket [lo, hi] around a root of f, where f(lo) < 0 < f(hi).
@@ -69,6 +132,13 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     wider after max_iter steps issues a RuntimeWarning. The search holds
     state only for the brackets still open, and f runs outside its
     errstate, so an objective's own floating-point errors still warn.
+    A search that opens with one bracket, as each one-alpha strategy's and
+    min_alpha's does, holds its state in np.float64 scalars (_Scalars)
+    rather than arrays (_Arrays): the same text of arithmetic takes bitwise
+    the points the bracket takes in a batch, and its some 60 operations per
+    step cost about a quarter of the time they take on one-element arrays
+    (9 against 37 us a step on a trivial objective). f still gets arrays,
+    of one point.
     Returns the final (lo, hi); without brackets, f is not called.
     """
     # x1 the last point and x2 the bracket's other end, of the open brackets
@@ -76,20 +146,20 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     f1, f2 = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
     # every bracket's final ends, written as it closes
     end1, end2 = x1.copy(), x2.copy()
+    open_ = np.arange(x1.size)
+    xp = _Scalars if x1.size == 1 else _Arrays
+    x1, x2, f1, f2 = xp.value(x1), xp.value(x2), xp.value(f1), xp.value(f2)
     # the next point, as its fraction of the way from x1 to x2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
-    open_ = np.arange(x1.size)
+        t = xp.where(xp.isfinite(f1) & xp.isfinite(f2), f1 / (f1 - f2), 0.5)
     for step in range(max_iter + 1):
         span = x2 - x1
-        width = np.abs(span)
-        tol = rel_tol * np.maximum(np.maximum(np.abs(x1), np.abs(x2)), 1.0)
+        width = xp.abs(span)
+        tol = rel_tol * xp.maximum(xp.maximum(xp.abs(x1), xp.abs(x2)), 1.0)
         wide = width > tol
-        if not wide.all():
-            shut = ~wide
-            end1[open_[shut]], end2[open_[shut]] = x1[shut], x2[shut]
-            open_, x1, x2, f1, f2, t, span, width, tol = (
-                a[wide] for a in (open_, x1, x2, f1, f2, t, span, width, tol))
+        if not xp.all(wide):
+            open_, (x1, x2, f1, f2, t, span, width, tol) = xp.close(
+                wide, open_, end1, end2, (x1, x2, f1, f2, t, span, width, tol))
         if not open_.size:
             break
         if step == max_iter:
@@ -98,21 +168,23 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
             break
         # Chandrupatla's tl: half the tolerance, as a fraction of the width
         tl = 0.5 * tol / width
-        x = x1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * span
-        fx = f(x, open_)
+        x = x1 + xp.minimum(xp.maximum(t, tl), 1.0 - tl) * span
+        fx = xp.evaluate(f, x, open_)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # x replaces the end of its sign, p3; NaN counts as above 0
             same = (fx < 0.0) == (f1 < 0.0)
-            p3, q3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            p2, q2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            p3, q3 = xp.where(same, x1, x2), xp.where(same, f1, f2)
+            p2, q2 = xp.where(same, x2, x1), xp.where(same, f2, f1)
             # inverse quadratic interpolation through x, p2 and p3 where
             # Chandrupatla's test puts it inside the bracket, the midpoint otherwise
             xi, phi = (x - p2) / (p3 - p2), (fx - q2) / (q3 - q2)
             quadratic = (fx / (q2 - fx) * q3 / (q2 - q3)
                          + (p3 - x) / (p2 - x) * fx / (q3 - fx) * q2 / (q3 - q2))
-            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), quadratic, 0.5)
+            # squared by a product: numpy squares an array's ** 2, an np.float64's takes pow
+            inside = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+            t = xp.where(inside, quadratic, 0.5)
         # a 0 closes the bracket at x
-        x1, f1, x2, f2 = x, fx, np.where(fx == 0.0, x, p2), q2
+        x1, f1, x2, f2 = x, fx, xp.where(fx == 0.0, x, p2), q2
     return np.fmin(end1, end2), np.fmax(end1, end2)
 
 
@@ -130,7 +202,9 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     the largest lower and the smallest upper bound: a bracket without one
     is dropped before the search, or closed at the point that shows it.
     One lockstep bracketed_root search, Chandrupatla's method, closes them
-    all to its default tolerance. Each bracket's point is the end of its
+    all to its default tolerance; when one bracket is searched, its bounds
+    and end values, like the search's state, are np.float64 scalars, the
+    same arithmetic on _Scalars for a fraction of the ufunc calls. Each bracket's point is the end of its
     closed bracket of smaller value, the lower end on a tie: a stationary
     point, where the smallest value evaluated could be any point within
     rounding of a flat minimum, however far from its root. The best point
@@ -154,8 +228,11 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     k, j, floor, ceil = k[keep], j[keep], floor[keep], ceil[keep]
     # the values at each bracket's ends, moved along with them
     lo_value, hi_value = value[k, j], value[k + 1, j]
-    # the state of the brackets still open, as bracketed_root's open picks them
-    held, problem, low, high, at_lo, at_hi = np.arange(k.size), j, floor, ceil, lo_value, hi_value
+    # the state of the brackets still open, as bracketed_root's open picks them;
+    # one bracket's, like bracketed_root's, in np.float64 scalars
+    xp = _Scalars if k.size == 1 else _Arrays
+    held, problem = np.arange(k.size), j
+    low, high, at_lo, at_hi = xp.value(floor), xp.value(ceil), xp.value(lo_value), xp.value(hi_value)
 
     def root_slope(x, open_):
         nonlocal held, problem, low, high, at_lo, at_hi
@@ -165,12 +242,12 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
             kept = np.searchsorted(held, open_)
             held, problem, low, high, at_lo, at_hi = (
                 a[kept] for a in (held, problem, low, high, at_lo, at_hi))
-        at_x, d, lower, upper = f(x, problem)
-        low, high = np.maximum(low, lower), np.minimum(high, upper)
+        at_x, d, lower, upper = (xp.value(v) for v in f(x, problem))
+        low, high = xp.maximum(low, lower), xp.minimum(high, upper)
         # a bracket shown to hold no finite value closes at this point
-        d = np.where(low < high, d, 0.0)
-        at_lo = np.where(d <= 0.0, at_x, at_lo)
-        at_hi = np.where(d < 0.0, at_hi, at_x)
+        d = xp.where(low < high, d, 0.0)
+        at_lo = xp.where(d <= 0.0, at_x, at_lo)
+        at_hi = xp.where(d < 0.0, at_hi, at_x)
         return d
 
     lo, hi = bracketed_root(root_slope, edges[k], edges[k + 1], slope[k, j], slope[k + 1, j])

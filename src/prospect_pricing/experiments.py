@@ -204,8 +204,10 @@ def reference_offer(scenario: Scenario, ne: NashResult,
     """The solved outcome with each served user given margin over their minimum.
 
     This proportional split is the offer the sweeps perturb; with the band
-    sized by the same margin it exhausts the endowment.
+    sized by the same margin it exhausts the endowment. A result without an
+    equilibrium has no offer: NoEquilibriumError.
     """
+    _require_equilibrium(ne)
     need = _Users(scenario, ne.served_set).price_requirements(ne.rate_bps)
     return replace(ne, allocation=_spread(scenario, ne.served_set,
                                           ((1.0 + margin) * need).tolist()))

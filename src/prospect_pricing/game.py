@@ -551,11 +551,13 @@ def solve_nash(scenario: Scenario) -> NashResult:
     n*(r(b) - c1*b) is concave in b and is maximized by golden section over the
     feasible rate interval; an n is disqualified when a larger set also fits at
     its optimal rate, since those users would accept too. The scan stops once
-    a positive revenue is >= the bound n*m* - c3*B of the next n (m* from
-    _margin_bound): a smaller set could at best tie, and only a strictly
-    larger revenue displaces a larger set, so the result is bitwise the full
-    scan's. Returns a no-equilibrium result (equilibrium=False) when every n
-    earns <= 0; its sp_revenue is then the largest revenue over every n.
+    the best revenue is >= the bound n*m* - c3*B of the next n (m* from
+    _margin_bound), and either it is positive or some n scanned earned >= 0
+    (a disqualified n earns 0): a smaller set could at best tie, and only a
+    strictly larger revenue displaces a larger set, so the result is bitwise
+    the full scan's. Returns a no-equilibrium result (equilibrium=False) when
+    every n earns <= 0; its sp_revenue is then the largest revenue over every
+    n, which no n left unscanned could exceed, its bound being <= 0.
     """
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
@@ -583,7 +585,7 @@ def solve_nash(scenario: Scenario) -> NashResult:
 
     n_star, best_rev, best_rate, top = 0, 0.0, 0.0, -math.inf
     for n in range(n_users, 0, -1):
-        if n_star and best_rev >= n * bound - c3 * budget:
+        if (n_star or top >= 0.0) and best_rev >= n * bound - c3 * budget:
             break
         interval = _rate_feasibility_interval(
             probe, lambda b: fits(b, n), lambda b: value(b, n), scenario)

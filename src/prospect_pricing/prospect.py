@@ -471,12 +471,16 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     caps = need.caps()
     v = np.full(caps.shape, _EXPANSION_EDGES[0])
     if c3 > 0.0:
-        seen = _Seen(n)
+        seen, picked = _Seen(n), (None, None)
 
         def loss(v, j):
+            nonlocal picked
+            # the search passes the same problems j until a bracket closes
+            if picked[0] is not j:
+                picked = j, need.columns(j)
             t = np.exp(v)
             x = caps[j] * np.exp(-t)
-            total, slope, at_x = _sum_and_slope(need.columns(j), x)
+            total, slope, at_x = _sum_and_slope(picked[1], x)
             seen.add(v, j, at_x)
             # the start, v = inf, has x = 0 and a slope of 0*inf, never read
             with np.errstate(invalid="ignore"):

@@ -457,20 +457,22 @@ def count_level_steps(monkeypatch):
 
 
 def count_root_steps(monkeypatch):
-    """Record the number of lockstep steps, each one evaluation of its open
-    brackets, of every _search.bracketed_root search."""
-    steps = []
+    """Record, of every _search.bracketed_root search, the number of lockstep
+    steps, each one evaluation of its open brackets, and the number of
+    brackets it opens with: returns (steps, brackets)."""
+    steps, brackets = [], []
     search = _search.bracketed_root
 
-    def counting(f, *args, **kwargs):
+    def counting(f, lo, *args, **kwargs):
         steps.append(0)
+        brackets.append(np.size(lo))
 
         def counted(x, open_):
             steps[-1] += 1
             return f(x, open_)
-        return search(counted, *args, **kwargs)
+        return search(counted, lo, *args, **kwargs)
     monkeypatch.setattr(_search, "bracketed_root", counting)
-    return steps
+    return steps, brackets
 
 
 def count_search_ends(monkeypatch, calls):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from prospect_pricing.experiments import (
     HEADER_NE,
     HEADER_PRICE,
     InfeasibleScenarioError,
+    NoEquilibriumError,
     PsychRecord,
     SweepSpec,
     SweepTable,
@@ -544,6 +546,17 @@ def test_sweep_requires_equilibrium():
     assert not solve_nash(sc).equilibrium
     with pytest.raises(ValueError, match="no equilibrium"):
         sweep_revenue_loss(spec_for(sc, 0.95, 1.0))
+
+
+def test_reference_offer_refuses_a_result_without_equilibrium():
+    """Seed 2 at c3 = 3e-7 has no equilibrium: the offer is refused before
+    its served users' requirements at rate 0 are read, whose 0/0 warned."""
+    sc = build_scenario(seed=2, c3=3e-7)
+    ne = solve_nash(sc)
+    assert not ne.equilibrium
+    with warnings.catch_warnings(), pytest.raises(NoEquilibriumError):
+        warnings.simplefilter("error", RuntimeWarning)
+        reference_offer(sc, ne)
 
 
 def test_no_equilibrium_error_is_one_class_everywhere():

@@ -513,7 +513,7 @@ def test_expansion_near_the_cap_finds_the_root_in_few_evaluations(seed, c3, monk
     ref = experiments.reference_offer(sc, solve_nash(sc))
     alphas = [0.01 * k for k in range(1, 101)]
     calls = helpers.count_evaluations(monkeypatch)
-    steps = helpers.count_root_steps(monkeypatch)
+    steps, _ = helpers.count_root_steps(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         outcomes = bandwidth_expansions(sc, ref, alphas)
@@ -523,6 +523,26 @@ def test_expansion_near_the_cap_finds_the_root_in_few_evaluations(seed, c3, monk
     band = np.array([outcomes[alphas.index(a)].new_total_bandwidth_hz for a in checked])
     want = bisected_expansion_bands(sc, ref, checked)
     assert (np.abs(band / want - 1.0) <= 1e-8).all(), np.abs(band / want - 1.0).max()
+
+
+def test_expansion_builds_the_evaluator_of_its_open_problems_once(
+        monkeypatch, default_scenario, default_ref):
+    """Over alphas 0.01 to 1, the root search passes the same open problems
+    until a bracket closes, so their evaluator (columns) is built again
+    only when that set changes: once for the edges and start, then once
+    per set of open brackets, fewer times than the search takes steps
+    (measured: 5 for 7 steps, where building them at every step made 8)."""
+    built = []
+    columns = game._RequirementMatrix.columns
+
+    def recorded(self, keep):
+        built.append(keep.tolist())
+        return columns(self, keep)
+    monkeypatch.setattr(game._RequirementMatrix, "columns", recorded)
+    steps, _ = helpers.count_root_steps(monkeypatch)
+    bandwidth_expansions(default_scenario, default_ref, [0.01 * k for k in range(1, 101)])
+    assert len(steps) == 1 and len(built) < 1 + steps[0]
+    assert all(earlier != later for earlier, later in zip(built, built[1:]))
 
 
 def test_expansion_with_free_band_goes_to_the_level_cap():
@@ -688,7 +708,7 @@ def test_rate_controls_drop_brackets_out_of_reach(default_scenario, default_ref,
     rate control 2,400 columns, one evaluation before the search and one
     per step (1,944; 2,044 with a last evaluation of the best rates), where
     bisecting those brackets took 29 steps and 3,436 columns."""
-    steps = helpers.count_root_steps(monkeypatch)
+    steps, _ = helpers.count_root_steps(monkeypatch)
     calls = helpers.count_evaluations(monkeypatch)
     prospect.rate_controls(default_scenario, default_ref, [0.01 * k for k in range(1, 101)])
     assert len(steps) == 1 and steps[0] <= 15
@@ -703,10 +723,11 @@ def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
     x/cap took 14 and 14, and a secant-or-midpoint root search 19 and 20
     to 21. Each strategy evaluates once before its root steps and once per
     step: rate control 10 times at both alphas, expansion 8 and 5 (11, 9
-    and 6 with a last evaluation of the best point)."""
+    and 6 with a last evaluation of the best point). Every search opens
+    with one bracket, so it steps on scalars (_search._Scalars)."""
     sc = experiments.build_scenario(40, seed=experiments.DEFAULT_SEED, cell_radius_m=300.0)
     ref = experiments.reference_offer(sc, solve_nash(sc))
-    steps = helpers.count_root_steps(monkeypatch)
+    steps, brackets = helpers.count_root_steps(monkeypatch)
     calls = helpers.count_evaluations(monkeypatch)
     evaluations = []
     for alpha in (0.90, 0.95):
@@ -714,7 +735,7 @@ def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
             calls.clear()
             strategy(sc, ref, [alpha])
             evaluations.append(len(calls))
-    assert len(steps) == 4
+    assert len(steps) == 4 and brackets == [1, 1, 1, 1]
     assert max(steps[0::2]) <= 8 and max(steps[1::2]) <= 14
     assert evaluations == [1 + n for n in steps]
 

@@ -484,6 +484,42 @@ def test_bracketed_root_keeps_the_points_of_the_full_length_search(g, lo, hi, f_
     assert searched_points(bracketed_root, g, lo, hi, f_lo, f_hi) == want
 
 
+def alone(g, k):
+    """g of bracket k, for a search of that bracket alone, whose open is [0]."""
+    return lambda x, open_: g(x, open_ + k)
+
+
+def points_of(points, k):
+    """The steps of bracket k in searched_points' record of a batch, as a
+    search of that bracket alone records them."""
+    return [([0], [x[row.index(k)]]) for row, x in points if k in row]
+
+
+def test_a_bracket_alone_takes_its_recorded_points():
+    """Each of cubic's brackets searched alone steps on scalars, and takes
+    the recorded points of its batch, in hex."""
+    lo, hi = np.array([0.0, -1.0, 2.0, 0.0]), np.array([1.0, 3.0, 2.5, 1.0])
+    for k in range(4):
+        one = slice(k, k + 1)
+        got = searched_points(bracketed_root, alone(cubic, k), lo[one], hi[one],
+                              cubic(lo[one], [k]), cubic(hi[one], [k]))
+        assert got == (points_of(CUBIC_POINTS, k), [[end[k]] for end in CUBIC_ENDS])
+
+
+@pytest.mark.parametrize("g, lo, hi, f_hi", root_families())
+def test_a_bracket_alone_takes_the_points_of_its_batch(g, lo, hi, f_hi):
+    """Every bracket of each family, searched alone on scalars, takes
+    bitwise the points and ends it takes in the batch of the full-length
+    search."""
+    f_lo = g(lo, np.arange(lo.size))
+    points, ends = searched_points(gathered_chandrupatla, g, lo, hi, f_lo, f_hi)
+    for k in range(lo.size):
+        one = slice(k, k + 1)
+        got = searched_points(bracketed_root, alone(g, k), lo[one], hi[one], f_lo[one],
+                              f_hi[one])
+        assert got == (points_of(points, k), [[end[k]] for end in ends]), k
+
+
 def test_bracketed_root_keeps_its_points_and_warning_at_the_cap():
     lo, hi = np.zeros(3), np.ones(3)
     f = lambda x, open_: np.where(x < 0.3, -np.inf, np.inf)
@@ -494,6 +530,68 @@ def test_bracketed_root_keeps_its_points_and_warning_at_the_cap():
         got = searched_points(bracketed_root, f, lo, hi, f(lo, None), f(hi, None),
                               rel_tol=1e-12, max_iter=5)
     assert got == want and len(got[0]) == 5
+
+
+def one_bracket_problems(x, problems):
+    """stationary_min objectives, one bracket each on the edges [0, 1]: 0 a
+    smooth minimum at ln 2; 1 inf, its bounds crossing only inside the
+    bracket; 2 and 3 a minimum at 0.3 whose lower, or upper, bound is NaN
+    inside the bracket, which closes it as crossed bounds do; 4 a value flat
+    to rounding around its minimum at 0.71; 5 a root at 0.123456 whose value
+    is least at the closed bracket's upper end. No secant lands on a root."""
+    edge = (x == 0.0) | (x == 1.0)
+    d = x - np.choose(problems, [math.log(2.0), 0.5, 0.3, 0.3, 0.71, 0.123456])
+    cubic = d * (1.0 + 50.0 * d * d)
+    value = np.choose(problems, [np.exp(x) - 2.0 * x, np.full(x.shape, np.inf), d * d,
+                                 d * d, np.floor(d * d * 1e4) / 1e4, np.abs(d - 1e-9)])
+    slope = np.choose(problems, [np.exp(x) - 2.0, np.where(d < 0.0, -np.inf, np.inf), cubic,
+                                 cubic, cubic, cubic])
+    lower = np.choose(problems, [-np.inf, np.where(edge, -1.0, 1.0),
+                                 np.where(edge, -np.inf, np.nan), -np.inf, -np.inf, -np.inf])
+    upper = np.choose(problems, [np.inf, np.where(edge, 2.0, 0.0), np.inf,
+                                 np.where(edge, np.inf, np.nan), np.inf, np.inf])
+    return value, slope, lower, upper
+
+
+@pytest.mark.parametrize("problem", range(6))
+def test_one_bracket_stationary_min_is_its_batched_search(problem):
+    """A problem searched alone, whose one bracket steps on scalars, takes
+    bitwise the root points, best point and value it takes batched with a
+    second problem, on arrays."""
+    def searched(problems):
+        points = []
+
+        def f(x, j):
+            mine = [v.hex() for v, p in zip(x.tolist(), problems[j]) if p == problem]
+            if mine:
+                points.append(mine)
+            return one_bracket_problems(x, problems[j])
+
+        x, value = stationary_min(f, [0.0, 1.0], np.full(problems.size, 0.9))
+        k = problems.tolist().index(problem)
+        return points[1:], x[k].hex(), value[k].hex()
+
+    other = 1 if problem == 0 else 0
+    got = searched(np.array([problem]))
+    assert got == searched(np.array([other, problem]))
+    assert got == searched(np.array([problem, other]))
+    # the bounds that cross or turn NaN inside the bracket close it at its first point
+    assert len(got[0]) == (1 if problem in (1, 2, 3) else len(got[0])) > 0
+
+
+def test_one_bracket_stopped_at_its_cap_warns_at_the_points_of_the_full_length_search():
+    """One bracket, stepping on scalars, warns at the cap as the full-length
+    search does, with bitwise the same points and ends."""
+    lo, hi = np.zeros(1), np.ones(1)
+    f = lambda x, open_: np.where(x < 0.3, -np.inf, np.inf)
+    with pytest.warns(RuntimeWarning, match="bracketed_root stopped at max_iter=5"):
+        want = searched_points(gathered_chandrupatla, f, lo, hi, f(lo, None), f(hi, None),
+                               rel_tol=1e-12, max_iter=5)
+    with pytest.warns(RuntimeWarning, match="bracketed_root stopped at max_iter=5"):
+        got = searched_points(bracketed_root, f, lo, hi, f(lo, None), f(hi, None),
+                              rel_tol=1e-12, max_iter=5)
+    assert got == want and len(got[0]) == 5
+    assert float.fromhex(got[1][0][0]) < 0.3 <= float.fromhex(got[1][1][0])
 
 
 def test_bracketed_root_without_brackets_calls_nothing():
@@ -516,12 +614,14 @@ def overflowing(x):
     return value
 
 
-@pytest.mark.parametrize("search", ["bracketed_root", "stationary_min"])
-def test_an_objectives_own_overflow_still_warns(search):
+@pytest.mark.parametrize("search, n", [
+    pytest.param(search, n, id=search if n == 1 else f"{search}-{n}")
+    for search in ("bracketed_root", "stationary_min") for n in (1, 2)])
+def test_an_objectives_own_overflow_still_warns(search, n):
     """The searches' errstate covers their own arithmetic only: an objective
     that overflows without a guard at a root step raises under the suite's
     error::RuntimeWarning filter, from bracketed_root and from
-    stationary_min alike."""
+    stationary_min alike, on one bracket's scalars and on arrays."""
     steps = []
 
     def counted(x, _):
@@ -531,11 +631,10 @@ def test_an_objectives_own_overflow_still_warns(search):
     with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="overflow"):
         warnings.simplefilter("error", RuntimeWarning)
         if search == "bracketed_root":
-            ends = np.array([0.0, 1.0])
-            bracketed_root(counted, ends[:1], ends[1:], overflowing(ends[:1]),
-                           overflowing(ends[1:]))
+            lo, hi = np.zeros(n), np.ones(n)
+            bracketed_root(counted, lo, hi, overflowing(lo), overflowing(hi))
         else:
             stationary_min(lambda x, j: (np.zeros(x.shape), counted(x, j), -np.inf, np.inf),
-                           [0.0, 1.0], [0.0])
+                           [0.0, 1.0], np.zeros(n))
     # the objective raised at a root step, not at the edges
-    assert steps[-1] == 1 and len(steps) == (1 if search == "bracketed_root" else 2)
+    assert steps[-1] == n and len(steps) == (1 if search == "bracketed_root" else 2)
