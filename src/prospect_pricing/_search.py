@@ -216,18 +216,23 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     n = starts.size
     if not n:
         return np.empty(0), np.empty(0)
-    value, slope, lower, upper = (np.broadcast_to(v, (edges.size + 1) * n).reshape(-1, n) for v in
-                                  f(np.append(np.repeat(edges, n), starts),
-                                    np.tile(np.arange(n), edges.size + 1)))
+    # value, slope, lower and upper at every point, one array of
+    # 4 x (edges + 1) x n, into which the bounds broadcast
+    points = np.concatenate((np.repeat(edges, n), starts))
+    at = np.empty((4, points.size))
+    for row, out in zip(at, f(points, np.arange(points.size) % n)):
+        row[...] = out
+    at = at.reshape(4, -1, n)
     # bracket k of problem j holds a minimum where the slope rises through 0
-    k, j = np.nonzero((slope[:-2] < 0.0) & (slope[1:-1] > 0.0))
+    k, j = np.nonzero((at[1, :-2] < 0.0) & (at[1, 1:-1] > 0.0))
+    below, above = at[:, k, j], at[:, k + 1, j]
     # and its finite values lie strictly between floor and ceil
-    floor = np.maximum(lower[k, j], lower[k + 1, j])
-    ceil = np.minimum(upper[k, j], upper[k + 1, j])
+    floor, ceil = np.maximum(below[2], above[2]), np.minimum(below[3], above[3])
     keep = floor < ceil
     k, j, floor, ceil = k[keep], j[keep], floor[keep], ceil[keep]
+    below, above = below[:2, keep], above[:2, keep]
     # the values at each bracket's ends, moved along with them
-    lo_value, hi_value = value[k, j], value[k + 1, j]
+    lo_value, hi_value = below[0], above[0]
     # the state of the brackets still open, as bracketed_root's open picks them;
     # one bracket's, like bracketed_root's, in np.float64 scalars
     xp = _Scalars if k.size == 1 else _Arrays
@@ -250,15 +255,17 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
         at_hi = xp.where(d < 0.0, at_hi, at_x)
         return d
 
-    lo, hi = bracketed_root(root_slope, edges[k], edges[k + 1], slope[k, j], slope[k + 1, j])
+    lo, hi = bracketed_root(root_slope, edges[k], edges[k + 1], below[1], above[1])
     lo_value[held], hi_value[held] = at_lo, at_hi
     on_hi = hi_value < lo_value
     root, root_value = np.where(on_hi, hi, lo), np.where(on_hi, hi_value, lo_value)
 
-    # candidates in order: the start, then each edge and its bracket's point
-    cand, cand_value = np.full((2 * edges.size, n), np.nan), np.full((2 * edges.size, n), np.inf)
-    cand[0], cand_value[0] = starts, value[-1]
-    cand[1::2], cand_value[1::2] = edges[:, None], value[:-1]
+    # candidates in order, points and values: the start, then each edge and
+    # its bracket's point
+    cand, cand_value = np.empty((2, 2 * edges.size, n))
+    cand[0], cand_value[0] = starts, at[0, -1]
+    cand[1::2], cand_value[1::2] = edges[:, None], at[0, :-1]
+    cand[2::2], cand_value[2::2] = np.nan, np.inf
     cand[2 + 2 * k, j], cand_value[2 + 2 * k, j] = root, root_value
     best = np.argmin(cand_value, axis=0), np.arange(n)
     return cand[best], cand_value[best]

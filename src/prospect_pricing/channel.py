@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _LN2 = math.log(2.0)
 
 
@@ -149,7 +151,7 @@ def _spectral_efficiency(ln_target, ln_sup, xp):
     of lc = _log_ratio(ln_target, ln_sup). xp is numpy for arrays, _Scalar
     for a float.
     """
-    return _efficiency_root(_log_ratio(ln_target, ln_sup, xp), xp)
+    return _efficiency_root(_log_ratio(ln_target, ln_sup, xp))
 
 
 def _log_ratio(ln_target, ln_sup, xp):
@@ -160,8 +162,8 @@ def _log_ratio(ln_target, ln_sup, xp):
     return xp.log1p(xp.maximum((ln_target - ln_sup) / ln_sup, 2.0 ** -52))
 
 
-def _efficiency_root(lc, xp):
-    """The root x of log(expm1(x)/x) = lc > 0.
+def _efficiency_root(lc):
+    """The root x of log(expm1(x)/x) = lc > 0, for a float or an array.
 
     It is the W_-1 branch of the Lambert W function (Corless et al., 1996).
     log(expm1(x)/x) is convex and increasing; from the series start below
@@ -169,16 +171,55 @@ def _efficiency_root(lc, xp):
     reach the root to within an ulp times max(1, 1/lc), the conditioning of
     lc itself, for every lc from 1e-5 to 700 (checked against mpmath). Below
     1e-5 the series is the root to 2e-17, and Newton would meet cancellation
-    in its derivative.
+    in its derivative. A float takes the steps below in math (_Scalar), and
+    an array takes them in _newton_arrays, bitwise as numpy takes this text.
     """
-    lcn = xp.maximum(lc, 1e-5)
-    # 0.43 keeps the asymptotic start within 0.06 of the root for every lc >= 1
-    x = xp.where(lcn < 1.0, _series_root(lcn), lcn + xp.log(lcn + xp.log1p(lcn) + 0.43))
+    if not isinstance(lc, np.ndarray):
+        xp = _Scalar
+        lcn = xp.maximum(lc, 1e-5)
+        # 0.43 keeps the asymptotic start within 0.06 of the root for every lc >= 1
+        x = xp.where(lcn < 1.0, _series_root(lcn), lcn + xp.log(lcn + xp.log1p(lcn) + 0.43))
+        for _ in range(3):
+            one_minus_exp = -xp.expm1(-x)
+            x = x - (x + xp.log(one_minus_exp / x) - lcn) / (1.0 / one_minus_exp - 1.0 / x)
+        tiny = lc < 1e-5  # rare: the series is the root there
+        return xp.where(tiny, _series_root(lc), x) if xp.any(tiny) else x
+    return _newton_arrays(lc)
+
+
+def _newton_arrays(lc):
+    """_efficiency_root of an array, its Newton steps written into three
+    buffers made once: a step's arrays are the allocations, not the
+    arithmetic, that cost. With e = expm1(-x), (1 - e^-x)/x is e/(-x) and
+    1/(1 - e^-x) - 1/x is 1/(-x) - 1/e, bitwise, as negation is exact and
+    rounding to nearest is symmetric in sign. lc is only read."""
+    # out= keeps a 0-d array an array, where a ufunc would return a scalar
+    lcn = np.maximum(lc, 1e-5, out=np.empty_like(lc, dtype=float))
+    x = np.log1p(lcn, out=np.empty_like(lcn))
+    x += lcn
+    x += 0.43
+    np.log(x, out=x)
+    x += lcn
+    small = lcn < 1.0
+    if small.any():
+        np.copyto(x, _series_root(lcn), where=small)
+    neg_x, e, step = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for _ in range(3):
-        one_minus_exp = -xp.expm1(-x)
-        x = x - (x + xp.log(one_minus_exp / x) - lcn) / (1.0 / one_minus_exp - 1.0 / x)
-    tiny = lc < 1e-5  # rare: the series is the root there
-    return xp.where(tiny, _series_root(lc), x) if xp.any(tiny) else x
+        np.negative(x, out=neg_x)
+        np.expm1(neg_x, out=e)
+        np.divide(e, neg_x, out=step)
+        np.log(step, out=step)
+        step += x
+        step -= lcn
+        np.divide(1.0, neg_x, out=neg_x)
+        np.divide(1.0, e, out=e)
+        neg_x -= e
+        step /= neg_x
+        x -= step
+    tiny = lc < 1e-5
+    if tiny.any():
+        np.copyto(x, _series_root(lc), where=tiny)
+    return x
 
 
 def min_bandwidth(rate_bps: float, target: float, ch: UserChannel) -> float:

@@ -19,7 +19,8 @@ from importlib import resources
 import numpy as np
 
 from . import _search, prospect
-from .channel import LinkBudget, UnattainableGuaranteeError, channel_from_budget
+from .channel import (LinkBudget, UnattainableGuaranteeError, channel_from_budget,
+                      min_bandwidth)
 from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
                    _require_equilibrium, _revenue, _spread, _total, _Users,
                    min_bandwidth_for_user, solve_nash)
@@ -173,13 +174,17 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
 
     total_bandwidth_hz = p.total_bandwidth_hz
     if total_bandwidth_hz is None:
-        scratch = Scenario(users=tuple(users), benefit=benefit, pricing=pricing, cost=cost,
-                           total_bandwidth_hz=1.0)
         rate_opt = unconstrained_optimal_rate(pricing, cost)
+        # min_bandwidth_for_user's target, formed once for every user
+        target = pricing(rate_opt) / benefit(rate_opt)
         # scalar inversions: bench/test_bench.py expects every workload to make some
         try:
-            need = float(_total([min_bandwidth_for_user(rate_opt, i, scratch)
-                                 for i in range(p.n_users)]))
+            if target >= 1.0:
+                # no band serves any user: refused as the first user is refused
+                scratch = Scenario(users=tuple(users), benefit=benefit, pricing=pricing,
+                                   cost=cost, total_bandwidth_hz=1.0)
+                min_bandwidth_for_user(rate_opt, 0, scratch)
+            need = float(_total([min_bandwidth(rate_opt, target, ch) for ch in users]))
         except UnattainableGuaranteeError as exc:
             raise InfeasibleScenarioError(exc.rate_bps, exc.target, exc.supremum) from exc
         total_bandwidth_hz = (1.0 + p.bandwidth_margin) * need

@@ -18,6 +18,7 @@ the full scan. Without a positive revenue the scan runs to n = 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -354,7 +355,7 @@ class _RequirementMatrix:
             if big.any():
                 # (-ln q)^(1/alpha) or its ratio to ln sup overflowed
                 lc = np.where(big, self._inv_alpha * np.log(-ln_q) - np.log(-self.ln_sup), lc)
-            need = self._rate_ln2 / _efficiency_root(lc, np)
+            need = self._rate_ln2 / _efficiency_root(lc)
             need = np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))
             np.copyto(need, 0.0, where=outside)
             if level:
@@ -427,11 +428,31 @@ def _feasible(total_required, budget: float):
 # rates per requirement evaluation of a ladder: from 1 bps, one call reaches
 # 2^31 bps, past every boundary of the bundled scenarios
 _RUNGS_PER_CALL = 32
-# midpoints per requirement evaluation of a bisection's predicted path
-_PATH = 12
+# midpoints per requirement evaluation of a bisection's predicted path: as
+# many as its estimate of the edge is trusted for and _SPARE more, at most
+# _MOST_MIDPOINTS; _FIRST where nothing tells how far to trust the estimate,
+# and at most _FIRST in an edge's first path
+_MOST_MIDPOINTS = 32
+_SPARE = 4
+_FIRST = 12
 
 
-def _bisect_edge(probe, fits, value, lo: float, hi: float) -> tuple[float, float]:
+def _flip_estimate(points) -> float:
+    """The b at which the value crosses 0, by inverse interpolation in ln b
+    through points, pairs (b, value) of positive b and distinct values; NaN
+    where the polynomial does not give a float."""
+    u = 0.0
+    for i, (b_i, v_i) in enumerate(points):
+        term = math.log(b_i)
+        for j, (_, v_j) in enumerate(points):
+            if j != i:
+                term *= v_j / (v_j - v_i)
+        u += term
+    return math.exp(u) if u < 709.0 else math.nan
+
+
+def _bisect_edge(probe, fits, value, lo: float, hi: float,
+                 rungs=()) -> tuple[float, float]:
     """Halve [lo, hi], where fits(lo) and fits(hi) differ, down to
     1e-12*max(|lo|, |hi|, 1), each midpoint taking the side of the end whose
     fit it shares; returns the final (lo, hi).
@@ -440,28 +461,77 @@ def _bisect_edge(probe, fits, value, lo: float, hi: float) -> tuple[float, float
     fits at b from it, None where b is unprobed, and value(b) a float of
     either sign that changes sign at the edge, NaN where unprobed. A midpoint
     the memo misses is probed with the midpoints the bisection would take
-    after it, _PATH in all, if each fell on the side of the edge's secant
-    estimate through the ends' values: the midpoint's where no estimate is
-    finite, as at an unprobed end. The probes decide only how many
-    evaluations the bisection takes, never its bracket. Within [2^-30, 2^60]
-    it closes within 100 midpoints.
+    after it if each fell on the side of an estimate of the edge.
+
+    The estimate is an inverse interpolation in ln b through the known
+    rates nearest the midpoint, two on each side, less those whose value is
+    not finite: the known rates are the positive ends, rungs given (the
+    ladder rungs around the edge) and midpoints probed, kept sorted as they
+    arrive. With fewer than 3 such points, or values that repeat, it is the
+    secant in b through the ends, and where neither gives a float, the
+    midpoint. The error of an interpolation through n points goes as the
+    product of their distances from the edge, so an estimate is taken to be
+    off by its move from the last one times the n-th power of the ratio of
+    their points' spreads (1 at most); the first interpolation is judged by
+    its move from the secant. A path runs until its bracket is that narrow,
+    and _SPARE midpoints more, at most _MOST_MIDPOINTS; it takes _FIRST
+    where there is no last estimate, and an edge's first path is at most
+    _FIRST long.
+
+    The probes decide only how many evaluations the bisection takes, never
+    its bracket: every path starts at the midpoint the memo missed. Within
+    [2^-30, 2^60] it closes within 100 midpoints.
     """
     def settled(a, b):
         return b - a <= 1e-12 * max(abs(a), abs(b), 1.0)
 
+    known = []
+
+    def add(b):
+        # a known rate, once, where ln b is finite
+        k = bisect.bisect_left(known, b)
+        if b > 0.0 and (k == len(known) or known[k] != b):
+            known.insert(k, b)
+
+    for b in (lo, hi, *rungs):
+        add(b)
+    # the last estimate and the spread of the points it was made from
+    last = spread = math.nan
+    most = _FIRST
     side = fits(lo)
     while not settled(lo, hi):
         mid = 0.5 * (lo + hi)
-        if fits(mid) is None:
+        fit = fits(mid)
+        if fit is None:
+            add(lo)
+            add(hi)
             v_lo, v_hi = value(lo), value(hi)
             flip = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_hi != v_lo else math.nan
-            flip = flip if math.isfinite(flip) else mid
+            points = [(lo, v_lo), (hi, v_hi)]
+            k = bisect.bisect_left(known, mid)
+            near = [(b, v) for b in known[max(k - 2, 0):k + 2] if math.isfinite(v := value(b))]
+            if len(near) > 2 and len({v for _, v in near}) == len(near):
+                if math.isnan(last):
+                    last, spread = flip, hi - lo
+                flip, points = _flip_estimate(near), near
+            width, length = points[-1][0] - points[0][0], _FIRST
+            if not math.isfinite(flip):
+                flip = mid
+            elif math.isfinite(last):
+                error = abs(flip - last) * min(1.0, width / spread) ** len(points)
+                length = (max(math.log2(hi - lo) - math.log2(error) + _SPARE, 1.0)
+                          if error > 0.0 else _MOST_MIDPOINTS)
+            last, spread = flip, width
             a, b, path = lo, hi, []
-            while len(path) < _PATH and not settled(a, b):
+            while len(path) < min(length, most) and not settled(a, b):
                 path.append(0.5 * (a + b))
                 a, b = (path[-1], b) if path[-1] < flip else (a, path[-1])
+            most = _MOST_MIDPOINTS
             probe(path)
-        if fits(mid) == side:
+            for m in path:
+                add(m)
+            fit = fits(mid)
+        if fit == side:
             lo = mid
         else:
             hi = mid
@@ -483,7 +553,11 @@ def _rate_feasibility_interval(probe, fits, value,
     the lower edge is bisected as well. From the lowest rate that fits, the
     ladder doubles up to 1e18 and the upper edge is bisected. Rates are read
     one at a time; a rung the memo misses is probed with the rungs its ladder
-    would read after it, _RUNGS_PER_CALL in all.
+    would read after it, _RUNGS_PER_CALL in all. Each edge's bisection is
+    given the rungs around it for its first estimate: the rungs past either
+    end of the lower edge's bracket, and the two rungs below the upper
+    edge's (it spans every rung that fits, from the lowest) and the one
+    past it; _bisect_edge reads those the memo holds.
     """
     def rung(b, factor, more):
         # fits at rung b of a ladder that goes on past a rung while more holds
@@ -506,12 +580,12 @@ def _rate_feasibility_interval(probe, fits, value,
                 if not pays(lo):
                     return None
                 below, lo = lo, 2.0 * lo
-            _, lower = _bisect_edge(probe, fits, value, below, lo)
+            _, lower = _bisect_edge(probe, fits, value, below, lo, (0.5 * below, 2.0 * lo))
             lo = lower
     hi = 2.0 * lo
     while hi <= 1e18 and rung(hi, 2.0, below_cap):
         hi *= 2.0
-    lo, _ = _bisect_edge(probe, fits, value, lo, hi)
+    lo, _ = _bisect_edge(probe, fits, value, lo, hi, (0.25 * hi, 0.5 * hi, 2.0 * hi))
     return lower, lo
 
 
@@ -558,32 +632,43 @@ def solve_nash(scenario: Scenario) -> NashResult:
     the full scan's. Returns a no-equilibrium result (equilibrium=False) when
     every n earns <= 0; its sp_revenue is then the largest revenue over every
     n, which no n left unscanned could exceed, its bound being <= 0.
+
+    Every rate is read from one memo, each probed rate's requirement totals
+    over the first n users of _Users.order, for every n. The served users'
+    need at the best rate is the requirement vector of its b* probe, kept
+    with the best revenue and bitwise a fresh evaluation's; a best rate that
+    b* did not probe, as a band-bound boundary, is evaluated once more, so
+    no more than one vector is kept.
     """
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
     reqs = _Users(scenario)
+    # each probed rate's requirement totals over the first n users of order
     totals: dict[float, np.ndarray] = {}
     ln_room = math.log(budget * (1.0 - FEASIBILITY_SLACK))
 
     def probe(rates):
         # the ladders and bisections of several set sizes probe the same rates:
-        # each new rate is evaluated once, all of a call's in one evaluation
+        # each new rate is evaluated once, all of a call's in one evaluation,
+        # whose users x rates requirements are returned (None if none is new)
         new = [b for b in rates if b not in totals]
         if new:
-            columns = np.cumsum(reqs.price_requirements(new)[reqs.order].T, axis=1)
-            totals.update(zip(new, columns))
+            need = reqs.price_requirements(new)
+            totals.update(zip(new, np.cumsum(need[reqs.order].T, axis=1)))
+            return need
+        return None
 
     def fits(b, n: int):
         return _feasible(totals[b][n - 1], budget) if b in totals else None
 
     def value(b, n: int):
         # ln T_n(b) - ln(B*(1 - slack)), below 0 where the set fits
-        return float(np.log(totals[b][n - 1])) - ln_room if b in totals else math.nan
+        return math.log(totals[b][n - 1]) - ln_room if b in totals else math.nan
 
     bound = _margin_bound(price, c1)
 
-    n_star, best_rev, best_rate, top = 0, 0.0, 0.0, -math.inf
+    n_star, best_rev, best_rate, best_need, top = 0, 0.0, 0.0, None, -math.inf
     for n in range(n_users, 0, -1):
         if (n_star or top >= 0.0) and best_rev >= n * bound - c3 * budget:
             break
@@ -594,23 +679,26 @@ def solve_nash(scenario: Scenario) -> NashResult:
         lower, boundary = interval
         b_star, _ = _search.golden_max(
             lambda b: n * _margin(price, c1, b), lower, boundary, rel_tol=1e-9)
-        if b_star > 0.0:
-            probe([b_star])
+        # b*'s requirement vector, where this probe evaluates it
+        need = probe([b_star]) if b_star > 0.0 else None
         if b_star <= 0.0 or not fits(b_star, n):
             # boundary end may sit epsilon outside the strict constraint
-            b_star = boundary
+            b_star, need = boundary, None
         rev = _revenue(scenario, n, price(b_star), b_star)
         if n < n_users and fits(b_star, n + 1):
             rev = 0.0  # a larger set accepts at this rate, not an equilibrium
         top = max(top, rev)
         if rev > best_rev:
-            n_star, best_rev, best_rate = n, rev, b_star
+            n_star, best_rev, best_rate, best_need = n, rev, b_star, need
     if n_star == 0:
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
                           price=0.0, sp_revenue=top, equilibrium=False)
 
     served = tuple(sorted(reqs.order[:n_star].tolist()))
-    served_need = reqs.price_requirements(best_rate)[list(served)].tolist()
+    # a column of an evaluation is bitwise its rate's own vector; a best rate
+    # b* did not probe, as a band-bound boundary, is evaluated again
+    need = reqs.price_requirements(best_rate) if best_need is None else best_need[:, 0]
+    served_need = need[list(served)].tolist()
     # hand the whole band to the served users: every acceptance strict, and the
     # reported revenue (which charges c3 on the full endowment) matches
     # sp_utility on the returned offer exactly

@@ -388,6 +388,21 @@ def required_bandwidth(scenario, rate_bps, i, level, model):
         return math.inf
 
 
+def reference_efficiency_root(lc):
+    """channel._efficiency_root's Newton text, the one its float path runs,
+    on numpy with a new array at every operation: the reference that
+    channel._newton_arrays, with its buffers and sign folds, must match
+    bitwise."""
+    lcn = np.maximum(lc, 1e-5)
+    x = np.where(lcn < 1.0, channel._series_root(lcn),
+                 lcn + np.log(lcn + np.log1p(lcn) + 0.43))
+    for _ in range(3):
+        one_minus_exp = -np.expm1(-x)
+        x = x - (x + np.log(one_minus_exp / x) - lcn) / (1.0 / one_minus_exp - 1.0 / x)
+    tiny = lc < 1e-5
+    return np.where(tiny, channel._series_root(lc), x) if np.any(tiny) else x
+
+
 def mp_min_bandwidth(mpmath, rate, target, ch):
     """50-digit root of F(bw) = target, from log(expm1(x)/x) = log c, with
     c = ln(target)/ln(sup).
@@ -684,8 +699,13 @@ def full_scan_nash(scenario):
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
     reqs = game._Users(scenario)
-    fits = lambda b, n: game._feasible(
-        float(np.cumsum(np.sort(reqs.price_requirements(b)))[n - 1]), budget)
+    # each rate's sorted running totals, inverted once however many set sizes read them
+    totals = {}
+
+    def fits(b, n):
+        if b not in totals:
+            totals[b] = np.cumsum(np.sort(reqs.price_requirements(b)))
+        return game._feasible(float(totals[b][n - 1]), budget)
 
     best_rates = [None] * (n_users + 1)
     per_n = [0.0] * (n_users + 1)

@@ -247,3 +247,35 @@ def test_requirement_matrix_matches_scalar_and_marks_unattainable(ch_400m):
         want = min_bandwidth(rate, float(target), ch_400m)
         assert abs(got[k] - want) <= 4e-15 * want
     assert np.isinf(got[3:]).all()
+
+
+# every region of the kernel: NaN, 0 and subnormals (the series tail), both
+# sides of the 1e-5 tail and of the series start at 1, the asymptotic start
+# and an lc whose root overflows nothing but the series it does not take
+KERNEL_LCS = [math.nan, 0.0, 5e-324, 1e-300, 9.99e-6, 1e-5, 0.5, math.nextafter(1.0, 0.0),
+              1.0, math.nextafter(1.0, 2.0), 2.0, 700.0, 1e300]
+
+
+def kernel_inputs():
+    """KERNEL_LCS and 200 random lcs from 1e-7 to 1e3 laid out as (n,),
+    (n, 1), (n, m) and a transposed (m, n) view, as the evaluators pass them."""
+    lcs = np.concatenate([KERNEL_LCS, np.exp(np.random.default_rng(5).uniform(-16.0, 7.0, 200))])
+    block = np.resize(lcs, (len(lcs), 7))
+    return {"(n,)": lcs, "(n, 1)": lcs[:, None].copy(), "(n, m)": block,
+            "transposed": block.copy().T}
+
+
+@pytest.mark.parametrize("shape", list(kernel_inputs()))
+def test_the_array_kernel_is_the_reference_text_bitwise(shape):
+    """The array kernel's buffers and sign folds keep every bit of the
+    reference text (helpers.reference_efficiency_root), in every layout, and
+    leave its input as it was."""
+    lc = kernel_inputs()[shape]
+    before = lc.copy()
+    with np.errstate(over="ignore"):
+        # the series, formed at every lc as the reference forms it, overflows at 1e300
+        got, want = channel._efficiency_root(lc), helpers.reference_efficiency_root(lc)
+    assert got.shape == lc.shape
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+    assert (lc.view(np.int64) == before.view(np.int64)).all()
+

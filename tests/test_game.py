@@ -20,6 +20,7 @@ from prospect_pricing.game import (
     user_utility,
 )
 from prospect_pricing.weighting import WeightingModel, inverse_weight
+from test_cli import fuzz_configs
 
 # frozen values at the unconstrained optimal rate of the standard economics
 B_U = 6986353.7310231712945
@@ -317,18 +318,24 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # the batched requirement vector: agreement with the scalar path, and counts
 # that do not depend on the machine
 
-# requirement evaluations one solve of the 80-user 300 m cell makes: rates
+# requirement evaluations one solve makes, and the rates they invert: rates
 # are read one at a time from a memo, and a miss probes up to 32 rungs of a
-# ladder or 12 midpoints of a bisection's secant-predicted path in one call,
-# 8 calls of 91 rates, against 17 of 128 for a bisection of 7 look-ahead
-# midpoints per call and 67 calls of one rate each when every probe was its
-# own evaluation. At 1/10 of its band the solve scans 41 set sizes, in 163
-# calls of 1,681 rates (222 of 1,912 when each bisection planned its probes
-# before reading the memo, 493 of 3,296 with the look-ahead, 1,485 of one
-# rate each).
-# The default cell's solve makes 8 calls of 84 rates, within the same bound
-NASH_80_CALLS = 10
-NASH_80_TENTH_BAND_CALLS = 163
+# ladder, or the midpoints of a bisection's path predicted by interpolating
+# the values the memo holds, as many as the estimate is trusted for and 4
+# more (game._bisect_edge). The 80-user 300 m cell takes 5 calls of 77 rates:
+# the ladder, 3 paths of 44 midpoints for the 40 steps of its upper edge and
+# b*, whose vector also gives the served users' need. Along secant-predicted
+# paths of 12 midpoints it took 8 calls of 91 rates (17 of 128 for a
+# bisection of 7 look-ahead midpoints per call, 67 of one rate each). The
+# default cell takes 5 calls of 80 rates (8 of 84). At 1/10 of its band the
+# 80-user solve scans 41 set sizes in 86 calls of 1,502 rates (163 of 1,681
+# along secant-predicted paths, 222 of 1,912 when each bisection planned its
+# probes before reading the memo, 493 of 3,296 with the look-ahead, 1,485 of
+# one rate each), and the 3 km cell with a band of 2e7 Hz in 22 calls of 272
+# rates (29 of 334).
+NASH_80_CALLS, NASH_80_RATES, DEFAULT_RATES = 5, 80, 84
+NASH_80_TENTH_BAND_CALLS, NASH_80_TENTH_BAND_RATES = 86, 1681
+FAR_CELL_BAND_CALLS, FAR_CELL_BAND_RATES = 29, 334
 
 
 @pytest.fixture(scope="module")
@@ -672,25 +679,41 @@ def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
     ne = solve_nash(cell_80)
     assert ne.n_served == 80
     assert 0 < len(calls) <= NASH_80_CALLS
+    assert sum(rates for rates, _ in calls) <= NASH_80_RATES
 
 
 def test_default_solve_evaluation_count(monkeypatch, default_scenario):
     calls = helpers.count_evaluations(monkeypatch)
     assert solve_nash(default_scenario).n_served == 10
     assert 0 < len(calls) <= NASH_80_CALLS
+    assert sum(rates for rates, _ in calls) <= DEFAULT_RATES
 
 
 def test_band_bound_solve_evaluation_count(monkeypatch, cell_80):
     calls = helpers.count_evaluations(monkeypatch)
     assert solve_nash(tenth_band(cell_80)).n_served == 80
     assert 0 < len(calls) <= NASH_80_TENTH_BAND_CALLS
+    assert sum(rates for rates, _ in calls) <= NASH_80_TENTH_BAND_RATES
+
+
+def test_far_cell_solve_evaluation_count(monkeypatch):
+    """The 3 km cell with a band of 2e7 Hz serves 9 of its 10 users: its
+    solve scans two set sizes, the edges of both bisected."""
+    sc = experiments.build_scenario(cell_radius_m=3000.0, total_bandwidth_hz=2e7)
+    calls = helpers.count_evaluations(monkeypatch)
+    assert solve_nash(sc).n_served == 9
+    assert 0 < len(calls) <= FAR_CELL_BAND_CALLS
+    assert sum(rates for rates, _ in calls) <= FAR_CELL_BAND_RATES
 
 
 def test_solve_nash_inverts_each_probed_rate_once(monkeypatch, cell_80):
     """At 1/10 of its band the cell's solve scans 41 set sizes, whose ladders
     and bisections probe many rates more than once; each probed rate is a
-    column of one evaluation only, and only the served-set read at the best
-    rate inverts a probed rate again."""
+    column of one evaluation only. The best rate there is the boundary of
+    its set size, probed in a batch, so the served-set read inverts it
+    again. With the sized band the best rate is b*, probed alone: the served
+    users' need is that probe's vector, no evaluation follows the scan, and
+    the allocation is bitwise the one a fresh evaluation gives."""
     evaluations = []
     price_requirements = game._Users.price_requirements
 
@@ -707,6 +730,17 @@ def test_solve_nash_inverts_each_probed_rate_once(monkeypatch, cell_80):
     assert ne.rate_bps in columns
     # a ladder's rungs and a bisection's predicted path fill one evaluation
     assert max(map(len, probes)) > 1
+
+    evaluations.clear()
+    ne = solve_nash(cell_80)
+    assert ne.n_served == 80
+    assert evaluations[-1] == [ne.rate_bps]
+    columns = [rate for rates in evaluations for rate in rates]
+    assert len(columns) == len(set(columns))
+    monkeypatch.undo()
+    need = game._Users(cell_80).price_requirements(ne.rate_bps)
+    pad = (cell_80.total_bandwidth_hz - float(game._total(need))) / 80
+    assert ne.allocation == tuple((need + pad).tolist())
 
 
 def test_batched_price_requirements_are_each_rates_vector_bitwise(cell_80):
@@ -846,6 +880,33 @@ def test_scan_without_equilibrium_stops_once_no_smaller_set_can_earn(monkeypatch
     assert not ne.equilibrium and 0 < len(calls) <= 40
     monkeypatch.undo()
     assert helpers.nash_bits(ne) == helpers.nash_bits(helpers.full_scan_nash(sc))
+
+
+# evaluations and rates the solves of the 28 configs of test_cli.fuzz_configs
+# that build take in all, as recorded when each bisection's paths came to be
+# interpolated through the values the memo holds (797 calls of 9,303 rates
+# along secant-predicted paths of 12 midpoints)
+FUZZ_SOLVE_CALLS, FUZZ_SOLVE_RATES = 579, 7892
+
+
+def test_fuzz_solves_are_the_full_scans_in_few_evaluations(monkeypatch):
+    """Every config of test_cli.fuzz_configs that builds a scenario solves
+    to bitwise the full scan's result, no equilibrium included, and the solves
+    together take no more evaluations and rates than recorded."""
+    scenarios = []
+    for config in fuzz_configs():
+        try:
+            scenarios.append(experiments.build_scenario(**config))
+        except ValueError:
+            continue  # a refused config: test_cli checks its exit
+    calls = helpers.count_evaluations(monkeypatch)
+    solved = [solve_nash(sc) for sc in scenarios]
+    monkeypatch.undo()
+    assert len(scenarios) == 28
+    assert len(calls) <= FUZZ_SOLVE_CALLS
+    assert sum(rates for rates, _ in calls) <= FUZZ_SOLVE_RATES
+    for sc, ne in zip(scenarios, solved):
+        assert helpers.nash_bits(ne) == helpers.nash_bits(helpers.full_scan_nash(sc))
 
 
 def test_oracle_cases_cover_what_they_name():

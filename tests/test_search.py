@@ -6,7 +6,7 @@ import pytest
 
 from helpers import fake_memo, gathered_chandrupatla, golden_reference, sequential_bisection
 from prospect_pricing._search import bracketed_root, golden_max, stationary_min
-from prospect_pricing.game import _PATH, _bisect_edge
+from prospect_pricing.game import _MOST_MIDPOINTS, _bisect_edge
 
 
 def brackets(seed=7, n=40):
@@ -27,13 +27,14 @@ def edge(pred, a, b, value=lambda x: 0.0, probes=None):
 def test_scalar_bisection_keeps_its_brackets():
     """Random monotone predicates, including brackets that settle partway
     through a predicted path and one already closed: the bracket is the
-    one-point loop's, bit for bit, and no probe takes more than _PATH points."""
+    one-point loop's, bit for bit, and no probe takes more than
+    _MOST_MIDPOINTS points."""
     flips, lo, hi = brackets(seed=13, n=200)
     for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
         pred, calls = (lambda m: m < f), []
         got = edge(pred, a, b, lambda m: m - f, calls)
         assert got == sequential_bisection(pred, a, b)
-        assert all(1 <= len(rates) <= _PATH for rates in calls)
+        assert all(1 <= len(rates) <= _MOST_MIDPOINTS for rates in calls)
 
 
 def test_batched_bisection_walks_a_non_monotone_predicate():
@@ -65,13 +66,14 @@ def test_a_misleading_value_keeps_the_bracket(value):
         pred, calls = (lambda m: m < f), []
         got = edge(pred, a, b, lambda m: value(m, f), calls)
         assert got == sequential_bisection(pred, a, b)
-        assert all(1 <= len(rates) <= _PATH for rates in calls)
+        assert all(1 <= len(rates) <= _MOST_MIDPOINTS for rates in calls)
 
 
 def test_a_smooth_value_closes_a_wide_bracket_in_few_calls():
     """From [1, 2^23], with the flip in the top octave as a doubling ladder
     leaves it, the 45 steps to 1e-12 took 15 calls of 3 look-ahead levels.
-    Along secant-predicted paths, with the ends held in the memo, they take
+    Along predicted paths, with only the ends held in the memo (a secant in
+    b first, then interpolations through the midpoints probed), they take
     at most 6 probes for ln x - ln f and 4 for a value linear in x."""
     flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
     for f in flips.tolist():
@@ -81,6 +83,22 @@ def test_a_smooth_value_closes_a_wide_bracket_in_few_calls():
             calls = []
             assert edge(pred, 1.0, 2.0 ** 23, value, calls) == want
             assert len(calls) <= most
+
+
+def test_ladder_rungs_given_as_known_points_close_the_bracket_in_few_calls():
+    """The same brackets with the rungs a ladder leaves around the edge,
+    2^21, 2^22 and 2^24, known as well, as _rate_feasibility_interval passes
+    them: the first path is interpolated through them, and the 45 steps
+    take at most 3 probes, no more than _MOST_MIDPOINTS midpoints each."""
+    rungs = (2.0 ** 21, 2.0 ** 22, 2.0 ** 24)
+    flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
+    for f in flips.tolist():
+        pred, value, calls = (lambda m: m < f), (lambda m: math.log(m / f)), []
+        probe, fits, read = fake_memo(pred, value, calls, seen=(1.0, 2.0 ** 23, *rungs))
+        got = _bisect_edge(probe, fits, read, 1.0, 2.0 ** 23, rungs)
+        assert got == sequential_bisection(pred, 1.0, 2.0 ** 23)
+        assert len(calls) <= 3
+        assert all(1 <= len(rates) <= _MOST_MIDPOINTS for rates in calls)
 
 
 @pytest.mark.parametrize("fits_below", [True, False], ids=["upper-edge", "lower-edge"])
