@@ -136,9 +136,8 @@ def bracketed_root(f: Callable, lo, hi, f_lo, f_hi, rel_tol: float = 1e-10,
     min_alpha's does, holds its state in np.float64 scalars (_Scalars)
     rather than arrays (_Arrays): the same text of arithmetic takes bitwise
     the points the bracket takes in a batch, and its some 60 operations per
-    step cost about a quarter of the time they take on one-element arrays
-    (9 against 37 us a step on a trivial objective). f still gets arrays,
-    of one point.
+    step cost about a quarter of the time they take on one-element arrays.
+    f still gets arrays, of one point.
     Returns the final (lo, hi); without brackets, f is not called.
     """
     # x1 the last point and x2 the bracket's other end, of the open brackets

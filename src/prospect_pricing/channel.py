@@ -65,14 +65,18 @@ class UserChannel:
     noise_psd_w_per_hz: float
 
     def __post_init__(self) -> None:
-        _require_finite(received_power_w=self.received_power_w,
-                        noise_psd_w_per_hz=self.noise_psd_w_per_hz)
-        if self.received_power_w <= 0.0 or self.noise_psd_w_per_hz <= 0.0:
+        power, noise = self.received_power_w, self.noise_psd_w_per_hz
+        if not (0.0 < power < math.inf and 0.0 < noise < math.inf):  # NaN fails too
+            _require_finite(received_power_w=power, noise_psd_w_per_hz=noise)
             raise ValueError("received power and noise PSD must be strictly positive")
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Watts of dbm; inf past the float range, a power UserChannel refuses."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -82,10 +86,15 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
 
 
+def _received_dbm(link, distance_m: float, shadow_db: float) -> float:
+    """received_power at distance_m and shadow_db; link is a LinkBudget or a ScenarioParams."""
+    path = 10.0 * link.pathloss_exponent * math.log10(distance_m / link.ref_distance_m)
+    return link.tx_power_dbm + link.antenna_const_db - path + shadow_db
+
+
 def received_power(lb: LinkBudget) -> float:
     """Received power in dBm; the log-distance term contributes 10*gamma*log10(d/d0) dB."""
-    path = 10.0 * lb.pathloss_exponent * math.log10(lb.distance_m / lb.ref_distance_m)
-    return lb.tx_power_dbm + lb.antenna_const_db - path + lb.shadow_db
+    return _received_dbm(lb, lb.distance_m, lb.shadow_db)
 
 
 def channel_from_budget(lb: LinkBudget) -> UserChannel:

@@ -91,28 +91,34 @@ _COMMANDS = {"ne-solve": "solve the pricing game once",
              "fit-pwf": "fit the weighting exponent to rating data"}
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of every command, or of command's subparser alone."""
+def _command_parser(name: str, parser: _Parser | None = None) -> _Parser:
+    """Command name's options on parser, its subparser, or on its own parser made like one."""
+    p = _Parser(prog=f"prospect-pricing {name}") if parser is None else parser
+    p.add_argument("--config", default=None,
+                   help="JSON config path, or 'default' for built-ins")
+    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    if name in _SWEEPS:
+        for flag in ("--alpha-min", "--alpha-max", "--alpha-step"):
+            p.add_argument(flag, type=float, default=None)
+    if name == "sweep-admission":
+        p.add_argument("--max-drops", type=int, default=3)
+    if name == "fit-pwf":
+        p.add_argument("--data", default=None,
+                       help="ratings/fps CSV (default: bundled dataset)")
+    return p
+
+
+def _build_parser() -> _Parser:
+    """Every command's parser: for --help, an unknown or missing command, and usage lines."""
     # a fixed help column, 19: Python 3.13's argparse moves the default to 21
     parser = _Parser(prog="prospect-pricing",
                      description="Spectrum-pricing game solver and sweep runner",
                      formatter_class=lambda prog: argparse.HelpFormatter(
                          prog, max_help_position=19))
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name in _COMMANDS if command is None else [command]:
-        p = sub.add_parser(name, help=_COMMANDS[name])
-        p.add_argument("--config", default=None,
-                       help="JSON config path, or 'default' for built-ins")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        if name in _SWEEPS:
-            for flag in ("--alpha-min", "--alpha-max", "--alpha-step"):
-                p.add_argument(flag, type=float, default=None)
-        if name == "sweep-admission":
-            p.add_argument("--max-drops", type=int, default=3)
-        if name == "fit-pwf":
-            p.add_argument("--data", default=None,
-                           help="ratings/fps CSV (default: bundled dataset)")
+    for name, text in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=text))
     return parser
 
 
@@ -146,7 +152,7 @@ def _run(args) -> tuple[SweepTable, int]:
                 raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
         return experiments.fit_table(records), EXIT_OK
 
-    scenario = build_scenario(**dataclasses.asdict(params))
+    scenario = build_scenario(**vars(params))
     if args.command == "ne-solve":
         table = experiments.ne_table(scenario)
         _, n_served, _ = table.rows[0]
@@ -175,27 +181,28 @@ def dispatch(argv: list[str] | None = None) -> int:
     64; no equilibrium or an unattainable guarantee 3, with a status,detail
     row; any other ValueError, or an unwritable --out, 2 with its message."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a named command needs its own subparser only; --help, an unknown
-    # command and a missing one need them all
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    # a named command needs its own parser only; --help, an unknown command,
+    # a missing one and a usage error's usage line need the full parser
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser() if name is None else _command_parser(name)
     try:
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(argv[1:] if name else argv, argparse.Namespace(command=name))
         except SystemExit as exc:  # --help
             return exc.code
         if args.command is None:
             raise _UsageError("a subcommand is required")
         table, status = _run(args)
     except _UsageError as exc:
-        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
-        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(f"prospect-pricing: error: {exc}\n")
+        sys.stderr.write((_build_parser() if name else parser).format_usage())
         return EXIT_USAGE
     except NoEquilibriumError as exc:
         table, status = _diagnostic("no-equilibrium", exc), EXIT_INFEASIBLE
     except UnattainableGuaranteeError as exc:
         table, status = _diagnostic("infeasible", exc), EXIT_INFEASIBLE
     except ValueError as exc:
-        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+        sys.stderr.write(f"prospect-pricing: error: {exc}\n")
         return EXIT_CONFIG
     try:
         _write_table(table, args.out)
@@ -205,7 +212,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
         path = "<stdout>" if args.out is None else args.out
-        sys.stderr.write(f"{parser.prog}: error: cannot write output file {path!r}: {exc}\n")
+        sys.stderr.write(f"prospect-pricing: error: cannot write output file {path!r}: {exc}\n")
         return EXIT_CONFIG
     return status
 

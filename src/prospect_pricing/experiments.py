@@ -19,11 +19,10 @@ from importlib import resources
 import numpy as np
 
 from . import _search, prospect
-from .channel import (LinkBudget, UnattainableGuaranteeError, channel_from_budget,
-                      min_bandwidth)
+from .channel import (UnattainableGuaranteeError, UserChannel, _received_dbm, dbm_to_watts,
+                      guarantee_supremum, min_bandwidth)
 from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
-                   _require_equilibrium, _revenue, _spread, _total, _Users,
-                   min_bandwidth_for_user, solve_nash)
+                   _require_equilibrium, _revenue, _spread, _total, _Users, solve_nash)
 from .prospect import (PRICE_EPS_REL, _capped_price, _min_willingness, _price_gap_loss,
                        equalized_levels, no_pricing_bands)
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
@@ -149,6 +148,8 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
     (area-uniform, radius = R*sqrt(u), floored at the reference distance) and
     one normal draw for the shadowing term. This draw order is frozen by
     regression tests; changing it silently changes every golden dataset.
+    Each user's channel is channel_from_budget of its LinkBudget, bitwise,
+    formed from its draws without one; the noise PSD is converted once.
 
     Unless total_bandwidth_hz is given, the band is sized to the per-user
     minimum at the unconstrained optimal rate plus the stated margin, or
@@ -158,18 +159,12 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
     rng = np.random.default_rng(p.seed)
     pricing = PowerLaw(p.price_coeff, p.price_exp)
     benefit = PowerLaw(p.benefit_coeff, p.benefit_exp)
+    noise = dbm_to_watts(p.noise_psd_dbm_per_hz)
     users = []
     for _ in range(p.n_users):
         dist = max(p.ref_distance_m, p.cell_radius_m * math.sqrt(rng.random()))
         shadow = rng.normal(0.0, p.shadow_sigma_db)
-        lb = LinkBudget(tx_power_dbm=p.tx_power_dbm,
-                        antenna_const_db=p.antenna_const_db,
-                        pathloss_exponent=p.pathloss_exponent,
-                        distance_m=dist,
-                        ref_distance_m=p.ref_distance_m,
-                        shadow_db=shadow,
-                        noise_psd_dbm_per_hz=p.noise_psd_dbm_per_hz)
-        users.append(channel_from_budget(lb))
+        users.append(UserChannel(dbm_to_watts(_received_dbm(p, dist, shadow)), noise))
     cost = CostModel(c1=p.c1, c3=p.c3)
 
     total_bandwidth_hz = p.total_bandwidth_hz
@@ -180,10 +175,9 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
         # scalar inversions: bench/test_bench.py expects every workload to make some
         try:
             if target >= 1.0:
-                # no band serves any user: refused as the first user is refused
-                scratch = Scenario(users=tuple(users), benefit=benefit, pricing=pricing,
-                                   cost=cost, total_bandwidth_hz=1.0)
-                min_bandwidth_for_user(rate_opt, 0, scratch)
+                # no band serves any user: the first is refused, as by min_bandwidth_for_user
+                raise UnattainableGuaranteeError(rate_opt, target,
+                                                 guarantee_supremum(rate_opt, users[0]))
             need = float(_total([min_bandwidth(rate_opt, target, ch) for ch in users]))
         except UnattainableGuaranteeError as exc:
             raise InfeasibleScenarioError(exc.rate_bps, exc.target, exc.supremum) from exc
@@ -283,11 +277,8 @@ def write_csv(fileobj, header: tuple[str, ...], rows) -> None:
 
 
 def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
-    ne = solve_nash(spec.scenario)
-    _require_equilibrium(ne)
-    ref = reference_offer(spec.scenario, ne, spec.offer_margin)
-    eut = ne.sp_revenue
-    return ref, eut
+    ne = solve_nash(spec.scenario)  # reference_offer refuses one without an equilibrium
+    return reference_offer(spec.scenario, ne, spec.offer_margin), ne.sp_revenue
 
 
 def _offered_levels(sc: Scenario, ref: NashResult, alphas: list[float]) -> list[float]:
@@ -409,19 +400,13 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     only where there is one. A skipped point is strictly below its row's
     maximum, and a level does not depend on the problems batched with it,
     so the maximum is the one that grading every point through the same
-    levels finds, to the bit. At the default config one search of 8 steps
-    solves 4 problems, the offered rate and the same three grid points at
-    every alpha, for the 124 (alpha, rate) levels the bound reads of the
-    1,147; a step costs about the same whatever its problem count, so
-    three points per alpha beat one point and a second search.
-
-    The rate control of every alpha comes from one rate_controls call (one
-    evaluation at its 13 edges, then a lockstep root search of dT/d ln b in
-    the brackets that hold a minimum, about 20 evaluations in all), the
-    no-pricing and admission bands from one evaluation each, and the
-    admission price cap of every alpha from one pass over the survivors'
-    guarantees. The survivors' band uses the served users' evaluator, with
-    them as members.
+    levels finds, to the bit. A step costs about the same whatever its
+    problem count, so three points per alpha beat one point and a second
+    search. The rate control of every alpha comes from one rate_controls
+    call, the no-pricing and admission bands from one evaluation each, and
+    the admission price cap of every alpha from one pass over the
+    survivors' guarantees. The survivors' band uses the served users'
+    evaluator, with them as members.
     """
     ref, eut = _baseline(spec)
     sc = spec.scenario

@@ -202,18 +202,19 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     """
     caps = need.caps()
     totals = np.broadcast_to(totals, caps.shape)
-    x_top, x_tiny = caps * _CAP_END, np.full_like(caps, _TINY)
-    top, top_slope, _ = _sum_and_slope(need, x_top)
-    x = np.where(top < totals, x_top, 0.0)
-    keep = np.flatnonzero((top >= totals) & (_total(need(x_tiny)) < totals))
+    x_top, n = caps * _CAP_END, caps.size
+    # both ends in one pass, each problem's column twice: columns are independent
+    ends, slopes, _ = _sum_and_slope(need.columns(np.r_[:n, :n]), np.r_[x_top, np.full(n, _TINY)])
+    x = np.where(ends[:n] < totals, x_top, 0.0)
+    keep = np.flatnonzero((ends[:n] >= totals) & (ends[n:] < totals))
     if not keep.size:
         return x
     need = need.columns(keep)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         band, ln_cap = totals[keep], np.log(caps[keep])
         # x_in fits, x_out does not; Newton steps from the point last evaluated
-        x_in, x_out = x_tiny[keep], x_top[keep]
-        at, s, ds = x_out, top[keep], top_slope[keep]
+        x_in, x_out = np.full(keep.size, _TINY), x_top[keep]
+        at, s, ds = x_out, ends[keep], slopes[keep]
         creep = np.zeros(keep.shape)
         for _ in range(max_iter):
             # Newton in v: with ds = dS/d ln x, dS/dv = -t*ds, and a step dv
@@ -301,8 +302,7 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     (each reaching h(rate) * w(guarantee) == x) still fit the band. All
     problems search in lockstep by a bracketed Newton step, each step
     inverting the requirement columns of the problems whose brackets are
-    still open: on sweep-compare's grid about 7 columns per problem, two of
-    them the end checks. Returns the levels, one per problem. A rate must be
+    still open. Returns the levels, one per problem. A rate must be
     finite and > 0, and a band >= 0: a band of 0 gives level 0, and an
     infinite one the top of the search.
     """
@@ -455,13 +455,12 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     1 - 1e-4 (c3 = 1e-10). Even edges keep the peak apart from the minimum;
     edges at 1 - 10^-k alone would make [0, 0.9] one bracket and miss the
     minima below 0.9. Near the cap the slope in u is flat and then turns
-    within 1e-3 of the cap, where the root search in u took midpoints; in v
-    it interpolates: 7 evaluations of 145 columns for five alphas on the
-    default cell, against 16 of 131 in u. The allocation is the requirement
-    column the search evaluated at the best level (_Seen), and the band
-    S(x*) sums it. Full recovery is possible iff the threshold (n*r - best
-    value)/c3 stays below the endowment; with c3 = 0 the level takes the cap
-    end, whose column is the one evaluation, and the threshold is -inf.
+    within 1e-3 of the cap, where a root search in u takes midpoints; in v
+    it interpolates. The allocation is the requirement column the search
+    evaluated at the best level (_Seen), and the band S(x*) sums it. Full
+    recovery is possible iff the threshold (n*r - best value)/c3 stays below
+    the endowment; with c3 = 0 the level takes the cap end, whose column is
+    the one evaluation, and the threshold is -inf.
     """
     _require_equilibrium(ne)
     c3 = scenario.cost.c3

@@ -447,10 +447,11 @@ def count_evaluations(monkeypatch):
 def count_level_steps(monkeypatch):
     """Record, per lockstep level search (prospect._solve_levels), the
     problems of each value-and-slope evaluation it makes in sequence: the
-    one at the level cap, then one per Newton step over the brackets still
-    open. A search's first entry is its problem count, and its length its
-    number of steps. The search's one value-only evaluation, at the
-    smallest positive level, is not a step."""
+    one at both ends of the level range, which takes each problem's column
+    at the cap end and at the smallest positive level and is recorded as its
+    problem count, then one per Newton step over the brackets still open. A
+    search's first entry is its problem count, and its length its number of
+    evaluator calls."""
     searches, inside = [], []
     solve, sum_and_slope = prospect._solve_levels, prospect._sum_and_slope
 
@@ -464,7 +465,8 @@ def count_level_steps(monkeypatch):
 
     def counting_step(need, x):
         if inside:
-            searches[-1].append(np.size(need.rates))
+            problems = np.size(need.rates)
+            searches[-1].append(problems if searches[-1] else problems // 2)
         return sum_and_slope(need, x)
     monkeypatch.setattr(prospect, "_solve_levels", counting_search)
     monkeypatch.setattr(prospect, "_sum_and_slope", counting_step)

@@ -165,6 +165,22 @@ def test_config_outside_model_domain_exits_2(tmp_path, capsys, command, text, me
     assert message in err
 
 
+@pytest.mark.parametrize("key, message", [
+    ("tx_power_dbm", "received_power_w"), ("antenna_const_db", "received_power_w"),
+    ("noise_psd_dbm_per_hz", "noise_psd_w_per_hz"), ("shadow_sigma_db", "received_power_w")])
+@pytest.mark.parametrize("value", [4000, 1e300])
+def test_a_power_past_the_float_range_exits_2(tmp_path, capsys, key, value, message):
+    """A dBm level whose watts overflow is an infinite power, which the
+    channel refuses with a one-line message (a traceback of OverflowError
+    and exit 1 before). At the default seed the first user's shadowing is
+    positive, so a wide shadow spread overflows too."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({key: value}))
+    for command in ("ne-solve", "sweep-compare"):
+        assert run([command, "--config", str(path)], capsys) == (
+            2, "", f"prospect-pricing: error: {message} must be finite, got inf\n")
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -639,8 +655,12 @@ def test_help_matches_golden_file(command, capsys, monkeypatch):
     (["sweep-loss", "--bogus"], "unrecognized arguments: --bogus"),
     (["ne-solve", "--alpha-step", "0.1"], "unrecognized arguments: --alpha-step 0.1"),
     (["sweep-loss", "--alpha-step", "inf"], "--alpha-step must be finite and > 0"),
+    (["ne-solve", "--bogus"], "unrecognized arguments: --bogus"),
+    (["ne-solve", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["ne-solve", "--alpha-step", "1"], "unrecognized arguments: --alpha-step 1"),
 ], ids=["missing-command", "unknown-flag", "unknown-command-flag", "another-commands-flag",
-        "infinite-step"])
+        "infinite-step", "ne-solve-unknown-flag", "ne-solve-bad-seed",
+        "ne-solve-another-commands-flag"])
 def test_usage_errors_keep_their_stderr(argv, message, capsys):
     assert run(argv, capsys) == (64, "", f"prospect-pricing: error: {message}\n{USAGE}")
 
@@ -654,20 +674,33 @@ def test_an_unknown_command_lists_all_seven(capsys):
     assert re.findall(r"[\w-]+", message[len(prefix):]) == list(COMMAND_OPTIONS)
 
 
+# argvs that exit 0; the other argvs of the test below are usage errors
+RUNS = (["--help"], ["ne-solve"], ["fit-pwf", "--help"],
+        ["sweep-admission", "--alpha-min", "1.0", "--max-drops", "1"])
+
+
+# an argv, and the command whose parser it builds, if any
 @pytest.mark.parametrize("argv, built", [
     (["ne-solve", "--alpha-step", "1"], "ne-solve"),
     (["sweep-admission", "--bogus"], "sweep-admission"),
-    (["--help"], None), (["frobnicate"], None), ([], None), (["--bogus", "ne-solve"], None)])
+    (["--help"], None), (["frobnicate"], None), ([], None), (["--bogus", "ne-solve"], None),
+    *((argv, argv[0]) for argv in RUNS[1:])])
 def test_dispatch_builds_only_the_named_commands_subparser(argv, built, capsys, monkeypatch):
+    """A named command builds its own parser and no other command's. The
+    parser of every command is built only for --help, an unknown or missing
+    command, and once to print the usage line after a usage error."""
     seen = []
-    build = cli._build_parser
+    full, one = cli._build_parser, cli._command_parser
 
-    def recorded(command=None):
-        seen.append(command)
-        return build(command)
-    monkeypatch.setattr(cli, "_build_parser", recorded)
-    dispatch(argv)
-    assert seen == [built]
+    def own(name, subparser=None):  # a subparser is the full parser's
+        if subparser is None:
+            seen.append(name)
+        return one(name, subparser)
+    monkeypatch.setattr(cli, "_build_parser", lambda: seen.append(None) or full())
+    monkeypatch.setattr(cli, "_command_parser", own)
+    runs = argv in RUNS
+    assert dispatch(argv) == (0 if runs else 64)
+    assert seen == [built] * (built is not None) + [None] * (built is None or not runs)
 
 
 def test_config_key_types_are_the_field_annotations():

@@ -8,6 +8,8 @@ import pytest
 
 import helpers
 import prospect_pricing
+import test_cli
+import test_golden
 from prospect_pricing import channel, experiments, game, prospect
 from prospect_pricing.channel import UnattainableGuaranteeError, watts_to_dbm
 from prospect_pricing.game import min_bandwidth_for_user, solve_nash
@@ -116,6 +118,70 @@ def test_default_scenario_frozen_draws(default_scenario):
         shadow = rng.normal(0.0, 4.0)
         assert abs(dist - FROZEN_DISTANCES[i]) <= 1e-6
         assert abs(shadow - FROZEN_SHADOWS[i]) <= 1e-6
+
+
+def replayed_scenario(config):
+    """build_scenario(**config) through the public path: each user's draws,
+    in the frozen order, replayed through LinkBudget and channel_from_budget,
+    with the received power checked bitwise against the link arithmetic in
+    its order ((tx + K) - path) + shadow, and the band sized through
+    min_bandwidth_for_user."""
+    p = experiments.ScenarioParams(**config)
+    rng = np.random.default_rng(p.seed)
+    users = []
+    for _ in range(p.n_users):
+        dist = max(p.ref_distance_m, p.cell_radius_m * math.sqrt(rng.random()))
+        link = channel.LinkBudget(
+            tx_power_dbm=p.tx_power_dbm, antenna_const_db=p.antenna_const_db,
+            pathloss_exponent=p.pathloss_exponent, distance_m=dist,
+            ref_distance_m=p.ref_distance_m, shadow_db=rng.normal(0.0, p.shadow_sigma_db),
+            noise_psd_dbm_per_hz=p.noise_psd_dbm_per_hz)
+        path = 10.0 * p.pathloss_exponent * math.log10(dist / p.ref_distance_m)
+        rx = ((p.tx_power_dbm + p.antenna_const_db) - path) + link.shadow_db
+        assert channel.received_power(link).hex() == rx.hex()
+        users.append(channel.channel_from_budget(link))
+    pricing = game.PowerLaw(p.price_coeff, p.price_exp)
+    sc = game.Scenario(users=tuple(users), benefit=game.PowerLaw(p.benefit_coeff, p.benefit_exp),
+                       pricing=pricing, cost=game.CostModel(p.c1, p.c3),
+                       total_bandwidth_hz=p.total_bandwidth_hz or 1.0)
+    if p.total_bandwidth_hz is not None:
+        return sc
+    rate = unconstrained_optimal_rate(pricing, sc.cost)
+    try:
+        need = game._total([min_bandwidth_for_user(rate, i, sc) for i in range(p.n_users)])
+    except UnattainableGuaranteeError as exc:
+        raise InfeasibleScenarioError(exc.rate_bps, exc.target, exc.supremum) from exc
+    return dataclasses.replace(sc, total_bandwidth_hz=(1.0 + p.bandwidth_margin) * float(need))
+
+
+def scenario_bits(config, build):
+    """The bits of every user's channel and of the band, or the refusal."""
+    try:
+        sc = build(config)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ([(ch.received_power_w.hex(), ch.noise_psd_w_per_hz.hex()) for ch in sc.users],
+            sc.total_bandwidth_hz.hex(), sc.pricing, sc.benefit, sc.cost)
+
+
+def test_build_scenario_is_the_public_path_bitwise():
+    """Each user's channel is formed straight from its draws, with no
+    LinkBudget, yet every channel, the band and every refusal (its type and
+    message) are those of the public path: over the CLI fuzz configs, the
+    golden files' cells, and powers past the float range."""
+    configs = [*test_cli.fuzz_configs(), {},
+               *({"seed": seed} for seed in test_golden.SEEDS),
+               test_golden.FAR_CELL, test_golden.FAR_CELL_BAND, test_golden.CELL_80,
+               test_golden.CELL_80_TENTH_BAND, test_golden.RISING_AT_ZERO_4,
+               *({key: value} for key in ("tx_power_dbm", "antenna_const_db",
+                                          "noise_psd_dbm_per_hz", "shadow_sigma_db")
+                 for value in (4000, 1e300, -1e300))]
+    refused = 0
+    for config in configs:
+        got = scenario_bits(config, lambda c: build_scenario(**c))
+        assert got == scenario_bits(config, replayed_scenario), config
+        refused += isinstance(got[0], type)
+    assert 12 <= refused <= len(configs) - 20
 
 
 def test_build_scenario_deterministic():
@@ -462,6 +528,27 @@ def test_comparison_solves_few_level_problems(default_scenario, monkeypatch):
     steps.clear()
     sweep_comparison(spec_for(default_scenario, 0.01, 1.0, step=0.01))
     assert len(steps) == 1 and steps[0][0] == 14 and len(steps[0]) <= 8
+
+
+def test_a_level_search_makes_no_evaluator_call_but_its_steps(default_scenario, monkeypatch):
+    """Every evaluator call a level search makes is one of the steps that
+    helpers.count_level_steps records: the first takes each problem's
+    column at both ends of the level range, the cap end and the smallest
+    positive level, so sweep-compare's one search at the default config
+    makes 8 calls (9 while the smallest level took a call of its own)."""
+    calls = helpers.count_evaluations(monkeypatch)
+    steps = helpers.count_level_steps(monkeypatch)
+    made, search = [], prospect._solve_levels
+
+    def counted(*args):
+        before = len(calls)
+        try:
+            return search(*args)
+        finally:
+            made.append(len(calls) - before)
+    monkeypatch.setattr(prospect, "_solve_levels", counted)
+    sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
+    assert made == [len(search) for search in steps] == [8]
 
 
 def test_comparison_searches_again_where_a_bound_reaches_the_best(monkeypatch):
