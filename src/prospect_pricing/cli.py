@@ -26,35 +26,45 @@ class ConfigError(ValueError):
     pass
 
 
-def config_from_mapping(data: dict) -> ScenarioParams:
+def _known_keys(data: dict) -> dict:
+    """data, once every key is a ScenarioParams field."""
     names = {f.name for f in dataclasses.fields(ScenarioParams)}
     for key in data:
         if key not in names:
             raise ConfigError(f"unknown config key: {key!r}")
+    return data
+
+
+def config_from_mapping(data: dict) -> ScenarioParams:
     try:
-        return ScenarioParams(**data)
+        return ScenarioParams(**_known_keys(data))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_config(path: str) -> ScenarioParams:
-    """Load a JSON config; an empty file (or the name 'default') means defaults."""
+def _read_config(path: str) -> dict:
+    """A JSON config's object; an empty file (or the name 'default') means defaults."""
     if path == "default":
-        return ScenarioParams()
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not text.strip():
-        return ScenarioParams()
+        return {}
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    return config_from_mapping(data)
+    return data
+
+
+def parse_config(path: str) -> ScenarioParams:
+    """Load a JSON config; an empty file (or the name 'default') means defaults."""
+    return config_from_mapping(_read_config(path))
 
 
 def serialize_config(params: ScenarioParams) -> str:
@@ -137,11 +147,13 @@ def _diagnostic(status: str, exc: Exception) -> SweepTable:
 
 def _run(args) -> tuple[SweepTable, int]:
     """The command's table and exit status; every refusal is raised for dispatch."""
-    params = ScenarioParams() if args.config is None else parse_config(args.config)
+    # the config is validated once, by the one ScenarioParams a command builds
+    config = {} if args.config is None else _read_config(args.config)
     if args.seed is not None:
-        params = dataclasses.replace(params, seed=args.seed)
+        config = {**config, "seed": args.seed}
 
     if args.command == "fit-pwf":
+        config_from_mapping(config)
         if args.data is None:
             records = experiments.bundled_psych_records()
         else:
@@ -152,7 +164,7 @@ def _run(args) -> tuple[SweepTable, int]:
                 raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
         return experiments.fit_table(records), EXIT_OK
 
-    scenario = build_scenario(**vars(params))
+    scenario = build_scenario(**_known_keys(config))
     if args.command == "ne-solve":
         table = experiments.ne_table(scenario)
         _, n_served, _ = table.rows[0]
@@ -169,7 +181,8 @@ def _run(args) -> tuple[SweepTable, int]:
         raise _UsageError("alpha range must satisfy 0 < min <= max <= 1")
     try:
         spec = SweepSpec(scenario=scenario, alpha_min=amin, alpha_max=amax,
-                         alpha_step=step, offer_margin=params.bandwidth_margin)
+                         alpha_step=step, offer_margin=float(config.get(
+                             "bandwidth_margin", ScenarioParams.bandwidth_margin)))
     except ValueError as exc:  # range and step are valid, so the grid is too long or fine
         raise _UsageError(f"--alpha-step: {exc}") from exc
     extra = {"max_drops": args.max_drops} if args.command == "sweep-admission" else {}

@@ -22,7 +22,8 @@ from . import _search, prospect
 from .channel import (UnattainableGuaranteeError, UserChannel, _received_dbm, dbm_to_watts,
                       guarantee_supremum, min_bandwidth)
 from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
-                   _require_equilibrium, _revenue, _spread, _total, _Users, solve_nash)
+                   _reciprocals, _require_equilibrium, _revenue, _spread, _total, _Users,
+                   solve_nash)
 from .prospect import (PRICE_EPS_REL, _capped_price, _min_willingness, _price_gap_loss,
                        equalized_levels, no_pricing_bands)
 from .weighting import InsufficientDataError, WeightingModel, fit_alpha
@@ -31,10 +32,9 @@ DEFAULT_SEED = 4966
 DEFAULT_ALPHA_STEP = 0.005
 # the most alphas one sweep takes: a 1e-4 step over all of (0, 1]
 _MAX_ALPHAS = 10_001
-# sweep_comparison's first level search takes, per alpha, this many grid
-# points of largest bound: at seed 2 and the bench pool's 12 seeds, in the
-# default window and over alphas 0.01-1.0, no other point's bound reaches
-# the best of them
+# sweep_comparison solves first, per alpha, this many grid points of largest
+# bound: at seed 2 and the bench pool's 12 seeds, in the default window and
+# over alphas 0.01-1.0, no other point's bound reaches the best of them
 _FIRST_POINTS = 3
 # per-sweep default alpha windows; the loss/price window starts where the
 # strict-vs-reallocation gap is still small, the others where the curves of
@@ -136,6 +136,8 @@ class ScenarioParams:
             fail("bandwidth_margin", "must be >= 0")
         if self.total_bandwidth_hz is not None and self.total_bandwidth_hz <= 0.0:
             fail("total_bandwidth_hz", "must be > 0 when set")
+        if dbm_to_watts(self.noise_psd_dbm_per_hz) == math.inf:
+            fail("noise_psd_dbm_per_hz", "noise_psd_w_per_hz must be finite, got inf")
 
 
 def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
@@ -164,7 +166,11 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
     for _ in range(p.n_users):
         dist = max(p.ref_distance_m, p.cell_radius_m * math.sqrt(rng.random()))
         shadow = rng.normal(0.0, p.shadow_sigma_db)
-        users.append(UserChannel(dbm_to_watts(_received_dbm(p, dist, shadow)), noise))
+        power = dbm_to_watts(_received_dbm(p, dist, shadow))
+        if power == math.inf:
+            raise ValueError("invalid config value for 'tx_power_dbm', 'antenna_const_db' or "
+                             "'shadow_sigma_db': received_power_w must be finite, got inf")
+        users.append(UserChannel(power, noise))
     cost = CostModel(c1=p.c1, c3=p.c3)
 
     total_bandwidth_hz = p.total_bandwidth_hz
@@ -243,8 +249,10 @@ class SweepSpec:
 
     def alphas(self) -> list[float]:
         # the rounding snaps float drift; an alpha_min below 5e-13 stays itself
-        return [min(max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min), 1.0)
+        grid = [min(max(round(self.alpha_min + k * self.alpha_step, 12), self.alpha_min), 1.0)
                 for k in range(self.n_alphas)]
+        _reciprocals(grid)  # refused as the evaluator refuses it, before any evaluation
+        return grid
 
 
 @dataclass(frozen=True)
@@ -283,7 +291,7 @@ def _baseline(spec: SweepSpec) -> tuple[NashResult, float]:
 
 def _offered_levels(sc: Scenario, ref: NashResult, alphas: list[float]) -> list[float]:
     """Equalized willingness of the served users at the offered rate and the
-    whole endowment, for every alpha in one lockstep search."""
+    whole endowment, every alpha's read off one root."""
     return equalized_levels(sc, ref.served_set, ref.rate_bps, alphas,
                             sc.total_bandwidth_hz).tolist()
 
@@ -296,8 +304,8 @@ def _empty_if_inf(value: float) -> float | None:
 
 def sweep_revenue_loss(spec: SweepSpec) -> SweepTable:
     """Normalized revenue loss, constraints fixed vs allocation free."""
-    ref, eut = _baseline(spec)
     alphas = spec.alphas()
+    ref, eut = _baseline(spec)
     rows = []
     for a, x, strict in zip(alphas, _offered_levels(spec.scenario, ref, alphas),
                             _min_willingness(spec.scenario, ref, alphas)):
@@ -308,8 +316,8 @@ def sweep_revenue_loss(spec: SweepSpec) -> SweepTable:
 
 def sweep_price(spec: SweepSpec) -> SweepTable:
     """Acceptance-capped prices normalized by the baseline price."""
-    ref, _ = _baseline(spec)
     alphas = spec.alphas()
+    ref, _ = _baseline(spec)
     rows = []
     for a, x, strict in zip(alphas, _offered_levels(spec.scenario, ref, alphas),
                             _min_willingness(spec.scenario, ref, alphas)):
@@ -325,10 +333,10 @@ def sweep_expansion(spec: SweepSpec) -> SweepTable:
     willingness recovers at least the baseline revenue. When one served
     user's target is out of reach at any band, min_bw_norm is empty.
     """
+    alphas = spec.alphas()
     ref, eut = _baseline(spec)
     sc = spec.scenario
     budget = sc.total_bandwidth_hz
-    alphas = spec.alphas()
     rows = []
     for a, x, need in zip(alphas, _offered_levels(sc, ref, alphas),
                           no_pricing_bands(sc, ref, alphas)):
@@ -344,14 +352,15 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     at every rate and alpha. The freed band is re-split over the retained
     users; the provider charges the revenue-preserving markup when the
     retained users accept it, otherwise the highest price they do accept. One
-    level search over the served users solves each (alpha, kept set), the set
-    as members, never empty as max_drops < n_served.
+    level search over the served users, each kept set as members (never
+    empty as max_drops < n_served), solves one root per kept set for every
+    alpha.
     """
+    alphas = spec.alphas()
     ref, eut = _baseline(spec)
     sc = spec.scenario
     if not (0 <= max_drops < ref.n_served):
         raise ValueError(f"max_drops must lie in [0, {ref.n_served}), got {max_drops}")
-    alphas = spec.alphas()
     drops = np.arange(max_drops + 1)
     served = _Users(sc, ref.served_set)
     need = served.at(ref.rate_bps, np.repeat(alphas, drops.size),
@@ -391,23 +400,19 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     with n >= 1 users served and eut > 0 at an equilibrium, does not fall
     as x rises in any rounding, so the same expression at x_top bounds a
     grid point's value. The caps of every alpha come in closed form from
-    one evaluator of the grid at alpha = 1 (prospect._caps_at). The levels
-    of each alpha's offered rate and its _FIRST_POINTS grid points of
-    largest bound come from prospect._scaled_levels, which searches each
-    distinct rate once at alpha = 1 (bracketed Newton in lockstep) and
-    scales its level to every alpha; a second call solves every other grid
-    point whose bound still reaches its row's best solved revenue, and runs
-    only where there is one. A skipped point is strictly below its row's
-    maximum, and a level does not depend on the problems batched with it,
-    so the maximum is the one that grading every point through the same
-    levels finds, to the bit. A step costs about the same whatever its
-    problem count, so three points per alpha beat one point and a second
-    search. The rate control of every alpha comes from one rate_controls
-    call, the no-pricing and admission bands from one evaluation each, and
-    the admission price cap of every alpha from one pass over the
-    survivors' guarantees. The survivors' band uses the served users'
-    evaluator, with them as members.
+    one evaluator of the grid (caps(alphas)). prospect._solve_levels, one
+    root per distinct rate, solves each alpha's offered rate and its
+    _FIRST_POINTS grid points of largest bound, then every other grid point
+    whose bound still reaches its row's best solved revenue. A skipped
+    point is strictly below its row's maximum, and a level does not depend
+    on the problems batched with it, so the maximum is the one that grading
+    every point through the same levels finds, to the bit. The rate control
+    of every alpha comes from one rate_controls call, the no-pricing and
+    admission bands from one evaluation each, and the admission price cap
+    of every alpha from one pass over the survivors' guarantees. The
+    survivors' band uses the served users' evaluator, with them as members.
     """
+    alphas = spec.alphas()
     ref, eut = _baseline(spec)
     sc = spec.scenario
     budget = sc.total_bandwidth_hz
@@ -417,20 +422,19 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     markup = prospect.admission_price(sc, ref, len(kept)) if kept else None
 
     rate_grid = np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)
-    alphas = spec.alphas()
     column = np.array(alphas)[:, None]
 
     def revenues(levels, j):
         return _revenue(sc, ref.n_served, levels, rate_grid[j]) / eut
 
-    caps = prospect._caps_at(served.at(rate_grid, 1.0), column)
-    bounds = revenues(caps * prospect._CAP_END, np.arange(rate_grid.size))
+    bounds = revenues(served.at(rate_grid, 1.0).caps(column) * prospect._CAP_END,
+                      np.arange(rate_grid.size))
     # each alpha's offered rate and its _FIRST_POINTS grid points of largest bound
     first = np.argsort(-bounds, axis=1, kind="stable")[:, :_FIRST_POINTS]
     pick = np.arange(len(alphas))[:, None], first
-    solved = prospect._scaled_levels(
-        served, np.append(np.full(len(alphas), b_star), rate_grid[first]),
-        np.append(alphas, np.broadcast_to(column, first.shape)), budget)
+    solved = prospect._solve_levels(served.at(
+        np.append(np.full(len(alphas), b_star), rate_grid[first]),
+        np.append(alphas, np.broadcast_to(column, first.shape))), budget)
     x_hat = solved[:len(alphas)]
     grid_rev = np.full(bounds.shape, -np.inf)
     grid_rev[pick] = revenues(solved[len(alphas):].reshape(first.shape), first)
@@ -438,8 +442,8 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     rest[pick] = False
     rest_a, rest_j = np.nonzero(rest)
     if rest_a.size:
-        grid_rev[rest_a, rest_j] = revenues(prospect._scaled_levels(
-            served, rate_grid[rest_j], column[rest_a, 0], budget), rest_j)
+        grid_rev[rest_a, rest_j] = revenues(prospect._solve_levels(
+            served.at(rate_grid[rest_j], column[rest_a, 0]), budget), rest_j)
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
     # the survivors' band at the markup and their price cap, every alpha in one pass

@@ -219,41 +219,45 @@ def _require_equilibrium(ne: NashResult) -> None:
         raise NoEquilibriumError("scenario has no equilibrium to perturb")
 
 
+def _reciprocals(alphas) -> np.ndarray:
+    """1/alpha of each alpha, refusing NaN, one outside (0, 1] and one whose 1/alpha overflows."""
+    alphas = np.asarray(alphas, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_alpha = 1.0 / alphas
+    valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(inv_alpha)
+    if not valid.all():
+        raise ValueError(f"alpha must lie in (0, 1] with a finite reciprocal, "
+                         f"got {alphas[~valid][0]}")
+    return inv_alpha
+
+
 class _RequirementMatrix:
     """Bandwidths a set of users needs, for many independent problems at once.
 
     Problem k offers the users rates[k] under the weighting exponent
     alphas[k], each in (0, 1] with a finite reciprocal. Called with a
     willingness target per problem, it returns the users x problems matrix of
-    bandwidths at which h(rate) * w(guarantee) reaches that target: with
-    q = target / h(rate), the Prelec inverse taken in log space and inverted
-    by _efficiency_root, 0 only at a zero target and inf where q reaches
-    w(sup), the weighted wide-band supremum. The users share h, so the benefit, q, ln q and
-    (-ln q)^(1/alpha) are one value per problem, and only the supremum and
-    what follows from it are per user. Where q is subnormal or underflows to
-    0 for a positive target, ln q is ln target - ln h; where (-ln q)^(1/alpha) or
-    its ratio to ln sup overflows, lc = log(ln target/ln sup) is
-    (1/alpha)*log(-ln q) - log(-ln sup). A price target at alpha = 1 gives
-    bitwise _Users.price_requirements, since x ** 1.0 is exact and w(sup) is
-    then the supremum itself; it is min_bandwidth_for_user only to a few ulps,
-    as numpy's log, log1p and expm1 can round apart from math's (test_game
-    bounds the gap by 8 eps kappa). Made by _Users.at, with membership, a
-    users x problems bool array, as per-problem data (every user by default):
-    a non-member's requirement and with_slopes() slope are +0.0, so a total
-    over users is bitwise the members' sum in user order, and caps() is the
-    members' minimum.
+    bandwidths at which h(rate) * w(guarantee) reaches that target: with q =
+    target / h(rate), the Prelec inverse tau = (-ln q)^(1/alpha) makes the
+    guarantee target exp(-tau), inverted by _efficiency_root; 0 only at a
+    zero target and inf where q reaches w(sup), the weighted wide-band
+    supremum. Only the supremum and what follows from it are per user. Where
+    q is subnormal or underflows to 0 for a positive target, ln q is ln
+    target - ln h; where tau or its ratio to ln sup overflows, lc =
+    log(tau/-ln sup) is log tau - log(-ln sup). A price target at alpha = 1
+    gives bitwise _Users.price_requirements, since x ** 1.0 is exact and
+    w(sup) is then the supremum itself; it is min_bandwidth_for_user only to
+    a few ulps, as numpy's log, log1p and expm1 can round apart from math's
+    (test_game bounds the gap by 8 eps kappa). Made by _Users.at, with
+    membership, a users x problems bool array, as per-problem data (every
+    user by default): a non-member's requirement and slope are +0.0, so a
+    total over users is bitwise the members' sum in user order.
     """
 
     def __init__(self, users: _Users, rates_bps, alphas, members=True) -> None:
         rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (rates_bps, alphas)))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv_alpha = 1.0 / alphas
-        valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(inv_alpha)
-        if not valid.all():
-            raise ValueError(f"alpha must lie in (0, 1] with a finite reciprocal, "
-                             f"got {alphas[~valid][0]}")
-        self._fill(users, rates, alphas, inv_alpha, members)
+        self._fill(users, rates, alphas, _reciprocals(alphas), members)
 
     def _fill(self, users: _Users, rates, alphas, inv_alpha, members) -> None:
         """Set the problems' rate and users data, for alphas already checked."""
@@ -268,9 +272,23 @@ class _RequirementMatrix:
         self._weighted_sup = np.exp(-(-self.ln_sup) ** (np.zeros_like(self.ln_sup) + alphas))
         self.members = np.full(self.ln_sup.shape, members)
 
-    def caps(self) -> np.ndarray:
-        """Per problem, the level min_i h*w(sup_i) of members no band reaches."""
-        return (self.benefit * self._weighted_sup).min(axis=0, initial=np.inf, where=self.members)
+    def worst(self) -> np.ndarray:
+        """Per problem, m = max_i -ln sup_i of the members (0 with none)."""
+        return np.max(-self.ln_sup, axis=0, initial=0.0, where=self.members)
+
+    def caps(self, alphas=None) -> np.ndarray:
+        """Per problem, the level h*exp(-m^alpha), m = worst(), no band reaches
+        (the members' minimum h*w(sup_i): power and exp are monotone), at the
+        problems' alphas or at alphas broadcast against the problems."""
+        # full-size operands, as for _weighted_sup
+        worst, alphas = map(np.array, np.broadcast_arrays(
+            self.worst(), self._alphas if alphas is None else alphas))
+        return self.benefit * np.exp(-np.power(worst, alphas))
+
+    def levels(self, log_tau) -> np.ndarray:
+        """Per problem, the level h*exp(-tau^alpha) of tau = exp(log_tau) (with_tau_slopes)."""
+        with np.errstate(over="ignore"):
+            return self.benefit * np.exp(-np.exp(self._alphas * log_tau))
 
     def columns(self, keep) -> _RequirementMatrix:
         """The evaluator of the problems that the index array keep picks."""
@@ -341,27 +359,42 @@ class _RequirementMatrix:
         """
         return self._pass(targets, elasticity=elasticity)
 
-    def _pass(self, targets, level=False, elasticity=None):
-        """The evaluator's one pass: the requirements at targets and, for
-        with_slopes (level) or with_rate_slopes (elasticity), their slopes,
-        formed from the requirements and the same ln q; None otherwise."""
+    def with_tau_slopes(self, log_tau) -> tuple[np.ndarray, np.ndarray]:
+        """The requirements at the guarantee target exp(-tau), tau =
+        exp(log_tau), and d need/d log tau, from one pass without alpha: lc
+        moves by 1 per unit of log tau, so the slope is -(rate*ln2)/(y^2*g'(y))."""
+        return self._pass(log_tau, tau=True)
+
+    def _pass(self, targets, level=False, elasticity=None, tau=False):
+        """The evaluator's one pass: the requirements at targets (log tau with
+        tau) and, for with_slopes (level), with_tau_slopes (tau) or
+        with_rate_slopes (elasticity), their slopes; None otherwise."""
         targets = np.asarray(targets)
-        q = targets / self.benefit
         outside = ~self.members
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ln_q = self._ln_share(targets, q)
-            lc = _log_ratio(-(-ln_q) ** self._inv_alpha, self.ln_sup, np)
+            if tau:
+                power = np.exp(targets)
+                out_of_reach, zero = power <= -self.ln_sup, targets == np.inf
+            else:
+                q = targets / self.benefit
+                ln_q = self._ln_share(targets, q)
+                power = (-ln_q) ** self._inv_alpha
+                out_of_reach, zero = q >= self._weighted_sup, targets <= 0.0
+            lc = _log_ratio(-power, self.ln_sup, np)
             big = np.isinf(lc)
             if big.any():
-                # (-ln q)^(1/alpha) or its ratio to ln sup overflowed
-                lc = np.where(big, self._inv_alpha * np.log(-ln_q) - np.log(-self.ln_sup), lc)
+                # tau = (-ln q)^(1/alpha) or its ratio to ln sup overflowed
+                log_tau = targets if tau else self._inv_alpha * np.log(-ln_q)
+                lc = np.where(big, log_tau - np.log(-self.ln_sup), lc)
             need = self._rate_ln2 / _efficiency_root(lc)
-            need = np.where(q >= self._weighted_sup, np.inf, np.where(targets <= 0.0, 0.0, need))
+            need = np.where(out_of_reach, np.inf, np.where(zero, 0.0, need))
             np.copyto(need, 0.0, where=outside)
-            if level:
+            if level or tau:
+                # d lc/d ln x is 1/(alpha*ln q), d lc/d log tau is 1
                 y = self._rate_ln2 / need
-                slope = need * need / (self._rate_ln2 * _efficiency_slope(y) * ln_q)
-                slope = -slope * self._inv_alpha
+                slope = need * need / (self._rate_ln2 * _efficiency_slope(y)
+                                       * (1.0 if tau else ln_q))
+                slope = -slope * (1.0 if tau else self._inv_alpha)
                 np.copyto(slope, 0.0, where=outside)
             elif elasticity is not None:
                 y = self._rate_ln2 / need

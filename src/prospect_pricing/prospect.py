@@ -6,7 +6,9 @@ equilibrium survives unchanged, quantifies the minimum revenue loss when the
 provider keeps every constraint fixed (and when only the allocation may move),
 and implements the three offer-restructuring strategies, admission control,
 band resizing, and rate control, each reduced to a required-bandwidth
-threshold compared against the provider's endowment.
+threshold compared against the provider's endowment. Under Prelec's weight
+an equalized split has one root per rate, band and member set, whatever the
+alphas, and _solve_levels reads every alpha's level off it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _search
-from .channel import service_guarantee
+from .channel import _LN2, service_guarantee
 from .game import (_EPS, FEASIBILITY_SLACK, NashResult, Scenario, _feasible, _RequirementMatrix,
                    _require_equilibrium, _revenue, _spread, _total, _Users)
 from .weighting import WeightingModel, weight
@@ -26,9 +28,9 @@ from .weighting import WeightingModel, weight
 # strict acceptance inequalities are realized by shaving this relative amount
 # off every computed price
 PRICE_EPS_REL = 1e-9
-# the level search's smallest positive level, and its tolerance step in ln x
-_TINY = 5e-324
-_LEVEL_TOL = 5e-15
+# a level search's closing step and bracket width in log tau (_level_roots)
+_ROOT_STEP = 2.0 ** -30
+_ROOT_WIDTH = 4 * 2.0 ** -52
 # the top of every level search, as a fraction of the cap no level reaches
 _CAP_END = 1.0 - 1e-12
 # bandwidth expansion's edges in v = ln(-ln(x/cap)), rising: the cap end,
@@ -142,16 +144,6 @@ def loss_strict_rrm(scenario: Scenario, ne: NashResult, model: WeightingModel) -
     return _price_gap_loss(ne, _min_willingness(scenario, ne, [model.alpha])[0])
 
 
-def _sum_and_slope(need: _RequirementMatrix, x) -> tuple[np.ndarray, ...]:
-    """The summed requirement at levels x, its derivative in ln x and the
-    requirements themselves, from one evaluator pass (with_slopes). Both
-    sums add in user order: a problem's level does not depend on the
-    problems it is batched with, nor on the memory order of a subset's
-    columns."""
-    at_x, slope = need.with_slopes(x)
-    return _total(at_x), _total(slope), at_x
-
-
 class _Seen:
     """The requirement columns a search evaluates, each at a point of one of
     its problems, kept per evaluation, to read back each problem's column
@@ -178,118 +170,77 @@ class _Seen:
         return np.concatenate(self._needs, axis=1)[:, pick]
 
 
+def _level_roots(need: _RequirementMatrix, band, max_iter: int) -> np.ndarray:
+    """log tau at which each problem's summed requirement S meets its band,
+    0 < band < inf, for problems with members; alpha does not enter.
+
+    Each member's lc is v - log(-ln sup_i) in v = log tau, so the root lies
+    between v_out, where the worst member alone needs the band, and v_in,
+    where n members as badly placed do: log m + log(expm1(y)/y), m = worst(),
+    at y = rate*ln2/band and at n*y. Newton steps on 1/S - 1/B, near linear
+    and concave in v, run from v_out in lockstep, a step that leaves the
+    bracket replaced by its midpoint (rtsafe, Press et al., Numerical
+    Recipes, 9.4). A problem ends at the point of a step below
+    _ROOT_STEP*max(1, |v|), its error then of order the step squared, or at
+    v_in once the bracket is _ROOT_WIDTH*max(1, |v|) wide.
+    """
+    y = need.rates * _LN2 / band
+    v_out, v_in = (np.log(need.worst()) + z + np.log(-np.expm1(-z) / z)
+                   for z in (y, need.members.sum(axis=0) * y))
+    v, keep, at = np.empty(band.size), np.arange(band.size), v_out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            at_need, slopes = need.with_tau_slopes(at)
+            s, ds = _total(at_need), _total(slopes)
+            fits = s < band
+            v_in, v_out = np.where(fits, at, v_in), np.where(fits, v_out, at)
+            step = (1.0 - s / band) * s / ds
+            to, scale = at + step, np.maximum(1.0, np.abs(at))
+            inside = (v_out <= to) & (to <= v_in)
+            done = ((inside & (np.abs(step) <= _ROOT_STEP * scale))
+                    | (v_in - v_out <= _ROOT_WIDTH * scale))
+            v[keep[done]] = np.where(inside, to, v_in)[done]
+            if done.all():
+                return v
+            if done.any():
+                left = np.flatnonzero(~done)
+                need, keep = need.columns(left), keep[left]
+                band, v_in, v_out, to, inside = (a[left] for a in (band, v_in, v_out, to, inside))
+            at = np.where(inside, to, 0.5 * (v_out + v_in))
+    _search._warn_cap("equalized_levels", max_iter, _ROOT_WIDTH)
+    v[keep] = v_in
+    return v
+
+
 def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.ndarray:
     """Levels at which the summed requirement meets each problem's band.
 
-    The summed requirement S grows with the level x up to the cap
-    min_i h*w(sup_i), but falls only like 1/log log(1/x) as x goes to 0:
-    Newton in x or in log x stalls. In v = log t, t = -ln(x/cap), each
-    user's lc is linear in log(-ln q), so each level is found by Newton on
-    ln S - ln B in v, safeguarded by a bracket (rtsafe, Press et al.,
-    Numerical Recipes, section 9.4). All problems run in lockstep, and each
-    step evaluates only the problems whose brackets are still open.
-
-    The bracket is held in x, so a step of dv moves x to
-    x*exp(-t*expm1(dv)) at full float resolution. It runs from
-    x = cap*_CAP_END = cap*(1 - 1e-12), returned when it fits, down to the
-    smallest positive float, below which the level is 0. Newton starts at the top,
-    where ln S is about -v + const. A step that is not finite or leaves the
-    bracket is replaced by the midpoint in v (in x, once the ends are
-    within a factor of 2). A step below the tolerance steps across the root
-    by the tolerance, 5e-15 of x, and each further one in a row by twice
-    the last. A bracket closes at a width of 1e-14 of its upper end, or at
-    adjacent floats, as subnormal levels do. Returns the ends that fit.
+    Under Prelec's weight a requirement depends on the level x and alpha
+    only through tau = (-ln(x/h))^(1/alpha): its target guarantee is
+    exp(-tau) (with_tau_slopes). So S(tau) = B has one root per distinct
+    (rate, band, member set), searched once (_level_roots) for every
+    alpha, and each level is h*exp(-tau*^alpha) (levels()), at most its cap
+    end cap*_CAP_END, and 0 below the smallest positive float. A band of 0
+    gives 0 and an infinite one the cap end. A level does not depend on the
+    problems batched with it. The search leaves v* = log tau* within 8 ulp
+    of max(1, |v*|), as the evaluator's rounding does (7.5 at most, measured
+    on seven cells), and d ln x = -alpha*tau*^alpha dv: a level lies within
+    2e-15 + 8*alpha*tau*^alpha*ulp(max(1, |v*|)) of its root, so within
+    1e-14 away from 0, growing as x nears 0, where tau*^alpha = -ln(x/h).
     """
     caps = need.caps()
     totals = np.broadcast_to(totals, caps.shape)
-    x_top, n = caps * _CAP_END, caps.size
-    # both ends in one pass, each problem's column twice: columns are independent
-    ends, slopes, _ = _sum_and_slope(need.columns(np.r_[:n, :n]), np.r_[x_top, np.full(n, _TINY)])
-    x = np.where(ends[:n] < totals, x_top, 0.0)
-    keep = np.flatnonzero((ends[:n] >= totals) & (ends[n:] < totals))
-    if not keep.size:
-        return x
-    need = need.columns(keep)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        band, ln_cap = totals[keep], np.log(caps[keep])
-        # x_in fits, x_out does not; Newton steps from the point last evaluated
-        x_in, x_out = np.full(keep.size, _TINY), x_top[keep]
-        at, s, ds = x_out, ends[keep], slopes[keep]
-        creep = np.zeros(keep.shape)
-        for _ in range(max_iter):
-            # Newton in v: with ds = dS/d ln x, dS/dv = -t*ds, and a step dv
-            # moves ln x by -t*expm1(dv)
-            t = ln_cap - np.log(at)
-            step = -t * np.expm1(np.log(s / band) * s / (t * ds))
-            tiny = np.abs(step) < _LEVEL_TOL
-            creep = np.where(tiny, np.where(creep > 0.0, 2.0 * creep, _LEVEL_TOL), 0.0)
-            step = np.where(tiny, np.where(at == x_in, creep, -creep), step)
-            t_mid = np.sqrt((ln_cap - np.log(x_in)) * (ln_cap - np.log(x_out)))
-            mid = np.where(x_out > 2.0 * x_in, np.exp(ln_cap - t_mid), 0.5 * (x_in + x_out))
-            at = at * np.exp(step)
-            at = np.where((x_in < at) & (at < x_out), at, mid)
-            s, ds, _ = _sum_and_slope(need, at)
-            fits = s < band
-            x_in, x_out = np.where(fits, at, x_in), np.where(fits, x_out, at)
-            closed = (x_out - x_in <= 1e-14 * x_out) | (np.nextafter(x_in, np.inf) >= x_out)
-            x[keep[closed]] = x_in[closed]
-            if closed.all():
-                return x
-            if closed.any():
-                left = np.flatnonzero(~closed)
-                need, keep = need.columns(left), keep[left]
-                band, ln_cap, x_in, x_out, at, s, ds, creep = (
-                    a[left] for a in (band, ln_cap, x_in, x_out, at, s, ds, creep))
-    _search._warn_cap("equalized_levels", max_iter, 1e-14)
-    x[keep] = x_in
-    return x
-
-
-def _caps_at(one: _RequirementMatrix, alphas) -> np.ndarray:
-    """caps() of the problems of one, an evaluator of every user at alpha =
-    1, at alphas instead, broadcast against them: h*exp(-m^alpha), m the
-    largest -ln sup_i. Power and exp are monotone, so the minimum over the
-    users is the worst user's term, bitwise caps() of an evaluator at alphas."""
-    # full-size operands, as the evaluator's (_RequirementMatrix.__init__)
-    worst, alphas = map(np.array, np.broadcast_arrays(-one.ln_sup.min(axis=0), alphas))
-    return one.benefit * np.exp(-np.power(worst, alphas))
-
-
-def _scaled_levels(users: _Users, rates_bps, alphas, total_hz: float) -> np.ndarray:
-    """Common weighted-willingness level of the users' problems (rates_bps[k],
-    alphas[k]) at the band total_hz, each distinct rate searched once, at
-    alpha = 1, and scaled to every alpha. Not bitwise equalized_levels: a
-    scaled level is within about 3e-11 of the root (see below), where a
-    search at the problem's own alpha is within about 1e-14.
-
-    Under Prelec's weight a requirement depends on alpha and the level x
-    only through u = log(-ln(x/h))/alpha: the evaluator's lc is u - log(-ln
-    sup_i). So at a fixed rate S(x) = B has one root u*, and the level at
-    alpha = 1, x_1 = h*exp(-e^u*), gives x = h*exp(-exp(alpha*u*)) at every
-    alpha. Where x_1 is 0 or the cap end, u* lies outside the alpha = 1
-    search's range, and where the mapped level is not below its own cap
-    end, it lies outside that alpha's: those problems are searched at their
-    own alpha, so no level passes its cap end. A level does not depend on
-    the problems batched with it. Near h the map magnifies the alpha = 1
-    search's closing tolerance of 1e-14: a level whose x_1 lies within
-    about 1e-5 of h (the lowest rates, at alphas up to 0.1) keeps fewer
-    digits, down to about 3e-11.
-    """
-    rates, alphas = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
-                                          for v in (rates_bps, alphas)))
-    distinct, which = np.unique(rates, return_inverse=True)
-    one = users.at(distinct, 1.0)
-    x_one = _solve_levels(one, total_hz)
-    outside = (x_one == 0.0) | (x_one >= one.caps() * _CAP_END)
-    # from here on, one problem per (rate, alpha)
-    one, x_one, outside = one.columns(which), x_one[which], outside[which]
-    with np.errstate(divide="ignore"):
-        u = np.log(-np.log(x_one / one.benefit))
-    x = one.benefit * np.exp(-np.exp(alphas * u))
-    redo = np.flatnonzero(outside | ~(x < _caps_at(one, alphas) * _CAP_END))
-    if redo.size:
-        x[redo] = _solve_levels(users.at(rates[redo], alphas[redo]), total_hz)
-    return x
+    # the distinct (rate, band, members) rows, compared as bytes, as sorting rows is slow
+    key = np.ascontiguousarray(np.column_stack((need.rates, totals, need.members.T)))
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
+    _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+    band = totals[first]
+    # a band of 0 leaves tau* = inf, level 0; an infinite one tau* = 0, the cap end
+    v = np.where(band > 0.0, -np.inf, np.inf)
+    open_ = np.flatnonzero((0.0 < band) & (band < np.inf))
+    if open_.size:
+        v[open_] = _level_roots(need.columns(first[open_]), band[open_], max_iter)
+    return np.minimum(need.levels(v[which]), caps * _CAP_END)
 
 
 def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
@@ -299,12 +250,11 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     Problem k splits the band totals_hz[k] over users at rates_bps[k] under
     the weighting exponent alphas[k]; the three broadcast to one 1-D array of
     problems. The level is the largest x at which the users' requirements
-    (each reaching h(rate) * w(guarantee) == x) still fit the band. All
-    problems search in lockstep by a bracketed Newton step, each step
-    inverting the requirement columns of the problems whose brackets are
-    still open. Returns the levels, one per problem. A rate must be
-    finite and > 0, and a band >= 0: a band of 0 gives level 0, and an
-    infinite one the top of the search.
+    (each reaching h(rate) * w(guarantee) == x) still fit the band, found
+    by _solve_levels to its stated bound, with one root per distinct rate
+    and band for every alpha. Returns the levels, one per problem. A rate
+    must be finite and > 0, and a band >= 0: a band of 0 gives level 0,
+    and an infinite one the cap end, cap*(1 - 1e-12).
     """
     rates, alphas, totals = np.broadcast_arrays(*(
         np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
@@ -325,17 +275,15 @@ def equalized_willingness(scenario: Scenario, ne: NashResult,
 
     The one-problem case of equalized_levels, at the offered rate and the
     whole endowment; dataclasses.replace on the scenario or the result moves
-    either. Returns (x, allocation over the served subset); x is the end of
-    the Newton search's bracket that fits, and the allocation is the
-    requirement column at x, which fits the band, plus an equal share of what
-    is left.
+    either. Returns (x, allocation over the served subset): the allocation
+    is the requirement column at x plus an equal share of what is left of
+    the band, which the share takes back where rounding at x overshoots it.
     """
     _require_equilibrium(ne)
     total = scenario.total_bandwidth_hz
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)
     x = _solve_levels(need, total)
     alloc = need(x)[:, 0].tolist()
-    # the level's summed requirement is below the band, so the slack is positive
     slack = total - float(_total(alloc))
     alloc = [a + slack / len(alloc) for a in alloc]
     return float(x[0]), tuple(alloc)
@@ -445,11 +393,11 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
     in total to reach level x; S rises strictly on [0, cap), cap =
     min_i h*w(sup_i), so max_B n*x(B) - c3*B is the minimum of the loss
     L = c3*S(x) - n*x. _search.stationary_min finds every alpha's minimum at
-    once in v = ln(-ln u), u = x/cap, the coordinate _solve_levels steps in:
-    x = cap*exp(-e^v), and dL/dv = (n*x - c3*sum(slopes))*e^v. The start is
-    v = inf, u = 0 (no band, loss 0). The edges, in u, are k/12, 1 - 10^-k
-    for k = 2..11 and the cap end _CAP_END = 1 - 1e-12, to which its v maps
-    back bitwise. S' grows without bound at 0, so the loss rises first,
+    once in v = ln(-ln u), u = x/cap: x = cap*exp(-e^v), and dL/dv = (n*x -
+    c3*sum(slopes))*e^v. The start is v = inf, u = 0 (no band, loss 0).
+    The edges, in u, are k/12, 1 - 10^-k for k = 2..11 and the cap end
+    _CAP_END = 1 - 1e-12, to which its v maps back bitwise. S' grows
+    without bound at 0, so the loss rises first,
     peaks near u = 1e-4 and, on the cells measured, is least between u =
     0.8 (alphas near 0.1 at the largest c3 that leaves an equilibrium) and
     1 - 1e-4 (c3 = 1e-10). Even edges keep the peak apart from the minimum;
@@ -479,7 +427,8 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
                 picked = j, need.columns(j)
             t = np.exp(v)
             x = caps[j] * np.exp(-t)
-            total, slope, at_x = _sum_and_slope(picked[1], x)
+            at_x, slopes = picked[1].with_slopes(x)
+            total, slope = _total(at_x), _total(slopes)
             seen.add(v, j, at_x)
             # the start, v = inf, has x = 0 and a slope of 0*inf, never read
             with np.errstate(invalid="ignore"):

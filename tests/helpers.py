@@ -445,15 +445,14 @@ def count_evaluations(monkeypatch):
 
 
 def count_level_steps(monkeypatch):
-    """Record, per lockstep level search (prospect._solve_levels), the
-    problems of each value-and-slope evaluation it makes in sequence: the
-    one at both ends of the level range, which takes each problem's column
-    at the cap end and at the smallest positive level and is recorded as its
-    problem count, then one per Newton step over the brackets still open. A
-    search's first entry is its problem count, and its length its number of
-    evaluator calls."""
+    """Record, per level search (prospect._solve_levels), the problems of
+    each evaluator call it makes in sequence, one per lockstep Newton step
+    over the roots still open (with_tau_slopes). A search's first entry is
+    its number of level problems, one per distinct (rate, band, member
+    set) whatever its alphas, and its length its number of evaluator
+    calls."""
     searches, inside = [], []
-    solve, sum_and_slope = prospect._solve_levels, prospect._sum_and_slope
+    solve, step = prospect._solve_levels, game._RequirementMatrix.with_tau_slopes
 
     def counting_search(need, totals, *args):
         searches.append([])
@@ -463,13 +462,12 @@ def count_level_steps(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_step(need, x):
+    def counting_step(self, log_tau):
         if inside:
-            problems = np.size(need.rates)
-            searches[-1].append(problems if searches[-1] else problems // 2)
-        return sum_and_slope(need, x)
+            searches[-1].append(np.size(self.rates))
+        return step(self, log_tau)
     monkeypatch.setattr(prospect, "_solve_levels", counting_search)
-    monkeypatch.setattr(prospect, "_sum_and_slope", counting_step)
+    monkeypatch.setattr(game._RequirementMatrix, "with_tau_slopes", counting_step)
     return searches
 
 
@@ -510,9 +508,9 @@ def count_search_ends(monkeypatch, calls):
 
 def full_grid_comparison(spec):
     """sweep_comparison's level-dependent cells as a search of every grid
-    point finds them: one prospect._scaled_levels call over the 37 problems
-    of each alpha (the offered rate, then the 36-rate grid), the best grid
-    revenue taken in grid order. Returns (levels, caps, cells): the levels
+    point finds them: one prospect._solve_levels call over the 37 problems
+    of each alpha (the offered rate, then the 36-rate grid), one root per
+    rate, the best grid revenue taken in grid order. Returns (levels, caps, cells): the levels
     and their problems' caps, from an evaluator at each problem's alpha,
     alpha-major, and per alpha the cells (rev_expansion_norm,
     rev_rate_norm)."""
@@ -524,8 +522,8 @@ def full_grid_comparison(spec):
     rates, alphas = [b_star] + rate_grid, spec.alphas()
     rate_col, alpha_col = np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
     served = game._Users(sc, ref.served_set)
-    levels = prospect._scaled_levels(served, rate_col, alpha_col, sc.total_bandwidth_hz)
-    caps = served.at(rate_col, alpha_col).caps()
+    need = served.at(rate_col, alpha_col)
+    levels, caps = prospect._solve_levels(need, sc.total_bandwidth_hz), need.caps()
     cells = []
     for x_hat, *grid in levels.reshape(len(alphas), len(rates)).tolist():
         best = -math.inf

@@ -170,15 +170,34 @@ def test_config_outside_model_domain_exits_2(tmp_path, capsys, command, text, me
     ("noise_psd_dbm_per_hz", "noise_psd_w_per_hz"), ("shadow_sigma_db", "received_power_w")])
 @pytest.mark.parametrize("value", [4000, 1e300])
 def test_a_power_past_the_float_range_exits_2(tmp_path, capsys, key, value, message):
-    """A dBm level whose watts overflow is an infinite power, which the
-    channel refuses with a one-line message (a traceback of OverflowError
-    and exit 1 before). At the default seed the first user's shadowing is
-    positive, so a wide shadow spread overflows too."""
+    """A dBm level whose watts overflow is an infinite power, refused with a
+    one-line message that names the config keys it comes from (a traceback
+    of OverflowError and exit 1 before, then the channel's field alone). At
+    the default seed the first user's shadowing is positive, so a wide
+    shadow spread overflows too."""
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({key: value}))
+    keys = {"noise_psd_w_per_hz": "'noise_psd_dbm_per_hz'",
+            "received_power_w": "'tx_power_dbm', 'antenna_const_db' or 'shadow_sigma_db'"}
     for command in ("ne-solve", "sweep-compare"):
         assert run([command, "--config", str(path)], capsys) == (
-            2, "", f"prospect-pricing: error: {message} must be finite, got inf\n")
+            2, "", f"prospect-pricing: error: invalid config value for {keys[message]}: "
+                   f"{message} must be finite, got inf\n")
+
+
+def test_a_command_validates_its_config_once(tmp_path, capsys, monkeypatch):
+    """ne-solve --seed 5 --config builds one ScenarioParams, which checks
+    every value once (three while the seed and build_scenario each rebuilt
+    it), and fit-pwf one, which it never uses."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_users": 8}))
+    checks = []
+    check = ScenarioParams.__post_init__
+    monkeypatch.setattr(ScenarioParams, "__post_init__", lambda self: checks.append(check(self)))
+    for argv, status in ((["ne-solve", "--seed", "5"], 0), (["fit-pwf"], 0)):
+        checks.clear()
+        assert run(argv + ["--config", str(path)], capsys)[0] == status
+        assert len(checks) == 1, argv
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,9 @@ def replayed_scenario(config):
     in the frozen order, replayed through LinkBudget and channel_from_budget,
     with the received power checked bitwise against the link arithmetic in
     its order ((tx + K) - path) + shadow, and the band sized through
-    min_bandwidth_for_user."""
+    min_bandwidth_for_user. A received power past the float range is
+    refused by the config keys it comes from, as ScenarioParams refuses
+    such a noise PSD."""
     p = experiments.ScenarioParams(**config)
     rng = np.random.default_rng(p.seed)
     users = []
@@ -139,7 +141,14 @@ def replayed_scenario(config):
         path = 10.0 * p.pathloss_exponent * math.log10(dist / p.ref_distance_m)
         rx = ((p.tx_power_dbm + p.antenna_const_db) - path) + link.shadow_db
         assert channel.received_power(link).hex() == rx.hex()
-        users.append(channel.channel_from_budget(link))
+        try:
+            users.append(channel.channel_from_budget(link))
+        except ValueError as exc:
+            if str(exc) != "received_power_w must be finite, got inf":
+                raise
+            # build_scenario names the config keys a received power comes from
+            raise ValueError("invalid config value for 'tx_power_dbm', 'antenna_const_db' "
+                             f"or 'shadow_sigma_db': {exc}") from exc
     pricing = game.PowerLaw(p.price_coeff, p.price_exp)
     sc = game.Scenario(users=tuple(users), benefit=game.PowerLaw(p.benefit_coeff, p.benefit_exp),
                        pricing=pricing, cost=game.CostModel(p.c1, p.c3),
@@ -358,47 +367,46 @@ def test_comparison_sweep_frozen_rows(default_scenario):
     (sweep_comparison, {}, 1), (sweep_admission, {"max_drops": 2}, 1)])
 def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
                                                sweep, kwargs, batches):
-    """sweep-loss, sweep-price and sweep-expansion search every alpha's
-    offered rate in one equalized_levels call; sweep-compare and
-    sweep-admission search below it, in one level search: sweep-compare
-    each distinct rate it picks once, at alpha = 1 (prospect._scaled_levels):
-    the offered rate and every alpha's three grid points of largest bound,
-    the same three at every alpha here, no other point's bound reaching
-    their best at the default cell; and sweep-admission every alpha and
-    kept set."""
-    real, scaled = experiments.equalized_levels, prospect._scaled_levels
-    sizes, picked = [], []
+    """Every sweep solves its levels in one level search, one problem per
+    distinct (rate, band, member set) whatever the alphas: sweep-loss,
+    sweep-price and sweep-expansion one, the offered rate, through one
+    equalized_levels call of every alpha; sweep-compare the offered rate
+    and every alpha's three grid points of largest bound, the same three at
+    every alpha here, no other point's bound reaching their best at the
+    default cell; and sweep-admission one per kept set. In the default
+    windows (and 3 drops) the commands solve 1, 1, 1, 4 and 4 problems
+    (17, 17, 33, 124 and 4 while each alpha was a problem of its own)."""
+    real = experiments.equalized_levels
+    sizes = []
 
     def counting(scenario, users, rates, alphas, totals):
         levels = real(scenario, users, rates, alphas, totals)
         sizes.append(levels.size)
         return levels
 
-    def recorded(users, rates, alphas, total):
-        picked.append(np.unique(rates).size)
-        return scaled(users, rates, alphas, total)
-
     def one_problem(*args, **kw):
         raise AssertionError("a sweep solved a single equalized problem")
 
     monkeypatch.setattr(experiments, "equalized_levels", counting)
     monkeypatch.setattr(experiments.prospect, "equalized_willingness", one_problem)
-    monkeypatch.setattr(prospect, "_scaled_levels", recorded)
     steps = helpers.count_level_steps(monkeypatch)
-    for n_alphas in (1, 3):
+    default_window = {sweep_revenue_loss: experiments.DEFAULT_RANGE_LOSS,
+                      sweep_price: experiments.DEFAULT_RANGE_PRICE,
+                      sweep_expansion: experiments.DEFAULT_RANGE_EXPANSION,
+                      sweep_admission: experiments.DEFAULT_RANGE_ADMISSION,
+                      sweep_comparison: experiments.DEFAULT_RANGE_COMPARISON}[sweep]
+    runs = [(spec_for(default_scenario, 1.0 - 0.05 * (n - 1), 1.0, step=0.05), kwargs)
+            for n in (1, 3)] + [(SweepSpec(default_scenario, *default_window), {})]
+    for spec, extra in runs:
         sizes.clear()
-        picked.clear()
         steps.clear()
-        sweep(spec_for(default_scenario, 1.0 - 0.05 * (n_alphas - 1), 1.0, step=0.05),
-              **kwargs)
-        searches = [search[0] for search in steps]
-        if sweep is sweep_comparison:
-            assert not sizes and searches == picked == [4] * batches
-        elif sweep is sweep_admission:
-            assert not sizes and not picked
-            assert searches == [n_alphas * (kwargs["max_drops"] + 1)] * batches
+        sweep(spec, **extra)
+        if sweep is sweep_admission:
+            problems = extra.get("max_drops", 3) + 1
         else:
-            assert not picked and sizes == searches == [n_alphas] * batches
+            problems = 4 if sweep is sweep_comparison else 1
+        assert [search[0] for search in steps] == [problems] * batches
+        assert sizes == ([] if sweep in (sweep_admission, sweep_comparison) else [spec.n_alphas])
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 1, 2, 3, 5, 11])
@@ -465,12 +473,12 @@ def test_comparison_matches_a_search_of_every_grid_point(seed):
     """The level cap skips only grid points strictly below their row's best,
     so every cell that reads a level (rev_expansion_norm at the offered
     rate, rev_rate_norm over the grid) has the bits that grading every grid
-    point through the same scaled levels (prospect._scaled_levels) gives:
-    in the default window and over 0.01-1.0, where targets go out of
-    reach. The bound's premise holds: no level passes cap*(1 - 1e-12), the
-    cap of an evaluator at the problem's own alpha, and the bound's caps,
-    formed from one evaluator at alpha = 1, are bitwise those caps. The
-    other seven columns read no level."""
+    point through the same levels gives: in the default window and over
+    0.01-1.0, where targets go out of reach. The bound's premise holds: no
+    level passes cap*(1 - 1e-12), the cap of an evaluator at the problem's
+    own alpha, and the bound's caps, formed from one evaluator at alpha =
+    1 (caps(alphas)), are bitwise those caps. The other seven columns read
+    no level."""
     sc = build_scenario(seed=seed)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     rates = np.append(ref.rate_bps, np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36))
@@ -479,63 +487,63 @@ def test_comparison_matches_a_search_of_every_grid_point(seed):
         spec = SweepSpec(sc, *window)
         levels, caps, cells = helpers.full_grid_comparison(spec)
         assert (levels <= caps * (1.0 - 1e-12)).all()
-        closed = prospect._caps_at(one, np.array(spec.alphas())[:, None])
+        closed = one.caps(np.array(spec.alphas())[:, None])
         assert closed.ravel().tobytes() == caps.tobytes()
         assert [(row[6], row[8]) for row in sweep_comparison(spec).rows] == cells
-
-
-def per_alpha_levels(users, rates, alphas, total):
-    """prospect._scaled_levels as a search at each problem's own alpha."""
-    return prospect._solve_levels(users.at(rates, alphas), total)
 
 
 @pytest.mark.parametrize("seed, benefit_exp", [
     (experiments.DEFAULT_SEED, 0.65), (2, 0.65), (5, 0.65), (11, 0.65), (3, 0.9)])
 def test_scaled_levels_print_what_a_search_at_every_alpha_prints(seed, benefit_exp,
                                                                 monkeypatch):
-    """Solving each rate once at alpha = 1 and scaling its level to every
-    alpha moves no printed cell: sweep-compare over alphas 0.01-1.0 prints
-    exactly the CSV that one level search at each problem's own alpha
-    prints. (sweep-loss, sweep-price and sweep-expansion search each alpha
-    at its own alpha, through equalized_levels.) At {"benefit_exp": 0.9},
-    seed 3, the grid rates whose level at alpha = 1 is 0 are searched at
-    their own alphas; scaled instead, five rows moved."""
+    """Reading every alpha's level off one root per (rate, band, member
+    set) moves no printed cell: sweep-compare over alphas 0.01-1.0 prints
+    exactly the CSV it prints when each (rate, alpha) problem is searched
+    alone. At {"benefit_exp": 0.9}, seed 3, a grid point past the three of
+    largest bound still reaches its row's best, so a second search runs."""
     spec = SweepSpec(build_scenario(seed=seed, benefit_exp=benefit_exp), 0.01, 1.0, 0.01)
     steps = helpers.count_level_steps(monkeypatch)
-    scaled = sweep_comparison(spec).to_csv()
+    batched = sweep_comparison(spec).to_csv()
     assert (len(steps) > 1) == (benefit_exp == 0.9)
-    monkeypatch.setattr(prospect, "_scaled_levels", per_alpha_levels)
+    search = prospect._solve_levels
+
+    def one_by_one(need, totals):
+        totals = np.broadcast_to(totals, np.shape(need.rates))
+        return np.concatenate([search(need.columns([k]), totals[k:k + 1])
+                               for k in range(totals.size)])
+    monkeypatch.setattr(prospect, "_solve_levels", one_by_one)
     steps.clear()
-    assert sweep_comparison(spec).to_csv() == scaled
-    assert steps[0][0] >= 100
+    assert sweep_comparison(spec).to_csv() == batched
+    assert len(steps) >= 400 and all(alone == [1] * len(alone) for alone in steps)
 
 
 def test_comparison_solves_few_level_problems(default_scenario, monkeypatch):
     """Of sweep-compare's 1,147 level problems at the default config, one
-    lockstep search of 8 steps at alpha = 1 solves 4: the offered rate and
-    the three grid points of largest bound, the same at every alpha, whose
-    levels scale to all 124 (alpha, rate) problems that the branch and
-    bound reads. The sweep inverts 826 requirement columns, the scenario
-    solve's price vectors included, each requirement-and-slope pass counted
-    once (857 while rate control evaluated its best rates again, 1,907 when
-    each alpha's problems were searched, 8,675 when every grid point was).
-    Over 0.01-1.0, one search of 8 steps solves 14 problems for 400."""
+    lockstep search of 6 steps solves 4: the offered rate and the three
+    grid points of largest bound, the same at every alpha, whose roots give
+    all 124 (alpha, rate) levels that the branch and bound reads. The sweep
+    inverts 809 requirement columns, the scenario solve's price vectors
+    included, each requirement-and-slope pass counted once (826 while each
+    rate was searched in x at alpha = 1, with an end check, and scaled;
+    1,907 when each alpha's problems were searched, 8,675 when every grid
+    point was). Over 0.01-1.0, one search of 6 steps solves 14 problems for
+    400."""
     columns = helpers.count_evaluations(monkeypatch)
     steps = helpers.count_level_steps(monkeypatch)
     sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
-    assert sum(np.size(targets) for _, targets in columns) <= 869
-    assert len(steps) == 1 and steps[0][0] == 4 and len(steps[0]) <= 8
+    assert sum(np.size(targets) for _, targets in columns) <= 809
+    assert len(steps) == 1 and steps[0][0] == 4 and len(steps[0]) <= 6
     steps.clear()
     sweep_comparison(spec_for(default_scenario, 0.01, 1.0, step=0.01))
-    assert len(steps) == 1 and steps[0][0] == 14 and len(steps[0]) <= 8
+    assert len(steps) == 1 and steps[0][0] == 14 and len(steps[0]) <= 6
 
 
 def test_a_level_search_makes_no_evaluator_call_but_its_steps(default_scenario, monkeypatch):
-    """Every evaluator call a level search makes is one of the steps that
-    helpers.count_level_steps records: the first takes each problem's
-    column at both ends of the level range, the cap end and the smallest
-    positive level, so sweep-compare's one search at the default config
-    makes 8 calls (9 while the smallest level took a call of its own)."""
+    """Every evaluator call a level search makes is one of the Newton steps
+    that helpers.count_level_steps records: its bracket's ends come in
+    closed form, so sweep-compare's one search at the default config makes
+    6 calls (8 while the search held the level, and its first call took
+    each problem's column at both ends of the level range)."""
     calls = helpers.count_evaluations(monkeypatch)
     steps = helpers.count_level_steps(monkeypatch)
     made, search = [], prospect._solve_levels
@@ -548,23 +556,22 @@ def test_a_level_search_makes_no_evaluator_call_but_its_steps(default_scenario, 
             made.append(len(calls) - before)
     monkeypatch.setattr(prospect, "_solve_levels", counted)
     sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
-    assert made == [len(search) for search in steps] == [8]
+    assert made == [len(search) for search in steps] == [6]
 
 
 def test_comparison_searches_again_where_a_bound_reaches_the_best(monkeypatch):
     """Where a grid point beyond the three of largest bound still bounds
     its row's best solved revenue, a second search solves every such point,
-    and the cells keep the bits that grading every grid point gives. Where
-    a rate's level at alpha = 1 is 0 or the cap end, its problems are
-    searched at their own alphas. At price_exp 0.6, seed 59, the default
-    window searches 4 rates at alpha = 1, 3 of which fall back (93
-    problems), then 33 rates, 5 of which fall back (155 problems)."""
+    and the cells keep the bits that grading every grid point gives. At
+    price_exp 0.6, seed 59, the default window searches 4 rates, then 33
+    (93 and 155 problems while the rates whose level at alpha = 1 was 0 or
+    the cap end were searched again at their own alphas)."""
     spec = SweepSpec(build_scenario(price_exp=0.6, seed=59),
                      *experiments.DEFAULT_RANGE_COMPARISON)
     _, _, cells = helpers.full_grid_comparison(spec)
     steps = helpers.count_level_steps(monkeypatch)
     rows = sweep_comparison(spec).rows
-    assert [search[0] for search in steps] == [4, 93, 33, 155]
+    assert [search[0] for search in steps] == [4, 33]
     assert helpers.row_bits([(row[6], row[8]) for row in rows]) == helpers.row_bits(cells)
 
 

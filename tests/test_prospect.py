@@ -1195,10 +1195,14 @@ def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
 
     The batch inverts in numpy and the check in math; the two differ by a few
     ulp times the inversion's conditioning (up to 4e-11 of the summed band
-    on seed 3's sweep grid), so the sum must fit 1e-12 below the level and
-    exceed the band 1e-12 above it, or one float above it where 1e-12 is
-    less than an ulp (subnormal levels). A level of 0 means that not even
-    the smallest positive level fits.
+    on seed 3's sweep grid), so the sum must fit a relative 1e-12 below the
+    level and exceed the band as far above it, or one float above it where
+    that is less than an ulp (subnormal levels). Near 0, where alpha*tau^alpha
+    = -alpha*ln(x/h) exceeds 1, the step is 1e-12*alpha*tau^alpha, 1e-12 in
+    ln tau: the level's stated error grows as alpha*tau^alpha (_solve_levels),
+    and a step of 1e-12 in ln x moves S by a few ulp (at seed 7, alpha 0.95
+    and 2.4e7 bps, 5e-16 of it). A level of 0 means that not even the
+    smallest positive level fits.
     """
     sc = experiments.build_scenario(seed=seed)
     ref = experiments.reference_offer(sc, solve_nash(sc))
@@ -1220,8 +1224,9 @@ def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
         if x == 0.0:
             assert total(5e-324) >= budget, (alpha, rate)
             continue
-        assert total(x * (1.0 - 1e-12)) < budget, (alpha, rate, x)
-        assert total(max(x * (1.0 + 1e-12), math.nextafter(x, math.inf))) >= budget, (
+        step = 1e-12 * max(1.0, -alpha * math.log(x / sc.benefit(rate)))
+        assert total(x * (1.0 - step)) < budget, (alpha, rate, x)
+        assert total(max(x * (1.0 + step), math.nextafter(x, math.inf))) >= budget, (
             alpha, rate, x)
 
 
@@ -1299,13 +1304,18 @@ def test_equalized_levels_invert_few_columns_and_converge(seed, monkeypatch):
 
 
 def test_a_level_search_stopped_at_its_cap_warns(default_scenario, default_ref):
-    """Brackets still open after max_iter steps are reported, and their
-    levels are the ends that fit."""
+    """Roots still open after max_iter steps are reported, and their levels
+    are the ends of their brackets that fit: below the levels that the
+    finished search gives, with summed requirements inside the band."""
     sc, ref = default_scenario, default_ref
     need = game._Users(sc, ref.served_set).at(*compare_grid(sc, ref))
     with pytest.warns(RuntimeWarning, match="equalized_levels stopped at max_iter=2"):
         levels = prospect._solve_levels(need, sc.total_bandwidth_hz, max_iter=2)
-    assert (game._total(need(levels)) < sc.total_bandwidth_hz).all()
+    finished = prospect._solve_levels(need, sc.total_bandwidth_hz)
+    stopped = levels != finished
+    assert stopped.sum() > levels.size // 2
+    assert (levels[stopped] < finished[stopped]).all()
+    assert (game._total(need(levels))[stopped] < sc.total_bandwidth_hz).all()
 
 
 def mp_total(mpmath, sc, users, rate, alpha, x):
@@ -1349,55 +1359,92 @@ def test_equalized_levels_match_a_50_digit_root(default_scenario, default_ref):
         assert float(abs(levels[k] - want) / want) <= 1e-12, (a, r, levels[k])
 
 
-def mp_scale(mpmath, sc, users, rate, band, level_at_one):
-    """50-digit (h, u*) of a rate: its benefit h and the root u* =
-    log(-ln(x/h)) of S = band at alpha = 1, from mp_level around the
-    alpha = 1 level. The level at alpha is then h*exp(-exp(alpha*u*))."""
+def mp_log_tau(mpmath, sc, users, rate, band, guess):
+    """50-digit (h, v*) of a rate: its benefit h and the root v* = log tau*
+    of S(tau) = band, each user's band the one at which the guarantee
+    reaches exp(-tau) (helpers.mp_min_bandwidth), by secant from 1e-9
+    around guess. The level at alpha is h*exp(-exp(alpha*v*))."""
     with mpmath.workdps(50):
         h = sc.benefit.coefficient * (mpmath.mpf(rate) / 1000) ** sc.benefit.exponent
-        root = mp_level(mpmath, sc, users, rate, 1.0, band, level_at_one)
-        return h, mpmath.log(-mpmath.log(root / h))
+        root = mpmath.findroot(
+            lambda v: sum(helpers.mp_min_bandwidth(mpmath, rate, mpmath.exp(-mpmath.exp(v)),
+                                                   sc.users[i]) for i in users) - band,
+            (mpmath.mpf(guess) - 1e-9, mpmath.mpf(guess) + 1e-9), solver="secant",
+            tol=mpmath.mpf(10) ** -40)
+        return h, root
 
 
-def mp_scaled(mpmath, h, u_star, alpha):
+def mp_scaled(mpmath, h, v_star, alpha):
     with mpmath.workdps(50):
-        return h * mpmath.exp(-mpmath.exp(mpmath.mpf(alpha) * u_star))
+        return h * mpmath.exp(-mpmath.exp(mpmath.mpf(alpha) * v_star))
 
 
-def test_scaled_levels_match_a_50_digit_root(default_scenario, default_ref):
-    """prospect._scaled_levels against roots of S(x) = B taken at 50 digits
-    at each problem's own alpha: the offered rate at alphas 0.01, 0.3, 0.85
-    and 1, and the grid level of 4.6e-33 (alpha 0.85 at 1.87e7 bps), each
-    within 1e-12; the offered rate's u* = log(-ln(x/h)) at alpha = 1
-    within 1e-12 of the 50-digit one. A problem whose alpha = 1 level is 0
-    is searched at its own alpha ({"price_exp": 0.6}, seed 59, at 38,972
-    bps): at alpha 0.3 its level is within 1e-12 of the 50-digit root, and
-    at 0.9 it is 0, where S(5e-324) taken at 50 digits reaches the band."""
+def level_bound(mpmath, alpha, v_star):
+    """_solve_levels' stated relative error of the level h*exp(-tau*^alpha),
+    v* = log tau*: 2e-15 plus alpha*tau*^alpha times 8 ulp of max(1, |v*|)."""
+    t = float(alpha * mpmath.exp(alpha * v_star))
+    return 2e-15 + 8.0 * t * np.spacing(max(1.0, abs(float(v_star))))
+
+
+def grid_roots(mpmath, seed):
+    """A seed's scenario, reference offer, sweep-compare rates (the offered
+    one, then the 36-rate grid) and, per rate, the root that the level
+    search takes (prospect._level_roots) and its 50-digit (h, v*)."""
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    rates = np.append(ref.rate_bps, np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36))
+    band = sc.total_bandwidth_hz
+    v = prospect._level_roots(game._Users(sc, ref.served_set).at(rates, 1.0),
+                              np.full(rates.size, band), 100)
+    return sc, ref, rates, v, [mp_log_tau(mpmath, sc, ref.served_set, rate, band, guess)
+                               for rate, guess in zip(rates.tolist(), v.tolist())]
+
+
+def test_scaled_levels_match_a_50_digit_root():
+    """Every level of sweep-compare's rates at alphas 0.01 to 1, each read
+    off its rate's one root, against h*exp(-tau*^alpha) with tau* the
+    root of S(tau) = B taken at 50 digits, at seeds 4966, 1 and 5: within
+    1e-14 wherever 8*alpha*tau*^alpha*ulp(max(1, |v*|)) stays below 5e-15,
+    as at every level of the 12 lowest rates and the offered one (seed 1,
+    6,986 bps, alpha 0.08, where x/h = 1 - 5.6e-6 at alpha 1, was 2.55e-11
+    off when the level at alpha = 1 was scaled), and within the stated
+    bound (level_bound) everywhere, less the rounding to a subnormal exp
+    where the level is one (2*h*5e-324). Each v is within 8 ulp of max(1,
+    |v*|)."""
     mpmath = pytest.importorskip("mpmath")
-    sc, ref = default_scenario, default_ref
-    served, band, b_star = game._Users(sc, ref.served_set), sc.total_bandwidth_hz, ref.rate_bps
-    one = served.at(b_star, 1.0)
-    x_one = prospect._solve_levels(one, band)[0]
-    h, u_star = mp_scale(mpmath, sc, ref.served_set, b_star, band, x_one)
-    u = math.log(-math.log(x_one / one.benefit[0]))
-    assert float(abs(u - u_star) / abs(u_star)) <= 1e-12
-    rate_31 = np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)[30]
-    rates, alphas = [b_star] * 4 + [rate_31], [0.01, 0.3, 0.85, 1.0, 0.85]
-    levels = prospect._scaled_levels(served, rates, alphas, band)
-    assert levels[-1] < 1e-32
-    for rate, alpha, level in zip(rates, alphas, levels.tolist()):
-        want = mp_level(mpmath, sc, ref.served_set, rate, alpha, band, level)
-        assert float(abs(level - want) / want) <= 1e-12, (rate, alpha, level)
-
+    alphas = [round(0.01 * k, 2) for k in range(1, 101)]
+    for seed in (experiments.DEFAULT_SEED, 1, 5):
+        sc, ref, rates, v, roots = grid_roots(mpmath, seed)
+        need = game._Users(sc, ref.served_set).at(np.tile(rates, len(alphas)),
+                                                  np.repeat(alphas, rates.size))
+        levels = prospect._solve_levels(need, sc.total_bandwidth_hz)
+        tops = need.caps() * prospect._CAP_END
+        for j, (h, v_star) in enumerate(roots):
+            assert abs(v[j] - v_star) <= 8 * np.spacing(max(1.0, abs(v[j]))), (seed, j)
+        for k, (alpha, level, top) in enumerate(zip(need._alphas.tolist(), levels.tolist(),
+                                                     tops.tolist())):
+            h, v_star = roots[k % rates.size]
+            want = mp_scaled(mpmath, h, v_star, alpha)
+            if want >= top:
+                assert level == top, (seed, k)
+                continue
+            # exp(-tau^alpha) is subnormal where the level is: a rounding of 5e-324 times h
+            err = float((abs(level - want) - 2 * h * 5e-324) / want)
+            bound = level_bound(mpmath, alpha, v_star)
+            assert err <= (1e-14 if bound < 5e-15 else bound), (seed, k, err)
+            assert k % rates.size > 12 or err <= 1e-14, (seed, k, err)
+    # a root whose level at alpha = 1 is 0, at 38,972 bps: positive at alpha 0.3,
+    # and 0 at 0.9, where S(5e-324) taken at 50 digits reaches the band
     sc = experiments.build_scenario(price_exp=0.6, seed=59)
     ref = experiments.reference_offer(sc, solve_nash(sc))
-    served, band = game._Users(sc, ref.served_set), sc.total_bandwidth_hz
+    band = sc.total_bandwidth_hz
     rate = np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36)[28]
-    assert prospect._solve_levels(served.at(rate, 1.0), band)[0] == 0.0
-    level, zero = prospect._scaled_levels(served, rate, [0.3, 0.9], band).tolist()
-    want = mp_level(mpmath, sc, ref.served_set, rate, 0.3, band, level)
-    assert float(abs(level - want) / want) <= 1e-12, level
-    assert zero == 0.0
+    need = game._Users(sc, ref.served_set).at(rate, [1.0, 0.3, 0.9])
+    at_one, level, zero = prospect._solve_levels(need, band).tolist()
+    v = prospect._level_roots(need.columns([0]), np.array([band]), 100)[0]
+    h, v_star = mp_log_tau(mpmath, sc, ref.served_set, rate, band, v)
+    want = mp_scaled(mpmath, h, v_star, 0.3)
+    assert at_one == zero == 0.0 and float(abs(level - want) / want) <= 1e-14, level
     assert mp_total(mpmath, sc, ref.served_set, rate, 0.9, 5e-324) >= band
 
 
@@ -1405,11 +1452,9 @@ def test_scaled_levels_match_a_50_digit_root(default_scenario, default_ref):
 def test_printed_scaled_levels_match_a_50_digit_root(seed):
     """Every level that sweep-compare prints a revenue of, over alphas
     0.01-1.0: the offered rate's (rev_expansion_norm) and the grid point's
-    that gives rev_rate_norm, each within 1e-12 of h*exp(-exp(alpha*u*))
-    with u* the rate's 50-digit root at alpha = 1 (mp_scale; the map
-    itself is checked against roots at the problem's own alpha above). The
-    10 or 11 grid points that give the maximum all have a level at alpha =
-    1 inside the search's range, so none of them falls back."""
+    that gives rev_rate_norm, each within 1e-14 of h*exp(-tau*^alpha),
+    tau* its rate's root taken at 50 digits (1e-12 while the level at alpha
+    = 1 was scaled)."""
     mpmath = pytest.importorskip("mpmath")
     sc = experiments.build_scenario(seed=seed)
     spec = experiments.SweepSpec(sc, 0.01, 1.0, 0.01)
@@ -1421,32 +1466,37 @@ def test_printed_scaled_levels_match_a_50_digit_root(seed):
     grid_rev = game._revenue(sc, ref.n_served, levels[:, 1:], rates[1:]) / solve_nash(sc).sp_revenue
     best = np.argmax(grid_rev, axis=1) + 1
     assert grid_rev.max(axis=1).tolist() == [rate_rev for _, rate_rev in cells]
-    one = game._Users(sc, ref.served_set).at(rates, 1.0)
-    at_one = prospect._solve_levels(one, band)
-    inside = (at_one > 0.0) & (at_one < one.caps() * prospect._CAP_END)
+    roots = prospect._level_roots(game._Users(sc, ref.served_set).at(rates, 1.0),
+                                  np.full(rates.size, band), 100)
     for j in sorted({0, *best.tolist()}):
-        assert inside[j], j
-        h, u_star = mp_scale(mpmath, sc, ref.served_set, rates[j], band, at_one[j])
+        h, v_star = mp_log_tau(mpmath, sc, ref.served_set, rates[j], band, roots[j])
         for a in np.flatnonzero((best == j) | (j == 0)).tolist():
-            want = mp_scaled(mpmath, h, u_star, spec.alphas()[a])
-            assert float(abs(levels[a, j] - want) / want) <= 1e-12, (rates[j], a)
+            want = mp_scaled(mpmath, h, v_star, spec.alphas()[a])
+            assert float(abs(levels[a, j] - want) / want) <= 1e-14, (rates[j], a)
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-20, 4e-13])
 def test_scaled_levels_stay_below_their_cap_end(default_scenario, default_ref, alpha):
-    """At an alpha so small that (-ln q)^alpha rounds to 1, every level
-    maps to the cap h/e itself, above the search's top: those problems are
-    searched at their own alpha, so no level passes its cap end (the
-    premise of sweep-compare's bound), and each lies within 1e-12 of the
-    level that search gives."""
+    """At an alpha so small that tau^alpha rounds to 1, or within 1e-12 of
+    it, every level maps to the cap h/e or within 1e-12 of it, past the cap
+    end: no level passes the cap end (the premise of sweep-compare's
+    bound), every level at 1e-300 and 1e-20 is the cap end, and at 4e-13
+    each of the 8 below it lies within the stated bound (level_bound) of
+    h*exp(-tau*^alpha), tau* taken at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
     sc, ref = default_scenario, default_ref
-    served = game._Users(sc, ref.served_set)
     rates = np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36)
-    need = served.at(rates, alpha)
-    levels = prospect._scaled_levels(served, rates, alpha, sc.total_bandwidth_hz)
-    want = prospect._solve_levels(need, sc.total_bandwidth_hz)
-    assert (levels <= need.caps() * prospect._CAP_END).all()
-    assert (np.abs(levels - want) <= 1e-12 * want).all()
+    need = game._Users(sc, ref.served_set).at(rates, alpha)
+    levels = prospect._solve_levels(need, sc.total_bandwidth_hz)
+    tops = need.caps() * prospect._CAP_END
+    below = np.flatnonzero(levels < tops)
+    assert (levels <= tops).all() and below.size == (8 if alpha == 4e-13 else 0)
+    roots = prospect._level_roots(need, np.full(rates.size, sc.total_bandwidth_hz), 100)
+    for j in below.tolist():
+        h, v_star = mp_log_tau(mpmath, sc, ref.served_set, rates[j], sc.total_bandwidth_hz,
+                               roots[j])
+        want = mp_scaled(mpmath, h, v_star, alpha)
+        assert float(abs(levels[j] - want) / want) <= level_bound(mpmath, alpha, v_star), j
 
 
 @pytest.mark.parametrize("alpha", [0.001, 0.003])
@@ -1489,20 +1539,27 @@ def test_zero_levels_leave_the_band_out_of_reach_at_50_digits(default_scenario,
 
 
 def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
-    """Every split of the default sweep-compare grid stays inside the band,
-    to the rounding of its n additions (at alpha 0.985 and 1,036,762 bps,
-    re-inverting each user at the level overshot it by 2.5e-14). The grid is
-    one equalized_levels search, its requirement columns one evaluation at
-    the levels; equalized_willingness pads each alpha's split at the offered
-    rate to the whole band."""
+    """Every split of the default sweep-compare grid, each user re-inverted
+    at the level, stays inside the band to the rounding of its n additions
+    plus what the level's error moves: |dS/d ln x| times 1e-14*(1 +
+    alpha*tau^alpha*max(1, |log tau|)), the level's stated bound
+    (_solve_levels) and the rounding of ln(x/h) and tau in the re-inversion,
+    which near the cap the worst user's requirement magnifies (at alpha
+    0.945 and 361,856 bps, S(x) - B = 7.5e-12*B, where |dS/d ln x| =
+    4.6e4*B; 1.6% of the allowance at most). The
+    grid is one equalized_levels search, its requirement columns one
+    evaluation at the levels; equalized_willingness pads each alpha's
+    split at the offered rate to the whole band."""
     sc, ref = default_scenario, default_ref
     bound = sc.total_bandwidth_hz * (1.0 + ref.n_served * 2.0 ** -52)
     rate_col, alpha_col = compare_grid(sc, ref)
     levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, sc.total_bandwidth_hz)
-    need = game._Users(sc, ref.served_set).at(rate_col, alpha_col)(levels)
-    for k, column in enumerate(need.T.tolist()):
-        if all(math.isfinite(a) for a in column):
-            assert math.fsum(column) <= bound, (alpha_col[k], rate_col[k])
+    need, slopes = game._Users(sc, ref.served_set).at(rate_col, alpha_col).with_slopes(levels)
+    for k, (column, slope) in enumerate(zip(need.T.tolist(), game._total(slopes).tolist())):
+        if all(math.isfinite(a) for a in column) and levels[k] > 0.0:
+            t = -alpha_col[k] * math.log(levels[k] / sc.benefit(rate_col[k]))
+            moved = 1e-14 * (1.0 + t * max(1.0, abs(math.log(t) / alpha_col[k])))
+            assert math.fsum(column) <= bound + abs(slope) * moved, (alpha_col[k], rate_col[k])
     for alpha in np.unique(alpha_col).tolist():
         _, alloc = equalized_willingness(sc, ref, WeightingModel(alpha=alpha))
         assert math.fsum(alloc) <= bound, alpha
