@@ -14,7 +14,7 @@ from .channel import UnattainableGuaranteeError
 from .experiments import (DEFAULT_ALPHA_STEP, DEFAULT_RANGE_ADMISSION,
                           DEFAULT_RANGE_COMPARISON, DEFAULT_RANGE_EXPANSION,
                           DEFAULT_RANGE_LOSS, DEFAULT_RANGE_PRICE, NoEquilibriumError,
-                          ScenarioParams, SweepSpec, SweepTable, build_scenario)
+                          ScenarioParams, SweepSpec, SweepTable)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -26,18 +26,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _known_keys(data: dict) -> dict:
-    """data, once every key is a ScenarioParams field."""
+def config_from_mapping(data: dict) -> ScenarioParams:
     names = {f.name for f in dataclasses.fields(ScenarioParams)}
     for key in data:
         if key not in names:
             raise ConfigError(f"unknown config key: {key!r}")
-    return data
-
-
-def config_from_mapping(data: dict) -> ScenarioParams:
     try:
-        return ScenarioParams(**_known_keys(data))
+        return ScenarioParams(**data)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -147,13 +142,13 @@ def _diagnostic(status: str, exc: Exception) -> SweepTable:
 
 def _run(args) -> tuple[SweepTable, int]:
     """The command's table and exit status; every refusal is raised for dispatch."""
-    # the config is validated once, by the one ScenarioParams a command builds
     config = {} if args.config is None else _read_config(args.config)
     if args.seed is not None:
         config = {**config, "seed": args.seed}
+    # the one ScenarioParams a command builds, so a config is validated once
+    params = config_from_mapping(config)
 
     if args.command == "fit-pwf":
-        config_from_mapping(config)
         if args.data is None:
             records = experiments.bundled_psych_records()
         else:
@@ -164,7 +159,7 @@ def _run(args) -> tuple[SweepTable, int]:
                 raise ConfigError(f"cannot read data file {args.data!r}: {exc}") from exc
         return experiments.fit_table(records), EXIT_OK
 
-    scenario = build_scenario(**_known_keys(config))
+    scenario = experiments._scenario(params)
     if args.command == "ne-solve":
         table = experiments.ne_table(scenario)
         _, n_served, _ = table.rows[0]
@@ -181,8 +176,7 @@ def _run(args) -> tuple[SweepTable, int]:
         raise _UsageError("alpha range must satisfy 0 < min <= max <= 1")
     try:
         spec = SweepSpec(scenario=scenario, alpha_min=amin, alpha_max=amax,
-                         alpha_step=step, offer_margin=float(config.get(
-                             "bandwidth_margin", ScenarioParams.bandwidth_margin)))
+                         alpha_step=step, offer_margin=params.bandwidth_margin)
     except ValueError as exc:  # range and step are valid, so the grid is too long or fine
         raise _UsageError(f"--alpha-step: {exc}") from exc
     extra = {"max_drops": args.max_drops} if args.command == "sweep-admission" else {}

@@ -157,7 +157,11 @@ def build_scenario(n_users: int = ScenarioParams.n_users, **params) -> Scenario:
     minimum at the unconstrained optimal rate plus the stated margin, or
     raises InfeasibleScenarioError when some user cannot be served there.
     """
-    p = ScenarioParams(n_users=n_users, **params)
+    return _scenario(ScenarioParams(n_users=n_users, **params))
+
+
+def _scenario(p: ScenarioParams) -> Scenario:
+    """build_scenario of parameters already validated."""
     rng = np.random.default_rng(p.seed)
     pricing = PowerLaw(p.price_coeff, p.price_exp)
     benefit = PowerLaw(p.benefit_coeff, p.benefit_exp)
@@ -354,7 +358,8 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     retained users accept it, otherwise the highest price they do accept. One
     level search over the served users, each kept set as members (never
     empty as max_drops < n_served), solves one root per kept set for every
-    alpha.
+    alpha, each level stepped down to fit the band (prospect._fitted), as
+    equalized_levels gives it.
     """
     alphas = spec.alphas()
     ref, eut = _baseline(spec)
@@ -365,7 +370,9 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     served = _Users(sc, ref.served_set)
     need = served.at(ref.rate_bps, np.repeat(alphas, drops.size),
                      np.tile(served.kept(drops), len(alphas)))
-    caps = prospect._solve_levels(need, sc.total_bandwidth_hz).reshape(len(alphas), -1)
+    caps, _ = prospect._fitted(need, prospect._solve_levels(need, sc.total_bandwidth_hz),
+                               sc.total_bandwidth_hz)
+    caps = caps.reshape(len(alphas), -1)
     kept_sizes = (ref.n_served - drops).tolist()
     targets = [prospect.admission_price(sc, ref, n_kept) for n_kept in kept_sizes]
     rows = []
@@ -403,7 +410,9 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     one evaluator of the grid (caps(alphas)). prospect._solve_levels, one
     root per distinct rate, solves each alpha's offered rate and its
     _FIRST_POINTS grid points of largest bound, then every other grid point
-    whose bound still reaches its row's best solved revenue. A skipped
+    whose bound still reaches its row's best solved revenue. A level is
+    read as a revenue only, so it is the root, not stepped down to fit the
+    band (prospect._fitted), which would evaluate every solved problem again. A skipped
     point is strictly below its row's maximum, and a level does not depend
     on the problems batched with it, so the maximum is the one that grading
     every point through the same levels finds, to the bit. The rate control

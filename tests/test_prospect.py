@@ -1199,10 +1199,11 @@ def test_batched_levels_sit_where_the_scalar_sum_meets_the_band(seed):
     level and exceed the band as far above it, or one float above it where
     that is less than an ulp (subnormal levels). Near 0, where alpha*tau^alpha
     = -alpha*ln(x/h) exceeds 1, the step is 1e-12*alpha*tau^alpha, 1e-12 in
-    ln tau: the level's stated error grows as alpha*tau^alpha (_solve_levels),
-    and a step of 1e-12 in ln x moves S by a few ulp (at seed 7, alpha 0.95
-    and 2.4e7 bps, 5e-16 of it). A level of 0 means that not even the
-    smallest positive level fits.
+    ln tau: this widening is only the near-0 growth of the level's error
+    that _solve_levels states, alpha*tau^alpha times an error in ln tau,
+    and a step of 1e-12 in ln x moves S there by a few ulp (at seed 7,
+    alpha 0.95 and 2.4e7 bps, 5e-16 of it). A level of 0 means that not
+    even the smallest positive level fits.
     """
     sc = experiments.build_scenario(seed=seed)
     ref = experiments.reference_offer(sc, solve_nash(sc))
@@ -1306,7 +1307,9 @@ def test_equalized_levels_invert_few_columns_and_converge(seed, monkeypatch):
 def test_a_level_search_stopped_at_its_cap_warns(default_scenario, default_ref):
     """Roots still open after max_iter steps are reported, and their levels
     are the ends of their brackets that fit: below the levels that the
-    finished search gives, with summed requirements inside the band."""
+    finished search gives, with summed requirements inside the band, so
+    _fitted keeps them; with the finished roots stepped down where they
+    round past the band (_fitted), every level fits it."""
     sc, ref = default_scenario, default_ref
     need = game._Users(sc, ref.served_set).at(*compare_grid(sc, ref))
     with pytest.warns(RuntimeWarning, match="equalized_levels stopped at max_iter=2"):
@@ -1315,7 +1318,9 @@ def test_a_level_search_stopped_at_its_cap_warns(default_scenario, default_ref):
     stopped = levels != finished
     assert stopped.sum() > levels.size // 2
     assert (levels[stopped] < finished[stopped]).all()
-    assert (game._total(need(levels))[stopped] < sc.total_bandwidth_hz).all()
+    fitted, at = prospect._fitted(need, levels, sc.total_bandwidth_hz)
+    assert (fitted[stopped] == levels[stopped]).all() and (at == need(fitted)).all()
+    assert (game._total(need(fitted)) < sc.total_bandwidth_hz).all()
 
 
 def mp_total(mpmath, sc, users, rate, alpha, x):
@@ -1410,7 +1415,10 @@ def test_scaled_levels_match_a_50_digit_root():
     off when the level at alpha = 1 was scaled), and within the stated
     bound (level_bound) everywhere, less the rounding to a subnormal exp
     where the level is one (2*h*5e-324). Each v is within 8 ulp of max(1,
-    |v*|)."""
+    |v*|). The levels that equalized_levels gives, stepped down to fit the
+    band (prospect._fitted), keep the same bounds, at twice level_bound
+    where that exceeds 5e-15 (the fit moves a level 1.52 bounds at most
+    on seven cells), and fit."""
     mpmath = pytest.importorskip("mpmath")
     alphas = [round(0.01 * k, 2) for k in range(1, 101)]
     for seed in (experiments.DEFAULT_SEED, 1, 5):
@@ -1418,21 +1426,24 @@ def test_scaled_levels_match_a_50_digit_root():
         need = game._Users(sc, ref.served_set).at(np.tile(rates, len(alphas)),
                                                   np.repeat(alphas, rates.size))
         levels = prospect._solve_levels(need, sc.total_bandwidth_hz)
+        fitted, _ = prospect._fitted(need, levels, sc.total_bandwidth_hz)
+        assert (game._total(need(fitted)) < sc.total_bandwidth_hz).all()
         tops = need.caps() * prospect._CAP_END
         for j, (h, v_star) in enumerate(roots):
             assert abs(v[j] - v_star) <= 8 * np.spacing(max(1.0, abs(v[j]))), (seed, j)
-        for k, (alpha, level, top) in enumerate(zip(need._alphas.tolist(), levels.tolist(),
-                                                     tops.tolist())):
+        for k, (alpha, level, fit, top) in enumerate(zip(
+                need._alphas.tolist(), levels.tolist(), fitted.tolist(), tops.tolist())):
             h, v_star = roots[k % rates.size]
             want = mp_scaled(mpmath, h, v_star, alpha)
             if want >= top:
-                assert level == top, (seed, k)
+                assert level == top and top - fit <= 4e-16 * top, (seed, k)
                 continue
-            # exp(-tau^alpha) is subnormal where the level is: a rounding of 5e-324 times h
-            err = float((abs(level - want) - 2 * h * 5e-324) / want)
             bound = level_bound(mpmath, alpha, v_star)
-            assert err <= (1e-14 if bound < 5e-15 else bound), (seed, k, err)
-            assert k % rates.size > 12 or err <= 1e-14, (seed, k, err)
+            for x, times in ((level, 1.0), (fit, 2.0)):
+                # exp(-tau^alpha) is subnormal where the level is: a rounding of 5e-324 times h
+                err = float((abs(x - want) - 2 * h * 5e-324) / want)
+                assert err <= (1e-14 if bound < 5e-15 else times * bound), (seed, k, err)
+                assert k % rates.size > 12 or err <= 1e-14, (seed, k, err)
     # a root whose level at alpha = 1 is 0, at 38,972 bps: positive at alpha 0.3,
     # and 0 at 0.9, where S(5e-324) taken at 50 digits reaches the band
     sc = experiments.build_scenario(price_exp=0.6, seed=59)
@@ -1539,27 +1550,20 @@ def test_zero_levels_leave_the_band_out_of_reach_at_50_digits(default_scenario,
 
 
 def test_equalized_allocations_fit_the_band(default_scenario, default_ref):
-    """Every split of the default sweep-compare grid, each user re-inverted
-    at the level, stays inside the band to the rounding of its n additions
-    plus what the level's error moves: |dS/d ln x| times 1e-14*(1 +
-    alpha*tau^alpha*max(1, |log tau|)), the level's stated bound
-    (_solve_levels) and the rounding of ln(x/h) and tau in the re-inversion,
-    which near the cap the worst user's requirement magnifies (at alpha
-    0.945 and 361,856 bps, S(x) - B = 7.5e-12*B, where |dS/d ln x| =
-    4.6e4*B; 1.6% of the allowance at most). The
-    grid is one equalized_levels search, its requirement columns one
-    evaluation at the levels; equalized_willingness pads each alpha's
-    split at the offered rate to the whole band."""
+    """Every split of the default sweep-compare grid stays inside the band,
+    to the rounding of its n additions (at alpha 0.985 and 1,036,762 bps,
+    re-inverting each user at the level overshot it by 2.5e-14). The grid is
+    one equalized_levels search, its requirement columns one evaluation at
+    the levels; equalized_willingness pads each alpha's split at the offered
+    rate to the whole band."""
     sc, ref = default_scenario, default_ref
     bound = sc.total_bandwidth_hz * (1.0 + ref.n_served * 2.0 ** -52)
     rate_col, alpha_col = compare_grid(sc, ref)
     levels = equalized_levels(sc, ref.served_set, rate_col, alpha_col, sc.total_bandwidth_hz)
-    need, slopes = game._Users(sc, ref.served_set).at(rate_col, alpha_col).with_slopes(levels)
-    for k, (column, slope) in enumerate(zip(need.T.tolist(), game._total(slopes).tolist())):
-        if all(math.isfinite(a) for a in column) and levels[k] > 0.0:
-            t = -alpha_col[k] * math.log(levels[k] / sc.benefit(rate_col[k]))
-            moved = 1e-14 * (1.0 + t * max(1.0, abs(math.log(t) / alpha_col[k])))
-            assert math.fsum(column) <= bound + abs(slope) * moved, (alpha_col[k], rate_col[k])
+    need = game._Users(sc, ref.served_set).at(rate_col, alpha_col)(levels)
+    for k, column in enumerate(need.T.tolist()):
+        if all(math.isfinite(a) for a in column):
+            assert math.fsum(column) <= bound, (alpha_col[k], rate_col[k])
     for alpha in np.unique(alpha_col).tolist():
         _, alloc = equalized_willingness(sc, ref, WeightingModel(alpha=alpha))
         assert math.fsum(alloc) <= bound, alpha
