@@ -358,8 +358,7 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     retained users accept it, otherwise the highest price they do accept. One
     level search over the served users, each kept set as members (never
     empty as max_drops < n_served), solves one root per kept set for every
-    alpha, each level stepped down to fit the band (prospect._fitted), as
-    equalized_levels gives it.
+    alpha.
     """
     alphas = spec.alphas()
     ref, eut = _baseline(spec)
@@ -370,9 +369,7 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     served = _Users(sc, ref.served_set)
     need = served.at(ref.rate_bps, np.repeat(alphas, drops.size),
                      np.tile(served.kept(drops), len(alphas)))
-    caps, _ = prospect._fitted(need, prospect._solve_levels(need, sc.total_bandwidth_hz),
-                               sc.total_bandwidth_hz)
-    caps = caps.reshape(len(alphas), -1)
+    caps = prospect._solve_levels(need, sc.total_bandwidth_hz).reshape(len(alphas), -1)
     kept_sizes = (ref.n_served - drops).tolist()
     targets = [prospect.admission_price(sc, ref, n_kept) for n_kept in kept_sizes]
     rows = []
@@ -410,16 +407,13 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     one evaluator of the grid (caps(alphas)). prospect._solve_levels, one
     root per distinct rate, solves each alpha's offered rate and its
     _FIRST_POINTS grid points of largest bound, then every other grid point
-    whose bound still reaches its row's best solved revenue. A level is
-    read as a revenue only, so it is the root, not stepped down to fit the
-    band (prospect._fitted), which would evaluate every solved problem again. A skipped
-    point is strictly below its row's maximum, and a level does not depend
-    on the problems batched with it, so the maximum is the one that grading
-    every point through the same levels finds, to the bit. The rate control
-    of every alpha comes from one rate_controls call, the no-pricing and
-    admission bands from one evaluation each, and the admission price cap
-    of every alpha from one pass over the survivors' guarantees. The
-    survivors' band uses the served users' evaluator, with them as members.
+    whose bound still reaches its row's best solved revenue. A level, read
+    as a revenue only, is its root, without the fit that would evaluate
+    every problem again. A skipped point is strictly below its row's
+    maximum, and a level does not depend on the problems batched with it,
+    so the maximum is the one that grading every point through the same
+    levels finds, to the bit. The survivors' band uses the served users'
+    evaluator, with them as members.
     """
     alphas = spec.alphas()
     ref, eut = _baseline(spec)
@@ -443,7 +437,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     pick = np.arange(len(alphas))[:, None], first
     solved = prospect._solve_levels(served.at(
         np.append(np.full(len(alphas), b_star), rate_grid[first]),
-        np.append(alphas, np.broadcast_to(column, first.shape))), budget)
+        np.append(alphas, np.broadcast_to(column, first.shape))), budget, fit=False)
     x_hat = solved[:len(alphas)]
     grid_rev = np.full(bounds.shape, -np.inf)
     grid_rev[pick] = revenues(solved[len(alphas):].reshape(first.shape), first)
@@ -452,7 +446,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     rest_a, rest_j = np.nonzero(rest)
     if rest_a.size:
         grid_rev[rest_a, rest_j] = revenues(prospect._solve_levels(
-            served.at(rate_grid[rest_j], column[rest_a, 0]), budget), rest_j)
+            served.at(rate_grid[rest_j], column[rest_a, 0]), budget, fit=False), rest_j)
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
     # the survivors' band at the markup and their price cap, every alpha in one pass

@@ -224,10 +224,10 @@ def _reciprocals(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv_alpha = 1.0 / alphas
-    valid = (0.0 < alphas) & (alphas <= 1.0) & np.isfinite(inv_alpha)
-    if not valid.all():
+    bad = ~((0.0 < alphas) & (alphas <= 1.0) & np.isfinite(inv_alpha))
+    if bad.any():
         raise ValueError(f"alpha must lie in (0, 1] with a finite reciprocal, "
-                         f"got {alphas[~valid][0]}")
+                         f"got {alphas[bad][0]}")
     return inv_alpha
 
 

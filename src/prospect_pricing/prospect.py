@@ -8,8 +8,7 @@ and implements the three offer-restructuring strategies, admission control,
 band resizing, and rate control, each reduced to a required-bandwidth
 threshold compared against the provider's endowment. Under Prelec's weight
 an equalized split has one root per rate, band and member set, whatever the
-alphas, and _solve_levels reads every alpha's level off it; equalized_levels
-steps a level down where the requirements at it round past the band.
+alphas, and _solve_levels reads every alpha's level off it.
 """
 
 from __future__ import annotations
@@ -213,7 +212,8 @@ def _level_roots(need: _RequirementMatrix, band, max_iter: int) -> np.ndarray:
     return v
 
 
-def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.ndarray:
+def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100,
+                  fit: bool = True) -> np.ndarray:
     """Levels at which the summed requirement meets each problem's band.
 
     Under Prelec's weight a requirement depends on the level x and alpha
@@ -224,12 +224,12 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     end cap*_CAP_END, and 0 below the smallest positive float. A band of 0
     gives 0 and an infinite one the cap end. A level does not depend on the
     problems batched with it. The search leaves v* = log tau* within 8 ulp
-    of max(1, |v*|), as the evaluator's rounding does (7.5 at most, measured
-    on seven cells), and d ln x = -alpha*tau*^alpha dv: a level lies within
-    2e-15 + 8*alpha*tau*^alpha*ulp(max(1, |v*|)) of its root, so within
-    1e-14 away from 0, growing as x nears 0, where tau*^alpha = -ln(x/h).
-    A level is a root, not a point that fits: the requirements evaluated at
-    it may sum past the band by that rounding (_fitted steps it down).
+    of max(1, |v*|), and d ln x = -alpha*tau*^alpha dv: a root's level lies
+    within 2e-15 + 8*alpha*tau*^alpha*ulp(max(1, |v*|)) of its 50-digit
+    value, so within 1e-14 away from 0, growing as x nears 0. The rounding
+    of ln(x/h) can sum the requirements at that level past the band: with
+    fit, such a level steps down by eps of itself and one float, then by
+    twice that step, until they fit, which leaves it within twice that bound.
     """
     caps = need.caps()
     totals = np.broadcast_to(totals, caps.shape)
@@ -243,26 +243,13 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.n
     open_ = np.flatnonzero((0.0 < band) & (band < np.inf))
     if open_.size:
         v[open_] = _level_roots(need.columns(first[open_]), band[open_], max_iter)
-    return np.minimum(need.levels(v[which]), caps * _CAP_END)
-
-
-def _fitted(need: _RequirementMatrix, levels, totals) -> tuple[np.ndarray, np.ndarray]:
-    """The levels, each positive one stepped down until the requirements at
-    it sum below its band, and the users x problems requirements at them.
-    A root's requirements go through ln(x/h), whose rounding can put their
-    sum past the band: such a level falls by eps of itself and one float,
-    then by twice that step, and so on, ending at most twice as far below
-    as the fit needs (1.52 times _solve_levels' bound at most, measured
-    over 3,700 levels on each of seven cells)."""
-    levels, totals = levels.copy(), np.broadcast_to(totals, levels.shape)
-    at, step = need(levels), _EPS
-    over = np.flatnonzero((_total(at) >= totals) & (levels > 0.0))
+    x = np.minimum(need.levels(v[which]), caps * _CAP_END)
+    over, step = np.flatnonzero(fit & (x > 0.0)), _EPS
     while over.size:
+        over = over[_total(need.columns(over)(x[over])) >= totals[over]]
         # a step of 1 takes the level to 0, which needs no band
-        levels[over] = np.nextafter(levels[over] * (1.0 - step), 0.0)
-        at[:, over] = need.columns(over)(levels[over])
-        over, step = over[_total(at[:, over]) >= totals[over]], 2.0 * step
-    return levels, at
+        x[over], step = np.nextafter(x[over] * (1.0 - step), 0.0), 2.0 * step
+    return x
 
 
 def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
@@ -272,12 +259,11 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     Problem k splits the band totals_hz[k] over users at rates_bps[k] under
     the weighting exponent alphas[k]; the three broadcast to one 1-D array of
     problems. The level is the largest x at which the users' requirements
-    (each reaching h(rate) * w(guarantee) == x) still fit the band: the
-    root of _solve_levels, one per distinct rate and band for every alpha,
-    within its stated bound, stepped down where the requirements at it
-    round past the band (_fitted). Returns the levels, one per problem. A
-    rate must be finite and > 0, and a band >= 0: a band of 0 gives level
-    0, and an infinite one the cap end, cap*(1 - 1e-12).
+    (each reaching h(rate) * w(guarantee) == x) still fit the band, found
+    by _solve_levels to its stated bound, with one root per distinct rate
+    and band for every alpha. Returns the levels, one per problem. A rate
+    must be finite and > 0, and a band >= 0: a band of 0 gives level 0,
+    and an infinite one the cap end, cap*(1 - 1e-12).
     """
     rates, alphas, totals = np.broadcast_arrays(*(
         np.atleast_1d(np.asarray(v, dtype=float)) for v in (rates_bps, alphas, totals_hz)))
@@ -289,7 +275,7 @@ def equalized_levels(scenario: Scenario, users: tuple[int, ...], rates_bps,
     need = _Users(scenario, users).at(rates, alphas)
     if not users:
         return np.zeros(rates.shape)
-    return _fitted(need, _solve_levels(need, totals), totals)[0]
+    return _solve_levels(need, totals)
 
 
 def equalized_willingness(scenario: Scenario, ne: NashResult,
@@ -305,9 +291,8 @@ def equalized_willingness(scenario: Scenario, ne: NashResult,
     _require_equilibrium(ne)
     total = scenario.total_bandwidth_hz
     need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)
-    x, at = _fitted(need, _solve_levels(need, total), total)
-    alloc = at[:, 0].tolist()
-    # the level's summed requirement is below the band, so the slack is positive
+    x = _solve_levels(need, total)
+    alloc = need(x)[:, 0].tolist()
     slack = total - float(_total(alloc))
     alloc = [a + slack / len(alloc) for a in alloc]
     return float(x[0]), tuple(alloc)

@@ -454,11 +454,11 @@ def count_level_steps(monkeypatch):
     searches, inside = [], []
     solve, step = prospect._solve_levels, game._RequirementMatrix.with_tau_slopes
 
-    def counting_search(need, totals, *args):
+    def counting_search(need, totals, *args, **kwargs):
         searches.append([])
         inside.append(True)
         try:
-            return solve(need, totals, *args)
+            return solve(need, totals, *args, **kwargs)
         finally:
             inside.pop()
 
@@ -510,10 +510,11 @@ def full_grid_comparison(spec):
     """sweep_comparison's level-dependent cells as a search of every grid
     point finds them: one prospect._solve_levels call over the 37 problems
     of each alpha (the offered rate, then the 36-rate grid), one root per
-    rate, the best grid revenue taken in grid order. Returns (levels, caps, cells): the levels
-    and their problems' caps, from an evaluator at each problem's alpha,
-    alpha-major, and per alpha the cells (rev_expansion_norm,
-    rev_rate_norm)."""
+    rate, its levels read without the fit, as the sweep reads them, the
+    best grid revenue taken in grid order. Returns (levels, caps, cells):
+    the levels and their problems' caps, from an evaluator at each
+    problem's alpha, alpha-major, and per alpha the cells
+    (rev_expansion_norm, rev_rate_norm)."""
     sc = spec.scenario
     ne = solve_nash(sc)
     ref = experiments.reference_offer(sc, ne, spec.offer_margin)
@@ -523,7 +524,7 @@ def full_grid_comparison(spec):
     rate_col, alpha_col = np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
     served = game._Users(sc, ref.served_set)
     need = served.at(rate_col, alpha_col)
-    levels, caps = prospect._solve_levels(need, sc.total_bandwidth_hz), need.caps()
+    levels, caps = prospect._solve_levels(need, sc.total_bandwidth_hz, fit=False), need.caps()
     cells = []
     for x_hat, *grid in levels.reshape(len(alphas), len(rates)).tolist():
         best = -math.inf

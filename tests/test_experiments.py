@@ -444,9 +444,9 @@ def test_tied_channels_keep_the_lower_index(monkeypatch):
     members = []
     solve_levels = prospect._solve_levels
 
-    def recorded(need, totals, *args):
+    def recorded(need, totals, *args, **kwargs):
         members.append(need.members)
-        return solve_levels(need, totals, *args)
+        return solve_levels(need, totals, *args, **kwargs)
     monkeypatch.setattr(prospect, "_solve_levels", recorded)
     sweep_admission(SweepSpec(tied, 0.9, 0.9), max_drops=2)
     assert [np.flatnonzero(~column).tolist() for column in members[0].T] == [[], [4], [0, 4]]
@@ -507,9 +507,9 @@ def test_scaled_levels_print_what_a_search_at_every_alpha_prints(seed, benefit_e
     assert (len(steps) > 1) == (benefit_exp == 0.9)
     search = prospect._solve_levels
 
-    def one_by_one(need, totals):
+    def one_by_one(need, totals, **kwargs):
         totals = np.broadcast_to(totals, np.shape(need.rates))
-        return np.concatenate([search(need.columns([k]), totals[k:k + 1])
+        return np.concatenate([search(need.columns([k]), totals[k:k + 1], **kwargs)
                                for k in range(totals.size)])
     monkeypatch.setattr(prospect, "_solve_levels", one_by_one)
     steps.clear()
@@ -548,10 +548,10 @@ def test_a_level_search_makes_no_evaluator_call_but_its_steps(default_scenario, 
     steps = helpers.count_level_steps(monkeypatch)
     made, search = [], prospect._solve_levels
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         before = len(calls)
         try:
-            return search(*args)
+            return search(*args, **kwargs)
         finally:
             made.append(len(calls) - before)
     monkeypatch.setattr(prospect, "_solve_levels", counted)

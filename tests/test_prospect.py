@@ -1307,20 +1307,16 @@ def test_equalized_levels_invert_few_columns_and_converge(seed, monkeypatch):
 def test_a_level_search_stopped_at_its_cap_warns(default_scenario, default_ref):
     """Roots still open after max_iter steps are reported, and their levels
     are the ends of their brackets that fit: below the levels that the
-    finished search gives, with summed requirements inside the band, so
-    _fitted keeps them; with the finished roots stepped down where they
-    round past the band (_fitted), every level fits it."""
+    finished search gives. Every level fits."""
     sc, ref = default_scenario, default_ref
     need = game._Users(sc, ref.served_set).at(*compare_grid(sc, ref))
     with pytest.warns(RuntimeWarning, match="equalized_levels stopped at max_iter=2"):
         levels = prospect._solve_levels(need, sc.total_bandwidth_hz, max_iter=2)
+    assert (game._total(need(levels)) < sc.total_bandwidth_hz).all()
     finished = prospect._solve_levels(need, sc.total_bandwidth_hz)
     stopped = levels != finished
     assert stopped.sum() > levels.size // 2
     assert (levels[stopped] < finished[stopped]).all()
-    fitted, at = prospect._fitted(need, levels, sc.total_bandwidth_hz)
-    assert (fitted[stopped] == levels[stopped]).all() and (at == need(fitted)).all()
-    assert (game._total(need(fitted)) < sc.total_bandwidth_hz).all()
 
 
 def mp_total(mpmath, sc, users, rate, alpha, x):
@@ -1415,20 +1411,20 @@ def test_scaled_levels_match_a_50_digit_root():
     off when the level at alpha = 1 was scaled), and within the stated
     bound (level_bound) everywhere, less the rounding to a subnormal exp
     where the level is one (2*h*5e-324). Each v is within 8 ulp of max(1,
-    |v*|). The levels that equalized_levels gives, stepped down to fit the
-    band (prospect._fitted), keep the same bounds, at twice level_bound
-    where that exceeds 5e-15 (the fit moves a level 1.52 bounds at most
-    on seven cells), and fit."""
+    |v*|). The levels that _solve_levels returns, stepped down where the
+    requirements at the root round past the band, keep the same bounds, at
+    twice level_bound where that exceeds 5e-15 (the step moves a level 1.52
+    bounds at most on seven cells), and fit."""
     mpmath = pytest.importorskip("mpmath")
     alphas = [round(0.01 * k, 2) for k in range(1, 101)]
     for seed in (experiments.DEFAULT_SEED, 1, 5):
         sc, ref, rates, v, roots = grid_roots(mpmath, seed)
         need = game._Users(sc, ref.served_set).at(np.tile(rates, len(alphas)),
                                                   np.repeat(alphas, rates.size))
-        levels = prospect._solve_levels(need, sc.total_bandwidth_hz)
-        fitted, _ = prospect._fitted(need, levels, sc.total_bandwidth_hz)
+        fitted = prospect._solve_levels(need, sc.total_bandwidth_hz)
         assert (game._total(need(fitted)) < sc.total_bandwidth_hz).all()
         tops = need.caps() * prospect._CAP_END
+        levels = np.minimum(need.levels(np.tile(v, len(alphas))), tops)
         for j, (h, v_star) in enumerate(roots):
             assert abs(v[j] - v_star) <= 8 * np.spacing(max(1.0, abs(v[j]))), (seed, j)
         for k, (alpha, level, fit, top) in enumerate(zip(
