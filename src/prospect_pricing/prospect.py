@@ -212,8 +212,7 @@ def _level_roots(need: _RequirementMatrix, band, max_iter: int) -> np.ndarray:
     return v
 
 
-def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100,
-                  fit: bool = True) -> np.ndarray:
+def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100, fit=True) -> np.ndarray:
     """Levels at which the summed requirement meets each problem's band.
 
     Under Prelec's weight a requirement depends on the level x and alpha
