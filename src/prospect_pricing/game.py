@@ -433,13 +433,16 @@ class _Users:
         """Evaluator of the problems rates_bps x alphas, one 1-D array, and their members."""
         return _RequirementMatrix(self, rates_bps, alphas, members)
 
-    def price_requirements(self, rates_bps) -> np.ndarray:
+    def price_requirements(self, rates_bps, slopes=False):
         """Each user's min_bandwidth_for_user at each rate, inf where unservable:
-        a users vector for a float rate, users x rates for a 1-D array.
+        a users vector for a float rate, users x rates for a 1-D array; with
+        slopes, also d need/d ln rate, from the same pass.
 
         Bitwise the column of at(rate, 1.0)(r(rate)) at a positive price, but
         cheaper: each price is the float r(rate), the Prelec powers are left
-        out (x ** 1.0 is exact) and a positive target needs no zero mask.
+        out (x ** 1.0 is exact) and a positive target needs no zero mask. The
+        slope is with_rate_slopes' at the price's exponent, with x the root
+        the need came from; not finite where the need is inf.
         """
         rates = np.array(rates_bps, dtype=float, ndmin=1)
         prices = np.array([self.pricing(b) for b in rates.tolist()])
@@ -447,10 +450,16 @@ class _Users:
         # numpy's power on an exponent array, as at(), where Python's ** can
         # round an ulp apart
         q = prices / (h.coefficient * np.power(rates * 1e-3, np.full(rates.shape, h.exponent)))
-        ln_sup = _ln_supremum(rates, self.noise, self.power)
-        need = rates * _LN2 / _spectral_efficiency(np.log(q), ln_sup, np)
-        need = np.where(q >= np.exp(ln_sup), np.inf, need)
-        return need.reshape(need.shape[:1] + np.shape(rates_bps))
+        ln_q, ln_sup = np.log(q), _ln_supremum(rates, self.noise, self.power)
+        x = _spectral_efficiency(ln_q, ln_sup, np)
+        need = np.where(q >= np.exp(ln_sup), np.inf, rates * _LN2 / x)
+        shape = need.shape[:1] + np.shape(rates_bps)
+        if not slopes:
+            return need.reshape(shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rising = 1.0 - (self.pricing.exponent - h.exponent) / ln_q
+            slope = need + need / (x * _efficiency_slope(x)) * rising
+        return need.reshape(shape), slope.reshape(shape)
 
 
 def _feasible(total_required, budget: float):
@@ -461,121 +470,245 @@ def _feasible(total_required, budget: float):
 # rates per requirement evaluation of a ladder: from 1 bps, one call reaches
 # 2^31 bps, past every boundary of the bundled scenarios
 _RUNGS_PER_CALL = 32
-# midpoints per requirement evaluation of a bisection's predicted path: as
-# many as its estimate of the edge is trusted for and _SPARE more, at most
-# _MOST_MIDPOINTS; _FIRST where nothing tells how far to trust the estimate,
-# and at most _FIRST in an edge's first path
-_MOST_MIDPOINTS = 32
-_SPARE = 4
-_FIRST = 12
+# evaluations an edge's Newton takes at most, and the error in ln b below
+# which its estimate aims the bisection's probes without another
+_EDGE_STEPS = 12
+_EDGE_TOL = 2.0 ** -45
+# bisection levels whose every midpoint one evaluation probes, where no
+# estimate of the edge can be judged
+_FAN_LEVELS = 5
 
 
-def _flip_estimate(points) -> float:
-    """The b at which the value crosses 0, by inverse interpolation in ln b
-    through points, pairs (b, value) of positive b and distinct values; NaN
-    where the polynomial does not give a float."""
-    u = 0.0
-    for i, (b_i, v_i) in enumerate(points):
-        term = math.log(b_i)
-        for j, (_, v_j) in enumerate(points):
-            if j != i:
-                term *= v_j / (v_j - v_i)
-        u += term
-    return math.exp(u) if u < 709.0 else math.nan
+def _hermite_root(ends) -> float:
+    """The root, in ln b, of the cubic Hermite interpolant through ends =
+    ((u0, v0, s0), (u1, v1, s1)), values v and slopes s in u at two points
+    on either side of it: Newton on the cubic from the first point's own
+    Newton step, kept inside the sign change by halving; NaN where it does
+    not settle."""
+    (u0, v0, s0), (u1, v1, s1) = ends
+    h = u1 - u0
+    d0, d1 = h * s0, h * s1
+    # where the cubic was last seen below and above 0
+    below, above = (u0, u1) if v0 < 0.0 else (u1, u0)
+    u = u0 - v0 / s0
+    for _ in range(64 if h != 0.0 else 0):
+        if not min(below, above) < u < max(below, above):
+            u = 0.5 * (below + above)
+        t = (u - u0) / h
+        p = ((v0 * (1.0 + 2.0 * t) + d0 * t) * (1.0 - t) * (1.0 - t)
+             + (v1 * (3.0 - 2.0 * t) + d1 * (t - 1.0)) * t * t)
+        dp = (6.0 * t * (t - 1.0) * (v0 - v1) + d0 * (3.0 * t - 1.0) * (t - 1.0)
+              + d1 * t * (3.0 * t - 2.0)) / h
+        step = u - p / dp if dp != 0.0 else math.nan
+        if abs(step - u) <= 2.0 ** -50 * max(1.0, abs(u)):
+            return step
+        if p < 0.0:
+            below = u
+        else:
+            above = u
+        u = step
+    return math.nan
 
 
-def _bisect_edge(probe, fits, value, lo: float, hi: float,
-                 rungs=()) -> tuple[float, float]:
+def _edge_estimate(value, slope, a: float, c: float, rising: bool, others=()):
+    """Where value changes sign between the rates a < c, rising from a to c
+    if rising, in ln b: (u, err, s), err an estimate of u's error (inf where
+    there is none) and s the slope at the rate it was estimated from.
+
+    Of a, c and the probed rates others, those count whose value and slope
+    are finite and whose slope goes the crossing's way (a rate whose slope
+    points away, as a lower edge's does from the upper edge, lies past a
+    turn). u is the root of the cubic Hermite interpolant through the one
+    whose own Newton step is shortest and the one of shortest step on the
+    edge's other side; with none there, the first's Newton step; with none
+    at all, or where u leaves [a, c], the midpoint in ln b, with s NaN. A
+    Newton step's error is f''/(2 f') times its squared distance from its
+    rate, the cubic's f''''/(24 f') times the product of its squared
+    distances from both: err is u's distance from the first's Newton step
+    times the squared distance to the other rate (at most 1), over 12, as
+    if f'''' were f''. It only decides when Newton stops and how wide a
+    path's window is, so a wrong err costs evaluations, never a bit.
+    """
+    sign = 1.0 if rising else -1.0
+    good = []
+    for b in dict.fromkeys((a, c, *others)):
+        v, s = value(b), slope(b)
+        if math.isfinite(v) and math.isfinite(s) and sign * s > 0.0:
+            good.append((abs(v / s), math.log(b), v, s))
+    good.sort()
+    u, err, s = math.nan, math.inf, math.nan
+    if good:
+        _, un, vn, s = good[0]
+        u = un - vn / s
+        across = [g[1:] for g in good if (g[2] < 0.0) != (vn < 0.0)]
+        if across:
+            root, uc = _hermite_root(((un, vn, s), across[0])), across[0][0]
+            if math.isfinite(root):
+                u, err = root, abs(root - u) * min(1.0, (root - uc) ** 2) / 12.0
+    ua, uc = math.log(a), math.log(c)
+    if not ua <= u <= uc:
+        u, err, s = 0.5 * (ua + uc), math.inf, math.nan
+    return u, err, s
+
+
+def _narrowest(fits, side, points, a: float, c: float) -> tuple[float, float]:
+    """The rates of the ascending list points inside (a, c) nearest the edge
+    on either side, a or c where none is: a bisection of the rates on
+    whether fits(rate) is side, fits(a)'s."""
+    i, j = bisect.bisect_right(points, a), bisect.bisect_left(points, c)
+    while i < j:
+        k = (i + j) // 2
+        if fits(points[k]) == side:
+            a, i = points[k], k + 1
+        else:
+            c, j = points[k], k
+    return a, c
+
+
+def _bisect_edge(probe, fits, value, slope, lo: float, hi: float, start=None, known=(),
+                 blur=None, then=None) -> tuple[float, float]:
     """Halve [lo, hi], where fits(lo) and fits(hi) differ, down to
     1e-12*max(|lo|, |hi|, 1), each midpoint taking the side of the end whose
     fit it shares; returns the final (lo, hi).
 
-    probe(rates) evaluates rates into a memo, fits(b) reads whether the set
-    fits at b from it, None where b is unprobed, and value(b) a float of
-    either sign that changes sign at the edge, NaN where unprobed. A midpoint
-    the memo misses is probed with the midpoints the bisection would take
-    after it if each fell on the side of an estimate of the edge.
+    probe(rates) evaluates rates into a memo. fits(b) reads from it whether
+    the set fits at b, None where b is unprobed; value(b) a float below 0
+    where it fits that changes sign at the edge, and slope(b) its derivative
+    in ln b, both NaN where b is unprobed: in solve_nash, ln T_n(b) - ln(B*(1
+    - slack)) and d ln T_n/d ln b. known holds probed rates, ascending.
 
-    The estimate is an inverse interpolation in ln b through the known
-    rates nearest the midpoint, two on each side, less those whose value is
-    not finite: the known rates are the positive ends, rungs given (the
-    ladder rungs around the edge) and midpoints probed, kept sorted as they
-    arrive. With fewer than 3 such points, or values that repeat, it is the
-    secant in b through the ends, and where neither gives a float, the
-    midpoint. The error of an interpolation through n points goes as the
-    product of their distances from the edge, so an estimate is taken to be
-    off by its move from the last one times the n-th power of the ratio of
-    their points' spreads (1 at most); the first interpolation is judged by
-    its move from the secant. A path runs until its bracket is that narrow,
-    and _SPARE midpoints more, at most _MOST_MIDPOINTS; it takes _FIRST
-    where there is no last estimate, and an edge's first path is at most
-    _FIRST long.
+    The edge is estimated in ln b (_edge_estimate) from the narrowest
+    bracket that the probed rates give inside start (the rungs about the
+    edge; [lo, hi] by default), and refined by Newton: while the estimate's
+    error is above _EDGE_TOL, its rate is probed, one evaluation a step,
+    and the estimate taken again with the last five rates probed, at most
+    _EDGE_STEPS times (a RuntimeWarning then). The first step also probes
+    the estimate times e^(+-2 err) and e^(+-20 err), since a first estimate
+    from rungs an octave apart can be off by more than its err. A midpoint
+    the memo misses is then probed
+    with the rest of the bisection's path, each midpoint on the estimate's
+    side, and with then(a, b) of the path's final bracket, in one
+    evaluation; where there is no estimate but the midpoint in ln b, with
+    every midpoint of the next _FAN_LEVELS levels instead. A midpoint missed
+    again is probed the same way, from the estimate of its bracket.
+
+    With blur = (beta, gamma), where lo fits, the search takes the set's
+    computed T(b) to lie within a factor 1 +- gamma of T'(b e^d), |d| <=
+    beta, for a T' that does not fall as b rises. A midpoint at or below
+    a e^(-2 beta), of a probed a that fits with value < -2 gamma, then fits,
+    and one at or above c e^(2 beta), of a probed c that does not with value
+    > 2 gamma, does not, and neither is probed. A path from an estimate
+    within _EDGE_TOL probes two such rates, the estimate times e^(-+w), w =
+    2*(err + beta) + 4*gamma/s with s the slope it was estimated from, and
+    only the midpoints between; a pair that does not settle both sides is
+    placed at most three times in all. Where every midpoint of the path
+    takes the side it was probed for, the path is the bisection's.
 
     The probes decide only how many evaluations the bisection takes, never
-    its bracket: every path starts at the midpoint the memo missed. Within
-    [2^-30, 2^60] it closes within 100 midpoints.
+    its bracket. Within [2^-30, 2^60] it closes within 100 midpoints.
     """
     def settled(a, b):
         return b - a <= 1e-12 * max(abs(a), abs(b), 1.0)
 
-    known = []
-
-    def add(b):
-        # a known rate, once, where ln b is finite
-        k = bisect.bisect_left(known, b)
-        if b > 0.0 and (k == len(known) or known[k] != b):
-            known.insert(k, b)
-
-    for b in (lo, hi, *rungs):
-        add(b)
-    # the last estimate and the spread of the points it was made from
-    last = spread = math.nan
-    most = _FIRST
     side = fits(lo)
+    # the probed rates inside [lo, hi], ascending
+    points = list(known[bisect.bisect_right(known, lo):bisect.bisect_left(known, hi)])
+
+    def estimate(a, c):
+        # the edge from the narrowest bracket inside [a, c], and Newton;
+        # none where the bracket reaches down to 0
+        tried, u, err, s = [], math.nan, math.inf, math.nan
+        for step in range(_EDGE_STEPS + 1 if a > 0.0 else 0):
+            a, c = _narrowest(fits, side, points, a, c)
+            u, err, s = _edge_estimate(value, slope, a, c, side, tried[-5:])
+            b = math.exp(u)
+            if err <= _EDGE_TOL or math.isnan(s) or not a < b < c or fits(b) is not None:
+                break
+            if step == _EDGE_STEPS:
+                _search._warn_cap("edge Newton", _EDGE_STEPS, _EDGE_TOL)
+                break
+            spread = [] if tried else [b * math.exp(k * min(err, 1.0))
+                                       for k in (-20.0, -2.0, 2.0, 20.0)]
+            step_rates = [r for r in (b, *spread) if a < r < c]
+            probe(step_rates)
+            for r in step_rates:
+                bisect.insort(points, r)
+            tried += step_rates
+        return u, err, s
+
+    # every rate at or below fit_below fits, at or above unfit_above does not
+    fit_below, unfit_above = -math.inf, math.inf
+    anchoring = 3 if blur is not None and side else 0
     while not settled(lo, hi):
         mid = 0.5 * (lo + hi)
-        fit = fits(mid)
-        if fit is None:
-            add(lo)
-            add(hi)
-            v_lo, v_hi = value(lo), value(hi)
-            flip = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_hi != v_lo else math.nan
-            points = [(lo, v_lo), (hi, v_hi)]
-            k = bisect.bisect_left(known, mid)
-            near = [(b, v) for b in known[max(k - 2, 0):k + 2] if math.isfinite(v := value(b))]
-            if len(near) > 2 and len({v for _, v in near}) == len(near):
-                if math.isnan(last):
-                    last, spread = flip, hi - lo
-                flip, points = _flip_estimate(near), near
-            width, length = points[-1][0] - points[0][0], _FIRST
-            if not math.isfinite(flip):
-                flip = mid
-            elif math.isfinite(last):
-                error = abs(flip - last) * min(1.0, width / spread) ** len(points)
-                length = (max(math.log2(hi - lo) - math.log2(error) + _SPARE, 1.0)
-                          if error > 0.0 else _MOST_MIDPOINTS)
-            last, spread = flip, width
-            a, b, path = lo, hi, []
-            while len(path) < min(length, most) and not settled(a, b):
-                path.append(0.5 * (a + b))
-                a, b = (path[-1], b) if path[-1] < flip else (a, path[-1])
-            most = _MOST_MIDPOINTS
-            probe(path)
-            for m in path:
-                add(m)
-            fit = fits(mid)
-        if fit == side:
-            lo = mid
+        fit = True if mid <= fit_below else False if mid >= unfit_above else fits(mid)
+        if fit is not None:
+            lo, hi = (mid, hi) if fit == side else (lo, mid)
+            continue
+        u, err, s = estimate(*(start or (lo, hi)))
+        edge, start, plan, below, above = math.exp(u), None, [], fit_below, unfit_above
+
+        def known_side(m):
+            return True if m <= below else False if m >= above else fits(m)
+
+        if anchoring > 0 and err <= _EDGE_TOL and s > 0.0:
+            (beta, gamma), w = blur, 2.0 * (err + blur[0]) + 4.0 * blur[1] / s
+            low, high = edge * math.exp(-w), edge * math.exp(w)
+            if lo < low:
+                plan.append(low)
+                below = max(below, low * math.exp(-2.0 * beta))
+            if high < hi:
+                plan.append(high)
+                above = min(above, high * math.exp(2.0 * beta))
+        a, b, path, fan = lo, hi, [], math.isnan(s)
+        if fan:
+            level = [(lo, hi)]
+            for _ in range(_FAN_LEVELS):
+                level, brackets = [], level
+                for a, b in brackets:
+                    if settled(a, b):
+                        continue
+                    m = 0.5 * (a + b)
+                    f = known_side(m)
+                    if f is None:
+                        plan.append(m)
+                        level += [(a, m), (m, b)]
+                    else:
+                        level.append((m, b) if f == side else (a, m))
         else:
-            hi = mid
+            while not settled(a, b):
+                m = 0.5 * (a + b)
+                f = known_side(m)
+                if f is None:
+                    path.append((m, f := side if m < edge else not side))
+                a, b = (m, b) if f == side else (a, m)
+            plan += [m for m, _ in path]
+            if then is not None:
+                plan += then(a, b)
+        probe(plan)
+        for m in plan:
+            bisect.insort(points, m)
+            if blur is not None and side:
+                v = value(m)
+                if fits(m) and v < -2.0 * blur[1]:
+                    fit_below = max(fit_below, m * math.exp(-2.0 * blur[0]))
+                elif not fits(m) and v > 2.0 * blur[1]:
+                    unfit_above = min(unfit_above, m * math.exp(2.0 * blur[0]))
+        if fit_below < below or unfit_above > above:
+            # a pair did not settle its sides: placed again at most twice
+            anchoring -= 1
+        if not fan and fit_below >= below and unfit_above <= above and all(
+                fits(m) == f for m, f in path):
+            # every side the path took holds: it is the walk's
+            lo, hi = a, b
     return lo, hi
 
 
-def _rate_feasibility_interval(probe, fits, value,
-                               scenario: Scenario) -> tuple[float, float] | None:
+def _rate_feasibility_interval(probe, fits, value, slope, scenario: Scenario, known=(),
+                               rounding=None, then=None) -> tuple[float, float] | None:
     """Rates b at which fits(b), the n cheapest users fitting in the band,
-    holds, as (lower, upper), or None; probe, fits and value read a memo of
-    probed rates as _bisect_edge takes them.
+    holds, as (lower, upper), or None; probe, fits, value, slope and known
+    read a memo of probed rates as _bisect_edge takes them.
 
     The summed requirement grows with the rate for increasing r/h ratios, so
     the feasible rates usually form an interval anchored at 0, found by
@@ -584,22 +717,33 @@ def _rate_feasibility_interval(probe, fits, value,
     0 and the interval starts above it: the probe then climbs by doublings
     until the rates fit or the margin r(b) - c1*b stops being positive, and
     the lower edge is bisected as well. From the lowest rate that fits, the
-    ladder doubles up to 1e18 and the upper edge is bisected. Rates are read
-    one at a time; a rung the memo misses is probed with the rungs its ladder
-    would read after it, _RUNGS_PER_CALL in all. Each edge's bisection is
-    given the rungs around it for its first estimate: the rungs past either
-    end of the lower edge's bracket, and the two rungs below the upper
-    edge's (it spans every rung that fits, from the lowest) and the one
-    past it; _bisect_edge reads those the memo holds.
+    ladder doubles up to 1e18 and the upper edge is bisected, its Newton
+    started from the two rungs about it; where the rung below is the lower
+    edge, whose slope points away, from the rung past it. Rates are read one
+    at a time; a rung the memo misses is probed with the rungs its ladder
+    would read after it, _RUNGS_PER_CALL in all. then(lower, boundary) names
+    rates to probe with the upper edge's predicted path (solve_nash's b*).
+
+    Where the price's exponent is at least the benefit's, q = r/h does not
+    fall as b rises, so no requirement does, and given rounding, a bound
+    gamma on a computed total's relative roundoff, the upper edge's
+    bisection infers its far midpoints (_bisect_edge's blur). beta bounds
+    each requirement's roundoff as a shift of ln b: ln q carries some 6 ulps
+    of q over |ln q| and the inversion some 4 ulps, each at most such a
+    shift, since a requirement's elasticity in b is at least 1 where q does
+    not fall. beta = 32*(1 + 1/|ln q|)*2^-52, with q at the bracket's end hi,
+    where it is largest, covers them three times over.
     """
     def rung(b, factor, more):
         # fits at rung b of a ladder that goes on past a rung while more holds
-        if fits(b) is None:
+        fit = fits(b)
+        if fit is None:
             rungs = [b]
             while len(rungs) < _RUNGS_PER_CALL and more(rungs[-1]):
                 rungs.append(factor * rungs[-1])
             probe(rungs)
-        return fits(b)
+            fit = fits(b)
+        return fit
 
     below_cap, above_floor = (lambda b: 2.0 * b <= 1e18), (lambda b: b > 1e-9)
     lower, lo = 0.0, 1.0
@@ -613,12 +757,19 @@ def _rate_feasibility_interval(probe, fits, value,
                 if not pays(lo):
                     return None
                 below, lo = lo, 2.0 * lo
-            _, lower = _bisect_edge(probe, fits, value, below, lo, (0.5 * below, 2.0 * lo))
+            _, lower = _bisect_edge(probe, fits, value, slope, below, lo, known=known)
             lo = lower
     hi = 2.0 * lo
     while hi <= 1e18 and rung(hi, 2.0, below_cap):
         hi *= 2.0
-    lo, _ = _bisect_edge(probe, fits, value, lo, hi, (0.25 * hi, 0.5 * hi, 2.0 * hi))
+    blur = None
+    if rounding is not None and scenario.pricing.exponent >= scenario.benefit.exponent:
+        q = scenario.pricing(hi) / scenario.benefit(hi)
+        if q < 1.0:
+            blur = 32.0 * (1.0 - 1.0 / math.log(q)) * _EPS, rounding
+    start = (0.5 * hi, hi) if 0.5 * hi > lo else None
+    lo, _ = _bisect_edge(probe, fits, value, slope, lo, hi, start, known, blur,
+                         then and (lambda a, b: then(lower, a)))
     return lower, lo
 
 
@@ -666,72 +817,121 @@ def solve_nash(scenario: Scenario) -> NashResult:
     every n earns <= 0; its sp_revenue is then the largest revenue over every
     n, which no n left unscanned could exceed, its bound being <= 0.
 
-    Every rate is read from one memo, each probed rate's requirement totals
-    over the first n users of _Users.order, for every n. The served users'
-    need at the best rate is the requirement vector of its b* probe, kept
-    with the best revenue and bitwise a fresh evaluation's; a best rate that
-    b* did not probe, as a band-bound boundary, is evaluated once more, so
-    no more than one vector is kept.
+    Every rate is read from one memo, which keeps each probed rate's
+    requirement totals over the first n users of _Users.order and their
+    slopes in ln b, for every n, and its column of the evaluation that
+    probed it. Each feasibility edge is a Newton root of ln T_n(b) - ln(B*(1
+    - slack)) that aims the bisection (_bisect_edge); where the price rises
+    at least as fast as the benefit, the bisection's far midpoints are
+    inferred, with gamma = (n + 2)*2^-52 for the n users' running sum and
+    its ratio to the band. b*, the golden search's rate on the edge's
+    predicted interval, is probed with the edge's path, and so, where the
+    scan may go on, is the next size's edge estimate. The served users' need
+    at the best rate is that rate's column, bitwise a fresh evaluation's.
     """
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
     price, c1, c3 = scenario.pricing, scenario.cost.c1, scenario.cost.c3
     reqs = _Users(scenario)
-    # each probed rate's requirement totals over the first n users of order
-    totals: dict[float, np.ndarray] = {}
-    ln_room = math.log(budget * (1.0 - FEASIBILITY_SLACK))
+    room = budget * (1.0 - FEASIBILITY_SLACK)
+    # each probed rate's evaluation, (totals over the first n users of order,
+    # their derivatives in ln b, users x rates requirements), and its column
+    # there; the probed rates, ascending
+    probed: dict[float, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]] = {}
+    known: list[float] = []
 
     def probe(rates):
         # the ladders and bisections of several set sizes probe the same rates:
-        # each new rate is evaluated once, all of a call's in one evaluation,
-        # whose users x rates requirements are returned (None if none is new)
-        new = [b for b in rates if b not in totals]
+        # each new rate is evaluated once, all of a call's in one evaluation
+        new = [b for b in dict.fromkeys(rates) if b not in probed]
         if new:
-            need = reqs.price_requirements(new)
-            totals.update(zip(new, np.cumsum(need[reqs.order].T, axis=1)))
-            return need
-        return None
+            need, slopes = reqs.price_requirements(new, slopes=True)
+            with np.errstate(invalid="ignore"):
+                evaluation = (np.cumsum(need[reqs.order].T, axis=1),
+                              np.cumsum(slopes[reqs.order].T, axis=1), need)
+            probed.update(zip(new, zip([evaluation] * len(new), range(len(new)))))
+            known.extend(new)
+            known.sort()
 
-    def fits(b, n: int):
-        return _feasible(totals[b][n - 1], budget) if b in totals else None
+    def readers(n: int):
+        # whether the first n users fit at b, ln T_n(b) - ln(B*(1 - slack)),
+        # below 0 where they do, and d ln T_n/d ln b, read from the memo
+        j = n - 1
 
-    def value(b, n: int):
-        # ln T_n(b) - ln(B*(1 - slack)), below 0 where the set fits
-        return math.log(totals[b][n - 1]) - ln_room if b in totals else math.nan
+        def fits(b):
+            at = probed.get(b)
+            return _feasible(at[0][0][at[1], j], budget) if at else None
+
+        def value(b):
+            at = probed.get(b)
+            if not at:
+                return math.nan
+            t = float(at[0][0][at[1], j])
+            return math.log(t / room) if t > 0.0 else -math.inf
+
+        def slope(b):
+            at = probed.get(b)
+            if not at:
+                return math.nan
+            t = float(at[0][0][at[1], j])
+            return float(at[0][1][at[1], j]) / t if t > 0.0 else math.nan
+        return fits, value, slope
 
     bound = _margin_bound(price, c1)
 
-    n_star, best_rev, best_rate, best_need, top = 0, 0.0, 0.0, None, -math.inf
+    n_star, best_rev, best_rate, top = 0, 0.0, 0.0, -math.inf
     for n in range(n_users, 0, -1):
         if (n_star or top >= 0.0) and best_rev >= n * bound - c3 * budget:
             break
-        interval = _rate_feasibility_interval(
-            probe, lambda b: fits(b, n), lambda b: value(b, n), scenario)
+        peaks: dict[tuple[float, float], float] = {}
+
+        def peak(lower, boundary):
+            # b*, on each interval once: the predicted one, then the found one
+            if (lower, boundary) not in peaks:
+                peaks[lower, boundary], _ = _search.golden_max(
+                    lambda b: n * _margin(price, c1, b), lower, boundary, rel_tol=1e-9)
+            return peaks[lower, boundary]
+
+        def then(lower, boundary):
+            # b*, and where the scan goes on, the next size's edge estimate
+            b_star = peak(lower, boundary)
+            rates = [b_star] if b_star > 0.0 else []
+            best = max(best_rev, _revenue(scenario, n, price(b_star), b_star))
+            if n > 1 and not (best > 0.0 and best >= (n - 1) * bound - c3 * budget):
+                fit, value, slope = readers(n - 1)
+                if fit(known[0]) and not fit(known[-1]):
+                    bracket = _narrowest(fit, True, known, known[0], known[-1])
+                    u, err, _ = _edge_estimate(value, slope, *bracket, True)
+                    rates += [math.exp(u)] if err < math.inf else []
+            return rates
+
+        fits, value, slope = readers(n)
+        interval = _rate_feasibility_interval(probe, fits, value, slope, scenario, known,
+                                              (n + 2) * _EPS, then)
         if interval is None:
             continue
         lower, boundary = interval
-        b_star, _ = _search.golden_max(
-            lambda b: n * _margin(price, c1, b), lower, boundary, rel_tol=1e-9)
-        # b*'s requirement vector, where this probe evaluates it
-        need = probe([b_star]) if b_star > 0.0 else None
-        if b_star <= 0.0 or not fits(b_star, n):
+        b_star = peak(lower, boundary)
+        if b_star > 0.0:
+            probe([b_star])
+        if b_star <= 0.0 or not fits(b_star):
             # boundary end may sit epsilon outside the strict constraint
-            b_star, need = boundary, None
+            b_star = boundary
+            probe([b_star])
         rev = _revenue(scenario, n, price(b_star), b_star)
-        if n < n_users and fits(b_star, n + 1):
+        if n < n_users and readers(n + 1)[0](b_star):
             rev = 0.0  # a larger set accepts at this rate, not an equilibrium
         top = max(top, rev)
         if rev > best_rev:
-            n_star, best_rev, best_rate, best_need = n, rev, b_star, need
+            n_star, best_rev, best_rate = n, rev, b_star
     if n_star == 0:
         return NashResult(rate_bps=0.0, served_set=(), allocation=(0.0,) * n_users,
                           price=0.0, sp_revenue=top, equilibrium=False)
 
     served = tuple(sorted(reqs.order[:n_star].tolist()))
-    # a column of an evaluation is bitwise its rate's own vector; a best rate
-    # b* did not probe, as a band-bound boundary, is evaluated again
-    need = reqs.price_requirements(best_rate) if best_need is None else best_need[:, 0]
-    served_need = need[list(served)].tolist()
+    # a column of an evaluation is bitwise its rate's own vector
+    (_, _, need), k = probed[best_rate]
+    served_need = need[list(served), k].tolist()
     # hand the whole band to the served users: every acceptance strict, and the
     # reported revenue (which charges c3 on the full endowment) matches
     # sp_utility on the returned offer exactly

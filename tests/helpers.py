@@ -435,10 +435,10 @@ def count_evaluations(monkeypatch):
         calls.append((np.size(self.rates), np.asarray(targets)))
         return evaluate(self, targets, *args, **kwargs)
 
-    def counting_prices(self, rates_bps):
+    def counting_prices(self, rates_bps, **kwargs):
         rates = np.array(rates_bps, dtype=float, ndmin=1).tolist()
         calls.append((len(rates), np.array([self.pricing(b) for b in rates])))
-        return price_requirements(self, rates_bps)
+        return price_requirements(self, rates_bps, **kwargs)
     monkeypatch.setattr(game._RequirementMatrix, "_pass", counting)
     monkeypatch.setattr(game._Users, "price_requirements", counting_prices)
     return calls
@@ -651,12 +651,13 @@ def sequential_bisection(pred, lo, hi, rel_tol=1e-12, max_iter=200):
     return lo, hi
 
 
-def fake_memo(pred, value=lambda b: 0.0, probes=None, seen=()):
+def fake_memo(pred, value=lambda b: 0.0, probes=None, seen=(), slope=lambda b: 0.0):
     """A memo of probed rates over a one-rate predicate, as
     game._rate_feasibility_interval and game._bisect_edge read solve_nash's:
-    (probe, fits, value). fits and value read only the rates probed so far or
-    given in seen, None and NaN elsewhere; probes, if given, records the rates
-    of each probe."""
+    (probe, fits, value, slope). fits, value and slope read only the rates
+    probed so far or given in seen, None and NaN elsewhere; probes, if given,
+    records the rates of each probe. A slope of 0, the default, points
+    neither way, so no edge estimate counts it."""
     known = set(seen)
 
     def probe(rates):
@@ -664,7 +665,8 @@ def fake_memo(pred, value=lambda b: 0.0, probes=None, seen=()):
             probes.append(list(rates))
         known.update(rates)
     return (probe, lambda b: bool(pred(b)) if b in known else None,
-            lambda b: float(value(b)) if b in known else math.nan)
+            lambda b: float(value(b)) if b in known else math.nan,
+            lambda b: float(slope(b)) if b in known else math.nan)
 
 
 def sequential_feasibility_interval(fits, scenario):

@@ -318,24 +318,19 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # the batched requirement vector: agreement with the scalar path, and counts
 # that do not depend on the machine
 
-# requirement evaluations one solve makes, and the rates they invert: rates
-# are read one at a time from a memo, and a miss probes up to 32 rungs of a
-# ladder, or the midpoints of a bisection's path predicted by interpolating
-# the values the memo holds, as many as the estimate is trusted for and 4
-# more (game._bisect_edge). The 80-user 300 m cell takes 5 calls of 77 rates:
-# the ladder, 3 paths of 44 midpoints for the 40 steps of its upper edge and
-# b*, whose vector also gives the served users' need. Along secant-predicted
-# paths of 12 midpoints it took 8 calls of 91 rates (17 of 128 for a
-# bisection of 7 look-ahead midpoints per call, 67 of one rate each). The
-# default cell takes 5 calls of 80 rates (8 of 84). At 1/10 of its band the
-# 80-user solve scans 41 set sizes in 86 calls of 1,502 rates (163 of 1,681
-# along secant-predicted paths, 222 of 1,912 when each bisection planned its
-# probes before reading the memo, 493 of 3,296 with the look-ahead, 1,485 of
-# one rate each), and the 3 km cell with a band of 2e7 Hz in 22 calls of 272
-# rates (29 of 334).
-NASH_80_CALLS, NASH_80_RATES, DEFAULT_RATES = 5, 80, 84
-NASH_80_TENTH_BAND_CALLS, NASH_80_TENTH_BAND_RATES = 86, 1681
-FAR_CELL_BAND_CALLS, FAR_CELL_BAND_RATES = 29, 334
+# requirement evaluations one solve makes, and the rates they invert. Rates
+# are read one at a time from a memo; a miss probes up to 32 rungs of a
+# ladder, a Newton step toward a feasibility edge, or a bisection's path as
+# the edge's Newton root predicts it, with its far midpoints inferred
+# (game._bisect_edge). The guards hold the counts measured when the edges
+# became Newton roots; each fell (parent counts in parentheses): the 80-user
+# 300 m cell 3 calls of 42 rates (5 of 77), the default cell 4 of 43 (5 of
+# 80), the 80-user cell at 1/10 of its band 43 of 206 (86 of 1,502), and the
+# 3 km cell with a band of 2e7 Hz 19 of 171 (22 of 272).
+NASH_80_CALLS, NASH_80_RATES = 3, 42
+DEFAULT_CALLS, DEFAULT_RATES = 4, 43
+NASH_80_TENTH_BAND_CALLS, NASH_80_TENTH_BAND_RATES = 43, 206
+FAR_CELL_BAND_CALLS, FAR_CELL_BAND_RATES = 19, 171
 
 
 @pytest.fixture(scope="module")
@@ -670,8 +665,8 @@ def test_subnormal_shares_invert_in_log_space(default_scenario, default_ref):
             assert float(abs(slopes[k, 0] - slope) / abs(slope)) <= 1e-12, i
 
 
-def tenth_band(scenario):
-    return dataclasses.replace(scenario, total_bandwidth_hz=scenario.total_bandwidth_hz / 10)
+def tenth_band(scenario, share=10):
+    return dataclasses.replace(scenario, total_bandwidth_hz=scenario.total_bandwidth_hz / share)
 
 
 def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
@@ -685,8 +680,32 @@ def test_solve_nash_shares_requirement_vectors(monkeypatch, cell_80):
 def test_default_solve_evaluation_count(monkeypatch, default_scenario):
     calls = helpers.count_evaluations(monkeypatch)
     assert solve_nash(default_scenario).n_served == 10
-    assert 0 < len(calls) <= NASH_80_CALLS
+    assert 0 < len(calls) <= DEFAULT_CALLS
     assert sum(rates for rates, _ in calls) <= DEFAULT_RATES
+
+
+# rising-at-zero cells of many users (RISING_AT_ZERO at other seeds and
+# exponents), each with the evaluations its solve takes, and at the parent:
+# a lower edge whose unfit end is out of reach, and an upper edge bracketed
+# from the lower edge itself
+RISING_CELLS = {
+    "seed1255-36": (36, dict(RISING_AT_ZERO, seed=1255), 13, 25),
+    "seed5845-60": (60, dict(RISING_AT_ZERO, seed=5845, price_exp=0.52, benefit_exp=0.76), 3, 5)}
+
+
+@pytest.mark.parametrize("cell", list(RISING_CELLS))
+def test_rising_at_zero_solves_take_fewer_evaluations(monkeypatch, cell):
+    """No Newton of an upper edge starts from the lower edge, and a lower
+    edge whose unfit end is out of reach is closed in: each cell's solve
+    takes at most its measured evaluations, fewer than when the edges'
+    paths were interpolated, and is bitwise the full scan's."""
+    n_users, config, most, parent = RISING_CELLS[cell]
+    sc = experiments.build_scenario(n_users, **config)
+    calls = helpers.count_evaluations(monkeypatch)
+    ne = solve_nash(sc)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= most < parent
+    assert helpers.nash_bits(ne) == helpers.nash_bits(helpers.full_scan_nash(sc))
 
 
 def test_band_bound_solve_evaluation_count(monkeypatch, cell_80):
@@ -709,38 +728,31 @@ def test_far_cell_solve_evaluation_count(monkeypatch):
 def test_solve_nash_inverts_each_probed_rate_once(monkeypatch, cell_80):
     """At 1/10 of its band the cell's solve scans 41 set sizes, whose ladders
     and bisections probe many rates more than once; each probed rate is a
-    column of one evaluation only. The best rate there is the boundary of
-    its set size, probed in a batch, so the served-set read inverts it
-    again. With the sized band the best rate is b*, probed alone: the served
-    users' need is that probe's vector, no evaluation follows the scan, and
-    the allocation is bitwise the one a fresh evaluation gives."""
+    column of one evaluation only, the best rate (a set size's boundary)
+    among them, and no evaluation follows the scan: the served users' need
+    is the best rate's column. With the sized band the best rate is b*,
+    probed with its edge's path. Either way the allocation is bitwise the
+    one a fresh evaluation gives."""
     evaluations = []
     price_requirements = game._Users.price_requirements
 
-    def recorded(self, rates_bps):
+    def recorded(self, rates_bps, **kwargs):
         evaluations.append(np.array(rates_bps, dtype=float, ndmin=1).tolist())
-        return price_requirements(self, rates_bps)
-    monkeypatch.setattr(game._Users, "price_requirements", recorded)
-    ne = solve_nash(tenth_band(cell_80))
-    assert ne.n_served == 80
-    *probes, final = evaluations
-    assert final == [ne.rate_bps]
-    columns = [rate for rates in probes for rate in rates]
-    assert len(columns) == len(set(columns))
-    assert ne.rate_bps in columns
-    # a ladder's rungs and a bisection's predicted path fill one evaluation
-    assert max(map(len, probes)) > 1
-
-    evaluations.clear()
-    ne = solve_nash(cell_80)
-    assert ne.n_served == 80
-    assert evaluations[-1] == [ne.rate_bps]
-    columns = [rate for rates in evaluations for rate in rates]
-    assert len(columns) == len(set(columns))
-    monkeypatch.undo()
-    need = game._Users(cell_80).price_requirements(ne.rate_bps)
-    pad = (cell_80.total_bandwidth_hz - float(game._total(need))) / 80
-    assert ne.allocation == tuple((need + pad).tolist())
+        return price_requirements(self, rates_bps, **kwargs)
+    for sc in (tenth_band(cell_80), cell_80):
+        evaluations.clear()
+        monkeypatch.setattr(game._Users, "price_requirements", recorded)
+        ne = solve_nash(sc)
+        monkeypatch.undo()
+        assert ne.n_served == 80
+        columns = [rate for rates in evaluations for rate in rates]
+        assert len(columns) == len(set(columns))
+        assert ne.rate_bps in columns and ne.rate_bps not in evaluations[0]
+        # a ladder's rungs and a bisection's predicted path fill one evaluation
+        assert max(map(len, evaluations)) > 1
+        need = game._Users(sc).price_requirements(ne.rate_bps)
+        pad = (sc.total_bandwidth_hz - float(game._total(need))) / 80
+        assert ne.allocation == tuple((need + pad).tolist())
 
 
 def test_batched_price_requirements_are_each_rates_vector_bitwise(cell_80):
@@ -791,8 +803,8 @@ def test_ladders_probe_rates_as_one_at_a_time(monkeypatch, case):
     seen = []
     interval = game._rate_feasibility_interval
 
-    def compared(probe, fits, value, scenario):
-        got = interval(probe, fits, value, scenario)
+    def compared(probe, fits, value, slope, scenario, *args):
+        got = interval(probe, fits, value, slope, scenario, *args)
 
         def one_rate(b):
             probe([b])
@@ -849,6 +861,12 @@ def oracle_cases():
             10, price_exp=1.0, total_bandwidth_hz=1e7)],
         "rising-at-zero": lambda: [experiments.build_scenario(n, **RISING_AT_ZERO)
                                    for n in (3, 4)],
+        # band-bound cells, where the upper edges' far midpoints are
+        # inferred for many set sizes
+        "band-bound-80": lambda: [tenth_band(experiments.build_scenario(
+            80, cell_radius_m=300.0), share) for share in (3, 10)],
+        "band-2e7-3km": lambda: [experiments.build_scenario(
+            cell_radius_m=3000.0, total_bandwidth_hz=2e7)],
     }
 
 
@@ -883,10 +901,10 @@ def test_scan_without_equilibrium_stops_once_no_smaller_set_can_earn(monkeypatch
 
 
 # evaluations and rates the solves of the 28 configs of test_cli.fuzz_configs
-# that build take in all, as recorded when each bisection's paths came to be
-# interpolated through the values the memo holds (797 calls of 9,303 rates
-# along secant-predicted paths of 12 midpoints)
-FUZZ_SOLVE_CALLS, FUZZ_SOLVE_RATES = 579, 7892
+# that build take in all, as recorded when each feasibility edge came to be
+# a Newton root (579 calls of 7,892 rates along paths interpolated through
+# the values the memo holds, 797 of 9,303 along secant-predicted paths)
+FUZZ_SOLVE_CALLS, FUZZ_SOLVE_RATES = 371, 6441
 
 
 def test_fuzz_solves_are_the_full_scans_in_few_evaluations(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,7 +7,11 @@ import pytest
 
 from helpers import fake_memo, gathered_chandrupatla, golden_reference, sequential_bisection
 from prospect_pricing._search import bracketed_root, golden_max, stationary_min
-from prospect_pricing.game import _MOST_MIDPOINTS, _bisect_edge
+from prospect_pricing.game import _EPS, _bisect_edge, _edge_estimate
+
+# (beta, gamma) of a computed total as solve_nash states it for a few users:
+# the fake memos' values round by an ulp or two, far inside it
+BLUR = (64 * _EPS, 8 * _EPS)
 
 
 def brackets(seed=7, n=40):
@@ -19,86 +24,167 @@ def brackets(seed=7, n=40):
     return flips, lo, hi
 
 
-def edge(pred, a, b, value=lambda x: 0.0, probes=None):
+def edge(pred, a, b, value=lambda x: 0.0, probes=None, slope=lambda x: 0.0, **kwargs):
     """game._bisect_edge over a fake memo that holds the ends."""
-    return _bisect_edge(*fake_memo(pred, value, probes, seen=(a, b)), a, b)
+    return _bisect_edge(*fake_memo(pred, value, probes, seen=(a, b), slope=slope), a, b, **kwargs)
 
 
 def test_scalar_bisection_keeps_its_brackets():
     """Random monotone predicates, including brackets that settle partway
     through a predicted path and one already closed: the bracket is the
-    one-point loop's, bit for bit, and no probe takes more than
-    _MOST_MIDPOINTS points."""
+    one-point loop's, bit for bit, whether every midpoint is probed or the
+    far ones are inferred, and no probe takes more than 64 rates (a path of
+    the bisection's at most 62 midpoints and two anchors)."""
     flips, lo, hi = brackets(seed=13, n=200)
     for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
-        pred, calls = (lambda m: m < f), []
-        got = edge(pred, a, b, lambda m: m - f, calls)
-        assert got == sequential_bisection(pred, a, b)
-        assert all(1 <= len(rates) <= _MOST_MIDPOINTS for rates in calls)
+        pred = lambda m: m < f
+        for blur in (None, BLUR):
+            calls = []
+            got = edge(pred, a, b, lambda m: math.log(m / f), calls, lambda m: 1.0, blur=blur)
+            assert got == sequential_bisection(pred, a, b)
+            assert all(1 <= len(rates) <= 64 for rates in calls)
 
 
 def test_batched_bisection_walks_a_non_monotone_predicate():
     """True on alternating bands of [0, 1): the walk follows the one-point
     loop's steps into the band they lead to, whatever the value predicts."""
     pred = lambda x: math.floor(x * 10.0) % 2 == 0
-    value = lambda x: x - 0.5
+    value, slope = (lambda x: x - 0.5), (lambda x: x)
     for a, b in ((0.0, 1.0), (0.05, 0.97), (0.21, 0.9)):
         want = sequential_bisection(pred, a, b)
-        assert edge(pred, a, b, value) == want
+        assert edge(pred, a, b, value, slope=slope) == want
     # the first three steps from [0, 1] probe 0.5 (False), 0.25 (True) and
     # 0.375 (False)
-    lo, hi = edge(pred, 0.0, 1.0, value)
+    lo, hi = edge(pred, 0.0, 1.0, value, slope=slope)
     assert 0.25 <= lo < hi <= 0.375
 
 
-@pytest.mark.parametrize("value", [
-    lambda x, f: 1.0, lambda x, f: math.nan, lambda x, f: math.inf, lambda x, f: -math.inf,
-    lambda x, f: f - x, lambda x, f: math.sin(1e6 * x),
-    lambda x, f: math.inf if x >= f else -1.0, lambda x, f: 1e308 * (x / f - 1.0)],
-    ids=["constant", "nan", "inf", "-inf", "wrong-sign", "noise", "inf-past-the-flip",
-         "overflowing"])
+MISLEADING_VALUES = {
+    "constant": lambda x, f: 1.0, "nan": lambda x, f: math.nan, "inf": lambda x, f: math.inf,
+    "-inf": lambda x, f: -math.inf, "wrong-sign": lambda x, f: f - x,
+    "noise": lambda x, f: math.sin(1e6 * x),
+    "inf-past-the-flip": lambda x, f: math.inf if x >= f else -1.0,
+    "overflowing": lambda x, f: 1e308 * (x / f - 1.0)}
+MISLEADING_SLOPES = {
+    "true": lambda x, f: 1.0, "nan": lambda x, f: math.nan, "inf": lambda x, f: math.inf,
+    "zero": lambda x, f: 0.0, "wrong-sign": lambda x, f: -1.0,
+    "noise": lambda x, f: math.cos(1e6 * x), "overflowing": lambda x, f: 1e308 * x}
+
+
+@pytest.mark.parametrize("value", list(MISLEADING_VALUES))
 def test_a_misleading_value_keeps_the_bracket(value):
     """A value that is constant, NaN, infinite, of the wrong sign, noise,
-    infinite on one side or overflowing the secant misleads the predictions:
-    it costs probes, never a bit of the bracket."""
-    flips, lo, hi = brackets(seed=17, n=40)
-    for f, a, b in zip(flips.tolist(), lo.tolist(), hi.tolist()):
-        pred, calls = (lambda m: m < f), []
-        got = edge(pred, a, b, lambda m: value(m, f), calls)
-        assert got == sequential_bisection(pred, a, b)
-        assert all(1 <= len(rates) <= _MOST_MIDPOINTS for rates in calls)
+    infinite on one side or overflowing, with a slope that is right, NaN,
+    infinite, 0, of the wrong sign, noise or overflowing, misleads the
+    estimates: it costs probes, never a bit of the bracket, with the far
+    midpoints inferred or not. A rate settles a side only where its value
+    says so and its fit agrees, which this monotone predicate then bears
+    out. The Newton may stop at its cap, and then says so."""
+    flips, lo, hi = brackets(seed=17, n=12)
+    value = MISLEADING_VALUES[value]
+    for (f, a, b), slope in itertools.product(zip(flips.tolist(), lo.tolist(), hi.tolist()),
+                                              MISLEADING_SLOPES.values()):
+        pred = lambda m: m < f
+        want = sequential_bisection(pred, a, b)
+        for blur in (None, BLUR):
+            calls = []
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = edge(pred, a, b, lambda m: value(m, f), calls, lambda m: slope(m, f),
+                           blur=blur)
+            assert got == want
+            assert all(1 <= len(rates) <= 64 for rates in calls)
+            assert all("edge Newton stopped" in str(w.message) for w in caught)
 
 
 def test_a_smooth_value_closes_a_wide_bracket_in_few_calls():
     """From [1, 2^23], with the flip in the top octave as a doubling ladder
-    leaves it, the 45 steps to 1e-12 took 15 calls of 3 look-ahead levels.
-    Along predicted paths, with only the ends held in the memo (a secant in
-    b first, then interpolations through the midpoints probed), they take
-    at most 6 probes for ln x - ln f and 4 for a value linear in x."""
+    leaves it: the edge is a Newton root from the ends. ln x - ln f is
+    linear in ln x, so its first estimate is exact and one probe closes the
+    45 steps to 1e-12, 3 rates where the far midpoints are inferred (two
+    anchors and a midpoint near the flip) and 41 where none is; a value
+    linear in x takes at most 5 calls, of at most 5 rates with inference."""
     flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
     for f in flips.tolist():
         pred = lambda m: m < f
         want = sequential_bisection(pred, 1.0, 2.0 ** 23)
-        for value, most in ((lambda m: math.log(m / f), 6), (lambda m: m / f - 1.0, 4)):
-            calls = []
-            assert edge(pred, 1.0, 2.0 ** 23, value, calls) == want
-            assert len(calls) <= most
+        for value, slope, most in ((lambda m: math.log(m / f), lambda m: 1.0, 1),
+                                   (lambda m: m / f - 1.0, lambda m: m / f, 5)):
+            for blur, rates in ((None, 41), (BLUR, 5)):
+                calls = []
+                assert edge(pred, 1.0, 2.0 ** 23, value, calls, slope, blur=blur) == want
+                assert len(calls) <= most
+                assert max(map(len, calls)) <= rates
 
 
 def test_ladder_rungs_given_as_known_points_close_the_bracket_in_few_calls():
-    """The same brackets with the rungs a ladder leaves around the edge,
-    2^21, 2^22 and 2^24, known as well, as _rate_feasibility_interval passes
-    them: the first path is interpolated through them, and the 45 steps
-    take at most 3 probes, no more than _MOST_MIDPOINTS midpoints each."""
+    """The same brackets, with the rungs a ladder leaves, 2^21, 2^22 and
+    2^24, known, and Newton started from the two about the edge, as
+    _rate_feasibility_interval passes them: one evaluation closes the
+    bracket, of 3 rates where the far midpoints are inferred."""
     rungs = (2.0 ** 21, 2.0 ** 22, 2.0 ** 24)
     flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
     for f in flips.tolist():
-        pred, value, calls = (lambda m: m < f), (lambda m: math.log(m / f)), []
-        probe, fits, read = fake_memo(pred, value, calls, seen=(1.0, 2.0 ** 23, *rungs))
-        got = _bisect_edge(probe, fits, read, 1.0, 2.0 ** 23, rungs)
-        assert got == sequential_bisection(pred, 1.0, 2.0 ** 23)
-        assert len(calls) <= 3
-        assert all(1 <= len(rates) <= _MOST_MIDPOINTS for rates in calls)
+        pred, value = (lambda m: m < f), (lambda m: math.log(m / f))
+        for blur in (None, BLUR):
+            calls = []
+            memo = fake_memo(pred, value, calls, (1.0, 2.0 ** 23, *rungs), lambda m: 1.0)
+            got = _bisect_edge(*memo, 1.0, 2.0 ** 23, (2.0 ** 22, 2.0 ** 23),
+                               sorted((1.0, *rungs)), blur)
+            assert got == sequential_bisection(pred, 1.0, 2.0 ** 23)
+            assert len(calls) == 1 and (blur is None or len(calls[0]) <= 3)
+
+
+def near_flips():
+    """Flips within an ulp of a midpoint of the one-point loop from [1,
+    2^23], and of powers of two, from 2^-29 to 2^59."""
+    pred_flip = 6123456.789
+    lo, hi, mids = 1.0, 2.0 ** 23, []
+    while hi - lo > 1e-12 * hi:
+        mids.append(mid := 0.5 * (lo + hi))
+        lo, hi = (mid, hi) if mid < pred_flip else (lo, mid)
+    points = mids[::4] + [2.0 ** k for k in range(-29, 60, 8)]
+    return [g(p) for p in points
+            for g in (lambda p: p, lambda p: math.nextafter(p, 0.0),
+                      lambda p: math.nextafter(p, math.inf))]
+
+
+def test_inference_keeps_the_bracket_at_flips_next_to_midpoints():
+    """A flip within an ulp of a midpoint or of a power of two puts that
+    midpoint within rounding of the edge: it is probed, not inferred, and
+    the bracket is the one-point loop's, from a bracket whose ends are the
+    rungs about it and from [2^-30, 2^60]."""
+    for f in near_flips():
+        pred, value = (lambda m: m < f), (lambda m: math.log(m / f))
+        for a, b in ((1.0, 2.0 ** 23) if f < 2.0 ** 23 else (1.0, 2.0 ** 60),
+                     (2.0 ** -30, 2.0 ** 60)):
+            if a < f < b:
+                got = edge(pred, a, b, value, slope=lambda m: 1.0, blur=BLUR)
+                assert got == sequential_bisection(pred, a, b), f
+
+
+def test_edge_newton_warns_at_its_cap():
+    """A slope a million times too steep keeps each Newton step from
+    closing in: the Newton stops at its cap with a RuntimeWarning, and the
+    bisection, aimed at its last estimate, still ends on the one-point
+    loop's bracket."""
+    f = 12345.678
+    pred = lambda m: m < f
+    with pytest.warns(RuntimeWarning, match="edge Newton stopped"):
+        got = edge(pred, 1.0, 2.0 ** 20, lambda m: math.log(m / f), slope=lambda m: 1e6)
+    assert got == sequential_bisection(pred, 1.0, 2.0 ** 20)
+
+
+def test_an_upper_edge_is_not_estimated_from_a_lower_edge():
+    """A rising-at-zero price's upper edge can be bracketed from its lower
+    edge, where the value is about 0 and falls: that end lies past a turn
+    and is left out, and the estimate is the Newton step from the other end
+    (with no cubic, no error to judge it by)."""
+    low, high = 189.559, 2.0 ** 10
+    values = {low: -1e-11, high: 0.4}
+    slopes = {low: -5.0, high: 1.1}
+    u, err, s = _edge_estimate(values.get, slopes.get, low, high, True)
+    assert u == math.log(high) - 0.4 / 1.1 and err == math.inf and s == 1.1
 
 
 @pytest.mark.parametrize("fits_below", [True, False], ids=["upper-edge", "lower-edge"])
@@ -106,23 +192,26 @@ def test_flips_at_the_ends_of_the_rate_range_close_within_100_midpoints(fits_bel
     """[2^-30, 2^60] spans every bracket a rate search bisects: a flip an ulp
     from either end closes at the one-point loop's bracket, bit for bit,
     within 100 midpoints, whichever end fits, and with no value at the
-    upper end, as at the unprobed rung past the 1e18 cap."""
+    upper end, as at the unprobed rung past the 1e18 cap; the search
+    probes at most 110 rates on the way: the Newton's first probe and a
+    path of 100 midpoints at most."""
     lo, hi = 2.0 ** -30, 2.0 ** 60
     flips = [math.nextafter(lo, math.inf), lo * (1.0 + 1e-9), 1e-9, 1.0,
              math.nextafter(hi, 0.0), hi * (1.0 - 1e-15), 1e18]
     for f in flips:
         pred = (lambda m: m < f) if fits_below else (lambda m: m >= f)
-        probe, fits, value = fake_memo(pred, lambda m: math.log(m / f), seen=(lo,))
-        reads = []
-
-        def counted(b):
-            reads.append(b)
-            return fits(b)
-        got = _bisect_edge(probe, counted, value, lo, hi)
-        want = sequential_bisection(pred if fits_below else lambda m: not pred(m), lo, hi)
-        assert got == want
-        assert got[1] - got[0] <= 1e-12 * max(got[1], 1.0)
-        assert len(set(reads) - {lo}) <= 100
+        sign = 1.0 if fits_below else -1.0
+        steps = []
+        want = sequential_bisection(
+            lambda m: steps.append(m) or (pred(m) if fits_below else not pred(m)), lo, hi)
+        assert len(steps) <= 100
+        for blur in (None, BLUR):
+            probes = []
+            got = _bisect_edge(*fake_memo(pred, lambda m: sign * math.log(m / f), probes,
+                                          (lo,), lambda m: sign), lo, hi, blur=blur)
+            assert got == want
+            assert got[1] - got[0] <= 1e-12 * max(got[1], 1.0)
+            assert sum(map(len, probes)) <= 110
 
 
 def peaks(seed=11, n=40):
