@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from typing import Callable
@@ -268,3 +269,278 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     cand[2 + 2 * k, j], cand_value[2 + 2 * k, j] = root, root_value
     best = np.argmin(cand_value, axis=0), np.arange(n)
     return cand[best], cand_value[best]
+
+
+# evaluations aimed by an estimate that an edge takes at most; and the share
+# of the bisection's settle width, in ln b at the estimate, below which the
+# estimate's error must be for it to aim a path: then few of the path's
+# midpoints can lie between the estimate and the edge
+_EDGE_STEPS = 12
+_EDGE_SHARE = 1.0 / 8.0
+# bisection levels whose every midpoint one evaluation probes, where no
+# estimate of the edge can be judged
+_FAN_LEVELS = 5
+
+
+def _hermite(ends, u: float) -> tuple[float, float]:
+    """The cubic Hermite interpolant through ends = ((u0, v0, s0), (u1, v1,
+    s1)), values v and slopes s in u at two points, and its slope, at u."""
+    (u0, v0, s0), (u1, v1, s1) = ends
+    h = u1 - u0
+    t, d0, d1 = (u - u0) / h, h * s0, h * s1
+    p = ((v0 * (1.0 + 2.0 * t) + d0 * t) * (1.0 - t) * (1.0 - t)
+         + (v1 * (3.0 - 2.0 * t) + d1 * (t - 1.0)) * t * t)
+    dp = (6.0 * t * (t - 1.0) * (v0 - v1) + d0 * (3.0 * t - 1.0) * (t - 1.0)
+          + d1 * t * (3.0 * t - 2.0)) / h
+    return p, dp
+
+
+def _hermite_root(ends) -> float:
+    """The root, in ln b, of the cubic Hermite interpolant through ends, two
+    points on either side of it: Newton on the cubic from the first point's
+    own Newton step, kept inside the sign change by halving; NaN where it
+    does not settle."""
+    (u0, v0, s0), (u1, _, _) = ends
+    # where the cubic was last seen below and above 0
+    below, above = (u0, u1) if v0 < 0.0 else (u1, u0)
+    u = u0 - v0 / s0
+    for _ in range(64 if u1 != u0 else 0):
+        if not min(below, above) < u < max(below, above):
+            u = 0.5 * (below + above)
+        p, dp = _hermite(ends, u)
+        step = u - p / dp if dp != 0.0 else math.nan
+        if abs(step - u) <= 2.0 ** -50 * max(1.0, abs(u)):
+            return step
+        if p < 0.0:
+            below = u
+        else:
+            above = u
+        u = step
+    return math.nan
+
+
+def _edge_estimate(value, slope, a: float, c: float, rising: bool, others=()):
+    """Where value changes sign between the rates a < c, rising from a to c
+    if rising, in ln b: (u, err, s), err an estimate of u's error (inf where
+    there is none) and s the slope at the rate it was estimated from.
+
+    Of a, c and the probed rates others, those count whose value and slope
+    are finite and whose slope goes the crossing's way (a rate whose slope
+    points away, as a lower edge's does from the upper edge, lies past a
+    turn). u is the root of the cubic Hermite interpolant through the one
+    whose own Newton step is shortest and the one of shortest step on the
+    edge's other side; with none there, the first's Newton step; with none
+    at all, or where u leaves [a, c], the midpoint in ln b, with s NaN.
+
+    A cubic's root is off by about f''''/(24 f') times the product of its
+    squared distances from its two rates. The cubic through the next rate
+    that counts, in place of the pair's rate on its side, has a root that
+    differs from u by that factor times the difference of the two products,
+    which gives the factor: err is u's own product times it. With no third
+    rate, err is u's distance from the first's Newton step, the error of
+    that step. err only decides when Newton stops and how wide a path's
+    window is, so a wrong err costs evaluations, never a bit.
+    """
+    sign = 1.0 if rising else -1.0
+    good = []
+    for b in dict.fromkeys((a, c, *others)):
+        v, s = value(b), slope(b)
+        if math.isfinite(v) and math.isfinite(s) and sign * s > 0.0:
+            good.append((abs(v / s), math.log(b), v, s))
+    good.sort()
+    points = [g[1:] for g in good]
+    u, err, s = math.nan, math.inf, math.nan
+    if points:
+        first = points[0]
+        u, s = first[0] - first[1] / first[2], first[2]
+        far = [p for p in points if (p[1] < 0.0) != (first[1] < 0.0)]
+        root = _hermite_root((first, far[0])) if far else math.nan
+        if math.isfinite(root):
+            u, err = root, abs(root - u)
+            for third in [p for p in points[1:] if p is not far[0]][:1]:
+                other = (first, third) if third in far else (third, far[0])
+                if other[0][0] != other[1][0]:
+                    mine, theirs = (math.prod((root - p[0]) ** 2 for p in ends)
+                                    for ends in ((first, far[0]), other))
+                    # the other cubic's root is a Newton step from u away
+                    q, dq = _hermite(other, root)
+                    step = q / dq if dq != 0.0 else math.inf
+                    if math.isfinite(step) and theirs > mine:
+                        err = abs(step) * min(1.0, mine / (theirs - mine))
+    ua, uc = math.log(a), math.log(c)
+    if not ua <= u <= uc:
+        u, err, s = 0.5 * (ua + uc), math.inf, math.nan
+    return u, err, s
+
+
+def _narrowest(fits, side, points, a: float, c: float) -> tuple[float, float]:
+    """The rates of the ascending list points inside (a, c) nearest the edge
+    on either side, a or c where none is: a bisection of the rates on
+    whether fits(rate) is side, fits(a)'s."""
+    i, j = bisect.bisect_right(points, a), bisect.bisect_left(points, c)
+    while i < j:
+        k = (i + j) // 2
+        if fits(points[k]) == side:
+            a, i = points[k], k + 1
+        else:
+            c, j = points[k], k
+    return a, c
+
+
+def _bisect_edge(probe, fits, value, slope, lo: float, hi: float, start=None, known=(),
+                 blur=None, then=None) -> tuple[float, float]:
+    """Halve [lo, hi], where fits(lo) and fits(hi) differ, down to
+    1e-12*max(|lo|, |hi|, 1), each midpoint taking the side of the end whose
+    fit it shares; returns the final (lo, hi).
+
+    probe(rates) evaluates rates into a memo. fits(b) reads from it whether
+    the set fits at b, None where b is unprobed; value(b) a float below 0
+    where it fits that changes sign at the edge, and slope(b) its derivative
+    in ln b, both NaN where b is unprobed: in solve_nash, ln T_n(b) - ln(B*(1
+    - slack)) and d ln T_n/d ln b. known holds probed rates, ascending.
+
+    The edge is estimated in ln b (_edge_estimate) from the narrowest
+    bracket that the probed rates give inside start (the rungs about the
+    edge; [lo, hi] by default) and the probed rate next past each of its
+    ends. A midpoint the memo misses is probed with the rest of the
+    bisection's path, each midpoint on the estimate's side, and with then(a,
+    b) of the path's final bracket, in one evaluation; where there is no
+    estimate but the midpoint in ln b, with every midpoint of the next
+    _FAN_LEVELS levels instead. A midpoint missed again is probed the same
+    way, from the estimate of its bracket: where every midpoint is probed,
+    each path is a Newton step, its last midpoints at the estimate.
+
+    With blur = (beta, gamma), where lo fits, the search takes the set's
+    computed T(b) to lie within a factor 1 +- gamma of T'(b e^d), |d| <=
+    beta, for a T' that does not fall as b rises. A midpoint at or below
+    a e^(-2 beta), of a probed a that fits with value < -2 gamma, then fits,
+    and one at or above c e^(2 beta), of a probed c that does not with value
+    > 2 gamma, does not, and neither is probed. An estimate then aims a
+    path only once its err is below _EDGE_SHARE of the bisection's settle
+    width at it, so that few of the path's midpoints can lie between it and
+    the edge; until then its rate is probed alone, a Newton step an
+    evaluation, the first step from the rungs with the rates 2 and 8 times
+    err either side. The path probes two anchors, the estimate times
+    e^(-+w), w = 2*(2 err + beta) + 4*gamma/s with s the slope it was
+    estimated from, and only the midpoints between; a pair that does not
+    settle both sides is placed at most three times in all. Where every
+    midpoint of the path takes the side it was probed for, the path is the
+    bisection's.
+
+    An edge takes at most _EDGE_STEPS evaluations aimed by an estimate; at
+    the cap a RuntimeWarning says so, and the rest of the bisection probes
+    fans. The probes decide only how many evaluations the bisection takes,
+    never its bracket. Within [2^-30, 2^60] it closes within 100 midpoints.
+    """
+    def settled(a, b):
+        return b - a <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+    def sharp(b, err):
+        # whether an estimate b, err off in ln b, is to aim a path
+        return err <= _EDGE_SHARE * 1e-12 * max(b, 1.0) / b
+
+    side = fits(lo)
+    # the probed rates inside [lo, hi], ascending
+    points = list(known[bisect.bisect_right(known, lo):bisect.bisect_left(known, hi)])
+    # the far midpoints are inferred only where lo fits: an upper edge
+    blur = blur if side else None
+    # evaluations aimed by an estimate so far: Newton probes and paths
+    steps = 0
+
+    def estimate(a, c):
+        # the edge from the narrowest bracket inside [a, c], refined by
+        # Newton probes where the far midpoints are inferred; none where the
+        # bracket reaches down to 0 or the aimed evaluations reach their cap
+        nonlocal steps
+        while a > 0.0 and steps < _EDGE_STEPS:
+            a, c = _narrowest(fits, side, points, a, c)
+            # with the probed rate next past each end of the bracket
+            i, j = bisect.bisect_left(points, a), bisect.bisect_right(points, c)
+            u, err, s = _edge_estimate(value, slope, a, c, side,
+                                       points[max(i - 1, 0):i] + points[j:j + 1])
+            b = math.exp(u)
+            if (blur is None or sharp(b, err) or math.isnan(s) or settled(a, b)
+                    or settled(b, c) or fits(b) is not None):
+                return u, err, s
+            steps += 1
+            # the first step from the rungs, whose err is the least sure, also
+            # probes pairs 2 and 8 times err either side, one of which brackets
+            # the edge for every later estimate
+            reach = [] if steps > 1 else [k * min(err, 1.0) for k in (2.0, 8.0)]
+            step_rates = [r for r in (b, *(b * math.exp(x) for d in reach for x in (-d, d)))
+                          if a < r < c]
+            probe(step_rates)
+            for r in step_rates:
+                bisect.insort(points, r)
+        if steps == _EDGE_STEPS:
+            _warn_cap("edge Newton", _EDGE_STEPS, _EDGE_SHARE * 1e-12)
+            steps += 1
+        return math.nan, math.inf, math.nan
+
+    # every rate at or below fit_below fits, at or above unfit_above does not
+    fit_below, unfit_above = -math.inf, math.inf
+    anchoring = 3 if blur is not None else 0
+    while not settled(lo, hi):
+        mid = 0.5 * (lo + hi)
+        fit = True if mid <= fit_below else False if mid >= unfit_above else fits(mid)
+        if fit is not None:
+            lo, hi = (mid, hi) if fit == side else (lo, mid)
+            continue
+        u, err, s = estimate(*(start or (lo, hi)))
+        edge, start, plan, below, above = math.exp(u), None, [], fit_below, unfit_above
+
+        def known_side(m):
+            return True if m <= below else False if m >= above else fits(m)
+
+        if anchoring > 0 and sharp(edge, err) and s > 0.0:
+            (beta, gamma), w = blur, 2.0 * (2.0 * err + blur[0]) + 4.0 * blur[1] / s
+            low, high = edge * math.exp(-w), edge * math.exp(w)
+            if lo < low:
+                plan.append(low)
+                below = max(below, low * math.exp(-2.0 * beta))
+            if high < hi:
+                plan.append(high)
+                above = min(above, high * math.exp(2.0 * beta))
+        a, b, path, fan = lo, hi, [], math.isnan(s)
+        steps += not fan
+        if fan:
+            level = [(lo, hi)]
+            for _ in range(_FAN_LEVELS):
+                level, brackets = [], level
+                for a, b in brackets:
+                    if settled(a, b):
+                        continue
+                    m = 0.5 * (a + b)
+                    f = known_side(m)
+                    if f is None:
+                        plan.append(m)
+                        level += [(a, m), (m, b)]
+                    else:
+                        level.append((m, b) if f == side else (a, m))
+        else:
+            while not settled(a, b):
+                m = 0.5 * (a + b)
+                f = known_side(m)
+                if f is None:
+                    path.append((m, f := side if m < edge else not side))
+                a, b = (m, b) if f == side else (a, m)
+            plan += [m for m, _ in path]
+            if then is not None:
+                plan += then(a, b)
+        probe(plan)
+        for m in plan:
+            bisect.insort(points, m)
+            if blur is not None:
+                v = value(m)
+                if fits(m) and v < -2.0 * blur[1]:
+                    fit_below = max(fit_below, m * math.exp(-2.0 * blur[0]))
+                elif not fits(m) and v > 2.0 * blur[1]:
+                    unfit_above = min(unfit_above, m * math.exp(2.0 * blur[0]))
+        if fit_below < below or unfit_above > above:
+            # a pair did not settle its sides: placed again at most twice
+            anchoring -= 1
+        if not fan and fit_below >= below and unfit_above <= above and all(
+                fits(m) == f for m, f in path):
+            # every side the path took holds: it is the walk's
+            lo, hi = a, b
+    return lo, hi

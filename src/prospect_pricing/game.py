@@ -18,7 +18,6 @@ the full scan. Without a positive revenue the scan runs to n = 1.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -470,245 +469,11 @@ def _feasible(total_required, budget: float):
 # rates per requirement evaluation of a ladder: from 1 bps, one call reaches
 # 2^31 bps, past every boundary of the bundled scenarios
 _RUNGS_PER_CALL = 32
-# evaluations an edge's Newton takes at most, and the error in ln b below
-# which its estimate aims the bisection's probes without another
-_EDGE_STEPS = 12
-_EDGE_TOL = 2.0 ** -45
-# bisection levels whose every midpoint one evaluation probes, where no
-# estimate of the edge can be judged
-_FAN_LEVELS = 5
-
-
-def _hermite_root(ends) -> float:
-    """The root, in ln b, of the cubic Hermite interpolant through ends =
-    ((u0, v0, s0), (u1, v1, s1)), values v and slopes s in u at two points
-    on either side of it: Newton on the cubic from the first point's own
-    Newton step, kept inside the sign change by halving; NaN where it does
-    not settle."""
-    (u0, v0, s0), (u1, v1, s1) = ends
-    h = u1 - u0
-    d0, d1 = h * s0, h * s1
-    # where the cubic was last seen below and above 0
-    below, above = (u0, u1) if v0 < 0.0 else (u1, u0)
-    u = u0 - v0 / s0
-    for _ in range(64 if h != 0.0 else 0):
-        if not min(below, above) < u < max(below, above):
-            u = 0.5 * (below + above)
-        t = (u - u0) / h
-        p = ((v0 * (1.0 + 2.0 * t) + d0 * t) * (1.0 - t) * (1.0 - t)
-             + (v1 * (3.0 - 2.0 * t) + d1 * (t - 1.0)) * t * t)
-        dp = (6.0 * t * (t - 1.0) * (v0 - v1) + d0 * (3.0 * t - 1.0) * (t - 1.0)
-              + d1 * t * (3.0 * t - 2.0)) / h
-        step = u - p / dp if dp != 0.0 else math.nan
-        if abs(step - u) <= 2.0 ** -50 * max(1.0, abs(u)):
-            return step
-        if p < 0.0:
-            below = u
-        else:
-            above = u
-        u = step
-    return math.nan
-
-
-def _edge_estimate(value, slope, a: float, c: float, rising: bool, others=()):
-    """Where value changes sign between the rates a < c, rising from a to c
-    if rising, in ln b: (u, err, s), err an estimate of u's error (inf where
-    there is none) and s the slope at the rate it was estimated from.
-
-    Of a, c and the probed rates others, those count whose value and slope
-    are finite and whose slope goes the crossing's way (a rate whose slope
-    points away, as a lower edge's does from the upper edge, lies past a
-    turn). u is the root of the cubic Hermite interpolant through the one
-    whose own Newton step is shortest and the one of shortest step on the
-    edge's other side; with none there, the first's Newton step; with none
-    at all, or where u leaves [a, c], the midpoint in ln b, with s NaN. A
-    Newton step's error is f''/(2 f') times its squared distance from its
-    rate, the cubic's f''''/(24 f') times the product of its squared
-    distances from both: err is u's distance from the first's Newton step
-    times the squared distance to the other rate (at most 1), over 12, as
-    if f'''' were f''. It only decides when Newton stops and how wide a
-    path's window is, so a wrong err costs evaluations, never a bit.
-    """
-    sign = 1.0 if rising else -1.0
-    good = []
-    for b in dict.fromkeys((a, c, *others)):
-        v, s = value(b), slope(b)
-        if math.isfinite(v) and math.isfinite(s) and sign * s > 0.0:
-            good.append((abs(v / s), math.log(b), v, s))
-    good.sort()
-    u, err, s = math.nan, math.inf, math.nan
-    if good:
-        _, un, vn, s = good[0]
-        u = un - vn / s
-        across = [g[1:] for g in good if (g[2] < 0.0) != (vn < 0.0)]
-        if across:
-            root, uc = _hermite_root(((un, vn, s), across[0])), across[0][0]
-            if math.isfinite(root):
-                u, err = root, abs(root - u) * min(1.0, (root - uc) ** 2) / 12.0
-    ua, uc = math.log(a), math.log(c)
-    if not ua <= u <= uc:
-        u, err, s = 0.5 * (ua + uc), math.inf, math.nan
-    return u, err, s
-
-
-def _narrowest(fits, side, points, a: float, c: float) -> tuple[float, float]:
-    """The rates of the ascending list points inside (a, c) nearest the edge
-    on either side, a or c where none is: a bisection of the rates on
-    whether fits(rate) is side, fits(a)'s."""
-    i, j = bisect.bisect_right(points, a), bisect.bisect_left(points, c)
-    while i < j:
-        k = (i + j) // 2
-        if fits(points[k]) == side:
-            a, i = points[k], k + 1
-        else:
-            c, j = points[k], k
-    return a, c
-
-
-def _bisect_edge(probe, fits, value, slope, lo: float, hi: float, start=None, known=(),
-                 blur=None, then=None) -> tuple[float, float]:
-    """Halve [lo, hi], where fits(lo) and fits(hi) differ, down to
-    1e-12*max(|lo|, |hi|, 1), each midpoint taking the side of the end whose
-    fit it shares; returns the final (lo, hi).
-
-    probe(rates) evaluates rates into a memo. fits(b) reads from it whether
-    the set fits at b, None where b is unprobed; value(b) a float below 0
-    where it fits that changes sign at the edge, and slope(b) its derivative
-    in ln b, both NaN where b is unprobed: in solve_nash, ln T_n(b) - ln(B*(1
-    - slack)) and d ln T_n/d ln b. known holds probed rates, ascending.
-
-    The edge is estimated in ln b (_edge_estimate) from the narrowest
-    bracket that the probed rates give inside start (the rungs about the
-    edge; [lo, hi] by default), and refined by Newton: while the estimate's
-    error is above _EDGE_TOL, its rate is probed, one evaluation a step,
-    and the estimate taken again with the last five rates probed, at most
-    _EDGE_STEPS times (a RuntimeWarning then). The first step also probes
-    the estimate times e^(+-2 err) and e^(+-20 err), since a first estimate
-    from rungs an octave apart can be off by more than its err. A midpoint
-    the memo misses is then probed
-    with the rest of the bisection's path, each midpoint on the estimate's
-    side, and with then(a, b) of the path's final bracket, in one
-    evaluation; where there is no estimate but the midpoint in ln b, with
-    every midpoint of the next _FAN_LEVELS levels instead. A midpoint missed
-    again is probed the same way, from the estimate of its bracket.
-
-    With blur = (beta, gamma), where lo fits, the search takes the set's
-    computed T(b) to lie within a factor 1 +- gamma of T'(b e^d), |d| <=
-    beta, for a T' that does not fall as b rises. A midpoint at or below
-    a e^(-2 beta), of a probed a that fits with value < -2 gamma, then fits,
-    and one at or above c e^(2 beta), of a probed c that does not with value
-    > 2 gamma, does not, and neither is probed. A path from an estimate
-    within _EDGE_TOL probes two such rates, the estimate times e^(-+w), w =
-    2*(err + beta) + 4*gamma/s with s the slope it was estimated from, and
-    only the midpoints between; a pair that does not settle both sides is
-    placed at most three times in all. Where every midpoint of the path
-    takes the side it was probed for, the path is the bisection's.
-
-    The probes decide only how many evaluations the bisection takes, never
-    its bracket. Within [2^-30, 2^60] it closes within 100 midpoints.
-    """
-    def settled(a, b):
-        return b - a <= 1e-12 * max(abs(a), abs(b), 1.0)
-
-    side = fits(lo)
-    # the probed rates inside [lo, hi], ascending
-    points = list(known[bisect.bisect_right(known, lo):bisect.bisect_left(known, hi)])
-
-    def estimate(a, c):
-        # the edge from the narrowest bracket inside [a, c], and Newton;
-        # none where the bracket reaches down to 0
-        tried, u, err, s = [], math.nan, math.inf, math.nan
-        for step in range(_EDGE_STEPS + 1 if a > 0.0 else 0):
-            a, c = _narrowest(fits, side, points, a, c)
-            u, err, s = _edge_estimate(value, slope, a, c, side, tried[-5:])
-            b = math.exp(u)
-            if err <= _EDGE_TOL or math.isnan(s) or not a < b < c or fits(b) is not None:
-                break
-            if step == _EDGE_STEPS:
-                _search._warn_cap("edge Newton", _EDGE_STEPS, _EDGE_TOL)
-                break
-            spread = [] if tried else [b * math.exp(k * min(err, 1.0))
-                                       for k in (-20.0, -2.0, 2.0, 20.0)]
-            step_rates = [r for r in (b, *spread) if a < r < c]
-            probe(step_rates)
-            for r in step_rates:
-                bisect.insort(points, r)
-            tried += step_rates
-        return u, err, s
-
-    # every rate at or below fit_below fits, at or above unfit_above does not
-    fit_below, unfit_above = -math.inf, math.inf
-    anchoring = 3 if blur is not None and side else 0
-    while not settled(lo, hi):
-        mid = 0.5 * (lo + hi)
-        fit = True if mid <= fit_below else False if mid >= unfit_above else fits(mid)
-        if fit is not None:
-            lo, hi = (mid, hi) if fit == side else (lo, mid)
-            continue
-        u, err, s = estimate(*(start or (lo, hi)))
-        edge, start, plan, below, above = math.exp(u), None, [], fit_below, unfit_above
-
-        def known_side(m):
-            return True if m <= below else False if m >= above else fits(m)
-
-        if anchoring > 0 and err <= _EDGE_TOL and s > 0.0:
-            (beta, gamma), w = blur, 2.0 * (err + blur[0]) + 4.0 * blur[1] / s
-            low, high = edge * math.exp(-w), edge * math.exp(w)
-            if lo < low:
-                plan.append(low)
-                below = max(below, low * math.exp(-2.0 * beta))
-            if high < hi:
-                plan.append(high)
-                above = min(above, high * math.exp(2.0 * beta))
-        a, b, path, fan = lo, hi, [], math.isnan(s)
-        if fan:
-            level = [(lo, hi)]
-            for _ in range(_FAN_LEVELS):
-                level, brackets = [], level
-                for a, b in brackets:
-                    if settled(a, b):
-                        continue
-                    m = 0.5 * (a + b)
-                    f = known_side(m)
-                    if f is None:
-                        plan.append(m)
-                        level += [(a, m), (m, b)]
-                    else:
-                        level.append((m, b) if f == side else (a, m))
-        else:
-            while not settled(a, b):
-                m = 0.5 * (a + b)
-                f = known_side(m)
-                if f is None:
-                    path.append((m, f := side if m < edge else not side))
-                a, b = (m, b) if f == side else (a, m)
-            plan += [m for m, _ in path]
-            if then is not None:
-                plan += then(a, b)
-        probe(plan)
-        for m in plan:
-            bisect.insort(points, m)
-            if blur is not None and side:
-                v = value(m)
-                if fits(m) and v < -2.0 * blur[1]:
-                    fit_below = max(fit_below, m * math.exp(-2.0 * blur[0]))
-                elif not fits(m) and v > 2.0 * blur[1]:
-                    unfit_above = min(unfit_above, m * math.exp(2.0 * blur[0]))
-        if fit_below < below or unfit_above > above:
-            # a pair did not settle its sides: placed again at most twice
-            anchoring -= 1
-        if not fan and fit_below >= below and unfit_above <= above and all(
-                fits(m) == f for m, f in path):
-            # every side the path took holds: it is the walk's
-            lo, hi = a, b
-    return lo, hi
-
-
 def _rate_feasibility_interval(probe, fits, value, slope, scenario: Scenario, known=(),
                                rounding=None, then=None) -> tuple[float, float] | None:
     """Rates b at which fits(b), the n cheapest users fitting in the band,
     holds, as (lower, upper), or None; probe, fits, value, slope and known
-    read a memo of probed rates as _bisect_edge takes them.
+    read a memo of probed rates as _search._bisect_edge takes them.
 
     The summed requirement grows with the rate for increasing r/h ratios, so
     the feasible rates usually form an interval anchored at 0, found by
@@ -727,12 +492,12 @@ def _rate_feasibility_interval(probe, fits, value, slope, scenario: Scenario, kn
     Where the price's exponent is at least the benefit's, q = r/h does not
     fall as b rises, so no requirement does, and given rounding, a bound
     gamma on a computed total's relative roundoff, the upper edge's
-    bisection infers its far midpoints (_bisect_edge's blur). beta bounds
-    each requirement's roundoff as a shift of ln b: ln q carries some 6 ulps
-    of q over |ln q| and the inversion some 4 ulps, each at most such a
-    shift, since a requirement's elasticity in b is at least 1 where q does
-    not fall. beta = 32*(1 + 1/|ln q|)*2^-52, with q at the bracket's end hi,
-    where it is largest, covers them three times over.
+    bisection infers its far midpoints (_search._bisect_edge's blur). beta
+    bounds each requirement's roundoff as a shift of ln b: ln q carries some
+    6 ulps of q over |ln q| and the inversion some 4 ulps, each at most such
+    a shift, since a requirement's elasticity in b is at least 1 where q
+    does not fall. beta = 32*(1 + 1/|ln q|)*2^-52, with q at the bracket's
+    end hi, where it is largest, covers them three times over.
     """
     def rung(b, factor, more):
         # fits at rung b of a ladder that goes on past a rung while more holds
@@ -757,7 +522,7 @@ def _rate_feasibility_interval(probe, fits, value, slope, scenario: Scenario, kn
                 if not pays(lo):
                     return None
                 below, lo = lo, 2.0 * lo
-            _, lower = _bisect_edge(probe, fits, value, slope, below, lo, known=known)
+            _, lower = _search._bisect_edge(probe, fits, value, slope, below, lo, known=known)
             lo = lower
     hi = 2.0 * lo
     while hi <= 1e18 and rung(hi, 2.0, below_cap):
@@ -768,8 +533,8 @@ def _rate_feasibility_interval(probe, fits, value, slope, scenario: Scenario, kn
         if q < 1.0:
             blur = 32.0 * (1.0 - 1.0 / math.log(q)) * _EPS, rounding
     start = (0.5 * hi, hi) if 0.5 * hi > lo else None
-    lo, _ = _bisect_edge(probe, fits, value, slope, lo, hi, start, known, blur,
-                         then and (lambda a, b: then(lower, a)))
+    lo, _ = _search._bisect_edge(probe, fits, value, slope, lo, hi, start, known, blur,
+                                 then and (lambda a, b: then(lower, a)))
     return lower, lo
 
 
@@ -821,13 +586,13 @@ def solve_nash(scenario: Scenario) -> NashResult:
     requirement totals over the first n users of _Users.order and their
     slopes in ln b, for every n, and its column of the evaluation that
     probed it. Each feasibility edge is a Newton root of ln T_n(b) - ln(B*(1
-    - slack)) that aims the bisection (_bisect_edge); where the price rises
-    at least as fast as the benefit, the bisection's far midpoints are
-    inferred, with gamma = (n + 2)*2^-52 for the n users' running sum and
-    its ratio to the band. b*, the golden search's rate on the edge's
-    predicted interval, is probed with the edge's path, and so, where the
-    scan may go on, is the next size's edge estimate. The served users' need
-    at the best rate is that rate's column, bitwise a fresh evaluation's.
+    - slack)) that aims the bisection (_search._bisect_edge); where the
+    price rises at least as fast as the benefit, the bisection's far
+    midpoints are inferred, with gamma = (n + 2)*2^-52 for the n users'
+    running sum and its ratio to the band. b*, the golden search's rate on
+    the edge's predicted interval, is probed with the edge's path. The
+    served users' need at the best rate is that rate's column, bitwise a
+    fresh evaluation's.
     """
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz
@@ -893,17 +658,9 @@ def solve_nash(scenario: Scenario) -> NashResult:
             return peaks[lower, boundary]
 
         def then(lower, boundary):
-            # b*, and where the scan goes on, the next size's edge estimate
+            # b* on the edge's predicted interval, probed with its path
             b_star = peak(lower, boundary)
-            rates = [b_star] if b_star > 0.0 else []
-            best = max(best_rev, _revenue(scenario, n, price(b_star), b_star))
-            if n > 1 and not (best > 0.0 and best >= (n - 1) * bound - c3 * budget):
-                fit, value, slope = readers(n - 1)
-                if fit(known[0]) and not fit(known[-1]):
-                    bracket = _narrowest(fit, True, known, known[0], known[-1])
-                    u, err, _ = _edge_estimate(value, slope, *bracket, True)
-                    rates += [math.exp(u)] if err < math.inf else []
-            return rates
+            return [b_star] if b_star > 0.0 else []
 
         fits, value, slope = readers(n)
         interval = _rate_feasibility_interval(probe, fits, value, slope, scenario, known,

@@ -653,7 +653,7 @@ def sequential_bisection(pred, lo, hi, rel_tol=1e-12, max_iter=200):
 
 def fake_memo(pred, value=lambda b: 0.0, probes=None, seen=(), slope=lambda b: 0.0):
     """A memo of probed rates over a one-rate predicate, as
-    game._rate_feasibility_interval and game._bisect_edge read solve_nash's:
+    game._rate_feasibility_interval and _search._bisect_edge read solve_nash's:
     (probe, fits, value, slope). fits, value and slope read only the rates
     probed so far or given in seen, None and NaN elsewhere; probes, if given,
     records the rates of each probe. A slope of 0, the default, points

@@ -322,15 +322,15 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # are read one at a time from a memo; a miss probes up to 32 rungs of a
 # ladder, a Newton step toward a feasibility edge, or a bisection's path as
 # the edge's Newton root predicts it, with its far midpoints inferred
-# (game._bisect_edge). The guards hold the counts measured when the edges
-# became Newton roots; each fell (parent counts in parentheses): the 80-user
-# 300 m cell 3 calls of 42 rates (5 of 77), the default cell 4 of 43 (5 of
-# 80), the 80-user cell at 1/10 of its band 43 of 206 (86 of 1,502), and the
-# 3 km cell with a band of 2e7 Hz 19 of 171 (22 of 272).
+# (_search._bisect_edge). The guards hold the counts measured when the edges
+# became Newton roots (parent counts in parentheses): the 80-user 300 m
+# cell 3 calls of 42 rates (5 of 77), the default cell 4 of 43 (5 of 80),
+# the 80-user cell at 1/10 of its band 83 of 304 (86 of 1,502), and the 3 km
+# cell with a band of 2e7 Hz 22 of 198 (22 of 272).
 NASH_80_CALLS, NASH_80_RATES = 3, 42
 DEFAULT_CALLS, DEFAULT_RATES = 4, 43
-NASH_80_TENTH_BAND_CALLS, NASH_80_TENTH_BAND_RATES = 43, 206
-FAR_CELL_BAND_CALLS, FAR_CELL_BAND_RATES = 19, 171
+NASH_80_TENTH_BAND_CALLS, NASH_80_TENTH_BAND_RATES = 83, 304
+FAR_CELL_BAND_CALLS, FAR_CELL_BAND_RATES = 22, 198
 
 
 @pytest.fixture(scope="module")
@@ -689,7 +689,7 @@ def test_default_solve_evaluation_count(monkeypatch, default_scenario):
 # a lower edge whose unfit end is out of reach, and an upper edge bracketed
 # from the lower edge itself
 RISING_CELLS = {
-    "seed1255-36": (36, dict(RISING_AT_ZERO, seed=1255), 13, 25),
+    "seed1255-36": (36, dict(RISING_AT_ZERO, seed=1255), 12, 25),
     "seed5845-60": (60, dict(RISING_AT_ZERO, seed=5845, price_exp=0.52, benefit_exp=0.76), 3, 5)}
 
 
@@ -723,6 +723,31 @@ def test_far_cell_solve_evaluation_count(monkeypatch):
     assert solve_nash(sc).n_served == 9
     assert 0 < len(calls) <= FAR_CELL_BAND_CALLS
     assert sum(rates for rates, _ in calls) <= FAR_CELL_BAND_RATES
+
+
+# cells unlike the 80-user and default cells, each with the evaluations
+# and rates its solve takes, and at the parent: the 30-user 600 m cell of
+# seed 9, whose first Newton step leaves an error of 4.6e-12 in ln b, above
+# 1/8 of the settle width, so it takes a second; the 20-user 1 km cell,
+# whose rung past the edge is beyond a user's reach (T_n infinite), so its
+# first estimate is a fan of midpoints
+OTHER_CELLS = {
+    "30-users-600m-seed9": (30, dict(cell_radius_m=600.0, seed=9), (4, 42), (5, 81)),
+    "20-users-1km": (20, dict(cell_radius_m=1000.0), (4, 73), (8, 95))}
+
+
+@pytest.mark.parametrize("cell", list(OTHER_CELLS))
+def test_other_cells_solve_in_few_evaluations(monkeypatch, cell):
+    """Each cell's solve takes at most its measured evaluations and rates,
+    fewer than at the parent, and is bitwise the full scan's."""
+    n_users, config, (most, most_rates), parent = OTHER_CELLS[cell]
+    sc = experiments.build_scenario(n_users, **config)
+    calls = helpers.count_evaluations(monkeypatch)
+    ne = solve_nash(sc)
+    monkeypatch.undo()
+    count = (len(calls), sum(rates for rates, _ in calls))
+    assert 0 < count[0] <= most < parent[0] and count[1] <= most_rates < parent[1]
+    assert helpers.nash_bits(ne) == helpers.nash_bits(helpers.full_scan_nash(sc))
 
 
 def test_solve_nash_inverts_each_probed_rate_once(monkeypatch, cell_80):
@@ -904,7 +929,7 @@ def test_scan_without_equilibrium_stops_once_no_smaller_set_can_earn(monkeypatch
 # that build take in all, as recorded when each feasibility edge came to be
 # a Newton root (579 calls of 7,892 rates along paths interpolated through
 # the values the memo holds, 797 of 9,303 along secant-predicted paths)
-FUZZ_SOLVE_CALLS, FUZZ_SOLVE_RATES = 371, 6441
+FUZZ_SOLVE_CALLS, FUZZ_SOLVE_RATES = 402, 7166
 
 
 def test_fuzz_solves_are_the_full_scans_in_few_evaluations(monkeypatch):

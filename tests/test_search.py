@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import fake_memo, gathered_chandrupatla, golden_reference, sequential_bisection
-from prospect_pricing._search import bracketed_root, golden_max, stationary_min
-from prospect_pricing.game import _EPS, _bisect_edge, _edge_estimate
+from prospect_pricing._search import (_bisect_edge, _edge_estimate, bracketed_root, golden_max,
+                                      stationary_min)
+from prospect_pricing.game import _EPS
 
 # (beta, gamma) of a computed total as solve_nash states it for a few users:
 # the fake memos' values round by an ulp or two, far inside it
@@ -25,7 +26,7 @@ def brackets(seed=7, n=40):
 
 
 def edge(pred, a, b, value=lambda x: 0.0, probes=None, slope=lambda x: 0.0, **kwargs):
-    """game._bisect_edge over a fake memo that holds the ends."""
+    """_search._bisect_edge over a fake memo that holds the ends."""
     return _bisect_edge(*fake_memo(pred, value, probes, seen=(a, b), slope=slope), a, b, **kwargs)
 
 
@@ -80,7 +81,7 @@ def test_a_misleading_value_keeps_the_bracket(value):
     midpoints inferred or not. A rate settles a side only where its value
     says so and its fit agrees, which this monotone predicate then bears
     out. The Newton may stop at its cap, and then says so."""
-    flips, lo, hi = brackets(seed=17, n=12)
+    flips, lo, hi = brackets(seed=17, n=40)
     value = MISLEADING_VALUES[value]
     for (f, a, b), slope in itertools.product(zip(flips.tolist(), lo.tolist(), hi.tolist()),
                                               MISLEADING_SLOPES.values()):
@@ -103,13 +104,13 @@ def test_a_smooth_value_closes_a_wide_bracket_in_few_calls():
     linear in ln x, so its first estimate is exact and one probe closes the
     45 steps to 1e-12, 3 rates where the far midpoints are inferred (two
     anchors and a midpoint near the flip) and 41 where none is; a value
-    linear in x takes at most 5 calls, of at most 5 rates with inference."""
+    linear in x takes at most 4 calls, of at most 5 rates with inference."""
     flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
     for f in flips.tolist():
         pred = lambda m: m < f
         want = sequential_bisection(pred, 1.0, 2.0 ** 23)
         for value, slope, most in ((lambda m: math.log(m / f), lambda m: 1.0, 1),
-                                   (lambda m: m / f - 1.0, lambda m: m / f, 5)):
+                                   (lambda m: m / f - 1.0, lambda m: m / f, 4)):
             for blur, rates in ((None, 41), (BLUR, 5)):
                 calls = []
                 assert edge(pred, 1.0, 2.0 ** 23, value, calls, slope, blur=blur) == want
@@ -164,15 +165,40 @@ def test_inference_keeps_the_bracket_at_flips_next_to_midpoints():
 
 
 def test_edge_newton_warns_at_its_cap():
-    """A slope a million times too steep keeps each Newton step from
-    closing in: the Newton stops at its cap with a RuntimeWarning, and the
-    bisection, aimed at its last estimate, still ends on the one-point
-    loop's bracket."""
+    """A slope a million times too steep keeps each estimate from closing
+    in, with the far midpoints inferred (Newton probes) or not (paths, each
+    a Newton step): the edge stops aiming at its cap with a RuntimeWarning,
+    and the bisection, on through fans of midpoints, still ends on the
+    one-point loop's bracket."""
     f = 12345.678
     pred = lambda m: m < f
-    with pytest.warns(RuntimeWarning, match="edge Newton stopped"):
-        got = edge(pred, 1.0, 2.0 ** 20, lambda m: math.log(m / f), slope=lambda m: 1e6)
-    assert got == sequential_bisection(pred, 1.0, 2.0 ** 20)
+    for blur in (None, BLUR):
+        with pytest.warns(RuntimeWarning, match="edge Newton stopped"):
+            got = edge(pred, 1.0, 2.0 ** 20, lambda m: math.log(m / f), slope=lambda m: 1e6,
+                       blur=blur)
+        assert got == sequential_bisection(pred, 1.0, 2.0 ** 20)
+
+
+def test_edge_error_estimate_tracks_the_error():
+    """ln T - ln R for T(b) = b^2/(1 - b/b1), singular at b1 as a total is
+    where a user's reach ends, with the edge 0.038 below it in ln b: from a
+    bracket of two close rates and a third farther out, err, read off the
+    two cubics' roots, is within a factor 2 of the estimate's true error;
+    with no third rate it is the Newton step's error, above the true one."""
+    b1, room = 2.0e6, 1.0e14
+    t = lambda b: b * b / (1.0 - b / b1)
+    k = room / b1
+    edge_b = 2.0 * room / (k + math.sqrt(k * k + 4.0 * room))
+    value = lambda b: math.log(t(b) / room)
+    slope = lambda b: 2.0 + (b / b1) / (1.0 - b / b1)
+    for width in (3e-3, 1e-3, 3e-4):
+        a, c = edge_b * math.exp(-0.3 * width), edge_b * math.exp(0.7 * width)
+        third = edge_b * math.exp(-3.0 * width)
+        u, err, _ = _edge_estimate(value, slope, a, c, True, (third,))
+        true = abs(u - math.log(edge_b))
+        assert true / 2.0 <= err <= 2.0 * true, width
+        u, err, _ = _edge_estimate(value, slope, a, c, True)
+        assert err >= abs(u - math.log(edge_b)), width
 
 
 def test_an_upper_edge_is_not_estimated_from_a_lower_edge():
@@ -192,26 +218,27 @@ def test_flips_at_the_ends_of_the_rate_range_close_within_100_midpoints(fits_bel
     """[2^-30, 2^60] spans every bracket a rate search bisects: a flip an ulp
     from either end closes at the one-point loop's bracket, bit for bit,
     within 100 midpoints, whichever end fits, and with no value at the
-    upper end, as at the unprobed rung past the 1e18 cap; the search
-    probes at most 110 rates on the way: the Newton's first probe and a
-    path of 100 midpoints at most."""
+    upper end, as at the unprobed rung past the 1e18 cap, with the far
+    midpoints inferred or not."""
     lo, hi = 2.0 ** -30, 2.0 ** 60
     flips = [math.nextafter(lo, math.inf), lo * (1.0 + 1e-9), 1e-9, 1.0,
              math.nextafter(hi, 0.0), hi * (1.0 - 1e-15), 1e18]
     for f in flips:
         pred = (lambda m: m < f) if fits_below else (lambda m: m >= f)
         sign = 1.0 if fits_below else -1.0
-        steps = []
-        want = sequential_bisection(
-            lambda m: steps.append(m) or (pred(m) if fits_below else not pred(m)), lo, hi)
-        assert len(steps) <= 100
+        want = sequential_bisection(pred if fits_below else lambda m: not pred(m), lo, hi)
         for blur in (None, BLUR):
-            probes = []
-            got = _bisect_edge(*fake_memo(pred, lambda m: sign * math.log(m / f), probes,
-                                          (lo,), lambda m: sign), lo, hi, blur=blur)
+            probe, fits, value, slope = fake_memo(pred, lambda m: sign * math.log(m / f),
+                                                  seen=(lo,), slope=lambda m: sign)
+            reads = []
+
+            def counted(b):
+                reads.append(b)
+                return fits(b)
+            got = _bisect_edge(probe, counted, value, slope, lo, hi, blur=blur)
             assert got == want
             assert got[1] - got[0] <= 1e-12 * max(got[1], 1.0)
-            assert sum(map(len, probes)) <= 110
+            assert len(set(reads) - {lo}) <= 100
 
 
 def peaks(seed=11, n=40):
