@@ -1,4 +1,8 @@
-"""One-dimensional search primitives shared by the solver and strategy code."""
+"""One-dimensional search primitives shared by the solver and strategy code.
+
+_Scalars, a second operation set for one-bracket searches, stays for a
+measured gain: on _Arrays, recover-300m-40's in-process pass is slower.
+"""
 
 from __future__ import annotations
 

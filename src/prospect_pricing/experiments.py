@@ -21,7 +21,7 @@ import numpy as np
 from . import _search, prospect
 from .channel import (UnattainableGuaranteeError, UserChannel, _received_dbm, dbm_to_watts,
                       guarantee_supremum, min_bandwidth)
-from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario,
+from .game import (CostModel, NashResult, NoEquilibriumError, PowerLaw, Scenario, _feasible,
                    _reciprocals, _require_equilibrium, _revenue, _spread, _total, _Users,
                    solve_nash)
 from .prospect import (PRICE_EPS_REL, _capped_price, _min_willingness, _price_gap_loss,
@@ -32,10 +32,6 @@ DEFAULT_SEED = 4966
 DEFAULT_ALPHA_STEP = 0.005
 # the most alphas one sweep takes: a 1e-4 step over all of (0, 1]
 _MAX_ALPHAS = 10_001
-# sweep_comparison solves first, per alpha, this many grid points of largest
-# bound: at seed 2 and the bench pool's 12 seeds, in the default window and
-# over alphas 0.01-1.0, no other point's bound reaches the best of them
-_FIRST_POINTS = 3
 # per-sweep default alpha windows; the loss/price window starts where the
 # strict-vs-reallocation gap is still small, the others where the curves of
 # interest (crossings, admission boundaries) live
@@ -358,7 +354,10 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     retained users accept it, otherwise the highest price they do accept. One
     level search over the served users, each kept set as members (never
     empty as max_drops < n_served), solves one root per kept set for every
-    alpha.
+    alpha. The markup is accepted by the strategies' one rule, game._feasible:
+    the kept users' requirements at it, from one more pass of the same
+    evaluator, sum below the endowment less its slack, as in
+    prospect.admission_controls.
     """
     alphas = spec.alphas()
     ref, eut = _baseline(spec)
@@ -372,10 +371,11 @@ def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     caps = prospect._solve_levels(need, sc.total_bandwidth_hz).reshape(len(alphas), -1)
     kept_sizes = (ref.n_served - drops).tolist()
     targets = [prospect.admission_price(sc, ref, n_kept) for n_kept in kept_sizes]
+    fits = _feasible(_total(need(np.tile(targets, len(alphas)))), sc.total_bandwidth_hz)
     rows = []
-    for a, alpha_caps in zip(alphas, caps.tolist()):
-        for n_kept, cap, target in zip(kept_sizes, alpha_caps, targets):
-            feasible = cap > target
+    for a, alpha_caps, alpha_fits in zip(alphas, caps.tolist(),
+                                         fits.reshape(len(alphas), -1).tolist()):
+        for n_kept, cap, target, feasible in zip(kept_sizes, alpha_caps, targets, alpha_fits):
             price = target if feasible else cap - PRICE_EPS_REL * ref.price
             rev = _revenue(sc, n_kept, price, ref.rate_bps)
             loss = min(1.0, max(0.0, (eut - max(0.0, rev)) / eut))
@@ -398,22 +398,12 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     are empty (and the rate-control band, when no rate brings every target
     within reach).
 
-    The best revenue over the 36-rate grid is found by branch and bound. No
-    equalized level passes x_top = cap*(1 - 1e-12) (prospect._CAP_END), the
-    cap min_i h*w(sup_i) of its problem, and the revenue (n*(x - c1*b) - c3*B)/eut,
-    with n >= 1 users served and eut > 0 at an equilibrium, does not fall
-    as x rises in any rounding, so the same expression at x_top bounds a
-    grid point's value. The caps of every alpha come in closed form from
-    one evaluator of the grid (caps(alphas)). prospect._solve_levels, one
-    root per distinct rate, solves each alpha's offered rate and its
-    _FIRST_POINTS grid points of largest bound, then every other grid point
-    whose bound still reaches its row's best solved revenue. A level, read
-    as a revenue only, is its root, without the fit that would evaluate
-    every problem again. A skipped point is strictly below its row's
-    maximum, and a level does not depend on the problems batched with it,
-    so the maximum is the one that grading every point through the same
-    levels finds, to the bit. The survivors' band uses the served users'
-    evaluator, with them as members.
+    Rate control's best revenue is the best of a 36-rate grid, each point at
+    its equalized level. One level search (prospect._level_roots) gives a
+    root per rate, the offered one first, that every alpha's level comes
+    off (prospect._capped_levels); read as a revenue only, a level is its
+    root, without _solve_levels' fit. The survivors' band uses the served
+    users' evaluator, with them as members.
     """
     alphas = spec.alphas()
     ref, eut = _baseline(spec)
@@ -424,29 +414,11 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     kept = tuple(np.delete(ref.served_set, served.order[-1:]).tolist())
     markup = prospect.admission_price(sc, ref, len(kept)) if kept else None
 
-    rate_grid = np.geomspace(1e-3 * b_star, 10.0 * b_star, 36)
-    column = np.array(alphas)[:, None]
-
-    def revenues(levels, j):
-        return _revenue(sc, ref.n_served, levels, rate_grid[j]) / eut
-
-    bounds = revenues(served.at(rate_grid, 1.0).caps(column) * prospect._CAP_END,
-                      np.arange(rate_grid.size))
-    # each alpha's offered rate and its _FIRST_POINTS grid points of largest bound
-    first = np.argsort(-bounds, axis=1, kind="stable")[:, :_FIRST_POINTS]
-    pick = np.arange(len(alphas))[:, None], first
-    solved = prospect._solve_levels(served.at(
-        np.append(np.full(len(alphas), b_star), rate_grid[first]),
-        np.append(alphas, np.broadcast_to(column, first.shape))), budget, fit=False)
-    x_hat = solved[:len(alphas)]
-    grid_rev = np.full(bounds.shape, -np.inf)
-    grid_rev[pick] = revenues(solved[len(alphas):].reshape(first.shape), first)
-    rest = bounds >= grid_rev.max(axis=1, keepdims=True)
-    rest[pick] = False
-    rest_a, rest_j = np.nonzero(rest)
-    if rest_a.size:
-        grid_rev[rest_a, rest_j] = revenues(prospect._solve_levels(
-            served.at(rate_grid[rest_j], column[rest_a, 0]), budget, fit=False), rest_j)
+    rates = np.append(b_star, np.geomspace(1e-3 * b_star, 10.0 * b_star, 36))
+    one = served.at(rates, 1.0)
+    levels = prospect._capped_levels(one, prospect._level_roots(one, np.full(rates.size, budget)),
+                                     np.array(alphas)[:, None])
+    grid_rev = _revenue(sc, ref.n_served, levels[:, 1:], rates[1:]) / eut
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
     # the survivors' band at the markup and their price cap, every alpha in one pass
@@ -458,7 +430,7 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
 
     rows = []
     for a, x, grid_row, rc, np_band, kept_band, p_cap in zip(
-            alphas, x_hat.tolist(), grid_rev.tolist(), rate_outcomes,
+            alphas, levels[:, 0].tolist(), grid_rev.tolist(), rate_outcomes,
             no_pricing_bands(sc, ref, alphas), kept_bands, p_caps):
         bw_np = _empty_if_inf(np_band / budget)
         bw_exp = bw_np

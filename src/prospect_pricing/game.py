@@ -14,6 +14,9 @@ so size n earns at most n*m* - c3*B. Once a positive revenue found so far is
 >= that bound for the next n, no smaller set can earn strictly more, and the
 pick (the first strictly larger revenue, large n to small) is bitwise that of
 the full scan. Without a positive revenue the scan runs to n = 1.
+
+_Users.price_requirements, a second text of the evaluator's pass at alpha 1,
+stays: it costs less per evaluation, and the evaluator's slopes differ in bits.
 """
 
 from __future__ import annotations
@@ -284,10 +287,12 @@ class _RequirementMatrix:
             self.worst(), self._alphas if alphas is None else alphas))
         return self.benefit * np.exp(-np.power(worst, alphas))
 
-    def levels(self, log_tau) -> np.ndarray:
-        """Per problem, the level h*exp(-tau^alpha) of tau = exp(log_tau) (with_tau_slopes)."""
+    def levels(self, log_tau, alphas=None) -> np.ndarray:
+        """Per problem, the level h*exp(-tau^alpha) of tau = exp(log_tau)
+        (with_tau_slopes), at the problems' alphas or at alphas as in caps."""
+        alphas = self._alphas if alphas is None else alphas
         with np.errstate(over="ignore"):
-            return self.benefit * np.exp(-np.exp(self._alphas * log_tau))
+            return self.benefit * np.exp(-np.exp(alphas * log_tau))
 
     def columns(self, keep) -> _RequirementMatrix:
         """The evaluator of the problems that the index array keep picks."""

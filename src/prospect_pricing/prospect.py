@@ -170,7 +170,7 @@ class _Seen:
         return np.concatenate(self._needs, axis=1)[:, pick]
 
 
-def _level_roots(need: _RequirementMatrix, band, max_iter: int) -> np.ndarray:
+def _level_roots(need: _RequirementMatrix, band, max_iter: int = 100) -> np.ndarray:
     """log tau at which each problem's summed requirement S meets its band,
     0 < band < inf, for problems with members; alpha does not enter.
 
@@ -212,7 +212,13 @@ def _level_roots(need: _RequirementMatrix, band, max_iter: int) -> np.ndarray:
     return v
 
 
-def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100, fit=True) -> np.ndarray:
+def _capped_levels(need: _RequirementMatrix, log_tau, alphas=None) -> np.ndarray:
+    """The level of each root log tau* (levels()), at most its cap end
+    cap*_CAP_END, at the problems' alphas or at alphas as in caps."""
+    return np.minimum(need.levels(log_tau, alphas), need.caps(alphas) * _CAP_END)
+
+
+def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100) -> np.ndarray:
     """Levels at which the summed requirement meets each problem's band.
 
     Under Prelec's weight a requirement depends on the level x and alpha
@@ -226,12 +232,11 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100, fit=Tru
     of max(1, |v*|), and d ln x = -alpha*tau*^alpha dv: a root's level lies
     within 2e-15 + 8*alpha*tau*^alpha*ulp(max(1, |v*|)) of its 50-digit
     value, so within 1e-14 away from 0, growing as x nears 0. The rounding
-    of ln(x/h) can sum the requirements at that level past the band: with
-    fit, such a level steps down by eps of itself and one float, then by
-    twice that step, until they fit, which leaves it within twice that bound.
+    of ln(x/h) can sum the requirements at that level past the band: such a
+    level steps down by eps of itself and one float, then by twice that
+    step, until they fit, which leaves it within twice that bound.
     """
-    caps = need.caps()
-    totals = np.broadcast_to(totals, caps.shape)
+    totals = np.broadcast_to(totals, need.rates.shape)
     # the distinct (rate, band, members) rows, compared as bytes, as sorting rows is slow
     key = np.ascontiguousarray(np.column_stack((need.rates, totals, need.members.T)))
     rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
@@ -242,8 +247,8 @@ def _solve_levels(need: _RequirementMatrix, totals, max_iter: int = 100, fit=Tru
     open_ = np.flatnonzero((0.0 < band) & (band < np.inf))
     if open_.size:
         v[open_] = _level_roots(need.columns(first[open_]), band[open_], max_iter)
-    x = np.minimum(need.levels(v[which]), caps * _CAP_END)
-    over, step = np.flatnonzero(fit & (x > 0.0)), _EPS
+    x = _capped_levels(need, v[which])
+    over, step = np.flatnonzero(x > 0.0), _EPS
     while over.size:
         over = over[_total(need.columns(over)(x[over])) >= totals[over]]
         # a step of 1 takes the level to 0, which needs no band

@@ -445,20 +445,20 @@ def count_evaluations(monkeypatch):
 
 
 def count_level_steps(monkeypatch):
-    """Record, per level search (prospect._solve_levels), the problems of
-    each evaluator call it makes in sequence, one per lockstep Newton step
-    over the roots still open (with_tau_slopes). A search's first entry is
-    its number of level problems, one per distinct (rate, band, member
-    set) whatever its alphas, and its length its number of evaluator
-    calls."""
+    """Record, per level search (prospect._level_roots, which _solve_levels
+    and sweep_comparison both run), the problems of each evaluator call it
+    makes in sequence, one per lockstep Newton step over the roots still
+    open (with_tau_slopes). A search's first entry is its number of roots,
+    one per distinct (rate, band, member set) whatever its alphas, and its
+    length its number of evaluator calls."""
     searches, inside = [], []
-    solve, step = prospect._solve_levels, game._RequirementMatrix.with_tau_slopes
+    search, step = prospect._level_roots, game._RequirementMatrix.with_tau_slopes
 
-    def counting_search(need, totals, *args, **kwargs):
+    def counting_search(need, band, *args, **kwargs):
         searches.append([])
         inside.append(True)
         try:
-            return solve(need, totals, *args, **kwargs)
+            return search(need, band, *args, **kwargs)
         finally:
             inside.pop()
 
@@ -466,7 +466,7 @@ def count_level_steps(monkeypatch):
         if inside:
             searches[-1].append(np.size(self.rates))
         return step(self, log_tau)
-    monkeypatch.setattr(prospect, "_solve_levels", counting_search)
+    monkeypatch.setattr(prospect, "_level_roots", counting_search)
     monkeypatch.setattr(game._RequirementMatrix, "with_tau_slopes", counting_step)
     return searches
 
@@ -508,11 +508,12 @@ def count_search_ends(monkeypatch, calls):
 
 def full_grid_comparison(spec):
     """sweep_comparison's level-dependent cells as a search of every grid
-    point finds them: one prospect._solve_levels call over the 37 problems
+    point finds them: one prospect._level_roots search over the 37 problems
     of each alpha (the offered rate, then the 36-rate grid), one root per
-    rate, its levels read without the fit, as the sweep reads them, the
-    best grid revenue taken in grid order. Returns (levels, caps, cells):
-    the levels and their problems' caps, from an evaluator at each
+    (rate, alpha) problem, each level read off its own root at its own
+    alpha, at most its cap end, without the fit, as the sweep reads them,
+    the best grid revenue taken in grid order. Returns (levels, caps,
+    cells): the levels and their problems' caps, from an evaluator at each
     problem's alpha, alpha-major, and per alpha the cells
     (rev_expansion_norm, rev_rate_norm)."""
     sc = spec.scenario
@@ -524,7 +525,9 @@ def full_grid_comparison(spec):
     rate_col, alpha_col = np.tile(rates, len(alphas)), np.repeat(alphas, len(rates))
     served = game._Users(sc, ref.served_set)
     need = served.at(rate_col, alpha_col)
-    levels, caps = prospect._solve_levels(need, sc.total_bandwidth_hz, fit=False), need.caps()
+    caps = need.caps()
+    v = prospect._level_roots(need, np.full(caps.size, sc.total_bandwidth_hz))
+    levels = np.minimum(need.levels(v), caps * prospect._CAP_END)
     cells = []
     for x_hat, *grid in levels.reshape(len(alphas), len(rates)).tolist():
         best = -math.inf
@@ -544,7 +547,8 @@ def drop_order(scenario, ref):
 
 def per_set_admission(spec, max_drops):
     """sweep_admission's rows as one equalized_levels search per kept set
-    finds them, each over an evaluator of the kept users alone."""
+    finds them, each over an evaluator of the kept users alone, the markup
+    accepted where the kept users' requirements at it fit (game._feasible)."""
     sc = spec.scenario
     ne = solve_nash(sc)
     ref = experiments.reference_offer(sc, ne, spec.offer_margin)
@@ -555,11 +559,13 @@ def per_set_admission(spec, max_drops):
     caps = [prospect.equalized_levels(sc, kept, ref.rate_bps, alphas,
                                       sc.total_bandwidth_hz).tolist() for kept in kept_sets]
     targets = [prospect.admission_price(sc, ref, len(kept)) for kept in kept_sets]
+    fits = [game._feasible(game._total(game._Users(sc, kept).at(ref.rate_bps, alphas)(target)),
+                           sc.total_bandwidth_hz).tolist()
+            for kept, target in zip(kept_sets, targets)]
     rows = []
     for j, a in enumerate(alphas):
-        for kept, kept_caps, target in zip(kept_sets, caps, targets):
-            cap = kept_caps[j]
-            feasible = cap > target
+        for kept, kept_caps, target, kept_fits in zip(kept_sets, caps, targets, fits):
+            cap, feasible = kept_caps[j], kept_fits[j]
             price = target if feasible else cap - PRICE_EPS_REL * ref.price
             rev = game._revenue(sc, len(kept), price, ref.rate_bps)
             loss = min(1.0, max(0.0, (eut - max(0.0, rev)) / eut))

@@ -10,12 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from prospect_pricing import cli, experiments
+from prospect_pricing import cli, experiments, prospect
 from prospect_pricing.cli import (ConfigError, config_from_mapping, dispatch,
                                   parse_config, serialize_config)
 from prospect_pricing.experiments import (HEADER_COMPARISON, HEADER_FIT,
                                           HEADER_NE, ScenarioParams,
                                           format_cell)
+from prospect_pricing.weighting import WeightingModel
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -504,6 +505,29 @@ def test_excessive_max_drops_exits_2(capsys):
          "--max-drops", "12"], capsys)
     assert status == 2
     assert "max_drops" in err
+
+
+@pytest.mark.parametrize("alpha, max_drops, row", [
+    ("0.878519090263", 0, "0.87851909,10,0.999999999,4.89097483e-09,0"),
+    ("0.707099793789", 1, "0.707099794,9,1.02,4.62704071e-09,0"),
+    ("0.697188320806", 2, "0.697188321,8,1.045,4.27873309e-09,0"),
+    ("0.748639212087", 3, "0.748639212,7,1.07714286,3.85819834e-09,0")])
+def test_sweep_admission_takes_the_strategies_feasibility_rule(alpha, max_drops, row, capsys):
+    """sweep-admission accepts the markup by game._feasible, as
+    admission_control does: at these alphas the last kept set's total at
+    the markup is B*(1 - 5.0e-10), inside the slack, so the row is
+    infeasible and prices at the equalized level less the shave, though
+    that level lies above the markup (a rule on the level alone printed the
+    markup and 1)."""
+    status, out, err = run(["sweep-admission", "--seed", "4966", "--alpha-min", alpha,
+                            "--alpha-max", alpha, "--max-drops", str(max_drops)], capsys)
+    assert (status, err) == (0, "")
+    assert out.splitlines()[-1] == row
+    if max_drops == 0:
+        sc = experiments.build_scenario()
+        ref = experiments.reference_offer(sc, experiments.solve_nash(sc))
+        model = WeightingModel(float(alpha))
+        assert not prospect.admission_control(sc, ref, model, 0).feasible
 
 
 # ---------------------------------------------------------------------------

@@ -367,15 +367,16 @@ def test_comparison_sweep_frozen_rows(default_scenario):
     (sweep_comparison, {}, 1), (sweep_admission, {"max_drops": 2}, 1)])
 def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
                                                sweep, kwargs, batches):
-    """Every sweep solves its levels in one level search, one problem per
+    """Every sweep solves its levels in one level search, one root per
     distinct (rate, band, member set) whatever the alphas: sweep-loss,
     sweep-price and sweep-expansion one, the offered rate, through one
-    equalized_levels call of every alpha; sweep-compare the offered rate
-    and every alpha's three grid points of largest bound, the same three at
-    every alpha here, no other point's bound reaching their best at the
-    default cell; and sweep-admission one per kept set. In the default
-    windows (and 3 drops) the commands solve 1, 1, 1, 4 and 4 problems
-    (17, 17, 33, 124 and 4 while each alpha was a problem of its own)."""
+    equalized_levels call of every alpha; sweep-compare 37, the offered
+    rate and the 36-rate grid, graded at every alpha; and sweep-admission
+    one per kept set. In the default windows (and 3 drops) the commands
+    solve 1, 1, 1, 37 and 4 roots (17, 17, 33, 124 and 4 problems while
+    each alpha was a problem of its own; sweep-compare 4 while a branch and
+    bound solved only each alpha's three grid points of largest bound, a
+    search of as many steps)."""
     real = experiments.equalized_levels
     sizes = []
 
@@ -404,7 +405,7 @@ def test_sweeps_search_every_alpha_in_one_batch(default_scenario, monkeypatch,
         if sweep is sweep_admission:
             problems = extra.get("max_drops", 3) + 1
         else:
-            problems = 4 if sweep is sweep_comparison else 1
+            problems = 37 if sweep is sweep_comparison else 1
         assert [search[0] for search in steps] == [problems] * batches
         assert sizes == ([] if sweep in (sweep_admission, sweep_comparison) else [spec.n_alphas])
 
@@ -496,46 +497,71 @@ def test_comparison_matches_a_search_of_every_grid_point(seed):
     (experiments.DEFAULT_SEED, 0.65), (2, 0.65), (5, 0.65), (11, 0.65), (3, 0.9)])
 def test_scaled_levels_print_what_a_search_at_every_alpha_prints(seed, benefit_exp,
                                                                 monkeypatch):
-    """Reading every alpha's level off one root per (rate, band, member
-    set) moves no printed cell: sweep-compare over alphas 0.01-1.0 prints
-    exactly the CSV it prints when each (rate, alpha) problem is searched
-    alone. At {"benefit_exp": 0.9}, seed 3, a grid point past the three of
-    largest bound still reaches its row's best, so a second search runs."""
+    """Reading every alpha's level off one root per rate moves no printed
+    cell: sweep-compare over alphas 0.01-1.0, one level search of 37 roots,
+    prints exactly the CSV it prints when each root is searched alone, and
+    its level cells have the bits of each (rate, alpha) problem searched as
+    its own root (helpers.full_grid_comparison). {"benefit_exp": 0.9}, seed
+    3, is a cell where grid points past the three of largest bound reach
+    their row's best."""
     spec = SweepSpec(build_scenario(seed=seed, benefit_exp=benefit_exp), 0.01, 1.0, 0.01)
+    _, _, cells = helpers.full_grid_comparison(spec)
     steps = helpers.count_level_steps(monkeypatch)
-    batched = sweep_comparison(spec).to_csv()
-    assert (len(steps) > 1) == (benefit_exp == 0.9)
-    search = prospect._solve_levels
+    batched = sweep_comparison(spec)
+    assert [search[0] for search in steps] == [37]
+    assert helpers.row_bits([(row[6], row[8]) for row in batched.rows]) == helpers.row_bits(cells)
+    search = prospect._level_roots
 
-    def one_by_one(need, totals, **kwargs):
-        totals = np.broadcast_to(totals, np.shape(need.rates))
-        return np.concatenate([search(need.columns([k]), totals[k:k + 1], **kwargs)
-                               for k in range(totals.size)])
-    monkeypatch.setattr(prospect, "_solve_levels", one_by_one)
+    def one_by_one(need, band, *args, **kwargs):
+        return np.concatenate([search(need.columns([k]), band[k:k + 1], *args, **kwargs)
+                               for k in range(band.size)])
+    monkeypatch.setattr(prospect, "_level_roots", one_by_one)
     steps.clear()
-    assert sweep_comparison(spec).to_csv() == batched
-    assert len(steps) >= 400 and all(alone == [1] * len(alone) for alone in steps)
+    assert sweep_comparison(spec).to_csv() == batched.to_csv()
+    assert len(steps) == 37 and all(alone == [1] * len(alone) for alone in steps)
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5, 10])
+def test_a_level_at_an_alpha_column_is_its_own_problems_level(seed):
+    """levels(log_tau, alphas) broadcasts alphas against the problems as
+    caps(alphas) does: read off an evaluator of sweep-compare's 37 rates at
+    alpha = 1, at the column of alphas 0.01-1.0, every level is bitwise
+    levels() of an evaluator at its own rate and alpha, at each rate's root
+    and at log tau 0, +-700 and +-inf."""
+    sc = build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    rates = np.append(ref.rate_bps, np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 36))
+    served = game._Users(sc, ref.served_set)
+    one = served.at(rates, 1.0)
+    alphas = np.array(SweepSpec(sc, 0.01, 1.0, 0.01).alphas())
+    own = served.at(np.tile(rates, alphas.size), np.repeat(alphas, rates.size))
+    roots = prospect._level_roots(one, np.full(rates.size, sc.total_bandwidth_hz))
+    for log_tau in (roots, *(np.full(rates.size, v) for v in (0.0, 700.0, -700.0, np.inf,
+                                                                -np.inf))):
+        broadcast = one.levels(log_tau, alphas[:, None])
+        assert broadcast.shape == (alphas.size, rates.size)
+        assert broadcast.tobytes() == own.levels(np.tile(log_tau, alphas.size)).tobytes()
 
 
 def test_comparison_solves_few_level_problems(default_scenario, monkeypatch):
-    """Of sweep-compare's 1,147 level problems at the default config, one
-    lockstep search of 6 steps solves 4: the offered rate and the three
-    grid points of largest bound, the same at every alpha, whose roots give
-    all 124 (alpha, rate) levels that the branch and bound reads. The sweep
-    inverts 809 requirement columns, the scenario solve's price vectors
-    included, each requirement-and-slope pass counted once (826 while each
-    rate was searched in x at alpha = 1, with an end check, and scaled;
-    1,907 when each alpha's problems were searched, 8,675 when every grid
-    point was). Over 0.01-1.0, one search of 6 steps solves 14 problems for
-    400."""
+    """sweep-compare's 1,147 level problems at the default config, 31
+    alphas at 37 rates, take one lockstep search of 37 roots, one per rate
+    whatever the alpha, in 6 steps. The sweep inverts 889 requirement
+    columns, the scenario solve's price vectors included, each
+    requirement-and-slope pass counted once (772 while a branch and bound
+    searched 4 of the rates, in as many steps; 826 while each rate was
+    searched in x at alpha = 1, with an end check, and scaled; 1,907 when
+    each alpha's problems were searched, 8,675 when every grid point was).
+    Over 0.01-1.0 it is the same one search of 37 roots, in at most 6
+    steps, for 3,700 problems."""
     columns = helpers.count_evaluations(monkeypatch)
     steps = helpers.count_level_steps(monkeypatch)
     sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
-    assert sum(np.size(targets) for _, targets in columns) <= 809
-    assert len(steps) == 1 and steps[0][0] == 4 and len(steps[0]) <= 6
+    assert sum(np.size(targets) for _, targets in columns) <= 889
+    assert len(steps) == 1 and steps[0][0] == 37 and len(steps[0]) <= 6
     steps.clear()
     sweep_comparison(spec_for(default_scenario, 0.01, 1.0, step=0.01))
-    assert len(steps) == 1 and steps[0][0] == 14 and len(steps[0]) <= 6
+    assert len(steps) == 1 and steps[0][0] == 37 and len(steps[0]) <= 6
 
 
 def test_a_level_search_makes_no_evaluator_call_but_its_steps(default_scenario, monkeypatch):
@@ -546,7 +572,7 @@ def test_a_level_search_makes_no_evaluator_call_but_its_steps(default_scenario, 
     each problem's column at both ends of the level range)."""
     calls = helpers.count_evaluations(monkeypatch)
     steps = helpers.count_level_steps(monkeypatch)
-    made, search = [], prospect._solve_levels
+    made, search = [], prospect._level_roots
 
     def counted(*args, **kwargs):
         before = len(calls)
@@ -554,24 +580,23 @@ def test_a_level_search_makes_no_evaluator_call_but_its_steps(default_scenario, 
             return search(*args, **kwargs)
         finally:
             made.append(len(calls) - before)
-    monkeypatch.setattr(prospect, "_solve_levels", counted)
+    monkeypatch.setattr(prospect, "_level_roots", counted)
     sweep_comparison(SweepSpec(default_scenario, *experiments.DEFAULT_RANGE_COMPARISON))
     assert made == [len(search) for search in steps] == [6]
 
 
-def test_comparison_searches_again_where_a_bound_reaches_the_best(monkeypatch):
-    """Where a grid point beyond the three of largest bound still bounds
-    its row's best solved revenue, a second search solves every such point,
-    and the cells keep the bits that grading every grid point gives. At
-    price_exp 0.6, seed 59, the default window searches 4 rates, then 33
-    (93 and 155 problems while the rates whose level at alpha = 1 was 0 or
-    the cap end were searched again at their own alphas)."""
+def test_comparison_takes_one_search_where_a_bound_searched_twice(monkeypatch):
+    """At price_exp 0.6, seed 59, grid points past the three of largest
+    bound reach their row's best revenue, where a branch and bound searched
+    4 rates and then 33 more. The default window takes one search of 37
+    roots in at most 6 steps, and the cells keep the bits that grading
+    every grid point at its own root gives."""
     spec = SweepSpec(build_scenario(price_exp=0.6, seed=59),
                      *experiments.DEFAULT_RANGE_COMPARISON)
     _, _, cells = helpers.full_grid_comparison(spec)
     steps = helpers.count_level_steps(monkeypatch)
     rows = sweep_comparison(spec).rows
-    assert [search[0] for search in steps] == [4, 33]
+    assert [search[0] for search in steps] == [37] and len(steps[0]) <= 6
     assert helpers.row_bits([(row[6], row[8]) for row in rows]) == helpers.row_bits(cells)
 
 
