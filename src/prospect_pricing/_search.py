@@ -391,8 +391,8 @@ def _narrowest(fits, side, points, a: float, c: float) -> tuple[float, float]:
     return a, c
 
 
-def _bisect_edge(probe, fits, value, slope, lo: float, hi: float, start=None, known=(),
-                 blur=None, then=None) -> tuple[float, float]:
+def _bisect_edge(probe, fits, value, slope, lo: float, hi: float, known=(), blur=None,
+                 then=None) -> tuple[float, float]:
     """Halve [lo, hi], where fits(lo) and fits(hi) differ, down to
     1e-12*max(|lo|, |hi|, 1), each midpoint taking the side of the end whose
     fit it shares; returns the final (lo, hi).
@@ -403,148 +403,141 @@ def _bisect_edge(probe, fits, value, slope, lo: float, hi: float, start=None, kn
     in ln b, both NaN where b is unprobed: in solve_nash, ln T_n(b) - ln(B*(1
     - slack)) and d ln T_n/d ln b. known holds probed rates, ascending.
 
-    The edge is estimated in ln b (_edge_estimate) from the narrowest
-    bracket that the probed rates give inside start (the rungs about the
-    edge; [lo, hi] by default) and the probed rate next past each of its
-    ends. A midpoint the memo misses is probed with the rest of the
-    bisection's path, each midpoint on the estimate's side, and with then(a,
-    b) of the path's final bracket, in one evaluation; where there is no
-    estimate but the midpoint in ln b, with every midpoint of the next
-    _FAN_LEVELS levels instead. A midpoint missed again is probed the same
-    way, from the estimate of its bracket: where every midpoint is probed,
-    each path is a Newton step, its last midpoints at the estimate.
+    The walk takes each midpoint whose side is known and stops at the
+    first that is not, for one evaluation. An estimate of the edge in ln b
+    (_edge_estimate) aims it, from the narrowest bracket of probed rates
+    inside [lo, hi] (at first the rungs a ladder left about the edge) and
+    the probed rate next past each of its ends. The evaluation is one of:
+    - a Newton step, the estimate's rate alone, the first also with the
+      rates 2 and 8 times err either side, a pair of which brackets the edge
+      for every later estimate: where the far midpoints are inferred, until
+      err is below _EDGE_SHARE of the bisection's settle width at the
+      estimate, so that few of a path's midpoints can lie between it and
+      the edge;
+    - a path, each midpoint of the walk's whose side is not known, on the
+      estimate's side, with then(a, b) of the path's final bracket; where
+      the far midpoints are inferred, it probes two anchors first, the
+      estimate times e^(-+w), w = 2*(2 err + beta) + 4*gamma/s with s the
+      slope it was estimated from, and only the midpoints between, and a
+      pair that does not settle both sides is placed at most three times in
+      all. Where every midpoint takes the side it was probed for, the path
+      is the walk's;
+    - a fan, every midpoint of the next _FAN_LEVELS levels whose side is not
+      known, where there is no estimate but the midpoint in ln b.
 
-    With blur = (beta, gamma), where lo fits, the search takes the set's
-    computed T(b) to lie within a factor 1 +- gamma of T'(b e^d), |d| <=
-    beta, for a T' that does not fall as b rises. A midpoint at or below
-    a e^(-2 beta), of a probed a that fits with value < -2 gamma, then fits,
-    and one at or above c e^(2 beta), of a probed c that does not with value
-    > 2 gamma, does not, and neither is probed. An estimate then aims a
-    path only once its err is below _EDGE_SHARE of the bisection's settle
-    width at it, so that few of the path's midpoints can lie between it and
-    the edge; until then its rate is probed alone, a Newton step an
-    evaluation, the first step from the rungs with the rates 2 and 8 times
-    err either side. The path probes two anchors, the estimate times
-    e^(-+w), w = 2*(2 err + beta) + 4*gamma/s with s the slope it was
-    estimated from, and only the midpoints between; a pair that does not
-    settle both sides is placed at most three times in all. Where every
-    midpoint of the path takes the side it was probed for, the path is the
-    bisection's.
+    A midpoint's side is known where it is probed or settled. With blur =
+    (beta, gamma), where lo fits, every probed rate settles far midpoints,
+    whatever evaluation probed it: the search takes the set's computed T(b)
+    to lie within a factor 1 +- gamma of T'(b e^d), |d| <= beta, for a T'
+    that does not fall as b rises. A midpoint at or below a e^(-2 beta), of
+    a probed a that fits with value < -2 gamma, then fits, and one at or
+    above c e^(2 beta), of a probed c that does not with value > 2 gamma,
+    does not, and neither is probed.
 
     An edge takes at most _EDGE_STEPS evaluations aimed by an estimate; at
-    the cap a RuntimeWarning says so, and the rest of the bisection probes
-    fans. The probes decide only how many evaluations the bisection takes,
-    never its bracket. Within [2^-30, 2^60] it closes within 100 midpoints.
+    the cap a RuntimeWarning says so, and the rest of the walk probes fans.
+    The probes decide only how many evaluations the walk takes, never its
+    bracket. Within [2^-30, 2^60] it closes within 100 midpoints.
     """
-    def settled(a, b):
+    def closed(a, b):
+        # whether the bracket [a, b] is down to the bisection's width
         return b - a <= 1e-12 * max(abs(a), abs(b), 1.0)
 
     def sharp(b, err):
         # whether an estimate b, err off in ln b, is to aim a path
         return err <= _EDGE_SHARE * 1e-12 * max(b, 1.0) / b
 
+    def side_of(m, below, above):
+        # whether m fits, where every rate at or below below fits and at or
+        # above above does not; None where m is unprobed between them
+        return True if m <= below else False if m >= above else fits(m)
+
     side = fits(lo)
     # the probed rates inside [lo, hi], ascending
     points = list(known[bisect.bisect_right(known, lo):bisect.bisect_left(known, hi)])
     # the far midpoints are inferred only where lo fits: an upper edge
     blur = blur if side else None
-    # evaluations aimed by an estimate so far: Newton probes and paths
-    steps = 0
-
-    def estimate(a, c):
-        # the edge from the narrowest bracket inside [a, c], refined by
-        # Newton probes where the far midpoints are inferred; none where the
-        # bracket reaches down to 0 or the aimed evaluations reach their cap
-        nonlocal steps
-        while a > 0.0 and steps < _EDGE_STEPS:
-            a, c = _narrowest(fits, side, points, a, c)
-            # with the probed rate next past each end of the bracket
-            i, j = bisect.bisect_left(points, a), bisect.bisect_right(points, c)
-            u, err, s = _edge_estimate(value, slope, a, c, side,
-                                       points[max(i - 1, 0):i] + points[j:j + 1])
-            b = math.exp(u)
-            if (blur is None or sharp(b, err) or math.isnan(s) or settled(a, b)
-                    or settled(b, c) or fits(b) is not None):
-                return u, err, s
-            steps += 1
-            # the first step from the rungs, whose err is the least sure, also
-            # probes pairs 2 and 8 times err either side, one of which brackets
-            # the edge for every later estimate
-            reach = [] if steps > 1 else [k * min(err, 1.0) for k in (2.0, 8.0)]
-            step_rates = [r for r in (b, *(b * math.exp(x) for d in reach for x in (-d, d)))
-                          if a < r < c]
-            probe(step_rates)
-            for r in step_rates:
-                bisect.insort(points, r)
-        if steps == _EDGE_STEPS:
-            _warn_cap("edge Newton", _EDGE_STEPS, _EDGE_SHARE * 1e-12)
-            steps += 1
-        return math.nan, math.inf, math.nan
-
     # every rate at or below fit_below fits, at or above unfit_above does not
     fit_below, unfit_above = -math.inf, math.inf
-    anchoring = 3 if blur is not None else 0
-    while not settled(lo, hi):
+    # evaluations aimed by an estimate so far, and anchor pairs left to place
+    steps, anchoring = 0, 3 if blur is not None else 0
+    while not closed(lo, hi):
         mid = 0.5 * (lo + hi)
-        fit = True if mid <= fit_below else False if mid >= unfit_above else fits(mid)
+        fit = side_of(mid, fit_below, unfit_above)
         if fit is not None:
             lo, hi = (mid, hi) if fit == side else (lo, mid)
             continue
-        u, err, s = estimate(*(start or (lo, hi)))
-        edge, start, plan, below, above = math.exp(u), None, [], fit_below, unfit_above
-
-        def known_side(m):
-            return True if m <= below else False if m >= above else fits(m)
-
-        if anchoring > 0 and sharp(edge, err) and s > 0.0:
-            (beta, gamma), w = blur, 2.0 * (2.0 * err + blur[0]) + 4.0 * blur[1] / s
-            low, high = edge * math.exp(-w), edge * math.exp(w)
-            if lo < low:
-                plan.append(low)
-                below = max(below, low * math.exp(-2.0 * beta))
-            if high < hi:
-                plan.append(high)
-                above = min(above, high * math.exp(2.0 * beta))
-        a, b, path, fan = lo, hi, [], math.isnan(s)
-        steps += not fan
-        if fan:
+        if steps == _EDGE_STEPS:
+            _warn_cap("edge Newton", _EDGE_STEPS, _EDGE_SHARE * 1e-12)
+            steps += 1
+        # no estimate where the bracket reaches down to 0 or at the cap
+        (a, c), (u, err, s) = (lo, hi), (math.nan, math.inf, math.nan)
+        if lo > 0.0 and steps < _EDGE_STEPS:
+            a, c = _narrowest(fits, side, points, lo, hi)
+            i, j = bisect.bisect_left(points, a), bisect.bisect_right(points, c)
+            u, err, s = _edge_estimate(value, slope, a, c, side,
+                                       points[max(i - 1, 0):i] + points[j:j + 1])
+        edge, plan, path, walk = math.exp(u), [], [], (lo, hi)
+        below, above = fit_below, unfit_above
+        steps += not math.isnan(s)
+        if math.isnan(s):
+            # a fan
             level = [(lo, hi)]
             for _ in range(_FAN_LEVELS):
                 level, brackets = [], level
-                for a, b in brackets:
-                    if settled(a, b):
+                for x, y in brackets:
+                    if closed(x, y):
                         continue
-                    m = 0.5 * (a + b)
-                    f = known_side(m)
+                    m = 0.5 * (x + y)
+                    f = side_of(m, below, above)
                     if f is None:
                         plan.append(m)
-                        level += [(a, m), (m, b)]
+                        level += [(x, m), (m, y)]
                     else:
-                        level.append((m, b) if f == side else (a, m))
+                        level.append((m, y) if f == side else (x, m))
+        elif (blur is not None and not sharp(edge, err) and not closed(a, edge)
+              and not closed(edge, c) and fits(edge) is None):
+            # a Newton step
+            reach = [] if steps > 1 else [k * min(err, 1.0) for k in (2.0, 8.0)]
+            plan = [r for r in (edge, *(edge * math.exp(x) for d in reach for x in (-d, d)))
+                    if a < r < c]
         else:
-            while not settled(a, b):
-                m = 0.5 * (a + b)
-                f = known_side(m)
+            # a path, anchored where the far midpoints are inferred
+            if anchoring > 0 and sharp(edge, err) and s > 0.0:
+                beta, gamma = blur
+                w = 2.0 * (2.0 * err + beta) + 4.0 * gamma / s
+                low, high = edge * math.exp(-w), edge * math.exp(w)
+                if lo < low:
+                    plan.append(low)
+                    below = max(below, low * math.exp(-2.0 * beta))
+                if high < hi:
+                    plan.append(high)
+                    above = min(above, high * math.exp(2.0 * beta))
+            x, y = walk
+            while not closed(x, y):
+                m = 0.5 * (x + y)
+                f = side_of(m, below, above)
                 if f is None:
                     path.append((m, f := side if m < edge else not side))
-                a, b = (m, b) if f == side else (a, m)
+                x, y = (m, y) if f == side else (x, m)
+            walk = x, y
             plan += [m for m, _ in path]
             if then is not None:
-                plan += then(a, b)
+                plan += then(x, y)
+        # every evaluation's rates: probed, and with the blur settling far midpoints
         probe(plan)
         for m in plan:
             bisect.insort(points, m)
             if blur is not None:
-                v = value(m)
-                if fits(m) and v < -2.0 * blur[1]:
+                fit, v = fits(m), value(m)
+                if fit and v < -2.0 * blur[1]:
                     fit_below = max(fit_below, m * math.exp(-2.0 * blur[0]))
-                elif not fits(m) and v > 2.0 * blur[1]:
+                elif not fit and v > 2.0 * blur[1]:
                     unfit_above = min(unfit_above, m * math.exp(2.0 * blur[0]))
         if fit_below < below or unfit_above > above:
             # a pair did not settle its sides: placed again at most twice
             anchoring -= 1
-        if not fan and fit_below >= below and unfit_above <= above and all(
-                fits(m) == f for m, f in path):
+        elif all(fits(m) == f for m, f in path):
             # every side the path took holds: it is the walk's
-            lo, hi = a, b
+            lo, hi = walk
     return lo, hi

@@ -209,8 +209,12 @@ def reference_offer(scenario: Scenario, ne: NashResult,
     """The solved outcome with each served user given margin over their minimum.
 
     This proportional split is the offer the sweeps perturb; with the band
-    sized by the same margin it exhausts the endowment. A result without an
-    equilibrium has no offer: NoEquilibriumError.
+    sized by the same margin at the solved rate it exhausts the endowment.
+    On a band it did not size the split can exceed the endowment, and
+    game.Offer.validate_against refuses it: 1.0999999989*B on the 3 km cell
+    with a band of 2e7 Hz, and (1 + 1.2e-7)*B at seed 5, whose solved rate
+    is not the sizing rate. A result without an equilibrium has no offer:
+    NoEquilibriumError.
     """
     _require_equilibrium(ne)
     need = _Users(scenario, ne.served_set).price_requirements(ne.rate_bps)

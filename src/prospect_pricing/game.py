@@ -487,12 +487,12 @@ def _rate_feasibility_interval(probe, fits, value, slope, scenario: Scenario, kn
     0 and the interval starts above it: the probe then climbs by doublings
     until the rates fit or the margin r(b) - c1*b stops being positive, and
     the lower edge is bisected as well. From the lowest rate that fits, the
-    ladder doubles up to 1e18 and the upper edge is bisected, its Newton
-    started from the two rungs about it; where the rung below is the lower
-    edge, whose slope points away, from the rung past it. Rates are read one
-    at a time; a rung the memo misses is probed with the rungs its ladder
-    would read after it, _RUNGS_PER_CALL in all. then(lower, boundary) names
-    rates to probe with the upper edge's predicted path (solve_nash's b*).
+    ladder doubles up to 1e18 and the upper edge is bisected. Each edge is
+    _search._bisect_edge's, from the rungs the ladders probed. Rates are
+    read one at a time; a rung the memo misses is probed with the rungs its
+    ladder would read after it, _RUNGS_PER_CALL in all. then(lower,
+    boundary) names rates to probe with the upper edge's predicted path
+    (solve_nash's b*).
 
     Where the price's exponent is at least the benefit's, q = r/h does not
     fall as b rises, so no requirement does, and given rounding, a bound
@@ -537,8 +537,7 @@ def _rate_feasibility_interval(probe, fits, value, slope, scenario: Scenario, kn
         q = scenario.pricing(hi) / scenario.benefit(hi)
         if q < 1.0:
             blur = 32.0 * (1.0 - 1.0 / math.log(q)) * _EPS, rounding
-    start = (0.5 * hi, hi) if 0.5 * hi > lo else None
-    lo, _ = _search._bisect_edge(probe, fits, value, slope, lo, hi, start, known, blur,
+    lo, _ = _search._bisect_edge(probe, fits, value, slope, lo, hi, known, blur,
                                  then and (lambda a, b: then(lower, a)))
     return lower, lo
 
@@ -590,14 +589,12 @@ def solve_nash(scenario: Scenario) -> NashResult:
     Every rate is read from one memo, which keeps each probed rate's
     requirement totals over the first n users of _Users.order and their
     slopes in ln b, for every n, and its column of the evaluation that
-    probed it. Each feasibility edge is a Newton root of ln T_n(b) - ln(B*(1
-    - slack)) that aims the bisection (_search._bisect_edge); where the
-    price rises at least as fast as the benefit, the bisection's far
-    midpoints are inferred, with gamma = (n + 2)*2^-52 for the n users'
-    running sum and its ratio to the band. b*, the golden search's rate on
-    the edge's predicted interval, is probed with the edge's path. The
-    served users' need at the best rate is that rate's column, bitwise a
-    fresh evaluation's.
+    probed it. Each feasibility edge is _search._bisect_edge's, on ln T_n(b)
+    - ln(B*(1 - slack)), with gamma = (n + 2)*2^-52 bounding the roundoff of
+    the n users' running sum and its ratio to the band. b*, the golden
+    search's rate on the edge's predicted interval, is probed with the
+    edge's path. The served users' need at the best rate is that rate's
+    column, bitwise a fresh evaluation's.
     """
     n_users = scenario.n_users
     budget = scenario.total_bandwidth_hz

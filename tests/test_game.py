@@ -326,11 +326,12 @@ def test_acceptance_mean_invariance(default_scenario, default_ne):
 # became Newton roots (parent counts in parentheses): the 80-user 300 m
 # cell 3 calls of 42 rates (5 of 77), the default cell 4 of 43 (5 of 80),
 # the 80-user cell at 1/10 of its band 83 of 304 (86 of 1,502), and the 3 km
-# cell with a band of 2e7 Hz 22 of 198 (22 of 272).
+# cell with a band of 2e7 Hz 22 of 198 (22 of 272); that cell's 169 rates
+# since a Newton step's rates settle far midpoints as a path's do.
 NASH_80_CALLS, NASH_80_RATES = 3, 42
 DEFAULT_CALLS, DEFAULT_RATES = 4, 43
 NASH_80_TENTH_BAND_CALLS, NASH_80_TENTH_BAND_RATES = 83, 304
-FAR_CELL_BAND_CALLS, FAR_CELL_BAND_RATES = 22, 198
+FAR_CELL_BAND_CALLS, FAR_CELL_BAND_RATES = 22, 169
 
 
 @pytest.fixture(scope="module")
@@ -926,10 +927,12 @@ def test_scan_without_equilibrium_stops_once_no_smaller_set_can_earn(monkeypatch
 
 
 # evaluations and rates the solves of the 28 configs of test_cli.fuzz_configs
-# that build take in all, as recorded when each feasibility edge came to be
-# a Newton root (579 calls of 7,892 rates along paths interpolated through
-# the values the memo holds, 797 of 9,303 along secant-predicted paths)
-FUZZ_SOLVE_CALLS, FUZZ_SOLVE_RATES = 402, 7166
+# that build take in all, as recorded when a Newton step's rates came to
+# settle far midpoints as a path's do (402 calls of 7,166 rates when each
+# feasibility edge came to be a Newton root, 579 of 7,892 along paths
+# interpolated through the values the memo holds, 797 of 9,303 along
+# secant-predicted paths)
+FUZZ_SOLVE_CALLS, FUZZ_SOLVE_RATES = 402, 7123
 
 
 def test_fuzz_solves_are_the_full_scans_in_few_evaluations(monkeypatch):

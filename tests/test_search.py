@@ -120,9 +120,9 @@ def test_a_smooth_value_closes_a_wide_bracket_in_few_calls():
 
 def test_ladder_rungs_given_as_known_points_close_the_bracket_in_few_calls():
     """The same brackets, with the rungs a ladder leaves, 2^21, 2^22 and
-    2^24, known, and Newton started from the two about the edge, as
-    _rate_feasibility_interval passes them: one evaluation closes the
-    bracket, of 3 rates where the far midpoints are inferred."""
+    2^24, known, as _rate_feasibility_interval passes them: the narrowest
+    bracket they give is the two rungs about the edge, and one evaluation
+    closes the bracket, of 3 rates where the far midpoints are inferred."""
     rungs = (2.0 ** 21, 2.0 ** 22, 2.0 ** 24)
     flips = 2.0 ** np.random.default_rng(3).uniform(22.0, 23.0, 50)
     for f in flips.tolist():
@@ -130,8 +130,7 @@ def test_ladder_rungs_given_as_known_points_close_the_bracket_in_few_calls():
         for blur in (None, BLUR):
             calls = []
             memo = fake_memo(pred, value, calls, (1.0, 2.0 ** 23, *rungs), lambda m: 1.0)
-            got = _bisect_edge(*memo, 1.0, 2.0 ** 23, (2.0 ** 22, 2.0 ** 23),
-                               sorted((1.0, *rungs)), blur)
+            got = _bisect_edge(*memo, 1.0, 2.0 ** 23, sorted((1.0, *rungs)), blur)
             assert got == sequential_bisection(pred, 1.0, 2.0 ** 23)
             assert len(calls) == 1 and (blur is None or len(calls[0]) <= 3)
 
