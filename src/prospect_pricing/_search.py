@@ -197,82 +197,105 @@ def stationary_min(f: Callable, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     each one's best point and value.
 
     f(points, problems) maps points and the index of the problem of each to
-    the value there, a slope of the sign of d value/d point, maybe
-    infinite, and bounds lower and upper, arrays or scalars: the problem's
-    value is finite only strictly between them. One call evaluates every
-    edge of every problem, edge-major, then the starts. Only brackets
-    between edges where the slope rises through 0 hold a minimum, and of
-    those only the ones whose points, ends included, leave a range between
-    the largest lower and the smallest upper bound: a bracket without one
-    is dropped before the search, or closed at the point that shows it.
-    One lockstep bracketed_root search, Chandrupatla's method, closes them
-    all to its default tolerance; when one bracket is searched, its bounds
-    and end values, like the search's state, are np.float64 scalars, the
-    same arithmetic on _Scalars for a fraction of the ufunc calls. Each bracket's point is the end of its
-    closed bracket of smaller value, the lower end on a tie: a stationary
-    point, where the smallest value evaluated could be any point within
-    rounding of a flat minimum, however far from its root. The best point
-    starts at the start, and each edge and its bracket's point, in order,
-    replace it only when strictly smaller. Without starts, f is not called
-    and both arrays are empty.
+    the value there and a slope of the sign of d value/d point, maybe
+    infinite. edges are rising, one list for every problem or edges x
+    problems, a problem's NaN edges, after its last, not evaluated. One
+    call evaluates every edge of every problem, edge-major, then the
+    starts. Only brackets between edges where the slope rises through 0
+    hold a minimum, and one lockstep bracketed_root search, Chandrupatla's
+    method, closes them all to its default tolerance; when one bracket is
+    searched, its end values, like the search's state, are np.float64
+    scalars, the same arithmetic on _Scalars for a fraction of the ufunc
+    calls. Each bracket's point is the end of its closed bracket of smaller
+    value, the lower end on a tie: a stationary point, where the smallest
+    value evaluated could be any point within rounding of a flat minimum,
+    however far from its root. The best point starts at the start, and each
+    edge and its bracket's point, in order, replace it only when strictly
+    smaller. Without starts, f is not called and both arrays are empty.
     """
-    edges, starts = np.asarray(edges, dtype=float), np.asarray(starts, dtype=float)
+    starts = np.asarray(starts, dtype=float)
     n = starts.size
     if not n:
         return np.empty(0), np.empty(0)
-    # value, slope, lower and upper at every point, one array of
-    # 4 x (edges + 1) x n, into which the bounds broadcast
-    points = np.concatenate((np.repeat(edges, n), starts))
-    at = np.empty((4, points.size))
-    for row, out in zip(at, f(points, np.arange(points.size) % n)):
-        row[...] = out
-    at = at.reshape(4, -1, n)
+    edges = np.asarray(edges, dtype=float)
+    edges = np.broadcast_to(edges[:, None] if edges.ndim == 1 else edges, (len(edges), n))
+    # value and slope at every point, (edges + 1) x n, the starts last; a NaN
+    # edge's value is inf and its slope NaN
+    points = np.concatenate((edges, starts[None]))
+    taken = ~np.isnan(points)
+    taken[-1] = True
+    at = np.full((2,) + points.shape, np.inf)
+    at[1] = np.nan
+    at[:, taken] = f(points[taken], np.nonzero(taken)[1])
     # bracket k of problem j holds a minimum where the slope rises through 0
     k, j = np.nonzero((at[1, :-2] < 0.0) & (at[1, 1:-1] > 0.0))
-    below, above = at[:, k, j], at[:, k + 1, j]
-    # and its finite values lie strictly between floor and ceil
-    floor, ceil = np.maximum(below[2], above[2]), np.minimum(below[3], above[3])
-    keep = floor < ceil
-    k, j, floor, ceil = k[keep], j[keep], floor[keep], ceil[keep]
-    below, above = below[:2, keep], above[:2, keep]
     # the values at each bracket's ends, moved along with them
-    lo_value, hi_value = below[0], above[0]
+    lo_value, hi_value = at[0, k, j], at[0, k + 1, j]
     # the state of the brackets still open, as bracketed_root's open picks them;
     # one bracket's, like bracketed_root's, in np.float64 scalars
     xp = _Scalars if k.size == 1 else _Arrays
     held, problem = np.arange(k.size), j
-    low, high, at_lo, at_hi = xp.value(floor), xp.value(ceil), xp.value(lo_value), xp.value(hi_value)
+    at_lo, at_hi = xp.value(lo_value), xp.value(hi_value)
 
     def root_slope(x, open_):
-        nonlocal held, problem, low, high, at_lo, at_hi
+        nonlocal held, problem, at_lo, at_hi
         if open_.size < held.size:
             # brackets closed: store their end values, and keep the rest
             lo_value[held], hi_value[held] = at_lo, at_hi
             kept = np.searchsorted(held, open_)
-            held, problem, low, high, at_lo, at_hi = (
-                a[kept] for a in (held, problem, low, high, at_lo, at_hi))
-        at_x, d, lower, upper = (xp.value(v) for v in f(x, problem))
-        low, high = xp.maximum(low, lower), xp.minimum(high, upper)
-        # a bracket shown to hold no finite value closes at this point
-        d = xp.where(low < high, d, 0.0)
+            held, problem, at_lo, at_hi = (a[kept] for a in (held, problem, at_lo, at_hi))
+        at_x, d = (xp.value(v) for v in f(x, problem))
         at_lo = xp.where(d <= 0.0, at_x, at_lo)
         at_hi = xp.where(d < 0.0, at_hi, at_x)
         return d
 
-    lo, hi = bracketed_root(root_slope, edges[k], edges[k + 1], below[1], above[1])
+    lo, hi = bracketed_root(root_slope, edges[k, j], edges[k + 1, j], at[1, k, j], at[1, k + 1, j])
     lo_value[held], hi_value[held] = at_lo, at_hi
     on_hi = hi_value < lo_value
     root, root_value = np.where(on_hi, hi, lo), np.where(on_hi, hi_value, lo_value)
 
     # candidates in order, points and values: the start, then each edge and
     # its bracket's point
-    cand, cand_value = np.empty((2, 2 * edges.size, n))
+    cand, cand_value = np.empty((2, 1 + 2 * len(edges), n))
     cand[0], cand_value[0] = starts, at[0, -1]
-    cand[1::2], cand_value[1::2] = edges[:, None], at[0, :-1]
+    cand[1::2], cand_value[1::2] = edges, at[0, :-1]
     cand[2::2], cand_value[2::2] = np.nan, np.inf
     cand[2 + 2 * k, j], cand_value[2 + 2 * k, j] = root, root_value
     best = np.argmin(cand_value, axis=0), np.arange(n)
     return cand[best], cand_value[best]
+
+
+def concave_root(f: Callable, u: float, stop: float, max_iter: int = 100) -> float:
+    """The end nearest u of the points between u and stop where a concave f
+    is at least 0: u itself where f(u) >= 0, NaN where there are none.
+
+    f(u) returns the value and slope at a float u. From u, where f is below
+    0, Newton's method steps toward stop: the tangent of a concave f lies
+    above it, so each step lands at or short of the zero and the steps move
+    monotonically toward it from the side where f < 0. There is no zero
+    where the slope does not point toward stop or a step passes stop. The
+    search ends at the first point where f is at least 0, or at the point
+    of a step below 2^-30*max(1, |u|), its error then of order the step
+    squared; after max_iter steps a RuntimeWarning says so and the last
+    point is returned.
+    """
+    toward = 1.0 if stop > u else -1.0
+    value, slope = f(u)
+    for _ in range(max_iter):
+        if value >= 0.0:
+            return u
+        if not toward * slope > 0.0:
+            return math.nan
+        step = -value / slope
+        u += step
+        if toward * (u - stop) > 0.0:
+            return math.nan
+        if abs(step) <= 2.0 ** -30 * max(1.0, abs(u)):
+            return u
+        value, slope = f(u)
+    warnings.warn(f"concave_root stopped at max_iter={max_iter} before a step below "
+                  f"2^-30", RuntimeWarning, stacklevel=2)
+    return u
 
 
 # evaluations aimed by an estimate that an edge takes at most; and the share

@@ -9,6 +9,11 @@ band resizing, and rate control, each reduced to a required-bandwidth
 threshold compared against the provider's endowment. Under Prelec's weight
 an equalized split has one root per rate, band and member set, whatever the
 alphas, and _solve_levels reads every alpha's level off it.
+
+_reach's margin, a second text of _RequirementMatrix.margins for the worst
+served user alone on Python floats, stays for a measured gain: a reach root
+through margins on a one-problem evaluator of the 40-user 300 m cell takes
+some 30 times as long.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ _ROOT_STEP = 2.0 ** -30
 _ROOT_WIDTH = 4 * 2.0 ** -52
 # the top of every level search, as a fraction of the cap no level reaches
 _CAP_END = 1.0 - 1e-12
+# rate control's graded edges: the first's offset from a reach root, as a
+# share of the reach interval, and the ratio of each offset to the last
+_GRADE_FIRST, _GRADE_RATIO = 2e-3, 1.8
 # bandwidth expansion's edges in v = ln(-ln(x/cap)), rising: the cap end,
 # 1 - 10^-k for k = 11 down to 2, then k/12 for k = 11 down to 1
 _EXPANSION_EDGES = np.log(-np.log(np.concatenate((
@@ -445,7 +453,7 @@ def bandwidth_expansions(scenario: Scenario, ne: NashResult,
             seen.add(v, j, at_x)
             # the start, v = inf, has x = 0 and a slope of 0*inf, never read
             with np.errstate(invalid="ignore"):
-                return c3 * total - n * x, (n * x - c3 * slope) * t, -np.inf, np.inf
+                return c3 * total - n * x, (n * x - c3 * slope) * t
 
         v, _ = _search.stationary_min(loss, _EXPANSION_EDGES, np.full(caps.size, np.inf))
     x = caps * np.exp(-np.exp(v))
@@ -482,9 +490,9 @@ def rate_control_price(scenario: Scenario, ne: NashResult, rate_bps: float) -> f
 
 
 def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, need: _RequirementMatrix,
-                 keep=None) -> tuple[np.ndarray, ...]:
-    """The summed requirement T of the served users at shifted rates,
-    dT/d ln rate, and bounds on the ln rates where T can be finite.
+                 keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """The summed requirement T of the served users at shifted rates and
+    dT/d ln rate.
 
     need is an evaluator of the served users (served.at): its problem k
     moves the offered rate to need.rates[k] at the revenue-preserving
@@ -500,11 +508,6 @@ def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, need: _Requ
     tells on which side of that interval the rate lies: left if its margin
     rises, and the slope is then -inf; right otherwise, and the slope is
     +inf. A price that is not positive lies left of every positive one.
-    There, too, each user's tangent lies above its concave margin, so the
-    interval lies strictly between the largest zero of a rising tangent and
-    the smallest zero of a falling one: the bounds.
-    Elsewhere, or where the offer's price is not above c1 times its rate,
-    the bounds are -inf and inf.
     """
     price = rate_control_price(scenario, ne, need.rates)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -514,19 +517,78 @@ def _rate_totals(scenario: Scenario, ne: NashResult, served: _Users, need: _Requ
     if keep is not None:
         keep(at)
     total, slope = _total(at), _total(slopes)
-    lower, upper = -np.inf, np.inf
     out = np.isinf(total)
     if out.any():
-        margin, rising = need.margins(price, elasticity)
+        _, rising = need.margins(price, elasticity)
         left = (price <= 0.0) | (rising[served.order[-1]] > 0.0)
         slope = np.where(out, np.where(left, -np.inf, np.inf), slope)
-        if ne.price > scenario.cost.c1 * ne.rate_bps:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                zero = np.log(need.rates) - margin / rising
-            known = out & ~np.isnan(zero)
-            lower = np.where(known & (rising > 0.0), zero, -np.inf).max(axis=0)
-            upper = np.where(known & (rising < 0.0), zero, np.inf).min(axis=0)
-    return total, slope, lower, upper
+    return total, slope
+
+
+def _reach(scenario: Scenario, ne: NashResult, served: _Users, alpha: float,
+           lo: float, hi: float) -> tuple[float, float]:
+    """The ln rates in [lo, hi] at which every served user's target is within
+    reach at rate control's price and alpha: (left, right), NaN where none.
+
+    For an offer priced above c1 times its rate, that is where the worst
+    served user's margin m(u) = ln h(b) - ln p(b) - (b*ln2*s_w)^alpha, u =
+    ln b, s_w = N0/P of the last of served.order, is above 0. m is concave
+    in u, so each end is _search.concave_root's Newton from lo or hi. m is
+    _RequirementMatrix.margins' worst row, on Python floats for one alpha at
+    a time, so a root does not depend on the alphas searched with it.
+    """
+    c1 = scenario.cost.c1
+    a = ne.price - c1 * ne.rate_bps
+    # ln h(b) = ln_h + e*u: the benefit law takes b in kbps
+    e = served.benefit.exponent
+    ln_h = math.log(served.benefit.coefficient) - e * math.log(1e3)
+    w = served.order[-1]
+    ln_s = math.log(_LN2 * float(served.noise[w, 0]) / float(served.power[w, 0]))
+
+    def margin(u):
+        b = math.exp(u)
+        # (b*ln2*s_w)^alpha, capped below overflow, far past any reach
+        sup = math.exp(min(alpha * (u + ln_s), 700.0))
+        p = a + c1 * b
+        return ln_h + e * u - math.log(p) - sup, e - c1 * b / p - alpha * sup
+
+    left = _search.concave_root(margin, lo, hi)
+    if math.isnan(left):
+        return math.nan, math.nan
+    return left, _search.concave_root(margin, hi, left)
+
+
+def _rate_edges(scenario: Scenario, ne: NashResult, served: _Users, alphas) -> np.ndarray:
+    """Rate control's edges in ln b, edges x alphas, NaN after an alpha's last.
+
+    The range is 1e-3 to 10 times the offered rate, cut at 13 uniform
+    edges. Where the price is at or below c1 times the offered rate, every
+    alpha takes those. Elsewhere an alpha's edges cut its reach interval
+    (_reach) in the range: its ends, the uniform edges inside it and, from
+    a left end that is a reach root, where T rises without bound, edges
+    graded away from it, the first _GRADE_FIRST of the interval from it and
+    each next _GRADE_RATIO times farther, up to the uniform edges' spacing.
+    No bracket is wider than that spacing. An empty interval has no edge.
+    """
+    lo, hi = math.log(1e-3 * ne.rate_bps), math.log(10.0 * ne.rate_bps)
+    uniform = lo + (hi - lo) * np.arange(13.0) / 12
+    if ne.price <= scenario.cost.c1 * ne.rate_bps:
+        return np.repeat(uniform[:, None], len(alphas), axis=1)
+    uniform, spacing = uniform.tolist(), (hi - lo) / 12
+    cuts = []
+    for alpha in alphas.tolist():
+        left, right = _reach(scenario, ne, served, alpha, lo, hi)
+        cut = []
+        if left < right:
+            step, end = _GRADE_FIRST * (right - left), min(right - left, spacing)
+            while left > lo and step < end:
+                cut.append(left + step)
+                step *= _GRADE_RATIO
+            cut = [left, *sorted(cut + [u for u in uniform if left < u < right]), right]
+        cuts.append(cut)
+    width = max(map(len, cuts), default=0)
+    edges = np.array([cut + [math.nan] * (width - len(cut)) for cut in cuts]).T
+    return edges.reshape(width, len(cuts))
 
 
 def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOutcome]:
@@ -534,31 +596,29 @@ def rate_controls(scenario: Scenario, ne: NashResult, alphas) -> list[StrategyOu
 
     One outcome per weighting exponent in alphas. The objective T need not
     be unimodal, so _search.stationary_min cuts the range [1e-3 * rate,
-    10 * rate] at 13 log-spaced edges: one evaluation gives T and
-    dT/d ln b at every edge of every alpha, and T at the offered rate, the
-    start (_rate_totals), and one lockstep root search of dT closes the
-    brackets where dT rises through 0. Out of reach, the users' tangents
-    bound the rates where T can be finite, so a bracket whose points leave
-    no such rate is dropped before the search or closed at the point that
-    shows it. Per alpha, the best rate starts at the offered one, and the
-    edges and roots, in order, replace it only when strictly smaller. The
-    threshold and the allocation are the best rate's requirement column, as
-    the search evaluated it (_Seen): no evaluation follows the search's last
-    root step.
+    10 * rate] at each alpha's edges: one evaluation gives T and dT/d ln b
+    at every edge of every alpha, and T at the offered rate, the start
+    (_rate_totals), and one lockstep root search of dT closes the brackets
+    where dT rises through 0. T is finite only on the alpha's reach
+    interval and rises without bound toward a reach root, where dT falls
+    too steeply for the root search to interpolate, so the edges
+    (_rate_edges) cut that interval alone, graded away from its left root,
+    and an alpha with none opens no bracket. Per alpha, the best rate
+    starts at the offered one, and the edges and roots, in order, replace
+    it only when strictly smaller. The threshold and the allocation are the
+    best rate's requirement column, as the search evaluated it (_Seen): no
+    evaluation follows the search's last root step.
     """
     _require_equilibrium(ne)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     served = _Users(scenario, ne.served_set)
-
-    lo, hi = math.log(1e-3 * ne.rate_bps), math.log(10.0 * ne.rate_bps)
-    edges = lo + (hi - lo) * np.arange(13.0) / 12
+    # the alphas, checked once; each step moves their problems' rates
+    offered, seen = served.at(ne.rate_bps, alphas), _Seen(ne.n_served)
+    edges = _rate_edges(scenario, ne, served, alphas)
 
     def rates(t):
         # the offered rate, the start, enters as t = nan: exp(ln b) need not be b
         return np.where(np.isnan(t), ne.rate_bps, np.exp(t))
-
-    # the alphas, checked once; each step moves their problems' rates
-    offered, seen = served.at(ne.rate_bps, alphas), _Seen(ne.n_served)
 
     def totals(t, j):
         # columns are picked by rate: the start's t is nan

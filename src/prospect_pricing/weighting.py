@@ -120,8 +120,6 @@ def fit_alpha(samples: list[tuple[float, float]]) -> tuple[WeightingModel, float
             raise ValueError(f"sample ({p}, {wp}) outside the unit square")
     p, wp = np.array(samples, dtype=float).T
 
-    def mse(alphas, _):
-        return (*_mse_and_slope(p, wp, alphas), -np.inf, np.inf)
-
-    alpha, err = _search.stationary_min(mse, np.arange(1, 1000) / 1000.0, [1.0])
+    alpha, err = _search.stationary_min(lambda alphas, _: _mse_and_slope(p, wp, alphas),
+                                        np.arange(1, 1000) / 1000.0, [1.0])
     return WeightingModel(alpha=float(alpha[0])), float(err[0])

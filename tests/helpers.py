@@ -421,6 +421,26 @@ def mp_min_bandwidth(mpmath, rate, target, ch):
         return b * mpmath.log(2) / x
 
 
+def mp_reach_root(mpmath, scenario, ne, users, alpha, u):
+    """50-digit root, nearest the ln rate u, of the reach margin of the
+    worst of users (largest N0/P) at rate control's price: ln h(b) - ln
+    p(b) - (b*ln2*N0/P)^alpha, p(b) = price + c1*(b - rate), u = ln b;
+    returns the root and the margin's slope there."""
+    ch = max((scenario.users[i] for i in users),
+             key=lambda ch: ch.noise_psd_w_per_hz / ch.received_power_w)
+    with mpmath.workdps(50):
+        s = mpmath.mpf(ch.noise_psd_w_per_hz) / mpmath.mpf(ch.received_power_w)
+        c1, price, rate = (mpmath.mpf(v) for v in (scenario.cost.c1, ne.price, ne.rate_bps))
+        h, e = mpmath.mpf(scenario.benefit.coefficient), mpmath.mpf(scenario.benefit.exponent)
+
+        def margin(u):
+            b = mpmath.exp(u)
+            return (mpmath.log(h * (b / 1000) ** e) - mpmath.log(price + c1 * (b - rate))
+                    - (b * mpmath.log(2) * s) ** alpha)
+        root = mpmath.findroot(margin, mpmath.mpf(u))
+        return root, mpmath.diff(margin, root)
+
+
 def count_evaluations(monkeypatch):
     """Record (problems, targets) of every requirement evaluation: each pass
     of the evaluator, whether it gives the requirements alone or with their

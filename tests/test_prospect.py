@@ -682,49 +682,68 @@ def test_rate_control_of_a_300m_cell_matches_the_scalar_oracle():
 
 def test_rate_controls_evaluate_few_requirement_matrices(default_scenario, default_ref,
                                                          monkeypatch):
-    """One evaluation gives T and dT at the 13 edges and the offered rate of
-    every alpha, then each root step one over the brackets still open, and
-    none follows the last step: the best rates' columns are ones the search
-    evaluated. On the default 31-alpha grid at most 15 evaluations of 869
-    columns in all (measured: 10 of 704; 11 of 735 with a last evaluation
-    of the best rates), where a root search by Brent's rule made 14 of 805,
-    a secant-or-midpoint one 20 of 990 and the golden multi-start 49 of
-    17,546."""
+    """One evaluation gives T and dT at every alpha's edges (_rate_edges)
+    and T at the offered rate, then each root step one over the brackets
+    still open, and none follows the last step: the best rates' columns are
+    ones the search evaluated. On the default 31-alpha grid at most 7
+    evaluations of 650 columns in all (measured: 7 of 632, the first of
+    465), where 13 uniform edges per alpha made 10 of 704 (11 of 735 with a
+    last evaluation of the best rates), a root search by Brent's rule 14 of
+    805, a secant-or-midpoint one 20 of 990 and the golden multi-start 49
+    of 17,546."""
     calls = helpers.count_evaluations(monkeypatch)
     ends = helpers.count_search_ends(monkeypatch, calls)
     alphas = experiments.SweepSpec(default_scenario,
                                    *experiments.DEFAULT_RANGE_COMPARISON).alphas()
     prospect.rate_controls(default_scenario, default_ref, alphas)
-    assert calls[0][0] == 14 * len(alphas) and ends == [len(calls)]
-    assert len(calls) <= 15
-    assert sum(problems for problems, _ in calls) <= 869
+    edges = prospect._rate_edges(default_scenario, default_ref,
+                                 game._Users(default_scenario, default_ref.served_set),
+                                 np.array(alphas))
+    assert calls[0][0] == np.count_nonzero(~np.isnan(edges)) + len(alphas)
+    assert ends == [len(calls)]
+    assert len(calls) <= 7
+    assert sum(problems for problems, _ in calls) <= 650
 
 
 def test_rate_controls_drop_brackets_out_of_reach(default_scenario, default_ref, monkeypatch):
-    """Over alphas 0.01 to 1, 34 of the default cell's 100 brackets hold no
-    rate that brings every target within reach: the tangent bounds at their
-    ends drop 32 before the search, and the bounds at their points close
-    the other 2. The root search takes at most 15 steps (measured: 9) and
-    rate control 2,400 columns, one evaluation before the search and one
-    per step (1,944; 2,044 with a last evaluation of the best rates), where
-    bisecting those brackets took 29 steps and 3,436 columns."""
-    steps, _ = helpers.count_root_steps(monkeypatch)
+    """Over alphas 0.01 to 1, the default cell brings every target within
+    reach at no rate for alphas 0.01 to 0.34, as the evaluator shows over
+    201 rates: those alphas have no edge and open no bracket, and each of
+    the other 66 opens one. The root search takes at most 6 steps
+    (measured: 6) and rate control 1,400 columns, one evaluation before the
+    search and one per step (1,383), where 13 uniform edges per alpha, with
+    tangent bounds that dropped or closed the 34 brackets out of reach,
+    took 9 steps and 1,944 columns, and bisecting those brackets 29 steps
+    and 3,436 columns."""
+    sc, ref = default_scenario, default_ref
+    alphas = [0.01 * k for k in range(1, 101)]
+    served = game._Users(sc, ref.served_set)
+    rates = np.geomspace(1e-3 * ref.rate_bps, 10.0 * ref.rate_bps, 201)
+    reachable = np.isfinite(prospect._rate_totals(
+        sc, ref, served, served.at(np.tile(rates, len(alphas)), np.repeat(alphas, rates.size)))[0])
+    reachable = reachable.reshape(len(alphas), rates.size).any(axis=1)
+    edges = prospect._rate_edges(sc, ref, served, np.array(alphas))
+    assert (~np.isnan(edges).all(axis=0) == reachable).all()
+    assert np.flatnonzero(~reachable).tolist() == list(range(34))
+    steps, brackets = helpers.count_root_steps(monkeypatch)
     calls = helpers.count_evaluations(monkeypatch)
-    prospect.rate_controls(default_scenario, default_ref, [0.01 * k for k in range(1, 101)])
-    assert len(steps) == 1 and steps[0] <= 15
+    prospect.rate_controls(sc, ref, alphas)
+    assert brackets == [66] and len(steps) == 1 and steps[0] <= 6
     assert len(calls) == 1 + steps[0]
-    assert sum(problems for problems, _ in calls) <= 2400
+    assert sum(problems for problems, _ in calls) <= 1400
 
 
 def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
     """The 40-user 300 m cell at the default seed, alphas 0.90 and 0.95: each
-    rate-control root search takes at most 14 steps (measured: 9 and 9)
-    and each expansion search at most 8 (7 and 4), where the search in u =
-    x/cap took 14 and 14, and a secant-or-midpoint root search 19 and 20
-    to 21. Each strategy evaluates once before its root steps and once per
-    step: rate control 10 times at both alphas, expansion 8 and 5 (11, 9
-    and 6 with a last evaluation of the best point). Every search opens
-    with one bracket, so it steps on scalars (_search._Scalars)."""
+    rate-control root search takes at most 5 steps (measured: 5 and 5; 9
+    and 9 on 13 uniform edges, whose bracket beside the worst user's reach
+    root took midpoints) and each expansion search at most 8 (7 and 4),
+    where the search in u = x/cap took 14 and 14, and a secant-or-midpoint
+    root search 19 and 20 to 21. Each strategy evaluates once before its
+    root steps and once per step: rate control 6 times at both alphas,
+    expansion 8 and 5 (11, 9 and 6 with a last evaluation of the best
+    point). Every search opens with one bracket, so it steps on scalars
+    (_search._Scalars)."""
     sc = experiments.build_scenario(40, seed=experiments.DEFAULT_SEED, cell_radius_m=300.0)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     steps, brackets = helpers.count_root_steps(monkeypatch)
@@ -736,7 +755,7 @@ def test_recovery_searches_of_a_300m_cell_take_few_steps(monkeypatch):
             strategy(sc, ref, [alpha])
             evaluations.append(len(calls))
     assert len(steps) == 4 and brackets == [1, 1, 1, 1]
-    assert max(steps[0::2]) <= 8 and max(steps[1::2]) <= 14
+    assert max(steps[0::2]) <= 8 and max(steps[1::2]) <= 5
     assert evaluations == [1 + n for n in steps]
 
 
@@ -758,23 +777,20 @@ def test_rate_slopes_out_of_reach_point_to_the_reachable_rates(alpha):
     one interval of rates (each margin is concave in ln b), and where it is
     inf the slope is -inf below that interval and +inf above it. Where no
     rate is within reach (alphas 0.003 and 0.3 here), the slope still
-    changes sign once, from -inf to +inf. Every rate's bounds hold the
-    interval strictly inside them, and where no rate is within reach the
-    bounds of the grid leave nothing between them."""
+    changes sign once, from -inf to +inf. The reach interval over the
+    grid's range (_reach) switches where the evaluator does: T is finite at
+    the grid's rates inside it and inf at the others, and everywhere where
+    there is none."""
     sc = experiments.build_scenario(seed=2)
     ref = experiments.reference_offer(sc, solve_nash(sc))
     assert ref.price - sc.cost.c1 * ref.rate_bps > 0.0
     served = game._Users(sc, ref.served_set)
     rates = np.geomspace(1e-4 * ref.rate_bps, 100.0 * ref.rate_bps, 2001)
-    total, slope, lower, upper = prospect._rate_totals(sc, ref, served, served.at(rates, alpha))
-    lower, upper = np.broadcast_to(lower, rates.shape), np.broadcast_to(upper, rates.shape)
-    assert (lower[np.isfinite(total)] == -np.inf).all()
-    assert (upper[np.isfinite(total)] == np.inf).all()
-    reach = np.log(rates[np.isfinite(total)])
-    if reach.size:
-        assert lower.max() < reach.min() and reach.max() < upper.min()
-    else:
-        assert lower.max() >= upper.min()
+    total, slope = prospect._rate_totals(sc, ref, served, served.at(rates, alpha))
+    u = np.log(rates)
+    left, right = prospect._reach(sc, ref, served, alpha, u[0], u[-1])
+    assert (np.isfinite(total) == ((left <= u) & (u <= right))).all()
+    assert math.isnan(left) == (alpha in (0.003, 0.3))
     finite = np.flatnonzero(np.isfinite(total))
     if finite.size:
         assert (np.diff(finite) == 1).all()
@@ -786,14 +802,41 @@ def test_rate_slopes_out_of_reach_point_to_the_reachable_rates(alpha):
         assert (slope[:finite[0]] < 0.0).all() and (slope[finite[-1] + 1:] > 0.0).all()
 
 
+@pytest.mark.parametrize("seed, n_users, radius", [
+    (experiments.DEFAULT_SEED, 10, 800.0), (2, 10, 800.0),
+    (experiments.DEFAULT_SEED, 40, 300.0)])
+def test_reach_roots_match_a_50_digit_root(seed, n_users, radius):
+    """Each end of an alpha's reach interval inside rate control's range is a
+    root of the worst served user's margin: within 2 eps*|u| of its 50-digit
+    root once scaled by the margin's slope there (measured: 1.2e-15), so
+    |u - u*| itself grows as the interval shrinks to a point. An end at the
+    range's edge has its root, if any, outside the range."""
+    mpmath = pytest.importorskip("mpmath")
+    sc = experiments.build_scenario(n_users, seed=seed, cell_radius_m=radius)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    served = game._Users(sc, ref.served_set)
+    lo, hi = math.log(1e-3 * ref.rate_bps), math.log(10.0 * ref.rate_bps)
+    ends = 0
+    for alpha in (0.3, 0.35, 0.45, 0.6, 0.9, 1.0):
+        left, right = prospect._reach(sc, ref, served, alpha, lo, hi)
+        for u in () if math.isnan(left) else (left, right):
+            root, slope = helpers.mp_reach_root(mpmath, sc, ref, ref.served_set, alpha, u)
+            if u in (lo, hi):
+                assert not lo < root < hi
+                continue
+            ends += 1
+            assert abs(u - root) * abs(slope) <= 2.0 * 2.0 ** -52 * abs(u), (alpha, u)
+    assert ends >= 6
+
+
 @pytest.mark.parametrize("share", [1.0, 0.5, 0.0])
 def test_rate_control_of_an_offer_below_its_rate_cost_terminates(default_scenario,
                                                                  default_ref, share):
     """An offer whose price is at or below c1 times its rate (share of it)
     has prices that are not positive at lower rates, and margins that need
     not be concave: the searches still close without a warning, and the
-    threshold is finite and no larger than at the offered rate. Such
-    margins bound no rates."""
+    threshold is finite and no larger than at the offered rate. Such an
+    offer's edges are the 13 uniform ones, without a reach root."""
     sc = default_scenario
     offer = replace(default_ref, price=share * sc.cost.c1 * default_ref.rate_bps)
     served = game._Users(sc, offer.served_set)
@@ -805,11 +848,12 @@ def test_rate_control_of_an_offer_below_its_rate_cost_terminates(default_scenari
     for out, offered in zip(outcomes, at_offer.tolist()):
         assert math.isfinite(out.min_bandwidth_threshold_hz)
         assert out.min_bandwidth_threshold_hz <= offered
+    lo, hi = math.log(1e-3 * offer.rate_bps), math.log(10.0 * offer.rate_bps)
+    edges = prospect._rate_edges(sc, offer, served, np.array(alphas))
+    assert (edges == (lo + (hi - lo) * np.arange(13.0) / 12)[:, None]).all()
     rates = np.geomspace(1e-4 * offer.rate_bps, 100.0 * offer.rate_bps, 201)
     for alpha in alphas:
-        total, _, lower, upper = prospect._rate_totals(sc, offer, served,
-                                                       served.at(rates, alpha))
-        assert np.isinf(total).any() and (lower, upper) == (-np.inf, np.inf)
+        assert np.isinf(prospect._rate_totals(sc, offer, served, served.at(rates, alpha))[0]).any()
 
 
 def test_rate_control_matches_grid_search(trio):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import fake_memo, gathered_chandrupatla, golden_reference, sequential_bisection
-from prospect_pricing._search import (_bisect_edge, _edge_estimate, bracketed_root, golden_max,
-                                      stationary_min)
+from prospect_pricing._search import (_bisect_edge, _edge_estimate, bracketed_root,
+                                      concave_root, golden_max, stationary_min)
 from prospect_pricing.game import _EPS
 
 # (beta, gamma) of a computed total as solve_nash states it for a few users:
@@ -426,7 +426,7 @@ def test_bracketed_root_stopped_at_its_cap_warns():
 
 def flat(x, problems):
     """The same value everywhere, with a slope rising through 0 at 0."""
-    return np.zeros(x.shape), x, -np.inf, np.inf
+    return np.zeros(x.shape), x
 
 
 def test_a_start_wins_ties():
@@ -440,13 +440,13 @@ def test_an_edge_comes_before_its_root():
     def recorded(x, problems):
         points.extend(x.tolist())
         # the start, at 5, is worth more than every other point
-        return np.where(x == 5.0, 1.0, 0.0), x, -np.inf, np.inf
+        return np.where(x == 5.0, 1.0, 0.0), x
 
     x, _ = stationary_min(recorded, [-1.0, 1.0], [5.0])
     # the bracket was searched, and its points tie the edge before it
     assert len(points) > 3 and x.tolist() == [-1.0]
     # a root strictly smaller than the edges wins
-    x, value = stationary_min(lambda x, problems: (x * x, x, -np.inf, np.inf), [-1.0, 3.0], [5.0])
+    x, value = stationary_min(lambda x, problems: (x * x, x), [-1.0, 3.0], [5.0])
     assert abs(x[0]) <= 1e-10 and value[0] == x[0] * x[0]
 
 
@@ -459,7 +459,7 @@ def test_a_flat_minimum_returns_its_root():
 
     def f(x, problems):
         d = x - root[problems]
-        return np.floor(d * d * 1e4) / 1e4, d * (1.0 + 50.0 * d * d), -np.inf, np.inf
+        return np.floor(d * d * 1e4) / 1e4, d * (1.0 + 50.0 * d * d)
 
     x, value = stationary_min(f, [-1.0, 1.0], np.zeros(root.size))
     assert (np.abs(x - root) <= 1e-10).all() and (value == 0.0).all()
@@ -473,7 +473,7 @@ def test_brackets_with_infinite_end_slopes_close_on_each_problems_root():
 
     def f(x, problems):
         d = x - root[problems]
-        return d * d, slope(x, root[problems], window[problems]), -np.inf, np.inf
+        return d * d, slope(x, root[problems], window[problems])
 
     for edge, sign in ((edges[1], -1.0), (edges[2], 1.0)):
         assert (slope(np.full(root.shape, edge), root, window) == sign * np.inf).any()
@@ -481,29 +481,62 @@ def test_brackets_with_infinite_end_slopes_close_on_each_problems_root():
     assert (np.abs(x - root) <= 1e-10 * np.maximum(root, 1.0)).all()
 
 
-def test_brackets_shown_to_hold_no_finite_value_close_early():
-    """Problems 0 and 1 are inf everywhere, with slopes -inf and +inf either
-    side of 0.5. Problem 0's bounds cross at the edges: its bracket is
-    dropped before the search. Problem 1's cross only inside the bracket:
-    it closes at its first point. Problem 2's never cross, and its search
-    finds its minimum, at ln 2, beside them."""
-    root_points = []
+def test_each_problem_searches_its_own_edges():
+    """Edges given per problem, a problem's NaN edges after its last: each
+    problem takes bitwise the points, best point and value it takes
+    searched alone on its own edges, NaN edges are not evaluated, and a
+    problem without an edge opens no bracket and keeps its start."""
+    root = np.array([0.3, 1.7, 0.5])
+    # edges x problems: [0, 1, 2], [1, 2] and none
+    edges = np.array([[0.0, 1.0, np.nan], [1.0, 2.0, np.nan], [2.0, np.nan, np.nan]])
+    starts = np.array([0.9, 1.9, 0.25])
 
-    def f(x, problems):
-        root_points.append(problems.tolist())
-        out = problems < 2
-        value = np.where(out, np.inf, np.exp(x) - 2.0 * x)
-        slope = np.where(out, np.where(x < 0.5, -np.inf, np.inf), np.exp(x) - 2.0)
-        edge = (x == 0.0) | (x == 1.0)
-        lower = np.choose(problems, [1.0, np.where(edge, -1.0, 1.0), -np.inf])
-        upper = np.choose(problems, [0.0, np.where(edge, 2.0, 0.0), np.inf])
-        return value, slope, lower, upper
+    def searched(which):
+        seen = []
 
-    x, value = stationary_min(f, [0.0, 1.0], [0.25, 0.25, 0.25])
-    searched = np.bincount(np.concatenate(root_points[1:]), minlength=3)
-    assert searched[0] == 0 and searched[1] == 1 and searched[2] > 1
-    assert x[:2].tolist() == [0.25, 0.25] and value[:2].tolist() == [np.inf, np.inf]
-    assert abs(x[2] - math.log(2.0)) <= 1e-10
+        def f(x, problems):
+            j = np.asarray(which)[problems]
+            seen.append([(int(p), v.hex()) for p, v in zip(j.tolist(), x.tolist())])
+            d = x - root[j]
+            return np.exp(d) - d, np.expm1(d)
+
+        x, value = stationary_min(f, edges[:, which], starts[which])
+        return seen, [v.hex() for v in x.tolist()], [v.hex() for v in value.tolist()]
+
+    seen, x, value = searched([0, 1, 2])
+    assert not any(math.isnan(float.fromhex(v)) for step in seen for _, v in step)
+    assert [p for p, _ in seen[0]].count(2) == 1
+    for k in range(3):
+        alone_seen, alone_x, alone_value = searched([k])
+        mine = [[v for p, v in step if p == k] for step in seen]
+        assert [step for step in mine if step] == [[v for _, v in step] for step in alone_seen]
+        assert (x[k], value[k]) == (alone_x[0], alone_value[0])
+    assert abs(float.fromhex(x[0]) - 0.3) <= 1e-10 and abs(float.fromhex(x[1]) - 1.7) <= 1e-10
+    assert x[2] == (0.25).hex()
+
+
+def test_concave_root_steps_monotonically_to_the_nearest_zero():
+    """Newton from where a concave f is below 0 rises (or falls) to its zero
+    without passing it, from either side; a start where f >= 0 is its own
+    end; and where the slope points away from stop, where f has no zero
+    or where the zero lies past stop, there is none."""
+    points = []
+
+    def f(u):
+        points.append(u)
+        return 1.0 - u * u, -2.0 * u
+
+    assert abs(concave_root(f, -3.0, 3.0) + 1.0) <= 1e-15
+    assert points == sorted(points) and all(u <= -1.0 for u in points)
+    points.clear()
+    assert abs(concave_root(f, 3.0, -3.0) - 1.0) <= 1e-15
+    assert points == sorted(points, reverse=True) and all(u >= 1.0 for u in points)
+    assert concave_root(f, 0.5, 3.0) == 0.5
+    assert math.isnan(concave_root(f, 3.0, 5.0))
+    assert math.isnan(concave_root(f, -3.0, -2.0))
+    assert math.isnan(concave_root(lambda u: (-1.0 - u * u, -2.0 * u), -3.0, 3.0))
+    with pytest.warns(RuntimeWarning, match="concave_root stopped at max_iter=1"):
+        assert -3.0 < concave_root(f, -3.0, 3.0, max_iter=1) < -1.0
 
 
 def test_a_problem_with_no_bracket_returns_its_best_edge():
@@ -511,8 +544,7 @@ def test_a_problem_with_no_bracket_returns_its_best_edge():
     a slope rising through 0, and problem 2's bracket is searched beside them."""
     def f(x, problems):
         value = np.choose(problems, [-x, -x * x, (x - 0.5) ** 2])
-        return (value, np.choose(problems, [-np.ones_like(x), -2.0 * x, 2.0 * (x - 0.5)]),
-                -np.inf, np.inf)
+        return value, np.choose(problems, [-np.ones_like(x), -2.0 * x, 2.0 * (x - 0.5)])
 
     x, value = stationary_min(f, [-1.0, 0.25, 2.0], [0.0, 0.0, 0.0])
     assert x[:2].tolist() == [2.0, 2.0] and value[:2].tolist() == [-2.0, -4.0]
@@ -667,30 +699,32 @@ def test_bracketed_root_keeps_its_points_and_warning_at_the_cap():
 
 def one_bracket_problems(x, problems):
     """stationary_min objectives, one bracket each on the edges [0, 1]: 0 a
-    smooth minimum at ln 2; 1 inf, its bounds crossing only inside the
-    bracket; 2 and 3 a minimum at 0.3 whose lower, or upper, bound is NaN
-    inside the bracket, which closes it as crossed bounds do; 4 a value flat
-    to rounding around its minimum at 0.71; 5 a root at 0.123456 whose value
-    is least at the closed bracket's upper end. No secant lands on a root."""
-    edge = (x == 0.0) | (x == 1.0)
-    d = x - np.choose(problems, [math.log(2.0), 0.5, 0.3, 0.3, 0.71, 0.123456])
+    smooth minimum at ln 2; 1 inf everywhere, its slope -inf below 0.5 and
+    +inf above; 2 a pole at 0.2, inf below it with a slope of -inf, and a
+    minimum at 0.2 + 10^-1/2 above it; 3 its mirror, a pole at 0.8; 4 a
+    value flat to rounding around its minimum at 0.71; 5 a root at 0.123456
+    whose value is least at the closed bracket's upper end. No secant lands
+    on a root."""
+    d = x - np.choose(problems, [math.log(2.0), 0.5, 0.2, 0.8, 0.71, 0.123456])
     cubic = d * (1.0 + 50.0 * d * d)
-    value = np.choose(problems, [np.exp(x) - 2.0 * x, np.full(x.shape, np.inf), d * d,
-                                 d * d, np.floor(d * d * 1e4) / 1e4, np.abs(d - 1e-9)])
-    slope = np.choose(problems, [np.exp(x) - 2.0, np.where(d < 0.0, -np.inf, np.inf), cubic,
-                                 cubic, cubic, cubic])
-    lower = np.choose(problems, [-np.inf, np.where(edge, -1.0, 1.0),
-                                 np.where(edge, -np.inf, np.nan), -np.inf, -np.inf, -np.inf])
-    upper = np.choose(problems, [np.inf, np.where(edge, 2.0, 0.0), np.inf,
-                                 np.where(edge, np.inf, np.nan), np.inf, np.inf])
-    return value, slope, lower, upper
+    with np.errstate(divide="ignore"):
+        pole = np.where(d > 0.0, 1.0 / d + 10.0 * x, np.inf)
+        mirror = np.where(d < 0.0, -1.0 / d - 10.0 * x, np.inf)
+        value = np.choose(problems, [np.exp(x) - 2.0 * x, np.full(x.shape, np.inf), pole,
+                                     mirror, np.floor(d * d * 1e4) / 1e4, np.abs(d - 1e-9)])
+        slope = np.choose(problems, [
+            np.exp(x) - 2.0, np.where(d < 0.0, -np.inf, np.inf),
+            np.where(d > 0.0, 10.0 - 1.0 / (d * d), -np.inf),
+            np.where(d < 0.0, 1.0 / (d * d) - 10.0, np.inf), cubic, cubic])
+    return value, slope
 
 
 @pytest.mark.parametrize("problem", range(6))
 def test_one_bracket_stationary_min_is_its_batched_search(problem):
     """A problem searched alone, whose one bracket steps on scalars, takes
     bitwise the root points, best point and value it takes batched with a
-    second problem, on arrays."""
+    second problem, on arrays: a bracket without a finite value and one
+    with a pole at or in it too."""
     def searched(problems):
         points = []
 
@@ -708,8 +742,11 @@ def test_one_bracket_stationary_min_is_its_batched_search(problem):
     got = searched(np.array([problem]))
     assert got == searched(np.array([other, problem]))
     assert got == searched(np.array([problem, other]))
-    # the bounds that cross or turn NaN inside the bracket close it at its first point
-    assert len(got[0]) == (1 if problem in (1, 2, 3) else len(got[0])) > 0
+    x, value = float.fromhex(got[1]), float.fromhex(got[2])
+    want = [math.log(2.0), 0.9, 0.2 + 10.0 ** -0.5, 0.8 - 10.0 ** -0.5, 0.71, 0.123456][problem]
+    assert len(got[0]) > 1 and abs(x - want) <= 1e-9
+    # without a finite value the problem keeps its start
+    assert math.isinf(value) == (problem == 1)
 
 
 def test_one_bracket_stopped_at_its_cap_warns_at_the_points_of_the_full_length_search():
@@ -767,7 +804,7 @@ def test_an_objectives_own_overflow_still_warns(search, n):
             lo, hi = np.zeros(n), np.ones(n)
             bracketed_root(counted, lo, hi, overflowing(lo), overflowing(hi))
         else:
-            stationary_min(lambda x, j: (np.zeros(x.shape), counted(x, j), -np.inf, np.inf),
+            stationary_min(lambda x, j: (np.zeros(x.shape), counted(x, j)),
                            [0.0, 1.0], np.zeros(n))
     # the objective raised at a root step, not at the edges
     assert steps[-1] == n and len(steps) == (1 if search == "bracketed_root" else 2)
