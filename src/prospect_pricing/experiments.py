@@ -352,34 +352,25 @@ def sweep_expansion(spec: SweepSpec) -> SweepTable:
 def sweep_admission(spec: SweepSpec, max_drops: int = 3) -> SweepTable:
     """Markup price and residual loss when up to max_drops users are denied.
 
-    Denial order is worst channel first (_Users.kept), the largest consumer
-    at every rate and alpha. The freed band is re-split over the retained
-    users; the provider charges the revenue-preserving markup when the
-    retained users accept it, otherwise the highest price they do accept. One
-    level search over the served users, each kept set as members (never
-    empty as max_drops < n_served), solves one root per kept set for every
-    alpha. The markup is accepted by the strategies' one rule, game._feasible:
-    the kept users' requirements at it, from one more pass of the same
-    evaluator, sum below the endowment less its slack, as in
-    prospect.admission_controls.
+    The admission problems of 0 to max_drops drops (prospect._admissions),
+    worst channel first. The retained users re-split the band, so the markup
+    is accepted by the resplit rule, game._feasible on their total, as in
+    prospect.admission_controls; otherwise the provider charges the highest
+    price they accept, from one level search over the same evaluator: a
+    root per kept set (never empty as max_drops < n_served) for every alpha.
     """
     alphas = spec.alphas()
     ref, eut = _baseline(spec)
     sc = spec.scenario
     if not (0 <= max_drops < ref.n_served):
         raise ValueError(f"max_drops must lie in [0, {ref.n_served}), got {max_drops}")
-    drops = np.arange(max_drops + 1)
-    served = _Users(sc, ref.served_set)
-    need = served.at(ref.rate_bps, np.repeat(alphas, drops.size),
-                     np.tile(served.kept(drops), len(alphas)))
+    need, targets, at = prospect._admissions(sc, ref, alphas, range(max_drops + 1))
     caps = prospect._solve_levels(need, sc.total_bandwidth_hz).reshape(len(alphas), -1)
-    kept_sizes = (ref.n_served - drops).tolist()
-    targets = [prospect.admission_price(sc, ref, n_kept) for n_kept in kept_sizes]
-    fits = _feasible(_total(need(np.tile(targets, len(alphas)))), sc.total_bandwidth_hz)
+    fits = _feasible(_total(at), sc.total_bandwidth_hz).reshape(len(alphas), -1)
     rows = []
-    for a, alpha_caps, alpha_fits in zip(alphas, caps.tolist(),
-                                         fits.reshape(len(alphas), -1).tolist()):
-        for n_kept, cap, target, feasible in zip(kept_sizes, alpha_caps, targets, alpha_fits):
+    for a, alpha_caps, alpha_fits in zip(alphas, caps.tolist(), fits.tolist()):
+        for drop, (cap, target, feasible) in enumerate(zip(alpha_caps, targets, alpha_fits)):
+            n_kept = ref.n_served - drop
             price = target if feasible else cap - PRICE_EPS_REL * ref.price
             rev = _revenue(sc, n_kept, price, ref.rate_bps)
             loss = min(1.0, max(0.0, (eut - max(0.0, rev)) / eut))
@@ -393,64 +384,59 @@ def sweep_comparison(spec: SweepSpec) -> SweepTable:
     The no-pricing baseline holds the old price and buys whatever band the
     aggregate requirement demands. Expansion reprices at the equalized
     willingness; its full-recovery band equals the baseline's. Admission denies
-    the worst channel without re-splitting the survivors' band, so below
-    some alpha no markup is acceptable and the threshold cells are empty; with
-    a single served user nobody is left and both admission cells are empty. Rate
-    control additionally moves the offered rate to wherever the total
-    requirement is smallest. When one served user's target is out of reach at
-    any band, the no-pricing and expansion bands and the no-pricing revenue
-    are empty (and the rate-control band, when no rate brings every target
-    within reach).
+    the worst channel and the survivors keep their split, so they take the
+    markup by the keep rule (prospect._keeps), or else their price cap and
+    empty threshold cells; with a single served user nobody is left and both
+    admission cells are empty. The two bands are the admission problems of 0
+    and 1 drops (prospect._admissions). Rate control additionally moves the
+    offered rate to wherever the total requirement is smallest. When one
+    served user's target is out of reach at any band, the no-pricing and
+    expansion bands and the no-pricing revenue are empty (and the
+    rate-control band, when no rate brings every target within reach).
 
     Rate control's best revenue is the best of a 36-rate grid, each point at
     its equalized level. One level search (prospect._level_roots) gives a
     root per rate, the offered one first, that every alpha's level comes
     off (prospect._capped_levels); read as a revenue only, a level is its
-    root, without _solve_levels' fit. The survivors' band uses the served
-    users' evaluator, with them as members.
+    root, without _solve_levels' fit.
     """
     alphas = spec.alphas()
     ref, eut = _baseline(spec)
     sc = spec.scenario
     budget = sc.total_bandwidth_hz
     b_star = ref.rate_bps
-    served = _Users(sc, ref.served_set)
-    kept = tuple(np.delete(ref.served_set, served.order[-1:]).tolist())
-    markup = prospect.admission_price(sc, ref, len(kept)) if kept else None
 
     rates = np.append(b_star, np.geomspace(1e-3 * b_star, 10.0 * b_star, 36))
-    one = served.at(rates, 1.0)
+    one = _Users(sc, ref.served_set).at(rates, 1.0)
     levels = prospect._capped_levels(one, prospect._level_roots(one, np.full(rates.size, budget)),
                                      np.array(alphas)[:, None])
     grid_rev = _revenue(sc, ref.n_served, levels[:, 1:], rates[1:]) / eut
 
     rate_outcomes = prospect.rate_controls(sc, ref, alphas)
-    # the survivors' band at the markup and their price cap, every alpha in one pass
-    kept_bands = p_caps = [None] * len(alphas)
-    if kept:
-        at_markup = served.at(b_star, alphas, np.isin(ref.served_set, kept)[:, None])(markup)
-        kept_bands = _total(at_markup).tolist()
-        p_caps = _min_willingness(sc, ref, alphas, kept)
+    # per alpha, the no-pricing band and, past one served user, the survivors'
+    need, _, at = prospect._admissions(sc, ref, alphas, range(min(2, ref.n_served)))
+    bands = _total(at).reshape(len(alphas), -1).tolist()
+    keeps = prospect._keeps(ref, need, at).all(axis=0).reshape(len(alphas), -1).tolist()
+    kept = tuple(i for i, keep in zip(ref.served_set, need.members[:, -1]) if keep)
+    # the survivors' price cap, which a refused row reads
+    p_caps = _min_willingness(sc, ref, alphas, kept) if ref.n_served > 1 else [None] * len(alphas)
 
     rows = []
-    for a, x, grid_row, rc, np_band, kept_band, p_cap in zip(
-            alphas, levels[:, 0].tolist(), grid_rev.tolist(), rate_outcomes,
-            no_pricing_bands(sc, ref, alphas), kept_bands, p_caps):
-        bw_np = _empty_if_inf(np_band / budget)
+    for a, x, grid_row, rc, band, keep, p_cap in zip(
+            alphas, levels[:, 0].tolist(), grid_rev.tolist(), rate_outcomes, bands, keeps,
+            p_caps):
+        bw_np = _empty_if_inf(band[0] / budget)
         bw_exp = bw_np
 
         # out of reach, the band is inf, and at c3 = 0 its cost c3*inf is NaN
-        rev_np = None if math.isinf(np_band) else _revenue(
-            sc, ref.n_served, ref.price, b_star, max(budget, np_band)) / eut
+        rev_np = None if math.isinf(band[0]) else _revenue(
+            sc, ref.n_served, ref.price, b_star, max(budget, band[0])) / eut
         rev_exp = _revenue(sc, ref.n_served, x, b_star) / eut
 
-        # admission: survivors keep their original split; the markup must be
-        # acceptable as-is, else the strategy has no solution at this alpha
         bw_adm = rev_adm = None
-        if kept:
-            if p_cap >= markup:
-                bw_adm = kept_band / budget
-                rev_adm = 1.0
+        if len(band) > 1:
+            if keep[1]:
+                bw_adm, rev_adm = band[1] / budget, 1.0
             else:
                 rev_adm = _revenue(sc, len(kept), p_cap, b_star) / eut
 

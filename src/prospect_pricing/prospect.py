@@ -83,33 +83,32 @@ def ne_preserved(scenario: Scenario, ne: NashResult,
                  model: WeightingModel) -> NePreservation:
     """Does every served user still accept the unchanged offer under weighting?
 
-    User i passes iff the allocated bandwidth strictly exceeds the level where
-    the weighted guarantee drops to the indifference ratio r/h. Users whose
+    The zero-drop admission problem (_admissions). User i passes by the keep
+    rule (_keeps): its allocation strictly exceeds the band at which the
+    weighted guarantee reaches the indifference ratio r/h. Users whose
     indifference level is unattainable at any bandwidth are reported in
     unrecoverable rather than raising. The aggregate is sufficient by the
-    strategies' one rule, game._feasible: below the endowment less its slack.
+    resplit rule, game._feasible: below the endowment less its slack.
     """
-    _require_equilibrium(ne)
-    reqs = admission_requirements(scenario, ne, model, ne.price)
-    required = tuple(reqs[i] for i in ne.served_set)
-    per_user = tuple(ne.allocation[i] > reqs[i] for i in ne.served_set)
+    need, _, at = _admissions(scenario, ne, [model.alpha], [0])
+    required = at[:, 0].tolist()
+    per_user = tuple(_keeps(ne, need, at)[:, 0].tolist())
     aggregate = float(_total(required))
     return NePreservation(
         per_user=per_user,
         preserved=all(per_user) and len(per_user) > 0,
-        required_bandwidths=required,
+        required_bandwidths=tuple(required),
         aggregate_required=aggregate,
         aggregate_sufficient=_feasible(aggregate, scenario.total_bandwidth_hz),
-        unrecoverable=tuple(i for i in ne.served_set if math.isinf(reqs[i])))
+        unrecoverable=tuple(i for i, r in zip(ne.served_set, required) if math.isinf(r)))
 
 
 def no_pricing_bands(scenario: Scenario, ne: NashResult, alphas) -> list[float]:
-    """The no-pricing threshold of every alpha in one evaluation: the band the
-    served users need, summed in user order, to accept the unchanged offer.
-    The aggregate_required of ne_preserved; inf when a target is out of reach."""
-    _require_equilibrium(ne)
-    need = _Users(scenario, ne.served_set).at(ne.rate_bps, alphas)(ne.price)
-    return _total(need).tolist()
+    """The no-pricing threshold of every alpha: the served users' total of the
+    zero-drop admission problem (_admissions), bitwise the aggregate_required
+    of ne_preserved; inf when a target is out of reach."""
+    _, _, at = _admissions(scenario, ne, alphas, [0])
+    return _total(at).tolist()
 
 
 def _min_willingness(scenario: Scenario, ne: NashResult, alphas, users=None) -> list[float]:
@@ -336,11 +335,34 @@ def admission_price(scenario: Scenario, ne: NashResult, n_kept: int) -> float:
     return ratio * ne.price - (ratio - 1.0) * scenario.cost.c1 * ne.rate_bps
 
 
-def admission_requirements(scenario: Scenario, ne: NashResult, model: WeightingModel,
-                            price: float) -> dict[int, float]:
-    """Bandwidth at which each served user accepts price at the offered rate."""
-    need = _Users(scenario, ne.served_set).at(ne.rate_bps, model.alpha)(price)
-    return dict(zip(ne.served_set, need[:, 0].tolist()))
+def _admissions(scenario: Scenario, ne: NashResult, alphas, drops):
+    """The admission problems alphas x drops in one evaluation: (need, prices, at).
+
+    Problem j*len(drops) + m serves the served users less the drops[m] worst
+    channels at prices[m], the revenue-preserving price of the rest
+    (admission_price), under alphas[j]. The price depends on a kept set only
+    through its size and requirements are separable and rise with s = N0/P,
+    so all but the d worst (_Users.kept, of tied ones the lower index) is
+    the cheapest set of its size. With no drop the price is bitwise the
+    offered one (the ratio is exactly 1): no pricing. need is the served
+    users' evaluator with the kept sets as members, so a total adds the kept
+    users in user order, the dropped as +0.0, and at its requirements at the
+    prices. Kept users that re-split the band accept by game._feasible on
+    their total; kept users that keep their allocation, by _keeps.
+    """
+    _require_equilibrium(ne)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    served = _Users(scenario, ne.served_set)
+    prices = [admission_price(scenario, ne, ne.n_served - drop) for drop in drops]
+    need = served.at(ne.rate_bps, np.repeat(alphas, len(prices)),
+                     np.tile(served.kept(drops), alphas.size))
+    return need, prices, need(np.tile(prices, alphas.size))
+
+
+def _keeps(ne: NashResult, need: _RequirementMatrix, at) -> np.ndarray:
+    """The keep rule, per served user and _admissions problem: a kept user keeps its
+    allocation in ne and accepts iff that strictly exceeds its requirement at."""
+    return (np.array([ne.allocation[i] for i in ne.served_set])[:, None] > at) | ~need.members
 
 
 def _fit_outcome(scenario: Scenario, ne: NashResult, strategy_name: str, total: float,
@@ -371,32 +393,22 @@ def admission_controls(scenario: Scenario, ne: NashResult, alphas,
                        max_drops: int) -> list[StrategyOutcome]:
     """Serve a subset at the revenue-preserving markup, if any subset fits.
 
-    One outcome per weighting exponent in alphas. Candidate subsets keep at
-    least n_served - max_drops users. The revenue-preserving price depends
-    on the subset only through its size and per-user requirements are
-    separable and rise with s = N0/P, so for each size the cheapest subset
-    keeps all but the d worst channels (_Users.kept), of tied ones the lower
-    index. One evaluation inverts every alpha at every candidate price, each
-    kept set as its members, so each total adds the kept users in user
-    order, the dropped as +0.0. Per alpha the first smallest total wins; on
-    a tie, the fewest drops.
+    One outcome per weighting exponent in alphas, from the admission
+    problems of 0 to max_drops drops (_admissions), accepted by the resplit
+    rule, game._feasible. Per alpha the first smallest total wins; on a tie,
+    the fewest drops.
     """
     _require_equilibrium(ne)
     n = ne.n_served
     if not (0 <= max_drops < n):
         raise ValueError(f"max_drops must lie in [0, {n}), got {max_drops}")
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    # one problem per alpha and number of drops, each at its revenue-preserving price
-    prices = [admission_price(scenario, ne, n - drop) for drop in range(max_drops + 1)]
-    d = len(prices)
-    served = _Users(scenario, ne.served_set)
-    kept = np.tile(served.kept(np.arange(d)), alphas.size)
-    need = served.at(ne.rate_bps, np.repeat(alphas, d), kept)(np.tile(prices, alphas.size))
-    totals = _total(need)
-    best = np.argmin(totals.reshape(-1, d), axis=1) + d * np.arange(alphas.size)
+    d = max_drops + 1
+    need, prices, at = _admissions(scenario, ne, alphas, range(d))
+    totals = _total(at)
+    best = np.argmin(totals.reshape(-1, d), axis=1) + d * np.arange(totals.size // d)
     return [_fit_outcome(scenario, ne, "admission", total, prices[k % d],
-                         tuple(i for i, keep in zip(ne.served_set, kept[:, k]) if keep),
-                         need[kept[:, k], k].tolist())
+                         tuple(i for i, keep in zip(ne.served_set, need.members[:, k]) if keep),
+                         at[need.members[:, k], k].tolist())
             for k, total in zip(best.tolist(), totals[best].tolist())]
 
 

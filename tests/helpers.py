@@ -404,14 +404,29 @@ def reference_efficiency_root(lc):
 
 
 def mp_min_bandwidth(mpmath, rate, target, ch):
-    """50-digit root of F(bw) = target, from log(expm1(x)/x) = log c, with
-    c = ln(target)/ln(sup).
+    """50-digit root of F(bw) = target, from expm1(x)/x = c, with c =
+    ln(target)/ln(sup) > 1, in closed form.
 
-    With x = rate*ln2/bw the guarantee is ln F = ln sup * expm1(x)/x, and
-    e^(x/2) <= expm1(x)/x <= e^x brackets the root x in [log c, 2 log c].
-    Solved in log form, the root keeps its tolerance where c is
-    astronomically large (raw targets like exp(-1e900) at small alpha).
+    With x = rate*ln2/bw the guarantee is ln F = ln sup * expm1(x)/x. So
+    e^x = 1 + c*x, and u = x + 1/c solves -u*e^-u = -e^(-1/c)/c: the root
+    x > 0 is -W_-1(-e^(-1/c)/c) - 1/c, on the lower branch of Lambert's W
+    (the principal branch gives x = 0). mpmath keeps the argument's
+    exponent whole, so the root keeps its digits where c is astronomically
+    large (raw targets like exp(-1e900) at small alpha). mp_min_bandwidth_root
+    solves the same equation by a root search.
     """
+    with mpmath.workdps(50):
+        b, q = mpmath.mpf(rate), mpmath.mpf(target)
+        ln_sup = -b * mpmath.log(2) * ch.noise_psd_w_per_hz / ch.received_power_w
+        c = mpmath.log(q) / ln_sup
+        x = -mpmath.lambertw(-mpmath.exp(-1 / c) / c, -1).real - 1 / c
+        return b * mpmath.log(2) / x
+
+
+def mp_min_bandwidth_root(mpmath, rate, target, ch):
+    """mp_min_bandwidth by a root search of log(expm1(x)/x) = log c: e^(x/2)
+    <= expm1(x)/x <= e^x brackets x in [log c, 2 log c], and the log form
+    keeps the tolerance where c is astronomically large."""
     with mpmath.workdps(50):
         b, q = mpmath.mpf(rate), mpmath.mpf(target)
         ln_sup = -b * mpmath.log(2) * ch.noise_psd_w_per_hz / ch.received_power_w

@@ -198,6 +198,25 @@ def test_min_bandwidth_matches_mpmath_root(default_scenario):
                 assert rel <= 1e-14 + 1e-15 / gap, (rate, gap, got, want)
 
 
+def test_the_closed_form_oracle_is_the_root_search(default_scenario):
+    """helpers.mp_min_bandwidth's Lambert W form agrees with the root search
+    it replaced (helpers.mp_min_bandwidth_root) to 1e-25, far inside a
+    float's rounding, on a few cells: the best and the worst channel of the
+    default cell, targets 0.5 to 1e-12 below the supremum, the supremum
+    squared, and a raw target of exp(-1e900)."""
+    mpmath = pytest.importorskip("mpmath")
+    users = sorted(default_scenario.users,
+                   key=lambda ch: ch.noise_psd_w_per_hz / ch.received_power_w)
+    for ch in (users[0], users[-1]):
+        for rate in (1e3, 7e6):
+            sup = guarantee_supremum(rate, ch)
+            for target in [sup * (1.0 - gap) for gap in ORACLE_GAPS] + [
+                    sup * sup, mpmath.exp(-mpmath.mpf(10) ** 900)]:
+                want = helpers.mp_min_bandwidth_root(mpmath, rate, target, ch)
+                got = helpers.mp_min_bandwidth(mpmath, rate, target, ch)
+                assert abs(got - want) <= 1e-25 * want, (rate, target)
+
+
 def test_min_bandwidth_one_ulp_below_supremum_is_finite(default_scenario):
     for ch in default_scenario.users:
         for rate in ORACLE_RATES:

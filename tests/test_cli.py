@@ -507,25 +507,43 @@ def test_excessive_max_drops_exits_2(capsys):
     assert "max_drops" in err
 
 
-@pytest.mark.parametrize("alpha, max_drops, row", [
-    ("0.878519090263", 0, "0.87851909,10,0.999999999,4.89097483e-09,0"),
-    ("0.707099793789", 1, "0.707099794,9,1.02,4.62704071e-09,0"),
-    ("0.697188320806", 2, "0.697188321,8,1.045,4.27873309e-09,0"),
-    ("0.748639212087", 3, "0.748639212,7,1.07714286,3.85819834e-09,0")])
-def test_sweep_admission_takes_the_strategies_feasibility_rule(alpha, max_drops, row, capsys):
+# (seed, alpha, max_drops, row): at each alpha, found by bisection, the
+# last kept set's total at the markup is B*(1 - 5e-10); the published
+# cell's ids name no seed
+KNIFE_EDGE_ADMISSIONS = [
+    (4966, "0.878519090263", 0, "0.87851909,10,0.999999999,4.89097483e-09,0"),
+    (4966, "0.707099793789", 1, "0.707099794,9,1.02,4.62704071e-09,0"),
+    (4966, "0.697188320806", 2, "0.697188321,8,1.045,4.27873309e-09,0"),
+    (4966, "0.748639212087", 3, "0.748639212,7,1.07714286,3.85819834e-09,0"),
+    (1, "0.842975683631", 0, "0.842975684,10,0.999999999,4.62388856e-09,0"),
+    (2, "0.683774979322", 1, "0.683774979,9,1.02,5.21324024e-09,0"),
+    (3, "0.764895784951", 2, "0.764895785,8,1.045,4.29941325e-09,0"),
+    (5, "0.83376265921", 3, "0.833762659,7,1.07714285,3.96913803e-09,0")]
+
+
+@pytest.mark.parametrize("seed, alpha, max_drops, row", KNIFE_EDGE_ADMISSIONS,
+                         ids=[(f"seed{seed}-" if seed != 4966 else "") + f"{alpha}-{drops}-{row}"
+                              for seed, alpha, drops, row in KNIFE_EDGE_ADMISSIONS])
+def test_sweep_admission_takes_the_strategies_feasibility_rule(seed, alpha, max_drops, row,
+                                                               capsys):
     """sweep-admission accepts the markup by game._feasible, as
     admission_control does: at these alphas the last kept set's total at
-    the markup is B*(1 - 5.0e-10), inside the slack, so the row is
+    the markup is B*(1 - 5e-10), inside the slack, so the row is
     infeasible and prices at the equalized level less the shave, though
     that level lies above the markup (a rule on the level alone printed the
-    markup and 1)."""
-    status, out, err = run(["sweep-admission", "--seed", "4966", "--alpha-min", alpha,
+    markup and 1). The level exceeds the markup by 8.6e-12 to 1.8e-10 of
+    it, so the price lies below the markup it refused."""
+    status, out, err = run(["sweep-admission", "--seed", str(seed), "--alpha-min", alpha,
                             "--alpha-max", alpha, "--max-drops", str(max_drops)], capsys)
     assert (status, err) == (0, "")
     assert out.splitlines()[-1] == row
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, experiments.solve_nash(sc))
+    markup = prospect.admission_price(sc, ref, ref.n_served - max_drops)
+    spec = experiments.SweepSpec(sc, float(alpha), float(alpha))
+    price_ratio = experiments.sweep_admission(spec, max_drops).rows[-1][2]
+    assert price_ratio < markup / ref.price
     if max_drops == 0:
-        sc = experiments.build_scenario()
-        ref = experiments.reference_offer(sc, experiments.solve_nash(sc))
         model = WeightingModel(float(alpha))
         assert not prospect.admission_control(sc, ref, model, 0).feasible
 

@@ -621,20 +621,56 @@ def test_comparison_runs_every_rate_control_in_one_batch(default_scenario, monke
 
 
 @pytest.mark.parametrize("sweep", [sweep_expansion, sweep_comparison])
-def test_sweeps_take_each_one_target_band_in_one_evaluation(default_scenario, monkeypatch,
-                                                            sweep):
+def test_sweeps_take_each_one_target_band_in_one_evaluation(default_scenario, default_ref,
+                                                            monkeypatch, sweep):
     """The no-pricing band (target: the offered price) and sweep-compare's
-    admission band (target: the markup) each come from one evaluation over
-    every alpha, so 33 alphas make as many one-target evaluations as 3."""
+    survivors' band (target: the markup) are admission problems of 0 and 1
+    drops (prospect._admissions): one evaluation over every alpha gives
+    them all, so 33 alphas make one band evaluation, as 3 do, and no
+    evaluation takes one target for all its problems."""
     calls = helpers.count_evaluations(monkeypatch)
-    counts = []
+    prices = [default_ref.price]
+    if sweep is sweep_comparison:
+        prices.append(prospect.admission_price(default_scenario, default_ref,
+                                               default_ref.n_served - 1))
     for step in (0.08, 0.005):
         calls.clear()
         spec = spec_for(default_scenario, 0.84, 1.0, step=step)
-        assert len(spec.alphas()) in (3, 33)
+        n_alphas = len(spec.alphas())
+        assert n_alphas in (3, 33)
         sweep(spec)
-        counts.append(sum(np.ndim(targets) == 0 for _, targets in calls))
-    assert counts[0] == counts[1]
+        bands = [targets for _, targets in calls if targets.tolist() == prices * n_alphas]
+        assert len(bands) == 1
+        assert not any(np.ndim(targets) == 0 for _, targets in calls)
+
+
+# the cells on which the keep rule is checked against the survivors' price
+# cap: the published cell and seeds 1-12, the 3 km cell with a band given,
+# whose served set leaves user 4 out, and price_exp 0.6 at seed 59
+KEEP_RULE_CELLS = {**{f"seed{seed}": {"seed": seed}
+                      for seed in (experiments.DEFAULT_SEED, *range(1, 13))},
+                   "radius3000-band2e7": {"cell_radius_m": 3000.0, "total_bandwidth_hz": 2e7},
+                   "price0.6-seed59": {"price_exp": 0.6, "seed": 59}}
+
+
+@pytest.mark.parametrize("params", KEEP_RULE_CELLS.values(), ids=KEEP_RULE_CELLS.keys())
+def test_the_keep_rule_is_the_survivors_price_cap_rule(params):
+    """sweep-compare's survivors keep their split, and accept the markup by
+    the keep rule (prospect._keeps): each one's allocation strictly exceeds
+    its requirement at the markup. At every alpha of 0.85-1 (step 0.005)
+    and 0.01-1 (step 0.001) that is the rule the sweep took before, kept
+    here as the oracle: the survivors' price cap, their lowest weighted
+    willingness at their allocation (prospect._min_willingness), at least
+    the markup."""
+    sc = build_scenario(**params)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    for window in ((0.85, 1.0, 0.005), (0.01, 1.0, 0.001)):
+        alphas = SweepSpec(sc, *window).alphas()
+        need, [markup], at = prospect._admissions(sc, ref, alphas, [1])
+        kept = tuple(np.compress(need.members[:, 0], ref.served_set).tolist())
+        assert kept == tuple(sorted(helpers.drop_order(sc, ref)[1:]))
+        oracle = [cap >= markup for cap in prospect._min_willingness(sc, ref, alphas, kept)]
+        assert prospect._keeps(ref, need, at).all(axis=0).tolist() == oracle
 
 
 @pytest.mark.parametrize("sweep", [sweep_revenue_loss, sweep_price, sweep_expansion,

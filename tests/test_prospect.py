@@ -26,7 +26,6 @@ from prospect_pricing.prospect import (
     admission_control,
     admission_controls,
     admission_price,
-    admission_requirements,
     bandwidth_expansion,
     bandwidth_expansions,
     equalized_levels,
@@ -339,8 +338,9 @@ def test_admission_infeasible_when_markup_exceeds_benefit():
     markup = admission_price(sc, ne, 2)
     assert markup / sc.benefit(ne.rate_bps) > 1.0
     model = WeightingModel(alpha=0.5)
-    assert all(math.isinf(v)
-               for v in admission_requirements(sc, ne, model, markup).values())
+    need, prices, at = prospect._admissions(sc, ne, [model.alpha], [1])
+    assert prices == [markup]
+    assert np.isinf(at[need.members]).all()
     out = admission_control(sc, ne, model, 1)
     assert not out.feasible
     assert math.isinf(out.min_bandwidth_threshold_hz)
@@ -1212,6 +1212,27 @@ def test_no_pricing_bands_are_the_preserved_aggregates_bitwise(seed):
 
 
 @pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5])
+def test_the_zero_drop_admission_problem_is_no_pricing_bitwise(seed):
+    """With no drop the revenue-preserving price is the offered one, bit
+    for bit, so the no-pricing band, admission control's threshold with no
+    drop allowed and ne_preserved's aggregate are one total of one
+    admission problem (prospect._admissions), judged by one rule, over
+    alphas 0.01 to 1, whose low alphas put some target out of reach."""
+    sc = experiments.build_scenario(seed=seed)
+    ref = experiments.reference_offer(sc, solve_nash(sc))
+    assert admission_price(sc, ref, ref.n_served).hex() == ref.price.hex()
+    alphas = experiments.SweepSpec(sc, 0.01, 1.0, 0.01).alphas()
+    bands = no_pricing_bands(sc, ref, alphas)
+    assert any(math.isinf(t) for t in bands)
+    outcomes = admission_controls(sc, ref, alphas, 0)
+    reports = [ne_preserved(sc, ref, WeightingModel(alpha=a)) for a in alphas]
+    assert ([t.hex() for t in bands]
+            == [o.min_bandwidth_threshold_hz.hex() for o in outcomes]
+            == [r.aggregate_required.hex() for r in reports])
+    assert [o.feasible for o in outcomes] == [r.aggregate_sufficient for r in reports]
+
+
+@pytest.mark.parametrize("seed", [experiments.DEFAULT_SEED, 2, 5])
 def test_min_willingness_is_the_scalar_minimum_bitwise(seed):
     """One guarantee pass gives every alpha's lowest willingness, h times the
     weight of the lowest guarantee, bit for bit the minimum of
@@ -1407,16 +1428,50 @@ def test_equalized_levels_match_a_50_digit_root(default_scenario, default_ref):
 def mp_log_tau(mpmath, sc, users, rate, band, guess):
     """50-digit (h, v*) of a rate: its benefit h and the root v* = log tau*
     of S(tau) = band, each user's band the one at which the guarantee
-    reaches exp(-tau) (helpers.mp_min_bandwidth), by secant from 1e-9
-    around guess. The level at alpha is h*exp(-exp(alpha*v*))."""
+    reaches exp(-tau) (helpers.mp_min_bandwidth), by Newton from guess, a
+    float root, to a step below 1e-30, which leaves an error of order its
+    square. A band rate*ln2/y, expm1(y)/y = c with c in proportion to tau,
+    moves by -band/(y*g'(y)) per unit of v = log tau, g'(y) = 1/(1 - e^-y)
+    - 1/y. The level at alpha is h*exp(-exp(alpha*v*))."""
     with mpmath.workdps(50):
         h = sc.benefit.coefficient * (mpmath.mpf(rate) / 1000) ** sc.benefit.exponent
-        root = mpmath.findroot(
+        rate_ln2, v = mpmath.mpf(rate) * mpmath.log(2), mpmath.mpf(guess)
+        for _ in range(10):
+            need = [helpers.mp_min_bandwidth(mpmath, rate, mpmath.exp(-mpmath.exp(v)),
+                                             sc.users[i]) for i in users]
+            ys = [rate_ln2 / n for n in need]
+            slope = -sum(n / (y * (1 / -mpmath.expm1(-y) - 1 / y)) for n, y in zip(need, ys))
+            step = (sum(need) - band) / slope
+            v -= step
+            if abs(step) < 1e-30:
+                return h, v
+        raise AssertionError(f"no 50-digit root near {guess} at {rate} bps")
+
+
+def mp_log_tau_secant(mpmath, sc, users, rate, band, guess):
+    """mp_log_tau's v* by secant from 1e-9 around guess, to 1e-40."""
+    with mpmath.workdps(50):
+        return mpmath.findroot(
             lambda v: sum(helpers.mp_min_bandwidth(mpmath, rate, mpmath.exp(-mpmath.exp(v)),
                                                    sc.users[i]) for i in users) - band,
             (mpmath.mpf(guess) - 1e-9, mpmath.mpf(guess) + 1e-9), solver="secant",
             tol=mpmath.mpf(10) ** -40)
-        return h, root
+
+
+def test_the_newton_level_root_is_the_secant_root(default_scenario, default_ref):
+    """mp_log_tau's Newton steps land on the root that a secant search
+    takes at 50 digits, within 1e-38, at the lowest, the offered and the
+    highest of sweep-compare's rates."""
+    mpmath = pytest.importorskip("mpmath")
+    sc, ref = default_scenario, default_ref
+    rates = np.array([1e-3, 1.0, 10.0]) * ref.rate_bps
+    band = sc.total_bandwidth_hz
+    v = prospect._level_roots(game._Users(sc, ref.served_set).at(rates, 1.0),
+                              np.full(rates.size, band), 100)
+    for rate, guess in zip(rates.tolist(), v.tolist()):
+        _, newton = mp_log_tau(mpmath, sc, ref.served_set, rate, band, guess)
+        secant = mp_log_tau_secant(mpmath, sc, ref.served_set, rate, band, guess)
+        assert abs(newton - secant) <= 1e-38 * max(1, abs(secant)), rate
 
 
 def mp_scaled(mpmath, h, v_star, alpha):

@@ -1,8 +1,9 @@
 """The CI workflow, checked where GitHub Actions cannot run it.
 
 Every step's script must parse under bash, every golden file the workflow
-names must exist, and the installed-package step's comparisons must pass
-when `prospect-pricing` and `python -m prospect_pricing` run from the source
+names must exist, the benchmark step must report every verdict before it
+fails, and the installed-package step's comparisons must pass when
+`prospect-pricing` and `python -m prospect_pricing` run from the source
 tree. The wheel install itself is left to CI. Skipped without PyYAML.
 """
 
@@ -39,6 +40,31 @@ def test_every_golden_file_the_workflow_names_exists():
     named = re.findall(r"tests/golden/[^\s\"']+", WORKFLOW.read_text(encoding="utf-8"))
     assert named
     assert [path for path in named if not (ROOT / path).is_file()] == []
+
+
+# bench/run.py's last line for two (workload, seed) pairs that fail, and for the rest
+BENCH_STUB = """python3() {
+  case "$*" in
+    *"compare-default --seed 4 "*|*"recover-300m-40 --seed 11 "*)
+      echo '{"correct": false, "failed": 0}' ;;
+    *) echo '{"correct": true, "failed": 0}' ;;
+  esac
+}
+"""
+
+
+def test_the_benchmark_step_reports_every_verdict_before_failing():
+    """The benchmark reference step, run by bash -e as CI runs it, with
+    bench/run.py stubbed to fail two (workload, seed) pairs: it prints all
+    36 verdicts, the two failures among them, and then exits 1."""
+    [script] = [script for script in step_scripts().values() if "bench/run.py" in script]
+    proc = subprocess.run(["bash", "-e", "-c", BENCH_STUB + script], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, len(lines)) == (1, "", 36)
+    assert [line for line in lines if not line.endswith(": correct")] == [
+        'compare-default seed 4: {"correct": false, "failed": 0}',
+        'recover-300m-40 seed 11: {"correct": false, "failed": 0}']
 
 
 def test_the_installed_package_step_passes_on_the_source_tree(tmp_path):
